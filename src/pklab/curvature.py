@@ -1,4 +1,4 @@
-"""Levi-Civita connection, curvature tensors and Einstein residuals.
+"""Levi-Civita connection, curvature tensors and covariant derivatives.
 
 Connection coefficients are computed through jet arithmetic so that
 their own first partials (needed for the curvature tensor) stay exact to
@@ -7,7 +7,9 @@ rounding; nothing here is finite-differenced.  Sign conventions:
     R^k_{l ij} = d_i G^k_{lj} - d_j G^k_{li} + G^k_{ir} G^r_{lj} - G^k_{jr} G^r_{li}
     Ric_{lj}   = R^k_{l kj}
 
-with G the Christoffel symbols of the metric.
+with G the Christoffel symbols of the metric.  The functions here act on
+component jets or on values and partials; ``pklab.geometry.Geometry``
+feeds them cached data, one evaluation per sample point.
 """
 
 from __future__ import annotations
@@ -16,16 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import (
-    DIM,
-    ScalarField,
-    TensorField,
-    metric_inverse_jets,
-    ring_gradient,
-    ring_value,
-    tensor_values_and_partials,
-)
-from .jets import DualBatch, Jet, seed_point
+from .fields import DIM, TensorField, metric_inverse_jets, split_jets
+from .jets import DualBatch, Jet
 
 __all__ = [
     "christoffel_jets",
@@ -33,26 +27,23 @@ __all__ = [
     "christoffel_batch",
     "metricity_residual",
     "riemann",
-    "lower_riemann",
-    "ricci",
     "einstein_residual",
-    "estimate_einstein_constant",
     "covariant_derivative_endo",
-    "covariant_derivative_oneform",
     "covariant_derivative_vector",
     "scalar_hessian",
 ]
 
 
-def christoffel_jets(g: TensorField, coords) -> np.ndarray:
-    """Christoffel symbols as jets, shape (k, i, j).
+def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
+    """Christoffel symbols as jets, shape (k, i, j), from metric component jets.
 
-    One jet order is consumed by the metric partials, so with coordinate
-    jets of order K the result is trustworthy through order K-2 when the
-    metric components themselves embed profile derivatives.
+    ``ginv`` is the inverse metric as jets when the caller already holds
+    it.  One jet order is consumed by the metric partials, so with
+    coordinate jets of order K the result is trustworthy through order
+    K-2 when the metric components themselves embed profile derivatives.
     """
-    gj = g.components(coords)
-    ginv = metric_inverse_jets(gj)
+    if ginv is None:
+        ginv = metric_inverse_jets(gj)
     dg = np.empty((DIM, DIM, DIM), dtype=object)  # dg[i, j, l] = d_l g_ij
     for i in range(DIM):
         for j in range(DIM):
@@ -75,12 +66,8 @@ def christoffel_jets(g: TensorField, coords) -> np.ndarray:
 
 
 def christoffel(g: TensorField, point: Sequence[float], order: int = 2) -> np.ndarray:
-    """Pointwise Christoffel symbols Gamma^k_{ij} as floats."""
-    gamma = christoffel_jets(g, seed_point(point, order))
-    out = np.empty((DIM, DIM, DIM))
-    for idx in np.ndindex(out.shape):
-        out[idx] = ring_value(gamma[idx])
-    return out
+    """Pointwise Christoffel symbols Gamma^k_{ij} of a metric field as floats."""
+    return split_jets(christoffel_jets(g.jets(point, order)))[0]
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
@@ -97,106 +84,52 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, c)
 
 
-def metricity_residual(g: TensorField, point: Sequence[float]) -> float:
-    """max |nabla_k g_ij| at the point; a correctness oracle for the symbols."""
-    gv, gp = tensor_values_and_partials(g, point)
-    gamma = christoffel(g, point)
+def metricity_residual(gamma: np.ndarray, gv: np.ndarray, gp: np.ndarray) -> float:
+    """max |nabla_k g_ij| from the symbols and the metric's values/partials.
+
+    A correctness oracle for the symbols.
+    """
     nabla = np.transpose(gp, (2, 0, 1)).copy()
     nabla -= np.einsum("lki,lj->kij", gamma, gv)
     nabla -= np.einsum("lkj,il->kij", gamma, gv)
     return float(np.max(np.abs(nabla)))
 
 
-def _christoffel_values_and_partials(
-    g: TensorField, point: Sequence[float], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    gamma_jets = christoffel_jets(g, seed_point(point, order))
-    gv = np.empty((DIM, DIM, DIM))
-    gd = np.empty((DIM, DIM, DIM, DIM))  # gd[k, i, j, m] = d_m G^k_{ij}
-    for idx in np.ndindex((DIM, DIM, DIM)):
-        x = gamma_jets[idx]
-        gv[idx] = ring_value(x)
-        gd[idx] = ring_gradient(x)
-    return gv, gd
+def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Curvature tensor R^k_{l ij} from the symbols and their partials.
 
-
-def riemann(g: TensorField, point: Sequence[float], order: int = 3) -> np.ndarray:
-    """Curvature tensor R^k_{l ij} at a point."""
-    gv, gd = _christoffel_values_and_partials(g, point, order)
-    r = gd.transpose(0, 1, 3, 2) - gd  # d_i G^k_{lj} - d_j G^k_{li}
-    r += np.einsum("kir,rlj->klij", gv, gv)
-    r -= np.einsum("kjr,rli->klij", gv, gv)
+    ``dgamma[k, i, j, m]`` is d_m G^k_{ij}.
+    """
+    r = dgamma.transpose(0, 1, 3, 2) - dgamma  # d_i G^k_{lj} - d_j G^k_{li}
+    r += np.einsum("kir,rlj->klij", gamma, gamma)
+    r -= np.einsum("kjr,rli->klij", gamma, gamma)
     return r
 
 
-def lower_riemann(g: TensorField, point: Sequence[float]) -> np.ndarray:
-    """R_{klij} = g_{km} R^m_{lij}."""
-    return np.einsum("km,mlij->klij", g.values(point), riemann(g, point))
-
-
-def ricci(g: TensorField, point: Sequence[float]) -> np.ndarray:
-    """Ric_{lj} = R^k_{l kj}."""
-    return np.einsum("klkj->lj", riemann(g, point))
-
-
-def einstein_residual(
-    g: TensorField, lam: float, point: Sequence[float]
-) -> np.ndarray:
-    """Ric(g) - lam * g at the point."""
-    return ricci(g, point) - lam * g.values(point)
-
-
-def estimate_einstein_constant(g: TensorField, point: Sequence[float]) -> float:
-    """Diagnostic ratio Ric_ab / g_ab at the largest metric entry.
-
-    Only for reporting; verification always takes the constant as input.
-    """
-    gv = g.values(point)
-    ric = ricci(g, point)
-    a, b = np.unravel_index(np.argmax(np.abs(gv)), gv.shape)
-    return float(ric[a, b] / gv[a, b])
+def einstein_residual(geo, i: int, lam: float, metric: str = "g") -> np.ndarray:
+    """Ric - lam * metric at sample point i of a Geometry ('g' or 'ghat')."""
+    return geo.ricci(i, metric) - lam * geo.values(i, metric)
 
 
 def covariant_derivative_endo(
-    g: TensorField, a: TensorField, point: Sequence[float]
+    gamma: np.ndarray, av: np.ndarray, ap: np.ndarray
 ) -> np.ndarray:
-    """(nabla_k A)^i_j, shape (k, i, j)."""
-    av, ap = tensor_values_and_partials(a, point)
-    gamma = christoffel(g, point)
+    """(nabla_k A)^i_j, shape (k, i, j), from A's values and partials."""
     out = np.transpose(ap, (2, 0, 1)).copy()
     out += np.einsum("ikm,mj->kij", gamma, av)
     out -= np.einsum("mkj,im->kij", gamma, av)
     return out
 
 
-def covariant_derivative_oneform(
-    g: TensorField, psi_values: np.ndarray, psi_partials: np.ndarray, gamma: np.ndarray
-) -> np.ndarray:
-    """(nabla_k psi)_j = d_k psi_j - G^m_{kj} psi_m, shape (k, j).
-
-    Takes precomputed values/partials so callers can source psi from a
-    potential's jet exactly.
-    """
-    out = psi_partials.T.copy()  # psi_partials[j, k] = d_k psi_j
-    out -= np.einsum("mkj,m->kj", gamma, psi_values)
-    return out
-
-
 def covariant_derivative_vector(
-    g: TensorField, v: TensorField, point: Sequence[float]
+    gamma: np.ndarray, vv: np.ndarray, vp: np.ndarray
 ) -> np.ndarray:
     """(nabla_k V)^i = d_k V^i + G^i_{km} V^m, shape (k, i)."""
-    vv, vp = tensor_values_and_partials(v, point)
-    gamma = christoffel(g, point)
     return vp.T + np.einsum("ikm,m->ki", gamma, vv)
 
 
-def scalar_hessian(
-    f: ScalarField, point: Sequence[float], order: int = 3
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient covector, coordinate Hessian) of a scalar field."""
-    jet = f.jet(point, order=order)
-    grad = jet.gradient()
+def scalar_hessian(jet: Jet) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, gradient covector, coordinate Hessian) of a scalar jet (order >= 2)."""
     hess = np.empty((DIM, DIM))
     for i in range(DIM):
         for j in range(DIM):
@@ -204,4 +137,4 @@ def scalar_hessian(
             alpha[i] += 1
             alpha[j] += 1
             hess[i, j] = jet.partial(alpha)
-    return jet.value, grad, hess
+    return jet.value, jet.gradient(), hess

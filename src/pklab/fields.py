@@ -116,12 +116,6 @@ def ring_value(x) -> float:
     return float(x)
 
 
-def ring_gradient(x, dim: int = DIM) -> np.ndarray:
-    if isinstance(x, Jet):
-        return x.gradient()
-    return np.zeros(dim)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Map from coordinate ring elements to one ring element."""
@@ -214,28 +208,38 @@ def VectorField(fn: ComponentsFn, name: str = "") -> TensorField:
     return TensorField((1, 0), fn, name)
 
 
+def split_jets(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, partials) of an array of jets, partials[..., k] = d_k.
+
+    Plain-number entries are constants: their partials are zero.
+    """
+    vals = np.empty(arr.shape)
+    parts = np.zeros(arr.shape + (DIM,))
+    for idx in np.ndindex(arr.shape):
+        x = arr[idx]
+        if isinstance(x, Jet):
+            vals[idx] = x.coeffs[0]
+            parts[idx] = x.coeffs[x.space.first_positions]
+        else:
+            vals[idx] = ring_value(x)
+    return vals, parts
+
+
 def tensor_values_and_partials(
     field: TensorField, point: Sequence[float], order: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, partials) with partials[..., k] = d_k of each component."""
-    arr = field.jets(point, order=order)
-    vals = np.empty(arr.shape)
-    parts = np.empty(arr.shape + (DIM,))
-    for idx in np.ndindex(arr.shape):
-        vals[idx] = ring_value(arr[idx])
-        parts[idx] = ring_gradient(arr[idx])
-    return vals, parts
+    return split_jets(field.jets(point, order=order))
 
 
 # -- metric algebra ----------------------------------------------------
 
 
-def metric_inverse(g: TensorField, point: Sequence[float], tol: float = 1e-12) -> np.ndarray:
-    """Pointwise inverse metric g^{ij} with a determinant guard."""
-    gm = g.values(point)
+def metric_inverse(gm: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Inverse g^{ij} of a metric value matrix, with a determinant guard."""
     det = float(np.linalg.det(gm))
     if abs(det) < tol * max(1.0, float(np.max(np.abs(gm))) ** DIM):
-        raise DegenerateMetricError(f"metric determinant {det:.3e} at {list(point)}")
+        raise DegenerateMetricError(f"metric determinant {det:.3e}")
     return np.linalg.inv(gm)
 
 
@@ -256,28 +260,34 @@ def raise_index(ginv_vals: np.ndarray, covec: np.ndarray) -> np.ndarray:
 
 def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarray:
     """(grad f)^i = g^{ij} d_j f at a point."""
-    ginv = metric_inverse(g, point)
+    ginv = metric_inverse(g.values(point))
     return ginv @ f.gradient_covector(point)
+
+
+def matvec(m: np.ndarray, v) -> np.ndarray:
+    """out_i = sum_j m[i, j] v[j] over jet (or number) entries."""
+    out = np.empty(DIM, dtype=object)
+    for i in range(DIM):
+        acc = m[i, 0] * v[0]
+        for j in range(1, DIM):
+            acc = acc + m[i, j] * v[j]
+        out[i] = acc
+    return out
+
+
+def jet_differential(f) -> list:
+    """[d_0 f, ..., d_3 f] of a jet or dual batch; zeros for a constant."""
+    if isinstance(f, (Jet, DualBatch)):
+        return [f.derivative(i) for i in range(DIM)]
+    return [0.0] * DIM
 
 
 def gradient_field(g: TensorField, f: ScalarField, name: str = "") -> TensorField:
     """grad f as a vector field, evaluable on jets (one order is consumed)."""
 
     def comps(*coords):
-        gj = g.components(coords)
-        ginv = metric_inverse_jets(gj)
-        fj = f(*coords)
-        if isinstance(fj, (Jet, DualBatch)):
-            df = [fj.derivative(i) for i in range(DIM)]
-        else:
-            df = [0.0] * DIM
-        out = np.empty(DIM, dtype=object)
-        for i in range(DIM):
-            acc = ginv[i, 0] * df[0]
-            for j in range(1, DIM):
-                acc = acc + ginv[i, j] * df[j]
-            out[i] = acc
-        return out
+        ginv = metric_inverse_jets(g.components(coords))
+        return matvec(ginv, jet_differential(f(*coords)))
 
     return TensorField((1, 0), comps, name=name or f"grad({f.name})")
 
@@ -286,28 +296,21 @@ def apply_endo_field(t: TensorField, v: TensorField, name: str = "") -> TensorFi
     """Pointwise T(v) for an endomorphism field T and vector field v."""
 
     def comps(*coords):
-        tj = t.components(coords)
-        vj = v.components(coords)
-        out = np.empty(DIM, dtype=object)
-        for i in range(DIM):
-            acc = tj[i, 0] * vj[0]
-            for j in range(1, DIM):
-                acc = acc + tj[i, j] * vj[j]
-            out[i] = acc
-        return out
+        return matvec(t.components(coords), v.components(coords))
 
     return TensorField((1, 0), comps, name=name)
 
 
 # -- derivative operations --------------------------------------------
+#
+# These act on component values and first partials (see ``split_jets``),
+# so callers holding cached jets pay no re-evaluation.
 
 
 def lie_derivative_metric(
-    g: TensorField, x: TensorField, point: Sequence[float]
+    gv: np.ndarray, gp: np.ndarray, xv: np.ndarray, xp: np.ndarray
 ) -> np.ndarray:
     """(L_X g)_{ij} = X^k d_k g_{ij} + g_{kj} d_i X^k + g_{ik} d_j X^k."""
-    gv, gp = tensor_values_and_partials(g, point)
-    xv, xp = tensor_values_and_partials(x, point)
     out = np.einsum("k,ijk->ij", xv, gp)
     out += np.einsum("kj,ki->ij", gv, xp)
     out += np.einsum("ik,kj->ij", gv, xp)
@@ -315,33 +318,30 @@ def lie_derivative_metric(
 
 
 def lie_derivative_endo(
-    t: TensorField, x: TensorField, point: Sequence[float]
+    tv: np.ndarray, tp: np.ndarray, xv: np.ndarray, xp: np.ndarray
 ) -> np.ndarray:
     """(L_X T)^i_j = X^k d_k T^i_j - T^k_j d_k X^i + T^i_k d_j X^k."""
-    tv, tp = tensor_values_and_partials(t, point)
-    xv, xp = tensor_values_and_partials(x, point)
     out = np.einsum("k,ijk->ij", xv, tp)
     out -= np.einsum("kj,ik->ij", tv, xp)
     out += np.einsum("ik,kj->ij", tv, xp)
     return out
 
 
-def lie_bracket(x: TensorField, y: TensorField, point: Sequence[float]) -> np.ndarray:
+def lie_bracket(
+    xv: np.ndarray, xp: np.ndarray, yv: np.ndarray, yp: np.ndarray
+) -> np.ndarray:
     """[X, Y]^i = X^k d_k Y^i - Y^k d_k X^i."""
-    xv, xp = tensor_values_and_partials(x, point)
-    yv, yp = tensor_values_and_partials(y, point)
     return np.einsum("k,ik->i", xv, yp) - np.einsum("k,ik->i", yv, xp)
 
 
 def exterior_derivative_2form(
-    omega: TensorField, point: Sequence[float], asym_tol: float = 1e-12
+    wv: np.ndarray, wp: np.ndarray, asym_tol: float = 1e-12
 ) -> np.ndarray:
     """(d omega)_{ijk} as the cyclic sum of coordinate partials.
 
     Rejects inputs whose antisymmetry fails beyond ``asym_tol`` (scaled);
     validation rather than silent antisymmetrization.
     """
-    wv, wp = tensor_values_and_partials(omega, point)
     scale = max(1.0, float(np.max(np.abs(wv))))
     if np.max(np.abs(wv + wv.T)) > asym_tol * scale:
         raise MalformedFormError("2-form input is not antisymmetric at the point")
@@ -354,12 +354,11 @@ def exterior_derivative_2form(
     return dw
 
 
-def nijenhuis(t: TensorField, point: Sequence[float]) -> np.ndarray:
-    """N^i_{jk} of an endomorphism field from jet partials.
+def nijenhuis(tv: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """N^i_{jk} of an endomorphism field from its values and partials.
 
     N(X,Y) = [TX,TY] - T[TX,Y] - T[X,TY] + T^2 [X,Y] on coordinate fields.
     """
-    tv, tp = tensor_values_and_partials(t, point)
     n = np.einsum("mj,ikm->ijk", tv, tp)
     n -= np.einsum("mk,ijm->ijk", tv, tp)
     n += np.einsum("im,mjk->ijk", tv, tp)

@@ -1,0 +1,257 @@
+"""One triple's geometry at a fixed set of sample points, evaluated once.
+
+A :class:`Geometry` holds a triple (g, T, A) and its sample points and
+fills a per-point cache lazily: the order-3 component jets of g, T and A
+(one field evaluation each), the inverse metric, the invariants mu1, mu2,
+the potential psi, the Christoffel symbols of g and of the companion
+metric with their partials, the curvature tensors, the weighted tensor
+sigma(g) and the canonical Killing fields.  Every residual reads from it,
+so each derivative object is computed once per point and shared by all
+its consumers (the "taping" idea of Griewank & Walther, *Evaluating
+Derivatives*).
+
+``run_suite`` builds one Geometry per call and drops it with the call;
+nothing is memoized on the triple or its fields, so a later call on the
+same triple evaluates everything anew.
+
+The module also holds the jet-level formulas of the companion metric,
+the family members, sigma(g), psi and the invariants, shared by the
+cache and by the field constructors of ``pklab.projective``.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+from typing import Sequence
+
+import numpy as np
+
+from . import curvature
+from .fields import (
+    DEFAULT_ORDER,
+    DIM,
+    DegenerateMetricError,
+    jet_differential,
+    matvec,
+    metric_inverse,
+    metric_inverse_jets,
+    split_jets,
+)
+from .jets import Jet, jreciprocal
+from .linalg import mdet, minv, mmul, mtrace
+
+__all__ = [
+    "Geometry",
+    "mu_invariants",
+    "companion_components",
+    "family_components",
+    "weighted_sigma_components",
+    "psi_component",
+]
+
+# -- jet-level formulas ---------------------------------------------------
+
+
+def mu_invariants(aj: np.ndarray):
+    """(mu1, mu2) = (tr A / 2, (tr A)^2/8 - tr(A^2)/4) from A's components."""
+    tr = mtrace(aj)
+    return tr * 0.5, tr * tr * 0.125 - mtrace(mmul(aj, aj)) * 0.25
+
+
+def companion_components(gj: np.ndarray, aj: np.ndarray) -> np.ndarray:
+    """ghat = (det A)^(-1/2) g A^(-1) with the positive square root."""
+    det = mdet(aj)
+    if isinstance(det, Jet):
+        if det.value <= 0.0:
+            raise DegenerateMetricError(f"det A = {det.value:.3e} <= 0 in companion metric")
+        scale = det.pow(-0.5)
+    else:
+        scale = det ** (-0.5)
+    out = mmul(gj, minv(aj))
+    for i in range(DIM):
+        for j in range(DIM):
+            out[i, j] = out[i, j] * scale
+    return out
+
+
+def family_components(
+    gj: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
+) -> np.ndarray:
+    """g (alpha Id + beta A)^(-1) / s with s = alpha^2 + alpha beta mu1 + beta^2 mu2."""
+    at = np.empty((DIM, DIM), dtype=object)
+    for i in range(DIM):
+        for j in range(DIM):
+            at[i, j] = beta * aj[i, j] + (alpha if i == j else 0.0)
+    s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
+    sval = s.value if isinstance(s, Jet) else float(s)
+    if abs(sval) < 1e-13:
+        raise DegenerateMetricError(
+            f"family combination ({alpha}, {beta}) degenerate: sqrt det = {sval:.3e}"
+        )
+    out = mmul(gj, minv(at))
+    inv_s = jreciprocal(s)
+    for i in range(DIM):
+        for j in range(DIM):
+            out[i, j] = out[i, j] * inv_s
+    return out
+
+
+def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
+    """sigma^{ij} = |det g|^(1/6) g^{ij}; ``ginv`` is the inverse if already known."""
+    det = mdet(gj)
+    if isinstance(det, Jet):
+        if det.value < 0.0:
+            det = -det
+        w = det.pow(1.0 / 6.0)
+    else:
+        w = abs(det) ** (1.0 / 6.0)
+    if ginv is None:
+        ginv = minv(gj)
+    out = np.empty((DIM, DIM), dtype=object)
+    for i in range(DIM):
+        for j in range(DIM):
+            out[i, j] = ginv[i, j] * w
+    return out
+
+
+def psi_component(aj: np.ndarray):
+    """psi = -(1/4) log det A; its differential drives the connection shift."""
+    det = mdet(aj)
+    if isinstance(det, Jet):
+        if det.value <= 0.0:
+            raise DegenerateMetricError(f"det A = {det.value:.3e} <= 0 in psi")
+        return det.log() * (-0.25)
+    return -0.25 * np.log(det)
+
+
+# -- the cache --------------------------------------------------------------
+
+
+def _field(attr: str):
+    def build(geo: "Geometry", i: int) -> np.ndarray:
+        field = getattr(geo, attr)
+        if field is None:
+            raise ValueError(f"this geometry has no field {attr!r}")
+        return field.jets(geo.points[i], DEFAULT_ORDER)
+
+    return build
+
+
+def _killing(geo: "Geometry", i: int) -> np.ndarray:
+    """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
+    ginv = geo.jets(i, "ginv")
+    v = [matvec(ginv, jet_differential(mu)) for mu in geo.jets(i, "mu")]
+    tj = geo.jets(i, "t")
+    out = np.empty((4, DIM), dtype=object)
+    for k, row in enumerate(v + [matvec(tj, vk) for vk in v]):
+        out[k] = row
+    return out
+
+
+def _mu(geo: "Geometry", i: int) -> np.ndarray:
+    out = np.empty(2, dtype=object)
+    out[0], out[1] = mu_invariants(geo.jets(i, "a"))
+    return out
+
+
+_BUILDERS = {
+    "g": _field("g"),
+    "t": _field("t"),
+    "a": _field("a"),
+    "ginv": lambda geo, i: metric_inverse_jets(geo.jets(i, "g")),
+    "gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "g"), geo.jets(i, "ginv")),
+    "ghat": lambda geo, i: companion_components(geo.jets(i, "g"), geo.jets(i, "a")),
+    "ghat_gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "ghat")),
+    "mu": _mu,
+    "killing": _killing,
+    "sigma": lambda geo, i: weighted_sigma_components(geo.jets(i, "g"), geo.jets(i, "ginv")),
+    "a_sigma": lambda geo, i: mmul(geo.jets(i, "a"), geo.jets(i, "sigma")),
+}
+
+_GAMMA = {"g": "gamma", "ghat": "ghat_gamma"}
+
+
+class Geometry:
+    """Lazily filled per-point cache of one triple's geometry.
+
+    ``triple`` needs attributes ``g`` and ``t`` (tensor fields) and may
+    carry ``a`` (the Benenti tensor), ``meta`` and ``chart``; quantities
+    that need a missing field raise ValueError when asked for.  Points
+    are addressed by their index ``i`` in ``points``.
+    """
+
+    def __init__(self, triple, points: Sequence[Sequence[float]]):
+        self.triple = triple
+        self.g = triple.g
+        self.t = triple.t
+        self.a = getattr(triple, "a", None)
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self._memo: list[dict] = [{} for _ in range(len(self.points))]
+
+    @classmethod
+    def at(cls, point: Sequence[float], g=None, t=None, a=None) -> "Geometry":
+        """One-point geometry of loose fields, for pointwise use."""
+        return cls(SimpleNamespace(g=g, t=t, a=a, meta={}), [point])
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def _cached(self, i: int, key: str, build):
+        memo = self._memo[i]
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    # -- jets -------------------------------------------------------------
+
+    def jets(self, i: int, name: str) -> np.ndarray:
+        """Order-3 jets of 'g', 't', 'a', 'ginv', 'ghat', 'gamma' (of g),
+        'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
+        'sigma' (weighted sigma(g)) or 'a_sigma' (A sigma)."""
+        return self._cached(i, name, lambda: _BUILDERS[name](self, i))
+
+    def vp(self, i: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(values, first partials) of ``jets(i, name)``; partials on the last axis."""
+        return self._cached(i, name + "/vp", lambda: split_jets(self.jets(i, name)))
+
+    def values(self, i: int, name: str) -> np.ndarray:
+        return self.vp(i, name)[0]
+
+    def psi_jet(self, i: int) -> Jet:
+        """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
+
+        def build():
+            psi = psi_component(self.jets(i, "a"))
+            if isinstance(psi, Jet):
+                return psi
+            return Jet.constant(float(psi), DIM, DEFAULT_ORDER)
+
+        return self._cached(i, "psi", build)
+
+    # -- floats -------------------------------------------------------------
+
+    def ginv(self, i: int) -> np.ndarray:
+        """Inverse metric values, with the determinant guard."""
+        return self._cached(i, "ginv/f", lambda: metric_inverse(self.values(i, "g")))
+
+    def mu(self, i: int) -> np.ndarray:
+        """Values (mu1, mu2)."""
+        return self.values(i, "mu")
+
+    def lam(self, i: int) -> np.ndarray:
+        """Lam = (1/4) grad tr A = (1/2) g^{-1} d mu1."""
+        return self._cached(i, "lam", lambda: 0.5 * self.ginv(i) @ self.vp(i, "mu")[1][0])
+
+    def gamma(self, i: int, metric: str = "g") -> np.ndarray:
+        """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j)."""
+        return self.values(i, _GAMMA[metric])
+
+    def riemann(self, i: int, metric: str = "g") -> np.ndarray:
+        return self._cached(
+            i, "riemann/" + metric, lambda: curvature.riemann(*self.vp(i, _GAMMA[metric]))
+        )
+
+    def ricci(self, i: int, metric: str = "g") -> np.ndarray:
+        return self._cached(
+            i, "ricci/" + metric, lambda: np.einsum("klkj->lj", self.riemann(i, metric))
+        )

@@ -80,6 +80,11 @@ class JetSpace:
         self.factorials = np.array(
             [math.prod(math.factorial(ai) for ai in a) for a in idxs], dtype=float
         )
+        # coefficient positions of the first partials d/dx_0 ... d/dx_{dim-1}
+        self.first_positions = np.array(
+            [self.position[tuple(int(k == i) for k in range(dim))] for i in range(dim)]
+            if order >= 1 else [], dtype=np.intp
+        )
 
         left, right, target = [], [], []
         for i, a in enumerate(idxs):
@@ -171,11 +176,7 @@ class Jet:
         sp = self.space
         if sp.order < 1:
             raise ValueError("order-0 jet carries no first derivatives")
-        out = np.empty(sp.dim)
-        for i in range(sp.dim):
-            e = tuple(1 if k == i else 0 for k in range(sp.dim))
-            out[i] = self.coeffs[sp.position[e]]
-        return out
+        return self.coeffs[sp.first_positions]
 
     def derivative(self, i: int) -> "Jet":
         """Jet of the partial derivative d/dx_i.

@@ -17,20 +17,24 @@ its symplectic (Hamiltonian 2-form) reformulation, connection and Ricci
 differences, the weighted-tensor mobility equation, eigenvalue
 invariants with their canonical Killing fields, and the rank
 classification of the canonical distribution.
+
+Field constructors return TensorFields; residuals take a
+``pklab.geometry.Geometry`` and a sample-point index and read every
+jet, connection and curvature tensor from its cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .curvature import (
-    christoffel,
+    christoffel_jets,
     covariant_derivative_endo,
     covariant_derivative_vector,
-    ricci,
+    riemann,
+    scalar_hessian,
 )
 from .fields import (
     DIM,
@@ -42,12 +46,19 @@ from .fields import (
     lie_bracket,
     lie_derivative_endo,
     lie_derivative_metric,
-    metric_inverse,
-    tensor_values_and_partials,
+    split_jets,
 )
-from .jets import Jet
+from .geometry import (
+    Geometry,
+    companion_components,
+    family_components,
+    mu_invariants,
+    weighted_sigma_components,
+)
+from .jets import jsqrt
 from .linalg import mdet, minv, mmul, mtrace
 from .parakahler import ParaKahlerTriple, fundamental_form
+from .report import worst
 
 __all__ = [
     "N_COMPLEX",
@@ -56,15 +67,12 @@ __all__ = [
     "trace_field",
     "mu_invariant_fields",
     "mu_polynomial",
-    "lambda_field",
-    "lambda_vector",
     "benenti_residual",
     "hamiltonian_form_residual",
     "a_from_pair",
     "a_from_pair_field",
     "companion_metric",
     "family_metric",
-    "psi_field",
     "psi_potential",
     "connection_difference_residual",
     "weighted_sigma_field",
@@ -74,6 +82,7 @@ __all__ = [
     "sigma_parallel_residual",
     "sigma_para_hermitian_residual",
     "mobility_residual",
+    "mobility_expression",
     "SpectralData",
     "eigen_decompose",
     "eigenvalue_fields",
@@ -143,56 +152,32 @@ def mu_invariant_fields(a: TensorField) -> tuple[ScalarField, ScalarField]:
     the components, so the signed square root of det A stays smooth
     across sign changes of the half-block determinant.
     """
-
-    def mu1(*coords):
-        return mtrace(a.components(coords)) * 0.5
-
-    def mu2(*coords):
-        aj = a.components(coords)
-        tr = mtrace(aj)
-        tr2 = mtrace(mmul(aj, aj))
-        return tr * tr * 0.125 - tr2 * 0.25
-
-    return ScalarField(mu1, name="mu1"), ScalarField(mu2, name="mu2")
+    return (
+        ScalarField(lambda *c: mu_invariants(a.components(c))[0], name="mu1"),
+        ScalarField(lambda *c: mu_invariants(a.components(c))[1], name="mu2"),
+    )
 
 
-def mu_polynomial(a: TensorField, point: Sequence[float], t: float) -> float:
+def mu_polynomial(geo: Geometry, i: int, t: float) -> float:
     """sqrt(det(A - t Id)) evaluated as the quadratic t^2 - mu1 t + mu2."""
-    mu1, mu2 = mu_invariant_fields(a)
-    return t * t - mu1.value(point) * t + mu2.value(point)
+    m1, m2 = geo.mu(i)
+    return t * t - m1 * t + m2
 
 
 # -- the defining equation ---------------------------------------------
 
 
-def lambda_field(g: TensorField, a: TensorField) -> TensorField:
-    """Lam = (1/4) grad tr A as a vector field."""
-    quarter_tr = ScalarField(lambda *c: mtrace(a.components(c)) * 0.25, name="trA/4")
-    return gradient_field(g, quarter_tr, name="Lambda")
-
-
-def lambda_vector(
-    g: TensorField, a: TensorField, point: Sequence[float]
-) -> np.ndarray:
-    tr = ScalarField(lambda *c: mtrace(a.components(c)))
-    dtr = tr.gradient_covector(point)
-    return 0.25 * metric_inverse(g, point) @ dtr
-
-
-def benenti_residual(
-    triple: ParaKahlerTriple, a: TensorField, point: Sequence[float]
-) -> float:
+def benenti_residual(geo: Geometry, i: int) -> float:
     """Deviation of nabla A from the canonical right-hand side built from Lam.
 
     Maximum over coordinate directions X of the matrix mismatch, scaled
     by the magnitude of the quantities compared.
     """
-    g, t = triple.g, triple.t
-    gm = g.values(point)
-    tm = t.values(point)
-    lam = lambda_vector(g, a, point)
+    gm = geo.values(i, "g")
+    tm = geo.values(i, "t")
+    lam = geo.lam(i)
     tlam = tm @ lam
-    nabla = covariant_derivative_endo(g, a, point)  # [k, i, j]
+    nabla = covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))  # [k, i, j]
     worst, scale = 0.0, 1.0
     for k in range(DIM):
         x = np.zeros(DIM)
@@ -209,9 +194,7 @@ def benenti_residual(
     return worst / scale
 
 
-def hamiltonian_form_residual(
-    triple: ParaKahlerTriple, a: TensorField, point: Sequence[float]
-) -> float:
+def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
     """Residual of the Hamiltonian-2-form shape of the defining equation.
 
     With phi = g(AT., .) and kappa = tr_omega phi the equation reads
@@ -219,36 +202,23 @@ def hamiltonian_form_residual(
         2 nabla_X phi = d kappa ^ (TX)^flat - (T d kappa) ^ X^flat .
 
     Normalization is pinned so this is equivalent to the Lam form:
-    tr_omega phi = (1/2) tr A, and T acts on 1-forms through the metric
-    duality, (T alpha)(Y) = -alpha(TY).
+    tr_omega phi = (1/2) tr A = mu1, and T acts on 1-forms through the
+    metric duality, (T alpha)(Y) = -alpha(TY).
     """
-    g, t = triple.g, triple.t
-
-    def phifn(*coords):
-        aj = a.components(coords)
-        tj = t.components(coords)
-        gj = g.components(coords)
-        at = mmul(aj, tj)
-        out = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                acc = at[0, i] * gj[0, j]
-                for k in range(1, DIM):
-                    acc = acc + at[k, i] * gj[k, j]
-                out[i, j] = acc
-        return out
-
-    phi = TensorField((0, 2), phifn, name="phi")
-    phv, php = tensor_values_and_partials(phi, point)
-    gamma = christoffel(g, point)
+    gm, gp = geo.vp(i, "g")
+    tm, tp = geo.vp(i, "t")
+    av, ap = geo.vp(i, "a")
+    # phi_ij = (AT)^k_i g_kj, partials by the product rule
+    at = av @ tm
+    dat = np.einsum("ikm,kj->ijm", ap, tm) + np.einsum("ik,kjm->ijm", av, tp)
+    phv = at.T @ gm
+    php = np.einsum("kim,kj->ijm", dat, gm) + np.einsum("ki,kjm->ijm", at, gp)
+    gamma = geo.gamma(i)
     nphi = np.transpose(php, (2, 0, 1)).copy()
     nphi -= np.einsum("mki,mj->kij", gamma, phv)
     nphi -= np.einsum("mkj,im->kij", gamma, phv)
 
-    gm = g.values(point)
-    tm = t.values(point)
-    half_tr = ScalarField(lambda *c: mtrace(a.components(c)) * 0.5)
-    dk = half_tr.gradient_covector(point)
+    dk = geo.vp(i, "mu")[1][0]
     tdk = -(tm.T @ dk)  # (T dkappa)_i = -dkappa_p T^p_i
 
     worst, scale = 0.0, 1.0
@@ -271,17 +241,11 @@ def hamiltonian_form_residual(
 # -- pair <-> Benenti tensor -------------------------------------------
 
 
-def a_from_pair(
-    g: TensorField, ghat: TensorField, point: Sequence[float]
-) -> np.ndarray:
-    """A = (det ghat / det g)^(1/6) ghat^{-1} g at a point."""
-    gm = g.values(point)
-    hm = ghat.values(point)
+def a_from_pair(gm: np.ndarray, hm: np.ndarray) -> np.ndarray:
+    """A = (det ghat / det g)^(1/6) ghat^{-1} g from the two metrics' values."""
     ratio = np.linalg.det(hm) / np.linalg.det(gm)
     if ratio <= 0.0:
-        raise DegenerateMetricError(
-            f"determinant ratio {ratio:.3e} is not positive at {list(point)}"
-        )
+        raise DegenerateMetricError(f"determinant ratio {ratio:.3e} is not positive")
     return ratio ** (1.0 / 6.0) * np.linalg.inv(hm) @ gm
 
 
@@ -311,23 +275,7 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """
 
     def comps(*coords):
-        gj = g.components(coords)
-        aj = a.components(coords)
-        det = mdet(aj)
-        if isinstance(det, Jet):
-            if det.value <= 0.0:
-                raise DegenerateMetricError(
-                    f"det A = {det.value:.3e} <= 0 in companion metric"
-                )
-            scale = det.pow(-0.5)
-        else:
-            scale = det ** (-0.5)
-        ainv = minv(aj)
-        out = mmul(gj, ainv)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = out[i, j] * scale
-        return out
+        return companion_components(g.components(coords), a.components(coords))
 
     def batch(points):
         gv, gd = g.batch_duals(points)
@@ -370,23 +318,11 @@ def family_metric(
         if ghat is None:
             raise ValueError("need either a Benenti field or the companion metric")
         a = a_from_pair_field(g, ghat)
-    mu1, mu2 = mu_invariant_fields(a)
 
     def comps(*coords):
         gj = g.components(coords)
-        at = endo_combination(a, alpha, beta).components(coords)
-        s = alpha * alpha + alpha * beta * mu1(*coords) + beta * beta * mu2(*coords)
-        sval = s.value if isinstance(s, Jet) else float(s)
-        if abs(sval) < 1e-13:
-            raise DegenerateMetricError(
-                f"family combination ({alpha}, {beta}) degenerate: sqrt det = {sval:.3e}"
-            )
-        atinv = minv(at)
-        out = mmul(gj, atinv)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = out[i, j] / s
-        return out
+        aj = a.components(coords)
+        return family_components(gj, aj, *mu_invariants(aj), alpha, beta)
 
     return TensorField((0, 2), comps, name=f"family[{alpha},{beta}]")
 
@@ -394,47 +330,22 @@ def family_metric(
 # -- potential and connection difference --------------------------------
 
 
-def psi_field(a: TensorField) -> ScalarField:
-    """psi = -(1/4) log det A; its differential drives the connection shift."""
-
-    def fn(*coords):
-        det = mdet(a.components(coords))
-        if isinstance(det, Jet):
-            if det.value <= 0.0:
-                raise DegenerateMetricError(f"det A = {det.value:.3e} <= 0 in psi")
-            return det.log() * (-0.25)
-        return -0.25 * np.log(det)
-
-    return ScalarField(fn, name="psi")
-
-
-def psi_potential(
-    a: TensorField, point: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """(psi, Psi) with Psi = d psi as a coordinate covector."""
-    f = psi_field(a)
-    jet = f.jet(point, order=2)
+def psi_potential(geo: Geometry, i: int) -> tuple[float, np.ndarray]:
+    """(psi, Psi) with psi = -(1/4) log det A and Psi = d psi as a covector."""
+    jet = geo.psi_jet(i)
     return jet.value, jet.gradient()
 
 
-def connection_difference_residual(
-    g: TensorField,
-    ghat: TensorField,
-    t: TensorField,
-    point: Sequence[float],
-    a: TensorField | None = None,
-) -> float:
+def connection_difference_residual(geo: Geometry, i: int) -> float:
     """Mismatch of Gammahat - Gamma against the projective-shift formula.
 
     The shift is Psi_i d^k_j + Psi_j d^k_i + Psi_p T^p_i T^k_j
-    + Psi_p T^p_j T^k_i with Psi = d psi, psi from det A of the pair.
+    + Psi_p T^p_j T^k_i with Psi = d psi, psi from det A.
     """
-    if a is None:
-        a = a_from_pair_field(g, ghat)
-    _, psi = psi_potential(a, point)
-    gm_hat = christoffel(ghat, point)
-    gm = christoffel(g, point)
-    tm = t.values(point)
+    _, psi = psi_potential(geo, i)
+    gm_hat = geo.gamma(i, "ghat")
+    gm = geo.gamma(i)
+    tm = geo.values(i, "t")
     psit = tm.T @ psi
     eye = np.eye(DIM)
     rhs = (
@@ -453,24 +364,9 @@ def connection_difference_residual(
 
 def weighted_sigma_field(g: TensorField) -> TensorField:
     """sigma^{ij} = |det g|^(1/6) g^{ij}, the weighted tensor of the metric."""
-
-    def comps(*coords):
-        gj = g.components(coords)
-        det = mdet(gj)
-        if isinstance(det, Jet):
-            if det.value < 0.0:
-                det = -det
-            w = det.pow(1.0 / 6.0)
-        else:
-            w = abs(det) ** (1.0 / 6.0)
-        ginv = minv(gj)
-        out = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = ginv[i, j] * w
-        return out
-
-    return TensorField((2, 0), comps, name="sigma(g)")
+    return TensorField(
+        (2, 0), lambda *c: weighted_sigma_components(g.components(c)), name="sigma(g)"
+    )
 
 
 def weighted_endo_sigma_field(a: TensorField, sigma: TensorField) -> TensorField:
@@ -498,15 +394,18 @@ def scale_weighted_field(f: ScalarField, sigma: TensorField) -> TensorField:
 
 
 def weighted_covariant_derivative(
-    g_conn: TensorField, sig: TensorField, point: Sequence[float]
+    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
 ) -> np.ndarray:
     """nabla_i sigma^{jk} for a (2,0) tensor of volume weight 1/(n+1).
+
+    ``s_jets`` are the tensor's component jets at sample point i; the
+    connection is that of ``metric`` ('g' or 'ghat').
 
     nabla_i s^{jk} = d_i s^{jk} + G^j_{im} s^{mk} + G^k_{im} s^{mj}
                      - (1/(n+1)) G^p_{ip} s^{jk}
     """
-    sv, sp = tensor_values_and_partials(sig, point)
-    gamma = christoffel(g_conn, point)
+    sv, sp = split_jets(s_jets)
+    gamma = geo.gamma(i, metric)
     out = np.transpose(sp, (2, 0, 1)).copy()
     out += np.einsum("jim,mk->ijk", gamma, sv)
     out += np.einsum("kim,mj->ijk", gamma, sv)
@@ -514,29 +413,38 @@ def weighted_covariant_derivative(
     return out
 
 
-def sigma_parallel_residual(g: TensorField, point: Sequence[float]) -> float:
-    sig = weighted_sigma_field(g)
-    nabla = weighted_covariant_derivative(g, sig, point)
+def sigma_parallel_residual(geo: Geometry, i: int) -> float:
+    """|nabla sigma(g)| for the Levi-Civita connection of g."""
+    nabla = weighted_covariant_derivative(geo, i, geo.jets(i, "sigma"))
     return float(np.max(np.abs(nabla))) / max(
-        1.0, float(np.max(np.abs(sig.values(point))))
+        1.0, float(np.max(np.abs(geo.values(i, "sigma"))))
     )
 
 
-def sigma_para_hermitian_residual(
-    t: TensorField, sig: TensorField, point: Sequence[float]
-) -> float:
-    """T^j_p sigma^{pk} + sigma^{jp} T^k_p should vanish."""
-    tm = t.values(point)
-    sv = sig.values(point)
+def sigma_para_hermitian_residual(geo: Geometry, i: int) -> float:
+    """T^j_p sigma^{pk} + sigma^{jp} T^k_p should vanish for sigma(g)."""
+    tm = geo.values(i, "t")
+    sv = geo.values(i, "sigma")
     res = tm @ sv + sv @ tm.T
     return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(sv))))
 
 
+def _mobility_terms(geo, i, s_jets, metric):
+    nabla = weighted_covariant_derivative(geo, i, s_jets, metric)
+    d = np.einsum("llk->k", nabla)
+    tm = geo.values(i, "t")
+    eye = np.eye(DIM)
+    corr = (
+        np.einsum("ij,k->ijk", eye, d)
+        + np.einsum("ik,j->ijk", eye, d)
+        - np.einsum("ji,kp,p->ijk", tm, tm, d)
+        - np.einsum("ki,jp,p->ijk", tm, tm, d)
+    ) / (2.0 * N_COMPLEX)
+    return nabla, corr
+
+
 def mobility_residual(
-    g_conn: TensorField,
-    t: TensorField,
-    sig_hat: TensorField,
-    point: Sequence[float],
+    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
 ) -> float:
     """Residual of the projectively invariant first-order system.
 
@@ -546,39 +454,16 @@ def mobility_residual(
     The expression does not depend on which metric of the projective
     class supplies the connection; solutions make it vanish.
     """
-    nabla = weighted_covariant_derivative(g_conn, sig_hat, point)
-    d = np.einsum("llk->k", nabla)
-    tm = t.values(point)
-    td = tm @ d
-    eye = np.eye(DIM)
-    corr = (
-        np.einsum("ij,k->ijk", eye, d)
-        + np.einsum("ik,j->ijk", eye, d)
-        - np.einsum("ji,kp,p->ijk", tm, tm, d)
-        - np.einsum("ki,jp,p->ijk", tm, tm, d)
-    ) / (2.0 * N_COMPLEX)
-    res = nabla - corr
+    nabla, corr = _mobility_terms(geo, i, s_jets, metric)
     scale = max(1.0, float(np.max(np.abs(nabla))), float(np.max(np.abs(corr))))
-    return float(np.max(np.abs(res))) / scale
+    return float(np.max(np.abs(nabla - corr))) / scale
 
 
 def mobility_expression(
-    g_conn: TensorField,
-    t: TensorField,
-    sig_hat: TensorField,
-    point: Sequence[float],
+    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
 ) -> np.ndarray:
     """The full invariant expression (not just its norm), for invariance tests."""
-    nabla = weighted_covariant_derivative(g_conn, sig_hat, point)
-    d = np.einsum("llk->k", nabla)
-    tm = t.values(point)
-    eye = np.eye(DIM)
-    corr = (
-        np.einsum("ij,k->ijk", eye, d)
-        + np.einsum("ik,j->ijk", eye, d)
-        - np.einsum("ji,kp,p->ijk", tm, tm, d)
-        - np.einsum("ki,jp,p->ijk", tm, tm, d)
-    ) / (2.0 * N_COMPLEX)
+    nabla, corr = _mobility_terms(geo, i, s_jets, metric)
     return nabla - corr
 
 
@@ -599,17 +484,13 @@ class SpectralData:
         return self.kind == "real"
 
 
-def eigen_decompose(
-    a: TensorField, point: Sequence[float], degenerate_tol: float = 1e-10
-) -> SpectralData:
+def eigen_decompose(geo: Geometry, i: int, degenerate_tol: float = 1e-10) -> SpectralData:
     """Spectral type and double eigenvalues of a T-commuting endomorphism.
 
     Roots of t^2 - mu1 t + mu2; rho is the larger real root, or the root
     with positive imaginary part in the complex case.
     """
-    mu1f, mu2f = mu_invariant_fields(a)
-    m1 = mu1f.value(point)
-    m2 = mu2f.value(point)
+    m1, m2 = (float(x) for x in geo.mu(i))
     disc = m1 * m1 - 4.0 * m2
     scale = max(1.0, m1 * m1, abs(m2))
     if abs(disc) < degenerate_tol * scale:
@@ -628,61 +509,52 @@ def eigen_decompose(
     return SpectralData(kind, m1, m2, disc, rho, sigma)
 
 
-def eigenvalue_fields(
-    a: TensorField, kind: str
-) -> tuple[ScalarField, ScalarField]:
+def _eigenvalue_pair(m1, m2, kind: str):
+    """(rho, sigma) for kind 'real', (Re rho, Im rho) for kind 'complex'."""
+    if kind == "real":
+        root = jsqrt(m1 * m1 - 4.0 * m2)
+        return (m1 + root) * 0.5, (m1 - root) * 0.5
+    if kind == "complex":
+        return m1 * 0.5, jsqrt(4.0 * m2 - m1 * m1) * 0.5
+    raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
+
+
+def eigenvalue_fields(a: TensorField, kind: str) -> tuple[ScalarField, ScalarField]:
     """Smooth eigenvalue fields on a box of fixed spectral type.
 
     kind "real": (rho, sigma) with rho the larger root;
     kind "complex": (Re rho, Im rho) with Im rho > 0.
     """
-    mu1f, mu2f = mu_invariant_fields(a)
-    from .jets import jsqrt
+    if kind not in ("real", "complex"):
+        raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
+    names = ("rho", "sigma") if kind == "real" else ("Re rho", "Im rho")
 
-    if kind == "real":
+    def pair(coords):
+        return _eigenvalue_pair(*mu_invariants(a.components(coords)), kind)
 
-        def rho(*c):
-            m1 = mu1f(*c)
-            m2 = mu2f(*c)
-            return (m1 + jsqrt(m1 * m1 - 4.0 * m2)) * 0.5
-
-        def sig(*c):
-            m1 = mu1f(*c)
-            m2 = mu2f(*c)
-            return (m1 - jsqrt(m1 * m1 - 4.0 * m2)) * 0.5
-
-        return ScalarField(rho, "rho"), ScalarField(sig, "sigma")
-    if kind == "complex":
-
-        def re(*c):
-            return mu1f(*c) * 0.5
-
-        def im(*c):
-            m1 = mu1f(*c)
-            m2 = mu2f(*c)
-            return jsqrt(4.0 * m2 - m1 * m1) * 0.5
-
-        return ScalarField(re, "Re rho"), ScalarField(im, "Im rho")
-    raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
+    return (
+        ScalarField(lambda *c: pair(c)[0], names[0]),
+        ScalarField(lambda *c: pair(c)[1], names[1]),
+    )
 
 
-def eigen_gradient_residual(
-    triple: ParaKahlerTriple, a: TensorField, point: Sequence[float]
-) -> float:
+def _eigenvalue_gradients(geo: Geometry, i: int, kind: str) -> list[np.ndarray]:
+    """Metric gradients of the two eigenvalue functions of ``kind`` at point i."""
+    ginv = geo.ginv(i)
+    return [ginv @ f.gradient() for f in _eigenvalue_pair(*geo.jets(i, "mu"), kind)]
+
+
+def eigen_gradient_residual(geo: Geometry, i: int) -> float:
     """How far grad(rho), grad(sigma) are from being eigenvectors of A.
 
     In the complex case the eigenvector relation is taken for the
     complexified gradient grad(Re rho) + i grad(Im rho).
     """
-    g = triple.g
-    spec = eigen_decompose(a, point)
-    am = a.values(point)
-    ginv = metric_inverse(g, point)
+    spec = eigen_decompose(geo, i)
+    am = geo.values(i, "a")
     if spec.kind == "degenerate":
         raise ValueError("spectral type degenerate at the point")
-    f1, f2 = eigenvalue_fields(a, spec.kind)
-    v1 = ginv @ f1.gradient_covector(point)
-    v2 = ginv @ f2.gradient_covector(point)
+    v1, v2 = _eigenvalue_gradients(geo, i, spec.kind)
     scale = max(1.0, float(np.max(np.abs(am))) * max(np.max(np.abs(v1)), np.max(np.abs(v2))))
     if spec.kind == "real":
         r1 = am @ v1 - spec.rho.real * v1
@@ -697,10 +569,11 @@ def eigen_gradient_residual(
 def canonical_killing_fields(
     triple: ParaKahlerTriple, a: TensorField
 ) -> tuple[list[TensorField], list[TensorField]]:
-    """([V1, V2], [TV1, TV2]) with V_i = grad mu_i.
+    """([V1, V2], [TV1, TV2]) with V_i = grad mu_i, as fields (e.g. along curves).
 
     The T-rotated fields are Killing for g and Hamiltonian for the
-    fundamental form with Hamiltonians mu_i.
+    fundamental form with Hamiltonians mu_i.  At sample points the same
+    fields are read from ``Geometry.jets(i, "killing")``.
     """
     mu1f, mu2f = mu_invariant_fields(a)
     v1 = gradient_field(triple.g, mu1f, name="V1")
@@ -710,60 +583,55 @@ def canonical_killing_fields(
     return [v1, v2], [tv1, tv2]
 
 
-def killing_residual(
-    g: TensorField, x: TensorField, point: Sequence[float]
-) -> float:
-    lie = lie_derivative_metric(g, x, point)
-    return float(np.max(np.abs(lie))) / max(1.0, float(np.max(np.abs(g.values(point)))))
+def killing_residual(geo: Geometry, i: int) -> float:
+    """max over TV1, TV2 of |L_{TV} g|, scaled by |g|."""
+    gv, gp = geo.vp(i, "g")
+    kv, kp = geo.vp(i, "killing")
+    lie = max(float(np.max(np.abs(lie_derivative_metric(gv, gp, kv[k], kp[k])))) for k in (2, 3))
+    return lie / max(1.0, float(np.max(np.abs(gv))))
 
 
-def hamiltonian_pairing_residual(
-    triple: ParaKahlerTriple,
-    mu: ScalarField,
-    t_v: TensorField,
-    point: Sequence[float],
-) -> float:
-    """|omega(TV, .) - d mu| at the point."""
-    om = fundamental_form(triple, point)
-    tv = t_v.values(point)
-    dmu = mu.gradient_covector(point)
-    res = tv @ om - dmu
-    return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(dmu))))
+def hamiltonian_pairing_residual(geo: Geometry, i: int) -> float:
+    """max over i of |omega(TV_i, .) - d mu_i|, each scaled by |d mu_i|."""
+    om = fundamental_form(geo, i)
+    kv = geo.values(i, "killing")
+    dmu = geo.vp(i, "mu")[1]
+    return max(
+        float(np.max(np.abs(kv[2 + k] @ om - dmu[k]))) / max(1.0, float(np.max(np.abs(dmu[k]))))
+        for k in (0, 1)
+    )
 
 
-def para_holomorphy_residual(
-    triple: ParaKahlerTriple, x: TensorField, point: Sequence[float]
-) -> float:
-    return float(np.max(np.abs(lie_derivative_endo(triple.t, x, point))))
+def para_holomorphy_residual(geo: Geometry, i: int) -> float:
+    """max over X in {V1, V2, TV1, TV2} of |L_X T|."""
+    tv, tp = geo.vp(i, "t")
+    kv, kp = geo.vp(i, "killing")
+    return max(float(np.max(np.abs(lie_derivative_endo(tv, tp, kv[k], kp[k])))) for k in range(4))
 
 
-def commutation_residual(
-    fields_list: Sequence[TensorField], point: Sequence[float]
-) -> float:
+def commutation_residual(geo: Geometry, i: int) -> float:
+    """max |[X, Y]| over pairs of {V1, V2, TV1, TV2}."""
+    kv, kp = geo.vp(i, "killing")
     worst = 0.0
-    for i in range(len(fields_list)):
-        for j in range(i + 1, len(fields_list)):
-            br = lie_bracket(fields_list[i], fields_list[j], point)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            br = lie_bracket(kv[a], kp[a], kv[b], kp[b])
             worst = max(worst, float(np.max(np.abs(br))))
     return worst
 
 
-def leaf_geodesic_residual(
-    triple: ParaKahlerTriple, a: TensorField, point: Sequence[float]
-) -> float:
+def leaf_geodesic_residual(geo: Geometry, i: int) -> float:
     """g(nabla_{V_i} V_j, T V_h): zero means the V-leaves are totally geodesic."""
-    g = triple.g
-    (v1, v2), (tv1, tv2) = canonical_killing_fields(triple, a)
-    gm = g.values(point)
+    gm = geo.values(i, "g")
+    kv, kp = geo.vp(i, "killing")
+    gamma = geo.gamma(i)
     worst = 0.0
-    tvs = [tv1.values(point), tv2.values(point)]
-    for vi in (v1, v2):
-        viv = vi.values(point)
-        for vj in (v1, v2):
-            nv = covariant_derivative_vector(g, vj, point)  # [k, i]
-            acc = viv @ nv  # (nabla_{V_i} V_j)^i
-            for tv in tvs:
-                worst = max(worst, abs(float(acc @ gm @ tv)))
+    for a in (0, 1):
+        for b in (0, 1):
+            nv = covariant_derivative_vector(gamma, kv[b], kp[b])  # [k, i]
+            acc = kv[a] @ nv  # (nabla_{V_a} V_b)^i
+            for h in (2, 3):
+                worst = max(worst, abs(float(acc @ gm @ kv[h])))
     scale = max(1.0, float(np.max(np.abs(gm))))
     return worst / scale
 
@@ -818,10 +686,7 @@ def classify_gradient(
 
 
 def distribution_d_rank(
-    triple: ParaKahlerTriple,
-    a: TensorField,
-    point: Sequence[float],
-    threshold: float = 1e-8,
+    geo: Geometry, i: int, threshold: float = 1e-8
 ) -> tuple[int, tuple[GradClass, GradClass], list[str]]:
     """Rank of span{grad mu1, grad mu2, T grad mu1, T grad mu2} + configuration.
 
@@ -829,13 +694,12 @@ def distribution_d_rank(
     classes of the two eigenvalue functions (order-free, since the
     eigenvalue labels are only defined up to exchange).
     """
-    g, t = triple.g, triple.t
-    gm = g.values(point)
-    tm = t.values(point)
-    ginv = np.linalg.inv(gm)
-    mu1f, mu2f = mu_invariant_fields(a)
-    v1 = ginv @ mu1f.gradient_covector(point)
-    v2 = ginv @ mu2f.gradient_covector(point)
+    gm = geo.values(i, "g")
+    tm = geo.values(i, "t")
+    ginv = geo.ginv(i)
+    dmu = geo.vp(i, "mu")[1]
+    v1 = ginv @ dmu[0]
+    v2 = ginv @ dmu[1]
     gens = np.stack([v1, v2, tm @ v1, tm @ v2])
     svals = np.linalg.svd(gens, compute_uv=False)
     smax = max(float(svals[0]), 1e-30)
@@ -847,11 +711,9 @@ def distribution_d_rank(
     if close:
         flags.append("borderline-rank")
 
-    spec = eigen_decompose(a, point)
+    spec = eigen_decompose(geo, i)
     if spec.kind == "complex":
-        f1, f2 = eigenvalue_fields(a, "complex")
-        gr = ginv @ f1.gradient_covector(point)
-        gi = ginv @ f2.gradient_covector(point)
+        gr, gi = _eigenvalue_gradients(geo, i, "complex")
         # complex bilinear norm of grad rho = grad R + i grad I
         re_part = float(gr @ gm @ gr - gi @ gm @ gi)
         im_part = float(2.0 * gr @ gm @ gi)
@@ -867,12 +729,10 @@ def distribution_d_rank(
     if spec.kind == "degenerate":
         return rank, ("indeterminate", "indeterminate"), flags + ["degenerate-spectrum"]
 
-    f1, f2 = eigenvalue_fields(a, "real")
     scale_v = max(
         float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1.0
     )
-    gr = ginv @ f1.gradient_covector(point)
-    gs = ginv @ f2.gradient_covector(point)
+    gr, gs = _eigenvalue_gradients(geo, i, "real")
     c1, fl1 = classify_gradient(gm, tm, gr, scale_v, threshold)
     c2, fl2 = classify_gradient(gm, tm, gs, scale_v, threshold)
     flags += fl1 + fl2
@@ -883,13 +743,7 @@ def distribution_d_rank(
 # -- curvature comparison ------------------------------------------------
 
 
-def ricci_difference_residual(
-    g: TensorField,
-    ghat: TensorField,
-    t: TensorField,
-    a: TensorField,
-    point: Sequence[float],
-) -> tuple[float, float]:
+def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     """(primary, cross-check) residuals of the Ricci comparison identity.
 
     Primary form:  Ric(ghat) - Ric(g)
@@ -898,32 +752,23 @@ def ricci_difference_residual(
     Cross-check (Lam form):  (Ric(ghat) - Ric(g)) / (2(n+1))
         = g(A^{-1} Y, nabla_X Lam) - g(A^{-1} Lam, Lam) g(Y, A^{-1} X).
     """
-    gm = g.values(point)
-    tm = t.values(point)
-    ric_g = ricci(g, point)
-    ric_h = ricci(ghat, point)
-    lhs = ric_h - ric_g
+    gm = geo.values(i, "g")
+    tm = geo.values(i, "t")
+    ric_g = geo.ricci(i)
+    lhs = geo.ricci(i, "ghat") - ric_g
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(ric_g))))
 
-    psi_jet = psi_field(a).jet(point, order=3)
-    psi = psi_jet.gradient()
-    hess = np.empty((DIM, DIM))
-    for i in range(DIM):
-        for j in range(DIM):
-            alpha = [0] * DIM
-            alpha[i] += 1
-            alpha[j] += 1
-            hess[i, j] = psi_jet.partial(alpha)
-    gamma = christoffel(g, point)
+    _, psi, hess = scalar_hessian(geo.psi_jet(i))
+    gamma = geo.gamma(i)
     npsi = hess - np.einsum("mkj,m->kj", gamma, psi)
     psit = tm.T @ psi
     m = npsi - np.outer(psi, psi) - np.outer(psit, psit)
     primary = float(np.max(np.abs(lhs + _K * m))) / scale
 
-    lam_f = lambda_field(g, a)
-    nlam = covariant_derivative_vector(g, lam_f, point)  # [x, i]
-    lam = lam_f.values(point)
-    ainv = np.linalg.inv(a.values(point))
+    kv, kp = geo.vp(i, "killing")
+    lam, lam_p = 0.5 * kv[0], 0.5 * kp[0]  # Lam = V1 / 2
+    nlam = covariant_derivative_vector(gamma, lam, lam_p)  # [x, i]
+    ainv = np.linalg.inv(geo.values(i, "a"))
     const = float((ainv @ lam) @ gm @ lam)
     gainv = gm @ ainv  # symmetric since A is g-symmetric
     rhs = np.einsum("ym,xm->xy", gainv, nlam) - const * gainv
@@ -931,20 +776,34 @@ def ricci_difference_residual(
     return primary, cross
 
 
+def _member_ricci_residual(
+    geo: Geometry, i: int, alpha: float, beta: float, const: float
+) -> float:
+    """|Ric - const * member| / |member| for one family member at point i.
+
+    The member's jets are built from the cached g, A and mu jets and are
+    dropped on return.
+    """
+    member = family_components(
+        geo.jets(i, "g"), geo.jets(i, "a"), *geo.jets(i, "mu"), alpha, beta
+    )
+    gtv = split_jets(member)[0]
+    ric = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(member))))
+    return float(np.max(np.abs(ric - const * gtv))) / max(1.0, float(np.max(np.abs(gtv))))
+
+
 def einstein_family_constant(
-    g: TensorField,
-    a: TensorField,
+    geo: Geometry,
     lam: float,
     lam_hat: float,
     alpha: float,
     beta: float,
-    points: np.ndarray,
     tol_einstein: float = 1e-6,
     check_inputs: bool = True,
     verify_ricci: bool = True,
     degenerate_margin: float = 1e-3,
 ) -> dict:
-    """Einstein constant of the (alpha, beta) family member.
+    """Einstein constant of the (alpha, beta) family member over geo's points.
 
     Evaluates the closed-form constant
 
@@ -957,34 +816,29 @@ def einstein_family_constant(
     Ric = lt * gtilde for the family member.  Sample points where the
     combination degenerates are skipped and flagged.
     """
-    pts = np.asarray(points, dtype=float)
     if check_inputs:
-        p0 = pts[0]
-        gm = g.values(p0)
+        gm = geo.values(0, "g")
         scale = max(1.0, float(np.max(np.abs(gm))))
-        if np.max(np.abs(ricci(g, p0) - lam * gm)) / scale > tol_einstein:
+        if np.max(np.abs(geo.ricci(0) - lam * gm)) / scale > tol_einstein:
             raise EinsteinPreconditionError("g is not Einstein with the given constant")
-        ghat = companion_metric(g, a)
-        hm = ghat.values(p0)
+        hm = geo.values(0, "ghat")
         scale_h = max(1.0, float(np.max(np.abs(hm))))
-        if np.max(np.abs(ricci(ghat, p0) - lam_hat * hm)) / scale_h > tol_einstein:
+        if np.max(np.abs(geo.ricci(0, "ghat") - lam_hat * hm)) / scale_h > tol_einstein:
             raise EinsteinPreconditionError(
                 "companion is not Einstein with the given constant"
             )
 
-    mu1f, mu2f = mu_invariant_fields(a)
-    values, flags, used = [], [], 0
-    for p in pts:
-        m1 = mu1f.value(p)
-        m2 = mu2f.value(p)
+    values, flags, used = [], [], []
+    for i in range(len(geo)):
+        m1, m2 = geo.mu(i)
         s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
         if abs(s) < degenerate_margin * max(1.0, alpha * alpha + beta * beta * abs(m2)):
             flags.append("degenerate-point-skipped")
             continue
-        am = a.values(p)
-        gm = g.values(p)
+        am = geo.values(i, "a")
+        gm = geo.values(i, "g")
         at = alpha * np.eye(DIM) + beta * am
-        lamv = lambda_vector(g, a, p)
+        lamv = geo.lam(i)
         det_a = float(np.linalg.det(am))
         g_ainv = float((np.linalg.inv(am) @ lamv) @ gm @ lamv)
         g_atinv = float((np.linalg.inv(at) @ lamv) @ gm @ lamv)
@@ -995,7 +849,7 @@ def einstein_family_constant(
             + lam * alpha / _K
         )
         values.append(lt)
-        used += 1
+        used.append(i)
     if not values:
         return {"constant": np.nan, "spread": np.inf, "ricci_residual": np.inf,
                 "points": 0, "flags": sorted(set(flags)) + ["no-valid-points"]}
@@ -1005,23 +859,11 @@ def einstein_family_constant(
 
     ric_res = 0.0
     if verify_ricci:
-        member = family_metric(g, a, alpha, beta)
-        for p in pts:
-            m1 = mu1f.value(p)
-            m2 = mu2f.value(p)
-            s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
-            if abs(s) < degenerate_margin * max(1.0, alpha * alpha + beta * beta * abs(m2)):
-                continue
-            gtv = member.values(p)
-            res = ricci(member, p) - const * gtv
-            ric_res = max(
-                ric_res,
-                float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(gtv)))),
-            )
+        ric_res = worst(_member_ricci_residual(geo, i, alpha, beta, const) for i in used)
     return {
         "constant": const,
         "spread": spread,
         "ricci_residual": ric_res,
-        "points": used,
+        "points": len(used),
         "flags": sorted(set(flags)),
     }

@@ -4,8 +4,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
 
 SCHEMA_VERSION = 1
+
+
+def worst(residuals: Iterable[float]) -> float:
+    """Largest of per-point residuals, 0.0 for none.
+
+    A NaN anywhere propagates (Python's max() keeps whichever operand it
+    compared last), so an unevaluable point cannot pass.
+    """
+    arr = np.fromiter(residuals, dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
 
 
 @dataclass

@@ -13,9 +13,9 @@ import pytest
 from conftest import fd_partial
 from pklab import projective as pj
 from pklab.cli import main as cli_main
-from pklab.curvature import riemann, ricci
 from pklab.curves import integrate_geodesic_bundle, t_planarity_residual
 from pklab.fields import TensorField, objarray
+from pklab.geometry import Geometry
 from pklab.jets import seed_point
 from pklab.parakahler import validate
 
@@ -35,14 +35,15 @@ def test_criterion_1_separable_einstein_instance(einstein_preset):
     tr = einstein_preset
     lam = 1.0
     pts = tr.sample_points(20)
+    geo = Geometry(tr, pts)
     worst_e = 0.0
-    for p in pts:
+    for i, p in enumerate(pts):
         gm = tr.g.values(p)
-        worst_e = max(worst_e, np.max(np.abs(ricci(tr.g, p) - lam * gm)) / np.max(np.abs(gm)))
+        worst_e = max(worst_e, np.max(np.abs(geo.ricci(i) - lam * gm)) / np.max(np.abs(gm)))
 
     ghat = pj.companion_metric(tr.g, tr.a)
     worst_c = worst_rf = 0.0
-    for p in pts:
+    for i, p in enumerate(pts):
         u, v = p[0] ** 2, p[1] ** 2
         expected = np.zeros((4, 4))
         expected[0, 0] = lam**2 * u * (u + v) / 36.0
@@ -50,7 +51,7 @@ def test_criterion_1_separable_einstein_instance(einstein_preset):
         expected[2, 2] = lam**2 * (u - v) / 9.0
         expected[2, 3] = expected[3, 2] = -2.0 * lam / 3.0
         worst_c = max(worst_c, np.max(np.abs(ghat.values(p) - expected)))
-        worst_rf = max(worst_rf, np.max(np.abs(ricci(ghat, p))))
+        worst_rf = max(worst_rf, np.max(np.abs(geo.ricci(i, "ghat"))))
     ok = worst_e < 1e-8 and worst_c < 1e-10 and worst_rf < 1e-8
     _verdict(
         1, ok,
@@ -63,16 +64,14 @@ def test_criterion_2_family_einstein_constant(einstein_preset):
     """5x5 family grid: measured constant equals lam*alpha^3, point spread tiny."""
     tr = einstein_preset
     lam, lam_hat = 1.0, 0.0
-    pts = tr.sample_points(20)
+    geo = Geometry(tr, tr.sample_points(20))
     worst_pred = worst_spread = worst_ric = 0.0
     used = 0
     for al in (0.0, 0.5, 1.0, 1.5, 2.0):
         for be in (0.0, 0.25, 0.5, 0.75, 1.0):
             if al == 0.0 and be == 0.0:
                 continue
-            out = pj.einstein_family_constant(
-                tr.g, tr.a, lam, lam_hat, al, be, pts, check_inputs=False
-            )
+            out = pj.einstein_family_constant(geo, lam, lam_hat, al, be, check_inputs=False)
             if not out["points"]:
                 continue
             used += 1
@@ -104,15 +103,15 @@ def test_criterion_3_catalog_conformance(catalog):
         if not rep.all_passed:
             bad.append((name, [c.name for c in rep.checks if not c.passed]))
             continue
-        pts = tr.sample_points(20)
-        ben = max(pj.benenti_residual(tr, tr.a, p) for p in pts)
-        ham = max(pj.hamiltonian_form_residual(tr, tr.a, p) for p in pts)
-        eig = max(pj.eigen_gradient_residual(tr, tr.a, p) for p in pts)
+        geo = Geometry(tr, tr.sample_points(20))
+        ben = max(pj.benenti_residual(geo, i) for i in range(20))
+        ham = max(pj.hamiltonian_form_residual(geo, i) for i in range(20))
+        eig = max(pj.eigen_gradient_residual(geo, i) for i in range(20))
         if max(ben, ham, eig) >= 1e-9:
             bad.append((name, f"residuals {ben:.1e}/{ham:.1e}/{eig:.1e}"))
             continue
-        for p in pts:
-            rank, config, _ = pj.distribution_d_rank(tr, tr.a, p)
+        for i in range(20):
+            rank, config, _ = pj.distribution_d_rank(geo, i)
             if rank != tr.meta["expected_rank"] or tuple(config) != tr.meta["expected_config"]:
                 bad.append((name, f"rank {rank} config {config}"))
                 break
@@ -124,23 +123,21 @@ def test_criterion_4_pair_identities(catalog):
     invariant first-order system agreeing under both connections (1e-9)."""
     worst = {"conn": 0.0, "ricci": 0.0, "mob": 0.0, "inv": 0.0}
     for name, tr in catalog.items():
-        ghat = pj.companion_metric(tr.g, tr.a)
         sig = pj.weighted_sigma_field(tr.g)
         sighat = pj.weighted_endo_sigma_field(tr.a, sig)
         from pklab.fields import ScalarField
 
         probe = pj.scale_weighted_field(ScalarField(lambda x1, *r: x1, "x1"), sig)
-        for p in tr.sample_points(20):
-            worst["conn"] = max(
-                worst["conn"], pj.connection_difference_residual(tr.g, ghat, tr.t, p, a=tr.a)
-            )
-            prim, cross = pj.ricci_difference_residual(tr.g, ghat, tr.t, tr.a, p)
+        geo = Geometry(tr, tr.sample_points(20))
+        for i, p in enumerate(geo.points):
+            worst["conn"] = max(worst["conn"], pj.connection_difference_residual(geo, i))
+            prim, cross = pj.ricci_difference_residual(geo, i)
             worst["ricci"] = max(worst["ricci"], prim, cross)
-            m1 = pj.mobility_residual(tr.g, tr.t, sighat, p)
-            m2 = pj.mobility_residual(ghat, tr.t, sighat, p)
+            m1 = pj.mobility_residual(geo, i, sighat.jets(p))
+            m2 = pj.mobility_residual(geo, i, sighat.jets(p), metric="ghat")
             worst["mob"] = max(worst["mob"], m1, m2)
-            e1 = pj.mobility_expression(tr.g, tr.t, probe, p)
-            e2 = pj.mobility_expression(ghat, tr.t, probe, p)
+            e1 = pj.mobility_expression(geo, i, probe.jets(p))
+            e2 = pj.mobility_expression(geo, i, probe.jets(p), metric="ghat")
             worst["inv"] = max(
                 worst["inv"], np.max(np.abs(e1 - e2)) / max(1.0, np.max(np.abs(e1)))
             )
@@ -158,24 +155,14 @@ def test_criterion_5_killing_suite(catalog):
     worst = {"kill": 0.0, "pair": 0.0, "holo": 0.0, "brack": 0.0}
     for name in ("real-liouville", "complex-liouville"):
         tr = catalog[name]
-        (v1, v2), (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
-        mu1, mu2 = pj.mu_invariant_fields(tr.a)
-        for p in tr.sample_points(20):
-            worst["kill"] = max(
-                worst["kill"],
-                pj.killing_residual(tr.g, tv1, p),
-                pj.killing_residual(tr.g, tv2, p),
-            )
-            worst["pair"] = max(
-                worst["pair"],
-                pj.hamiltonian_pairing_residual(tr, mu1, tv1, p),
-                pj.hamiltonian_pairing_residual(tr, mu2, tv2, p),
-            )
-            worst["holo"] = max(
-                worst["holo"],
-                *(pj.para_holomorphy_residual(tr, x, p) for x in (v1, v2, tv1, tv2)),
-            )
-            worst["brack"] = max(worst["brack"], pj.commutation_residual([v1, v2, tv1, tv2], p))
+        geo = Geometry(tr, tr.sample_points(20))
+        for i in range(20):
+            # each residual is the worst over TV1, TV2 (pairs with mu1, mu2),
+            # or over V1, V2, TV1, TV2
+            worst["kill"] = max(worst["kill"], pj.killing_residual(geo, i))
+            worst["pair"] = max(worst["pair"], pj.hamiltonian_pairing_residual(geo, i))
+            worst["holo"] = max(worst["holo"], pj.para_holomorphy_residual(geo, i))
+            worst["brack"] = max(worst["brack"], pj.commutation_residual(geo, i))
     ok = (worst["kill"] < 1e-9 and worst["pair"] < 1e-9
           and worst["holo"] < 1e-9 and worst["brack"] < 1e-8)
     _verdict(
@@ -190,8 +177,9 @@ def test_criterion_6_flat_families(catalog, dimd1_flat_preset):
     worst = 0.0
     for tr in (catalog["dim-d2-2"], catalog["dim-d2-2neg"], catalog["dim-d2-4"],
                dimd1_flat_preset):
-        for p in tr.sample_points(20):
-            worst = max(worst, float(np.max(np.abs(riemann(tr.g, p)))))
+        geo = Geometry(tr, tr.sample_points(20))
+        for i in range(20):
+            worst = max(worst, float(np.max(np.abs(geo.riemann(i)))))
     _verdict(6, worst < 1e-9, f"max |Riemann| {worst:.2e} (<1e-9) over 4 instances x 20 points")
 
 
@@ -206,13 +194,14 @@ def test_criterion_7_companion_einstein_constants(
         (companion_einstein_preset, half_c1),
         (dimd2_1_einstein_preset, 8.0),
     ):
-        ghat = pj.companion_metric(tr.g, tr.a)
+        geo = Geometry(tr, tr.sample_points(20))
         worst = 0.0
-        for p in tr.sample_points(20):
-            hm = ghat.values(p)
+        for i in range(20):
+            hm = geo.values(i, "ghat")
             worst = max(
                 worst,
-                np.max(np.abs(ricci(ghat, p) - expected * hm)) / max(1.0, np.max(np.abs(hm))),
+                np.max(np.abs(geo.ricci(i, "ghat") - expected * hm))
+                / max(1.0, np.max(np.abs(hm))),
             )
         results.append((tr.meta["family"], expected, worst))
     ok = all(w < 1e-8 for _, _, w in results)

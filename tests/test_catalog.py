@@ -15,7 +15,8 @@ from pklab.catalog import (
     einstein_system_residual,
     preset_triple,
 )
-from pklab.curvature import einstein_residual, riemann
+from pklab.curvature import covariant_derivative_endo, einstein_residual
+from pklab.geometry import Geometry
 from pklab.parakahler import validate
 
 
@@ -81,16 +82,16 @@ class TestFamilyConformance:
 
     def test_every_family_satisfies_defining_equation(self, triples):
         for name, tr in triples.items():
-            worst = max(pj.benenti_residual(tr, tr.a, p) for p in tr.sample_points(5))
+            geo = Geometry(tr, tr.sample_points(5))
+            worst = max(pj.benenti_residual(geo, i) for i in range(5))
             assert worst < 1e-9, name
 
     def test_non_parallel_tensor(self, triples):
-        from pklab.curvature import covariant_derivative_endo
-
         for name, tr in triples.items():
+            geo = Geometry(tr, tr.sample_points(5))
             worst = max(
-                np.max(np.abs(covariant_derivative_endo(tr.g, tr.a, p)))
-                for p in tr.sample_points(5)
+                np.max(np.abs(covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))))
+                for i in range(5)
             )
             assert worst > 1e-3, name
 
@@ -109,15 +110,10 @@ class TestFamilyConformance:
         )
         rep = validate(tr, n_points=5)
         assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
-        pts = tr.sample_points(4)
-        assert max(pj.benenti_residual(tr, tr.a, p) for p in pts) < 1e-9
-        ghat = pj.companion_metric(tr.g, tr.a)
-        assert max(
-            pj.connection_difference_residual(tr.g, ghat, tr.t, p, a=tr.a) for p in pts
-        ) < 1e-9
-        assert max(
-            max(pj.ricci_difference_residual(tr.g, ghat, tr.t, tr.a, p)) for p in pts
-        ) < 1e-8
+        geo = Geometry(tr, tr.sample_points(4))
+        assert max(pj.benenti_residual(geo, i) for i in range(4)) < 1e-9
+        assert max(pj.connection_difference_residual(geo, i) for i in range(4)) < 1e-9
+        assert max(max(pj.ricci_difference_residual(geo, i)) for i in range(4)) < 1e-8
 
     def test_dimd2_case4_k_zero(self):
         tr = build_dimd2_case4(
@@ -126,7 +122,8 @@ class TestFamilyConformance:
             feasibility_points=1000,
         )
         assert validate(tr, n_points=4).all_passed
-        assert max(pj.benenti_residual(tr, tr.a, p) for p in tr.sample_points(4)) < 1e-9
+        geo = Geometry(tr, tr.sample_points(4))
+        assert max(pj.benenti_residual(geo, i) for i in range(4)) < 1e-9
         # with k = 0 the endomorphism block-diagonalizes
         p = tr.sample_points(1)[0]
         am = tr.a.values(p)
@@ -136,7 +133,8 @@ class TestFamilyConformance:
         flats = [triples["dim-d2-2"], triples["dim-d2-2neg"], triples["dim-d2-4"],
                  dimd1_flat_preset]
         for tr in flats:
-            worst = max(np.max(np.abs(riemann(tr.g, p))) for p in tr.sample_points(4))
+            geo = Geometry(tr, tr.sample_points(4))
+            worst = max(np.max(np.abs(geo.riemann(i))) for i in range(4))
             assert worst < 1e-9, tr.meta["family"]
 
     def test_separable_profile_with_additive_term_is_flat(self):
@@ -148,13 +146,14 @@ class TestFamilyConformance:
             c=3.0,
             feasibility_points=1000,
         )
-        pts = tr.sample_points(5)
-        assert max(np.max(np.abs(riemann(tr.g, p))) for p in pts) < 1e-9
-        assert max(pj.benenti_residual(tr, tr.a, p) for p in pts) < 1e-9
+        geo = Geometry(tr, tr.sample_points(5))
+        assert max(np.max(np.abs(geo.riemann(i))) for i in range(5)) < 1e-9
+        assert max(pj.benenti_residual(geo, i) for i in range(5)) < 1e-9
 
     def test_generic_dimd1_not_flat(self, triples):
         tr = triples["dim-d1"]
-        worst = max(np.max(np.abs(riemann(tr.g, p))) for p in tr.sample_points(4))
+        geo = Geometry(tr, tr.sample_points(4))
+        worst = max(np.max(np.abs(geo.riemann(i))) for i in range(4))
         assert worst > 1e-3
 
     def test_real_liouville_leaf_blocks(self, triples):
@@ -282,12 +281,12 @@ class TestPresets:
                    dimd2_1_einstein_preset, complex_linear):
             lam = tr.meta["einstein"]
             lam_hat = tr.meta["companion_einstein"]
-            ghat = pj.companion_metric(tr.g, tr.a)
-            for p in tr.sample_points(3):
-                gm, hm = tr.g.values(p), ghat.values(p)
-                assert np.max(np.abs(einstein_residual(tr.g, lam, p))) < 1e-8 * max(
+            geo = Geometry(tr, tr.sample_points(3))
+            for i in range(3):
+                gm, hm = geo.values(i, "g"), geo.values(i, "ghat")
+                assert np.max(np.abs(einstein_residual(geo, i, lam))) < 1e-8 * max(
                     1.0, np.max(np.abs(gm))
                 )
-                assert np.max(np.abs(einstein_residual(ghat, lam_hat, p))) < 1e-8 * max(
+                assert np.max(np.abs(einstein_residual(geo, i, lam_hat, "ghat"))) < 1e-8 * max(
                     1.0, np.max(np.abs(hm))
                 )

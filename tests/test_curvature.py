@@ -7,14 +7,11 @@ from pklab.curvature import (
     christoffel_batch,
     covariant_derivative_endo,
     einstein_residual,
-    estimate_einstein_constant,
-    lower_riemann,
     metricity_residual,
-    ricci,
-    riemann,
     scalar_hessian,
 )
-from pklab.fields import ScalarField, TensorField, objarray
+from pklab.fields import ScalarField, TensorField, objarray, tensor_values_and_partials
+from pklab.geometry import Geometry
 from pklab.jets import jsin
 
 FLAT = [
@@ -44,6 +41,14 @@ def sphere_block_metric():
 
 
 P = [0.7, 0.3, 0.1, -0.2]
+
+
+def riemann(g, p):
+    return Geometry.at(p, g).riemann(0)
+
+
+def ricci(g, p):
+    return Geometry.at(p, g).ricci(0)
 
 
 def test_flat_metric_has_no_connection_or_curvature():
@@ -119,7 +124,8 @@ def test_metricity_and_torsion(triples):
     for name in ("real-liouville", "complex-liouville", "dim-d1"):
         tr = triples[name]
         for p in tr.sample_points(4):
-            assert metricity_residual(tr.g, p) < 1e-10
+            gamma = christoffel(tr.g, p)
+            assert metricity_residual(gamma, *tensor_values_and_partials(tr.g, p)) < 1e-10
             gamma = christoffel(tr.g, p)
             assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) < 1e-11
 
@@ -136,7 +142,7 @@ def test_first_bianchi_identity(triples):
 def test_lowered_riemann_symmetries(triples):
     tr = triples["real-liouville"]
     p = tr.sample_points(1)[0]
-    rl = lower_riemann(tr.g, p)
+    rl = np.einsum("km,mlij->klij", tr.g.values(p), riemann(tr.g, p))  # R_{klij}
     scale = max(1.0, np.max(np.abs(rl)))
     assert np.max(np.abs(rl + rl.transpose(0, 1, 3, 2))) / scale < 1e-10
     assert np.max(np.abs(rl + rl.transpose(1, 0, 2, 3))) / scale < 1e-10
@@ -156,23 +162,28 @@ def test_einstein_residual_detector(einstein_preset):
     tr = einstein_preset
     p = tr.sample_points(2)[0]
     gm = tr.g.values(p)
-    assert np.max(np.abs(einstein_residual(tr.g, 1.0, p))) < 1e-8 * np.max(np.abs(gm))
-    wrong = einstein_residual(tr.g, 2.0, p)
+    geo = Geometry.at(p, tr.g)
+    assert np.max(np.abs(einstein_residual(geo, 0, 1.0))) < 1e-8 * np.max(np.abs(gm))
+    wrong = einstein_residual(geo, 0, 2.0)
     assert np.max(np.abs(wrong + gm)) < 1e-8 * np.max(np.abs(gm))
-    assert estimate_einstein_constant(tr.g, p) == pytest.approx(1.0, abs=1e-10)
+    # Ric_ab / g_ab at the largest metric entry
+    a, b = np.unravel_index(np.argmax(np.abs(gm)), gm.shape)
+    assert geo.ricci(0)[a, b] / gm[a, b] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_identity_endomorphism_is_parallel(triples):
     tr = triples["dim-d2-4"]
     eye = TensorField((1, 1), lambda *c: objarray(np.eye(4).tolist()))
     p = tr.sample_points(1)[0]
-    assert np.max(np.abs(covariant_derivative_endo(tr.g, eye, p))) < 1e-13
+    nabla = covariant_derivative_endo(christoffel(tr.g, p), *tensor_values_and_partials(eye, p))
+    assert np.max(np.abs(nabla)) < 1e-13
 
 
 def test_parallel_transport_of_t(triples):
     for tr in triples.values():
         p = tr.sample_points(2)[1]
-        assert np.max(np.abs(covariant_derivative_endo(tr.g, tr.t, p))) < 1e-9
+        geo = Geometry(tr, [p])
+        assert np.max(np.abs(covariant_derivative_endo(geo.gamma(0), *geo.vp(0, "t")))) < 1e-9
 
 
 def test_christoffel_batch_matches_pointwise(triples):
@@ -185,7 +196,7 @@ def test_christoffel_batch_matches_pointwise(triples):
 
 def test_scalar_hessian_symmetry_and_values():
     f = ScalarField(lambda x1, x2, x3, x4: x1 * x1 * x2 + jsin(x3))
-    val, grad, hess = scalar_hessian(f, P)
+    val, grad, hess = scalar_hessian(f.jet(P, order=3))
     assert val == pytest.approx(P[0] ** 2 * P[1] + np.sin(P[2]))
     assert np.allclose(grad, [2 * P[0] * P[1], P[0] ** 2, np.cos(P[2]), 0.0])
     assert np.allclose(hess, hess.T)

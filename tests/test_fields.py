@@ -16,6 +16,7 @@ from pklab.fields import (
     metric_inverse,
     nijenhuis,
     objarray,
+    tensor_values_and_partials,
 )
 
 FLAT = [
@@ -24,6 +25,11 @@ FLAT = [
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
 ]
+
+
+def vp(field, point):
+    """Component values and first partials, the input of the derivative helpers."""
+    return tensor_values_and_partials(field, point)
 
 
 def flat_metric():
@@ -54,7 +60,7 @@ class TestChart:
 
 def test_metric_inverse_flat_block_structure():
     g = flat_metric()
-    inv = metric_inverse(g, [0.0, 0.0, 0.0, 0.0])
+    inv = metric_inverse(g.values([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(inv, np.array(FLAT))
 
 
@@ -62,14 +68,14 @@ def test_metric_inverse_roundtrip_on_curved_metric(triples):
     tr = triples["real-liouville"]
     for p in tr.sample_points(5):
         gm = tr.g.values(p)
-        assert np.max(np.abs(gm @ metric_inverse(tr.g, p) - np.eye(4))) < 1e-10
+        assert np.max(np.abs(gm @ metric_inverse(tr.g.values(p)) - np.eye(4))) < 1e-10
 
 
 def test_metric_inverse_singular_reports_det():
     rows = [[1.0, 0, 0, 0], [0, 0.0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     g = TensorField((0, 2), lambda *c: objarray(rows))
     with pytest.raises(DegenerateMetricError, match="determinant"):
-        metric_inverse(g, [0, 0, 0, 0])
+        metric_inverse(g.values([0, 0, 0, 0]))
 
 
 def test_gradient_flat_coordinate_function():
@@ -100,7 +106,7 @@ def test_raise_lower_roundtrip(triples):
     rng = np.random.default_rng(1)
     for p in tr.sample_points(4):
         gm = tr.g.values(p)
-        ginv = metric_inverse(tr.g, p)
+        ginv = metric_inverse(gm)
         v = rng.normal(size=4)
         assert np.max(np.abs(raise_index(ginv, lower_index(gm, v)) - v)) < 1e-10
 
@@ -110,28 +116,33 @@ def test_lie_derivative_coordinate_killing_field(triples):
     tr = triples["real-liouville"]
     x3 = TensorField((1, 0), lambda *c: objarray([0.0, 0.0, 1.0, 0.0]))
     for p in tr.sample_points(3):
-        assert np.max(np.abs(lie_derivative_metric(tr.g, x3, p))) < 1e-13
+        assert np.max(np.abs(lie_derivative_metric(*vp(tr.g, p), *vp(x3, p)))) < 1e-13
 
 
 def test_lie_derivative_gradient_not_killing(triples):
     tr = triples["real-liouville"]
     rho = ScalarField(lambda x1, x2, x3, x4: x1)  # the eigenvalue profile
     gr = gradient_field(tr.g, rho)
-    vals = [np.max(np.abs(lie_derivative_metric(tr.g, gr, p))) for p in tr.sample_points(3)]
+    vals = [
+        np.max(np.abs(lie_derivative_metric(*vp(tr.g, p), *vp(gr, p))))
+        for p in tr.sample_points(3)
+    ]
     assert min(vals) > 1e-3
 
 
 def test_lie_bracket_of_coordinate_fields_vanishes():
     e1 = TensorField((1, 0), lambda *c: objarray([1.0, 0.0, 0.0, 0.0]))
     e2 = TensorField((1, 0), lambda *c: objarray([0.0, 1.0, 0.0, 0.0]))
-    assert np.allclose(lie_bracket(e1, e2, [0.1, 0.2, 0.3, 0.4]), 0.0)
+    p = [0.1, 0.2, 0.3, 0.4]
+    assert np.allclose(lie_bracket(*vp(e1, p), *vp(e2, p)), 0.0)
 
 
 def test_lie_bracket_hand_example():
     # [x2 d1, d2] = -d1
     x = TensorField((1, 0), lambda x1, x2, x3, x4: objarray([x2, 0.0, 0.0, 0.0]))
     y = TensorField((1, 0), lambda *c: objarray([0.0, 1.0, 0.0, 0.0]))
-    br = lie_bracket(x, y, [0.5, 1.5, 0.0, 0.0])
+    p = [0.5, 1.5, 0.0, 0.0]
+    br = lie_bracket(*vp(x, p), *vp(y, p))
     assert np.allclose(br, [-1.0, 0.0, 0.0, 0.0])
 
 
@@ -139,7 +150,7 @@ class TestExteriorDerivative:
     def test_constant_form_closed(self):
         rows = [[0.0, 1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 2.0], [0, 0, -2.0, 0]]
         w = TensorField((0, 2), lambda *c: objarray(rows))
-        assert np.max(np.abs(exterior_derivative_2form(w, [1, 2, 3, 4]))) == 0.0
+        assert np.max(np.abs(exterior_derivative_2form(*vp(w, [1, 2, 3, 4])))) == 0.0
 
     def test_coefficient_depending_on_its_own_plane_is_closed(self):
         # w = x1 dx1 ^ dx2: the cyclic sum cancels identically
@@ -148,7 +159,7 @@ class TestExteriorDerivative:
             return objarray([[z, x1, z, z], [-x1, z, z, z], [z, z, z, z], [z, z, z, z]])
 
         w = TensorField((0, 2), wfn)
-        assert np.max(np.abs(exterior_derivative_2form(w, [1.5, 2, 3, 4]))) < 1e-14
+        assert np.max(np.abs(exterior_derivative_2form(*vp(w, [1.5, 2, 3, 4])))) < 1e-14
 
     def test_nonclosed_form_detected(self):
         # w = x3 dx1 ^ dx2: (dw)_{312} = 1
@@ -156,7 +167,7 @@ class TestExteriorDerivative:
             z = 0.0
             return objarray([[z, x3, z, z], [-x3, z, z, z], [z, z, z, z], [z, z, z, z]])
 
-        dw = exterior_derivative_2form(TensorField((0, 2), wfn), [1, 2, 0.5, 4])
+        dw = exterior_derivative_2form(*vp(TensorField((0, 2), wfn), [1, 2, 0.5, 4]))
         assert dw[2, 0, 1] == pytest.approx(1.0)
         assert dw[0, 1, 2] == pytest.approx(1.0)
         assert dw[1, 0, 2] == pytest.approx(-1.0)
@@ -165,13 +176,13 @@ class TestExteriorDerivative:
         rows = [[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         w = TensorField((0, 2), lambda *c: objarray(rows))
         with pytest.raises(MalformedFormError):
-            exterior_derivative_2form(w, [0, 0, 0, 0])
+            exterior_derivative_2form(*vp(w, [0, 0, 0, 0]))
 
 
 class TestNijenhuis:
     def test_constant_endomorphism(self):
         t = TensorField((1, 1), lambda *c: objarray(np.diag([1.0, 1.0, -1.0, -1.0]).tolist()))
-        assert np.max(np.abs(nijenhuis(t, [1, 2, 3, 4]))) == 0.0
+        assert np.max(np.abs(nijenhuis(*vp(t, [1, 2, 3, 4])))) == 0.0
 
     def test_perturbed_structure_detected(self, triples):
         tr = triples["dim-d2-4"]
@@ -184,8 +195,8 @@ class TestNijenhuis:
 
         t_bad = TensorField((1, 1), bad)
         p = tr.sample_points(1)[0]
-        assert np.max(np.abs(nijenhuis(t_bad, p))) > 1e-4
-        assert np.max(np.abs(nijenhuis(tr.t, p))) < 1e-12
+        assert np.max(np.abs(nijenhuis(*vp(t_bad, p)))) > 1e-4
+        assert np.max(np.abs(nijenhuis(*vp(tr.t, p)))) < 1e-12
 
 
 def test_batch_values_match_pointwise(triples):
@@ -208,8 +219,6 @@ def test_batch_duals_match_fd(triples):
 def test_component_partials_match_fd_many_points(triples):
     # jet-carried first partials of every metric and endomorphism
     # component agree with central differences at 50 points per field
-    from pklab.fields import tensor_values_and_partials
-
     for name in ("real-liouville", "dim-d1"):
         tr = triples[name]
         for field in (tr.g, tr.t, tr.a):

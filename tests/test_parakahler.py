@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pklab.fields import TensorField, objarray
 from pklab.parakahler import (
@@ -9,6 +10,7 @@ from pklab.parakahler import (
     validate,
 )
 from pklab.fields import Chart
+from pklab.geometry import Geometry
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -40,7 +42,7 @@ def test_non_tracefree_involution_fails_eigendistribution_check():
 def test_fundamental_form_flat_block_hand_values():
     # omega_ij = T^k_i g_kj: with the +/- block structure the top-right
     # entries keep the sign of g and the bottom-left flip it
-    om = fundamental_form(flat_triple(), [0.2, 0.2, 0.2, 0.2])
+    om = fundamental_form(Geometry(flat_triple(), [[0.2, 0.2, 0.2, 0.2]]), 0)
     expected = np.array(
         [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
     )
@@ -52,22 +54,27 @@ def test_fundamental_form_matches_displayed_form(triples):
     # for the separable family omega was entered independently of T;
     # recomputing g(T., .) must reproduce it
     tr = triples["real-liouville"]
-    for p in tr.sample_points(4):
+    geo = Geometry(tr, tr.sample_points(4))
+    for i, p in enumerate(geo.points):
         r, s = p[0], p[1]  # rho = x1, sigma = x2 for the default profiles
         expected = np.zeros((4, 4))
         expected[0, 2], expected[0, 3] = 1.0, s  # rho' = 1
         expected[1, 2], expected[1, 3] = 1.0, r  # sigma' = 1
         expected[2, 0], expected[2, 1] = -1.0, -1.0
         expected[3, 0], expected[3, 1] = -s, -r
-        assert np.allclose(fundamental_form(tr, p), expected, atol=1e-10)
+        assert np.allclose(fundamental_form(geo, i), expected, atol=1e-10)
 
 
 def test_null_coordinate_check(triples):
-    assert null_coordinate_check(triples["dim-d2-2"])
-    assert null_coordinate_check(triples["dim-d1"])
-    assert not null_coordinate_check(triples["dim-d2-2neg"])
-    assert not null_coordinate_check(triples["real-liouville"])
-    assert not null_coordinate_check(triples["dim-d2-1"])
+    def check(name):
+        tr = triples[name]
+        return null_coordinate_check(Geometry(tr, tr.sample_points(20)))
+
+    assert check("dim-d2-2")
+    assert check("dim-d1")
+    assert not check("dim-d2-2neg")
+    assert not check("real-liouville")
+    assert not check("dim-d2-1")
 
 
 def test_signature_counts():
@@ -108,3 +115,38 @@ def test_validate_reports_evaluation_errors_as_flags():
     rep = validate(bad, n_points=6)
     flagged = [c for c in rep.checks if any("eval-error" in f for f in c.flags)]
     assert flagged
+
+
+def test_validate_fails_every_check_when_every_point_raises():
+    # g and T both take log(x1), undefined on the whole box
+    def gfn(x1, x2, x3, x4):
+        rows = [[0.0, 0.0, x1.log(), 0.0], [0.0, 0.0, 0.0, 1.0],
+                [x1.log(), 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        return objarray(rows)
+
+    def tfn(x1, x2, x3, x4):
+        x1.log()
+        return objarray(BLOCK_T)
+
+    bad = ParaKahlerTriple(
+        chart=Chart(((-2.0, -1.0),) + ((0.0, 1.0),) * 3, label="bad"),
+        g=TensorField((0, 2), gfn),
+        t=TensorField((1, 1), tfn),
+    )
+    rep = validate(bad, n_points=4)
+    assert all(not c.passed for c in rep.checks)
+    assert all(c.residual == np.inf for c in rep.checks)
+    assert all("eval-error:JetDomainError" in c.flags for c in rep.checks)
+
+
+def test_validate_propagates_programming_errors():
+    def gfn(*coords):
+        raise TypeError("bug in a field")
+
+    triple = ParaKahlerTriple(
+        chart=Chart(((0.0, 1.0),) * 4),
+        g=TensorField((0, 2), gfn),
+        t=TensorField((1, 1), lambda *c: objarray(BLOCK_T)),
+    )
+    with pytest.raises(TypeError, match="bug in a field"):
+        validate(triple, n_points=3)

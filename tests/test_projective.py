@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_of
 from pklab import projective as pj
-from pklab.curvature import christoffel, ricci
+from pklab.curvature import christoffel
 from pklab.fields import (
     DegenerateMetricError,
     ScalarField,
@@ -11,6 +11,7 @@ from pklab.fields import (
     metric_inverse,
     objarray,
 )
+from pklab.geometry import Geometry
 from pklab.parakahler import ParaKahlerTriple
 
 FLAT = [
@@ -29,20 +30,32 @@ def scaled_identity(c):
     return const_field((c * np.eye(4)).tolist())
 
 
+def at(tr, p, **fields):
+    """One-point geometry of a triple, with fields replaced by keyword."""
+    return Geometry.at(p, g=fields.get("g", tr.g), t=fields.get("t", tr.t),
+                       a=fields.get("a", tr.a))
+
+
+def over(tr, n):
+    """Geometry of a triple at its first n sample points."""
+    return Geometry(tr, tr.sample_points(n))
+
+
 class TestLambdaField:
     def test_constant_multiple_of_identity_gives_zero(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        lam = pj.lambda_vector(tr.g, scaled_identity(3.0), p)
+        lam = at(tr, p, a=scaled_identity(3.0)).lam(0)
         assert np.allclose(lam, 0.0)
 
     def test_real_liouville_half_gradient_of_sum(self, triples):
         # tr A = 2(rho + sigma), so Lam = (1/2) grad(rho + sigma)
         tr = triples["real-liouville"]
         f = ScalarField(lambda x1, x2, x3, x4: x1 + x2)  # default profiles
-        for p in tr.sample_points(3):
-            expected = 0.5 * metric_inverse(tr.g, p) @ f.gradient_covector(p)
-            assert np.allclose(pj.lambda_vector(tr.g, tr.a, p), expected, atol=1e-12)
+        geo = over(tr, 3)
+        for i, p in enumerate(geo.points):
+            expected = 0.5 * metric_inverse(tr.g.values(p)) @ f.gradient_covector(p)
+            assert np.allclose(geo.lam(i), expected, atol=1e-12)
 
     def test_duality_with_trace_differential(self, triples):
         # X(tr A) = 4 g(Lam, X), trace differenced independently
@@ -52,8 +65,9 @@ class TestLambdaField:
         def tr_val(*args):
             return trace(*args)
 
-        for p in tr.sample_points(3):
-            lam = pj.lambda_vector(tr.g, tr.a, p)
+        geo = over(tr, 3)
+        for i, p in enumerate(geo.points):
+            lam = geo.lam(i)
             gm = tr.g.values(p)
             for axis in range(4):
                 fd = fd_of(lambda y: trace.jet(y, order=1).value, p, axis, 1e-5)
@@ -64,17 +78,20 @@ class TestBenentiResidual:
     def test_identity_endomorphism(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.benenti_residual(tr, scaled_identity(1.0), p) < 1e-14
+        assert pj.benenti_residual(at(tr, p, a=scaled_identity(1.0)), 0) < 1e-14
 
     def test_catalog_families(self, triples):
         for name, tr in triples.items():
-            worst = max(pj.benenti_residual(tr, tr.a, p) for p in tr.sample_points(6))
+            geo = over(tr, 6)
+            worst = max(pj.benenti_residual(geo, i) for i in range(6))
             assert worst < 1e-9, name
 
     def test_linearity_shift(self, triples):
         tr = triples["complex-liouville"]
         shifted = pj.endo_combination(tr.a, -0.7, 1.0)
-        worst = max(pj.benenti_residual(tr, shifted, p) for p in tr.sample_points(3))
+        worst = max(
+            pj.benenti_residual(at(tr, p, a=shifted), 0) for p in tr.sample_points(3)
+        )
         assert worst < 1e-9
 
     def test_perturbation_detected(self, triples):
@@ -87,20 +104,21 @@ class TestBenentiResidual:
 
         a_bad = TensorField((1, 1), bad)
         p = tr.sample_points(1)[0]
-        assert pj.benenti_residual(tr, a_bad, p) > 1e-3
-        assert pj.hamiltonian_form_residual(tr, a_bad, p) > 1e-4
+        assert pj.benenti_residual(at(tr, p, a=a_bad), 0) > 1e-3
+        assert pj.hamiltonian_form_residual(at(tr, p, a=a_bad), 0) > 1e-4
 
 
 class TestHamiltonianForm:
     def test_identity_trivial(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.hamiltonian_form_residual(tr, scaled_identity(2.0), p) < 1e-12
+        assert pj.hamiltonian_form_residual(at(tr, p, a=scaled_identity(2.0)), 0) < 1e-12
 
     def test_covanishes_with_defining_equation(self, triples):
         for name, tr in triples.items():
-            for p in tr.sample_points(4):
-                assert pj.hamiltonian_form_residual(tr, tr.a, p) < 1e-9, name
+            geo = over(tr, 4)
+            for i in range(4):
+                assert pj.hamiltonian_form_residual(geo, i) < 1e-9, name
 
 
 class TestPairAlgebra:
@@ -109,18 +127,20 @@ class TestPairAlgebra:
         c = 1.7
         g = const_field(FLAT, valence=(0, 2))
         ghat = const_field((np.array(FLAT) * c**-3).tolist(), valence=(0, 2))
-        a = pj.a_from_pair(g, ghat, [0, 0, 0, 0])
+        p = [0, 0, 0, 0]
+        a = pj.a_from_pair(g.values(p), ghat.values(p))
         assert np.allclose(a, c * np.eye(4), rtol=1e-12)
 
     def test_a_from_equal_pair_is_identity(self):
         g = const_field(FLAT, valence=(0, 2))
-        assert np.allclose(pj.a_from_pair(g, g, [0, 0, 0, 0]), np.eye(4))
+        gm = g.values([0, 0, 0, 0])
+        assert np.allclose(pj.a_from_pair(gm, gm), np.eye(4))
 
     def test_negative_determinant_ratio_rejected(self):
         g = const_field(FLAT, valence=(0, 2))
         lorentz = const_field(np.diag([1.0, -1.0, -1.0, -1.0]).tolist(), valence=(0, 2))
         with pytest.raises(DegenerateMetricError):
-            pj.a_from_pair(g, lorentz, [0, 0, 0, 0])
+            pj.a_from_pair(g.values([0, 0, 0, 0]), lorentz.values([0, 0, 0, 0]))
 
     def test_companion_of_scaled_identity(self):
         g = const_field(FLAT, valence=(0, 2))
@@ -132,7 +152,7 @@ class TestPairAlgebra:
         for name, tr in triples.items():
             ghat = pj.companion_metric(tr.g, tr.a)
             for p in tr.sample_points(3):
-                rec = pj.a_from_pair(tr.g, ghat, p)
+                rec = pj.a_from_pair(tr.g.values(p), ghat.values(p))
                 assert np.max(np.abs(rec - tr.a.values(p))) < 1e-10, name
 
     def test_companion_batch_path_matches_jets(self, triples):
@@ -150,15 +170,16 @@ class TestPairAlgebra:
 class TestPotential:
     def test_scaled_identity(self):
         c = 2.0
-        psi, big_psi = pj.psi_potential(scaled_identity(c), [0, 0, 0, 0])
+        psi, big_psi = pj.psi_potential(Geometry.at([0, 0, 0, 0], a=scaled_identity(c)), 0)
         assert psi == pytest.approx(-np.log(c))
         assert np.allclose(big_psi, 0.0)
 
     def test_duality_with_lambda(self, triples):
         for name, tr in triples.items():
-            for p in tr.sample_points(3):
-                _, big_psi = pj.psi_potential(tr.a, p)
-                lam = pj.lambda_vector(tr.g, tr.a, p)
+            geo = over(tr, 3)
+            for i, p in enumerate(geo.points):
+                _, big_psi = pj.psi_potential(geo, i)
+                lam = geo.lam(i)
                 gm = tr.g.values(p)
                 ainv = np.linalg.inv(tr.a.values(p))
                 assert np.max(np.abs(big_psi + gm @ ainv @ lam)) < 1e-9, name
@@ -168,8 +189,9 @@ class TestPotential:
         for name in ("dim-d2-2", "dim-d1"):
             tr = triples[name]
             mu1, mu2 = pj.mu_invariant_fields(tr.a)
-            for p in tr.sample_points(4):
-                psi, _ = pj.psi_potential(tr.a, p)
+            geo = over(tr, 4)
+            for i, p in enumerate(geo.points):
+                psi, _ = pj.psi_potential(geo, i)
                 m2 = mu2.value(p)
                 assert m2 > 0
                 assert abs(m2 - np.exp(-2 * psi)) / m2 < 1e-10, name
@@ -179,24 +201,20 @@ class TestConnectionDifference:
     def test_equal_metrics(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.connection_difference_residual(
-            tr.g, tr.g, tr.t, p, a=pj.identity_endo()
-        ) < 1e-12
+        assert pj.connection_difference_residual(at(tr, p, a=pj.identity_endo()), 0) < 1e-12
 
     def test_catalog_pairs(self, triples):
         for name, tr in triples.items():
-            ghat = pj.companion_metric(tr.g, tr.a)
-            worst = max(
-                pj.connection_difference_residual(tr.g, ghat, tr.t, p, a=tr.a)
-                for p in tr.sample_points(4)
-            )
+            geo = over(tr, 4)
+            worst = max(pj.connection_difference_residual(geo, i) for i in range(4))
             assert worst < 1e-9, name
 
     def test_unrelated_metric_fails(self, triples):
         tr = triples["real-liouville"]
         flat = const_field(FLAT, valence=(0, 2))
         p = tr.sample_points(1)[0]
-        assert pj.connection_difference_residual(tr.g, flat, tr.t, p) > 1e-2
+        a = pj.a_from_pair_field(tr.g, flat)  # the pair (g, flat) as a Benenti candidate
+        assert pj.connection_difference_residual(at(tr, p, a=a), 0) > 1e-2
 
     def test_parallel_a_means_equal_connections(self, triples):
         # A = c Id is parallel, the companion is a constant rescaling,
@@ -215,31 +233,32 @@ class TestWeightedTensors:
         sig = pj.weighted_sigma_field(g)
         p = [0.3, 0.1, 0.9, 0.4]
         assert np.allclose(sig.values(p), np.array(FLAT))  # |det| = 1
-        assert pj.sigma_parallel_residual(g, p) == 0.0
+        assert pj.sigma_parallel_residual(Geometry.at(p, g), 0) == 0.0
 
     def test_catalog_sigma_parallel_and_para_hermitian(self, triples):
         for name, tr in triples.items():
-            sig = pj.weighted_sigma_field(tr.g)
-            for p in tr.sample_points(3):
-                assert pj.sigma_parallel_residual(tr.g, p) < 1e-9, name
-                assert pj.sigma_para_hermitian_residual(tr.t, sig, p) < 1e-10, name
+            geo = over(tr, 3)
+            for i in range(3):
+                assert pj.sigma_parallel_residual(geo, i) < 1e-9, name
+                assert pj.sigma_para_hermitian_residual(geo, i) < 1e-10, name
 
     def test_mobility_solution_and_trivial_case(self, triples):
         for name, tr in triples.items():
             sig = pj.weighted_sigma_field(tr.g)
             sighat = pj.weighted_endo_sigma_field(tr.a, sig)
-            for p in tr.sample_points(3):
-                assert pj.mobility_residual(tr.g, tr.t, sig, p) < 1e-12, name
-                assert pj.mobility_residual(tr.g, tr.t, sighat, p) < 1e-9, name
+            geo = over(tr, 3)
+            for i, p in enumerate(geo.points):
+                assert pj.mobility_residual(geo, i, sig.jets(p)) < 1e-12, name
+                assert pj.mobility_residual(geo, i, sighat.jets(p)) < 1e-9, name
 
     def test_mobility_connection_invariance(self, triples):
         tr = triples["complex-liouville"]
-        ghat = pj.companion_metric(tr.g, tr.a)
         sig = pj.weighted_sigma_field(tr.g)
         probe = pj.scale_weighted_field(ScalarField(lambda x1, *r: x1, "x1"), sig)
-        for p in tr.sample_points(3):
-            e1 = pj.mobility_expression(tr.g, tr.t, probe, p)
-            e2 = pj.mobility_expression(ghat, tr.t, probe, p)
+        geo = over(tr, 3)
+        for i, p in enumerate(geo.points):
+            e1 = pj.mobility_expression(geo, i, probe.jets(p))
+            e2 = pj.mobility_expression(geo, i, probe.jets(p), metric="ghat")
             scale = max(1.0, np.max(np.abs(e1)))
             assert np.max(np.abs(e1 - e2)) / scale < 1e-9
             assert np.max(np.abs(e1)) > 1e-3  # the probe is not a solution
@@ -293,7 +312,7 @@ class TestSpectral:
         rows[0, 0], rows[1, 1] = 3.0, 5.0
         rows[2, 2], rows[2, 3], rows[3, 2] = 8.0, 15.0, -1.0
         a = const_field(rows.tolist())
-        spec = pj.eigen_decompose(a, [0, 0, 0, 0])
+        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=a), 0)
         assert spec.kind == "real"
         assert spec.mu1 == pytest.approx(8.0)
         assert spec.mu2 == pytest.approx(15.0)
@@ -301,14 +320,14 @@ class TestSpectral:
         assert spec.sigma.real == pytest.approx(3.0)
 
     def test_scaled_identity_degenerate(self):
-        spec = pj.eigen_decompose(scaled_identity(2.0), [0, 0, 0, 0])
+        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=scaled_identity(2.0)), 0)
         assert spec.kind == "degenerate"
         assert spec.rho == spec.sigma == pytest.approx(2.0)
 
     def test_complex_pair(self, triples):
         tr = triples["complex-liouville"]
         p = tr.sample_points(1)[0]
-        spec = pj.eigen_decompose(tr.a, p)
+        spec = pj.eigen_decompose(at(tr, p), 0)
         assert spec.kind == "complex"
         assert spec.rho.imag > 0
         assert spec.sigma == spec.rho.conjugate()
@@ -318,11 +337,12 @@ class TestSpectral:
         rows[0, 0], rows[1, 1] = 3.0, 5.0
         rows[2, 2], rows[2, 3], rows[3, 2] = 8.0, 15.0, -1.0
         a = const_field(rows.tolist())
-        assert pj.mu_polynomial(a, [0, 0, 0, 0], 0.0) == pytest.approx(15.0)
-        assert pj.mu_polynomial(a, [0, 0, 0, 0], 3.0) == pytest.approx(0.0)
+        geo = Geometry.at([0, 0, 0, 0], a=a)
+        assert pj.mu_polynomial(geo, 0, 0.0) == pytest.approx(15.0)
+        assert pj.mu_polynomial(geo, 0, 3.0) == pytest.approx(0.0)
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        spec = pj.eigen_decompose(tr.a, p)
+        spec = pj.eigen_decompose(at(tr, p), 0)
         assert spec.mu1 == pytest.approx(spec.rho.real + spec.sigma.real, abs=1e-10)
         assert spec.mu2 == pytest.approx(spec.rho.real * spec.sigma.real, abs=1e-10)
 
@@ -330,9 +350,8 @@ class TestSpectral:
 class TestEigenGradients:
     def test_catalog(self, triples):
         for name, tr in triples.items():
-            worst = max(
-                pj.eigen_gradient_residual(tr, tr.a, p) for p in tr.sample_points(4)
-            )
+            geo = over(tr, 4)
+            worst = max(pj.eigen_gradient_residual(geo, i) for i in range(4))
             assert worst < 1e-9, name
 
     def test_gradients_g_orthogonal_in_real_type(self, triples):
@@ -355,7 +374,7 @@ class TestEigenGradients:
             return arr
 
         p = tr.sample_points(1)[0]
-        assert pj.eigen_gradient_residual(tr, TensorField((1, 1), bad), p) > 1e-4
+        assert pj.eigen_gradient_residual(at(tr, p, a=TensorField((1, 1), bad)), 0) > 1e-4
 
 
 class TestKillingMachinery:
@@ -372,26 +391,22 @@ class TestKillingMachinery:
     def test_rotated_gradients_are_killing(self, triples):
         for name in ("real-liouville", "complex-liouville", "dim-d2-1", "dim-d1"):
             tr = triples[name]
-            _, (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
-            for p in tr.sample_points(3):
-                assert pj.killing_residual(tr.g, tv1, p) < 1e-9, name
-                assert pj.killing_residual(tr.g, tv2, p) < 1e-9, name
+            geo = over(tr, 3)
+            for i in range(3):  # both TV1 and TV2
+                assert pj.killing_residual(geo, i) < 1e-9, name
 
     def test_hamiltonian_pairing(self, triples):
         tr = triples["real-liouville"]
-        mu1, mu2 = pj.mu_invariant_fields(tr.a)
-        _, (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
-        for p in tr.sample_points(3):
-            assert pj.hamiltonian_pairing_residual(tr, mu1, tv1, p) < 1e-9
-            assert pj.hamiltonian_pairing_residual(tr, mu2, tv2, p) < 1e-9
+        geo = over(tr, 3)
+        for i in range(3):  # (mu1, TV1) and (mu2, TV2)
+            assert pj.hamiltonian_pairing_residual(geo, i) < 1e-9
 
     def test_para_holomorphy_and_commutation(self, triples):
         tr = triples["complex-liouville"]
-        (v1, v2), (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
-        for p in tr.sample_points(2):
-            for x in (v1, v2, tv1, tv2):
-                assert pj.para_holomorphy_residual(tr, x, p) < 1e-9
-            assert pj.commutation_residual([v1, v2, tv1, tv2], p) < 1e-8
+        geo = over(tr, 2)
+        for i in range(2):
+            assert pj.para_holomorphy_residual(geo, i) < 1e-9  # V1, V2, TV1, TV2
+            assert pj.commutation_residual(geo, i) < 1e-8
 
     def test_gradient_and_rotated_gradient_orthogonal(self, triples):
         tr = triples["real-liouville"]
@@ -405,8 +420,9 @@ class TestKillingMachinery:
     def test_leaf_restriction_rank4(self, triples):
         for name in ("real-liouville", "complex-liouville"):
             tr = triples[name]
-            for p in tr.sample_points(3):
-                assert pj.leaf_geodesic_residual(tr, tr.a, p) < 1e-8
+            geo = over(tr, 3)
+            for i in range(3):
+                assert pj.leaf_geodesic_residual(geo, i) < 1e-8
 
 
 class TestClassification:
@@ -427,8 +443,9 @@ class TestClassification:
 
     def test_rank_and_configuration_per_family(self, triples):
         for name, tr in triples.items():
-            for p in tr.sample_points(4):
-                rank, config, _ = pj.distribution_d_rank(tr, tr.a, p)
+            geo = over(tr, 4)
+            for i in range(4):
+                rank, config, _ = pj.distribution_d_rank(geo, i)
                 assert rank == tr.meta["expected_rank"], name
                 assert tuple(config) == tr.meta["expected_config"], name
 
@@ -436,19 +453,18 @@ class TestClassification:
 class TestRicciDifference:
     def test_catalog_pairs(self, triples):
         for name, tr in triples.items():
-            ghat = pj.companion_metric(tr.g, tr.a)
-            for p in tr.sample_points(3):
-                primary, cross = pj.ricci_difference_residual(tr.g, ghat, tr.t, tr.a, p)
+            geo = over(tr, 3)
+            for i in range(3):
+                primary, cross = pj.ricci_difference_residual(geo, i)
                 assert primary < 1e-8, name
                 assert cross < 1e-8, name
 
     def test_holds_off_einstein_locus(self, triples):
         # the comparison identity is unconditional, not an Einstein statement
         tr = triples["dim-d2-1"]
-        ghat = pj.companion_metric(tr.g, tr.a)
-        p = tr.sample_points(1)[0]
-        assert np.max(np.abs(ricci(tr.g, p))) > 1e-3  # generic instance, not Einstein
-        primary, cross = pj.ricci_difference_residual(tr.g, ghat, tr.t, tr.a, p)
+        geo = over(tr, 1)
+        assert np.max(np.abs(geo.ricci(0))) > 1e-3  # generic instance, not Einstein
+        primary, cross = pj.ricci_difference_residual(geo, 0)
         assert primary < 1e-8 and cross < 1e-8
 
 
@@ -456,19 +472,19 @@ class TestFamilyConstant:
     def test_endpoints(self, companion_einstein_preset):
         tr = companion_einstein_preset
         lam, lam_hat = tr.meta["einstein"], tr.meta["companion_einstein"]
-        pts = tr.sample_points(5)
-        out = pj.einstein_family_constant(tr.g, tr.a, lam, lam_hat, 1.0, 0.0, pts)
+        geo = over(tr, 5)
+        out = pj.einstein_family_constant(geo, lam, lam_hat, 1.0, 0.0)
         assert out["constant"] == pytest.approx(lam, abs=1e-10)
-        out = pj.einstein_family_constant(tr.g, tr.a, lam, lam_hat, 0.0, 1.0, pts)
+        out = pj.einstein_family_constant(geo, lam, lam_hat, 0.0, 1.0)
         assert out["constant"] == pytest.approx(lam_hat, abs=1e-8)
         assert out["spread"] < 1e-8
         assert out["ricci_residual"] < 1e-8
 
     def test_alpha_cubed_rule(self, einstein_preset):
         tr = einstein_preset
-        pts = tr.sample_points(6)
+        geo = over(tr, 6)
         for al, be in ((2.0, 1.0), (1.5, 0.25), (0.5, 0.5)):
-            out = pj.einstein_family_constant(tr.g, tr.a, 1.0, 0.0, al, be, pts)
+            out = pj.einstein_family_constant(geo, 1.0, 0.0, al, be)
             assert out["constant"] == pytest.approx(al**3, rel=1e-9)
             assert out["spread"] < 1e-8
             assert out["ricci_residual"] < 1e-8
@@ -476,6 +492,4 @@ class TestFamilyConstant:
     def test_einstein_precondition_enforced(self, triples):
         tr = triples["real-liouville"]  # generic, not Einstein
         with pytest.raises(pj.EinsteinPreconditionError):
-            pj.einstein_family_constant(
-                tr.g, tr.a, 1.0, 0.0, 1.0, 0.5, tr.sample_points(2)
-            )
+            pj.einstein_family_constant(over(tr, 2), 1.0, 0.0, 1.0, 0.5)

@@ -1,7 +1,11 @@
-import os
+import sys
 
+import numpy as np
 import pytest
 
+from pklab import curvature, suites
+from pklab import projective as pj
+from pklab.catalog import preset_triple
 from pklab.suites import CHECK_NAMES, demo_einstein, run_suite
 
 
@@ -31,14 +35,6 @@ def test_flatness_skipped_on_curved_family(triples):
     assert check.passed and "not-declared-flat" in check.flags
 
 
-def test_thread_pool_matches_serial(triples, monkeypatch):
-    names = ["rank", "flatness", "benenti"]
-    serial = run_suite(triples["dim-d2-4"], names, n_points=4, seed=2)
-    monkeypatch.setenv("PKLAB_THREADS", "3")
-    threaded = run_suite(triples["dim-d2-4"], names, n_points=4, seed=2)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_adapted_chart_extra_checks_present(triples):
     report = run_suite(triples["dim-d1"], ["benenti", "companion"], n_points=4)
     names = {c.name for c in report.checks}
@@ -52,3 +48,67 @@ def test_demo_passes_and_is_deterministic():
     b = demo_einstein(n_points=5, seed=1)
     assert a.all_passed
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("seed", [3, 6, 7])
+def test_negative_control_detects_off_plane_curves(triples, seed):
+    # seeds at which straight lines of a flat metric, a weaker control, come out
+    # nearly T-planar
+    report = run_suite(triples["dim-d2-2"], ["geodesic"], n_points=2, seed=seed)
+    control = next(c for c in report.checks if c.name == "geodesic/negative-control")
+    assert control.passed
+
+
+def test_parakahler_checks_the_runs_points(triples, monkeypatch):
+    seen = []
+    original = suites.validate
+
+    def spy(triple, **kwargs):
+        seen.append(kwargs["geometry"].points.copy())
+        return original(triple, **kwargs)
+
+    monkeypatch.setattr(suites, "validate", spy)
+    for seed in (0, 1):
+        assert run_suite(triples["dim-d2-4"], ["parakahler"], n_points=3, seed=seed).all_passed
+    assert not np.array_equal(seen[0], seen[1])
+    assert np.array_equal(seen[1], triples["dim-d2-4"].sample_points(3, seed=1))
+
+
+def test_nan_at_a_later_point_fails_its_check(triples, monkeypatch):
+    original = pj.benenti_residual
+    monkeypatch.setattr(
+        pj, "benenti_residual", lambda geo, i: np.nan if i == 2 else original(geo, i)
+    )
+    report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=4)
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["benenti/equation"].passed
+    assert by_name["benenti/hamiltonian-form"].passed
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every pklab global bound to it."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("pklab."):
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_christoffel_symbols_evaluated_once_per_metric_and_point(monkeypatch):
+    triple = preset_triple("einstein-lambda1")
+    calls = _count_calls(monkeypatch, curvature, "christoffel_jets")
+    n_points = 2
+    assert run_suite(triple, list(CHECK_NAMES), n_points=n_points).all_passed
+    first = calls[0]
+    # g, the companion and the 24 family members at each point
+    assert 0 < first <= 26 * n_points
+    run_suite(triple, list(CHECK_NAMES), n_points=n_points)
+    assert calls[0] == 2 * first  # nothing cached across calls
