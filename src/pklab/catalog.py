@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Chart, TensorField, objarray
 from .jets import DualBatch, Jet, dual_point, seed_variable
-from .linalg import minv
+from .linalg import minv, mmul
 from .parakahler import ParaKahlerTriple
 
 __all__ = [
@@ -88,15 +88,7 @@ def _t_from_g_omega(gfn, omfn) -> Callable:
     def tfn(*coords):
         gj = objarray(gfn(*coords))
         om = objarray(omfn(*coords))
-        ginv = minv(gj)
-        out = np.empty((4, 4), dtype=object)
-        for k in range(4):
-            for i in range(4):
-                acc = om[i, 0] * ginv[0, k]
-                for j in range(1, 4):
-                    acc = acc + om[i, j] * ginv[j, k]
-                out[k, i] = acc
-        return out
+        return mmul(om, minv(gj)).T
 
     return tfn
 

@@ -24,7 +24,7 @@ from .catalog import FeasibilityError
 from .curves import export_curve_csv, integrate_geodesic, t_planarity_residual
 from .exprs import ExprError, compile_profile
 from .fields import DegenerateMetricError
-from .suites import CHECK_NAMES, demo_einstein, run_suite
+from .suites import CHECK_NAMES, check_request, demo_einstein, run_suite
 from . import projective as pj
 
 _EXPR_PARAMS: dict[str, dict[str, tuple[str, ...]]] = {
@@ -93,7 +93,7 @@ def _build_triple(args) -> tuple:
         "checks": list(args.check_list),
         "points": args.points,
         "seed": args.seed,
-        "tolerances": {k: float(v) for k, v in args.tol_map.items()},
+        "tolerances": dict(args.tolerances),
     }
     if args.preset:
         if args.param or args.box:
@@ -148,27 +148,22 @@ def _cmd_run(args) -> int:
     else:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
     args.check_list = names
-    args.tol_map = _parse_kv(args.tol, "--tol")
-    for name, val in args.tol_map.items():
+    args.tolerances = {}
+    for name, val in _parse_kv(args.tol, "--tol").items():
         try:
-            ok = float(val) > 0
+            args.tolerances[name] = float(val)
         except ValueError:
-            ok = False
-        if not ok:
-            raise ConfigError(f"tolerance override {name}={val} must be a positive number")
+            raise ConfigError(f"tolerance override {name}={val} is not a number") from None
+    try:
+        check_request(names, args.tolerances)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     triple, config = _build_triple(args)
     t0 = time.time()
-    try:
-        report = run_suite(
-            triple,
-            names,
-            n_points=args.points,
-            seed=args.seed,
-            tolerances={k: float(v) for k, v in args.tol_map.items()},
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    report = run_suite(
+        triple, names, n_points=args.points, seed=args.seed, tolerances=args.tolerances
+    )
     report.label = config["family"] + (f":{config['preset']}" if config["preset"] else "")
     report.config = config
     runtime = time.time() - t0

@@ -35,6 +35,7 @@ from .fields import (
     matvec,
     metric_inverse,
     metric_inverse_jets,
+    ring_value,
     split_jets,
 )
 from .jets import Jet, jreciprocal
@@ -58,15 +59,18 @@ def mu_invariants(aj: np.ndarray):
     return tr * 0.5, tr * tr * 0.125 - mtrace(mmul(aj, aj)) * 0.25
 
 
+def _det_a(aj: np.ndarray, where: str):
+    """det A, which must be positive where the companion metric and psi are defined."""
+    det = mdet(aj)
+    if ring_value(det) <= 0.0:
+        raise DegenerateMetricError(f"det A = {ring_value(det):.3e} <= 0 in {where}")
+    return det
+
+
 def companion_components(gj: np.ndarray, aj: np.ndarray) -> np.ndarray:
     """ghat = (det A)^(-1/2) g A^(-1) with the positive square root."""
-    det = mdet(aj)
-    if isinstance(det, Jet):
-        if det.value <= 0.0:
-            raise DegenerateMetricError(f"det A = {det.value:.3e} <= 0 in companion metric")
-        scale = det.pow(-0.5)
-    else:
-        scale = det ** (-0.5)
+    det = _det_a(aj, "companion metric")
+    scale = det.pow(-0.5) if isinstance(det, Jet) else det ** (-0.5)
     out = mmul(gj, minv(aj))
     for i in range(DIM):
         for j in range(DIM):
@@ -116,12 +120,8 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
 
 def psi_component(aj: np.ndarray):
     """psi = -(1/4) log det A; its differential drives the connection shift."""
-    det = mdet(aj)
-    if isinstance(det, Jet):
-        if det.value <= 0.0:
-            raise DegenerateMetricError(f"det A = {det.value:.3e} <= 0 in psi")
-        return det.log() * (-0.25)
-    return -0.25 * np.log(det)
+    det = _det_a(aj, "psi")
+    return det.log() * (-0.25) if isinstance(det, Jet) else -0.25 * np.log(det)
 
 
 # -- the cache --------------------------------------------------------------
@@ -148,9 +148,14 @@ def _killing(geo: "Geometry", i: int) -> np.ndarray:
     return out
 
 
+def _as_jet(x) -> Jet:
+    """x, or the constant jet of a plain number (from constant components)."""
+    return x if isinstance(x, Jet) else Jet.constant(float(x), DIM, DEFAULT_ORDER)
+
+
 def _mu(geo: "Geometry", i: int) -> np.ndarray:
     out = np.empty(2, dtype=object)
-    out[0], out[1] = mu_invariants(geo.jets(i, "a"))
+    out[0], out[1] = (_as_jet(mu) for mu in mu_invariants(geo.jets(i, "a")))
     return out
 
 
@@ -196,7 +201,8 @@ class Geometry:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _cached(self, i: int, key: str, build):
+    def cached(self, i: int, key: str, build):
+        """``build()``, evaluated once per point i and ``key``; errors are not kept."""
         memo = self._memo[i]
         if key not in memo:
             memo[key] = build()
@@ -208,31 +214,24 @@ class Geometry:
         """Order-3 jets of 'g', 't', 'a', 'ginv', 'ghat', 'gamma' (of g),
         'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)) or 'a_sigma' (A sigma)."""
-        return self._cached(i, name, lambda: _BUILDERS[name](self, i))
+        return self.cached(i, name, lambda: _BUILDERS[name](self, i))
 
     def vp(self, i: int, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(values, first partials) of ``jets(i, name)``; partials on the last axis."""
-        return self._cached(i, name + "/vp", lambda: split_jets(self.jets(i, name)))
+        return self.cached(i, name + "/vp", lambda: split_jets(self.jets(i, name)))
 
     def values(self, i: int, name: str) -> np.ndarray:
         return self.vp(i, name)[0]
 
     def psi_jet(self, i: int) -> Jet:
         """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
-
-        def build():
-            psi = psi_component(self.jets(i, "a"))
-            if isinstance(psi, Jet):
-                return psi
-            return Jet.constant(float(psi), DIM, DEFAULT_ORDER)
-
-        return self._cached(i, "psi", build)
+        return self.cached(i, "psi", lambda: _as_jet(psi_component(self.jets(i, "a"))))
 
     # -- floats -------------------------------------------------------------
 
     def ginv(self, i: int) -> np.ndarray:
         """Inverse metric values, with the determinant guard."""
-        return self._cached(i, "ginv/f", lambda: metric_inverse(self.values(i, "g")))
+        return self.cached(i, "ginv/f", lambda: metric_inverse(self.values(i, "g")))
 
     def mu(self, i: int) -> np.ndarray:
         """Values (mu1, mu2)."""
@@ -240,18 +239,18 @@ class Geometry:
 
     def lam(self, i: int) -> np.ndarray:
         """Lam = (1/4) grad tr A = (1/2) g^{-1} d mu1."""
-        return self._cached(i, "lam", lambda: 0.5 * self.ginv(i) @ self.vp(i, "mu")[1][0])
+        return self.cached(i, "lam", lambda: 0.5 * self.ginv(i) @ self.vp(i, "mu")[1][0])
 
     def gamma(self, i: int, metric: str = "g") -> np.ndarray:
         """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j)."""
         return self.values(i, _GAMMA[metric])
 
     def riemann(self, i: int, metric: str = "g") -> np.ndarray:
-        return self._cached(
+        return self.cached(
             i, "riemann/" + metric, lambda: curvature.riemann(*self.vp(i, _GAMMA[metric]))
         )
 
     def ricci(self, i: int, metric: str = "g") -> np.ndarray:
-        return self._cached(
+        return self.cached(
             i, "ricci/" + metric, lambda: np.einsum("klkj->lj", self.riemann(i, metric))
         )

@@ -5,11 +5,17 @@ structure T (T^2 = Id, trace-free, g(T.,T.) = -g) whose fundamental
 2-form g(T.,.) is closed and whose Nijenhuis tensor vanishes; the
 Levi-Civita connection then makes T parallel.  ``validate`` checks all
 of that pointwise on the chart's sample set.
+
+``check_points`` is the one runner of pointwise results, for ``validate``
+and the suites: it takes a declared :class:`Check` and fails closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from difflib import get_close_matches
+from typing import Callable, Collection, Iterable, Mapping
+
 import numpy as np
 
 from .curvature import covariant_derivative_endo
@@ -38,6 +44,65 @@ DEFAULT_POINTS = 20
 # what an evaluation at a point outside a field's domain raises; anything
 # else is a programming error and propagates
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError)
+
+
+@dataclass(frozen=True)
+class Check:
+    """A declared result: name, default tolerance, identity and pointwise parts.
+
+    ``residual(geo, i)`` is the residual at sample point i for
+    ``check_points`` (None when the suite reduces the points itself);
+    ``flags(geo, i)`` names remarks on point i; ``when(geo)`` says whether
+    the result applies to geo's triple.
+    """
+
+    name: str
+    tolerance: float
+    identity: str
+    residual: Callable[[Geometry, int], float] | None = None
+    flags: Callable[[Geometry, int], Iterable[str]] | None = None
+    when: Callable[[Geometry], bool] | None = None
+
+    def result(self, residual: float, points: int, tolerances: Mapping[str, float],
+               flags: Iterable[str] = (), identity: str | None = None) -> CheckResult:
+        """This result, with the tolerance override in ``tolerances`` if any."""
+        tol = float(tolerances.get(self.name, self.tolerance))
+        return CheckResult(self.name, residual, tol, points,
+                           self.identity if identity is None else identity, sorted(flags))
+
+
+def check_points(
+    geo: Geometry, check: Check, tolerances: Mapping[str, float], identity: str | None = None
+) -> CheckResult:
+    """``check``'s result: the worst of its residual over geo's points.
+
+    A domain error at a point makes that point's residual inf and flags
+    the result ``eval-error:<type>``, so a result that could not be
+    evaluated fails; other exceptions propagate.  ``identity`` replaces
+    the declared one (for identities that quote the triple's data).
+    """
+    flags: set[str] = set()
+    values = []
+    for i in range(len(geo)):
+        try:
+            values.append(float(check.residual(geo, i)))
+            if check.flags:
+                flags.update(check.flags(geo, i))
+        except DOMAIN_ERRORS as e:
+            values.append(np.inf)
+            flags.add(f"eval-error:{type(e).__name__}")
+    return check.result(worst(values), len(geo), tolerances, flags, identity)
+
+
+def check_tolerances(tolerances: Mapping[str, float], names: Collection[str]) -> None:
+    """Raise ValueError for an override that names no result in ``names`` or is not positive."""
+    for name, val in tolerances.items():
+        if name not in names:
+            close = get_close_matches(name, names, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValueError(f"tolerance override {name!r} names no result{hint}")
+        if not val > 0:
+            raise ValueError(f"tolerance override {name}={val} must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,75 +144,74 @@ def null_coordinate_check(geo: Geometry, tol: float = 1e-11) -> bool:
     return all(np.max(np.abs(geo.values(i, "t") - block)) <= tol for i in range(len(geo)))
 
 
-def _scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(m))))
+def relative(x: np.ndarray, ref: np.ndarray) -> float:
+    """max |x|, relative to max |ref| where that exceeds 1."""
+    return float(np.max(np.abs(x))) / max(1.0, float(np.max(np.abs(ref))))
 
 
-# Axiom residuals at sample point i; ``flags`` collects remarks for the check.
-
-
-def _g_symmetric(geo: Geometry, i: int, flags: set) -> float:
+def _g_symmetric(geo: Geometry, i: int) -> float:
     gm = geo.values(i, "g")
-    return np.max(np.abs(gm - gm.T)) / _scale(gm)
+    return relative(gm - gm.T, gm)
 
 
-def _t_squares_to_id(geo: Geometry, i: int, flags: set) -> float:
+def _t_squares_to_id(geo: Geometry, i: int) -> float:
     tm = geo.values(i, "t")
     return np.max(np.abs(tm @ tm - np.eye(4)))
 
 
-def _t_trace_free(geo: Geometry, i: int, flags: set) -> float:
+def _t_trace_free(geo: Geometry, i: int) -> float:
     return abs(np.trace(geo.values(i, "t")))
 
 
-def _g_para_hermitian(geo: Geometry, i: int, flags: set) -> float:
+def _g_para_hermitian(geo: Geometry, i: int) -> float:
     gm, tm = geo.values(i, "g"), geo.values(i, "t")
-    return np.max(np.abs(tm.T @ gm @ tm + gm)) / _scale(gm)
+    return relative(tm.T @ gm @ tm + gm, gm)
 
 
-def _neutral_signature(geo: Geometry, i: int, flags: set) -> float:
-    pos, neg, degen = signature_counts(geo.values(i, "g"))
-    if degen:
-        flags.add("near-degenerate-point")
-    return 0.0 if (pos, neg) == (2, 2) else 1.0
+def _neutral_signature(geo: Geometry, i: int) -> float:
+    return 0.0 if signature_counts(geo.values(i, "g"))[:2] == (2, 2) else 1.0
 
 
-def _omega_antisymmetric(geo: Geometry, i: int, flags: set) -> float:
+def _near_degenerate(geo: Geometry, i: int) -> list[str]:
+    return ["near-degenerate-point"] if signature_counts(geo.values(i, "g"))[2] else []
+
+
+def _omega_antisymmetric(geo: Geometry, i: int) -> float:
     om = fundamental_form(geo, i)
-    return np.max(np.abs(om + om.T)) / _scale(om)
+    return relative(om + om.T, om)
 
 
-def _omega_closed(geo: Geometry, i: int, flags: set) -> float:
+def _omega_closed(geo: Geometry, i: int) -> float:
     gv, gp = geo.vp(i, "g")
     tv, tp = geo.vp(i, "t")
     # omega_ij = T^k_i g_kj, partials by the product rule
     om = tv.T @ gv
     dom = np.einsum("kim,kj->ijm", tp, gv) + np.einsum("ki,kjm->ijm", tv, gp)
-    return np.max(np.abs(exterior_derivative_2form(om, dom))) / _scale(om)
+    return relative(exterior_derivative_2form(om, dom), om)
 
 
-def _nijenhuis_zero(geo: Geometry, i: int, flags: set) -> float:
+def _nijenhuis_zero(geo: Geometry, i: int) -> float:
     return np.max(np.abs(nijenhuis(*geo.vp(i, "t"))))
 
 
-def _t_parallel(geo: Geometry, i: int, flags: set) -> float:
+def _t_parallel(geo: Geometry, i: int) -> float:
     return np.max(np.abs(covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "t"))))
 
 
-# name -> (default tolerance, identity, residual)
-_AXIOMS = {
-    "g-symmetric": (1e-12, "g_ij = g_ji", _g_symmetric),
-    "t-squares-to-id": (1e-11, "T^2 = Id", _t_squares_to_id),
-    "t-trace-free": (1e-11, "tr T = 0 (eigendistributions of equal dimension)", _t_trace_free),
-    "g-para-hermitian": (1e-10, "g(T.,T.) = -g", _g_para_hermitian),
-    "neutral-signature": (0.5, "g has signature (2,2)", _neutral_signature),
-    "fundamental-form-antisymmetric": (
-        1e-11, "omega(X,Y) = -omega(Y,X) for omega = g(T.,.)", _omega_antisymmetric
-    ),
-    "fundamental-form-closed": (1e-9, "d omega = 0", _omega_closed),
-    "nijenhuis-zero": (1e-9, "Nijenhuis tensor of T vanishes", _nijenhuis_zero),
-    "t-parallel": (1e-9, "nabla T = 0 for the Levi-Civita connection of g", _t_parallel),
-}
+AXIOMS = (
+    Check("g-symmetric", 1e-12, "g_ij = g_ji", _g_symmetric),
+    Check("t-squares-to-id", 1e-11, "T^2 = Id", _t_squares_to_id),
+    Check("t-trace-free", 1e-11, "tr T = 0 (eigendistributions of equal dimension)",
+          _t_trace_free),
+    Check("g-para-hermitian", 1e-10, "g(T.,T.) = -g", _g_para_hermitian),
+    Check("neutral-signature", 0.5, "g has signature (2,2)", _neutral_signature,
+          flags=_near_degenerate),
+    Check("fundamental-form-antisymmetric", 1e-11,
+          "omega(X,Y) = -omega(Y,X) for omega = g(T.,.)", _omega_antisymmetric),
+    Check("fundamental-form-closed", 1e-9, "d omega = 0", _omega_closed),
+    Check("nijenhuis-zero", 1e-9, "Nijenhuis tensor of T vanishes", _nijenhuis_zero),
+    Check("t-parallel", 1e-9, "nabla T = 0 for the Levi-Civita connection of g", _t_parallel),
+)
 
 
 def validate(
@@ -160,35 +224,15 @@ def validate(
     """Run the full para-Kahler axiom suite on sampled points.
 
     With ``geometry`` the axioms are checked at its points and read its
-    cache; ``n_points`` and ``seed`` are then ignored.  A domain error at
-    a point sets the affected check's residual to inf and flags it
-    (``eval-error:<type>``), so a check that could not be evaluated fails;
-    other exceptions propagate.
+    cache; ``n_points`` and ``seed`` are then ignored.  Each axiom goes
+    through ``check_points``, so a check that could not be evaluated at a
+    point fails.  A tolerance override that names no axiom, or is not
+    positive, raises ValueError.
     """
-    tol = {name: spec[0] for name, spec in _AXIOMS.items()}
-    if tolerances:
-        tol.update(tolerances)
-    geo = geometry or Geometry(triple, triple.sample_points(n_points, seed))
-
-    report = VerificationReport(label=triple.meta.get("family", triple.chart.label))
-    for name in tol:
-        _, identity, residual = _AXIOMS[name]
-        flags: set[str] = set()
-        values = []
-        for i in range(len(geo)):
-            try:
-                values.append(float(residual(geo, i, flags)))
-            except DOMAIN_ERRORS as e:
-                values.append(np.inf)
-                flags.add(f"eval-error:{type(e).__name__}")
-        report.add(
-            CheckResult(
-                name=name,
-                residual=worst(values),
-                tolerance=tol[name],
-                points=len(geo),
-                identity=identity,
-                flags=sorted(flags),
-            )
-        )
-    return report
+    tolerances = tolerances or {}
+    check_tolerances(tolerances, [c.name for c in AXIOMS])
+    geo = geometry
+    if geo is None:
+        geo = Geometry(triple, triple.sample_points(n_points, seed))
+    return VerificationReport(label=triple.meta.get("family", triple.chart.label),
+                              checks=[check_points(geo, c, tolerances) for c in AXIOMS])

@@ -55,9 +55,9 @@ from .geometry import (
     mu_invariants,
     weighted_sigma_components,
 )
-from .jets import jsqrt
+from .jets import JetDomainError, jsqrt
 from .linalg import mdet, minv, mmul, mtrace
-from .parakahler import ParaKahlerTriple, fundamental_form
+from .parakahler import ParaKahlerTriple, fundamental_form, relative
 from .report import worst
 
 __all__ = [
@@ -425,8 +425,7 @@ def sigma_para_hermitian_residual(geo: Geometry, i: int) -> float:
     """T^j_p sigma^{pk} + sigma^{jp} T^k_p should vanish for sigma(g)."""
     tm = geo.values(i, "t")
     sv = geo.values(i, "sigma")
-    res = tm @ sv + sv @ tm.T
-    return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(sv))))
+    return relative(tm @ sv + sv @ tm.T, sv)
 
 
 def _mobility_terms(geo, i, s_jets, metric):
@@ -548,12 +547,13 @@ def eigen_gradient_residual(geo: Geometry, i: int) -> float:
     """How far grad(rho), grad(sigma) are from being eigenvectors of A.
 
     In the complex case the eigenvector relation is taken for the
-    complexified gradient grad(Re rho) + i grad(Im rho).
+    complexified gradient grad(Re rho) + i grad(Im rho).  At a double
+    eigenvalue the eigenvalue functions have no jets: JetDomainError.
     """
     spec = eigen_decompose(geo, i)
     am = geo.values(i, "a")
     if spec.kind == "degenerate":
-        raise ValueError("spectral type degenerate at the point")
+        raise JetDomainError("spectral type degenerate at the point: no smooth eigenvalues")
     v1, v2 = _eigenvalue_gradients(geo, i, spec.kind)
     scale = max(1.0, float(np.max(np.abs(am))) * max(np.max(np.abs(v1)), np.max(np.abs(v2))))
     if spec.kind == "real":
@@ -596,10 +596,7 @@ def hamiltonian_pairing_residual(geo: Geometry, i: int) -> float:
     om = fundamental_form(geo, i)
     kv = geo.values(i, "killing")
     dmu = geo.vp(i, "mu")[1]
-    return max(
-        float(np.max(np.abs(kv[2 + k] @ om - dmu[k]))) / max(1.0, float(np.max(np.abs(dmu[k]))))
-        for k in (0, 1)
-    )
+    return max(relative(kv[2 + k] @ om - dmu[k], dmu[k]) for k in (0, 1))
 
 
 def para_holomorphy_residual(geo: Geometry, i: int) -> float:
@@ -772,8 +769,7 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     const = float((ainv @ lam) @ gm @ lam)
     gainv = gm @ ainv  # symmetric since A is g-symmetric
     rhs = np.einsum("ym,xm->xy", gainv, nlam) - const * gainv
-    cross = float(np.max(np.abs(lhs / _K - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
-    return primary, cross
+    return primary, relative(lhs / _K - rhs, rhs)
 
 
 def _member_ricci_residual(
@@ -789,7 +785,7 @@ def _member_ricci_residual(
     )
     gtv = split_jets(member)[0]
     ric = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(member))))
-    return float(np.max(np.abs(ric - const * gtv))) / max(1.0, float(np.max(np.abs(gtv))))
+    return relative(ric - const * gtv, gtv)
 
 
 def einstein_family_constant(
@@ -818,12 +814,10 @@ def einstein_family_constant(
     """
     if check_inputs:
         gm = geo.values(0, "g")
-        scale = max(1.0, float(np.max(np.abs(gm))))
-        if np.max(np.abs(geo.ricci(0) - lam * gm)) / scale > tol_einstein:
+        if relative(geo.ricci(0) - lam * gm, gm) > tol_einstein:
             raise EinsteinPreconditionError("g is not Einstein with the given constant")
         hm = geo.values(0, "ghat")
-        scale_h = max(1.0, float(np.max(np.abs(hm))))
-        if np.max(np.abs(geo.ricci(0, "ghat") - lam_hat * hm)) / scale_h > tol_einstein:
+        if relative(geo.ricci(0, "ghat") - lam_hat * hm, hm) > tol_einstein:
             raise EinsteinPreconditionError(
                 "companion is not Einstein with the given constant"
             )

@@ -62,9 +62,6 @@ class VerificationReport:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

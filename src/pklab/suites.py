@@ -5,13 +5,15 @@ shared :class:`~pklab.geometry.Geometry` and produces CheckResult
 entries; ``run_suite`` builds that cache once per call and dispatches on
 the check names exposed by the command-line runner.  All residuals are
 evaluated on the chart's deterministic sample set, so a (config, seed)
-pair fully determines the report.  Per-point residuals are reduced with
-``report.worst``, which keeps a NaN from any point.
+pair fully determines the report.  Every result is declared once as a
+:class:`~pklab.parakahler.Check`; pointwise results go through
+``parakahler.check_points``, which reduces with ``report.worst`` (a NaN
+from any point is kept) and fails a result that raised a domain error.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,274 +28,230 @@ from .curves import (
 from .fields import DEFAULT_ORDER
 from .geometry import Geometry
 from .jets import seed_point
-from .parakahler import ParaKahlerTriple, null_coordinate_check, validate
+from .parakahler import (
+    AXIOMS,
+    Check,
+    ParaKahlerTriple,
+    check_points,
+    check_tolerances,
+    null_coordinate_check,
+    relative,
+    validate,
+)
 from .report import CheckResult, VerificationReport, worst
 
-__all__ = ["CHECK_NAMES", "run_suite", "demo_einstein"]
-
-CHECK_NAMES = (
-    "parakahler",
-    "benenti",
-    "killing",
-    "rank",
-    "companion",
-    "ricci-diff",
-    "einstein",
-    "family-einstein",
-    "flatness",
-    "geodesic",
-)
-
-_DEFAULT_TOL = {
-    "benenti/equation": 1e-9,
-    "benenti/hamiltonian-form": 1e-9,
-    "benenti/eigen-gradient": 1e-9,
-    "benenti/g-symmetric": 1e-10,
-    "benenti/commutes-with-t": 1e-10,
-    "benenti/det-positive": 0.5,
-    "benenti/adapted-block": 1e-10,
-    "benenti/non-parallel": 0.5,
-    "killing/rotated-gradients": 1e-9,
-    "killing/hamiltonian-pairing": 1e-9,
-    "killing/para-holomorphic": 1e-9,
-    "killing/brackets": 1e-8,
-    "killing/leaf-geodesic": 1e-8,
-    "rank/dimension": 0.5,
-    "rank/configuration": 0.5,
-    "companion/connection-difference": 1e-9,
-    "companion/potential-duality": 1e-9,
-    "companion/potential-exponential": 1e-10,
-    "companion/pair-roundtrip": 1e-10,
-    "companion/symmetric": 1e-10,
-    "companion/para-hermitian": 1e-10,
-    "companion/mobility-solution": 1e-9,
-    "companion/mobility-invariance": 1e-9,
-    "companion/sigma-parallel": 1e-9,
-    "ricci-diff/identity": 1e-8,
-    "ricci-diff/gradient-form": 1e-8,
-    "einstein/metric": 1e-8,
-    "einstein/companion": 1e-8,
-    "family-einstein/spread": 1e-8,
-    "family-einstein/ricci": 1e-8,
-    "family-einstein/prediction": 1e-8,
-    "flatness/riemann": 1e-9,
-    "geodesic/energy-drift": 1e-8,
-    "geodesic/planarity": 1e-6,
-    "geodesic/negative-control": 0.5,
-}
-
-
-def _tol(overrides: dict, name: str) -> float:
-    return float(overrides.get(name, _DEFAULT_TOL[name]))
+__all__ = ["CHECK_NAMES", "check_request", "run_suite", "demo_einstein"]
 
 
 def _suite_parakahler(geo, tol):
-    rep = validate(geo.triple, geometry=geo)
-    out = []
-    for c in rep.checks:
-        name = f"parakahler/{c.name}"
-        out.append(
-            CheckResult(
-                name=name,
-                residual=c.residual,
-                tolerance=float(tol.get(name, c.tolerance)),
-                points=c.points,
-                identity=c.identity,
-                flags=c.flags,
-            )
-        )
-    return out
+    prefix = "parakahler/"
+    own = {k.removeprefix(prefix): v for k, v in tol.items() if k.startswith(prefix)}
+    checks = validate(geo.triple, tolerances=own, geometry=geo).checks
+    for c in checks:
+        c.name = prefix + c.name
+    return checks
+
+
+def _pointwise(checks):
+    """A suite of pointwise results, each on the triples its ``when`` admits."""
+
+    def suite(geo, tol):
+        return [check_points(geo, c, tol) for c in checks if c.when is None or c.when(geo)]
+
+    return suite
 
 
 def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _worst_over_points(geo, tol, name, residual_at, identity, **extra) -> CheckResult:
-    """CheckResult of the largest per-point residual ``residual_at(i)`` over geo."""
-    n = len(geo)
-    return CheckResult(name, worst(residual_at(i) for i in range(n)), _tol(tol, name), n,
-                       identity, **extra)
+# Each suite's results are declared once, with their default tolerance and
+# identity, next to the suite that reads them.  Residuals of
+# ``pklab.projective`` are looked up at call time, so a patched function
+# (a test's stand-in, a tracer's probe) is the one that runs.
+
+
+def _commutes(geo, i):
+    am, tm = geo.values(i, "a"), geo.values(i, "t")
+    return relative(am @ tm - tm @ am, am)
+
+
+def _block(geo, i):
+    am = geo.values(i, "a")
+    off = max(_max_abs(am[:2, 2:]), _max_abs(am[2:, :2]))
+    tr_mismatch = abs(np.trace(am[:2, :2]) - np.trace(am[2:, 2:]))
+    det_mismatch = abs(np.linalg.det(am[:2, :2]) - np.linalg.det(am[2:, 2:]))
+    return (off + tr_mismatch + det_mismatch) / max(1.0, _max_abs(am))
+
+
+def _symmetric(m) -> float:
+    return relative(m - m.T, m)
+
+
+_BENENTI = (
+    Check("benenti/equation", 1e-9,
+          "nabla_X A = g(X,.)Lam + g(Lam,.)X - g(TX,.)TLam - g(TLam,.)TX",
+          lambda geo, i: pj.benenti_residual(geo, i)),
+    Check("benenti/hamiltonian-form", 1e-9,
+          "2 nabla_X phi = d(tr_w phi) ^ (TX)b - T d(tr_w phi) ^ Xb, phi = g(AT.,.)",
+          lambda geo, i: pj.hamiltonian_form_residual(geo, i)),
+    Check("benenti/eigen-gradient", 1e-9, "A grad(eigenvalue) = eigenvalue * grad(eigenvalue)",
+          lambda geo, i: pj.eigen_gradient_residual(geo, i)),
+    Check("benenti/g-symmetric", 1e-10, "g(A.,.) = g(.,A.)",
+          lambda geo, i: _symmetric(geo.values(i, "g") @ geo.values(i, "a"))),
+    Check("benenti/commutes-with-t", 1e-10, "[A, T] = 0", _commutes),
+    Check("benenti/det-positive", 0.5, "det A > 0",
+          lambda geo, i: 1.0 if np.linalg.det(geo.values(i, "a")) <= 0 else 0.0),
+    Check("benenti/adapted-block", 1e-10,
+          "block-diagonal in adapted coordinates, equal block trace/determinant", _block,
+          when=lambda geo: geo.triple.meta.get("adapted") and null_coordinate_check(geo)),
+)
+# per point: 1.0 where nabla A does not vanish; the suite inverts the worst
+_NON_PARALLEL = Check(
+    "benenti/non-parallel", 0.5, "nabla A does not vanish identically",
+    lambda geo, i: float(_max_abs(covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))) > 1e-3),
+)
 
 
 def _suite_benenti(geo, tol):
-    def g_symmetric(i):
-        ga = geo.values(i, "g") @ geo.values(i, "a")
-        return _max_abs(ga - ga.T) / max(1.0, _max_abs(ga))
-
-    def commutes(i):
-        am, tm = geo.values(i, "a"), geo.values(i, "t")
-        return _max_abs(am @ tm - tm @ am) / max(1.0, _max_abs(am))
-
-    def det_bad(i):
-        return 1.0 if np.linalg.det(geo.values(i, "a")) <= 0 else 0.0
-
-    def non_parallel_at(i):
-        return _max_abs(covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))) > 1e-3
-
-    def block(i):
-        am = geo.values(i, "a")
-        off = max(_max_abs(am[:2, 2:]), _max_abs(am[2:, :2]))
-        tr_mismatch = abs(np.trace(am[:2, :2]) - np.trace(am[2:, 2:]))
-        det_mismatch = abs(np.linalg.det(am[:2, :2]) - np.linalg.det(am[2:, 2:]))
-        return (off + tr_mismatch + det_mismatch) / max(1.0, _max_abs(am))
-
-    out = [
-        _worst_over_points(geo, tol, "benenti/equation", lambda i: pj.benenti_residual(geo, i),
-                           "nabla_X A = g(X,.)Lam + g(Lam,.)X - g(TX,.)TLam - g(TLam,.)TX"),
-        _worst_over_points(geo, tol, "benenti/hamiltonian-form",
-                           lambda i: pj.hamiltonian_form_residual(geo, i),
-                           "2 nabla_X phi = d(tr_w phi) ^ (TX)b - T d(tr_w phi) ^ Xb, "
-                           "phi = g(AT.,.)"),
-        _worst_over_points(geo, tol, "benenti/eigen-gradient",
-                           lambda i: pj.eigen_gradient_residual(geo, i),
-                           "A grad(eigenvalue) = eigenvalue * grad(eigenvalue)"),
-        _worst_over_points(geo, tol, "benenti/g-symmetric", g_symmetric, "g(A.,.) = g(.,A.)"),
-        _worst_over_points(geo, tol, "benenti/commutes-with-t", commutes, "[A, T] = 0"),
-        _worst_over_points(geo, tol, "benenti/det-positive", det_bad, "det A > 0"),
-        CheckResult("benenti/non-parallel",
-                    0.0 if any(non_parallel_at(i) for i in range(len(geo))) else 1.0,
-                    _tol(tol, "benenti/non-parallel"), len(geo),
-                    "nabla A does not vanish identically"),
-    ]
-    if geo.triple.meta.get("adapted") and null_coordinate_check(geo):
-        out.append(_worst_over_points(
-            geo, tol, "benenti/adapted-block", block,
-            "block-diagonal in adapted coordinates, equal block trace/determinant"))
-    return out
+    # passes when some point has nabla A != 0 and every point was evaluated
+    moving = check_points(geo, _NON_PARALLEL, tol)
+    moving.residual = 0.0 if moving.residual == 1.0 else 1.0
+    return _pointwise(_BENENTI)(geo, tol) + [moving]
 
 
-def _suite_killing(geo, tol):
-    out = [
-        _worst_over_points(geo, tol, "killing/rotated-gradients",
-                           lambda i: pj.killing_residual(geo, i), "L_{T grad mu_i} g = 0"),
-        _worst_over_points(geo, tol, "killing/hamiltonian-pairing",
-                           lambda i: pj.hamiltonian_pairing_residual(geo, i),
-                           "omega(T grad mu_i, .) = d mu_i"),
-        _worst_over_points(geo, tol, "killing/para-holomorphic",
-                           lambda i: pj.para_holomorphy_residual(geo, i),
-                           "L_X T = 0 for X in {V_i, T V_i}"),
-        _worst_over_points(geo, tol, "killing/brackets",
-                           lambda i: pj.commutation_residual(geo, i),
-                           "pairwise Lie brackets of {V1, V2, TV1, TV2} vanish"),
-    ]
-    if geo.triple.meta.get("expected_rank") == 4:
-        out.append(_worst_over_points(
-            geo, tol, "killing/leaf-geodesic", lambda i: pj.leaf_geodesic_residual(geo, i),
-            "g(nabla_{V_i} V_j, T V_h) = 0 (totally geodesic leaves)"))
-    return out
+_KILLING = (
+    Check("killing/rotated-gradients", 1e-9, "L_{T grad mu_i} g = 0",
+          lambda geo, i: pj.killing_residual(geo, i)),
+    Check("killing/hamiltonian-pairing", 1e-9, "omega(T grad mu_i, .) = d mu_i",
+          lambda geo, i: pj.hamiltonian_pairing_residual(geo, i)),
+    Check("killing/para-holomorphic", 1e-9, "L_X T = 0 for X in {V_i, T V_i}",
+          lambda geo, i: pj.para_holomorphy_residual(geo, i)),
+    Check("killing/brackets", 1e-8, "pairwise Lie brackets of {V1, V2, TV1, TV2} vanish",
+          lambda geo, i: pj.commutation_residual(geo, i)),
+    Check("killing/leaf-geodesic", 1e-8,
+          "g(nabla_{V_i} V_j, T V_h) = 0 (totally geodesic leaves)",
+          lambda geo, i: pj.leaf_geodesic_residual(geo, i),
+          when=lambda geo: geo.triple.meta.get("expected_rank") == 4),
+)
+
+
+def _rank_at(geo, i):
+    return geo.cached(i, "rank", lambda: pj.distribution_d_rank(geo, i))
+
+
+def _expected(geo) -> tuple:
+    """(rank, gradient configuration) the triple declares."""
+    meta = geo.triple.meta
+    return meta.get("expected_rank"), tuple(meta.get("expected_config", ()))
+
+
+_RANK = (
+    Check("rank/dimension", 0.5, "rank of the invariant-gradient distribution = {}",
+          lambda geo, i: float(_expected(geo)[0] not in (None, _rank_at(geo, i)[0])),
+          flags=lambda geo, i: _rank_at(geo, i)[2]),
+    Check("rank/configuration", 0.5, "gradient configuration = {}",
+          lambda geo, i: float(_expected(geo)[1] not in ((), tuple(_rank_at(geo, i)[1])))),
+)
 
 
 def _suite_rank(geo, tol):
-    expected_rank = geo.triple.meta.get("expected_rank")
-    expected_config = tuple(geo.triple.meta.get("expected_config", ()))
-    rank_bad = config_bad = 0.0
-    flags: set[str] = set()
-    for i in range(len(geo)):
-        rank, config, fl = pj.distribution_d_rank(geo, i)
-        flags.update(fl)
-        if expected_rank is not None and rank != expected_rank:
-            rank_bad = 1.0
-        if expected_config and tuple(config) != expected_config:
-            config_bad = 1.0
-    return [
-        CheckResult("rank/dimension", rank_bad, _tol(tol, "rank/dimension"), len(geo),
-                    f"rank of the invariant-gradient distribution = {expected_rank}",
-                    flags=sorted(flags)),
-        CheckResult("rank/configuration", config_bad, _tol(tol, "rank/configuration"),
-                    len(geo), f"gradient configuration = {expected_config}"),
-    ]
+    return [check_points(geo, c, tol, c.identity.format(x)) for c, x in zip(_RANK, _expected(geo))]
 
 
-def _suite_companion(geo, tol):
-    def duality(i):
-        # Psi(e_k) = -g(Lam, A^{-1} e_k) = -(g A^{-1} Lam)_k since g A^{-1} is symmetric
-        _, psi = pj.psi_potential(geo, i)
-        ainv = np.linalg.inv(geo.values(i, "a"))
-        return _max_abs(psi + geo.values(i, "g") @ ainv @ geo.lam(i)) / max(1.0, _max_abs(psi))
-
-    def exponential(i):
-        mu2 = geo.mu(i)[1]
-        if mu2 <= 0:
-            return 0.0
-        psi_val, _ = pj.psi_potential(geo, i)
-        return abs(mu2 - np.exp(-2.0 * psi_val)) / max(1.0, mu2)
-
-    def roundtrip(i):
-        am = geo.values(i, "a")
-        rec = pj.a_from_pair(geo.values(i, "g"), geo.values(i, "ghat"))
-        return _max_abs(rec - am) / max(1.0, _max_abs(am))
-
-    def symmetric(i):
-        hm = geo.values(i, "ghat")
-        return _max_abs(hm - hm.T) / max(1.0, _max_abs(hm))
-
-    def para_hermitian(i):
-        hm, tm = geo.values(i, "ghat"), geo.values(i, "t")
-        return _max_abs(tm.T @ hm @ tm + hm) / max(1.0, _max_abs(hm))
-
-    def invariance(i):
-        # x1 * sigma(g) is not a solution; the expression must not see the connection
-        probe = geo.jets(i, "sigma") * seed_point(geo.points[i], DEFAULT_ORDER)[0]
-        e1 = pj.mobility_expression(geo, i, probe)
-        e2 = pj.mobility_expression(geo, i, probe, metric="ghat")
-        return _max_abs(e1 - e2) / max(1.0, _max_abs(e1))
-
-    out = [
-        _worst_over_points(geo, tol, "companion/connection-difference",
-                           lambda i: pj.connection_difference_residual(geo, i),
-                           "Gammahat - Gamma = Psi-shift with Psi = d(-1/4 log det A)"),
-        _worst_over_points(geo, tol, "companion/potential-duality", duality,
-                           "Psi(X) = -g(Lam, A^{-1} X)"),
-        _worst_over_points(geo, tol, "companion/pair-roundtrip", roundtrip,
-                           "A recovered from the pair (g, companion)"),
-        _worst_over_points(geo, tol, "companion/symmetric", symmetric,
-                           "companion metric is symmetric"),
-        _worst_over_points(geo, tol, "companion/para-hermitian", para_hermitian,
-                           "companion metric is para-Hermitian for T"),
-        _worst_over_points(geo, tol, "companion/mobility-solution",
-                           lambda i: pj.mobility_residual(geo, i, geo.jets(i, "a_sigma")),
-                           "A.sigma solves the projectively invariant first-order system"),
-        _worst_over_points(geo, tol, "companion/sigma-parallel",
-                           lambda i: pj.sigma_parallel_residual(geo, i),
-                           "weighted sigma(g) is parallel"),
-        _worst_over_points(geo, tol, "companion/mobility-invariance", invariance,
-                           "invariant system agrees under both Levi-Civita connections"),
-    ]
-    if geo.triple.meta.get("adapted"):
-        out.append(_worst_over_points(
-            geo, tol, "companion/potential-exponential", exponential,
-            "half-block determinant equals exp(-2 psi) in adapted coordinates"))
-    return out
+def _duality(geo, i):
+    # Psi(e_k) = -g(Lam, A^{-1} e_k) = -(g A^{-1} Lam)_k since g A^{-1} is symmetric
+    _, psi = pj.psi_potential(geo, i)
+    ainv = np.linalg.inv(geo.values(i, "a"))
+    return relative(psi + geo.values(i, "g") @ ainv @ geo.lam(i), psi)
 
 
-def _suite_ricci_diff(geo, tol):
-    pairs = [pj.ricci_difference_residual(geo, i) for i in range(len(geo))]
-    return [
-        _worst_over_points(geo, tol, "ricci-diff/identity", lambda i: pairs[i][0],
-                           "Ric(ghat) - Ric(g) = -2(n+1)(nabla Psi - Psi x Psi "
-                           "- (Psi o T) x (Psi o T))"),
-        _worst_over_points(geo, tol, "ricci-diff/gradient-form", lambda i: pairs[i][1],
-                           "same difference expressed through nabla Lam and A^{-1}"),
-    ]
+def _exponential(geo, i):
+    mu2 = geo.mu(i)[1]
+    if mu2 <= 0:
+        return 0.0
+    psi_val, _ = pj.psi_potential(geo, i)
+    return abs(mu2 - np.exp(-2.0 * psi_val)) / max(1.0, mu2)
+
+
+def _roundtrip(geo, i):
+    am = geo.values(i, "a")
+    return relative(pj.a_from_pair(geo.values(i, "g"), geo.values(i, "ghat")) - am, am)
+
+
+def _para_hermitian(geo, i):
+    hm, tm = geo.values(i, "ghat"), geo.values(i, "t")
+    return relative(tm.T @ hm @ tm + hm, hm)
+
+
+def _invariance(geo, i):
+    # x1 * sigma(g) is not a solution; the expression must not see the connection
+    probe = geo.jets(i, "sigma") * seed_point(geo.points[i], DEFAULT_ORDER)[0]
+    e1 = pj.mobility_expression(geo, i, probe)
+    return relative(e1 - pj.mobility_expression(geo, i, probe, metric="ghat"), e1)
+
+
+_COMPANION = (
+    Check("companion/connection-difference", 1e-9,
+          "Gammahat - Gamma = Psi-shift with Psi = d(-1/4 log det A)",
+          lambda geo, i: pj.connection_difference_residual(geo, i)),
+    Check("companion/potential-duality", 1e-9, "Psi(X) = -g(Lam, A^{-1} X)", _duality),
+    Check("companion/pair-roundtrip", 1e-10, "A recovered from the pair (g, companion)",
+          _roundtrip),
+    Check("companion/symmetric", 1e-10, "companion metric is symmetric",
+          lambda geo, i: _symmetric(geo.values(i, "ghat"))),
+    Check("companion/para-hermitian", 1e-10, "companion metric is para-Hermitian for T",
+          _para_hermitian),
+    Check("companion/mobility-solution", 1e-9,
+          "A.sigma solves the projectively invariant first-order system",
+          lambda geo, i: pj.mobility_residual(geo, i, geo.jets(i, "a_sigma"))),
+    Check("companion/sigma-parallel", 1e-9, "weighted sigma(g) is parallel",
+          lambda geo, i: pj.sigma_parallel_residual(geo, i)),
+    Check("companion/mobility-invariance", 1e-9,
+          "invariant system agrees under both Levi-Civita connections", _invariance),
+    Check("companion/potential-exponential", 1e-10,
+          "half-block determinant equals exp(-2 psi) in adapted coordinates", _exponential,
+          when=lambda geo: geo.triple.meta.get("adapted")),
+)
+
+
+def _ricci_pair(geo, i):
+    return geo.cached(i, "ricci-diff", lambda: pj.ricci_difference_residual(geo, i))
+
+
+_RICCI_DIFF = (
+    Check("ricci-diff/identity", 1e-8,
+          "Ric(ghat) - Ric(g) = -2(n+1)(nabla Psi - Psi x Psi - (Psi o T) x (Psi o T))",
+          lambda geo, i: _ricci_pair(geo, i)[0]),
+    Check("ricci-diff/gradient-form", 1e-8,
+          "same difference expressed through nabla Lam and A^{-1}",
+          lambda geo, i: _ricci_pair(geo, i)[1]),
+)
+
+
+def _einstein_residual(key, metric):
+    def residual(geo, i):
+        lam = geo.triple.meta[key]
+        return relative(einstein_residual(geo, i, lam, metric), geo.values(i, metric))
+
+    return residual
+
+
+_EINSTEIN = (
+    Check("einstein/metric", 1e-8, "Ric(g) = {} g", _einstein_residual("einstein", "g")),
+    Check("einstein/companion", 1e-8, "Ric(companion) = {} companion",
+          _einstein_residual("companion_einstein", "ghat")),
+)
 
 
 def _suite_einstein(geo, tol):
-    def residual(lam, metric):
-        return lambda i: (_max_abs(einstein_residual(geo, i, lam, metric))
-                          / max(1.0, _max_abs(geo.values(i, metric))))
-
-    lam = geo.triple.meta.get("einstein")
-    if lam is None:
-        return [CheckResult("einstein/metric", 0.0, _tol(tol, "einstein/metric"), 0,
-                            "Ric(g) = lam g (not checked: no Einstein constant declared)",
-                            flags=["no-einstein-constant-declared"])]
-    out = [_worst_over_points(geo, tol, "einstein/metric", residual(lam, "g"), f"Ric(g) = {lam} g")]
-    lam_hat = geo.triple.meta.get("companion_einstein")
-    if lam_hat is not None:
-        out.append(_worst_over_points(geo, tol, "einstein/companion", residual(lam_hat, "ghat"),
-                                      f"Ric(companion) = {lam_hat} companion"))
-    return out
+    meta = geo.triple.meta
+    if meta.get("einstein") is None:
+        return [_EINSTEIN[0].result(0.0, 0, tol, ["no-einstein-constant-declared"],
+                                    "Ric(g) = lam g (not checked: no Einstein constant declared)")]
+    return [check_points(geo, c, tol, c.identity.format(meta[key]))
+            for c, key in zip(_EINSTEIN, ("einstein", "companion_einstein"))
+            if meta.get(key) is not None]
 
 
 _GRID_A = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -312,14 +270,21 @@ def _family_sweep(geo, lam, lam_hat):
             )
 
 
+_FAMILY = (
+    Check("family-einstein/spread", 1e-8, "family Einstein constant is point-independent"),
+    Check("family-einstein/ricci", 1e-8, "each family member satisfies Ric = constant * metric"),
+    Check("family-einstein/prediction", 1e-8,
+          "family constant equals lam * alpha^3 for this instance"),
+)
+
+
 def _suite_family_einstein(geo, tol):
+    spread_c, ricci_c, prediction_c = _FAMILY
     lam = geo.triple.meta.get("einstein")
     lam_hat = geo.triple.meta.get("companion_einstein")
     if lam is None or lam_hat is None:
-        return [CheckResult("family-einstein/spread", 0.0,
-                            _tol(tol, "family-einstein/spread"), 0,
-                            "family Einstein constants (not checked: constants not declared)",
-                            flags=["no-einstein-constants-declared"])]
+        return [spread_c.result(0.0, 0, tol, ["no-einstein-constants-declared"],
+                                "family Einstein constants (not checked: constants not declared)")]
     rule = geo.triple.meta.get("family_constant_rule")
     spread, ric, pred = [], [], []
     flags: set[str] = set()
@@ -337,28 +302,21 @@ def _suite_family_einstein(geo, tol):
             target = lam * al**3
             pred.append(abs(out["constant"] - target) / max(1.0, abs(target)))
     n = len(geo)
-    results = [
-        CheckResult("family-einstein/spread", worst(spread), _tol(tol, "family-einstein/spread"),
-                    n, "family Einstein constant is point-independent", flags=sorted(flags)),
-        CheckResult("family-einstein/ricci", worst(ric), _tol(tol, "family-einstein/ricci"),
-                    n, "each family member satisfies Ric = constant * metric"),
-    ]
+    results = [spread_c.result(worst(spread), n, tol, flags), ricci_c.result(worst(ric), n, tol)]
     if rule == "lam*alpha^3":
-        results.append(
-            CheckResult("family-einstein/prediction", worst(pred),
-                        _tol(tol, "family-einstein/prediction"), n,
-                        "family constant equals lam * alpha^3 for this instance")
-        )
+        results.append(prediction_c.result(worst(pred), n, tol))
     return results
+
+
+_FLATNESS = Check("flatness/riemann", 1e-9, "curvature tensor vanishes",
+                  lambda geo, i: _max_abs(geo.riemann(i)))
 
 
 def _suite_flatness(geo, tol):
     if not geo.triple.meta.get("flat"):
-        return [CheckResult("flatness/riemann", 0.0, _tol(tol, "flatness/riemann"), 0,
-                            "curvature tensor vanishes (not checked: instance not declared flat)",
-                            flags=["not-declared-flat"])]
-    return [_worst_over_points(geo, tol, "flatness/riemann", lambda i: _max_abs(geo.riemann(i)),
-                               "curvature tensor vanishes")]
+        return [_FLATNESS.result(0.0, 0, tol, ["not-declared-flat"],
+                                 _FLATNESS.identity + " (not checked: instance not declared flat)")]
+    return [check_points(geo, _FLATNESS, tol)]
 
 
 def _control_curves(g, t, p0, v0, rnd, step, n_steps) -> list[GeodesicPath]:
@@ -388,6 +346,14 @@ def _control_curves(g, t, p0, v0, rnd, step, n_steps) -> list[GeodesicPath]:
     ]
 
 
+_GEODESIC = (
+    Check("geodesic/energy-drift", 1e-8, "g(velocity, velocity) conserved along geodesics"),
+    Check("geodesic/planarity", 1e-6, "companion geodesics are T-planar for (g, T)"),
+    Check("geodesic/negative-control", 0.5,
+          "curves accelerating off span{v, Tv} are detected as not T-planar"),
+)
+
+
 def _suite_geodesic(geo, tol, seed: int = 0, n_steps: int = 400):
     triple = geo.triple
     g, t = triple.g, triple.t
@@ -408,30 +374,45 @@ def _suite_geodesic(geo, tol, seed: int = 0, n_steps: int = 400):
         plans.append(t_planarity_residual(g, t, path).max_residual)
     controls = _control_curves(g, t, p0, v0, rng.normal(size=(m, 4)), h, 40)
     neg = min(t_planarity_residual(g, t, c).max_residual for c in controls)
+    drift_c, planarity_c, control_c = _GEODESIC
     return [
-        CheckResult("geodesic/energy-drift", worst(drifts), _tol(tol, "geodesic/energy-drift"),
-                    len(paths), "g(velocity, velocity) conserved along geodesics"),
-        CheckResult("geodesic/planarity", worst(plans), _tol(tol, "geodesic/planarity"),
-                    len(paths), "companion geodesics are T-planar for (g, T)"),
+        drift_c.result(worst(drifts), len(paths), tol),
+        planarity_c.result(worst(plans), len(paths), tol),
         # neg > 1e-3 is False for NaN, so an unevaluable control fails
-        CheckResult("geodesic/negative-control", 0.0 if neg > 1e-3 else 1.0,
-                    _tol(tol, "geodesic/negative-control"), len(controls),
-                    "curves accelerating off span{v, Tv} are detected as not T-planar"),
+        control_c.result(0.0 if neg > 1e-3 else 1.0, len(controls), tol),
     ]
 
+
+# every result a tolerance override may name
+_DECLARED = frozenset(
+    [f"parakahler/{c.name}" for c in AXIOMS]
+    + [c.name for group in (_BENENTI, (_NON_PARALLEL,), _KILLING, _RANK, _COMPANION,
+                            _RICCI_DIFF, _EINSTEIN, _FAMILY, (_FLATNESS,), _GEODESIC)
+       for c in group]
+)
 
 _SUITES: dict[str, Callable] = {
     "parakahler": _suite_parakahler,
     "benenti": _suite_benenti,
-    "killing": _suite_killing,
+    "killing": _pointwise(_KILLING),
     "rank": _suite_rank,
-    "companion": _suite_companion,
-    "ricci-diff": _suite_ricci_diff,
+    "companion": _pointwise(_COMPANION),
+    "ricci-diff": _pointwise(_RICCI_DIFF),
     "einstein": _suite_einstein,
     "family-einstein": _suite_family_einstein,
     "flatness": _suite_flatness,
     "geodesic": _suite_geodesic,
 }
+CHECK_NAMES = tuple(_SUITES)
+
+
+def check_request(checks: Sequence[str], tolerances: Mapping[str, float]) -> None:
+    """Raise ValueError for an unknown check name, or for a tolerance
+    override that names no declared result or is not positive."""
+    for name in checks:
+        if name not in _SUITES:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    check_tolerances(tolerances, _DECLARED)
 
 
 def run_suite(
@@ -444,16 +425,12 @@ def run_suite(
     """Execute the named checks on a triple and assemble a report.
 
     One Geometry of the triple at the run's sample points is shared by
-    every check and dropped with the call.  Unknown check names raise
-    ValueError.
+    every check and dropped with the call.  A request that
+    ``check_request`` rejects raises ValueError.  A result that could not
+    be evaluated at a point fails (see ``parakahler.check_points``).
     """
     tolerances = dict(tolerances or {})
-    for name in checks:
-        if name not in _SUITES:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    for name, val in tolerances.items():
-        if val <= 0:
-            raise ValueError(f"tolerance override {name}={val} must be positive")
+    check_request(checks, tolerances)
     geo = Geometry(triple, triple.sample_points(n_points, seed=seed))
     results: list[CheckResult] = []
     for name in checks:

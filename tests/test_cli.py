@@ -7,7 +7,10 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from pklab import cli
+from pklab import projective as pj
 from pklab.cli import main
+from pklab.jets import JetDomainError
 
 FAST_CHECKS = "--checks=einstein,rank"
 
@@ -64,6 +67,36 @@ def test_bad_tolerance_is_config_error():
                "--tol", "rank/dimension=-1") == 2
     assert run("run", "--family", "dim-d2-2", "--checks", "rank",
                "--tol", "rank/dimension=abc") == 2
+
+
+def test_unknown_tolerance_name_is_config_error(capsys, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("run_suite called with a rejected request")
+
+    monkeypatch.setattr(cli, "run_suite", not_called)
+    assert run("run", "--family", "dim-d2-2", "--checks", "flatness",
+               "--tol", "flatness/riemman=1e-30") == 2
+    assert "did you mean 'flatness/riemann'" in capsys.readouterr().err
+
+
+def test_evaluation_error_fails_the_check_not_the_config(monkeypatch, capsys):
+    def outside(geo, i):
+        raise JetDomainError("outside the domain")
+
+    monkeypatch.setattr(pj, "eigen_gradient_residual", outside)
+    assert run("run", "--family", "dim-d2-2", "--checks", "benenti", "--points", "3") == 1
+    out = capsys.readouterr()
+    assert "config error" not in out.err
+    assert "eval-error:JetDomainError" in out.out
+
+
+def test_programming_error_propagates(monkeypatch):
+    def bug(geo, i):
+        raise ValueError("bug in a residual")
+
+    monkeypatch.setattr(pj, "benenti_residual", bug)
+    with pytest.raises(ValueError, match="bug in a residual"):
+        run("run", "--family", "dim-d2-2", "--checks", "benenti", "--points", "3")
 
 
 def test_preset_with_params_is_config_error():

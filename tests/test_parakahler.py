@@ -150,3 +150,8 @@ def test_validate_propagates_programming_errors():
     )
     with pytest.raises(TypeError, match="bug in a field"):
         validate(triple, n_points=3)
+
+
+def test_validate_rejects_unknown_tolerance_names():
+    with pytest.raises(ValueError, match="names no result"):
+        validate(flat_triple(), n_points=2, tolerances={"t-paralel": 1e-3})

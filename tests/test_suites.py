@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ import pytest
 from pklab import curvature, suites
 from pklab import projective as pj
 from pklab.catalog import preset_triple
+from pklab.fields import DegenerateMetricError, TensorField, objarray
+from pklab.jets import JetDomainError
 from pklab.suites import CHECK_NAMES, demo_einstein, run_suite
+
+
+def with_constant_a(triple, rows):
+    """The triple with A replaced by constant components (plain numbers, no jets)."""
+    return dataclasses.replace(triple, a=TensorField((1, 1), lambda *c: objarray(rows)))
 
 
 def test_unknown_check_rejected(triples):
@@ -18,6 +27,12 @@ def test_nonpositive_tolerance_rejected(triples):
     with pytest.raises(ValueError, match="positive"):
         run_suite(triples["dim-d2-2"], ["flatness"], n_points=3,
                   tolerances={"flatness/riemann": 0.0})
+
+
+def test_unknown_tolerance_name_rejected(triples):
+    with pytest.raises(ValueError, match="names no result.*flatness/riemann"):
+        run_suite(triples["dim-d2-2"], ["flatness"], n_points=3,
+                  tolerances={"flatness/riemman": 1e-30})
 
 
 def test_full_check_list_runs_on_plain_family(triples):
@@ -112,3 +127,87 @@ def test_christoffel_symbols_evaluated_once_per_metric_and_point(monkeypatch):
     assert 0 < first <= 26 * n_points
     run_suite(triple, list(CHECK_NAMES), n_points=n_points)
     assert calls[0] == 2 * first  # nothing cached across calls
+
+
+def test_degenerate_spectrum_fails_closed(triples):
+    # A = 2 Id has a double eigenvalue everywhere: no smooth eigenvalue fields
+    triple = with_constant_a(triples["real-liouville"], (2.0 * np.eye(4)).tolist())
+    report = run_suite(triple, ["benenti"], n_points=4)
+    by_name = {c.name: c for c in report.checks}
+    eig = by_name["benenti/eigen-gradient"]
+    assert not eig.passed and any(f.startswith("eval-error:") for f in eig.flags)
+    assert {"benenti/equation", "benenti/hamiltonian-form", "benenti/g-symmetric",
+            "benenti/commutes-with-t", "benenti/det-positive",
+            "benenti/non-parallel"} < set(by_name)
+
+
+def test_constant_benenti_tensor_runs_benenti_and_rank(triples):
+    rows = [[3.0, 0.0, 0.0, 0.0], [0.0, 5.0, 0.0, 0.0],
+            [0.0, 0.0, 8.0, 15.0], [0.0, 0.0, -1.0, 0.0]]
+    report = run_suite(with_constant_a(triples["real-liouville"], rows),
+                       ["benenti", "rank"], n_points=3)
+    names = {c.name for c in report.checks}
+    assert {"benenti/eigen-gradient", "rank/dimension", "rank/configuration"} <= names
+
+
+def test_nonpositive_det_a_fails_companion_closed(triples):
+    triple = with_constant_a(triples["dim-d2-2"], np.diag([-1.0, 1.0, 1.0, 1.0]).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_suite(triple, ["companion", "ricci-diff"], n_points=3)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("companion/connection-difference", "companion/potential-duality",
+                 "companion/pair-roundtrip", "companion/symmetric",
+                 "companion/para-hermitian", "companion/mobility-invariance",
+                 "ricci-diff/identity", "ricci-diff/gradient-form"):
+        assert not by_name[name].passed, name
+        assert "eval-error:DegenerateMetricError" in by_name[name].flags, name
+
+
+def test_domain_error_in_ricci_difference_fails_both_results(triples, monkeypatch):
+    original = pj.ricci_difference_residual
+    calls = []
+
+    def failing_at_1(geo, i):
+        calls.append(i)
+        if i == 1:
+            raise JetDomainError("outside the domain")
+        return original(geo, i)
+
+    monkeypatch.setattr(pj, "ricci_difference_residual", failing_at_1)
+    report = run_suite(triples["dim-d2-4"], ["ricci-diff"], n_points=3)
+    assert all(not c.passed and "eval-error:JetDomainError" in c.flags for c in report.checks)
+    assert len(report.checks) == 2
+    # one evaluation per point serves both results; only the failed point is retried
+    assert sorted(calls) == [0, 1, 1, 2]
+
+
+def test_domain_error_in_rank_fails_both_rank_results(triples, monkeypatch):
+    original = pj.distribution_d_rank
+
+    def failing_at_1(geo, i):
+        if i == 1:
+            raise DegenerateMetricError("degenerate at one point")
+        return original(geo, i)
+
+    monkeypatch.setattr(pj, "distribution_d_rank", failing_at_1)
+    report = run_suite(triples["dim-d2-4"], ["rank"], n_points=3)
+    assert len(report.checks) == 2
+    assert all(not c.passed and "eval-error:DegenerateMetricError" in c.flags
+               for c in report.checks)
+
+
+def test_domain_error_in_non_parallel_fails_it(triples, monkeypatch):
+    original = suites.covariant_derivative_endo
+    calls = [0]
+
+    def failing_at_second_point(*args):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise DegenerateMetricError("degenerate at one point")
+        return original(*args)
+
+    monkeypatch.setattr(suites, "covariant_derivative_endo", failing_at_second_point)
+    report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=3)
+    check = next(c for c in report.checks if c.name == "benenti/non-parallel")
+    assert not check.passed and "eval-error:DegenerateMetricError" in check.flags
