@@ -9,7 +9,7 @@ sample points via exact truncated-Taylor differentiation.
 """
 
 from .fields import Chart, ScalarField, TensorField, VectorField
-from .jets import Jet, JetDomainError, extract_partial, jet_apply, seed_variable
+from .jets import Jet, JetDomainError, seed_variable
 from .parakahler import ParaKahlerTriple, validate
 from .report import CheckResult, VerificationReport
 
@@ -23,8 +23,6 @@ __all__ = [
     "Jet",
     "JetDomainError",
     "seed_variable",
-    "jet_apply",
-    "extract_partial",
     "ParaKahlerTriple",
     "validate",
     "CheckResult",

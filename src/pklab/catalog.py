@@ -49,7 +49,7 @@ class FeasibilityError(ValueError):
     """A constructor constraint failed on the declared box."""
 
 
-def _certify(chart: Chart, constraints, n_points: int, label: str) -> None:
+def _certify(chart: Chart, constraints, label: str) -> None:
     """Dense-sampling feasibility certificate.
 
     ``constraints`` is a list of (name, kind, fn) with fn evaluated on
@@ -57,12 +57,12 @@ def _certify(chart: Chart, constraints, n_points: int, label: str) -> None:
     changes or near-zeros, kind 'vanishing' fails on values above
     tolerance.
     """
-    pts = chart.sample_points(n_points, seed=7, margin=1e-3)
-    coords = dual_point(pts, with_hessian=True)
+    pts = chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3)
+    coords = dual_point(pts)
     for name, kind, fn in constraints:
         out = fn(*coords)
         vals = out.val if isinstance(out, DualBatch) else np.broadcast_to(
-            np.asarray(out, dtype=float), (n_points,)
+            np.asarray(out, dtype=float), (CERTIFICATE_POINTS,)
         )
         scale = max(1.0, float(np.max(np.abs(vals))))
         if kind == "nonvanishing":
@@ -110,7 +110,6 @@ def build_real_liouville(
     eps: int = 1,
     box: Sequence[tuple[float, float]] = ((2.0, 3.0), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
     label: str = "real-liouville",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Separable family with two real, distinct eigenvalue profiles.
@@ -131,7 +130,6 @@ def build_real_liouville(
             ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2).derivative(1)),
             ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x1) - sigma(x2)),
         ],
-        feasibility_points,
         label,
     )
 
@@ -201,7 +199,6 @@ def build_complex_liouville(
     im_part: Callable,
     box: Sequence[tuple[float, float]] = ((0.25, 1.25), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
     label: str = "complex-liouville",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Separable family with complex-conjugate eigenvalues rho, conj(rho).
@@ -240,7 +237,6 @@ def build_complex_liouville(
                 + im_part(x1, x2).derivative(0) ** 2,
             ),
         ],
-        feasibility_points,
         label,
     )
 
@@ -316,7 +312,6 @@ def build_dimd2_case1(
     c: float,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (2.0, 3.0), (1.0, 2.0), (1.0, 2.0)),
     label: str = "dim-d2-1",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-2 family with one non-isotropic gradient and sigma = c constant.
@@ -340,7 +335,6 @@ def build_dimd2_case1(
             ),
             ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x2) - c),
         ],
-        feasibility_points,
         label,
     )
 
@@ -409,7 +403,6 @@ def build_dimd2_case2(
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (0.5, 1.5)),
     negate_t: bool = False,
     label: str = "dim-d2-2",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Adapted-chart rank-2 family; both eigenvalue gradients are null.
@@ -428,7 +421,6 @@ def build_dimd2_case2(
             ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
             ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
         ],
-        feasibility_points,
         label,
     )
 
@@ -489,7 +481,6 @@ def build_dimd2_case4(
     k: float = 0.0,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (3.5, 4.5)),
     label: str = "dim-d2-4",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-2 family whose eigenvalue gradients are null of opposite type.
@@ -508,7 +499,6 @@ def build_dimd2_case4(
             ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
             ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
         ],
-        feasibility_points,
         label,
     )
 
@@ -581,7 +571,6 @@ def build_dimd1(
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (1.0, 2.0), (0.5, 1.5), (0.5, 1.5)),
     negate_t: bool = False,
     label: str = "dim-d1",
-    feasibility_points: int = CERTIFICATE_POINTS,
     meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-1 family: one null gradient, constant second eigenvalue c.
@@ -611,7 +600,6 @@ def build_dimd1(
             ),
             ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - c),
         ],
-        feasibility_points,
         label,
     )
 

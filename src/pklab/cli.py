@@ -17,14 +17,20 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import catalog
 from .catalog import FeasibilityError
-from .curves import export_curve_csv, integrate_geodesic, t_planarity_residual
+from .curves import export_curve_csv, integrate_geodesic_bundle, t_planarity_residual
 from .exprs import ExprError, compile_profile
 from .fields import DegenerateMetricError
-from .suites import CHECK_NAMES, check_request, demo_einstein, run_suite
+from .suites import (
+    CHECK_NAMES,
+    GEODESIC_STEP,
+    GEODESIC_STEPS,
+    check_request,
+    demo_einstein,
+    geodesic_starts,
+    run_suite,
+)
 from . import projective as pj
 
 _EXPR_PARAMS: dict[str, dict[str, tuple[str, ...]]] = {
@@ -178,14 +184,13 @@ def _cmd_run(args) -> int:
 
 
 def _export_geodesic_csv(triple, path, seed: int) -> None:
+    """Write the first companion geodesic of the run's geodesic check."""
     ghat = pj.companion_metric(triple.g, triple.a)
-    rng = np.random.default_rng(seed + 11)
-    lo = np.array([b[0] for b in triple.chart.box])
-    hi = np.array([b[1] for b in triple.chart.box])
-    p0 = lo + (hi - lo) * (0.4 + 0.2 * rng.uniform(size=4))
-    v0 = rng.normal(size=4)
-    v0 = 0.25 * v0 / np.linalg.norm(v0)
-    curve = integrate_geodesic(ghat, p0, v0, 1e-3, 400, triple.chart)
+    p0, v0, _ = geodesic_starts(triple.chart, seed)
+    # the suite's bundle, so the row is bit for bit the curve it checked
+    curve = integrate_geodesic_bundle(
+        ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
+    )[0]
     res = t_planarity_residual(triple.g, triple.t, curve)
     export_curve_csv(curve, path, residuals=res.residuals)
 

@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import DIM, TensorField, metric_inverse_jets, split_jets
-from .jets import DualBatch, Jet
+from .fields import DIM, TensorField, jet_differential, metric_inverse_jets, objarray, split_jets
+from .jets import Jet
+from .linalg import mmul
 
 __all__ = [
     "christoffel_jets",
@@ -44,24 +45,15 @@ def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarr
     """
     if ginv is None:
         ginv = metric_inverse_jets(gj)
-    dg = np.empty((DIM, DIM, DIM), dtype=object)  # dg[i, j, l] = d_l g_ij
-    for i in range(DIM):
-        for j in range(DIM):
-            gij = gj[i, j]
-            for l in range(DIM):
-                dg[i, j, l] = (
-                    gij.derivative(l) if isinstance(gij, (Jet, DualBatch)) else 0.0
-                )
+    # dg[i, j, l] = d_l g_ij
+    dg = objarray([[jet_differential(gij) for gij in row] for row in gj])
+    # over the pairs i <= j: c[m, l] = d_i g_jl + d_j g_il - d_l g_ij
+    iu, ju = np.triu_indices(DIM)
+    c = dg[ju, :, iu] + dg[iu, :, ju] - dg[iu, ju, :]
+    half = mmul(ginv, c.T) * 0.5
     gamma = np.empty((DIM, DIM, DIM), dtype=object)
-    for k in range(DIM):
-        for i in range(DIM):
-            for j in range(i, DIM):
-                acc = None
-                for l in range(DIM):
-                    term = ginv[k, l] * (dg[j, l, i] + dg[i, l, j] - dg[i, j, l])
-                    acc = term if acc is None else acc + term
-                gamma[k, i, j] = acc * 0.5
-                gamma[k, j, i] = gamma[k, i, j]
+    gamma[:, iu, ju] = half
+    gamma[:, ju, iu] = half
     return gamma
 
 
@@ -77,7 +69,7 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     the geodesic integrator loop.
     """
     pts = np.asarray(points, dtype=float)
-    gv, gp = g.batch_duals(pts, with_hessian=True)
+    gv, gp = g.batch_duals(pts)
     ginv = np.linalg.inv(gv)
     # gp[n, i, j, l] = d_l g_ij; c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = np.einsum("njli->nijl", gp) + np.einsum("nilj->nijl", gp) - gp

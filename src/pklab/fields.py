@@ -170,35 +170,27 @@ class TensorField:
         return self.components(seed_point(point, order))
 
     def values(self, point: Sequence[float]) -> np.ndarray:
-        arr = self.jets(point, order=1)
-        out = np.empty(arr.shape)
-        for idx in np.ndindex(arr.shape):
-            out[idx] = ring_value(arr[idx])
-        return out
+        return split_jets(self.jets(point, order=1))[0]
 
     def batch_values(self, points: np.ndarray) -> np.ndarray:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
-        vals, _ = self.batch_duals(points, with_hessian=True)
+        vals, _ = self.batch_duals(points)
         return vals
 
-    def batch_duals(
-        self, points: np.ndarray, with_hessian: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def batch_duals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials over a batch, shapes (n, ...) / (n, ..., 4)."""
         pts = np.asarray(points, dtype=float)
         if self.batch_fn is not None:
             return self.batch_fn(pts)
-        coords = dual_point(pts, with_hessian=with_hessian)
-        arr = self.components(coords)
+        arr = self.components(dual_point(pts))
         n = pts.shape[0]
         vals = np.empty((n,) + arr.shape)
-        grads = np.zeros((n,) + arr.shape + (DIM,)) if with_hessian else None
+        grads = np.zeros((n,) + arr.shape + (DIM,))
         for idx in np.ndindex(arr.shape):
             x = arr[idx]
             if isinstance(x, DualBatch):
                 vals[(slice(None),) + idx] = x.val
-                if with_hessian:
-                    grads[(slice(None),) + idx + (slice(None),)] = x.grad
+                grads[(slice(None),) + idx + (slice(None),)] = x.grad
             else:
                 vals[(slice(None),) + idx] = float(x)
         return vals, grads
@@ -264,17 +256,6 @@ def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarr
     return ginv @ f.gradient_covector(point)
 
 
-def matvec(m: np.ndarray, v) -> np.ndarray:
-    """out_i = sum_j m[i, j] v[j] over jet (or number) entries."""
-    out = np.empty(DIM, dtype=object)
-    for i in range(DIM):
-        acc = m[i, 0] * v[0]
-        for j in range(1, DIM):
-            acc = acc + m[i, j] * v[j]
-        out[i] = acc
-    return out
-
-
 def jet_differential(f) -> list:
     """[d_0 f, ..., d_3 f] of a jet or dual batch; zeros for a constant."""
     if isinstance(f, (Jet, DualBatch)):
@@ -287,7 +268,7 @@ def gradient_field(g: TensorField, f: ScalarField, name: str = "") -> TensorFiel
 
     def comps(*coords):
         ginv = metric_inverse_jets(g.components(coords))
-        return matvec(ginv, jet_differential(f(*coords)))
+        return ginv @ jet_differential(f(*coords))
 
     return TensorField((1, 0), comps, name=name or f"grad({f.name})")
 
@@ -296,7 +277,7 @@ def apply_endo_field(t: TensorField, v: TensorField, name: str = "") -> TensorFi
     """Pointwise T(v) for an endomorphism field T and vector field v."""
 
     def comps(*coords):
-        return matvec(t.components(coords), v.components(coords))
+        return t.components(coords) @ v.components(coords)
 
     return TensorField((1, 0), comps, name=name)
 

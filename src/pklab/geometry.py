@@ -32,20 +32,20 @@ from .fields import (
     DIM,
     DegenerateMetricError,
     jet_differential,
-    matvec,
     metric_inverse,
     metric_inverse_jets,
     ring_value,
     split_jets,
 )
-from .jets import Jet, jreciprocal
-from .linalg import mdet, minv, mmul, mtrace
+from .jets import Jet, jlog, jpow, jreciprocal
+from .linalg import mdet, minv, mmul
 
 __all__ = [
     "Geometry",
     "mu_invariants",
     "companion_components",
     "family_components",
+    "family_inverse_components",
     "weighted_sigma_components",
     "psi_component",
 ]
@@ -55,8 +55,8 @@ __all__ = [
 
 def mu_invariants(aj: np.ndarray):
     """(mu1, mu2) = (tr A / 2, (tr A)^2/8 - tr(A^2)/4) from A's components."""
-    tr = mtrace(aj)
-    return tr * 0.5, tr * tr * 0.125 - mtrace(mmul(aj, aj)) * 0.25
+    tr = np.trace(aj)
+    return tr * 0.5, tr * tr * 0.125 - np.trace(mmul(aj, aj)) * 0.25
 
 
 def _det_a(aj: np.ndarray, where: str):
@@ -70,58 +70,48 @@ def _det_a(aj: np.ndarray, where: str):
 def companion_components(gj: np.ndarray, aj: np.ndarray) -> np.ndarray:
     """ghat = (det A)^(-1/2) g A^(-1) with the positive square root."""
     det = _det_a(aj, "companion metric")
-    scale = det.pow(-0.5) if isinstance(det, Jet) else det ** (-0.5)
-    out = mmul(gj, minv(aj))
-    for i in range(DIM):
-        for j in range(DIM):
-            out[i, j] = out[i, j] * scale
-    return out
+    return mmul(gj, minv(aj)) * jpow(det, -0.5)
+
+
+def _family_weights(aj: np.ndarray, mu1, mu2, alpha: float, beta: float):
+    """(alpha Id + beta A, s) with s = alpha^2 + alpha beta mu1 + beta^2 mu2 nonzero."""
+    s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
+    if abs(ring_value(s)) < 1e-13:
+        raise DegenerateMetricError(
+            f"family combination ({alpha}, {beta}) degenerate: sqrt det = {ring_value(s):.3e}"
+        )
+    return beta * aj + alpha * np.eye(DIM), s
 
 
 def family_components(
     gj: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
 ) -> np.ndarray:
     """g (alpha Id + beta A)^(-1) / s with s = alpha^2 + alpha beta mu1 + beta^2 mu2."""
-    at = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            at[i, j] = beta * aj[i, j] + (alpha if i == j else 0.0)
-    s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
-    sval = s.value if isinstance(s, Jet) else float(s)
-    if abs(sval) < 1e-13:
-        raise DegenerateMetricError(
-            f"family combination ({alpha}, {beta}) degenerate: sqrt det = {sval:.3e}"
-        )
-    out = mmul(gj, minv(at))
-    inv_s = jreciprocal(s)
-    for i in range(DIM):
-        for j in range(DIM):
-            out[i, j] = out[i, j] * inv_s
-    return out
+    at, s = _family_weights(aj, mu1, mu2, alpha, beta)
+    return mmul(gj, minv(at)) * jreciprocal(s)
+
+
+def family_inverse_components(
+    ginv: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
+) -> np.ndarray:
+    """Inverse s (alpha Id + beta A) g^(-1) of the family member, from g's inverse."""
+    at, s = _family_weights(aj, mu1, mu2, alpha, beta)
+    return mmul(at, ginv) * s
 
 
 def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
     """sigma^{ij} = |det g|^(1/6) g^{ij}; ``ginv`` is the inverse if already known."""
     det = mdet(gj)
-    if isinstance(det, Jet):
-        if det.value < 0.0:
-            det = -det
-        w = det.pow(1.0 / 6.0)
-    else:
-        w = abs(det) ** (1.0 / 6.0)
+    if ring_value(det) < 0.0:
+        det = -det
     if ginv is None:
         ginv = minv(gj)
-    out = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            out[i, j] = ginv[i, j] * w
-    return out
+    return ginv * jpow(det, 1.0 / 6.0)
 
 
 def psi_component(aj: np.ndarray):
     """psi = -(1/4) log det A; its differential drives the connection shift."""
-    det = _det_a(aj, "psi")
-    return det.log() * (-0.25) if isinstance(det, Jet) else -0.25 * np.log(det)
+    return jlog(_det_a(aj, "psi")) * (-0.25)
 
 
 # -- the cache --------------------------------------------------------------
@@ -140,12 +130,9 @@ def _field(attr: str):
 def _killing(geo: "Geometry", i: int) -> np.ndarray:
     """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
     ginv = geo.jets(i, "ginv")
-    v = [matvec(ginv, jet_differential(mu)) for mu in geo.jets(i, "mu")]
+    v = [ginv @ jet_differential(mu) for mu in geo.jets(i, "mu")]
     tj = geo.jets(i, "t")
-    out = np.empty((4, DIM), dtype=object)
-    for k, row in enumerate(v + [matvec(tj, vk) for vk in v]):
-        out[k] = row
-    return out
+    return np.stack(v + [tj @ vk for vk in v])
 
 
 def _as_jet(x) -> Jet:

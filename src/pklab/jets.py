@@ -9,9 +9,9 @@ components are evaluated on coordinate jets, and Christoffel symbols,
 curvature tensors, gradients and Lie derivatives are read off from the
 resulting coefficients.
 
-The module also provides :class:`DualBatch`, a vectorized first-order
-variant used where only values and first partials are needed at many
-points at once (constructor feasibility scans, geodesic integration).
+The module also provides :class:`DualBatch`, a vectorized second-order
+variant used where values and first partials are needed at many points
+at once (constructor feasibility scans, geodesic integration).
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "dual_point",
     "seed_variable",
     "seed_point",
-    "constant_jet",
-    "jet_apply",
-    "extract_partial",
     "jexp",
     "jlog",
     "jsqrt",
@@ -344,7 +341,7 @@ class Jet:
         )
 
 
-# -- spec-facing functional interface ---------------------------------
+# -- coordinate jets --------------------------------------------------
 
 
 def seed_variable(i: int, value: float, dim: int, order: int) -> Jet:
@@ -352,41 +349,10 @@ def seed_variable(i: int, value: float, dim: int, order: int) -> Jet:
     return Jet.variable(i, value, dim, order)
 
 
-def constant_jet(value: float, dim: int, order: int) -> Jet:
-    return Jet.constant(value, dim, order)
-
-
 def seed_point(point: Sequence[float], order: int) -> list[Jet]:
     """Coordinate jets of a full point, one seeded variable per axis."""
     p = list(point)
     return [Jet.variable(i, p[i], len(p), order) for i in range(len(p))]
-
-
-_APPLY = {
-    "exp": lambda x: x.exp(),
-    "log": lambda x: x.log(),
-    "sqrt": lambda x: x.sqrt(),
-    "sin": lambda x: x.sin(),
-    "cos": lambda x: x.cos(),
-    "reciprocal": lambda x: x.reciprocal(),
-}
-
-
-def jet_apply(name: str, x: Jet, r: float | None = None) -> Jet:
-    """Apply an elementary function by tag; ``pow`` takes the exponent r."""
-    if name == "pow":
-        if r is None:
-            raise ValueError("pow requires an exponent")
-        return x.pow(r)
-    try:
-        fn = _APPLY[name]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {name!r}") from None
-    return fn(x)
-
-
-def extract_partial(x: Jet, multi_index: Sequence[int]) -> float:
-    return x.partial(multi_index)
 
 
 # -- duck-typed math usable on floats, arrays, jets and dual batches ---
@@ -433,8 +399,8 @@ def jreciprocal(x):
 class DualBatch:
     """Vectorized low-order dual numbers over a batch of points.
 
-    ``val`` has shape (n,), ``grad`` shape (n, dim) and, optionally,
-    ``hess`` shape (n, dim, dim).  When the Hessian is carried,
+    ``val`` has shape (n,), ``grad`` shape (n, dim) and ``hess`` shape
+    (n, dim, dim) or None.  Coordinate batches carry the Hessian, so
     :meth:`derivative` yields the first partial as a new first-order
     batch, which is what lets field component formulas (which embed
     profile derivatives) be evaluated in one vectorized pass.  This type
@@ -450,14 +416,12 @@ class DualBatch:
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
     @staticmethod
-    def variable(
-        i: int, values: np.ndarray, dim: int, with_hessian: bool = False
-    ) -> "DualBatch":
+    def variable(i: int, values: np.ndarray, dim: int) -> "DualBatch":
+        """The i-th coordinate over a batch, second order (Hessian carried)."""
         v = np.asarray(values, dtype=float)
         g = np.zeros(v.shape + (dim,))
         g[..., i] = 1.0
-        h = np.zeros(v.shape + (dim, dim)) if with_hessian else None
-        return DualBatch(v, g, h)
+        return DualBatch(v, g, np.zeros(v.shape + (dim, dim)))
 
     @property
     def dim(self) -> int:
@@ -597,11 +561,8 @@ class DualBatch:
         return self._chain(c, -s, -c)
 
 
-def dual_point(points: np.ndarray, with_hessian: bool = False) -> list[DualBatch]:
-    """Coordinate dual batches for an (n, dim) array of points."""
+def dual_point(points: np.ndarray) -> list[DualBatch]:
+    """Second-order coordinate dual batches for an (n, dim) array of points."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
-    return [
-        DualBatch.variable(i, pts[:, i], dim, with_hessian=with_hessian)
-        for i in range(dim)
-    ]
+    return [DualBatch.variable(i, pts[:, i], dim) for i in range(dim)]

@@ -1,19 +1,19 @@
 """Small dense linear algebra over jet-valued matrices.
 
 Tensor components evaluated through jets come back as numpy object arrays
-whose entries are :class:`~pklab.jets.Jet` (or plain floats / float arrays
-in value-only evaluation modes).  The helpers here implement the handful
-of matrix operations the geometry needs (product, trace, determinant,
-inverse) generically over those element types.
+whose entries are :class:`~pklab.jets.Jet`, :class:`~pklab.jets.DualBatch`
+or plain floats.  These are ring elements, so numpy's object dtype
+already supplies the product, the trace and broadcasting; this module
+adds the determinant and the inverse, which numpy only has for floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import DualBatch, Jet
+from .jets import DualBatch, Jet, jreciprocal
 
-__all__ = ["mmul", "mtrace", "mdet", "minv", "as_float_matrix"]
+__all__ = ["mmul", "mdet", "minv"]
 
 
 def _is_object(m: np.ndarray) -> bool:
@@ -21,29 +21,8 @@ def _is_object(m: np.ndarray) -> bool:
 
 
 def mmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product for object arrays (falls back to @ for floats)."""
-    if not (_is_object(a) or _is_object(b)):
-        return a @ b
-    n, m = a.shape
-    m2, p = b.shape
-    if m != m2:
-        raise ValueError("shape mismatch")
-    out = np.empty((n, p), dtype=object)
-    for i in range(n):
-        for j in range(p):
-            acc = a[i, 0] * b[0, j]
-            for k in range(1, m):
-                acc = acc + a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def mtrace(a: np.ndarray):
-    n = a.shape[0]
-    acc = a[0, 0]
-    for i in range(1, n):
-        acc = acc + a[i, i]
-    return acc
+    """Matrix product of float or ring-element matrices."""
+    return a @ b
 
 
 def mdet(a: np.ndarray):
@@ -69,8 +48,6 @@ def _leading(x) -> float:
     """Magnitude of the value part, used for pivot selection."""
     if isinstance(x, Jet):
         return abs(x.value)
-    if isinstance(x, DualBatch):
-        return float(np.min(np.abs(x.val)))
     return float(np.min(np.abs(x)))
 
 
@@ -85,14 +62,9 @@ def minv(a: np.ndarray) -> np.ndarray:
     if not _is_object(a):
         return np.linalg.inv(a)
     n = a.shape[0]
-    if any(isinstance(a[i, j], DualBatch) for i in range(n) for j in range(n)):
+    if any(isinstance(x, DualBatch) for x in a.flat):
         return _minv_dual(a)
 
-    aug = np.empty((n, 2 * n), dtype=object)
-    one, zero = None, None
-    for i in range(n):
-        for j in range(n):
-            aug[i, j] = a[i, j]
     sample = a[0, 0]
     if isinstance(sample, Jet):
         sp = sample.space
@@ -100,9 +72,10 @@ def minv(a: np.ndarray) -> np.ndarray:
         zero = Jet.constant(0.0, sp.dim, sp.order)
     else:
         one, zero = 1.0, 0.0
-    for i in range(n):
-        for j in range(n):
-            aug[i, n + j] = one if i == j else zero
+    aug = np.empty((n, 2 * n), dtype=object)
+    aug[:, :n] = a
+    aug[:, n:] = zero
+    np.fill_diagonal(aug[:, n:], one)
 
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: _leading(aug[r, col]))
@@ -110,21 +83,15 @@ def minv(a: np.ndarray) -> np.ndarray:
             raise ZeroDivisionError("singular matrix in jet inverse")
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        inv_piv = (
-            aug[col, col].reciprocal()
-            if isinstance(aug[col, col], Jet)
-            else 1.0 / aug[col, col]
-        )
-        for j in range(2 * n):
-            aug[col, j] = aug[col, j] * inv_piv
+        aug[col] = aug[col] * jreciprocal(aug[col, col])
         for r in range(n):
             if r == col:
                 continue
             factor = aug[r, col]
             if _leading(factor) == 0.0 and not isinstance(factor, Jet):
                 continue
-            for j in range(2 * n):
-                aug[r, j] = aug[r, j] - factor * aug[col, j]
+            # factor * entry, with the factor as the left operand
+            aug[r] = aug[r] - np.multiply(factor, aug[col])
     return aug[:, n:].copy()
 
 
@@ -149,15 +116,4 @@ def _minv_dual(a: np.ndarray) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             out[i, j] = DualBatch(inv[:, i, j], dinv[:, i, j, :])
-    return out
-
-
-def as_float_matrix(a: np.ndarray) -> np.ndarray:
-    """Value parts of a jet matrix as a float array."""
-    if not _is_object(a):
-        return np.asarray(a, dtype=float)
-    out = np.empty(a.shape)
-    for idx in np.ndindex(a.shape):
-        x = a[idx]
-        out[idx] = x.value if isinstance(x, Jet) else float(x)
     return out

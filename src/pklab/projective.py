@@ -52,11 +52,12 @@ from .geometry import (
     Geometry,
     companion_components,
     family_components,
+    family_inverse_components,
     mu_invariants,
     weighted_sigma_components,
 )
-from .jets import JetDomainError, jsqrt
-from .linalg import mdet, minv, mmul, mtrace
+from .jets import JetDomainError, jpow, jsqrt
+from .linalg import mdet, minv, mmul
 from .parakahler import ParaKahlerTriple, fundamental_form, relative
 from .report import worst
 
@@ -115,34 +116,20 @@ class EinsteinPreconditionError(ValueError):
 
 
 def identity_endo() -> TensorField:
-    eye = np.eye(DIM)
-
-    def comps(*coords):
-        out = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = eye[i, j]
-        return out
-
-    return TensorField((1, 1), comps, name="Id")
+    return TensorField((1, 1), lambda *coords: np.eye(DIM), name="Id")
 
 
 def endo_combination(a: TensorField, alpha: float, beta: float) -> TensorField:
     """alpha * Id + beta * A as an endomorphism field."""
 
     def comps(*coords):
-        aj = a.components(coords)
-        out = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = beta * aj[i, j] + (alpha if i == j else 0.0)
-        return out
+        return beta * a.components(coords) + alpha * np.eye(DIM)
 
     return TensorField((1, 1), comps, name=f"{alpha}*Id+{beta}*A")
 
 
 def trace_field(a: TensorField) -> ScalarField:
-    return ScalarField(lambda *c: mtrace(a.components(c)), name="trA")
+    return ScalarField(lambda *c: np.trace(a.components(c)), name="trA")
 
 
 def mu_invariant_fields(a: TensorField) -> tuple[ScalarField, ScalarField]:
@@ -254,13 +241,7 @@ def a_from_pair_field(g: TensorField, ghat: TensorField) -> TensorField:
         gj = g.components(coords)
         hj = ghat.components(coords)
         ratio = mdet(hj) / mdet(gj)
-        scale = ratio.pow(1.0 / 6.0)
-        hinv = minv(hj)
-        out = mmul(hinv, gj)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = out[i, j] * scale
-        return out
+        return mmul(minv(hj), gj) * jpow(ratio, 1.0 / 6.0)
 
     return TensorField((1, 1), comps, name="A(g,ghat)")
 
@@ -382,13 +363,7 @@ def scale_weighted_field(f: ScalarField, sigma: TensorField) -> TensorField:
     """f * sigma for a scalar field f (a non-solution probe for invariance)."""
 
     def comps(*coords):
-        s = sigma.components(coords)
-        fv = f(*coords)
-        out = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                out[i, j] = s[i, j] * fv
-        return out
+        return sigma.components(coords) * f(*coords)
 
     return TensorField((2, 0), comps, name=f"{f.name}.sigma")
 
@@ -777,15 +752,21 @@ def _member_ricci_residual(
 ) -> float:
     """|Ric - const * member| / |member| for one family member at point i.
 
-    The member's jets are built from the cached g, A and mu jets and are
-    dropped on return.
+    The member's jets and those of its inverse s (alpha Id + beta A) g^-1
+    are built from the cached g, g^-1, A and mu jets and are dropped on
+    return.
     """
-    member = family_components(
-        geo.jets(i, "g"), geo.jets(i, "a"), *geo.jets(i, "mu"), alpha, beta
-    )
+    aj, mu = geo.jets(i, "a"), geo.jets(i, "mu")
+    member = family_components(geo.jets(i, "g"), aj, *mu, alpha, beta)
+    inverse = family_inverse_components(geo.jets(i, "ginv"), aj, *mu, alpha, beta)
     gtv = split_jets(member)[0]
-    ric = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(member))))
+    ric = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(member, inverse))))
     return relative(ric - const * gtv, gtv)
+
+
+# the inputs' Einstein test, and the margin of |s| below which a point is skipped
+_TOL_EINSTEIN = 1e-6
+_DEGENERATE_MARGIN = 1e-3
 
 
 def einstein_family_constant(
@@ -794,10 +775,7 @@ def einstein_family_constant(
     lam_hat: float,
     alpha: float,
     beta: float,
-    tol_einstein: float = 1e-6,
     check_inputs: bool = True,
-    verify_ricci: bool = True,
-    degenerate_margin: float = 1e-3,
 ) -> dict:
     """Einstein constant of the (alpha, beta) family member over geo's points.
 
@@ -808,16 +786,16 @@ def einstein_family_constant(
              + lam*alpha/(2(n+1)) ),
         At = alpha Id + beta A,   s = signed sqrt det At,
 
-    at each sample point, reports its spread, and (optionally) verifies
-    Ric = lt * gtilde for the family member.  Sample points where the
-    combination degenerates are skipped and flagged.
+    at each sample point, reports its spread, and verifies Ric = lt * gtilde
+    for the family member.  Sample points where the combination
+    degenerates are skipped and flagged.
     """
     if check_inputs:
         gm = geo.values(0, "g")
-        if relative(geo.ricci(0) - lam * gm, gm) > tol_einstein:
+        if relative(geo.ricci(0) - lam * gm, gm) > _TOL_EINSTEIN:
             raise EinsteinPreconditionError("g is not Einstein with the given constant")
         hm = geo.values(0, "ghat")
-        if relative(geo.ricci(0, "ghat") - lam_hat * hm, hm) > tol_einstein:
+        if relative(geo.ricci(0, "ghat") - lam_hat * hm, hm) > _TOL_EINSTEIN:
             raise EinsteinPreconditionError(
                 "companion is not Einstein with the given constant"
             )
@@ -826,7 +804,7 @@ def einstein_family_constant(
     for i in range(len(geo)):
         m1, m2 = geo.mu(i)
         s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
-        if abs(s) < degenerate_margin * max(1.0, alpha * alpha + beta * beta * abs(m2)):
+        if abs(s) < _DEGENERATE_MARGIN * max(1.0, alpha * alpha + beta * beta * abs(m2)):
             flags.append("degenerate-point-skipped")
             continue
         am = geo.values(i, "a")
@@ -851,13 +829,11 @@ def einstein_family_constant(
     const = float(np.mean(values))
     spread = float(np.max(np.abs(values - const))) / max(1.0, abs(const))
 
-    ric_res = 0.0
-    if verify_ricci:
-        ric_res = worst(_member_ricci_residual(geo, i, alpha, beta, const) for i in used)
+    ricci = worst(_member_ricci_residual(geo, i, alpha, beta, const) for i in used)
     return {
         "constant": const,
         "spread": spread,
-        "ricci_residual": ric_res,
+        "ricci_residual": ricci,
         "points": len(used),
         "flags": sorted(set(flags)),
     }

@@ -30,6 +30,7 @@ from .geometry import Geometry
 from .jets import seed_point
 from .parakahler import (
     AXIOMS,
+    DOMAIN_ERRORS,
     Check,
     ParaKahlerTriple,
     check_points,
@@ -40,7 +41,7 @@ from .parakahler import (
 )
 from .report import CheckResult, VerificationReport, worst
 
-__all__ = ["CHECK_NAMES", "check_request", "run_suite", "demo_einstein"]
+__all__ = ["CHECK_NAMES", "check_request", "geodesic_starts", "run_suite", "demo_einstein"]
 
 
 def _suite_parakahler(geo, tol):
@@ -354,32 +355,57 @@ _GEODESIC = (
 )
 
 
-def _suite_geodesic(geo, tol, seed: int = 0, n_steps: int = 400):
-    triple = geo.triple
+# RK4 step and step count of the companion geodesics
+GEODESIC_STEP = 1e-3
+GEODESIC_STEPS = 400
+
+
+def geodesic_starts(chart, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start points, directions, control normals) of the geodesic check, three rows each.
+
+    Start points lie in the middle fifth of the chart box and directions
+    have Euclidean length 0.25; the normals feed ``_control_curves``.
+    The same seed gives the same rows.
+    """
+    rng = np.random.default_rng(seed + 11)
+    lo = np.array([b[0] for b in chart.box])
+    hi = np.array([b[1] for b in chart.box])
+    p0 = lo + (hi - lo) * (0.4 + 0.2 * rng.uniform(size=(3, 4)))
+    v0 = rng.normal(size=(3, 4))
+    v0 = 0.25 * v0 / np.linalg.norm(v0, axis=1, keepdims=True)
+    return p0, v0, rng.normal(size=(3, 4))
+
+
+def _geodesic_residuals(triple, p0, v0, normals):
+    """(energy drifts, planarity residuals, smallest control residual)."""
     g, t = triple.g, triple.t
     ghat = pj.companion_metric(g, triple.a)
-    rng = np.random.default_rng(seed + 11)
-    m = 3
-    lo = np.array([b[0] for b in triple.chart.box])
-    hi = np.array([b[1] for b in triple.chart.box])
-    p0 = lo + (hi - lo) * (0.4 + 0.2 * rng.uniform(size=(m, 4)))
-    v0 = rng.normal(size=(m, 4))
-    v0 = 0.25 * v0 / np.linalg.norm(v0, axis=1, keepdims=True)
-    h = 1e-3
-    paths = integrate_geodesic_bundle(ghat, p0, v0, h, n_steps, triple.chart)
+    paths = integrate_geodesic_bundle(
+        ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
+    )
     drifts, plans = [], []
     for path in paths:
         en = kinetic_energy(ghat, path)
         drifts.append(_max_abs(en - en[0]) / max(1.0, abs(en[0])))
         plans.append(t_planarity_residual(g, t, path).max_residual)
-    controls = _control_curves(g, t, p0, v0, rng.normal(size=(m, 4)), h, 40)
-    neg = min(t_planarity_residual(g, t, c).max_residual for c in controls)
+    controls = _control_curves(g, t, p0, v0, normals, GEODESIC_STEP, 40)
+    return drifts, plans, min(t_planarity_residual(g, t, c).max_residual for c in controls)
+
+
+def _suite_geodesic(geo, tol, seed: int = 0):
+    starts = geodesic_starts(geo.triple.chart, seed)
+    n = len(starts[0])
+    try:
+        drifts, plans, neg = _geodesic_residuals(geo.triple, *starts)
+    except DOMAIN_ERRORS as e:
+        # the curves could not be integrated or measured: every result fails
+        return [c.result(np.inf, n, tol, [f"eval-error:{type(e).__name__}"]) for c in _GEODESIC]
     drift_c, planarity_c, control_c = _GEODESIC
     return [
-        drift_c.result(worst(drifts), len(paths), tol),
-        planarity_c.result(worst(plans), len(paths), tol),
+        drift_c.result(worst(drifts), n, tol),
+        planarity_c.result(worst(plans), n, tol),
         # neg > 1e-3 is False for NaN, so an unevaluable control fails
-        control_c.result(0.0 if neg > 1e-3 else 1.0, len(controls), tol),
+        control_c.result(0.0 if neg > 1e-3 else 1.0, n, tol),
     ]
 
 

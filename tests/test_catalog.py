@@ -26,7 +26,6 @@ class TestConstructorRejections:
             build_real_liouville(
                 rho=lambda u: u, sigma=lambda u: u,
                 box=((1.0, 2.0), (1.0, 2.0), (0.0, 1.0), (0.0, 1.0)),
-                feasibility_points=500,
             )
 
     def test_vanishing_profile_rejected(self):
@@ -34,14 +33,12 @@ class TestConstructorRejections:
             build_real_liouville(
                 rho=lambda u: u, sigma=lambda u: u + 5.0,
                 box=((-1.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-                feasibility_points=500,
             )
 
     def test_vanishing_derivative_rejected(self):
         with pytest.raises(FeasibilityError, match="sigma'"):
             build_real_liouville(
                 rho=lambda u: u, sigma=lambda u: 5.0 + 0.0 * u,
-                feasibility_points=500,
             )
 
     def test_cauchy_riemann_violation_rejected(self):
@@ -49,7 +46,6 @@ class TestConstructorRejections:
             build_complex_liouville(
                 re_part=lambda x1, x2: x1,
                 im_part=lambda x1, x2: 2.0 * x2 + 0.0 * x1,
-                feasibility_points=500,
             )
 
     def test_zero_constant_eigenvalue_rejected(self):
@@ -66,7 +62,6 @@ class TestConstructorRejections:
         with pytest.raises(FeasibilityError, match="dF/dx4"):
             build_dimd1(
                 rho=lambda u: u, f_profile=lambda x2, ph: x2 + 0.0 * ph, c=3.0,
-                feasibility_points=500,
             )
 
     def test_bad_eps_rejected(self):
@@ -106,7 +101,6 @@ class TestFamilyConformance:
         tr = build_real_liouville(
             rho=lambda u: u, sigma=lambda u: u, eps=-1,
             box=((2.0, 3.0), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
-            feasibility_points=1000,
         )
         rep = validate(tr, n_points=5)
         assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
@@ -119,7 +113,6 @@ class TestFamilyConformance:
         tr = build_dimd2_case4(
             rho=lambda u: u, sigma=lambda u: u, k=0.0,
             box=((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (3.5, 4.5)),
-            feasibility_points=1000,
         )
         assert validate(tr, n_points=4).all_passed
         geo = Geometry(tr, tr.sample_points(4))
@@ -144,7 +137,6 @@ class TestFamilyConformance:
             rho=lambda u: u,
             f_profile=lambda x2, ph: ph.exp() * x2 + 1.0 / x2,
             c=3.0,
-            feasibility_points=1000,
         )
         geo = Geometry(tr, tr.sample_points(5))
         assert max(np.max(np.abs(geo.riemann(i))) for i in range(5)) < 1e-9

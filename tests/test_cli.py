@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 try:
@@ -7,9 +8,10 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from pklab import cli
+from pklab import cli, suites
 from pklab import projective as pj
 from pklab.cli import main
+from pklab.curves import integrate_geodesic_bundle
 from pklab.jets import JetDomainError
 
 FAST_CHECKS = "--checks=einstein,rank"
@@ -146,6 +148,25 @@ def test_csv_export(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,v1,v2,v3,v4,residual"
+
+
+def test_csv_curve_is_the_geodesic_checks_first_curve(tmp_path, monkeypatch):
+    bundles = []
+
+    def recording(*args):
+        paths = integrate_geodesic_bundle(*args)
+        bundles.append(paths)
+        return paths
+
+    monkeypatch.setattr(suites, "integrate_geodesic_bundle", recording)
+    out = tmp_path / "curve.csv"
+    run("run", "--family", "dim-d1", "--checks", "geodesic", "--seed", "4",
+        "--points", "2", "--csv", str(out))
+    (checked,) = bundles
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(9))
+    assert rows.shape == (len(checked[0]), 9)
+    assert np.allclose(rows[:, 1:5], checked[0].positions, rtol=1e-11, atol=0.0)
+    assert np.allclose(rows[:, 5:9], checked[0].velocities, rtol=1e-11, atol=1e-13)
 
 
 def test_demo_einstein(tmp_path, capsys):

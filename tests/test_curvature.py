@@ -5,12 +5,20 @@ from conftest import fd_tensor_partials
 from pklab.curvature import (
     christoffel,
     christoffel_batch,
+    christoffel_jets,
     covariant_derivative_endo,
     einstein_residual,
     metricity_residual,
     scalar_hessian,
 )
-from pklab.fields import ScalarField, TensorField, objarray, tensor_values_and_partials
+from pklab.fields import (
+    ScalarField,
+    TensorField,
+    jet_differential,
+    metric_inverse_jets,
+    objarray,
+    tensor_values_and_partials,
+)
 from pklab.geometry import Geometry
 from pklab.jets import jsin
 
@@ -192,6 +200,24 @@ def test_christoffel_batch_matches_pointwise(triples):
     batch = christoffel_batch(tr.g, pts)
     for i, p in enumerate(pts):
         assert np.allclose(batch[i], christoffel(tr.g, p), atol=1e-11)
+
+
+def test_christoffel_jets_equal_the_entry_loop(triples):
+    # the object-dtype product must add the same jet products in the same
+    # order as the entry-by-entry formula, so the coefficients are equal
+    for name in ("real-liouville", "complex-liouville", "dim-d1"):
+        tr = triples[name]
+        gj = tr.g.jets(tr.sample_points(1, seed=3)[0])
+        ginv = metric_inverse_jets(gj)
+        dg = [[jet_differential(x) for x in row] for row in gj]  # dg[i][j][l] = d_l g_ij
+        gamma = christoffel_jets(gj, ginv)
+        for k, i, j in np.ndindex(4, 4, 4):
+            a, b = min(i, j), max(i, j)  # computed for i <= j, mirrored
+            terms = [ginv[k, l] * (dg[b][l][a] + dg[a][l][b] - dg[a][b][l]) for l in range(4)]
+            ref = terms[0]
+            for t in terms[1:]:
+                ref = ref + t
+            assert np.array_equal(gamma[k, i, j].coeffs, (ref * 0.5).coeffs), (name, k, i, j)
 
 
 def test_scalar_hessian_symmetry_and_values():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +9,6 @@ from pklab.jets import (
     Jet,
     JetDomainError,
     dual_point,
-    extract_partial,
-    jet_apply,
     seed_point,
     seed_variable,
 )
@@ -108,23 +104,13 @@ def test_domain_errors_name_the_function():
         neg.pow(0.5)
 
 
-def test_extract_partial_mixed_and_const():
+def test_partial_mixed_and_const():
     xs = seed_point([2.0, 5.0], 2)
     f = xs[0] * xs[1]
-    assert extract_partial(f, [1, 1]) == pytest.approx(1.0)
-    assert extract_partial(f, [0, 0]) == pytest.approx(10.0)
+    assert f.partial([1, 1]) == pytest.approx(1.0)
+    assert f.partial([0, 0]) == pytest.approx(10.0)
     with pytest.raises(ValueError, match="order"):
-        extract_partial(f, [2, 1])
-
-
-def test_jet_apply_tags():
-    x = seed_variable(0, 0.5, 1, 3)
-    assert jet_apply("exp", x).value == pytest.approx(math.exp(0.5))
-    assert jet_apply("pow", x, r=3.0).value == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        jet_apply("tanh", x)
-    with pytest.raises(ValueError):
-        jet_apply("pow", x)
+        f.partial([2, 1])
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -220,7 +206,7 @@ def test_dual_batch_matches_jets():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.5, 1.5, size=(6, 4))
     f = _random_composition(rng)
-    coords = dual_point(pts, with_hessian=True)
+    coords = dual_point(pts)
     out = f(*coords)
     assert isinstance(out, DualBatch)
     for i, p in enumerate(pts):
@@ -235,7 +221,7 @@ def test_dual_batch_matches_jets():
 
 def test_dual_batch_derivative_matches_jet_derivative():
     pts = np.array([[1.2, 0.7, 0.4, 0.9]])
-    coords = dual_point(pts, with_hessian=True)
+    coords = dual_point(pts)
 
     def prof(x1):
         return (x1 * x1).sqrt() + x1 * 3.0

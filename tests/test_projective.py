@@ -3,15 +3,17 @@ import pytest
 
 from conftest import fd_of
 from pklab import projective as pj
-from pklab.curvature import christoffel
+from pklab.curvature import christoffel, christoffel_jets
 from pklab.fields import (
     DegenerateMetricError,
     ScalarField,
     TensorField,
     metric_inverse,
     objarray,
+    split_jets,
 )
-from pklab.geometry import Geometry
+from pklab.geometry import Geometry, family_components, family_inverse_components
+from pklab.linalg import mmul
 from pklab.parakahler import ParaKahlerTriple
 
 FLAT = [
@@ -298,6 +300,23 @@ class TestFamilyMetric:
                 )
                 expected[3, 3] = 864 * lam / bb**2 * al
                 assert np.max(np.abs(fam.values(p) - expected)) < 1e-8
+
+    def test_closed_form_inverse_matches_gauss_jordan(self, einstein_preset):
+        # s (alpha Id + beta A) g^-1 inverts the member; its Christoffel
+        # symbols agree with those from the jet Gauss-Jordan inverse
+        tr = einstein_preset
+        geo = Geometry(tr, tr.sample_points(2))
+        for al, be in ((1.5, 0.25), (0.0, 1.0), (2.0, 1.0)):
+            for i in range(2):
+                args = (geo.jets(i, "a"), *geo.jets(i, "mu"), al, be)
+                member = family_components(geo.jets(i, "g"), *args)
+                inverse = family_inverse_components(geo.jets(i, "ginv"), *args)
+                assert np.allclose(split_jets(mmul(member, inverse))[0], np.eye(4),
+                                   rtol=0.0, atol=1e-12)
+                closed = split_jets(christoffel_jets(member, inverse))
+                solved = split_jets(christoffel_jets(member))
+                for x, y in zip(closed, solved):
+                    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_degenerate_combination_raises(self, triples):
         tr = triples["real-liouville"]  # rho = x1 in (2,3), sigma = x2 in (0.5,1.5)

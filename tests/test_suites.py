@@ -211,3 +211,22 @@ def test_domain_error_in_non_parallel_fails_it(triples, monkeypatch):
     report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=3)
     check = next(c for c in report.checks if c.name == "benenti/non-parallel")
     assert not check.passed and "eval-error:DegenerateMetricError" in check.flags
+
+
+def test_nonpositive_det_a_fails_geodesic_closed(triples):
+    triple = with_constant_a(triples["dim-d2-2"], np.diag([-1.0, 1.0, 1.0, 1.0]).tolist())
+    report = run_suite(triple, ["geodesic"], n_points=3)
+    assert [c.name for c in report.checks] == [
+        "geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity"]
+    for c in report.checks:
+        assert not c.passed and c.residual == np.inf, c.name
+        assert c.flags == ["eval-error:DegenerateMetricError"], c.name
+
+
+def test_programming_error_in_geodesic_propagates(triples, monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("bug in the integrator")
+
+    monkeypatch.setattr(suites, "integrate_geodesic_bundle", bug)
+    with pytest.raises(TypeError, match="bug in the integrator"):
+        run_suite(triples["dim-d2-2"], ["geodesic"], n_points=3)
