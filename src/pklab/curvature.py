@@ -90,11 +90,12 @@ def metricity_residual(gamma: np.ndarray, gv: np.ndarray, gp: np.ndarray) -> flo
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature tensor R^k_{l ij} from the symbols and their partials.
 
-    ``dgamma[k, i, j, m]`` is d_m G^k_{ij}.
+    ``dgamma[k, i, j, m]`` is d_m G^k_{ij}.  Both may carry a trailing
+    point axis (see ``split_jets``), which the result then carries too.
     """
-    r = dgamma.transpose(0, 1, 3, 2) - dgamma  # d_i G^k_{lj} - d_j G^k_{li}
-    r += np.einsum("kir,rlj->klij", gamma, gamma)
-    r -= np.einsum("kjr,rli->klij", gamma, gamma)
+    r = np.swapaxes(dgamma, 2, 3) - dgamma  # d_i G^k_{lj} - d_j G^k_{li}
+    r += np.einsum("kir...,rlj...->klij...", gamma, gamma)
+    r -= np.einsum("kjr...,rli...->klij...", gamma, gamma)
     return r
 
 

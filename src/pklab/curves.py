@@ -88,6 +88,8 @@ def integrate_geodesic_bundle(
     active = np.ones(m, dtype=bool)
     length = np.full(m, n_steps + 1, dtype=int)
     h = float(step)
+    if chart is not None:
+        lo, hi = np.array(chart.box, dtype=float).T
 
     for s in range(n_steps):
         x, v = xs[s], vs[s]
@@ -101,7 +103,8 @@ def integrate_geodesic_bundle(
         xn = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         vn = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if chart is not None:
-            inside = np.array([chart.contains(p) for p in xn])
+            # Chart.contains row by row; a NaN coordinate is outside
+            inside = np.all((xn >= lo) & (xn <= hi), axis=1)
             newly_out = active & ~inside
             length[newly_out] = s + 1
             active &= inside

@@ -203,10 +203,13 @@ def VectorField(fn: ComponentsFn, name: str = "") -> TensorField:
 def split_jets(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, partials) of an array of jets, partials[..., k] = d_k.
 
-    Plain-number entries are constants: their partials are zero.
+    Plain-number entries are constants: their partials are zero.  Batched
+    jets give both a trailing point axis: values[..., p] and
+    partials[..., k, p].
     """
-    vals = np.empty(arr.shape)
-    parts = np.zeros(arr.shape + (DIM,))
+    batch = next((x.coeffs.shape[1:] for x in arr.flat if isinstance(x, Jet)), ())
+    vals = np.empty(arr.shape + batch)
+    parts = np.zeros(arr.shape + (DIM,) + batch)
     for idx in np.ndindex(arr.shape):
         x = arr[idx]
         if isinstance(x, Jet):

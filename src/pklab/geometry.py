@@ -8,7 +8,9 @@ metric with their partials, the curvature tensors, the weighted tensor
 sigma(g) and the canonical Killing fields.  Every residual reads from it,
 so each derivative object is computed once per point and shared by all
 its consumers (the "taping" idea of Griewank & Walther, *Evaluating
-Derivatives*).
+Derivatives*).  ``stacked`` hands out a quantity's jets at several points
+as batched jets, for work done once over all of them (the members of the
+two-parameter Einstein family).
 
 ``run_suite`` builds one Geometry per call and drops it with the call;
 nothing is memoized on the triple or its fields, so a later call on the
@@ -44,6 +46,7 @@ __all__ = [
     "Geometry",
     "mu_invariants",
     "companion_components",
+    "companion_inverse_components",
     "family_components",
     "family_inverse_components",
     "weighted_sigma_components",
@@ -73,30 +76,40 @@ def companion_components(gj: np.ndarray, aj: np.ndarray) -> np.ndarray:
     return mmul(gj, minv(aj)) * jpow(det, -0.5)
 
 
-def _family_weights(aj: np.ndarray, mu1, mu2, alpha: float, beta: float):
-    """(alpha Id + beta A, s) with s = alpha^2 + alpha beta mu1 + beta^2 mu2 nonzero."""
+def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray) -> np.ndarray:
+    """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse."""
+    return mmul(aj, ginv) * jpow(_det_a(aj, "companion metric"), 0.5)
+
+
+def _family_scale(mu1, mu2, alpha: float, beta: float):
+    """s = alpha^2 + alpha beta mu1 + beta^2 mu2 = signed sqrt det(alpha Id + beta A), nonzero."""
     s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
-    if abs(ring_value(s)) < 1e-13:
+    smallest = float(np.min(np.abs(ring_value(s))))
+    if smallest < 1e-13:
         raise DegenerateMetricError(
-            f"family combination ({alpha}, {beta}) degenerate: sqrt det = {ring_value(s):.3e}"
+            f"family combination ({alpha}, {beta}) degenerate: |sqrt det| = {smallest:.3e}"
         )
-    return beta * aj + alpha * np.eye(DIM), s
+    return s
 
 
 def family_components(
     gj: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
 ) -> np.ndarray:
-    """g (alpha Id + beta A)^(-1) / s with s = alpha^2 + alpha beta mu1 + beta^2 mu2."""
-    at, s = _family_weights(aj, mu1, mu2, alpha, beta)
-    return mmul(gj, minv(at)) * jreciprocal(s)
+    """g (alpha Id + beta A)^(-1) / s = g ((alpha + beta mu1) Id - beta A) / s^2.
+
+    A^2 - mu1 A + mu2 Id = 0 gives (alpha Id + beta A)^(-1) in closed form.
+    Batched jets give the member at every point of the batch.
+    """
+    s = _family_scale(mu1, mu2, alpha, beta)
+    return mmul(gj, (alpha + beta * mu1) * np.eye(DIM) - beta * aj) * jreciprocal(s * s)
 
 
 def family_inverse_components(
     ginv: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
 ) -> np.ndarray:
     """Inverse s (alpha Id + beta A) g^(-1) of the family member, from g's inverse."""
-    at, s = _family_weights(aj, mu1, mu2, alpha, beta)
-    return mmul(at, ginv) * s
+    s = _family_scale(mu1, mu2, alpha, beta)
+    return mmul(beta * aj + alpha * np.eye(DIM), ginv) * s
 
 
 def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -153,7 +166,9 @@ _BUILDERS = {
     "ginv": lambda geo, i: metric_inverse_jets(geo.jets(i, "g")),
     "gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "g"), geo.jets(i, "ginv")),
     "ghat": lambda geo, i: companion_components(geo.jets(i, "g"), geo.jets(i, "a")),
-    "ghat_gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "ghat")),
+    "ghat_gamma": lambda geo, i: curvature.christoffel_jets(
+        geo.jets(i, "ghat"), companion_inverse_components(geo.jets(i, "ginv"), geo.jets(i, "a"))
+    ),
     "mu": _mu,
     "killing": _killing,
     "sigma": lambda geo, i: weighted_sigma_components(geo.jets(i, "g"), geo.jets(i, "ginv")),
@@ -213,6 +228,15 @@ class Geometry:
     def psi_jet(self, i: int) -> Jet:
         """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
         return self.cached(i, "psi", lambda: _as_jet(psi_component(self.jets(i, "a"))))
+
+    def stacked(self, name: str, points: Sequence[int], order: int) -> np.ndarray:
+        """``jets(i, name)`` at every i in ``points`` as one array of batched
+        jets cut to ``order``; column k of each entry is point ``points[k]``."""
+        per_point = [self.jets(i, name) for i in points]
+        out = np.empty(per_point[0].shape, dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = Jet.stack([arr[idx] for arr in per_point], DIM, order)
+        return out
 
     # -- floats -------------------------------------------------------------
 

@@ -9,6 +9,15 @@ components are evaluated on coordinate jets, and Christoffel symbols,
 curvature tensors, gradients and Lie derivatives are read off from the
 resulting coefficients.
 
+A Jet holds one point's coefficients, or a batch of points' with the
+point on a trailing axis; a batch computes every column with the
+arithmetic of the one-point jet, bit for bit, so one batched evaluation
+replaces a loop over points (the family members of the Einstein check
+are built once over all their sample points).  Products sum the
+surviving coefficient pairs of a multiplication table per target with
+``np.bincount``, in the table's order (the Taylor-coefficient tables of
+Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+
 The module also provides :class:`DualBatch`, a vectorized second-order
 variant used where values and first partials are needed at many points
 at once (constructor feasibility scans, geodesic integration).
@@ -115,12 +124,20 @@ class JetSpace:
         return f"JetSpace(dim={self.dim}, order={self.order}, size={self.size})"
 
 
+_NUMBERS = (int, float, np.floating, np.integer)
+
+
 class Jet:
-    """One truncated Taylor expansion; immutable after construction.
+    """Truncated Taylor expansions at one point, or at a batch of points.
 
     ``coeffs[k]`` is the Taylor coefficient of the monomial with multi-index
     ``space.multi_indices[k]``, i.e. the corresponding partial derivative
-    divided by the multi-index factorial.
+    divided by the multi-index factorial.  ``coeffs`` has shape ``(size,)``
+    for one point and ``(size, n)`` for a batch of n points, whose column k
+    is the jet at point k: every operation acts column by column with the
+    arithmetic of the one-point jet, so a column equals, bit for bit, the
+    jet computed at its point alone.  Jets combine with numbers and with
+    jets of the same shape.  Immutable after construction.
     """
 
     __slots__ = ("space", "coeffs")
@@ -150,11 +167,32 @@ class Jet:
             c[sp.position[e]] = 1.0
         return Jet(sp, c)
 
+    @staticmethod
+    def stack(entries: Sequence, dim: int, order: int) -> "Jet":
+        """Batch whose column k is ``entries[k]`` cut to ``order``.
+
+        An entry is a one-point jet of order >= ``order`` or a number (a
+        constant).  Coefficients are in graded order, so the cut keeps a
+        jet's first ``size`` coefficients: those of degree <= ``order``.
+        """
+        sp = _space(dim, order)
+        c = np.zeros((sp.size, len(entries)))
+        for k, x in enumerate(entries):
+            if isinstance(x, Jet):
+                if x.space.dim != dim or x.space.order < order or x.coeffs.ndim != 1:
+                    raise ValueError(f"cannot cut {x!r} to a batch of ({dim=}, {order=})")
+                c[:, k] = x.coeffs[: sp.size]
+            else:
+                c[0, k] = float(x)
+        return Jet(sp, c)
+
     # -- basic queries -----------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self) -> float | np.ndarray:
+        """The value (a float), or the values at the points of a batch."""
+        v = self.coeffs[0]
+        return float(v) if v.ndim == 0 else v.copy()
 
     def partial(self, multi_index: Sequence[int]) -> float:
         """Partial derivative for the given multi-index (with factorials)."""
@@ -169,7 +207,7 @@ class Jet:
         return float(self.coeffs[k] * self.space.factorials[k])
 
     def gradient(self) -> np.ndarray:
-        """All first partials as a vector."""
+        """All first partials as a vector (one column per point of a batch)."""
         sp = self.space
         if sp.order < 1:
             raise ValueError("order-0 jet carries no first derivatives")
@@ -184,19 +222,26 @@ class Jet:
         sp = self.space
         if not 0 <= i < sp.dim:
             raise IndexError(f"variable index {i} out of range for dim {sp.dim}")
-        c = np.zeros(sp.size)
-        c[sp._shift_dst[i]] = sp._shift_fac[i] * self.coeffs[sp._shift_src[i]]
+        fac, src = sp._shift_fac[i], self.coeffs[sp._shift_src[i]]
+        c = np.zeros(self.coeffs.shape)
+        c[sp._shift_dst[i]] = fac * src if src.ndim == 1 else fac[:, None] * src
         return Jet(sp, c)
 
     # -- ring arithmetic ----------------------------------------------
+
+    def _lift(self, value) -> np.ndarray:
+        """Coefficients of the constant ``value`` (or one value per column), shaped like ours."""
+        c = np.zeros(self.coeffs.shape)
+        c[0] = value
+        return c
 
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ValueError("jets from different spaces")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.space.dim, self.space.order)
+        if isinstance(other, _NUMBERS):
+            return Jet(self.space, self._lift(float(other)))
         return None
 
     def __add__(self, other):
@@ -223,22 +268,25 @@ class Jet:
         return Jet(self.space, o.coeffs - self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBERS):
             return Jet(self.space, self.coeffs * float(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         sp = self.space
-        out = np.zeros(sp.size)
-        np.add.at(
-            out, sp._mul_target, self.coeffs[sp._mul_left] * o.coeffs[sp._mul_right]
-        )
-        return Jet(sp, out)
+        # every surviving coefficient pair, summed into its target in table order
+        terms = self.coeffs[sp._mul_left] * o.coeffs[sp._mul_right]
+        if terms.ndim == 1:
+            return Jet(sp, np.bincount(sp._mul_target, terms, sp.size))
+        # a batch sums into the flattened (target, column) bins target * n + column
+        n = terms.shape[1]
+        bins = (sp._mul_target[:, None] * n + np.arange(n)).ravel()
+        return Jet(sp, np.bincount(bins, terms.ravel(), sp.size * n).reshape(sp.size, n))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBERS):
             return Jet(self.space, self.coeffs / float(other))
         o = self._coerce(other)
         if o is None:
@@ -256,7 +304,7 @@ class Jet:
             n = int(expo)
             if n < 0:
                 return self.reciprocal() ** (-n)
-            result = Jet.constant(1.0, self.space.dim, self.space.order)
+            result = Jet(self.space, self._lift(1.0))
             base = self
             while n:
                 if n & 1:
@@ -267,78 +315,103 @@ class Jet:
         return self.pow(float(expo))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Jet(value={self.value:.6g}, dim={self.space.dim}, order={self.space.order})"
+        sp = self.space
+        if self.coeffs.ndim == 1:
+            return f"Jet(value={self.value:.6g}, dim={sp.dim}, order={sp.order})"
+        return f"Jet(points={self.coeffs.shape[1]}, dim={sp.dim}, order={sp.order})"
 
     # -- analytic functions -------------------------------------------
 
     def _compose(self, series: np.ndarray) -> "Jet":
-        """Horner evaluation of sum series[k] * (self - const)^k."""
+        """Horner evaluation of sum series[k] * (self - const)^k.
+
+        For a batch, ``series[k]`` holds one coefficient per column.
+        """
         sp = self.space
         p = Jet(sp, self.coeffs.copy())
         p.coeffs[0] = 0.0
-        acc = Jet.constant(series[sp.order], sp.dim, sp.order)
+        acc = Jet(sp, self._lift(series[sp.order]))
         for k in range(sp.order - 1, -1, -1):
-            acc = acc * p + series[k]
+            acc = acc * p + Jet(sp, self._lift(series[k]))
         return acc
 
-    def _series_from_derivs(self, derivs: list[float]) -> "Jet":
-        coeffs = np.array(
-            [d / math.factorial(k) for k, d in enumerate(derivs)], dtype=float
-        )
-        return self._compose(coeffs)
+    def _elementary(self, derivs, undefined=None, what: str = "") -> "Jet":
+        """Compose with the function whose derivatives of order 0..order at
+        a base value a are ``derivs(a)``, evaluated column by column.
+
+        A column whose base value a has ``undefined(a)`` raises
+        JetDomainError with the message "<what> <a>".
+        """
+        base = self.coeffs[0]
+        values = [float(base)] if base.ndim == 0 else base.tolist()
+        if undefined is not None:
+            for a in values:
+                if undefined(a):
+                    raise JetDomainError(f"{what} {a}")
+        series = np.array(
+            [[d / math.factorial(k) for k, d in enumerate(derivs(a))] for a in values],
+            dtype=float,
+        ).T
+        return self._compose(series if base.ndim else series[:, 0])
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._series_from_derivs([e] * (self.space.order + 1))
+        return self._elementary(lambda a: [math.exp(a)] * (self.space.order + 1))
 
     def log(self) -> "Jet":
-        a = self.value
-        if a <= 0.0:
-            raise JetDomainError(f"log of jet with non-positive value {a}")
-        derivs = [math.log(a)]
-        for k in range(1, self.space.order + 1):
-            derivs.append((-1.0) ** (k + 1) * math.factorial(k - 1) / a**k)
-        return self._series_from_derivs(derivs)
+        def derivs(a):
+            return [math.log(a)] + [
+                (-1.0) ** (k + 1) * math.factorial(k - 1) / a**k
+                for k in range(1, self.space.order + 1)
+            ]
+
+        return self._elementary(derivs, _nonpositive, "log of jet with non-positive value")
 
     def sqrt(self) -> "Jet":
-        a = self.value
-        if a <= 0.0:
-            raise JetDomainError(f"sqrt of jet with non-positive value {a}")
-        return self.pow(0.5)
+        return self._pow(0.5, "sqrt of jet with non-positive value")
 
     def pow(self, r: float) -> "Jet":
-        a = self.value
-        if a <= 0.0:
-            raise JetDomainError(f"pow({r}) of jet with non-positive value {a}")
-        derivs, fac = [], 1.0
-        for k in range(self.space.order + 1):
-            derivs.append(fac * a ** (r - k))
-            fac *= r - k
-        return self._series_from_derivs(derivs)
+        return self._pow(r, f"pow({r}) of jet with non-positive value")
+
+    def _pow(self, r: float, what: str) -> "Jet":
+        def derivs(a):
+            out, fac = [], 1.0
+            for k in range(self.space.order + 1):
+                out.append(fac * a ** (r - k))
+                fac *= r - k
+            return out
+
+        return self._elementary(derivs, _nonpositive, what)
 
     def reciprocal(self) -> "Jet":
-        a = self.value
-        if a == 0.0:
-            raise JetDomainError("reciprocal of jet with zero value")
-        derivs = [
-            (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-            for k in range(self.space.order + 1)
-        ]
-        return self._series_from_derivs(derivs)
+        def derivs(a):
+            return [
+                (-1.0) ** k * math.factorial(k) / a ** (k + 1)
+                for k in range(self.space.order + 1)
+            ]
+
+        return self._elementary(derivs, _zero, "reciprocal of jet with zero value")
 
     def sin(self) -> "Jet":
-        a = self.value
-        cycle = [math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)]
-        return self._series_from_derivs(
-            [cycle[k % 4] for k in range(self.space.order + 1)]
-        )
+        def derivs(a):
+            cycle = [math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)]
+            return [cycle[k % 4] for k in range(self.space.order + 1)]
+
+        return self._elementary(derivs)
 
     def cos(self) -> "Jet":
-        a = self.value
-        cycle = [math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)]
-        return self._series_from_derivs(
-            [cycle[k % 4] for k in range(self.space.order + 1)]
-        )
+        def derivs(a):
+            cycle = [math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)]
+            return [cycle[k % 4] for k in range(self.space.order + 1)]
+
+        return self._elementary(derivs)
+
+
+def _nonpositive(a: float) -> bool:
+    return a <= 0.0
+
+
+def _zero(a: float) -> bool:
+    return a == 0.0
 
 
 # -- coordinate jets --------------------------------------------------

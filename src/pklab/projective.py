@@ -747,26 +747,13 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     return primary, relative(lhs / _K - rhs, rhs)
 
 
-def _member_ricci_residual(
-    geo: Geometry, i: int, alpha: float, beta: float, const: float
-) -> float:
-    """|Ric - const * member| / |member| for one family member at point i.
-
-    The member's jets and those of its inverse s (alpha Id + beta A) g^-1
-    are built from the cached g, g^-1, A and mu jets and are dropped on
-    return.
-    """
-    aj, mu = geo.jets(i, "a"), geo.jets(i, "mu")
-    member = family_components(geo.jets(i, "g"), aj, *mu, alpha, beta)
-    inverse = family_inverse_components(geo.jets(i, "ginv"), aj, *mu, alpha, beta)
-    gtv = split_jets(member)[0]
-    ric = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(member, inverse))))
-    return relative(ric - const * gtv, gtv)
-
-
 # the inputs' Einstein test, and the margin of |s| below which a point is skipped
 _TOL_EINSTEIN = 1e-6
 _DEGENERATE_MARGIN = 1e-3
+# jet order of the members' Ricci check: the degree <= 2 coefficients of a
+# product depend only on those of its factors, and Gamma and its partials
+# read nothing above degree 2 of the metric
+_MEMBER_ORDER = 2
 
 
 def einstein_family_constant(
@@ -787,8 +774,8 @@ def einstein_family_constant(
         At = alpha Id + beta A,   s = signed sqrt det At,
 
     at each sample point, reports its spread, and verifies Ric = lt * gtilde
-    for the family member.  Sample points where the combination
-    degenerates are skipped and flagged.
+    for the family member, built once over all the valid points.  Sample
+    points where the combination degenerates are skipped and flagged.
     """
     if check_inputs:
         gm = geo.values(0, "g")
@@ -829,7 +816,15 @@ def einstein_family_constant(
     const = float(np.mean(values))
     spread = float(np.max(np.abs(values - const))) / max(1.0, abs(const))
 
-    ricci = worst(_member_ricci_residual(geo, i, alpha, beta, const) for i in used)
+    # Ric = const * member at every used point at once, on batched jets of
+    # the member and of its inverse s (alpha Id + beta A) g^-1
+    g, a, ginv, mu = (geo.stacked(name, used, _MEMBER_ORDER) for name in ("g", "a", "ginv", "mu"))
+    member = family_components(g, a, *mu, alpha, beta)
+    inverse = family_inverse_components(ginv, a, *mu, alpha, beta)
+    gtv = split_jets(member)[0]
+    ric = np.einsum("klkj...->lj...", riemann(*split_jets(christoffel_jets(member, inverse))))
+    ricci = worst([relative(ric[..., k] - const * gtv[..., k], gtv[..., k])
+                   for k in range(len(used))])
     return {
         "constant": const,
         "spread": spread,

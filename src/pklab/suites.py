@@ -287,9 +287,16 @@ def _suite_family_einstein(geo, tol):
         return [spread_c.result(0.0, 0, tol, ["no-einstein-constants-declared"],
                                 "family Einstein constants (not checked: constants not declared)")]
     rule = geo.triple.meta.get("family_constant_rule")
+    n = len(geo)
+    try:
+        sweep = list(_family_sweep(geo, lam, lam_hat))
+    except DOMAIN_ERRORS as e:
+        # a member could not be evaluated: every result fails
+        declared = _FAMILY if rule == "lam*alpha^3" else _FAMILY[:2]
+        return [c.result(np.inf, n, tol, [f"eval-error:{type(e).__name__}"]) for c in declared]
     spread, ric, pred = [], [], []
     flags: set[str] = set()
-    for al, be, out in _family_sweep(geo, lam, lam_hat):
+    for al, be, out in sweep:
         if out is None:
             flags.add("skipped-origin")
             continue
@@ -302,7 +309,6 @@ def _suite_family_einstein(geo, tol):
         if rule == "lam*alpha^3":
             target = lam * al**3
             pred.append(abs(out["constant"] - target) / max(1.0, abs(target)))
-    n = len(geo)
     results = [spread_c.result(worst(spread), n, tol, flags), ricci_c.result(worst(ric), n, tol)]
     if rule == "lam*alpha^3":
         results.append(prediction_c.result(worst(pred), n, tol))

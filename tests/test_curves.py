@@ -14,7 +14,7 @@ from pklab.curves import (
     momentum_along,
     t_planarity_residual,
 )
-from pklab.fields import TensorField, objarray
+from pklab.fields import Chart, TensorField, objarray
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -152,6 +152,24 @@ def test_bundle_matches_single_integration(triples):
     single = integrate_geodesic(tr.g, P0, V0, 1e-3, 50, tr.chart)
     assert np.allclose(bundle[0].positions, single.positions)
     assert np.allclose(bundle[0].velocities, single.velocities)
+
+
+def test_bundle_stops_each_row_where_chart_contains_says_it_left():
+    # straight lines of a flat metric: a row inside throughout, one leaving
+    # the box, and one whose position turns NaN, which counts as outside
+    chart = Chart(((0.0, 1.0),) * 4)
+    p0 = np.full((3, 4), 0.5)
+    v0 = np.array([[0.1, 0.0, 0.0, 0.0], [3.0, 0.0, 1.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    n = 400
+    free = integrate_geodesic_bundle(flat_metric(), p0, v0, 1e-3, n)
+    boxed = integrate_geodesic_bundle(flat_metric(), p0, v0, 1e-3, n, chart)
+    for row, path in zip(free, boxed):
+        outside = [s for s in range(1, n + 1) if not chart.contains(row.positions[s])]
+        expected = outside[0] if outside else n + 1
+        assert len(path) == expected
+        assert path.exited_box == bool(outside)
+        assert np.array_equal(path.positions, row.positions[:expected])
+    assert [len(p) for p in boxed] == [n + 1, 167, 1]
 
 
 def test_degenerate_velocity_rejected():

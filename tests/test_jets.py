@@ -243,3 +243,106 @@ def test_mismatched_spaces_rejected():
     b = seed_variable(0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         _ = a + b
+
+
+# -- batched jets: coefficients (size, n), column k is the jet at point k ----
+
+_BATCH_POINTS = np.array([
+    [1.3, 0.7, 0.4, 2.1],
+    [0.2, 1.9, 1.1, 0.6],
+    [2.5, 0.3, 0.8, 1.4],
+])
+
+_BATCH_OPS = {
+    "add": lambda x, y: x + y,
+    "radd": lambda x, y: 2.5 + x,
+    "sub": lambda x, y: x - y,
+    "rsub": lambda x, y: 1.0 - x,
+    "neg": lambda x, y: -x,
+    "mul": lambda x, y: x * y,
+    "mul-number": lambda x, y: 3.0 * x,
+    "div": lambda x, y: x / y,
+    "rdiv": lambda x, y: 2.0 / x,
+    "div-number": lambda x, y: x / 4.0,
+    "pow-int": lambda x, y: (x + y) ** 3,
+    "pow-negative-int": lambda x, y: y ** -2,
+    "pow-float": lambda x, y: (x * y) ** 1.5,
+    "exp": lambda x, y: (x * y).exp(),
+    "log": lambda x, y: (x + y).log(),
+    "sqrt": lambda x, y: y.sqrt(),
+    "sin": lambda x, y: (x * y).sin(),
+    "cos": lambda x, y: (x - y).cos(),
+    "reciprocal": lambda x, y: (x + y).reciprocal(),
+    "derivative": lambda x, y: (x * x * y).derivative(1),
+}
+
+
+def _batched_coordinates(points, order=3):
+    per_point = [seed_point(p, order) for p in points]
+    return [Jet.stack([coords[i] for coords in per_point], 4, order) for i in range(4)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_OPS))
+def test_batch_column_equals_the_jet_at_its_point(name):
+    op = _BATCH_OPS[name]
+    bx = _batched_coordinates(_BATCH_POINTS)
+    batch = op(bx[0], bx[1])
+    assert batch.coeffs.shape == (35, len(_BATCH_POINTS))
+    for k, p in enumerate(_BATCH_POINTS):
+        x = seed_point(p, 3)
+        single = op(x[0], x[1])
+        assert np.array_equal(_bits(batch.coeffs[:, k]), _bits(single.coeffs)), (name, k)
+        assert batch.value[k] == single.value
+        assert np.array_equal(batch.gradient()[:, k], single.gradient())
+
+
+def test_stack_cuts_to_the_lower_order():
+    x = seed_point(_BATCH_POINTS[0], 3)
+    f = (x[0] * x[1]).exp()
+    batch = Jet.stack([f, 2.0], 4, 2)
+    assert batch.space is seed_point(_BATCH_POINTS[0], 2)[0].space
+    # graded order: the order-2 jet is the first 15 coefficients
+    assert np.array_equal(batch.coeffs[:, 0], f.coeffs[:15])
+    assert np.array_equal(batch.coeffs[:, 1], Jet.constant(2.0, 4, 2).coeffs)
+    with pytest.raises(ValueError):
+        Jet.stack([seed_point(_BATCH_POINTS[0], 1)[0]], 4, 2)
+
+
+@pytest.mark.parametrize("bad", range(len(_BATCH_POINTS)))
+@pytest.mark.parametrize("method, value", [
+    ("log", -0.5), ("sqrt", 0.0), ("reciprocal", 0.0), ("pow", -1.0),
+])
+def test_domain_error_in_any_column_raises(bad, method, value):
+    points = _BATCH_POINTS.copy()
+    points[bad, 0] = value
+    x = _batched_coordinates(points)[0]
+    call = (lambda j: j.pow(0.5)) if method == "pow" else (lambda j: getattr(j, method)())
+    with pytest.raises(JetDomainError, match=method):
+        call(x)
+
+
+def test_bincount_product_equals_the_add_at_formula():
+    # the product's former formula, kept as the reference: np.add.at into
+    # zeros over the multiplication table, one column at a time
+    def add_at_product(space, a, b):
+        out = np.zeros(space.size)
+        np.add.at(out, space._mul_target, a[space._mul_left] * b[space._mul_right])
+        return out
+
+    rng = np.random.default_rng(7)
+    for dim, order in ((4, 3), (4, 2), (2, 3), (1, 4)):
+        space = seed_variable(0, 0.0, dim, order).space
+        for n in (None, 1, 5):
+            shape = (space.size,) if n is None else (space.size, n)
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            prod = (Jet(space, a) * Jet(space, b)).coeffs
+            assert prod.shape == shape
+            cols = [(a, b, prod)] if n is None else [
+                (a[:, k], b[:, k], prod[:, k]) for k in range(n)]
+            for ak, bk, pk in cols:
+                assert np.array_equal(_bits(pk), _bits(add_at_product(space, ak, bk)))

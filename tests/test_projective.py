@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_of
 from pklab import projective as pj
-from pklab.curvature import christoffel, christoffel_jets
+from pklab.curvature import christoffel, christoffel_jets, riemann
 from pklab.fields import (
     DegenerateMetricError,
     ScalarField,
@@ -12,8 +12,13 @@ from pklab.fields import (
     objarray,
     split_jets,
 )
-from pklab.geometry import Geometry, family_components, family_inverse_components
-from pklab.linalg import mmul
+from pklab.geometry import (
+    Geometry,
+    companion_inverse_components,
+    family_components,
+    family_inverse_components,
+)
+from pklab.linalg import minv, mmul
 from pklab.parakahler import ParaKahlerTriple
 
 FLAT = [
@@ -228,6 +233,20 @@ class TestConnectionDifference:
         ghat_np = pj.companion_metric(tr.g, tr.a)  # non-parallel catalog tensor
         assert np.max(np.abs(christoffel(ghat_np, p) - christoffel(tr.g, p))) > 1e-3
 
+    def test_companion_inverse_matches_gauss_jordan(self, triples):
+        # the cache's companion symbols use ghat^-1 = sqrt(det A) A g^-1;
+        # Gauss-Jordan on ghat gives the same jets
+        for name, tr in triples.items():
+            geo = over(tr, 3)
+            for i in range(3):
+                ginv = companion_inverse_components(geo.jets(i, "ginv"), geo.jets(i, "a"))
+                solved = minv(geo.jets(i, "ghat"))
+                for x, y in ((ginv, solved),
+                             (geo.jets(i, "ghat_gamma"), christoffel_jets(geo.jets(i, "ghat")))):
+                    cx = np.array([[c.coeffs for c in row] for row in x.reshape(-1, 4)])
+                    cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
+                    assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
+
 
 class TestWeightedTensors:
     def test_flat_sigma_constant_and_parallel(self):
@@ -302,21 +321,49 @@ class TestFamilyMetric:
                 assert np.max(np.abs(fam.values(p) - expected)) < 1e-8
 
     def test_closed_form_inverse_matches_gauss_jordan(self, einstein_preset):
-        # s (alpha Id + beta A) g^-1 inverts the member; its Christoffel
-        # symbols agree with those from the jet Gauss-Jordan inverse
+        # the closed-form member g ((alpha + beta mu1) Id - beta A) / s^2 and
+        # its inverse s (alpha Id + beta A) g^-1 agree with the member built
+        # by Gauss-Jordan on alpha Id + beta A, and give its Christoffel symbols
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(2))
         for al, be in ((1.5, 0.25), (0.0, 1.0), (2.0, 1.0)):
             for i in range(2):
-                args = (geo.jets(i, "a"), *geo.jets(i, "mu"), al, be)
-                member = family_components(geo.jets(i, "g"), *args)
-                inverse = family_inverse_components(geo.jets(i, "ginv"), *args)
+                gj, aj, (mu1, mu2) = geo.jets(i, "g"), geo.jets(i, "a"), geo.jets(i, "mu")
+                s = al * al + al * be * mu1 + be * be * mu2
+                solved = mmul(gj, minv(al * np.eye(4) + be * aj)) * s.reciprocal()
+                member = family_components(gj, aj, mu1, mu2, al, be)
+                inverse = family_inverse_components(geo.jets(i, "ginv"), aj, mu1, mu2, al, be)
+                for x, y in zip(split_jets(member), split_jets(solved)):
+                    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
                 assert np.allclose(split_jets(mmul(member, inverse))[0], np.eye(4),
                                    rtol=0.0, atol=1e-12)
                 closed = split_jets(christoffel_jets(member, inverse))
-                solved = split_jets(christoffel_jets(member))
-                for x, y in zip(closed, solved):
+                reference = split_jets(christoffel_jets(solved))
+                for x, y in zip(closed, reference):
                     assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+    def test_batched_member_curvature_matches_each_point(self, einstein_preset):
+        # members built once over the points, from order-2 batches, have the
+        # Christoffel symbols, partials and Riemann tensor of the order-3
+        # member built at each point alone
+        tr = einstein_preset
+        geo = Geometry(tr, tr.sample_points(4))
+        points = [0, 2, 3]
+        al, be = 1.5, 0.75
+        g, a, ginv, mu = (geo.stacked(n, points, 2) for n in ("g", "a", "ginv", "mu"))
+        member = family_components(g, a, *mu, al, be)
+        gamma, dgamma = split_jets(christoffel_jets(
+            member, family_inverse_components(ginv, a, *mu, al, be)))
+        batched_riemann = riemann(gamma, dgamma)
+        assert batched_riemann.shape == (4, 4, 4, 4, len(points))
+        for k, i in enumerate(points):
+            args = (geo.jets(i, "a"), *geo.jets(i, "mu"), al, be)
+            one = family_components(geo.jets(i, "g"), *args)
+            g1, dg1 = split_jets(christoffel_jets(
+                one, family_inverse_components(geo.jets(i, "ginv"), *args)))
+            for x, y in ((gamma[..., k], g1), (dgamma[..., k], dg1),
+                         (batched_riemann[..., k], riemann(g1, dg1))):
+                assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_degenerate_combination_raises(self, triples):
         tr = triples["real-liouville"]  # rho = x1 in (2,3), sigma = x2 in (0.5,1.5)

@@ -9,6 +9,7 @@ from pklab import curvature, suites
 from pklab import projective as pj
 from pklab.catalog import preset_triple
 from pklab.fields import DegenerateMetricError, TensorField, objarray
+from pklab.geometry import Geometry
 from pklab.jets import JetDomainError
 from pklab.suites import CHECK_NAMES, demo_einstein, run_suite
 
@@ -230,3 +231,36 @@ def test_programming_error_in_geodesic_propagates(triples, monkeypatch):
     monkeypatch.setattr(suites, "integrate_geodesic_bundle", bug)
     with pytest.raises(TypeError, match="bug in the integrator"):
         run_suite(triples["dim-d2-2"], ["geodesic"], n_points=3)
+
+
+def test_domain_error_in_family_sweep_fails_its_results(monkeypatch):
+    original = Geometry.lam
+
+    def degenerate_at_2(geo, i):
+        if i == 2:
+            raise DegenerateMetricError("metric determinant 0")
+        return original(geo, i)
+
+    monkeypatch.setattr(Geometry, "lam", degenerate_at_2)
+    report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=4)
+    assert [c.name for c in report.checks] == [
+        "family-einstein/prediction", "family-einstein/ricci", "family-einstein/spread"]
+    for c in report.checks:
+        assert not c.passed and c.residual == np.inf, c.name
+        assert c.flags == ["eval-error:DegenerateMetricError"], c.name
+
+
+def test_programming_error_in_family_sweep_propagates(monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("bug in the family sweep")
+
+    monkeypatch.setattr(pj, "einstein_family_constant", bug)
+    with pytest.raises(TypeError, match="bug in the family sweep"):
+        run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=4)
+
+
+def test_family_members_evaluated_once_over_all_points(monkeypatch):
+    calls = _count_calls(monkeypatch, curvature, "christoffel_jets")
+    report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
+    assert report.all_passed
+    assert calls[0] == 24  # one per grid member (the origin is skipped), not per point
