@@ -49,6 +49,13 @@ class FeasibilityError(ValueError):
     """A constructor constraint failed on the declared box."""
 
 
+def _values(out, n: int) -> np.ndarray:
+    """Values of a constraint over n points; a constant counts at every point."""
+    if isinstance(out, DualBatch):
+        return out.val
+    return np.broadcast_to(np.asarray(out, dtype=float), (n,))
+
+
 def _certify(chart: Chart, constraints, label: str) -> None:
     """Dense-sampling feasibility certificate.
 
@@ -58,12 +65,11 @@ def _certify(chart: Chart, constraints, label: str) -> None:
     tolerance.
     """
     pts = chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3)
-    coords = dual_point(pts)
+    # a fifth of the points at a time: the dual batches of all of them would
+    # hold several MB at once
+    chunks = [dual_point(part) for part in np.array_split(pts, 5)]
     for name, kind, fn in constraints:
-        out = fn(*coords)
-        vals = out.val if isinstance(out, DualBatch) else np.broadcast_to(
-            np.asarray(out, dtype=float), (CERTIFICATE_POINTS,)
-        )
+        vals = np.concatenate([_values(fn(*coords), len(coords[0].val)) for coords in chunks])
         scale = max(1.0, float(np.max(np.abs(vals))))
         if kind == "nonvanishing":
             crosses = vals.max() > 1e-12 * scale and vals.min() < -1e-12 * scale

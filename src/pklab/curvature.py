@@ -65,8 +65,8 @@ def christoffel(g: TensorField, point: Sequence[float], order: int = 2) -> np.nd
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     """Christoffel symbols over an (n, 4) batch, shape (n, k, i, j).
 
-    Works through second-order dual batches, fast enough to sit inside
-    the geodesic integrator loop.
+    Works through second-order dual batches; the geodesic integrator
+    calls it once per Picard sweep, on every node of every curve.
     """
     pts = np.asarray(points, dtype=float)
     gv, gp = g.batch_duals(pts)

@@ -2,32 +2,30 @@
 
 The operational meaning of the projective equivalence: geodesics of the
 companion metric are T-planar for the original pair (g, T), i.e. their
-g-covariant acceleration stays in span{velocity, T velocity}.  Curves
-are integrated with fixed-step classical RK4; covariant acceleration
-along a sampled curve is recovered with an order-4 finite-difference
-stencil so the planarity residual inherits the integrator's O(h^4)
-convergence.
+g-covariant acceleration stays in span{velocity, T velocity}.  Curves are
+integrated by Chebyshev-Picard iteration (Clenshaw & Norton 1963; Bai &
+Junkins 2011) and sampled on a uniform grid; covariant acceleration along
+a sampled curve is recovered with an order-4 finite-difference stencil,
+so the planarity residual converges as O(h^4) in the sample spacing h.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import christoffel_batch
-from .fields import Chart, TensorField
+from .fields import Chart, DegenerateMetricError, TensorField
+from .jets import JetDomainError
 
 __all__ = [
-    "CurveSample",
     "GeodesicPath",
     "DegenerateVelocityError",
-    "integrate_geodesic",
+    "GeodesicConvergenceError",
     "integrate_geodesic_bundle",
     "kinetic_energy",
-    "momentum_along",
     "t_planarity_residual",
     "TPlanarityResult",
     "export_curve_csv",
@@ -36,14 +34,6 @@ __all__ = [
 
 class DegenerateVelocityError(ValueError):
     """Curve velocity too small for a planarity test."""
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    time: float
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration_cov: np.ndarray  # covariant acceleration w.r.t. the designated metric
 
 
 @dataclass
@@ -55,15 +45,67 @@ class GeodesicPath:
     velocities: np.ndarray  # (m, 4)
     step: float
     exited_box: bool = False
-    metric_name: str = ""
 
     def __len__(self) -> int:
         return len(self.times)
 
 
-def _rhs(g: TensorField, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    gamma = christoffel_batch(g, xs)
-    return -np.einsum("nkij,ni,nj->nk", gamma, vs, vs)
+class GeodesicConvergenceError(ArithmeticError):
+    """Picard sweeps on a geodesic did not settle, or turned non-finite."""
+
+
+# Chebyshev-Lobatto nodes -1 = tau_0 < ... < tau_N = 1 of a window on [-1, 1].
+# With tau = cos(theta), T_k(tau) = cos(k theta): _TO_COEF, a discrete cosine
+# transform, maps node values to Chebyshev coefficients, and _INTEGRATE maps
+# node values to their integral from -1 at the nodes.  The matrices are built
+# in closed form; numpy.polynomial.chebyshev would cost a module import.
+_DEGREE = 40
+_K = np.arange(_DEGREE + 1)
+_THETA = np.pi * _K[::-1] / _DEGREE
+_TAU = np.cos(_THETA)
+_TO_COEF = np.cos(np.outer(_K, _THETA)) * (2.0 / _DEGREE)
+_TO_COEF[:, [0, -1]] *= 0.5
+_TO_COEF[[0, -1]] *= 0.5
+# T_m(tau_j) - T_m(-1) for m = 0 .. N + 1; the integral of T_k from -1 is
+# (T_{k+1}/(k+1) - T_{|k-1|}/(k-1))/2 minus its value at -1, with no second term for T_1
+_RISE = np.cos(np.outer(_THETA, np.arange(_DEGREE + 2))) - np.cos(np.pi * np.arange(_DEGREE + 2))
+_INTEGRATE = 0.5 * (
+    _RISE[:, 1:] / (_K + 1) - _RISE[:, abs(_K - 1)] / np.where(_K == 1, np.inf, _K - 1)
+) @ _TO_COEF
+# window length in curve time, sweeps per window, halvings of a window one
+# row cannot be integrated over, and the relative update at which a row settles
+_WINDOW = 0.4
+_MAX_SWEEPS = 60
+_MAX_HALVINGS = 10
+_SETTLED = 1e-15
+
+
+def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
+    """x and v, shape (nodes, m, 4), over a window of length span from rows (x0, v0).
+
+    Each sweep evaluates the acceleration at every node of every unsettled
+    row in one ``christoffel_batch`` call and integrates it twice with the
+    spectral matrix.  A row stops once its own update is at rounding
+    level, so its nodes do not depend on the other rows.
+    """
+    s = 0.5 * span * _INTEGRATE
+    x = x0 + np.multiply.outer(0.5 * span * (_TAU + 1.0), v0)
+    v = np.broadcast_to(v0, x.shape).copy()
+    todo = np.arange(len(x0))
+    for _ in range(_MAX_SWEEPS):
+        xo, vo = x[:, todo], v[:, todo]
+        gamma = christoffel_batch(g, xo.reshape(-1, 4)).reshape(xo.shape + (4, 4))
+        acc = -np.einsum("krlij,kri,krj->krl", gamma, vo, vo)
+        vn = v0[todo] + np.einsum("jk,kri->jri", s, acc)
+        xn = x0[todo] + np.einsum("jk,kri->jri", s, vn)
+        delta = np.max(np.abs(xn - xo) + np.abs(vn - vo), axis=(0, 2))
+        if not np.all(np.isfinite(delta)):
+            raise GeodesicConvergenceError("Picard sweep on a geodesic turned non-finite")
+        x[:, todo], v[:, todo] = xn, vn
+        todo = todo[delta > _SETTLED * (1.0 + np.max(np.abs(xn) + np.abs(vn), axis=(0, 2)))]
+        if not todo.size:
+            return x, v
+    raise GeodesicConvergenceError(f"{todo.size} geodesic(s) not settled in {_MAX_SWEEPS} sweeps")
 
 
 def integrate_geodesic_bundle(
@@ -74,77 +116,65 @@ def integrate_geodesic_bundle(
     n_steps: int,
     chart: Chart | None = None,
 ) -> list[GeodesicPath]:
-    """Lockstep RK4 for a bundle of initial conditions (m, 4) + (m, 4).
+    """Geodesics of g from rows (m, 4) + (m, 4), sampled every ``step``.
 
-    Trajectories are truncated (and flagged) at the first step that
-    would leave the chart box.
+    Chebyshev-Picard iteration of all rows at once over windows of length
+    _WINDOW; each window's Chebyshev interpolant gives the samples on the
+    uniform grid.  A row is truncated, and flagged, at its first sample
+    after the start that ``chart.contains`` rejects; a non-finite sample
+    counts as outside.  The rows of a window that fails are integrated one
+    by one, halving the window where a row fails, so a row stops where it
+    leaves the chart even if g is undefined past the exit.  The chart only
+    truncates: the samples kept depend neither on it nor on the other rows.
     """
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    m = p0.shape[0]
-    xs = np.empty((n_steps + 1, m, 4))
-    vs = np.empty((n_steps + 1, m, 4))
+    p0, v0 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (p0, v0))
+    times = step * np.arange(n_steps + 1)
+    xs, vs = np.full((2, n_steps + 1, len(p0), 4), np.nan)
     xs[0], vs[0] = p0, v0
-    active = np.ones(m, dtype=bool)
-    length = np.full(m, n_steps + 1, dtype=int)
-    h = float(step)
-    if chart is not None:
-        lo, hi = np.array(chart.box, dtype=float).T
+    lo, hi = (-np.inf, np.inf) if chart is None else np.array(chart.box, dtype=float).T
 
-    for s in range(n_steps):
-        x, v = xs[s], vs[s]
-        k1x, k1v = v, _rhs(g, x, v)
-        k2x = v + 0.5 * h * k1v
-        k2v = _rhs(g, x + 0.5 * h * k1x, k2x)
-        k3x = v + 0.5 * h * k2v
-        k3v = _rhs(g, x + 0.5 * h * k2x, k3x)
-        k4x = v + h * k3v
-        k4v = _rhs(g, x + h * k3x, k4x)
-        xn = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vn = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if chart is not None:
-            # Chart.contains row by row; a NaN coordinate is outside
-            inside = np.all((xn >= lo) & (xn <= hi), axis=1)
-            newly_out = active & ~inside
-            length[newly_out] = s + 1
-            active &= inside
-            xn[~active] = x[~active]
-            vn[~active] = v[~active]
-            if not active.any():
-                xs[s + 1 :] = xn
-                vs[s + 1 :] = vn
-                break
-        xs[s + 1], vs[s + 1] = xn, vn
+    def inside(x):
+        # Chart.contains on the last axis; a NaN coordinate is outside
+        return np.all((x >= lo) & (x <= hi), axis=-1)
 
-    times = h * np.arange(n_steps + 1)
-    out = []
-    for i in range(m):
-        li = length[i]
-        out.append(
-            GeodesicPath(
-                times=times[:li].copy(),
-                positions=xs[:li, i].copy(),
-                velocities=vs[:li, i].copy(),
-                step=h,
-                exited_box=bool(li <= n_steps),
-                metric_name=g.name,
-            )
-        )
-    return out
+    n_win = int(np.ceil(times[-1] / _WINDOW - 1e-9))
+    edges = np.append(_WINDOW * np.arange(n_win), times[-1])
+    # windows (start, end, rows) to do, the next one last; rows None: all live
+    todo = [(a, b, None) for a, b in zip(edges[-2::-1], edges[:0:-1])]
+    x, v = p0.copy(), v0.copy()
+    while todo:
+        a, b, rows = todo.pop()
+        live = np.isfinite(x + v).all(axis=1)  # a row with a NaN state has stopped
+        rows = np.flatnonzero(live) if rows is None else rows[live[rows]]
+        if not rows.size:
+            continue
+        try:  # g undefined at some node, or sweeps that do not settle
+            xn, vn = _picard(g, x[rows], v[rows], b - a)
+        except (ArithmeticError, JetDomainError, DegenerateMetricError, np.linalg.LinAlgError):
+            if rows.size > 1:
+                todo += [(a, b, row) for row in rows[::-1, None]]
+            elif b - a > _WINDOW / 2**_MAX_HALVINGS:
+                todo += [(0.5 * (a + b), b, rows), (a, 0.5 * (a + b), rows)]
+            else:
+                raise
+            continue
+        sel = np.flatnonzero((times > a) & (times <= b))
+        tau = np.clip(2.0 * (times[sel] - a) / (b - a) - 1.0, -1.0, 1.0)
+        interp = np.cos(np.outer(np.arccos(tau), _K)) @ _TO_COEF
+        # interpolating the change over the window keeps the samples' rounding small
+        xs[sel[:, None], rows] = x[rows] + np.einsum("sk,kri->sri", interp, xn - x[rows])
+        vs[sel[:, None], rows] = v[rows] + np.einsum("sk,kri->sri", interp, vn - v[rows])
+        x[rows], v[rows] = xn[-1], vn[-1]
+        x[rows[~inside(xs[sel[:, None], rows]).all(axis=0)]] = np.nan  # left: stops
 
-
-def integrate_geodesic(
-    g: TensorField,
-    p0: Sequence[float],
-    v0: Sequence[float],
-    step: float,
-    n_steps: int,
-    chart: Chart | None = None,
-) -> GeodesicPath:
-    """RK4 solution of d2x/dt2 + Gamma(x) dx dx = 0 from one initial condition."""
-    return integrate_geodesic_bundle(
-        g, np.asarray(p0)[None, :], np.asarray(v0)[None, :], step, n_steps, chart
-    )[0]
+    # a row ends before its first sample outside the chart; the last row is a sentinel
+    stop = np.ones((n_steps + 1, len(p0)), bool)
+    stop[:-1] = False if chart is None else ~inside(xs[1:])
+    length = 1 + np.argmax(stop, axis=0)
+    return [
+        GeodesicPath(times[:n].copy(), xs[:n, i].copy(), vs[:n, i].copy(), step, bool(n <= n_steps))
+        for i, n in enumerate(length)
+    ]
 
 
 def kinetic_energy(g: TensorField, path: GeodesicPath) -> np.ndarray:
@@ -153,31 +183,14 @@ def kinetic_energy(g: TensorField, path: GeodesicPath) -> np.ndarray:
     return np.einsum("nij,ni,nj->n", gv, path.velocities, path.velocities)
 
 
-def momentum_along(
-    g: TensorField, x_field: TensorField, path: GeodesicPath, stride: int = 25
-) -> np.ndarray:
-    """g(velocity, X) at every ``stride``-th sample (conserved for Killing X)."""
-    idx = np.arange(0, len(path), stride)
-    out = np.empty(len(idx))
-    for k, i in enumerate(idx):
-        p = path.positions[i]
-        out[k] = path.velocities[i] @ g.values(p) @ x_field.values(p)
-    return out
-
-
 @dataclass
 class TPlanarityResult:
     max_residual: float
     residuals: np.ndarray  # per interior sample
-    samples: list[CurveSample] = field(default_factory=list)
+    acceleration_cov: np.ndarray  # (interior samples, 4), covariant w.r.t. the test metric
 
 
-def t_planarity_residual(
-    g: TensorField,
-    t: TensorField,
-    path: GeodesicPath,
-    keep_samples: bool = False,
-) -> TPlanarityResult:
+def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> TPlanarityResult:
     """Distance of the g-covariant acceleration from span{velocity, T velocity}.
 
     Coordinate acceleration is estimated with the 5-point order-4
@@ -189,42 +202,27 @@ def t_planarity_residual(
     m = len(path)
     if m < 5:
         raise ValueError("need at least 5 samples for the acceleration stencil")
-    h = path.step
     v = path.velocities
     speed2 = np.einsum("ni,ni->n", v, v)
     if np.min(speed2) < 1e-20:
         raise DegenerateVelocityError("velocity norm below 1e-10 along the curve")
 
-    acc = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+    acc = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * path.step)
     interior = slice(2, m - 2)
     xs = path.positions[interior]
     vels = v[interior]
-    gamma = christoffel_batch(g, xs)
-    cov_acc = acc + np.einsum("nkij,ni,nj->nk", gamma, vels, vels)
+    cov_acc = acc + np.einsum("nkij,ni,nj->nk", christoffel_batch(g, xs), vels, vels)
     tv = np.einsum("nki,ni->nk", t.batch_values(xs), vels)
 
-    residuals = np.empty(len(xs))
-    for i in range(len(xs)):
-        basis = np.stack([vels[i], tv[i]], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, cov_acc[i], rcond=None)
-        resid = cov_acc[i] - basis @ coef
-        residuals[i] = np.linalg.norm(resid) / max(speed2[interior][i], 1.0)
+    # least squares onto span{v, Tv} by stacked QR, with lstsq's default
+    # rank cutoff: a Tv within rounding of span{v} adds no direction
+    q, r = np.linalg.qr(np.stack([vels, tv], axis=2))
+    sv = np.linalg.svd(r, compute_uv=False)
+    q[..., 1] *= (sv[:, 1] > 4.0 * np.finfo(float).eps * sv[:, 0])[:, None]
+    resid = cov_acc - np.einsum("nij,nkj,nk->ni", q, q, cov_acc)
+    residuals = np.linalg.norm(resid, axis=1) / np.maximum(speed2[interior], 1.0)
 
-    samples = []
-    if keep_samples:
-        ts = path.times[interior]
-        for i in range(len(xs)):
-            samples.append(
-                CurveSample(
-                    time=float(ts[i]),
-                    position=xs[i].copy(),
-                    velocity=vels[i].copy(),
-                    acceleration_cov=cov_acc[i].copy(),
-                )
-            )
-    return TPlanarityResult(
-        max_residual=float(np.max(residuals)), residuals=residuals, samples=samples
-    )
+    return TPlanarityResult(float(np.max(residuals)), residuals, cov_acc)
 
 
 def export_curve_csv(
@@ -240,8 +238,7 @@ def export_curve_csv(
     m = len(path_obj)
     res_col = [""] * m
     if residuals is not None:
-        for i, r in enumerate(residuals):
-            res_col[i + 2] = f"{r:.12e}"
+        res_col[2 : 2 + len(residuals)] = [f"{r:.12e}" for r in residuals]
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x1", "x2", "x3", "x4", "v1", "v2", "v3", "v4", "residual"])

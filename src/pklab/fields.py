@@ -32,15 +32,14 @@ class MalformedFormError(ValueError):
 
 
 def _halton(n: int, base: int, start: int = 1) -> np.ndarray:
-    out = np.empty(n)
-    for k in range(n):
-        i, f, x = k + start, 1.0, 0.0
-        while i > 0:
-            f /= base
-            x += f * (i % base)
-            i //= base
-        out[k] = x
-    return out
+    """Radical inverses of start, ..., start + n - 1, one digit position at a time."""
+    i = np.arange(start, start + n)
+    f, x = 1.0, np.zeros(n)
+    while i.any():
+        f /= base
+        x += f * (i % base)
+        i //= base
+    return x
 
 
 @dataclass(frozen=True)

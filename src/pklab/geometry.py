@@ -50,7 +50,6 @@ __all__ = [
     "family_components",
     "family_inverse_components",
     "weighted_sigma_components",
-    "psi_component",
 ]
 
 # -- jet-level formulas ---------------------------------------------------
@@ -62,23 +61,22 @@ def mu_invariants(aj: np.ndarray):
     return tr * 0.5, tr * tr * 0.125 - np.trace(mmul(aj, aj)) * 0.25
 
 
-def _det_a(aj: np.ndarray, where: str):
+def _det_a(aj: np.ndarray):
     """det A, which must be positive where the companion metric and psi are defined."""
     det = mdet(aj)
     if ring_value(det) <= 0.0:
-        raise DegenerateMetricError(f"det A = {ring_value(det):.3e} <= 0 in {where}")
+        raise DegenerateMetricError(f"det A = {ring_value(det):.3e} <= 0 (companion metric, psi)")
     return det
 
 
-def companion_components(gj: np.ndarray, aj: np.ndarray) -> np.ndarray:
-    """ghat = (det A)^(-1/2) g A^(-1) with the positive square root."""
-    det = _det_a(aj, "companion metric")
-    return mmul(gj, minv(aj)) * jpow(det, -0.5)
+def companion_components(gj: np.ndarray, aj: np.ndarray, det=None) -> np.ndarray:
+    """ghat = (det A)^(-1/2) g A^(-1), positive root; ``det`` is det A if known."""
+    return mmul(gj, minv(aj)) * jpow(_det_a(aj) if det is None else det, -0.5)
 
 
-def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray) -> np.ndarray:
-    """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse."""
-    return mmul(aj, ginv) * jpow(_det_a(aj, "companion metric"), 0.5)
+def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det=None) -> np.ndarray:
+    """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse (and det A if known)."""
+    return mmul(aj, ginv) * jpow(_det_a(aj) if det is None else det, 0.5)
 
 
 def _family_scale(mu1, mu2, alpha: float, beta: float):
@@ -122,11 +120,6 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
     return ginv * jpow(det, 1.0 / 6.0)
 
 
-def psi_component(aj: np.ndarray):
-    """psi = -(1/4) log det A; its differential drives the connection shift."""
-    return jlog(_det_a(aj, "psi")) * (-0.25)
-
-
 # -- the cache --------------------------------------------------------------
 
 
@@ -165,9 +158,11 @@ _BUILDERS = {
     "a": _field("a"),
     "ginv": lambda geo, i: metric_inverse_jets(geo.jets(i, "g")),
     "gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "g"), geo.jets(i, "ginv")),
-    "ghat": lambda geo, i: companion_components(geo.jets(i, "g"), geo.jets(i, "a")),
+    "det_a": lambda geo, i: _det_a(geo.jets(i, "a")),
+    "ghat": lambda geo, i: companion_components(*[geo.jets(i, k) for k in ("g", "a", "det_a")]),
     "ghat_gamma": lambda geo, i: curvature.christoffel_jets(
-        geo.jets(i, "ghat"), companion_inverse_components(geo.jets(i, "ginv"), geo.jets(i, "a"))
+        geo.jets(i, "ghat"),
+        companion_inverse_components(*[geo.jets(i, k) for k in ("ginv", "a", "det_a")]),
     ),
     "mu": _mu,
     "killing": _killing,
@@ -213,7 +208,7 @@ class Geometry:
     # -- jets -------------------------------------------------------------
 
     def jets(self, i: int, name: str) -> np.ndarray:
-        """Order-3 jets of 'g', 't', 'a', 'ginv', 'ghat', 'gamma' (of g),
+        """Order-3 jets of 'g', 't', 'a', 'ginv', 'det_a', 'ghat', 'gamma' (of g),
         'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)) or 'a_sigma' (A sigma)."""
         return self.cached(i, name, lambda: _BUILDERS[name](self, i))
@@ -227,7 +222,8 @@ class Geometry:
 
     def psi_jet(self, i: int) -> Jet:
         """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
-        return self.cached(i, "psi", lambda: _as_jet(psi_component(self.jets(i, "a"))))
+        # its differential drives the connection shift
+        return self.cached(i, "psi", lambda: _as_jet(jlog(self.jets(i, "det_a")) * (-0.25)))
 
     def stacked(self, name: str, points: Sequence[int], order: int) -> np.ndarray:
         """``jets(i, name)`` at every i in ``points`` as one array of batched

@@ -19,6 +19,7 @@ from typing import Callable, Collection, Iterable, Mapping
 import numpy as np
 
 from .curvature import covariant_derivative_endo
+from .curves import GeodesicConvergenceError
 from .fields import (
     Chart,
     DegenerateMetricError,
@@ -41,9 +42,10 @@ __all__ = [
 
 DEFAULT_POINTS = 20
 
-# what an evaluation at a point outside a field's domain raises; anything
-# else is a programming error and propagates
-DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError)
+# what an evaluation at a point outside a field's domain, or a geodesic that
+# will not settle, raises; anything else is a programming error and propagates
+DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError,
+                 GeodesicConvergenceError)
 
 
 @dataclass(frozen=True)

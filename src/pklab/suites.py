@@ -334,21 +334,13 @@ def _control_curves(g, t, p0, v0, rnd, step, n_steps) -> list[GeodesicPath]:
     the g-covariant acceleration at t = 0 is n, which no T-planar curve has.
     """
     tv0 = np.einsum("nki,ni->nk", t.batch_values(p0), v0)
-    normals = np.empty_like(rnd)
-    for k in range(len(p0)):
-        q, _ = np.linalg.qr(np.stack([v0[k], tv0[k]], axis=1))
-        n = rnd[k] - q @ (q.T @ rnd[k])
-        normals[k] = 0.25 * n / np.linalg.norm(n)
+    q, _ = np.linalg.qr(np.stack([v0, tv0], axis=2))
+    normals = rnd - np.einsum("nij,nkj,nk->ni", q, q, rnd)
+    normals *= 0.25 / np.linalg.norm(normals, axis=1, keepdims=True)
     w = normals - np.einsum("nkij,ni,nj->nk", christoffel_batch(g, p0), v0, v0)
-    times = step * np.arange(n_steps + 1)
+    ts = step * np.arange(n_steps + 1)[:, None]
     return [
-        GeodesicPath(
-            times=times,
-            positions=p0[k] + np.outer(times, v0[k]) + 0.5 * np.outer(times**2, w[k]),
-            velocities=v0[k] + np.outer(times, w[k]),
-            step=step,
-            metric_name="control",
-        )
+        GeodesicPath(ts[:, 0], p0[k] + ts * v0[k] + 0.5 * (ts**2 * w[k]), v0[k] + ts * w[k], step)
         for k in range(len(p0))
     ]
 
@@ -361,7 +353,7 @@ _GEODESIC = (
 )
 
 
-# RK4 step and step count of the companion geodesics
+# sample spacing and sample count of the companion geodesics
 GEODESIC_STEP = 1e-3
 GEODESIC_STEPS = 400
 

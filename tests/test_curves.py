@@ -2,19 +2,22 @@ import csv
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
+from pklab import curves
 from pklab import projective as pj
 from pklab.curvature import christoffel_batch
 from pklab.curves import (
     DegenerateVelocityError,
+    GeodesicConvergenceError,
+    GeodesicPath,
     export_curve_csv,
-    integrate_geodesic,
     integrate_geodesic_bundle,
     kinetic_energy,
-    momentum_along,
     t_planarity_residual,
 )
 from pklab.fields import Chart, TensorField, objarray
+from pklab.suites import geodesic_starts
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -33,7 +36,7 @@ V0 = np.array([0.12, -0.2, 0.15, 0.1])
 
 
 def test_flat_geodesics_are_straight_lines():
-    path = integrate_geodesic(flat_metric(), P0, V0, 1e-3, 500)
+    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 500)
     expected = P0[None, :] + path.times[:, None] * V0[None, :]
     assert np.max(np.abs(path.positions - expected)) < 1e-12
     assert np.max(np.abs(path.velocities - V0)) < 1e-13
@@ -41,23 +44,24 @@ def test_flat_geodesics_are_straight_lines():
 
 def test_energy_conservation_on_curved_metric(triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(tr.g, P0, V0, 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
     en = kinetic_energy(tr.g, path)
     assert np.max(np.abs(en - en[0])) < 1e-8
 
 
 def test_killing_momentum_conserved(triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(tr.g, P0, V0, 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
     _, (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
+    x, v = path.positions[::100], path.velocities[::100]
     for field in (tv1, tv2):
-        mom = momentum_along(tr.g, field, path, stride=100)
+        mom = np.einsum("ni,nij,nj->n", v, tr.g.batch_values(x), field.batch_values(x))
         assert np.max(np.abs(mom - mom[0])) < 1e-8
 
 
 def test_own_geodesics_are_planar(triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(tr.g, P0, V0, 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
     res = t_planarity_residual(tr.g, tr.t, path)
     assert res.max_residual < 1e-10
 
@@ -75,7 +79,7 @@ def test_companion_geodesics_are_planar(triples):
 
 def test_unrelated_metric_geodesics_are_not_planar(triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(flat_metric(), P0, V0, 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 1000, tr.chart)
     assert t_planarity_residual(tr.g, tr.t, path).max_residual > 1e-3
 
 
@@ -124,8 +128,6 @@ def test_reparameterized_planar_curve_stays_planar(triples):
         u += h
         xs.append(state[0, :4].copy())
         vs.append(w(u) * state[0, 4:])  # dx/du = w(u) dx/dt
-    from pklab.curves import GeodesicPath
-
     path = GeodesicPath(
         times=h * np.arange(n + 1),
         positions=np.array(xs),
@@ -138,7 +140,7 @@ def test_reparameterized_planar_curve_stays_planar(triples):
 def test_box_exit_truncates_and_flags(triples):
     tr = triples["real-liouville"]
     v_out = np.array([0.0, 3.0, 0.0, 0.0])  # races to the x2 boundary
-    path = integrate_geodesic(tr.g, P0, v_out, 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [v_out], 1e-3, 1000, tr.chart)
     assert path.exited_box
     assert len(path) < 1001
     assert all(tr.chart.contains(p) for p in path.positions)
@@ -149,7 +151,7 @@ def test_bundle_matches_single_integration(triples):
     bundle = integrate_geodesic_bundle(
         tr.g, np.stack([P0, P0 + 0.05]), np.stack([V0, V0]), 1e-3, 50, tr.chart
     )
-    single = integrate_geodesic(tr.g, P0, V0, 1e-3, 50, tr.chart)
+    (single,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 50, tr.chart)
     assert np.allclose(bundle[0].positions, single.positions)
     assert np.allclose(bundle[0].velocities, single.velocities)
 
@@ -173,14 +175,14 @@ def test_bundle_stops_each_row_where_chart_contains_says_it_left():
 
 
 def test_degenerate_velocity_rejected():
-    path = integrate_geodesic(flat_metric(), P0, np.zeros(4), 1e-3, 10)
+    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [np.zeros(4)], 1e-3, 10)
     with pytest.raises(DegenerateVelocityError):
         t_planarity_residual(flat_metric(), flat_metric(), path)
 
 
 def test_csv_export(tmp_path, triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(tr.g, P0, V0, 1e-3, 20, tr.chart)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
     res = t_planarity_residual(tr.g, tr.t, path)
     out = tmp_path / "curve.csv"
     export_curve_csv(path, out, residuals=res.residuals)
@@ -194,10 +196,119 @@ def test_csv_export(tmp_path, triples):
 
 def test_planarity_keeps_samples(triples):
     tr = triples["real-liouville"]
-    path = integrate_geodesic(tr.g, P0, V0, 1e-3, 20, tr.chart)
-    res = t_planarity_residual(tr.g, tr.t, path, keep_samples=True)
-    assert len(res.samples) == len(path) - 4
-    s = res.samples[0]
-    assert s.position.shape == (4,) and s.acceleration_cov.shape == (4,)
+    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
+    res = t_planarity_residual(tr.g, tr.t, path)
+    assert res.acceleration_cov.shape == (len(path) - 4, 4)
     # for a geodesic of g itself the covariant acceleration is tiny
-    assert np.max(np.abs(s.acceleration_cov)) < 1e-8
+    assert np.max(np.abs(res.acceleration_cov)) < 1e-8
+
+
+def test_spectral_matrices_match_numpy_chebyshev():
+    # the closed-form node transform and integration matrix against
+    # numpy.polynomial.chebyshev's Vandermonde matrices and chebint
+    tau = -np.cos(np.pi * np.arange(curves._DEGREE + 1) / curves._DEGREE)
+    to_coef = np.linalg.inv(cheb.chebvander(tau, curves._DEGREE))
+    integrate = cheb.chebvander(tau, curves._DEGREE + 1) @ cheb.chebint(to_coef, lbnd=-1)
+    assert np.max(np.abs(curves._TAU - tau)) < 1e-15
+    assert np.max(np.abs(curves._TO_COEF - to_coef)) < 1e-14
+    assert np.max(np.abs(curves._INTEGRATE - integrate)) < 1e-14
+    assert np.all(curves._INTEGRATE[0] == 0.0)  # a window's first node is its start
+
+
+def _rk4_positions(g, x, v, h, n):
+    """Classical fixed-step RK4 for x'' = -Gamma(x)(x', x'): positions (n + 1, m, 4)."""
+
+    def f(x, v):
+        return v, -np.einsum("nkij,ni,nj->nk", christoffel_batch(g, x), v, v)
+
+    out = [x]
+    for _ in range(n):
+        k1 = f(x, v)
+        k2 = f(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = f(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = f(x + h * k3[0], v + h * k3[1])
+        x = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        v = v + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        out.append(x)
+    return np.array(out)
+
+
+def test_picard_matches_rk4_on_every_family(triples):
+    # the geodesic check's companion curves over its 0.4 span, against RK4
+    # at step 5e-3 on every fifth sample.  RK4's own O(h^4) error there is
+    # ~1e-13, except on complex-liouville, where it is ~5e-10: there the
+    # bound adds twice RK4's step-doubling estimate |x_h - x_2h| / 15
+    for name, tr in triples.items():
+        ghat = pj.companion_metric(tr.g, tr.a)
+        p0, v0, _ = geodesic_starts(tr.chart, 0)
+        paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 400, tr.chart)
+        picard = np.stack([q.positions[::5] for q in paths], axis=1)
+        rk4 = _rk4_positions(ghat, p0, v0, 5e-3, 80)
+        bound = 1e-12
+        if name == "complex-liouville":
+            coarse = _rk4_positions(ghat, p0, v0, 1e-2, 40)
+            bound += 2.0 * np.max(np.abs(rk4[::2] - coarse)) / 15.0
+        assert np.max(np.abs(picard - rk4)) <= bound, name
+
+
+def _planarity_lstsq_loop(g, t, path):
+    """Planarity residuals with one lstsq per sample: the reference."""
+    v = path.velocities
+    acc = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * path.step)
+    xs, vels = path.positions[2:-2], v[2:-2]
+    cov = acc + np.einsum("nkij,ni,nj->nk", christoffel_batch(g, xs), vels, vels)
+    tv = np.einsum("nki,ni->nk", t.batch_values(xs), vels)
+    out = np.empty(len(xs))
+    for i in range(len(xs)):
+        basis = np.stack([vels[i], tv[i]], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, cov[i], rcond=None)
+        out[i] = np.linalg.norm(cov[i] - basis @ coef) / max(vels[i] @ vels[i], 1.0)
+    return out
+
+
+def test_planarity_projection_matches_lstsq_loop(triples):
+    # the first companion geodesic of each family's geodesic check
+    for name, tr in triples.items():
+        p0, v0, _ = geodesic_starts(tr.chart, 0)
+        (path,) = integrate_geodesic_bundle(pj.companion_metric(tr.g, tr.a), p0[:1], v0[:1],
+                                            1e-3, 400, tr.chart)
+        got = t_planarity_residual(tr.g, tr.t, path).residuals
+        assert np.max(np.abs(got - _planarity_lstsq_loop(tr.g, tr.t, path))) < 1e-12, name
+    # velocities on and near an eigenline of T, where T = diag(1, 1, -1, -1):
+    # on it T v = v exactly and span{v, Tv} is a line, which the reference
+    # finds by its rank cutoff; near it the span is a plane
+    tr = triples["dim-d1"]
+    p = tr.chart.center()
+    e, u = np.array([0.3, 0.15, 0.0, 0.0]), np.array([0.0, 0.0, 0.2, 0.1])
+    for delta in (0.0, 1e-12, 1e-9, 1e-6):
+        vel = e + delta * u
+        times = 1e-3 * np.arange(9)
+        line = GeodesicPath(times, p + np.outer(times, vel), np.tile(vel, (9, 1)), 1e-3)
+        got = t_planarity_residual(tr.g, tr.t, line).residuals
+        want = _planarity_lstsq_loop(tr.g, tr.t, line)
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(want)), delta
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+def test_row_leaving_into_undefined_metric_stops_at_its_exit(triples):
+    # the second row leaves complex-liouville's box near t = 0.91, and the
+    # companion metric is singular shortly past the exit: the window holding
+    # the exit cannot be integrated, so the row goes on alone in halved
+    # windows and stops at sample 911, where RK4 stops it too
+    tr = triples["complex-liouville"]
+    ghat = pj.companion_metric(tr.g, tr.a)
+    p0, v0, _ = geodesic_starts(tr.chart, 3)
+    paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 1000, tr.chart)
+    assert [len(q) for q in paths] == [1001, 911, 1001]
+    assert [q.exited_box for q in paths] == [False, True, False]
+    assert all(tr.chart.contains(x) for x in paths[1].positions)
+    # the first row is integrated alone from the window the second fails in
+    (alone,) = integrate_geodesic_bundle(ghat, p0[:1], v0[:1], 1e-3, 1000)
+    assert np.array_equal(alone.positions, paths[0].positions)
+
+
+def test_sweeps_that_never_settle_raise(monkeypatch):
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(curves, "christoffel_batch", lambda g, x: rng.normal(size=(len(x), 4, 4, 4)))
+    with pytest.raises(GeodesicConvergenceError):
+        integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 100)

@@ -8,6 +8,7 @@ from pklab.fields import (
     MalformedFormError,
     ScalarField,
     TensorField,
+    _halton,
     exterior_derivative_2form,
     gradient,
     gradient_field,
@@ -56,6 +57,25 @@ class TestChart:
         chart = Chart(((0.0, 1.0),) * 4)
         assert chart.contains([0.5, 0.5, 0.5, 0.5])
         assert not chart.contains([1.5, 0.5, 0.5, 0.5])
+
+    def test_halton_matches_the_digit_loop_bit_for_bit(self):
+        # the radical inverse digit by digit, one point at a time: the
+        # vectorized sampler must reproduce its bits, so charts sample the
+        # same points and certificates and reports do not move
+        def radical_inverse(n, base, start):
+            out = np.empty(n)
+            for k in range(n):
+                i, f, x = k + start, 1.0, 0.0
+                while i > 0:
+                    f /= base
+                    x += f * (i % base)
+                    i //= base
+                out[k] = x
+            return out
+
+        for base in (2, 3, 5, 7):
+            for start in (1, 7):
+                assert np.array_equal(_halton(3000, base, start), radical_inverse(3000, base, start))
 
 
 def test_metric_inverse_flat_block_structure():

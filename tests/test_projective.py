@@ -12,13 +12,16 @@ from pklab.fields import (
     objarray,
     split_jets,
 )
+from pklab import geometry
 from pklab.geometry import (
     Geometry,
+    companion_components,
     companion_inverse_components,
     family_components,
     family_inverse_components,
 )
-from pklab.linalg import minv, mmul
+from pklab.jets import jlog
+from pklab.linalg import mdet, minv, mmul
 from pklab.parakahler import ParaKahlerTriple
 
 FLAT = [
@@ -246,6 +249,30 @@ class TestConnectionDifference:
                     cx = np.array([[c.coeffs for c in row] for row in x.reshape(-1, 4)])
                     cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
                     assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
+
+    def test_det_a_evaluated_once_per_point(self, triples, monkeypatch):
+        # the companion metric, its inverse and psi read one cached det A
+        # per point, and give the same bits as evaluating det A for each
+        calls = [0]
+
+        def counted(m):
+            calls[0] += 1
+            return mdet(m)
+
+        monkeypatch.setattr(geometry, "mdet", counted)
+        for name, tr in triples.items():
+            geo = over(tr, 2)
+            for i in range(2):
+                calls[0] = 0
+                ghat, psi = geo.jets(i, "ghat"), geo.psi_jet(i)
+                geo.jets(i, "ghat_gamma")
+                assert calls[0] == 1, name
+                gj, aj = geo.jets(i, "g"), geo.jets(i, "a")
+                alone = (companion_components(gj, aj), jlog(mdet(aj)) * (-0.25))
+                for x, y in zip((ghat, psi), alone):
+                    cx = np.array([c.coeffs for c in np.ravel(x)])
+                    cy = np.array([c.coeffs for c in np.ravel(y)])
+                    assert np.array_equal(cx, cy), name
 
 
 class TestWeightedTensors:

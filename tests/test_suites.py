@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pklab import curvature, suites
+from pklab import curvature, curves, suites
 from pklab import projective as pj
 from pklab.catalog import preset_triple
 from pklab.fields import DegenerateMetricError, TensorField, objarray
@@ -222,6 +222,18 @@ def test_nonpositive_det_a_fails_geodesic_closed(triples):
     for c in report.checks:
         assert not c.passed and c.residual == np.inf, c.name
         assert c.flags == ["eval-error:DegenerateMetricError"], c.name
+
+
+def test_unsettled_geodesic_sweeps_fail_geodesic_closed(triples, monkeypatch):
+    # symbols that change at every call: the Picard sweeps never settle
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(curves, "christoffel_batch", lambda g, x: rng.normal(size=(len(x), 4, 4, 4)))
+    report = run_suite(triples["dim-d2-2"], ["geodesic"], n_points=3)
+    assert [c.name for c in report.checks] == [
+        "geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity"]
+    for c in report.checks:
+        assert not c.passed and c.residual == np.inf, c.name
+        assert c.flags == ["eval-error:GeodesicConvergenceError"], c.name
 
 
 def test_programming_error_in_geodesic_propagates(triples, monkeypatch):
