@@ -15,6 +15,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .curvature import christoffel_batch
 from .fields import Chart, DegenerateMetricError, TensorField
@@ -54,30 +55,20 @@ class GeodesicConvergenceError(ArithmeticError):
     """Picard sweeps on a geodesic did not settle, or turned non-finite."""
 
 
-# Chebyshev-Lobatto nodes -1 = tau_0 < ... < tau_N = 1 of a window on [-1, 1].
-# With tau = cos(theta), T_k(tau) = cos(k theta): _TO_COEF, a discrete cosine
-# transform, maps node values to Chebyshev coefficients, and _INTEGRATE maps
-# node values to their integral from -1 at the nodes.  The matrices are built
-# in closed form; numpy.polynomial.chebyshev would cost a module import.
+# Chebyshev-Lobatto nodes -1 = tau_0 < ... < tau_N = 1 of a window on [-1, 1];
+# _TO_COEF maps node values to Chebyshev coefficients, and _INTEGRATE maps
+# node values to their integral from -1 at the nodes
 _DEGREE = 40
-_K = np.arange(_DEGREE + 1)
-_THETA = np.pi * _K[::-1] / _DEGREE
-_TAU = np.cos(_THETA)
-_TO_COEF = np.cos(np.outer(_K, _THETA)) * (2.0 / _DEGREE)
-_TO_COEF[:, [0, -1]] *= 0.5
-_TO_COEF[[0, -1]] *= 0.5
-# T_m(tau_j) - T_m(-1) for m = 0 .. N + 1; the integral of T_k from -1 is
-# (T_{k+1}/(k+1) - T_{|k-1|}/(k-1))/2 minus its value at -1, with no second term for T_1
-_RISE = np.cos(np.outer(_THETA, np.arange(_DEGREE + 2))) - np.cos(np.pi * np.arange(_DEGREE + 2))
-_INTEGRATE = 0.5 * (
-    _RISE[:, 1:] / (_K + 1) - _RISE[:, abs(_K - 1)] / np.where(_K == 1, np.inf, _K - 1)
-) @ _TO_COEF
+_TAU = cheb.chebpts2(_DEGREE + 1)
+_TO_COEF = np.linalg.inv(cheb.chebvander(_TAU, _DEGREE))
+_INTEGRATE = cheb.chebvander(_TAU, _DEGREE + 1) @ cheb.chebint(_TO_COEF, lbnd=-1)
 # window length in curve time, sweeps per window, halvings of a window one
-# row cannot be integrated over, and the relative update at which a row settles
+# row cannot be integrated over, and the relative update at which a row
+# settles: 32 ulp, well above the rounding floor an update stalls at
 _WINDOW = 0.4
 _MAX_SWEEPS = 60
 _MAX_HALVINGS = 10
-_SETTLED = 1e-15
+_SETTLED = 32 * np.finfo(float).eps
 
 
 def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
@@ -160,7 +151,7 @@ def integrate_geodesic_bundle(
             continue
         sel = np.flatnonzero((times > a) & (times <= b))
         tau = np.clip(2.0 * (times[sel] - a) / (b - a) - 1.0, -1.0, 1.0)
-        interp = np.cos(np.outer(np.arccos(tau), _K)) @ _TO_COEF
+        interp = cheb.chebvander(tau, _DEGREE) @ _TO_COEF
         # interpolating the change over the window keeps the samples' rounding small
         xs[sel[:, None], rows] = x[rows] + np.einsum("sk,kri->sri", interp, xn - x[rows])
         vs[sel[:, None], rows] = v[rows] + np.einsum("sk,kri->sri", interp, vn - v[rows])
@@ -187,7 +178,6 @@ def kinetic_energy(g: TensorField, path: GeodesicPath) -> np.ndarray:
 class TPlanarityResult:
     max_residual: float
     residuals: np.ndarray  # per interior sample
-    acceleration_cov: np.ndarray  # (interior samples, 4), covariant w.r.t. the test metric
 
 
 def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> TPlanarityResult:
@@ -222,7 +212,7 @@ def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> 
     resid = cov_acc - np.einsum("nij,nkj,nk->ni", q, q, cov_acc)
     residuals = np.linalg.norm(resid, axis=1) / np.maximum(speed2[interior], 1.0)
 
-    return TPlanarityResult(float(np.max(residuals)), residuals, cov_acc)
+    return TPlanarityResult(float(np.max(residuals)), residuals)
 
 
 def export_curve_csv(

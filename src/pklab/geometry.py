@@ -74,9 +74,9 @@ def companion_components(gj: np.ndarray, aj: np.ndarray, det=None) -> np.ndarray
     return mmul(gj, minv(aj)) * jpow(_det_a(aj) if det is None else det, -0.5)
 
 
-def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det=None) -> np.ndarray:
-    """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse (and det A if known)."""
-    return mmul(aj, ginv) * jpow(_det_a(aj) if det is None else det, 0.5)
+def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det) -> np.ndarray:
+    """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse and det A."""
+    return mmul(aj, ginv) * jpow(det, 0.5)
 
 
 def _family_scale(mu1, mu2, alpha: float, beta: float):

@@ -242,7 +242,9 @@ class TestConnectionDifference:
         for name, tr in triples.items():
             geo = over(tr, 3)
             for i in range(3):
-                ginv = companion_inverse_components(geo.jets(i, "ginv"), geo.jets(i, "a"))
+                ginv = companion_inverse_components(
+                    *[geo.jets(i, k) for k in ("ginv", "a", "det_a")]
+                )
                 solved = minv(geo.jets(i, "ghat"))
                 for x, y in ((ginv, solved),
                              (geo.jets(i, "ghat_gamma"), christoffel_jets(geo.jets(i, "ghat")))):
