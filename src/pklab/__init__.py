@@ -8,8 +8,8 @@ Killing fields, Einstein families, geodesic planarity) numerically at
 sample points via exact truncated-Taylor differentiation.
 """
 
-from .fields import Chart, ScalarField, TensorField, VectorField
-from .jets import Jet, JetDomainError, seed_variable
+from .fields import Chart, ScalarField, TensorField
+from .jets import Jet, JetDomainError
 from .parakahler import ParaKahlerTriple, validate
 from .report import CheckResult, VerificationReport
 
@@ -19,10 +19,8 @@ __all__ = [
     "Chart",
     "ScalarField",
     "TensorField",
-    "VectorField",
     "Jet",
     "JetDomainError",
-    "seed_variable",
     "ParaKahlerTriple",
     "validate",
     "CheckResult",

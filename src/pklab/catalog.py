@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import Chart, TensorField, objarray
-from .jets import DualBatch, Jet, dual_point, seed_variable
+from .jets import DualBatch, Jet, dual_point
 from .linalg import minv, mmul
-from .parakahler import ParaKahlerTriple
+from .parakahler import DOMAIN_ERRORS, ParaKahlerTriple
 
 __all__ = [
     "FeasibilityError",
@@ -62,14 +62,23 @@ def _certify(chart: Chart, constraints, label: str) -> None:
     ``constraints`` is a list of (name, kind, fn) with fn evaluated on
     second-order dual coordinates; kind 'nonvanishing' fails on sign
     changes or near-zeros, kind 'vanishing' fails on values above
-    tolerance.
+    tolerance.  A constraint that raises a domain error or takes a
+    non-finite value anywhere fails too.
     """
     pts = chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3)
     # a fifth of the points at a time: the dual batches of all of them would
     # hold several MB at once
     chunks = [dual_point(part) for part in np.array_split(pts, 5)]
     for name, kind, fn in constraints:
-        vals = np.concatenate([_values(fn(*coords), len(coords[0].val)) for coords in chunks])
+        try:
+            with np.errstate(all="ignore"):  # non-finite values are rejected below
+                vals = np.concatenate([_values(fn(*c), len(c[0].val)) for c in chunks])
+        except DOMAIN_ERRORS as e:
+            raise FeasibilityError(
+                f"{label}: constraint '{name}' is undefined on the box ({e})"
+            ) from e
+        if not np.all(np.isfinite(vals)):
+            raise FeasibilityError(f"{label}: constraint '{name}' is not finite on the box")
         scale = max(1.0, float(np.max(np.abs(vals))))
         if kind == "nonvanishing":
             crosses = vals.max() > 1e-12 * scale and vals.min() < -1e-12 * scale
@@ -86,6 +95,23 @@ def _certify(chart: Chart, constraints, label: str) -> None:
                 )
         else:  # pragma: no cover
             raise ValueError(f"unknown constraint kind {kind}")
+
+
+def _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra) -> ParaKahlerTriple:
+    """A constructor's triple on ``box``, once ``constraints`` are certified there.
+
+    ``gfn``, ``tfn`` and ``afn`` are the evaluation rules of g, T and A;
+    ``meta_extra`` updates the family's ``meta``.
+    """
+    chart = Chart(tuple(tuple(b) for b in box), label=label)
+    _certify(chart, constraints, label)
+    return ParaKahlerTriple(
+        chart=chart,
+        g=TensorField((0, 2), gfn, name="g"),
+        t=TensorField((1, 1), tfn, name="T"),
+        a=TensorField((1, 1), afn, name="A"),
+        meta={**meta, **(meta_extra or {})},
+    )
 
 
 def _t_from_g_omega(gfn, omfn) -> Callable:
@@ -126,18 +152,13 @@ def build_real_liouville(
     """
     if eps not in (1, -1):
         raise FeasibilityError("eps must be +1 or -1")
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x1)),
-            ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2)),
-            ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x1).derivative(0)),
-            ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2).derivative(1)),
-            ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x1) - sigma(x2)),
-        ],
-        label,
-    )
+    constraints = [
+        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x1)),
+        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2)),
+        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x1).derivative(0)),
+        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2).derivative(1)),
+        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x1) - sigma(x2)),
+    ]
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x1), sigma(x2)
@@ -187,14 +208,7 @@ def build_real_liouville(
         "flat": False,
         "adapted": False,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), _t_from_g_omega(gfn, omfn), name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, _t_from_g_omega(gfn, omfn), afn, meta, meta_extra)
 
 
 # -- rank 4: complex Liouville ------------------------------------------
@@ -214,37 +228,32 @@ def build_complex_liouville(
     validated on the certificate.  Requires im_part != 0 and rho,
     d rho/dz nonvanishing.
     """
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            (
-                "dR/dx1 - dI/dx2",
-                "vanishing",
-                lambda x1, x2, x3, x4: re_part(x1, x2).derivative(0)
-                - im_part(x1, x2).derivative(1),
-            ),
-            (
-                "dR/dx2 + dI/dx1",
-                "vanishing",
-                lambda x1, x2, x3, x4: re_part(x1, x2).derivative(1)
-                + im_part(x1, x2).derivative(0),
-            ),
-            ("Im rho", "nonvanishing", lambda x1, x2, x3, x4: im_part(x1, x2)),
-            (
-                "|rho|^2",
-                "nonvanishing",
-                lambda x1, x2, x3, x4: re_part(x1, x2) ** 2 + im_part(x1, x2) ** 2,
-            ),
-            (
-                "|d rho/dz|^2",
-                "nonvanishing",
-                lambda x1, x2, x3, x4: re_part(x1, x2).derivative(0) ** 2
-                + im_part(x1, x2).derivative(0) ** 2,
-            ),
-        ],
-        label,
-    )
+    constraints = [
+        (
+            "dR/dx1 - dI/dx2",
+            "vanishing",
+            lambda x1, x2, x3, x4: re_part(x1, x2).derivative(0)
+            - im_part(x1, x2).derivative(1),
+        ),
+        (
+            "dR/dx2 + dI/dx1",
+            "vanishing",
+            lambda x1, x2, x3, x4: re_part(x1, x2).derivative(1)
+            + im_part(x1, x2).derivative(0),
+        ),
+        ("Im rho", "nonvanishing", lambda x1, x2, x3, x4: im_part(x1, x2)),
+        (
+            "|rho|^2",
+            "nonvanishing",
+            lambda x1, x2, x3, x4: re_part(x1, x2) ** 2 + im_part(x1, x2) ** 2,
+        ),
+        (
+            "|d rho/dz|^2",
+            "nonvanishing",
+            lambda x1, x2, x3, x4: re_part(x1, x2).derivative(0) ** 2
+            + im_part(x1, x2).derivative(0) ** 2,
+        ),
+    ]
 
     def gfn(x1, x2, x3, x4):
         R, I = re_part(x1, x2), im_part(x1, x2)
@@ -298,14 +307,7 @@ def build_complex_liouville(
         "flat": False,
         "adapted": False,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), _t_from_g_omega(gfn, omfn), name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, _t_from_g_omega(gfn, omfn), afn, meta, meta_extra)
 
 
 # -- rank 2, constant second eigenvalue ----------------------------------
@@ -327,22 +329,17 @@ def build_dimd2_case1(
     """
     if c == 0.0:
         raise FeasibilityError("constant eigenvalue c must be nonzero")
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            ("mu", "nonvanishing", lambda x1, x2, x3, x4: mu(x2)),
-            ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x2)),
-            ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x2).derivative(1)),
-            (
-                "d nu/dx4",
-                "nonvanishing",
-                lambda x1, x2, x3, x4: nu(x3, x4).derivative(3),
-            ),
-            ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x2) - c),
-        ],
-        label,
-    )
+    constraints = [
+        ("mu", "nonvanishing", lambda x1, x2, x3, x4: mu(x2)),
+        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x2)),
+        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x2).derivative(1)),
+        (
+            "d nu/dx4",
+            "nonvanishing",
+            lambda x1, x2, x3, x4: nu(x3, x4).derivative(3),
+        ),
+        ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x2) - c),
+    ]
 
     def gfn(x1, x2, x3, x4):
         r, m, n = rho(x2), mu(x2), nu(x3, x4)
@@ -390,14 +387,7 @@ def build_dimd2_case1(
         "adapted": False,
         "constant_eigenvalue": c,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), tfn, name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- rank 2, adapted chart ------------------------------------------------
@@ -417,18 +407,13 @@ def build_dimd2_case2(
     derivatives and rho != sigma.  T is the block structure (or its
     negative for the twin family); the metric is flat.
     """
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
-            ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
-            ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
-            ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
-            ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
-        ],
-        label,
-    )
+    constraints = [
+        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
+        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
+        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
+        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
+        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
+    ]
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
@@ -468,14 +453,7 @@ def build_dimd2_case2(
         "flat": True,
         "adapted": not negate_t,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), tfn, name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- rank 2, mixed null gradients ----------------------------------------
@@ -495,18 +473,13 @@ def build_dimd2_case4(
     free real constant entering the endomorphism.  T depends on the
     eigenvalue profiles; the metric is flat.
     """
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
-            ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
-            ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
-            ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
-            ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
-        ],
-        label,
-    )
+    constraints = [
+        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
+        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
+        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
+        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
+        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
+    ]
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
@@ -556,14 +529,7 @@ def build_dimd2_case4(
         "adapted": False,
         "k": k,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), tfn, name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- rank 1 ---------------------------------------------------------------
@@ -593,21 +559,16 @@ def build_dimd1(
     def F(x2, x3, x4):
         return f_profile(x2, phi(x3, x4))
 
-    chart = Chart(tuple(tuple(b) for b in box), label=label)
-    _certify(
-        chart,
-        [
-            ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
-            ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
-            (
-                "dF/dx4",
-                "nonvanishing",
-                lambda x1, x2, x3, x4: F(x2, x3, x4).derivative(3),
-            ),
-            ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - c),
-        ],
-        label,
-    )
+    constraints = [
+        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
+        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
+        (
+            "dF/dx4",
+            "nonvanishing",
+            lambda x1, x2, x3, x4: F(x2, x3, x4).derivative(3),
+        ),
+        ("rho - c", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - c),
+    ]
 
     def gfn(x1, x2, x3, x4):
         r = rho(x3)
@@ -654,21 +615,10 @@ def build_dimd1(
         "adapted": not negate_t,
         "constant_eigenvalue": c,
     }
-    meta.update(meta_extra or {})
-    return ParaKahlerTriple(
-        chart=chart,
-        g=TensorField((0, 2), gfn, name="g"),
-        t=TensorField((1, 1), tfn, name="T"),
-        a=TensorField((1, 1), afn, name="A"),
-        meta=meta,
-    )
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- Einstein systems ------------------------------------------------------
-
-
-def _jet1(value: float, dim: int, axis: int) -> Jet:
-    return seed_variable(axis, value, dim, 3)
 
 
 def einstein_system_residual(
@@ -696,8 +646,8 @@ def _einstein_system_real(params, constants, points) -> float:
     c1, c2 = constants.get("c1", 0.0), constants.get("c2", 0.0)
     worst = 0.0
     for p in np.asarray(points, dtype=float):
-        r = rho(_jet1(p[0], 1, 0))
-        s = sigma(_jet1(p[1], 1, 0))
+        r = rho(Jet.variable(0, p[0], 1, 3))
+        s = sigma(Jet.variable(0, p[1], 1, 3))
         rv, rp = r.value, r.partial([1])
         sv, sp = s.value, s.partial([1])
         r1 = 3 * rp**2 + 2 * lam * rv**3 - 3 * k * rv**2 - 6 * h * rv - c1
@@ -715,8 +665,8 @@ def _einstein_system_complex(params, constants, points) -> float:
     d = complex(constants.get("d", 0.0))
     worst = 0.0
     for p in np.asarray(points, dtype=float):
-        x1 = seed_variable(0, p[0], 2, 2)
-        x2 = seed_variable(1, p[1], 2, 2)
+        x1 = Jet.variable(0, p[0], 2, 2)
+        x2 = Jet.variable(1, p[1], 2, 2)
         R, I = re_part(x1, x2), im_part(x1, x2)
         rho = complex(R.value, I.value)
         rho_z = complex(R.partial([1, 0]), I.partial([1, 0]))
@@ -734,14 +684,14 @@ def _einstein_system_dimd2_1(params, constants, points) -> float:
     h = constants.get("h", lambda x3: 0.0 * x3)
     worst = 0.0
     for p in np.asarray(points, dtype=float):
-        r = rho(_jet1(p[1], 1, 0))
-        m = mu(_jet1(p[1], 1, 0))
+        r = rho(Jet.variable(0, p[1], 1, 3))
+        m = mu(Jet.variable(0, p[1], 1, 3))
         rv, rp = r.value, r.partial([1])
         mv = m.value
         denom = 2 * lam * (rv - c) ** 3 + c2 * (rv - c) ** 2 + c1
         r1 = mv * denom - 3 * (rv - c) * rp
-        x3 = seed_variable(0, p[2], 2, 2)
-        x4 = seed_variable(1, p[3], 2, 2)
+        x3 = Jet.variable(0, p[2], 2, 2)
+        x4 = Jet.variable(1, p[3], 2, 2)
         n = nu(x3, x4)
         nv, n3 = n.value, n.partial([1, 0])
         fv = f(p[2])

@@ -14,17 +14,14 @@ feeds them cached data, one evaluation per sample point.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .fields import DIM, TensorField, jet_differential, metric_inverse_jets, objarray, split_jets
+from .fields import DIM, TensorField, jet_differential, metric_inverse_jets, objarray
 from .jets import Jet
-from .linalg import mmul
+from .linalg import minv, mmul
 
 __all__ = [
     "christoffel_jets",
-    "christoffel",
     "christoffel_batch",
     "metricity_residual",
     "riemann",
@@ -57,11 +54,6 @@ def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarr
     return gamma
 
 
-def christoffel(g: TensorField, point: Sequence[float], order: int = 2) -> np.ndarray:
-    """Pointwise Christoffel symbols Gamma^k_{ij} of a metric field as floats."""
-    return split_jets(christoffel_jets(g.jets(point, order)))[0]
-
-
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     """Christoffel symbols over an (n, 4) batch, shape (n, k, i, j).
 
@@ -70,7 +62,7 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     gv, gp = g.batch_duals(pts)
-    ginv = np.linalg.inv(gv)
+    ginv = minv(gv)
     # gp[n, i, j, l] = d_l g_ij; c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = np.einsum("njli->nijl", gp) + np.einsum("nilj->nijl", gp) - gp
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, c)

@@ -139,9 +139,9 @@ def integrate_geodesic_bundle(
         rows = np.flatnonzero(live) if rows is None else rows[live[rows]]
         if not rows.size:
             continue
-        try:  # g undefined at some node, or sweeps that do not settle
+        try:  # g undefined or singular at some node, or sweeps that do not settle
             xn, vn = _picard(g, x[rows], v[rows], b - a)
-        except (ArithmeticError, JetDomainError, DegenerateMetricError, np.linalg.LinAlgError):
+        except (ArithmeticError, JetDomainError, DegenerateMetricError):
             if rows.size > 1:
                 todo += [(a, b, row) for row in rows[::-1, None]]
             elif b - a > _WINDOW / 2**_MAX_HALVINGS:

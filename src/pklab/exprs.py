@@ -16,6 +16,7 @@ floats, jets and dual batches.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,6 +97,8 @@ def parse_expr(src: str, variables: Sequence[str]) -> Expr:
         if k == "num":
             take()
             c = float(v)
+            if not math.isfinite(c):
+                raise ExprError(f"number {v!r} is not finite")
             return lambda env: c
         if k == "name":
             take()

@@ -31,9 +31,9 @@ class MalformedFormError(ValueError):
     """A 2-form input failed its antisymmetry validation."""
 
 
-def _halton(n: int, base: int, start: int = 1) -> np.ndarray:
-    """Radical inverses of start, ..., start + n - 1, one digit position at a time."""
-    i = np.arange(start, start + n)
+def _halton(n: int, base: int) -> np.ndarray:
+    """Radical inverses of 1, ..., n, one digit position at a time."""
+    i = np.arange(1, n + 1)
     f, x = 1.0, np.zeros(n)
     while i.any():
         f /= base
@@ -195,10 +195,6 @@ class TensorField:
         return vals, grads
 
 
-def VectorField(fn: ComponentsFn, name: str = "") -> TensorField:
-    return TensorField((1, 0), fn, name)
-
-
 def split_jets(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, partials) of an array of jets, partials[..., k] = d_k.
 
@@ -229,12 +225,16 @@ def tensor_values_and_partials(
 # -- metric algebra ----------------------------------------------------
 
 
-def metric_inverse(gm: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# |det g| below this, relative to max |g_ij|^4, counts as a degenerate metric
+_DEGENERATE_DET = 1e-12
+
+
+def metric_inverse(gm: np.ndarray) -> np.ndarray:
     """Inverse g^{ij} of a metric value matrix, with a determinant guard."""
     det = float(np.linalg.det(gm))
-    if abs(det) < tol * max(1.0, float(np.max(np.abs(gm))) ** DIM):
+    if abs(det) < _DEGENERATE_DET * max(1.0, float(np.max(np.abs(gm))) ** DIM):
         raise DegenerateMetricError(f"metric determinant {det:.3e}")
-    return np.linalg.inv(gm)
+    return linalg.minv(gm)
 
 
 def metric_inverse_jets(gjets: np.ndarray) -> np.ndarray:
@@ -242,14 +242,6 @@ def metric_inverse_jets(gjets: np.ndarray) -> np.ndarray:
         return linalg.minv(gjets)
     except ZeroDivisionError as e:
         raise DegenerateMetricError(str(e)) from e
-
-
-def lower_index(g_vals: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return g_vals @ v
-
-
-def raise_index(ginv_vals: np.ndarray, covec: np.ndarray) -> np.ndarray:
-    return ginv_vals @ covec
 
 
 def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarray:
@@ -263,25 +255,6 @@ def jet_differential(f) -> list:
     if isinstance(f, (Jet, DualBatch)):
         return [f.derivative(i) for i in range(DIM)]
     return [0.0] * DIM
-
-
-def gradient_field(g: TensorField, f: ScalarField, name: str = "") -> TensorField:
-    """grad f as a vector field, evaluable on jets (one order is consumed)."""
-
-    def comps(*coords):
-        ginv = metric_inverse_jets(g.components(coords))
-        return ginv @ jet_differential(f(*coords))
-
-    return TensorField((1, 0), comps, name=name or f"grad({f.name})")
-
-
-def apply_endo_field(t: TensorField, v: TensorField, name: str = "") -> TensorField:
-    """Pointwise T(v) for an endomorphism field T and vector field v."""
-
-    def comps(*coords):
-        return t.components(coords) @ v.components(coords)
-
-    return TensorField((1, 0), comps, name=name)
 
 
 # -- derivative operations --------------------------------------------
@@ -317,16 +290,18 @@ def lie_bracket(
     return np.einsum("k,ik->i", xv, yp) - np.einsum("k,ik->i", yv, xp)
 
 
-def exterior_derivative_2form(
-    wv: np.ndarray, wp: np.ndarray, asym_tol: float = 1e-12
-) -> np.ndarray:
+# largest |w + w^T|, relative to max |w| where that exceeds 1, of a 2-form input
+_ASYM_TOL = 1e-12
+
+
+def exterior_derivative_2form(wv: np.ndarray, wp: np.ndarray) -> np.ndarray:
     """(d omega)_{ijk} as the cyclic sum of coordinate partials.
 
-    Rejects inputs whose antisymmetry fails beyond ``asym_tol`` (scaled);
+    Rejects inputs whose antisymmetry fails beyond ``_ASYM_TOL`` (scaled);
     validation rather than silent antisymmetrization.
     """
     scale = max(1.0, float(np.max(np.abs(wv))))
-    if np.max(np.abs(wv + wv.T)) > asym_tol * scale:
+    if np.max(np.abs(wv + wv.T)) > _ASYM_TOL * scale:
         raise MalformedFormError("2-form input is not antisymmetric at the point")
     # (d omega)_{ijk} = d_i w_{jk} + d_j w_{ki} + d_k w_{ij}
     dw = (

@@ -38,7 +38,6 @@ __all__ = [
     "JetSpace",
     "DualBatch",
     "dual_point",
-    "seed_variable",
     "seed_point",
     "jexp",
     "jlog",
@@ -82,7 +81,6 @@ class JetSpace:
         self.multi_indices: tuple[tuple[int, ...], ...] = tuple(idxs)
         self.size = len(idxs)
         self.position = {alpha: k for k, alpha in enumerate(idxs)}
-        self.degrees = np.array([sum(a) for a in idxs], dtype=np.intp)
         self.factorials = np.array(
             [math.prod(math.factorial(ai) for ai in a) for a in idxs], dtype=float
         )
@@ -157,6 +155,7 @@ class Jet:
 
     @staticmethod
     def variable(i: int, value: float, dim: int, order: int) -> "Jet":
+        """Jet of the i-th coordinate function at a point."""
         sp = _space(dim, order)
         if not 0 <= i < dim:
             raise IndexError(f"variable index {i} out of range for dim {dim}")
@@ -415,11 +414,6 @@ def _zero(a: float) -> bool:
 
 
 # -- coordinate jets --------------------------------------------------
-
-
-def seed_variable(i: int, value: float, dim: int, order: int) -> Jet:
-    """Jet of the i-th coordinate function at a point."""
-    return Jet.variable(i, value, dim, order)
 
 
 def seed_point(point: Sequence[float], order: int) -> list[Jet]:

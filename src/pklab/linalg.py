@@ -52,15 +52,23 @@ def _leading(x) -> float:
 
 
 def minv(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse.
+    """Matrix inverse, or a stack of them for a float array.
 
-    Object (jet) matrices go through Gauss-Jordan elimination with partial
-    pivoting on the value parts; division by a jet whose value vanishes
-    raises, which is the degenerate-matrix signal.  DualBatch component
-    matrices are inverted analytically: d(M^-1) = -M^-1 dM M^-1.
+    A singular matrix raises ZeroDivisionError, where numpy's inverse
+    would raise; a float array that is not a stack of square matrices
+    raises numpy's LinAlgError.  Object (jet) matrices go through
+    Gauss-Jordan elimination with partial pivoting on the value parts;
+    division by a jet whose value vanishes is the singular case.
+    DualBatch component matrices are inverted analytically:
+    d(M^-1) = -M^-1 dM M^-1.
     """
     if not _is_object(a):
-        return np.linalg.inv(a)
+        try:
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError as e:
+            if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+                raise
+            raise ZeroDivisionError("singular matrix in float inverse") from e
     n = a.shape[0]
     if any(isinstance(x, DualBatch) for x in a.flat):
         return _minv_dual(a)
@@ -110,7 +118,7 @@ def _minv_dual(a: np.ndarray) -> np.ndarray:
                 grads[:, i, j, :] = x.grad
             else:
                 vals[:, i, j] = x
-    inv = np.linalg.inv(vals)
+    inv = minv(vals)
     dinv = -np.einsum("bik,bklm,blj->bijm", inv, grads, inv)
     out = np.empty((n, n), dtype=object)
     for i in range(n):

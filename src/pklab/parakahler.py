@@ -131,19 +131,26 @@ def fundamental_form(geo: Geometry, i: int) -> np.ndarray:
     return geo.values(i, "t").T @ geo.values(i, "g")
 
 
-def signature_counts(gm: np.ndarray, floor: float = 1e-10) -> tuple[int, int, int]:
+# eigenvalues of g within this of 0, relative to the largest, count as near-degenerate
+_SIGNATURE_FLOOR = 1e-10
+# largest entry of T - diag(Id2, -Id2) in an adapted chart
+_ADAPTED_TOL = 1e-11
+
+
+def signature_counts(gm: np.ndarray) -> tuple[int, int, int]:
     """(positive, negative, near-degenerate) eigenvalue counts of g."""
     ev = np.linalg.eigvalsh(0.5 * (gm + gm.T))
     scale = max(1.0, float(np.max(np.abs(ev))))
-    pos = int(np.sum(ev > floor * scale))
-    neg = int(np.sum(ev < -floor * scale))
+    pos = int(np.sum(ev > _SIGNATURE_FLOOR * scale))
+    neg = int(np.sum(ev < -_SIGNATURE_FLOOR * scale))
     return pos, neg, gm.shape[0] - pos - neg
 
 
-def null_coordinate_check(geo: Geometry, tol: float = 1e-11) -> bool:
+def null_coordinate_check(geo: Geometry) -> bool:
     """True iff T equals diag(Id2, -Id2) at all of geo's points (adapted chart)."""
     block = np.diag([1.0, 1.0, -1.0, -1.0])
-    return all(np.max(np.abs(geo.values(i, "t") - block)) <= tol for i in range(len(geo)))
+    return all(np.max(np.abs(geo.values(i, "t") - block)) <= _ADAPTED_TOL
+               for i in range(len(geo)))
 
 
 def relative(x: np.ndarray, ref: np.ndarray) -> float:
@@ -216,25 +223,15 @@ AXIOMS = (
 )
 
 
-def validate(
-    triple: ParaKahlerTriple,
-    n_points: int = DEFAULT_POINTS,
-    seed: int = 0,
-    tolerances: dict[str, float] | None = None,
-    geometry: Geometry | None = None,
-) -> VerificationReport:
-    """Run the full para-Kahler axiom suite on sampled points.
+def validate(geo: Geometry, tolerances: Mapping[str, float] | None = None) -> VerificationReport:
+    """Run the full para-Kahler axiom suite at geo's points, reading its cache.
 
-    With ``geometry`` the axioms are checked at its points and read its
-    cache; ``n_points`` and ``seed`` are then ignored.  Each axiom goes
-    through ``check_points``, so a check that could not be evaluated at a
-    point fails.  A tolerance override that names no axiom, or is not
-    positive, raises ValueError.
+    Each axiom goes through ``check_points``, so a check that could not be
+    evaluated at a point fails.  A tolerance override that names no axiom,
+    or is not positive, raises ValueError.
     """
     tolerances = tolerances or {}
     check_tolerances(tolerances, [c.name for c in AXIOMS])
-    geo = geometry
-    if geo is None:
-        geo = Geometry(triple, triple.sample_points(n_points, seed))
+    triple = geo.triple
     return VerificationReport(label=triple.meta.get("family", triple.chart.label),
                               checks=[check_points(geo, c, tolerances) for c in AXIOMS])

@@ -41,8 +41,6 @@ from .fields import (
     DegenerateMetricError,
     ScalarField,
     TensorField,
-    apply_endo_field,
-    gradient_field,
     lie_bracket,
     lie_derivative_endo,
     lie_derivative_metric,
@@ -56,22 +54,16 @@ from .geometry import (
     mu_invariants,
     weighted_sigma_components,
 )
-from .jets import JetDomainError, jpow, jsqrt
-from .linalg import mdet, minv, mmul
-from .parakahler import ParaKahlerTriple, fundamental_form, relative
+from .jets import JetDomainError, jsqrt
+from .linalg import minv, mmul
+from .parakahler import fundamental_form, relative
 from .report import worst
 
 __all__ = [
     "N_COMPLEX",
-    "identity_endo",
-    "endo_combination",
-    "trace_field",
-    "mu_invariant_fields",
-    "mu_polynomial",
     "benenti_residual",
     "hamiltonian_form_residual",
     "a_from_pair",
-    "a_from_pair_field",
     "companion_metric",
     "family_metric",
     "psi_potential",
@@ -86,9 +78,7 @@ __all__ = [
     "mobility_expression",
     "SpectralData",
     "eigen_decompose",
-    "eigenvalue_fields",
     "eigen_gradient_residual",
-    "canonical_killing_fields",
     "killing_residual",
     "hamiltonian_pairing_residual",
     "para_holomorphy_residual",
@@ -110,45 +100,6 @@ _K = 2.0 * (N_COMPLEX + 1)
 
 class EinsteinPreconditionError(ValueError):
     """An operation required Einstein inputs and the residual said no."""
-
-
-# -- endomorphism plumbing ---------------------------------------------
-
-
-def identity_endo() -> TensorField:
-    return TensorField((1, 1), lambda *coords: np.eye(DIM), name="Id")
-
-
-def endo_combination(a: TensorField, alpha: float, beta: float) -> TensorField:
-    """alpha * Id + beta * A as an endomorphism field."""
-
-    def comps(*coords):
-        return beta * a.components(coords) + alpha * np.eye(DIM)
-
-    return TensorField((1, 1), comps, name=f"{alpha}*Id+{beta}*A")
-
-
-def trace_field(a: TensorField) -> ScalarField:
-    return ScalarField(lambda *c: np.trace(a.components(c)), name="trA")
-
-
-def mu_invariant_fields(a: TensorField) -> tuple[ScalarField, ScalarField]:
-    """Smooth invariants mu1, mu2 with sqrt(det(A - t Id)) = t^2 - mu1 t + mu2.
-
-    mu1 = tr A / 2 and mu2 = (tr A)^2/8 - tr(A^2)/4; both polynomial in
-    the components, so the signed square root of det A stays smooth
-    across sign changes of the half-block determinant.
-    """
-    return (
-        ScalarField(lambda *c: mu_invariants(a.components(c))[0], name="mu1"),
-        ScalarField(lambda *c: mu_invariants(a.components(c))[1], name="mu2"),
-    )
-
-
-def mu_polynomial(geo: Geometry, i: int, t: float) -> float:
-    """sqrt(det(A - t Id)) evaluated as the quadratic t^2 - mu1 t + mu2."""
-    m1, m2 = geo.mu(i)
-    return t * t - m1 * t + m2
 
 
 # -- the defining equation ---------------------------------------------
@@ -230,20 +181,11 @@ def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
 
 def a_from_pair(gm: np.ndarray, hm: np.ndarray) -> np.ndarray:
     """A = (det ghat / det g)^(1/6) ghat^{-1} g from the two metrics' values."""
+    hinv = minv(hm)
     ratio = np.linalg.det(hm) / np.linalg.det(gm)
-    if ratio <= 0.0:
+    if not ratio > 0.0:
         raise DegenerateMetricError(f"determinant ratio {ratio:.3e} is not positive")
-    return ratio ** (1.0 / 6.0) * np.linalg.inv(hm) @ gm
-
-
-def a_from_pair_field(g: TensorField, ghat: TensorField) -> TensorField:
-    def comps(*coords):
-        gj = g.components(coords)
-        hj = ghat.components(coords)
-        ratio = mdet(hj) / mdet(gj)
-        return mmul(minv(hj), gj) * jpow(ratio, 1.0 / 6.0)
-
-    return TensorField((1, 1), comps, name="A(g,ghat)")
+    return ratio ** (1.0 / 6.0) * hinv @ gm
 
 
 def companion_metric(g: TensorField, a: TensorField) -> TensorField:
@@ -264,7 +206,7 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
         det = np.linalg.det(av)
         if np.any(det <= 0.0):
             raise DegenerateMetricError("det A <= 0 in companion metric batch")
-        ainv = np.linalg.inv(av)
+        ainv = minv(av)
         s = det ** (-0.5)
         # d s = -1/2 s tr(A^{-1} dA);  d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1}
         ds = -0.5 * s[:, None] * np.einsum("nij,njik->nk", ainv, ad)
@@ -278,13 +220,7 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     return TensorField((0, 2), comps, name="companion", batch_fn=batch)
 
 
-def family_metric(
-    g: TensorField,
-    a: TensorField,
-    alpha: float,
-    beta: float,
-    ghat: TensorField | None = None,
-) -> TensorField:
+def family_metric(g: TensorField, a: TensorField, alpha: float, beta: float) -> TensorField:
     """Member of the projective family weighting g by alpha and ghat by beta.
 
     Equals the companion construction applied to alpha*Id + beta*A, with
@@ -292,13 +228,7 @@ def family_metric(
     in place of the positive root, which keeps the family polynomial in
     (alpha, beta).  (alpha, beta) = (1, 0) returns g itself; (0, 1)
     returns the companion up to the sign of that root.
-
-    If ``a`` is None the Benenti tensor is derived from the pair (g, ghat).
     """
-    if a is None:
-        if ghat is None:
-            raise ValueError("need either a Benenti field or the companion metric")
-        a = a_from_pair_field(g, ghat)
 
     def comps(*coords):
         gj = g.components(coords)
@@ -453,12 +383,12 @@ class SpectralData:
     rho: complex
     sigma: complex
 
-    @property
-    def is_real(self) -> bool:
-        return self.kind == "real"
+
+# relative size of the discriminant below which the spectrum counts as degenerate
+_DEGENERATE_TOL = 1e-10
 
 
-def eigen_decompose(geo: Geometry, i: int, degenerate_tol: float = 1e-10) -> SpectralData:
+def eigen_decompose(geo: Geometry, i: int) -> SpectralData:
     """Spectral type and double eigenvalues of a T-commuting endomorphism.
 
     Roots of t^2 - mu1 t + mu2; rho is the larger real root, or the root
@@ -467,7 +397,7 @@ def eigen_decompose(geo: Geometry, i: int, degenerate_tol: float = 1e-10) -> Spe
     m1, m2 = (float(x) for x in geo.mu(i))
     disc = m1 * m1 - 4.0 * m2
     scale = max(1.0, m1 * m1, abs(m2))
-    if abs(disc) < degenerate_tol * scale:
+    if abs(disc) < _DEGENERATE_TOL * scale:
         kind = "degenerate"
         rho = sigma = complex(m1 / 2.0, 0.0)
     elif disc > 0:
@@ -491,25 +421,6 @@ def _eigenvalue_pair(m1, m2, kind: str):
     if kind == "complex":
         return m1 * 0.5, jsqrt(4.0 * m2 - m1 * m1) * 0.5
     raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
-
-
-def eigenvalue_fields(a: TensorField, kind: str) -> tuple[ScalarField, ScalarField]:
-    """Smooth eigenvalue fields on a box of fixed spectral type.
-
-    kind "real": (rho, sigma) with rho the larger root;
-    kind "complex": (Re rho, Im rho) with Im rho > 0.
-    """
-    if kind not in ("real", "complex"):
-        raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
-    names = ("rho", "sigma") if kind == "real" else ("Re rho", "Im rho")
-
-    def pair(coords):
-        return _eigenvalue_pair(*mu_invariants(a.components(coords)), kind)
-
-    return (
-        ScalarField(lambda *c: pair(c)[0], names[0]),
-        ScalarField(lambda *c: pair(c)[1], names[1]),
-    )
 
 
 def _eigenvalue_gradients(geo: Geometry, i: int, kind: str) -> list[np.ndarray]:
@@ -539,23 +450,6 @@ def eigen_gradient_residual(geo: Geometry, i: int) -> float:
         r1 = am @ v1 - (re * v1 - im * v2)
         r2 = am @ v2 - (re * v2 + im * v1)
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)))) / scale
-
-
-def canonical_killing_fields(
-    triple: ParaKahlerTriple, a: TensorField
-) -> tuple[list[TensorField], list[TensorField]]:
-    """([V1, V2], [TV1, TV2]) with V_i = grad mu_i, as fields (e.g. along curves).
-
-    The T-rotated fields are Killing for g and Hamiltonian for the
-    fundamental form with Hamiltonians mu_i.  At sample points the same
-    fields are read from ``Geometry.jets(i, "killing")``.
-    """
-    mu1f, mu2f = mu_invariant_fields(a)
-    v1 = gradient_field(triple.g, mu1f, name="V1")
-    v2 = gradient_field(triple.g, mu2f, name="V2")
-    tv1 = apply_endo_field(triple.t, v1, name="TV1")
-    tv2 = apply_endo_field(triple.t, v2, name="TV2")
-    return [v1, v2], [tv1, tv2]
 
 
 def killing_residual(geo: Geometry, i: int) -> float:
@@ -610,6 +504,10 @@ def leaf_geodesic_residual(geo: Geometry, i: int) -> float:
 
 GradClass = str  # "zero", "null-plus", "null-minus", "non-isotropic", ...
 
+# relative size below which a gradient, an isotropy norm or a singular value
+# counts as zero; values within a factor 10 of it are flagged
+_THRESHOLD = 1e-8
+
 _CLASS_ORDER = {
     "non-isotropic-complex": 0,
     "conjugate": 1,
@@ -622,11 +520,7 @@ _CLASS_ORDER = {
 
 
 def classify_gradient(
-    gm: np.ndarray,
-    tm: np.ndarray,
-    v: np.ndarray,
-    scale: float,
-    threshold: float = 1e-8,
+    gm: np.ndarray, tm: np.ndarray, v: np.ndarray, scale: float
 ) -> tuple[GradClass, list[str]]:
     """Classify one eigenvalue gradient: zero / null in T+ or T- / non-isotropic.
 
@@ -635,30 +529,30 @@ def classify_gradient(
     """
     flags: list[str] = []
     vnorm = float(np.max(np.abs(v)))
-    if vnorm < threshold * scale:
-        if vnorm > 0.1 * threshold * scale:
+    if vnorm < _THRESHOLD * scale:
+        if vnorm > 0.1 * _THRESHOLD * scale:
             flags.append("near-zero-gradient")
         return "zero", flags
     norm2 = abs(float(v @ gm @ v))
     iso_scale = float(np.max(np.abs(gm))) * vnorm * vnorm
-    isotropic = norm2 < threshold * iso_scale
-    if threshold * iso_scale * 0.1 < norm2 < threshold * iso_scale * 10.0:
+    isotropic = norm2 < _THRESHOLD * iso_scale
+    if _THRESHOLD * iso_scale * 0.1 < norm2 < _THRESHOLD * iso_scale * 10.0:
         flags.append("borderline-isotropy")
         return "indeterminate", flags
     if not isotropic:
         return "non-isotropic", flags
     plus = float(np.max(np.abs(tm @ v - v)))
     minus = float(np.max(np.abs(tm @ v + v)))
-    if plus < threshold * vnorm:
+    if plus < _THRESHOLD * vnorm:
         return "null-plus", flags
-    if minus < threshold * vnorm:
+    if minus < _THRESHOLD * vnorm:
         return "null-minus", flags
     flags.append("isotropic-but-not-eigendirection")
     return "indeterminate", flags
 
 
 def distribution_d_rank(
-    geo: Geometry, i: int, threshold: float = 1e-8
+    geo: Geometry, i: int
 ) -> tuple[int, tuple[GradClass, GradClass], list[str]]:
     """Rank of span{grad mu1, grad mu2, T grad mu1, T grad mu2} + configuration.
 
@@ -675,10 +569,10 @@ def distribution_d_rank(
     gens = np.stack([v1, v2, tm @ v1, tm @ v2])
     svals = np.linalg.svd(gens, compute_uv=False)
     smax = max(float(svals[0]), 1e-30)
-    rank = int(np.sum(svals > threshold * smax))
+    rank = int(np.sum(svals > _THRESHOLD * smax))
     flags = []
     close = np.sum(
-        (svals > 0.1 * threshold * smax) & (svals < 10.0 * threshold * smax)
+        (svals > 0.1 * _THRESHOLD * smax) & (svals < 10.0 * _THRESHOLD * smax)
     )
     if close:
         flags.append("borderline-rank")
@@ -691,7 +585,7 @@ def distribution_d_rank(
         im_part = float(2.0 * gr @ gm @ gi)
         vnorm = max(float(np.max(np.abs(gr))), float(np.max(np.abs(gi))))
         iso_scale = float(np.max(np.abs(gm))) * vnorm * vnorm
-        if abs(complex(re_part, im_part)) < threshold * iso_scale:
+        if abs(complex(re_part, im_part)) < _THRESHOLD * iso_scale:
             config = ("indeterminate", "conjugate")
             flags.append("complex-gradient-isotropic")
         else:
@@ -705,8 +599,8 @@ def distribution_d_rank(
         float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1.0
     )
     gr, gs = _eigenvalue_gradients(geo, i, "real")
-    c1, fl1 = classify_gradient(gm, tm, gr, scale_v, threshold)
-    c2, fl2 = classify_gradient(gm, tm, gs, scale_v, threshold)
+    c1, fl1 = classify_gradient(gm, tm, gr, scale_v)
+    c2, fl2 = classify_gradient(gm, tm, gs, scale_v)
     flags += fl1 + fl2
     pair = sorted([c1, c2], key=lambda c: _CLASS_ORDER[c])
     return rank, (pair[0], pair[1]), flags
@@ -740,7 +634,7 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     kv, kp = geo.vp(i, "killing")
     lam, lam_p = 0.5 * kv[0], 0.5 * kp[0]  # Lam = V1 / 2
     nlam = covariant_derivative_vector(gamma, lam, lam_p)  # [x, i]
-    ainv = np.linalg.inv(geo.values(i, "a"))
+    ainv = minv(geo.values(i, "a"))
     const = float((ainv @ lam) @ gm @ lam)
     gainv = gm @ ainv  # symmetric since A is g-symmetric
     rhs = np.einsum("ym,xm->xy", gainv, nlam) - const * gainv
@@ -799,8 +693,8 @@ def einstein_family_constant(
         at = alpha * np.eye(DIM) + beta * am
         lamv = geo.lam(i)
         det_a = float(np.linalg.det(am))
-        g_ainv = float((np.linalg.inv(am) @ lamv) @ gm @ lamv)
-        g_atinv = float((np.linalg.inv(at) @ lamv) @ gm @ lamv)
+        g_ainv = float((minv(am) @ lamv) @ gm @ lamv)
+        g_atinv = float((minv(at) @ lamv) @ gm @ lamv)
         lt = _K * s * (
             lam_hat * beta / _K / np.sqrt(det_a)
             + beta * g_ainv

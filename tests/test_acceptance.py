@@ -99,11 +99,11 @@ def test_criterion_3_catalog_conformance(catalog):
     }
     bad = []
     for name, tr in catalog.items():
-        rep = validate(tr, n_points=20, tolerances=tol)
+        geo = Geometry(tr, tr.sample_points(20))
+        rep = validate(geo, tol)
         if not rep.all_passed:
             bad.append((name, [c.name for c in rep.checks if not c.passed]))
             continue
-        geo = Geometry(tr, tr.sample_points(20))
         ben = max(pj.benenti_residual(geo, i) for i in range(20))
         ham = max(pj.hamiltonian_form_residual(geo, i) for i in range(20))
         eig = max(pj.eigen_gradient_residual(geo, i) for i in range(20))

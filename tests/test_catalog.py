@@ -72,7 +72,7 @@ class TestConstructorRejections:
 class TestFamilyConformance:
     def test_every_family_validates(self, triples):
         for name, tr in triples.items():
-            rep = validate(tr, n_points=6)
+            rep = validate(Geometry(tr, tr.sample_points(6)))
             assert rep.all_passed, (name, [c.name for c in rep.checks if not c.passed])
 
     def test_every_family_satisfies_defining_equation(self, triples):
@@ -102,7 +102,7 @@ class TestFamilyConformance:
             rho=lambda u: u, sigma=lambda u: u, eps=-1,
             box=((2.0, 3.0), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
         )
-        rep = validate(tr, n_points=5)
+        rep = validate(Geometry(tr, tr.sample_points(5)))
         assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
         geo = Geometry(tr, tr.sample_points(4))
         assert max(pj.benenti_residual(geo, i) for i in range(4)) < 1e-9
@@ -114,7 +114,7 @@ class TestFamilyConformance:
             rho=lambda u: u, sigma=lambda u: u, k=0.0,
             box=((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (3.5, 4.5)),
         )
-        assert validate(tr, n_points=4).all_passed
+        assert validate(Geometry(tr, tr.sample_points(4))).all_passed
         geo = Geometry(tr, tr.sample_points(4))
         assert max(pj.benenti_residual(geo, i) for i in range(4)) < 1e-9
         # with k = 0 the endomorphism block-diagonalizes

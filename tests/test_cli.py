@@ -125,6 +125,17 @@ def test_infeasible_parameters_exit_three(capsys):
     assert "constructor rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, code, message", [
+    ("rho=sqrt(x1-2.5)", 3, "constraint 'rho' is undefined on the box"),  # sqrt of x1 < 2.5
+    ("rho=exp(800*x1)-exp(800*x1)+x1", 3, "constraint 'rho' is not finite on the box"),  # inf - inf
+    ("rho=x1^1e400", 2, "number '1e400' is not finite"),
+], ids=["domain-error", "not-finite", "literal-overflow"])
+def test_unusable_profile_is_rejected_before_any_check(capsys, param, code, message):
+    assert run("run", "--family", "real-liouville", "--param", param,
+               "--checks", "parakahler") == code
+    assert message in capsys.readouterr().err
+
+
 def test_failing_check_exits_one(tmp_path):
     code = run("run", "--family", "dim-d2-2", "--checks", "rank",
                "--tol", "rank/dimension=1e-30", "--points", "4")

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import fd_tensor_partials
 from pklab.curvature import (
-    christoffel,
     christoffel_batch,
     christoffel_jets,
     covariant_derivative_endo,
@@ -21,6 +20,7 @@ from pklab.fields import (
 )
 from pklab.geometry import Geometry
 from pklab.jets import jsin
+from pklab.linalg import minv
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -49,6 +49,10 @@ def sphere_block_metric():
 
 
 P = [0.7, 0.3, 0.1, -0.2]
+
+
+def christoffel(g, p):
+    return Geometry.at(p, g).gamma(0)
 
 
 def riemann(g, p):
@@ -200,6 +204,15 @@ def test_christoffel_batch_matches_pointwise(triples):
     batch = christoffel_batch(tr.g, pts)
     for i, p in enumerate(pts):
         assert np.allclose(batch[i], christoffel(tr.g, p), atol=1e-11)
+
+
+def test_singular_metric_raises_a_domain_error_and_shape_errors_propagate():
+    singular = np.diag([1.0, 1.0, -1.0, 0.0]).tolist()
+    g = TensorField((0, 2), lambda *c: objarray(singular))
+    with pytest.raises(ZeroDivisionError):
+        christoffel_batch(g, np.zeros((3, 4)))
+    with pytest.raises(np.linalg.LinAlgError):  # not square: a programming error
+        minv(np.ones((3, 4)))
 
 
 def test_christoffel_jets_equal_the_entry_loop(triples):

@@ -16,6 +16,7 @@ from pklab.curves import (
     t_planarity_residual,
 )
 from pklab.fields import Chart, TensorField, objarray
+from pklab.geometry import Geometry
 from pklab.suites import geodesic_starts
 
 FLAT = [
@@ -51,10 +52,11 @@ def test_energy_conservation_on_curved_metric(triples):
 def test_killing_momentum_conserved(triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
-    _, (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
     x, v = path.positions[::100], path.velocities[::100]
-    for field in (tv1, tv2):
-        mom = np.einsum("ni,nij,nj->n", v, tr.g.batch_values(x), field.batch_values(x))
+    geo = Geometry(tr, x)
+    for k in (2, 3):  # TV1, TV2
+        mom = np.array([v[i] @ geo.values(i, "g") @ geo.values(i, "killing")[k]
+                        for i in range(len(x))])
         assert np.max(np.abs(mom - mom[0])) < 1e-8
 
 

@@ -11,7 +11,6 @@ from pklab.fields import (
     _halton,
     exterior_derivative_2form,
     gradient,
-    gradient_field,
     lie_bracket,
     lie_derivative_metric,
     metric_inverse,
@@ -19,6 +18,7 @@ from pklab.fields import (
     objarray,
     tensor_values_and_partials,
 )
+from pklab.geometry import Geometry
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -62,10 +62,10 @@ class TestChart:
         # the radical inverse digit by digit, one point at a time: the
         # vectorized sampler must reproduce its bits, so charts sample the
         # same points and certificates and reports do not move
-        def radical_inverse(n, base, start):
+        def radical_inverse(n, base):
             out = np.empty(n)
             for k in range(n):
-                i, f, x = k + start, 1.0, 0.0
+                i, f, x = k + 1, 1.0, 0.0
                 while i > 0:
                     f /= base
                     x += f * (i % base)
@@ -74,8 +74,7 @@ class TestChart:
             return out
 
         for base in (2, 3, 5, 7):
-            for start in (1, 7):
-                assert np.array_equal(_halton(3000, base, start), radical_inverse(3000, base, start))
+            assert np.array_equal(_halton(3000, base), radical_inverse(3000, base))
 
 
 def test_metric_inverse_flat_block_structure():
@@ -120,15 +119,13 @@ def test_gradient_duality(triples):
 
 
 def test_raise_lower_roundtrip(triples):
-    from pklab.fields import lower_index, raise_index
-
     tr = triples["complex-liouville"]
     rng = np.random.default_rng(1)
     for p in tr.sample_points(4):
         gm = tr.g.values(p)
         ginv = metric_inverse(gm)
         v = rng.normal(size=4)
-        assert np.max(np.abs(raise_index(ginv, lower_index(gm, v)) - v)) < 1e-10
+        assert np.max(np.abs(ginv @ (gm @ v) - v)) < 1e-10
 
 
 def test_lie_derivative_coordinate_killing_field(triples):
@@ -141,12 +138,12 @@ def test_lie_derivative_coordinate_killing_field(triples):
 
 def test_lie_derivative_gradient_not_killing(triples):
     tr = triples["real-liouville"]
-    rho = ScalarField(lambda x1, x2, x3, x4: x1)  # the eigenvalue profile
-    gr = gradient_field(tr.g, rho)
-    vals = [
-        np.max(np.abs(lie_derivative_metric(*vp(tr.g, p), *vp(gr, p))))
-        for p in tr.sample_points(3)
-    ]
+    geo = Geometry(tr, tr.sample_points(3))
+    # V1 = grad mu1 = grad(rho + sigma) is not Killing; T V1 is
+    vals = []
+    for i in range(3):
+        kv, kp = geo.vp(i, "killing")
+        vals.append(np.max(np.abs(lie_derivative_metric(*geo.vp(i, "g"), kv[0], kp[0]))))
     assert min(vals) > 1e-3
 
 

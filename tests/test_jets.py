@@ -10,7 +10,6 @@ from pklab.jets import (
     JetDomainError,
     dual_point,
     seed_point,
-    seed_variable,
 )
 
 
@@ -23,7 +22,7 @@ def test_space_size_grows_as_binomial():
 
 
 def test_seed_variable_basic():
-    j = seed_variable(0, 2.0, 2, 2)
+    j = Jet.variable(0, 2.0, 2, 2)
     sp = j.space
     assert j.value == 2.0
     assert j.coeffs[sp.position[(1, 0)]] == 1.0
@@ -32,7 +31,7 @@ def test_seed_variable_basic():
 
 
 def test_seed_variable_zero_base():
-    j = seed_variable(1, 0.0, 2, 1)
+    j = Jet.variable(1, 0.0, 2, 1)
     sp = j.space
     assert j.value == 0.0
     assert j.coeffs[sp.position[(0, 1)]] == 1.0
@@ -41,12 +40,12 @@ def test_seed_variable_zero_base():
 
 def test_seed_variable_index_error():
     with pytest.raises(IndexError):
-        seed_variable(4, 0.0, 4, 2)
+        Jet.variable(4, 0.0, 4, 2)
 
 
 def test_square_taylor_at_three():
     # x^2 at x=3: value 9, first derivative 6, Taylor coefficient of t^2 is 1
-    x = seed_variable(0, 3.0, 1, 3)
+    x = Jet.variable(0, 3.0, 1, 3)
     f = x * x
     assert f.value == 9.0
     assert f.partial([1]) == 6.0
@@ -77,7 +76,7 @@ def test_polynomial_product_matches_symbolic():
 
 
 def test_log_expansion_at_one():
-    x = seed_variable(0, 1.0, 1, 2)
+    x = Jet.variable(0, 1.0, 1, 2)
     lg = x.log()
     assert np.allclose(lg.coeffs, [0.0, 1.0, -0.5])
     assert lg.partial([2]) == pytest.approx(-1.0)
@@ -85,7 +84,7 @@ def test_log_expansion_at_one():
 
 def test_sqrt_of_square_chain_rule():
     # d/dx sqrt(x^2) = 1 for x > 0
-    x = seed_variable(0, 2.0, 1, 1)
+    x = Jet.variable(0, 2.0, 1, 1)
     f = (x * x).sqrt()
     assert f.value == pytest.approx(2.0)
     assert f.partial([1]) == pytest.approx(1.0)
@@ -233,14 +232,14 @@ def test_dual_batch_derivative_matches_jet_derivative():
 
 
 def test_integer_power_matches_repeated_multiplication():
-    x = seed_variable(0, 1.3, 1, 3)
+    x = Jet.variable(0, 1.3, 1, 3)
     assert np.allclose((x ** 4).coeffs, (x * x * x * x).coeffs)
     assert np.allclose((x ** -2).coeffs, (1.0 / (x * x)).coeffs)
 
 
 def test_mismatched_spaces_rejected():
-    a = seed_variable(0, 1.0, 2, 2)
-    b = seed_variable(0, 1.0, 3, 2)
+    a = Jet.variable(0, 1.0, 2, 2)
+    b = Jet.variable(0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         _ = a + b
 
@@ -335,7 +334,7 @@ def test_bincount_product_equals_the_add_at_formula():
 
     rng = np.random.default_rng(7)
     for dim, order in ((4, 3), (4, 2), (2, 3), (1, 4)):
-        space = seed_variable(0, 0.0, dim, order).space
+        space = Jet.variable(0, 0.0, dim, order).space
         for n in (None, 1, 5):
             shape = (space.size,) if n is None else (space.size, n)
             a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)

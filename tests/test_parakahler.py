@@ -28,13 +28,18 @@ def flat_triple(t_rows=None):
     return ParaKahlerTriple(chart=chart, g=g, t=t)
 
 
+def sampled(triple, n):
+    """Geometry of a triple at its first n sample points."""
+    return Geometry(triple, triple.sample_points(n))
+
+
 def test_flat_block_triple_passes():
-    rep = validate(flat_triple(), n_points=5)
+    rep = validate(sampled(flat_triple(), 5))
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
 
 
 def test_non_tracefree_involution_fails_eigendistribution_check():
-    rep = validate(flat_triple(np.diag([1.0, 1.0, 1.0, -1.0]).tolist()), n_points=5)
+    rep = validate(sampled(flat_triple(np.diag([1.0, 1.0, 1.0, -1.0]).tolist()), 5))
     failed = {c.name for c in rep.checks if not c.passed}
     assert "t-trace-free" in failed
 
@@ -85,7 +90,7 @@ def test_signature_counts():
 
 def test_validate_all_catalog_families(triples):
     for name, tr in triples.items():
-        rep = validate(tr, n_points=8)
+        rep = validate(sampled(tr, 8))
         assert rep.all_passed, (name, [c.name for c in rep.checks if not c.passed])
 
 
@@ -112,7 +117,7 @@ def test_validate_reports_evaluation_errors_as_flags():
         g=TensorField((0, 2), gfn),
         t=TensorField((1, 1), lambda *c: objarray(BLOCK_T)),
     )
-    rep = validate(bad, n_points=6)
+    rep = validate(sampled(bad, 6))
     flagged = [c for c in rep.checks if any("eval-error" in f for f in c.flags)]
     assert flagged
 
@@ -133,7 +138,7 @@ def test_validate_fails_every_check_when_every_point_raises():
         g=TensorField((0, 2), gfn),
         t=TensorField((1, 1), tfn),
     )
-    rep = validate(bad, n_points=4)
+    rep = validate(sampled(bad, 4))
     assert all(not c.passed for c in rep.checks)
     assert all(c.residual == np.inf for c in rep.checks)
     assert all("eval-error:JetDomainError" in c.flags for c in rep.checks)
@@ -149,9 +154,9 @@ def test_validate_propagates_programming_errors():
         t=TensorField((1, 1), lambda *c: objarray(BLOCK_T)),
     )
     with pytest.raises(TypeError, match="bug in a field"):
-        validate(triple, n_points=3)
+        validate(sampled(triple, 3))
 
 
 def test_validate_rejects_unknown_tolerance_names():
     with pytest.raises(ValueError, match="names no result"):
-        validate(flat_triple(), n_points=2, tolerances={"t-paralel": 1e-3})
+        validate(sampled(flat_triple(), 2), {"t-paralel": 1e-3})

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_of
 from pklab import projective as pj
-from pklab.curvature import christoffel, christoffel_jets, riemann
+from pklab.curvature import christoffel_jets, riemann
 from pklab.fields import (
     DegenerateMetricError,
     ScalarField,
@@ -20,9 +20,8 @@ from pklab.geometry import (
     family_components,
     family_inverse_components,
 )
-from pklab.jets import jlog
+from pklab.jets import jlog, jpow
 from pklab.linalg import mdet, minv, mmul
-from pklab.parakahler import ParaKahlerTriple
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -70,11 +69,7 @@ class TestLambdaField:
     def test_duality_with_trace_differential(self, triples):
         # X(tr A) = 4 g(Lam, X), trace differenced independently
         tr = triples["dim-d2-1"]
-        trace = pj.trace_field(tr.a)
-
-        def tr_val(*args):
-            return trace(*args)
-
+        trace = ScalarField(lambda *c: np.trace(tr.a.components(c)))
         geo = over(tr, 3)
         for i, p in enumerate(geo.points):
             lam = geo.lam(i)
@@ -98,7 +93,7 @@ class TestBenentiResidual:
 
     def test_linearity_shift(self, triples):
         tr = triples["complex-liouville"]
-        shifted = pj.endo_combination(tr.a, -0.7, 1.0)
+        shifted = TensorField((1, 1), lambda *c: tr.a.components(c) - 0.7 * np.eye(4))
         worst = max(
             pj.benenti_residual(at(tr, p, a=shifted), 0) for p in tr.sample_points(3)
         )
@@ -198,11 +193,10 @@ class TestPotential:
         # det of the half block equals exp(-2 psi) in adapted charts
         for name in ("dim-d2-2", "dim-d1"):
             tr = triples[name]
-            mu1, mu2 = pj.mu_invariant_fields(tr.a)
             geo = over(tr, 4)
-            for i, p in enumerate(geo.points):
+            for i in range(4):
                 psi, _ = pj.psi_potential(geo, i)
-                m2 = mu2.value(p)
+                m2 = geo.mu(i)[1]
                 assert m2 > 0
                 assert abs(m2 - np.exp(-2 * psi)) / m2 < 1e-10, name
 
@@ -211,7 +205,7 @@ class TestConnectionDifference:
     def test_equal_metrics(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.connection_difference_residual(at(tr, p, a=pj.identity_endo()), 0) < 1e-12
+        assert pj.connection_difference_residual(at(tr, p, a=scaled_identity(1.0)), 0) < 1e-12
 
     def test_catalog_pairs(self, triples):
         for name, tr in triples.items():
@@ -221,20 +215,26 @@ class TestConnectionDifference:
 
     def test_unrelated_metric_fails(self, triples):
         tr = triples["real-liouville"]
-        flat = const_field(FLAT, valence=(0, 2))
         p = tr.sample_points(1)[0]
-        a = pj.a_from_pair_field(tr.g, flat)  # the pair (g, flat) as a Benenti candidate
+
+        def pair(*coords):
+            # the pair (g, flat) as a Benenti candidate: (det flat / det g)^(1/6) flat^-1 g
+            gj = tr.g.components(coords)
+            return objarray(FLAT) @ gj * jpow(1.0 / mdet(gj), 1.0 / 6.0)
+
+        a = TensorField((1, 1), pair)
         assert pj.connection_difference_residual(at(tr, p, a=a), 0) > 1e-2
 
     def test_parallel_a_means_equal_connections(self, triples):
         # A = c Id is parallel, the companion is a constant rescaling,
         # and constant rescalings share their Levi-Civita connection
         tr = triples["real-liouville"]
-        ghat = pj.companion_metric(tr.g, scaled_identity(2.0))
         p = tr.sample_points(1)[0]
-        assert np.allclose(christoffel(ghat, p), christoffel(tr.g, p), atol=1e-11)
+        gamma = Geometry.at(p, g=tr.g).gamma(0)
+        ghat = pj.companion_metric(tr.g, scaled_identity(2.0))
+        assert np.allclose(Geometry.at(p, g=ghat).gamma(0), gamma, atol=1e-11)
         ghat_np = pj.companion_metric(tr.g, tr.a)  # non-parallel catalog tensor
-        assert np.max(np.abs(christoffel(ghat_np, p) - christoffel(tr.g, p))) > 1e-3
+        assert np.max(np.abs(Geometry.at(p, g=ghat_np).gamma(0) - gamma)) > 1e-3
 
     def test_companion_inverse_matches_gauss_jordan(self, triples):
         # the cache's companion symbols use ghat^-1 = sqrt(det A) A g^-1;
@@ -320,10 +320,10 @@ class TestFamilyMetric:
         fam10 = pj.family_metric(tr.g, tr.a, 1.0, 0.0)
         fam01 = pj.family_metric(tr.g, tr.a, 0.0, 1.0)
         ghat = pj.companion_metric(tr.g, tr.a)
-        mu2 = pj.mu_invariant_fields(tr.a)[1]
-        for p in tr.sample_points(3):
+        geo = over(tr, 3)
+        for i, p in enumerate(geo.points):
             assert np.allclose(fam10.values(p), tr.g.values(p), atol=1e-12)
-            assert mu2.value(p) > 0  # positive and signed roots coincide here
+            assert geo.mu(i)[1] > 0  # positive and signed roots coincide here
             assert np.allclose(fam01.values(p), ghat.values(p), atol=1e-11)
 
     def test_closed_form_two_parameter_family(self, einstein_preset):
@@ -432,9 +432,10 @@ class TestSpectral:
         rows[0, 0], rows[1, 1] = 3.0, 5.0
         rows[2, 2], rows[2, 3], rows[3, 2] = 8.0, 15.0, -1.0
         a = const_field(rows.tolist())
-        geo = Geometry.at([0, 0, 0, 0], a=a)
-        assert pj.mu_polynomial(geo, 0, 0.0) == pytest.approx(15.0)
-        assert pj.mu_polynomial(geo, 0, 3.0) == pytest.approx(0.0)
+        m1, m2 = Geometry.at([0, 0, 0, 0], a=a).mu(0)
+        # sqrt(det(A - t Id)) = t^2 - mu1 t + mu2
+        assert 0.0**2 - m1 * 0.0 + m2 == pytest.approx(15.0)
+        assert 3.0**2 - m1 * 3.0 + m2 == pytest.approx(0.0)
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
         spec = pj.eigen_decompose(at(tr, p), 0)
@@ -451,14 +452,14 @@ class TestEigenGradients:
 
     def test_gradients_g_orthogonal_in_real_type(self, triples):
         for name in ("real-liouville", "dim-d2-2", "dim-d2-4"):
-            tr = triples[name]
-            f1, f2 = pj.eigenvalue_fields(tr.a, "real")
-            for p in tr.sample_points(3):
-                gm = tr.g.values(p)
-                ginv = np.linalg.inv(gm)
-                v1 = ginv @ f1.gradient_covector(p)
-                v2 = ginv @ f2.gradient_covector(p)
-                assert abs(v1 @ gm @ v2) < 1e-9, name
+            geo = over(triples[name], 3)
+            for i in range(3):
+                # rho, sigma = (mu1 +- sqrt(mu1^2 - 4 mu2)) / 2, differentiated by hand
+                (m1, m2), (d1, d2) = geo.mu(i), geo.vp(i, "mu")[1]
+                root = np.sqrt(m1 * m1 - 4.0 * m2)
+                droot = (m1 * d1 - 2.0 * d2) / root
+                v1, v2 = (geo.ginv(i) @ (0.5 * (d1 + sign * droot)) for sign in (1.0, -1.0))
+                assert abs(v1 @ geo.values(i, "g") @ v2) < 1e-9, name
 
     def test_perturbation_detected(self, triples):
         tr = triples["real-liouville"]
@@ -475,13 +476,9 @@ class TestEigenGradients:
 class TestKillingMachinery:
     def test_fields_vanish_for_constant_a(self, triples):
         tr = triples["real-liouville"]
-        (v1, v2), (tv1, tv2) = pj.canonical_killing_fields(
-            ParaKahlerTriple(tr.chart, tr.g, tr.t, a=scaled_identity(2.0)),
-            scaled_identity(2.0),
-        )
         p = tr.sample_points(1)[0]
-        for x in (v1, v2, tv1, tv2):
-            assert np.allclose(x.values(p), 0.0, atol=1e-13)
+        kv = at(tr, p, a=scaled_identity(2.0)).values(0, "killing")  # V1, V2, TV1, TV2
+        assert np.allclose(kv, 0.0, atol=1e-13)
 
     def test_rotated_gradients_are_killing(self, triples):
         for name in ("real-liouville", "complex-liouville", "dim-d2-1", "dim-d1"):
@@ -504,13 +501,12 @@ class TestKillingMachinery:
             assert pj.commutation_residual(geo, i) < 1e-8
 
     def test_gradient_and_rotated_gradient_orthogonal(self, triples):
-        tr = triples["real-liouville"]
-        (v1, v2), (tv1, tv2) = pj.canonical_killing_fields(tr, tr.a)
-        for p in tr.sample_points(3):
-            gm = tr.g.values(p)
-            for vi in (v1, v2):
-                for tvj in (tv1, tv2):
-                    assert abs(vi.values(p) @ gm @ tvj.values(p)) < 1e-9
+        geo = over(triples["real-liouville"], 3)
+        for i in range(3):
+            gm, kv = geo.values(i, "g"), geo.values(i, "killing")  # V1, V2, TV1, TV2
+            for vi in kv[:2]:
+                for tvj in kv[2:]:
+                    assert abs(vi @ gm @ tvj) < 1e-9
 
     def test_leaf_restriction_rank4(self, triples):
         for name in ("real-liouville", "complex-liouville"):

@@ -79,9 +79,9 @@ def test_parakahler_checks_the_runs_points(triples, monkeypatch):
     seen = []
     original = suites.validate
 
-    def spy(triple, **kwargs):
-        seen.append(kwargs["geometry"].points.copy())
-        return original(triple, **kwargs)
+    def spy(geo, tolerances):
+        seen.append(geo.points.copy())
+        return original(geo, tolerances)
 
     monkeypatch.setattr(suites, "validate", spy)
     for seed in (0, 1):
@@ -222,6 +222,25 @@ def test_nonpositive_det_a_fails_geodesic_closed(triples):
     for c in report.checks:
         assert not c.passed and c.residual == np.inf, c.name
         assert c.flags == ["eval-error:DegenerateMetricError"], c.name
+
+
+def test_singular_metric_fails_geodesic_and_companion_closed(triples):
+    # constant singular g: the geodesic symbols and A from the pair (g, companion)
+    # invert singular matrices
+    singular = np.diag([1.0, 1.0, -1.0, 0.0]).tolist()
+    triple = dataclasses.replace(
+        triples["dim-d2-2"], g=TensorField((0, 2), lambda *c: objarray(singular)))
+    report = run_suite(triple, ["geodesic", "companion"], n_points=3)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity",
+                 "companion/pair-roundtrip"):
+        assert by_name[name].residual == np.inf, name
+        assert by_name[name].flags == ["eval-error:ZeroDivisionError"], name
+    # every other companion result that inverts g fails closed as well; the
+    # three that read values of g, T and A alone are evaluated
+    evaluated = {name for name, c in by_name.items() if not any("eval-error" in f for f in c.flags)}
+    assert evaluated == {"companion/symmetric", "companion/para-hermitian",
+                         "companion/potential-exponential"}
 
 
 def test_unsettled_geodesic_sweeps_fail_geodesic_closed(triples, monkeypatch):
