@@ -18,7 +18,7 @@ expected rank, gradient configuration and flatness/Einstein data.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -705,72 +705,54 @@ def _einstein_system_dimd2_1(params, constants, points) -> float:
 # -- registry --------------------------------------------------------------
 
 
-def _default_real_liouville(**kw):
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("sigma", lambda u: u)
-    kw.setdefault("eps", 1)
-    return build_real_liouville(**kw)
+class Family(NamedTuple):
+    """A family's ``build_*`` function, by name (looked up at each call, so
+    that a wrapper installed on the module sees the call), the builder
+    arguments of its default triple, and the names ``--param`` may set: each
+    maps to (builder argument, coordinate names) for a profile, or to
+    ``int`` or ``float`` for a number."""
+
+    builder: str
+    defaults: dict
+    params: dict
 
 
-def _default_complex_liouville(**kw):
-    # rho(z) = z^2: non-flat, spectral type complex everywhere on the box
-    kw.setdefault("re_part", lambda x1, x2: x1 * x1 - x2 * x2)
-    kw.setdefault("im_part", lambda x1, x2: 2.0 * x1 * x2)
-    return build_complex_liouville(**kw)
+_DIMD2_2 = {"rho": lambda u: u, "sigma": lambda u: u + 2.0}
+_DIMD2_2_PARAMS = {"rho": ("rho", ("x3",)), "sigma": ("sigma", ("x4",))}
+_DIMD1 = {"rho": lambda u: u, "f_profile": lambda x2, ph: x2 * ph + ph * ph, "c": 3.0}
+_DIMD1_PARAMS = {"rho": ("rho", ("x3",)), "f": ("f_profile", ("x2", "phi")),
+                 "phi": ("phi", ("x3", "x4")), "c": float}
 
-
-def _default_dimd2_1(**kw):
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("mu", lambda u: 1.0 + 0.0 * u)
-    kw.setdefault("nu", lambda x3, x4: x3 * x4)
-    kw.setdefault("c", 1.0)
-    return build_dimd2_case1(**kw)
-
-
-def _default_dimd2_2(**kw):
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("sigma", lambda u: u + 2.0)
-    return build_dimd2_case2(**kw)
-
-
-def _default_dimd2_2neg(**kw):
-    kw.setdefault("label", "dim-d2-2neg")
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("sigma", lambda u: u + 2.0)
-    return build_dimd2_case2(negate_t=True, **kw)
-
-
-def _default_dimd2_4(**kw):
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("sigma", lambda u: u)
-    kw.setdefault("k", 1.0)
-    return build_dimd2_case4(**kw)
-
-
-def _default_dimd1(**kw):
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("f_profile", lambda x2, ph: x2 * ph + ph * ph)
-    kw.setdefault("c", 3.0)
-    return build_dimd1(**kw)
-
-
-def _default_dimd1neg(**kw):
-    kw.setdefault("label", "dim-d1neg")
-    kw.setdefault("rho", lambda u: u)
-    kw.setdefault("f_profile", lambda x2, ph: x2 * ph + ph * ph)
-    kw.setdefault("c", 3.0)
-    return build_dimd1(negate_t=True, **kw)
-
-
-FAMILIES: dict[str, Callable[..., ParaKahlerTriple]] = {
-    "real-liouville": _default_real_liouville,
-    "complex-liouville": _default_complex_liouville,
-    "dim-d2-1": _default_dimd2_1,
-    "dim-d2-2": _default_dimd2_2,
-    "dim-d2-2neg": _default_dimd2_2neg,
-    "dim-d2-4": _default_dimd2_4,
-    "dim-d1": _default_dimd1,
-    "dim-d1neg": _default_dimd1neg,
+FAMILIES: dict[str, Family] = {
+    "real-liouville": Family(
+        "build_real_liouville",
+        {"rho": lambda u: u, "sigma": lambda u: u, "eps": 1},
+        {"rho": ("rho", ("x1",)), "sigma": ("sigma", ("x2",)), "eps": int},
+    ),
+    "complex-liouville": Family(
+        "build_complex_liouville",
+        # rho(z) = z^2: non-flat, spectral type complex everywhere on the box
+        {"re_part": lambda x1, x2: x1 * x1 - x2 * x2, "im_part": lambda x1, x2: 2.0 * x1 * x2},
+        {"re": ("re_part", ("x1", "x2")), "im": ("im_part", ("x1", "x2"))},
+    ),
+    "dim-d2-1": Family(
+        "build_dimd2_case1",
+        {"rho": lambda u: u, "mu": lambda u: 1.0 + 0.0 * u, "nu": lambda x3, x4: x3 * x4, "c": 1.0},
+        {"rho": ("rho", ("x2",)), "mu": ("mu", ("x2",)), "nu": ("nu", ("x3", "x4")), "c": float},
+    ),
+    "dim-d2-2": Family("build_dimd2_case2", _DIMD2_2, _DIMD2_2_PARAMS),
+    "dim-d2-2neg": Family(
+        "build_dimd2_case2", {**_DIMD2_2, "negate_t": True, "label": "dim-d2-2neg"}, _DIMD2_2_PARAMS
+    ),
+    "dim-d2-4": Family(
+        "build_dimd2_case4",
+        {"rho": lambda u: u, "sigma": lambda u: u, "k": 1.0},
+        {"rho": ("rho", ("x3",)), "sigma": ("sigma", ("x4",)), "k": float},
+    ),
+    "dim-d1": Family("build_dimd1", _DIMD1, _DIMD1_PARAMS),
+    "dim-d1neg": Family(
+        "build_dimd1", {**_DIMD1, "negate_t": True, "label": "dim-d1neg"}, _DIMD1_PARAMS
+    ),
 }
 
 
@@ -872,10 +854,10 @@ PRESETS: dict[str, tuple[str, Callable[[], ParaKahlerTriple]]] = {
 
 def default_triple(family: str, **kw) -> ParaKahlerTriple:
     try:
-        builder = FAMILIES[family]
+        builder, defaults, _ = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    return builder(**kw)
+    return globals()[builder](**{**defaults, **kw})
 
 
 def preset_triple(name: str) -> ParaKahlerTriple:

@@ -14,6 +14,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -33,29 +34,6 @@ from .suites import (
 )
 from . import projective as pj
 
-_EXPR_PARAMS: dict[str, dict[str, tuple[str, ...]]] = {
-    "real-liouville": {"rho": ("x1",), "sigma": ("x2",)},
-    "complex-liouville": {"re": ("x1", "x2"), "im": ("x1", "x2")},
-    "dim-d2-1": {"rho": ("x2",), "mu": ("x2",), "nu": ("x3", "x4")},
-    "dim-d2-2": {"rho": ("x3",), "sigma": ("x4",)},
-    "dim-d2-2neg": {"rho": ("x3",), "sigma": ("x4",)},
-    "dim-d2-4": {"rho": ("x3",), "sigma": ("x4",)},
-    "dim-d1": {"rho": ("x3",), "f": ("x2", "phi"), "phi": ("x3", "x4")},
-    "dim-d1neg": {"rho": ("x3",), "f": ("x2", "phi"), "phi": ("x3", "x4")},
-}
-
-_FLOAT_PARAMS: dict[str, tuple[str, ...]] = {
-    "real-liouville": ("eps",),
-    "complex-liouville": (),
-    "dim-d2-1": ("c",),
-    "dim-d2-2": (),
-    "dim-d2-2neg": (),
-    "dim-d2-4": ("k",),
-    "dim-d1": ("c",),
-    "dim-d1neg": ("c",),
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -68,8 +46,10 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     for part in parts:
         try:
             lo, hi = (float(x) for x in part.split(":"))
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"bad interval {part!r}") from None
+            raise ConfigError(f"bad interval {part!r}: needs finite numbers lo < hi") from None
         box.append((lo, hi))
     return tuple(box)
 
@@ -115,33 +95,23 @@ def _build_triple(args) -> tuple:
 
     params = _parse_kv(args.param, "--param")
     config["params"] = dict(sorted(params.items()))
+    spec = catalog.FAMILIES[family].params
     kwargs = {}
-    expr_spec = _EXPR_PARAMS[family]
-    float_spec = _FLOAT_PARAMS[family]
     for name, value in params.items():
-        if name in expr_spec:
-            try:
-                kwargs[name] = compile_profile(value, expr_spec[name])
-            except ExprError as e:
-                raise ConfigError(f"param {name}: {e}") from None
-        elif name in float_spec:
-            try:
-                kwargs[name] = float(value)
-            except ValueError:
-                raise ConfigError(f"param {name} must be a number") from None
-        else:
+        if name not in spec:
             raise ConfigError(
-                f"family {family!r} has no parameter {name!r} "
-                f"(expressions: {', '.join(expr_spec)}; constants: {', '.join(float_spec) or 'none'})"
+                f"family {family!r} has no parameter {name!r} (known: {', '.join(spec)})"
             )
-    if "re" in kwargs:
-        kwargs["re_part"] = kwargs.pop("re")
-    if "im" in kwargs:
-        kwargs["im_part"] = kwargs.pop("im")
-    if "f" in kwargs:
-        kwargs["f_profile"] = kwargs.pop("f")
-    if "eps" in kwargs:
-        kwargs["eps"] = int(kwargs["eps"])
+        kind = spec[name]
+        try:  # ExprError is a ValueError
+            if kind in (int, float):
+                kwargs[name] = kind(value)
+                if not math.isfinite(kwargs[name]):
+                    raise ValueError(f"{value!r} is not finite")
+            else:
+                kwargs[kind[0]] = compile_profile(value, kind[1])
+        except ValueError as e:
+            raise ConfigError(f"param {name}: {e}") from None
     if args.box:
         kwargs["box"] = _parse_box(args.box)
         config["box"] = args.box
@@ -207,6 +177,16 @@ def _cmd_demo(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low (argparse exits 2 otherwise)."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pk-lab",
@@ -224,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="coordinate box")
     run.add_argument("--checks", default="all",
                      help=f"comma list or 'all' ({', '.join(CHECK_NAMES)})")
-    run.add_argument("--points", type=int, default=20, help="sample points per check")
-    run.add_argument("--seed", type=int, default=0, help="sampling seed")
+    run.add_argument("--points", type=_at_least(1), default=20, help="sample points per check")
+    run.add_argument("--seed", type=_at_least(0), default=0, help="sampling seed")
     run.add_argument("--tol", action="append", default=[], metavar="NAME=VAL",
                      help="tolerance override for a result name (repeatable)")
     run.add_argument("--json", default="", help="write the JSON report here")
@@ -234,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo-einstein",
                           help="sweep the two-parameter Einstein family of the separable preset")
-    demo.add_argument("--points", type=int, default=20)
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--points", type=_at_least(1), default=20)
+    demo.add_argument("--seed", type=_at_least(0), default=0)
     demo.add_argument("--json", default="")
     demo.set_defaults(fn=_cmd_demo)
     return ap

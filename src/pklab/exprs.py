@@ -1,43 +1,39 @@
 """Minimal arithmetic expression grammar for profile functions.
 
-Grammar (whitelisted, no general scripting):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := unary ('^' factor)?          # right-associative power
-    unary  := ('+' | '-') unary | atom
-    atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
-
-Names are either declared variables (x1..x4, or a family-specific name
-like phi) or one of the functions exp, log, sqrt, sin, cos.  Evaluation
-is generic over ring elements, so a parsed profile runs unchanged on
-floats, jets and dual batches.
+An expression is parsed by Python's own parser (``^`` read as ``**``) and
+then checked node by node against a whitelist, so precedence is Python's:
+``^`` is right-associative and binds tighter than unary minus (``-x1^2``
+is -(x1^2), ``2^-1`` is 0.5).  Allowed are number literals (decimal, with
+an optional exponent), the declared variables (x1..x4, or a
+family-specific name like phi), the functions exp, log, sqrt, sin, cos of
+one argument, binary ``+ - * / ^``, unary ``+ -`` and parentheses.
+Evaluation is generic over ring elements, so a parsed profile runs
+unchanged on floats, jets and dual batches.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .jets import jcos, jexp, jlog, jpow, jsin, jsqrt
 
 __all__ = ["ExprError", "Expr", "parse_expr", "compile_profile"]
 
-_FUNCTIONS: dict[str, Callable] = {
-    "exp": jexp,
-    "log": jlog,
-    "sqrt": jsqrt,
-    "sin": jsin,
-    "cos": jcos,
-}
+_FUNCTIONS = {"exp": jexp, "log": jlog, "sqrt": jsqrt, "sin": jsin, "cos": jcos}
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+
+# Deepest operator nesting accepted.  Evaluation recurses once per level,
+# so the bound keeps a profile well inside the interpreter's recursion
+# limit; 200 is also Python's limit on nested parentheses.
+MAX_DEPTH = 200
 
 
 class ExprError(ValueError):
@@ -56,124 +52,79 @@ class Expr:
         return self._eval(env)
 
 
-def _tokenize(src: str) -> list[tuple[str, str]]:
-    tokens, pos = [], 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            rest = src[pos:].strip()
-            if not rest:
-                break
-            raise ExprError(f"unexpected input at {rest[:12]!r}")
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group(0).strip()))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
-
-
 def parse_expr(src: str, variables: Sequence[str]) -> Expr:
     """Parse ``src`` allowing exactly the given variable names."""
     vars_ok = tuple(variables)
-    tokens = _tokenize(src)
-    idx = 0
+    # one ASCII line, so that whitespace and newlines are insignificant and
+    # column offsets index the text; '#' would start a comment the tree hides
+    text = " ".join(src.split())
+    if "**" in text or "#" in text or not text.isascii():
+        raise ExprError(f"unexpected input in {src!r}")
+    text = text.replace("^", "**")
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None)
-
-    def take(kind=None, value=None):
-        nonlocal idx
-        k, v = peek()
-        if k is None or (kind and k != kind) or (value and v != value):
-            raise ExprError(f"expected {value or kind} near token {idx} in {src!r}")
-        idx += 1
-        return v
-
-    def atom():
-        k, v = peek()
-        if k == "num":
-            take()
-            c = float(v)
+    def walk(node, depth):
+        if depth > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
+        seg = text[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant):
+            if not _NUMBER.fullmatch(seg):
+                raise ExprError(f"unexpected literal {seg!r} in {src!r}")
+            c = float(seg)
             if not math.isfinite(c):
-                raise ExprError(f"number {v!r} is not finite")
+                raise ExprError(f"number {seg!r} is not finite")
             return lambda env: c
-        if k == "name":
-            take()
-            if v in _FUNCTIONS:
-                take("op", "(")
-                inner = expr()
-                take("op", ")")
-                fn = _FUNCTIONS[v]
-                return lambda env: fn(inner(env))
-            if v not in vars_ok:
+        if isinstance(node, ast.Name):
+            if seg not in vars_ok:
+                raise ExprError(f"unknown name {seg!r}; allowed variables: {', '.join(vars_ok)}")
+            return lambda env: env[seg]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = walk(node.operand, depth + 1)
+            return inner if isinstance(node.op, ast.UAdd) else lambda env: -inner(env)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op = _BINARY[type(node.op)]
+            lhs, rhs = walk(node.left, depth + 1), walk(node.right, depth + 1)
+            return lambda env: op(lhs(env), rhs(env))
+        if isinstance(node, ast.Call):
+            # from the call's start, so that '(exp)(x1)' names no function
+            name, args = text[node.col_offset:node.func.end_col_offset], node.args
+            if name not in _FUNCTIONS:
                 raise ExprError(
-                    f"unknown name {v!r}; allowed variables: {', '.join(vars_ok)}"
+                    f"unknown name {name!r}; allowed functions: {', '.join(_FUNCTIONS)}"
                 )
-            return lambda env: env[v]
-        if (k, v) == ("op", "("):
-            take()
-            inner = expr()
-            take("op", ")")
-            return inner
-        raise ExprError(f"unexpected token {v!r} in {src!r}")
+            # the tree keeps no trace of a trailing comma, as in 'exp(x1,)'
+            if (len(args) != 1 or node.keywords or isinstance(args[0], ast.Starred)
+                    or "," in text[args[0].end_col_offset:node.end_col_offset]):
+                raise ExprError(f"{name} takes exactly one argument in {src!r}")
+            fn, inner = _FUNCTIONS[name], walk(args[0], depth + 1)
+            return lambda env: fn(inner(env))
+        raise ExprError(f"unexpected {seg!r} in {src!r}")
 
-    def unary():
-        k, v = peek()
-        if (k, v) == ("op", "-"):
-            take()
-            inner = unary()
-            return lambda env: -inner(env)
-        if (k, v) == ("op", "+"):
-            take()
-            return unary()
-        return atom()
-
-    def factor():
-        base = unary()
-        k, v = peek()
-        if (k, v) == ("op", "^"):
-            take()
-            expo = factor()
-            return lambda env: _power(base(env), expo(env))
-        return base
-
-    def term():
-        acc = factor()
-        while peek() == ("op", "*") or peek() == ("op", "/"):
-            op = take()
-            rhs = factor()
-            if op == "*":
-                acc = (lambda a, b: lambda env: a(env) * b(env))(acc, rhs)
-            else:
-                acc = (lambda a, b: lambda env: a(env) / b(env))(acc, rhs)
-        return acc
-
-    def expr():
-        acc = term()
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            op = take()
-            rhs = term()
-            if op == "+":
-                acc = (lambda a, b: lambda env: a(env) + b(env))(acc, rhs)
-            else:
-                acc = (lambda a, b: lambda env: a(env) - b(env))(acc, rhs)
-        return acc
-
-    run = expr()
-    if idx != len(tokens):
-        raise ExprError(f"trailing input in {src!r}")
+    try:
+        run = walk(ast.parse(text, mode="eval").body, 0)
+    except SyntaxError as e:
+        raise ExprError(f"malformed expression {src!r} ({e.msg})") from None
+    except RecursionError:  # from the parser itself, before the depth bound
+        raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels") from None
     return Expr(source=src, variables=vars_ok, _eval=run)
 
 
 def _power(base, expo):
-    if isinstance(expo, float) and expo == int(expo):
+    if not isinstance(expo, (int, float)):
+        raise ExprError("exponent must be a constant")
+    if isinstance(base, (int, float)):
+        # inf where float ** raises OverflowError; a constructor's certificate
+        # rejects a profile whose value is not finite
+        with np.errstate(over="ignore"):
+            return float(np.power(float(base), float(expo)))
+    if abs(expo) < 2**63 and expo == int(expo):  # an int64 power, as numpy takes it
         return base ** int(expo)
-    if isinstance(expo, (int, float)):
-        return jpow(base, float(expo))
-    raise ExprError("exponent must be a constant")
+    return jpow(base, float(expo))
+
+
+_BINARY: dict[type, Callable] = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: _power,
+}
 
 
 def compile_profile(src: str, variables: Sequence[str]) -> Callable:

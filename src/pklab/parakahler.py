@@ -232,6 +232,6 @@ def validate(geo: Geometry, tolerances: Mapping[str, float] | None = None) -> Ve
     """
     tolerances = tolerances or {}
     check_tolerances(tolerances, [c.name for c in AXIOMS])
-    triple = geo.triple
-    return VerificationReport(label=triple.meta.get("family", triple.chart.label),
-                              checks=[check_points(geo, c, tolerances) for c in AXIOMS])
+    triple = geo.triple  # a Geometry.at of loose fields has no chart
+    label = triple.meta.get("family") or getattr(getattr(triple, "chart", None), "label", "")
+    return VerificationReport(label, checks=[check_points(geo, c, tolerances) for c in AXIOMS])

@@ -452,8 +452,11 @@ def run_suite(
     One Geometry of the triple at the run's sample points is shared by
     every check and dropped with the call.  A request that
     ``check_request`` rejects raises ValueError.  A result that could not
-    be evaluated at a point fails (see ``parakahler.check_points``).
+    be evaluated at a point fails (see ``parakahler.check_points``); with
+    ``n_points`` < 1 nothing would be evaluated, so it raises ValueError.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     tolerances = dict(tolerances or {})
     check_request(checks, tolerances)
     geo = Geometry(triple, triple.sample_points(n_points, seed=seed))

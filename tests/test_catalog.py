@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from pklab import catalog
 from pklab import projective as pj
 from pklab.catalog import (
     FAMILIES,
@@ -256,6 +259,14 @@ class TestPresets:
         }
         for name, (family, _) in PRESETS.items():
             assert family in FAMILIES, name
+
+    def test_family_parameters_are_builder_arguments(self):
+        for name, (builder, defaults, params) in FAMILIES.items():
+            accepted = inspect.signature(getattr(catalog, builder)).parameters
+            assert set(defaults) <= set(accepted), name
+            for param, kind in params.items():
+                arg = param if kind in (int, float) else kind[0]
+                assert arg in accepted, (name, param)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

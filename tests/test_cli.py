@@ -107,8 +107,9 @@ def test_preset_with_params_is_config_error():
 
 
 def test_bad_box_is_config_error():
-    assert run("run", "--family", "dim-d2-2", "--checks", "rank",
-               "--box", "0:1,0:1") == 2
+    for box in ("0:1,0:1", "0:1,0:1,0:x,0:1", "nan:1,0:1,0:1,0:1", "1:0,0:1,0:1,0:1",
+                "0:inf,0:1,0:1,0:1", "0:0,0:1,0:1,0:1"):
+        assert run("run", "--family", "dim-d2-2", "--checks", "rank", "--box", box) == 2, box
 
 
 def test_unknown_param_is_config_error(capsys):
@@ -129,10 +130,47 @@ def test_infeasible_parameters_exit_three(capsys):
     ("rho=sqrt(x1-2.5)", 3, "constraint 'rho' is undefined on the box"),  # sqrt of x1 < 2.5
     ("rho=exp(800*x1)-exp(800*x1)+x1", 3, "constraint 'rho' is not finite on the box"),  # inf - inf
     ("rho=x1^1e400", 2, "number '1e400' is not finite"),
-], ids=["domain-error", "not-finite", "literal-overflow"])
+    ("rho=x1+10^400", 3, "constraint 'rho' is not finite on the box"),  # 10^400 is inf
+    ("rho=x1^1e300", 3, "constraint 'rho' is not finite on the box"),
+    ("rho=x1" + "+0*x1" * 5000, 2, "nested deeper than 200 levels"),
+    ("rho=" + "(" * 300 + "x1" + ")" * 300, 2, "too many nested parentheses"),
+], ids=["domain-error", "not-finite", "literal-overflow", "power-overflow", "huge-exponent",
+        "long-sum", "deep-parentheses"])
 def test_unusable_profile_is_rejected_before_any_check(capsys, param, code, message):
     assert run("run", "--family", "real-liouville", "--param", param,
                "--checks", "parakahler") == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, param, message", [
+    ("real-liouville", "eps=1.7", "param eps: invalid literal for int()"),
+    ("real-liouville", "eps=-1.2", "param eps: invalid literal for int()"),
+    ("dim-d2-4", "k=nan", "param k: 'nan' is not finite"),
+    ("dim-d2-4", "k=inf", "param k: 'inf' is not finite"),
+    ("dim-d2-4", "k=abc", "param k: could not convert"),
+])
+def test_number_parameter_parsed_by_its_type(capsys, family, param, message):
+    assert run("run", "--family", family, "--param", param, "--checks", "rank") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_parameter_is_used():
+    code = run("run", "--family", "real-liouville", "--param", "eps=-1",
+               "--checks", "parakahler", "--points", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--points", "-2", "argument --points: must be at least 1, got -2"),
+    ("--points", "0", "argument --points: must be at least 1, got 0"),
+    ("--seed", "-1", "argument --seed: must be at least 0, got -1"),
+])
+@pytest.mark.parametrize("command", [("run", "--family", "dim-d2-2", "--checks", "rank"),
+                                     ("demo-einstein",)])
+def test_points_and_seed_out_of_range_are_config_errors(capsys, command, option, value, message):
+    with pytest.raises(SystemExit) as exit_:
+        run(*command, option, value)
+    assert exit_.value.code == 2
     assert message in capsys.readouterr().err
 
 

@@ -38,6 +38,13 @@ def test_flat_block_triple_passes():
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
 
 
+def test_validate_reads_a_one_point_geometry_of_loose_fields():
+    tr = flat_triple()
+    rep = validate(Geometry.at([0.5] * 4, g=tr.g, t=tr.t))
+    assert rep.label == ""
+    assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
+
+
 def test_non_tracefree_involution_fails_eigendistribution_check():
     rep = validate(sampled(flat_triple(np.diag([1.0, 1.0, 1.0, -1.0]).tolist()), 5))
     failed = {c.name for c in rep.checks if not c.passed}

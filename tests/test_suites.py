@@ -30,6 +30,11 @@ def test_nonpositive_tolerance_rejected(triples):
                   tolerances={"flatness/riemann": 0.0})
 
 
+def test_no_sample_points_rejected(triples):
+    with pytest.raises(ValueError, match="n_points must be at least 1"):
+        run_suite(triples["dim-d2-2"], ["rank"], n_points=0)
+
+
 def test_unknown_tolerance_name_rejected(triples):
     with pytest.raises(ValueError, match="names no result.*flatness/riemann"):
         run_suite(triples["dim-d2-2"], ["flatness"], n_points=3,
