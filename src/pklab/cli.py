@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -62,6 +63,17 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
         name, value = item.split("=", 1)
         out[name.strip()] = value.strip()
     return out
+
+
+def _check_outputs(*paths: str) -> None:
+    """Raise ConfigError for an output path that cannot be a file in an
+    existing directory, before any check runs and its report is lost."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
 
 
 def _build_triple(args) -> tuple:
@@ -134,6 +146,7 @@ def _cmd_run(args) -> int:
         check_request(names, args.tolerances)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    _check_outputs(args.json, args.csv)
 
     triple, config = _build_triple(args)
     t0 = time.time()
@@ -166,6 +179,7 @@ def _export_geodesic_csv(triple, path, seed: int) -> None:
 
 
 def _cmd_demo(args) -> int:
+    _check_outputs(args.json)
     t0 = time.time()
     report = demo_einstein(n_points=args.points, seed=args.seed)
     report.config = {"demo": "einstein-family", "points": args.points, "seed": args.seed}

@@ -107,7 +107,8 @@ def objarray(nested) -> np.ndarray:
     return out
 
 
-def ring_value(x) -> float:
+def ring_value(x) -> float | np.ndarray:
+    """The value of a ring element; a batched jet has one per point."""
     if isinstance(x, Jet):
         return x.value
     if isinstance(x, DualBatch):
@@ -166,6 +167,7 @@ class TensorField:
         return objarray(arr) if not isinstance(arr, np.ndarray) else arr.astype(object)
 
     def jets(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> np.ndarray:
+        """Component jets at a point, or batched over an (n, 4) array of points."""
         return self.components(seed_point(point, order))
 
     def values(self, point: Sequence[float]) -> np.ndarray:

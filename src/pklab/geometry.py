@@ -1,20 +1,16 @@
 """One triple's geometry at a fixed set of sample points, evaluated once.
 
 A :class:`Geometry` holds a triple (g, T, A) and its sample points and
-fills a per-point cache lazily: the order-3 component jets of g, T and A
-(one field evaluation each), the inverse metric, the invariants mu1, mu2,
-the potential psi, the Christoffel symbols of g and of the companion
-metric with their partials, the curvature tensors, the weighted tensor
-sigma(g) and the canonical Killing fields.  Every residual reads from it,
-so each derivative object is computed once per point and shared by all
-its consumers (the "taping" idea of Griewank & Walther, *Evaluating
-Derivatives*).  ``stacked`` hands out a quantity's jets at several points
-as batched jets, for work done once over all of them (the members of the
-two-parameter Einstein family).
-
-``run_suite`` builds one Geometry per call and drops it with the call;
-nothing is memoized on the triple or its fields, so a later call on the
-same triple evaluates everything anew.
+builds each quantity lazily, once, as batched jets over all the points
+(column k is point k, bit for bit the jet computed at that point alone):
+the order-3 jets of g, T and A (one field evaluation each), the inverse
+metric, det A, mu1, mu2, psi, the Christoffel symbols of g and of the
+companion metric, sigma(g) and the canonical Killing fields, then the
+curvature tensors.  Every residual reads its point of these batches (the
+"taping" idea of Griewank & Walther, *Evaluating Derivatives*).  A domain
+error in a quantity (det A <= 0, a singular metric) raises at every point
+that reads it.  ``run_suite`` builds one Geometry per call; nothing is
+memoized on the triple or its fields.
 
 The module also holds the jet-level formulas of the companion metric,
 the family members, sigma(g), psi and the invariants, shared by the
@@ -62,10 +58,12 @@ def mu_invariants(aj: np.ndarray):
 
 
 def _det_a(aj: np.ndarray):
-    """det A, which must be positive where the companion metric and psi are defined."""
+    """det A, which must be positive (at every point of a batch) where the
+    companion metric and psi are defined."""
     det = mdet(aj)
-    if ring_value(det) <= 0.0:
-        raise DegenerateMetricError(f"det A = {ring_value(det):.3e} <= 0 (companion metric, psi)")
+    low = float(np.min(ring_value(det)))
+    if low <= 0.0:
+        raise DegenerateMetricError(f"det A = {low:.3e} <= 0 (companion metric, psi)")
     return det
 
 
@@ -113,8 +111,10 @@ def family_inverse_components(
 def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
     """sigma^{ij} = |det g|^(1/6) g^{ij}; ``ginv`` is the inverse if already known."""
     det = mdet(gj)
-    if ring_value(det) < 0.0:
-        det = -det
+    if isinstance(det, Jet):  # |det g| column by column
+        det = Jet(det.space, det.coeffs * np.where(det.coeffs[0] < 0.0, -1.0, 1.0))
+    else:
+        det = abs(det)
     if ginv is None:
         ginv = minv(gj)
     return ginv * jpow(det, 1.0 / 6.0)
@@ -124,57 +124,62 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
 
 
 def _field(attr: str):
-    def build(geo: "Geometry", i: int) -> np.ndarray:
+    def build(geo: "Geometry") -> np.ndarray:
         field = getattr(geo, attr)
         if field is None:
             raise ValueError(f"this geometry has no field {attr!r}")
-        return field.jets(geo.points[i], DEFAULT_ORDER)
+        return field.jets(geo.points, DEFAULT_ORDER)
 
     return build
 
 
-def _killing(geo: "Geometry", i: int) -> np.ndarray:
-    """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
-    ginv = geo.jets(i, "ginv")
-    v = [ginv @ jet_differential(mu) for mu in geo.jets(i, "mu")]
-    tj = geo.jets(i, "t")
-    return np.stack(v + [tj @ vk for vk in v])
+def _as_jet(x, n: int) -> Jet:
+    """x, or the constant batch over n points of a plain number (from constant components)."""
+    if isinstance(x, Jet):
+        return x
+    one = Jet.constant(float(x), DIM, DEFAULT_ORDER)
+    return Jet(one.space, np.repeat(one.coeffs[:, None], n, axis=1))
 
 
-def _as_jet(x) -> Jet:
-    """x, or the constant jet of a plain number (from constant components)."""
-    return x if isinstance(x, Jet) else Jet.constant(float(x), DIM, DEFAULT_ORDER)
-
-
-def _mu(geo: "Geometry", i: int) -> np.ndarray:
+def _mu(geo: "Geometry") -> np.ndarray:
     out = np.empty(2, dtype=object)
-    out[0], out[1] = (_as_jet(mu) for mu in mu_invariants(geo.jets(i, "a")))
+    out[0], out[1] = (_as_jet(mu, len(geo)) for mu in mu_invariants(geo.batch("a")))
     return out
+
+
+def _killing(geo: "Geometry") -> np.ndarray:
+    """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
+    ginv = geo.batch("ginv")
+    v = [ginv @ jet_differential(mu) for mu in geo.batch("mu")]
+    tj = geo.batch("t")
+    return np.stack(v + [tj @ vk for vk in v])
 
 
 _BUILDERS = {
     "g": _field("g"),
     "t": _field("t"),
     "a": _field("a"),
-    "ginv": lambda geo, i: metric_inverse_jets(geo.jets(i, "g")),
-    "gamma": lambda geo, i: curvature.christoffel_jets(geo.jets(i, "g"), geo.jets(i, "ginv")),
-    "det_a": lambda geo, i: _det_a(geo.jets(i, "a")),
-    "ghat": lambda geo, i: companion_components(*[geo.jets(i, k) for k in ("g", "a", "det_a")]),
-    "ghat_gamma": lambda geo, i: curvature.christoffel_jets(
-        geo.jets(i, "ghat"),
-        companion_inverse_components(*[geo.jets(i, k) for k in ("ginv", "a", "det_a")]),
+    "ginv": lambda geo: metric_inverse_jets(geo.batch("g")),
+    "gamma": lambda geo: curvature.christoffel_jets(geo.batch("g"), geo.batch("ginv")),
+    "det_a": lambda geo: _det_a(geo.batch("a")),
+    "ghat": lambda geo: companion_components(*[geo.batch(k) for k in ("g", "a", "det_a")]),
+    "ghat_gamma": lambda geo: curvature.christoffel_jets(
+        geo.batch("ghat"),
+        companion_inverse_components(*[geo.batch(k) for k in ("ginv", "a", "det_a")]),
     ),
     "mu": _mu,
     "killing": _killing,
-    "sigma": lambda geo, i: weighted_sigma_components(geo.jets(i, "g"), geo.jets(i, "ginv")),
-    "a_sigma": lambda geo, i: mmul(geo.jets(i, "a"), geo.jets(i, "sigma")),
+    "sigma": lambda geo: weighted_sigma_components(geo.batch("g"), geo.batch("ginv")),
+    "a_sigma": lambda geo: mmul(geo.batch("a"), geo.batch("sigma")),
+    # its differential drives the connection shift
+    "psi": lambda geo: _as_jet(jlog(geo.batch("det_a")) * (-0.25), len(geo)),
 }
 
 _GAMMA = {"g": "gamma", "ghat": "ghat_gamma"}
 
 
 class Geometry:
-    """Lazily filled per-point cache of one triple's geometry.
+    """Lazily built batches of one triple's geometry at its sample points.
 
     ``triple`` needs attributes ``g`` and ``t`` (tensor fields) and may
     carry ``a`` (the Benenti tensor), ``meta`` and ``chart``; quantities
@@ -188,6 +193,7 @@ class Geometry:
         self.t = triple.t
         self.a = getattr(triple, "a", None)
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self._all: dict = {}
         self._memo: list[dict] = [{} for _ in range(len(self.points))]
 
     @classmethod
@@ -198,41 +204,62 @@ class Geometry:
     def __len__(self) -> int:
         return len(self.points)
 
-    def cached(self, i: int, key: str, build):
-        """``build()``, evaluated once per point i and ``key``; errors are not kept."""
-        memo = self._memo[i]
+    def cached(self, i: int | None, key: str, build):
+        """``build()``, evaluated once per ``key`` and point i, or once over
+        all points for i None; errors are not kept."""
+        memo = self._all if i is None else self._memo[i]
         if key not in memo:
             memo[key] = build()
         return memo[key]
 
     # -- jets -------------------------------------------------------------
 
-    def jets(self, i: int, name: str) -> np.ndarray:
-        """Order-3 jets of 'g', 't', 'a', 'ginv', 'det_a', 'ghat', 'gamma' (of g),
-        'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
-        'sigma' (weighted sigma(g)) or 'a_sigma' (A sigma)."""
-        return self.cached(i, name, lambda: _BUILDERS[name](self, i))
+    def batch(self, name: str):
+        """Order-3 batched jets of 'g', 't', 'a', 'ginv', 'det_a', 'ghat', 'gamma'
+        (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
+        'sigma' (weighted sigma(g)), 'a_sigma' (A sigma) or 'psi' over all
+        points; column k is point k, and plain numbers are constants."""
+        return self.cached(None, name, lambda: _BUILDERS[name](self))
+
+    def jets(self, i: int, name: str):
+        """``batch(name)`` at point i, as one-point jets."""
+
+        def column(x):
+            return Jet(x.space, x.coeffs[:, i]) if isinstance(x, Jet) else x
+
+        return self.cached(i, name, lambda: np.frompyfunc(column, 1, 1)(self.batch(name)))
+
+    def _split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(values, first partials) of ``batch(name)``, with a trailing point axis."""
+
+        def build():
+            v, p = split_jets(self.batch(name))
+            if v.shape == self.batch(name).shape:  # constants only: no point axis yet
+                v, p = (np.repeat(x[..., None], len(self), axis=-1) for x in (v, p))
+            return v, p
+
+        return self.cached(None, name + "/vp", build)
 
     def vp(self, i: int, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(values, first partials) of ``jets(i, name)``; partials on the last axis."""
-        return self.cached(i, name + "/vp", lambda: split_jets(self.jets(i, name)))
+        v, p = self._split(name)
+        return v[..., i], p[..., i]
 
     def values(self, i: int, name: str) -> np.ndarray:
-        return self.vp(i, name)[0]
+        return self._split(name)[0][..., i]
 
     def psi_jet(self, i: int) -> Jet:
         """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
-        # its differential drives the connection shift
-        return self.cached(i, "psi", lambda: _as_jet(jlog(self.jets(i, "det_a")) * (-0.25)))
+        return self.jets(i, "psi")
 
     def stacked(self, name: str, points: Sequence[int], order: int) -> np.ndarray:
-        """``jets(i, name)`` at every i in ``points`` as one array of batched
-        jets cut to ``order``; column k of each entry is point ``points[k]``."""
-        per_point = [self.jets(i, name) for i in points]
-        out = np.empty(per_point[0].shape, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = Jet.stack([arr[idx] for arr in per_point], DIM, order)
-        return out
+        """``batch(name)`` at the sample points ``points`` cut to ``order``: column
+        k is point ``points[k]``, and the first ``size`` coefficients in graded
+        order are those of degree <= ``order``."""
+        space = Jet.constant(0.0, DIM, order).space
+        cut = np.frompyfunc(
+            lambda x: Jet(space, _as_jet(x, len(self)).coeffs[: space.size, points]), 1, 1)
+        return cut(self.batch(name))
 
     # -- floats -------------------------------------------------------------
 
@@ -252,12 +279,15 @@ class Geometry:
         """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j)."""
         return self.values(i, _GAMMA[metric])
 
-    def riemann(self, i: int, metric: str = "g") -> np.ndarray:
+    def _riemann(self, metric: str) -> np.ndarray:
         return self.cached(
-            i, "riemann/" + metric, lambda: curvature.riemann(*self.vp(i, _GAMMA[metric]))
+            None, "riemann/" + metric, lambda: curvature.riemann(*self._split(_GAMMA[metric]))
         )
+
+    def riemann(self, i: int, metric: str = "g") -> np.ndarray:
+        return self._riemann(metric)[..., i]
 
     def ricci(self, i: int, metric: str = "g") -> np.ndarray:
         return self.cached(
-            i, "ricci/" + metric, lambda: np.einsum("klkj->lj", self.riemann(i, metric))
-        )
+            None, "ricci/" + metric, lambda: np.einsum("klkj...->lj...", self._riemann(metric))
+        )[..., i]

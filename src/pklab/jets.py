@@ -12,9 +12,9 @@ resulting coefficients.
 A Jet holds one point's coefficients, or a batch of points' with the
 point on a trailing axis; a batch computes every column with the
 arithmetic of the one-point jet, bit for bit, so one batched evaluation
-replaces a loop over points (the family members of the Einstein check
-are built once over all their sample points).  Products sum the
-surviving coefficient pairs of a multiplication table per target with
+replaces a loop over points (``seed_point`` of an (n, dim) array seeds
+the coordinates of n points at once).  Products sum the surviving
+coefficient pairs of a multiplication table per target with
 ``np.bincount``, in the table's order (the Taylor-coefficient tables of
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
@@ -154,35 +154,17 @@ class Jet:
         return Jet(sp, c)
 
     @staticmethod
-    def variable(i: int, value: float, dim: int, order: int) -> "Jet":
-        """Jet of the i-th coordinate function at a point."""
+    def variable(i: int, value, dim: int, order: int) -> "Jet":
+        """Jet of the i-th coordinate function at a point, or a batch over
+        an array of values (one column per value)."""
         sp = _space(dim, order)
         if not 0 <= i < dim:
             raise IndexError(f"variable index {i} out of range for dim {dim}")
-        c = np.zeros(sp.size)
-        c[0] = float(value)
+        v = np.asarray(value, dtype=float)
+        c = np.zeros((sp.size,) + v.shape)
+        c[0] = v
         if order >= 1:
-            e = tuple(1 if k == i else 0 for k in range(dim))
-            c[sp.position[e]] = 1.0
-        return Jet(sp, c)
-
-    @staticmethod
-    def stack(entries: Sequence, dim: int, order: int) -> "Jet":
-        """Batch whose column k is ``entries[k]`` cut to ``order``.
-
-        An entry is a one-point jet of order >= ``order`` or a number (a
-        constant).  Coefficients are in graded order, so the cut keeps a
-        jet's first ``size`` coefficients: those of degree <= ``order``.
-        """
-        sp = _space(dim, order)
-        c = np.zeros((sp.size, len(entries)))
-        for k, x in enumerate(entries):
-            if isinstance(x, Jet):
-                if x.space.dim != dim or x.space.order < order or x.coeffs.ndim != 1:
-                    raise ValueError(f"cannot cut {x!r} to a batch of ({dim=}, {order=})")
-                c[:, k] = x.coeffs[: sp.size]
-            else:
-                c[0, k] = float(x)
+            c[sp.first_positions[i]] = 1.0
         return Jet(sp, c)
 
     # -- basic queries -----------------------------------------------
@@ -416,10 +398,12 @@ def _zero(a: float) -> bool:
 # -- coordinate jets --------------------------------------------------
 
 
-def seed_point(point: Sequence[float], order: int) -> list[Jet]:
-    """Coordinate jets of a full point, one seeded variable per axis."""
-    p = list(point)
-    return [Jet.variable(i, p[i], len(p), order) for i in range(len(p))]
+def seed_point(point, order: int) -> list[Jet]:
+    """Coordinate jets of a full point, one seeded variable per axis; an
+    (n, dim) array of points gives batches whose column k is point k."""
+    p = np.asarray(point, dtype=float)
+    dim = p.shape[-1]
+    return [Jet.variable(i, p[..., i], dim, order) for i in range(dim)]
 
 
 # -- duck-typed math usable on floats, arrays, jets and dual batches ---

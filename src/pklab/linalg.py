@@ -44,23 +44,17 @@ def mdet(a: np.ndarray):
     return acc
 
 
-def _leading(x) -> float:
-    """Magnitude of the value part, used for pivot selection."""
-    if isinstance(x, Jet):
-        return abs(x.value)
-    return float(np.min(np.abs(x)))
-
-
 def minv(a: np.ndarray) -> np.ndarray:
     """Matrix inverse, or a stack of them for a float array.
 
     A singular matrix raises ZeroDivisionError, where numpy's inverse
     would raise; a float array that is not a stack of square matrices
-    raises numpy's LinAlgError.  Object (jet) matrices go through
-    Gauss-Jordan elimination with partial pivoting on the value parts;
-    division by a jet whose value vanishes is the singular case.
-    DualBatch component matrices are inverted analytically:
-    d(M^-1) = -M^-1 dM M^-1.
+    raises numpy's LinAlgError.  Object (jet) matrices are inverted as
+    the adjugate over the determinant, with the cofactors of ``mdet``'s
+    expansion, so one-point and batched jets take the same path; a
+    determinant whose value vanishes (at any point of a batch) is the
+    singular case.  DualBatch component matrices are inverted
+    analytically: d(M^-1) = -M^-1 dM M^-1.
     """
     if not _is_object(a):
         try:
@@ -69,38 +63,18 @@ def minv(a: np.ndarray) -> np.ndarray:
             if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
                 raise
             raise ZeroDivisionError("singular matrix in float inverse") from e
-    n = a.shape[0]
     if any(isinstance(x, DualBatch) for x in a.flat):
         return _minv_dual(a)
-
-    sample = a[0, 0]
-    if isinstance(sample, Jet):
-        sp = sample.space
-        one = Jet.constant(1.0, sp.dim, sp.order)
-        zero = Jet.constant(0.0, sp.dim, sp.order)
-    else:
-        one, zero = 1.0, 0.0
-    aug = np.empty((n, 2 * n), dtype=object)
-    aug[:, :n] = a
-    aug[:, n:] = zero
-    np.fill_diagonal(aug[:, n:], one)
-
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: _leading(aug[r, col]))
-        if _leading(aug[pivot_row, col]) == 0.0:
-            raise ZeroDivisionError("singular matrix in jet inverse")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] = aug[col] * jreciprocal(aug[col, col])
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r, col]
-            if _leading(factor) == 0.0 and not isinstance(factor, Jet):
-                continue
-            # factor * entry, with the factor as the left operand
-            aug[r] = aug[r] - np.multiply(factor, aug[col])
-    return aug[:, n:].copy()
+    n = a.shape[0]
+    # cofactor[i, j] = (-1)^(i+j) det of a without row i and column j
+    cof = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        minor = mdet(np.delete(np.delete(a, i, axis=0), j, axis=1)) if n > 1 else 1.0
+        cof[i, j] = -minor if (i + j) % 2 else minor
+    det = a[0] @ cof[0]
+    if np.any(np.asarray(det.coeffs[0] if isinstance(det, Jet) else det) == 0.0):
+        raise ZeroDivisionError("singular matrix in jet inverse")
+    return cof.T * jreciprocal(det)
 
 
 def _minv_dual(a: np.ndarray) -> np.ndarray:

@@ -97,14 +97,15 @@ def check_points(
 
 
 def check_tolerances(tolerances: Mapping[str, float], names: Collection[str]) -> None:
-    """Raise ValueError for an override that names no result in ``names`` or is not positive."""
+    """Raise ValueError for an override that names no result in ``names`` or
+    is not a positive finite number (a report is strict JSON)."""
     for name, val in tolerances.items():
         if name not in names:
             close = get_close_matches(name, names, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ValueError(f"tolerance override {name!r} names no result{hint}")
-        if not val > 0:
-            raise ValueError(f"tolerance override {name}={val} must be positive")
+        if not 0 < val < np.inf:
+            raise ValueError(f"tolerance override {name}={val} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -89,17 +89,12 @@ __all__ = [
     "distribution_d_rank",
     "ricci_difference_residual",
     "einstein_family_constant",
-    "EinsteinPreconditionError",
 ]
 
 # para-complex dimension of a 4-manifold; the constant 2(n+1) recurs in
 # the trace normalizations of the projective identities
 N_COMPLEX = 2
 _K = 2.0 * (N_COMPLEX + 1)
-
-
-class EinsteinPreconditionError(ValueError):
-    """An operation required Einstein inputs and the residual said no."""
 
 
 # -- the defining equation ---------------------------------------------
@@ -641,8 +636,7 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     return primary, relative(lhs / _K - rhs, rhs)
 
 
-# the inputs' Einstein test, and the margin of |s| below which a point is skipped
-_TOL_EINSTEIN = 1e-6
+# the margin of |s| below which a point is skipped
 _DEGENERATE_MARGIN = 1e-3
 # jet order of the members' Ricci check: the degree <= 2 coefficients of a
 # product depend only on those of its factors, and Gamma and its partials
@@ -656,7 +650,6 @@ def einstein_family_constant(
     lam_hat: float,
     alpha: float,
     beta: float,
-    check_inputs: bool = True,
 ) -> dict:
     """Einstein constant of the (alpha, beta) family member over geo's points.
 
@@ -671,16 +664,6 @@ def einstein_family_constant(
     for the family member, built once over all the valid points.  Sample
     points where the combination degenerates are skipped and flagged.
     """
-    if check_inputs:
-        gm = geo.values(0, "g")
-        if relative(geo.ricci(0) - lam * gm, gm) > _TOL_EINSTEIN:
-            raise EinsteinPreconditionError("g is not Einstein with the given constant")
-        hm = geo.values(0, "ghat")
-        if relative(geo.ricci(0, "ghat") - lam_hat * hm, hm) > _TOL_EINSTEIN:
-            raise EinsteinPreconditionError(
-                "companion is not Einstein with the given constant"
-            )
-
     values, flags, used = [], [], []
     for i in range(len(geo)):
         m1, m2 = geo.mu(i)

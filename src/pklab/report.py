@@ -1,8 +1,13 @@
-"""Verification report containers and deterministic JSON serialization."""
+"""Verification report containers and deterministic JSON serialization.
+
+Reports are strict JSON (RFC 8259): a residual that is not finite, which
+only a result that failed closed has, is written as null.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -43,7 +48,7 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "residual": float(self.residual),
+            "residual": float(self.residual) if math.isfinite(self.residual) else None,
             "tolerance": float(self.tolerance),
             "passed": self.passed,
             "points": int(self.points),
@@ -85,7 +90,9 @@ class VerificationReport:
 
     def to_json(self) -> str:
         # sorted keys and fixed separators keep equal-config runs byte-identical
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
+        ) + "\n"
 
     def format_human(self, runtime: float | None = None) -> str:
         lines = []

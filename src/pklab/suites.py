@@ -267,9 +267,7 @@ def _family_sweep(geo, lam, lam_hat):
             if al == 0.0 and be == 0.0:
                 yield al, be, None
                 continue
-            yield al, be, pj.einstein_family_constant(
-                geo, lam, lam_hat, al, be, check_inputs=False
-            )
+            yield al, be, pj.einstein_family_constant(geo, lam, lam_hat, al, be)
 
 
 _FAMILY = (
@@ -433,7 +431,7 @@ CHECK_NAMES = tuple(_SUITES)
 
 def check_request(checks: Sequence[str], tolerances: Mapping[str, float]) -> None:
     """Raise ValueError for an unknown check name, or for a tolerance
-    override that names no declared result or is not positive."""
+    override that names no declared result or is not positive and finite."""
     for name in checks:
         if name not in _SUITES:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")

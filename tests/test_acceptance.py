@@ -71,7 +71,7 @@ def test_criterion_2_family_einstein_constant(einstein_preset):
         for be in (0.0, 0.25, 0.5, 0.75, 1.0):
             if al == 0.0 and be == 0.0:
                 continue
-            out = pj.einstein_family_constant(geo, lam, lam_hat, al, be, check_inputs=False)
+            out = pj.einstein_family_constant(geo, lam, lam_hat, al, be)
             if not out["points"]:
                 continue
             used += 1

@@ -69,6 +69,27 @@ def test_bad_tolerance_is_config_error():
                "--tol", "rank/dimension=-1") == 2
     assert run("run", "--family", "dim-d2-2", "--checks", "rank",
                "--tol", "rank/dimension=abc") == 2
+    for value in ("inf", "nan"):  # a report is strict JSON: no Infinity or NaN
+        assert run("run", "--family", "dim-d2-2", "--checks", "rank",
+                   "--tol", f"rank/dimension={value}") == 2
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_unwritable_output_path_is_config_error_before_any_check(
+    flag, tmp_path, capsys, monkeypatch
+):
+    def not_called(*args, **kwargs):
+        raise AssertionError("work started for a run whose output cannot be written")
+
+    for name in ("_build_triple", "run_suite", "demo_einstein"):
+        monkeypatch.setattr(cli, name, not_called)
+    for path in (tmp_path / "missing" / "x.out", tmp_path):
+        assert run("run", "--family", "dim-d2-2", "--checks", "rank", "--points", "3",
+                   flag, str(path)) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        if flag == "--json":
+            assert run("demo-einstein", "--points", "3", "--json", str(path)) == 2
+            assert "config error: cannot write" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_name_is_config_error(capsys, monkeypatch):

@@ -1,0 +1,111 @@
+"""A Geometry evaluates each quantity once over all its sample points.
+
+Column i of every batch is, bit for bit, the jet of a one-point Geometry
+at point i, and each field is evaluated once per Geometry, whatever its
+number of points.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pklab import geometry
+from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
+from pklab.fields import TensorField
+from pklab.geometry import Geometry
+from pklab.jets import Jet
+
+NAMES = sorted(geometry._BUILDERS)
+TRIPLES = [("family", f) for f in sorted(FAMILIES)] + [("preset", p) for p in sorted(PRESETS)]
+
+
+def _build(kind, name):
+    return default_triple(name) if kind == "family" else preset_triple(name)
+
+
+def _bits(x):
+    """Coefficient bits of a jet, an array of jets or a plain number."""
+    if isinstance(x, np.ndarray):
+        return [_bits(e) for e in x.flat]
+    if isinstance(x, Jet):
+        assert x.coeffs.ndim == 1
+        return ("jet", x.coeffs.tobytes())
+    return ("number", np.float64(x).tobytes())
+
+
+@pytest.mark.parametrize("kind, triple_name", TRIPLES)
+def test_batch_columns_equal_the_one_point_geometry(kind, triple_name):
+    tr = _build(kind, triple_name)
+    pts = tr.sample_points(3, seed=5)
+    geo = Geometry(tr, pts)
+    for i, p in enumerate(pts):
+        alone = Geometry.at(p, tr.g, tr.t, tr.a)
+        for name in NAMES:
+            assert _bits(geo.jets(i, name)) == _bits(alone.jets(0, name)), (triple_name, name, i)
+        for metric in ("g", "ghat"):
+            assert np.array_equal(geo.ricci(i, metric), alone.ricci(0, metric))
+
+
+def test_each_field_is_evaluated_once_per_geometry(triples, monkeypatch):
+    calls = []
+    components = TensorField.components
+
+    def counted(field, coords):
+        calls.append(field)
+        return components(field, coords)
+
+    monkeypatch.setattr(TensorField, "components", counted)
+    for n in (1, 7):
+        tr = triples["complex-liouville"]
+        geo = Geometry(tr, tr.sample_points(n))
+        for i in range(n):
+            for name in NAMES:
+                geo.jets(i, name)
+            geo.ricci(i, "ghat")
+        assert len(calls) == 3 and {id(f) for f in calls} == {id(tr.g), id(tr.t), id(tr.a)}, n
+        calls.clear()
+
+
+def test_constant_components_read_as_constants_at_every_point(triples):
+    tr = triples["dim-d2-2"]
+    constant = np.diag([2.0, 1.0, 3.0, 0.5])
+    a = TensorField((1, 1), lambda *c: constant.astype(object))
+    geo = Geometry(dataclasses.replace(tr, a=a), tr.sample_points(3))
+    for i in range(3):
+        assert all(isinstance(x, float) for x in geo.jets(i, "a").flat)
+        assert np.array_equal(geo.values(i, "a"), constant)
+        assert not np.any(geo.vp(i, "a")[1])
+        assert geo.psi_jet(i).value == pytest.approx(-0.25 * np.log(3.0))
+        assert not np.any(geo.psi_jet(i).gradient())
+
+
+def test_stacked_is_the_batch_cut_to_the_order(einstein_preset):
+    geo = Geometry(einstein_preset, einstein_preset.sample_points(4))
+    points = [3, 0, 2]
+    for name in ("g", "a", "ginv", "mu"):
+        cut = geo.stacked(name, points, 2)
+        for k, i in enumerate(points):
+            for x, y in zip(cut.flat, np.ravel(geo.jets(i, name))):
+                assert x.space.order == 2
+                if isinstance(y, Jet):  # graded order: order 2 is the first 15 coefficients
+                    assert np.array_equal(x.coeffs[:, k], y.coeffs[:15])
+                else:
+                    assert x.coeffs[0, k] == y and not np.any(x.coeffs[1:, k])
+
+
+def test_det_a_guard_fails_the_whole_batch(triples):
+    # det A <= 0 at one point: no point of the batch has a companion metric
+    tr = triples["dim-d2-2"]
+    pts = tr.sample_points(3)
+
+    def a_comps(*c):
+        # det A = (x1 - x1 of point 1)^2: zero at point 1, positive at the others
+        out = np.eye(4).astype(object)
+        out[0, 0] = (c[0] - pts[1, 0]) * (c[0] - pts[1, 0])
+        return out
+
+    geo = Geometry(dataclasses.replace(tr, a=TensorField((1, 1), a_comps)), pts)
+    for i in range(3):
+        with pytest.raises(geometry.DegenerateMetricError, match="det A"):
+            geo.jets(i, "ghat")

@@ -277,8 +277,7 @@ _BATCH_OPS = {
 
 
 def _batched_coordinates(points, order=3):
-    per_point = [seed_point(p, order) for p in points]
-    return [Jet.stack([coords[i] for coords in per_point], 4, order) for i in range(4)]
+    return seed_point(points, order)
 
 
 def _bits(a):
@@ -299,16 +298,12 @@ def test_batch_column_equals_the_jet_at_its_point(name):
         assert np.array_equal(batch.gradient()[:, k], single.gradient())
 
 
-def test_stack_cuts_to_the_lower_order():
-    x = seed_point(_BATCH_POINTS[0], 3)
-    f = (x[0] * x[1]).exp()
-    batch = Jet.stack([f, 2.0], 4, 2)
-    assert batch.space is seed_point(_BATCH_POINTS[0], 2)[0].space
-    # graded order: the order-2 jet is the first 15 coefficients
-    assert np.array_equal(batch.coeffs[:, 0], f.coeffs[:15])
-    assert np.array_equal(batch.coeffs[:, 1], Jet.constant(2.0, 4, 2).coeffs)
-    with pytest.raises(ValueError):
-        Jet.stack([seed_point(_BATCH_POINTS[0], 1)[0]], 4, 2)
+def test_batched_seed_columns_are_the_seeds_of_each_point():
+    batch = seed_point(_BATCH_POINTS, 3)
+    for k, p in enumerate(_BATCH_POINTS):
+        for b, x in zip(batch, seed_point(p, 3)):
+            assert b.space is x.space
+            assert np.array_equal(b.coeffs[:, k], x.coeffs)
 
 
 @pytest.mark.parametrize("bad", range(len(_BATCH_POINTS)))

@@ -238,7 +238,7 @@ class TestConnectionDifference:
 
     def test_companion_inverse_matches_gauss_jordan(self, triples):
         # the cache's companion symbols use ghat^-1 = sqrt(det A) A g^-1;
-        # Gauss-Jordan on ghat gives the same jets
+        # the general jet inverse (linalg.minv) of ghat gives the same jets
         for name, tr in triples.items():
             geo = over(tr, 3)
             for i in range(3):
@@ -252,9 +252,10 @@ class TestConnectionDifference:
                     cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
                     assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
 
-    def test_det_a_evaluated_once_per_point(self, triples, monkeypatch):
+    def test_det_a_evaluated_once_per_geometry(self, triples, monkeypatch):
         # the companion metric, its inverse and psi read one cached det A
-        # per point, and give the same bits as evaluating det A for each
+        # over all the points, and give the same bits as evaluating det A
+        # at each point alone
         calls = [0]
 
         def counted(m):
@@ -263,15 +264,16 @@ class TestConnectionDifference:
 
         monkeypatch.setattr(geometry, "mdet", counted)
         for name, tr in triples.items():
-            geo = over(tr, 2)
-            for i in range(2):
-                calls[0] = 0
-                ghat, psi = geo.jets(i, "ghat"), geo.psi_jet(i)
-                geo.jets(i, "ghat_gamma")
-                assert calls[0] == 1, name
+            geo = over(tr, 3)
+            calls[0] = 0
+            for i in range(3):
+                for quantity in ("ghat", "psi", "ghat_gamma"):
+                    geo.jets(i, quantity)
+            assert calls[0] == 1, name
+            for i in range(3):
                 gj, aj = geo.jets(i, "g"), geo.jets(i, "a")
                 alone = (companion_components(gj, aj), jlog(mdet(aj)) * (-0.25))
-                for x, y in zip((ghat, psi), alone):
+                for x, y in zip((geo.jets(i, "ghat"), geo.psi_jet(i)), alone):
                     cx = np.array([c.coeffs for c in np.ravel(x)])
                     cy = np.array([c.coeffs for c in np.ravel(y)])
                     assert np.array_equal(cx, cy), name
@@ -352,7 +354,8 @@ class TestFamilyMetric:
     def test_closed_form_inverse_matches_gauss_jordan(self, einstein_preset):
         # the closed-form member g ((alpha + beta mu1) Id - beta A) / s^2 and
         # its inverse s (alpha Id + beta A) g^-1 agree with the member built
-        # by Gauss-Jordan on alpha Id + beta A, and give its Christoffel symbols
+        # by the general jet inverse (linalg.minv) of alpha Id + beta A, and
+        # give its Christoffel symbols
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(2))
         for al, be in ((1.5, 0.25), (0.0, 1.0), (2.0, 1.0)):
@@ -579,8 +582,3 @@ class TestFamilyConstant:
             assert out["constant"] == pytest.approx(al**3, rel=1e-9)
             assert out["spread"] < 1e-8
             assert out["ricci_residual"] < 1e-8
-
-    def test_einstein_precondition_enforced(self, triples):
-        tr = triples["real-liouville"]  # generic, not Einstein
-        with pytest.raises(pj.EinsteinPreconditionError):
-            pj.einstein_family_constant(over(tr, 2), 1.0, 0.0, 1.0, 0.5)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 import warnings
 
@@ -17,6 +18,14 @@ from pklab.suites import CHECK_NAMES, demo_einstein, run_suite
 def with_constant_a(triple, rows):
     """The triple with A replaced by constant components (plain numbers, no jets)."""
     return dataclasses.replace(triple, a=TensorField((1, 1), lambda *c: objarray(rows)))
+
+
+def strict_json(report) -> dict:
+    """The report's JSON read by a parser that refuses NaN and Infinity (RFC 8259)."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(report.to_json(), parse_constant=refuse)
 
 
 def test_unknown_check_rejected(triples):
@@ -168,6 +177,9 @@ def test_nonpositive_det_a_fails_companion_closed(triples):
                  "ricci-diff/identity", "ricci-diff/gradient-form"):
         assert not by_name[name].passed, name
         assert "eval-error:DegenerateMetricError" in by_name[name].flags, name
+    written = {c["name"]: c for c in strict_json(report)["checks"]}
+    assert written["companion/symmetric"]["residual"] is None
+    assert not written["companion/symmetric"]["passed"]
 
 
 def test_domain_error_in_ricci_difference_fails_both_results(triples, monkeypatch):
@@ -246,6 +258,9 @@ def test_singular_metric_fails_geodesic_and_companion_closed(triples):
     evaluated = {name for name, c in by_name.items() if not any("eval-error" in f for f in c.flags)}
     assert evaluated == {"companion/symmetric", "companion/para-hermitian",
                          "companion/potential-exponential"}
+    written = {c["name"]: c for c in strict_json(report)["checks"]}
+    assert written["geodesic/planarity"]["residual"] is None
+    assert written["companion/symmetric"]["residual"] == by_name["companion/symmetric"].residual
 
 
 def test_unsettled_geodesic_sweeps_fail_geodesic_closed(triples, monkeypatch):
