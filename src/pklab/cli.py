@@ -24,6 +24,7 @@ from .catalog import FeasibilityError
 from .curves import export_curve_csv, integrate_geodesic_bundle, t_planarity_residual
 from .exprs import ExprError, compile_profile
 from .fields import DegenerateMetricError
+from .geometry import DOMAIN_ERRORS
 from .suites import (
     CHECK_NAMES,
     GEODESIC_STEP,
@@ -167,15 +168,20 @@ def _cmd_run(args) -> int:
 
 
 def _export_geodesic_csv(triple, path, seed: int) -> None:
-    """Write the first companion geodesic of the run's geodesic check."""
+    """Write the first companion geodesic of the run's geodesic check, with
+    its planarity residuals where they can be measured."""
     ghat = pj.companion_metric(triple.g, triple.a)
     p0, v0, _ = geodesic_starts(triple.chart, seed)
     # the suite's bundle, so the row is bit for bit the curve it checked
     curve = integrate_geodesic_bundle(
         ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
     )[0]
-    res = t_planarity_residual(triple.g, triple.t, curve)
-    export_curve_csv(curve, path, residuals=res.residuals)
+    try:
+        residuals = t_planarity_residual(triple.g, triple.t, curve).residuals
+    except DOMAIN_ERRORS as e:  # the geodesic results have failed with it
+        print(f"--csv: no planarity residuals ({type(e).__name__}: {e})", file=sys.stderr)
+        residuals = None
+    export_curve_csv(curve, path, residuals=residuals)
 
 
 def _cmd_demo(args) -> int:

@@ -24,6 +24,7 @@ from .jets import JetDomainError
 __all__ = [
     "GeodesicPath",
     "DegenerateVelocityError",
+    "ShortCurveError",
     "GeodesicConvergenceError",
     "integrate_geodesic_bundle",
     "kinetic_energy",
@@ -35,6 +36,10 @@ __all__ = [
 
 class DegenerateVelocityError(ValueError):
     """Curve velocity too small for a planarity test."""
+
+
+class ShortCurveError(ValueError):
+    """Curve has fewer samples than the acceleration stencil needs."""
 
 
 @dataclass
@@ -191,7 +196,7 @@ def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> 
     """
     m = len(path)
     if m < 5:
-        raise ValueError("need at least 5 samples for the acceleration stencil")
+        raise ShortCurveError(f"{m} samples; the acceleration stencil needs at least 5")
     v = path.velocities
     speed2 = np.einsum("ni,ni->n", v, v)
     if np.min(speed2) < 1e-20:

@@ -232,18 +232,19 @@ _DEGENERATE_DET = 1e-12
 
 
 def metric_inverse(gm: np.ndarray) -> np.ndarray:
-    """Inverse g^{ij} of a metric value matrix, with a determinant guard."""
-    det = float(np.linalg.det(gm))
-    if abs(det) < _DEGENERATE_DET * max(1.0, float(np.max(np.abs(gm))) ** DIM):
-        raise DegenerateMetricError(f"metric determinant {det:.3e}")
-    return linalg.minv(gm)
+    """Inverse g^{ij} of a metric value matrix, with the guard of ``metric_inverse_jets``."""
+    return metric_inverse_jets(gm)
 
 
 def metric_inverse_jets(gjets: np.ndarray) -> np.ndarray:
-    try:
-        return linalg.minv(gjets)
-    except ZeroDivisionError as e:
-        raise DegenerateMetricError(str(e)) from e
+    """Inverse of a metric's component jets (or values), with a determinant guard
+    at every point of a batch: DegenerateMetricError where |det g| is small."""
+    gm = np.moveaxis(split_jets(gjets)[0], (0, 1), (-2, -1))  # (..., 4, 4) values
+    det = np.linalg.det(gm)
+    small = np.abs(det) < _DEGENERATE_DET * np.maximum(1.0, np.abs(gm).max(axis=(-2, -1))) ** DIM
+    if np.any(small):
+        raise DegenerateMetricError(f"metric determinant {det[small].flat[0]:.3e}")
+    return linalg.minv(gjets)
 
 
 def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarray:

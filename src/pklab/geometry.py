@@ -3,12 +3,13 @@
 A :class:`Geometry` holds a triple (g, T, A) and its sample points and
 builds each quantity lazily, once, as batched jets over all the points
 (column k is point k, bit for bit the jet computed at that point alone):
-the order-3 jets of g, T and A (one field evaluation each), the inverse
-metric, det A, mu1, mu2, psi, the Christoffel symbols of g and of the
+the order-3 jets of g, T and A (one field evaluation each), the inverses
+of g and A, det A, mu1, mu2, psi, the Christoffel symbols of g and of the
 companion metric, sigma(g) and the canonical Killing fields, then the
 curvature tensors.  Every residual reads its point of these batches (the
-"taping" idea of Griewank & Walther, *Evaluating Derivatives*).  A domain
-error in a quantity (det A <= 0, a singular metric) raises at every point
+"taping" idea of Griewank & Walther, *Evaluating Derivatives*); no float
+matrix is inverted again per point.  A domain error in a quantity
+(det A <= 0, a near-singular metric) is kept and raises at every point
 that reads it.  ``run_suite`` builds one Geometry per call; nothing is
 memoized on the triple or its fields.
 
@@ -25,17 +26,18 @@ from typing import Sequence
 import numpy as np
 
 from . import curvature
+from .curves import DegenerateVelocityError, GeodesicConvergenceError, ShortCurveError
 from .fields import (
     DEFAULT_ORDER,
     DIM,
     DegenerateMetricError,
+    MalformedFormError,
     jet_differential,
-    metric_inverse,
     metric_inverse_jets,
     ring_value,
     split_jets,
 )
-from .jets import Jet, jlog, jpow, jreciprocal
+from .jets import Jet, JetDomainError, jlog, jpow, jreciprocal
 from .linalg import mdet, minv, mmul
 
 __all__ = [
@@ -47,6 +49,11 @@ __all__ = [
     "family_inverse_components",
     "weighted_sigma_components",
 ]
+
+# what an evaluation outside a field's domain, or of a curve that cannot be
+# integrated or measured, raises; anything else is a programming error
+DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError,
+                 GeodesicConvergenceError, DegenerateVelocityError, ShortCurveError)
 
 # -- jet-level formulas ---------------------------------------------------
 
@@ -67,9 +74,9 @@ def _det_a(aj: np.ndarray):
     return det
 
 
-def companion_components(gj: np.ndarray, aj: np.ndarray, det=None) -> np.ndarray:
-    """ghat = (det A)^(-1/2) g A^(-1), positive root; ``det`` is det A if known."""
-    return mmul(gj, minv(aj)) * jpow(_det_a(aj) if det is None else det, -0.5)
+def companion_components(gj: np.ndarray, ainv: np.ndarray, det) -> np.ndarray:
+    """ghat = (det A)^(-1/2) g A^(-1), positive root, from A's inverse and det A."""
+    return mmul(gj, ainv) * jpow(det, -0.5)
 
 
 def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det) -> np.ndarray:
@@ -155,14 +162,20 @@ def _killing(geo: "Geometry") -> np.ndarray:
     return np.stack(v + [tj @ vk for vk in v])
 
 
+def _companion(geo: "Geometry") -> np.ndarray:
+    det = geo.batch("det_a")  # first: det A <= 0 fails as such, before A^-1 is formed
+    return companion_components(geo.batch("g"), geo.batch("ainv"), det)
+
+
 _BUILDERS = {
     "g": _field("g"),
     "t": _field("t"),
     "a": _field("a"),
     "ginv": lambda geo: metric_inverse_jets(geo.batch("g")),
     "gamma": lambda geo: curvature.christoffel_jets(geo.batch("g"), geo.batch("ginv")),
+    "ainv": lambda geo: minv(geo.batch("a")),
     "det_a": lambda geo: _det_a(geo.batch("a")),
-    "ghat": lambda geo: companion_components(*[geo.batch(k) for k in ("g", "a", "det_a")]),
+    "ghat": _companion,
     "ghat_gamma": lambda geo: curvature.christoffel_jets(
         geo.batch("ghat"),
         companion_inverse_components(*[geo.batch(k) for k in ("ginv", "a", "det_a")]),
@@ -206,17 +219,26 @@ class Geometry:
 
     def cached(self, i: int | None, key: str, build):
         """``build()``, evaluated once per ``key`` and point i, or once over
-        all points for i None; errors are not kept."""
+        all points for i None.  The domain error of a build over all points
+        is kept and raised again on every read; a point's is not, so the
+        point is retried."""
         memo = self._all if i is None else self._memo[i]
         if key not in memo:
-            memo[key] = build()
+            try:
+                memo[key] = build()
+            except DOMAIN_ERRORS as e:
+                if i is None:
+                    memo[key] = e
+                raise
+        if isinstance(memo[key], DOMAIN_ERRORS):  # a fresh traceback, not one grown per read
+            raise memo[key].with_traceback(None)
         return memo[key]
 
     # -- jets -------------------------------------------------------------
 
     def batch(self, name: str):
-        """Order-3 batched jets of 'g', 't', 'a', 'ginv', 'det_a', 'ghat', 'gamma'
-        (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
+        """Order-3 batched jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
+        'gamma' (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)), 'a_sigma' (A sigma) or 'psi' over all
         points; column k is point k, and plain numbers are constants."""
         return self.cached(None, name, lambda: _BUILDERS[name](self))
@@ -233,8 +255,9 @@ class Geometry:
         """(values, first partials) of ``batch(name)``, with a trailing point axis."""
 
         def build():
-            v, p = split_jets(self.batch(name))
-            if v.shape == self.batch(name).shape:  # constants only: no point axis yet
+            arr = np.asarray(self.batch(name), dtype=object)  # det_a and psi: 0-d
+            v, p = split_jets(arr)
+            if v.shape == arr.shape:  # constants only: no point axis yet
                 v, p = (np.repeat(x[..., None], len(self), axis=-1) for x in (v, p))
             return v, p
 
@@ -245,7 +268,8 @@ class Geometry:
         v, p = self._split(name)
         return v[..., i], p[..., i]
 
-    def values(self, i: int, name: str) -> np.ndarray:
+    def values(self, i, name: str) -> np.ndarray:
+        """Values of ``batch(name)`` at point i, or on the last axis at an index array."""
         return self._split(name)[0][..., i]
 
     def psi_jet(self, i: int) -> Jet:
@@ -264,16 +288,16 @@ class Geometry:
     # -- floats -------------------------------------------------------------
 
     def ginv(self, i: int) -> np.ndarray:
-        """Inverse metric values, with the determinant guard."""
-        return self.cached(i, "ginv/f", lambda: metric_inverse(self.values(i, "g")))
+        """Inverse metric values (the batch has the determinant guard)."""
+        return self.values(i, "ginv")
 
     def mu(self, i: int) -> np.ndarray:
         """Values (mu1, mu2)."""
         return self.values(i, "mu")
 
     def lam(self, i: int) -> np.ndarray:
-        """Lam = (1/4) grad tr A = (1/2) g^{-1} d mu1."""
-        return self.cached(i, "lam", lambda: 0.5 * self.ginv(i) @ self.vp(i, "mu")[1][0])
+        """Lam = (1/4) grad tr A = V1 / 2."""
+        return 0.5 * self.values(i, "killing")[0]
 
     def gamma(self, i: int, metric: str = "g") -> np.ndarray:
         """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j)."""

@@ -19,17 +19,8 @@ from typing import Callable, Collection, Iterable, Mapping
 import numpy as np
 
 from .curvature import covariant_derivative_endo
-from .curves import GeodesicConvergenceError
-from .fields import (
-    Chart,
-    DegenerateMetricError,
-    MalformedFormError,
-    TensorField,
-    exterior_derivative_2form,
-    nijenhuis,
-)
-from .geometry import Geometry
-from .jets import JetDomainError
+from .fields import Chart, TensorField, exterior_derivative_2form, nijenhuis
+from .geometry import DOMAIN_ERRORS, Geometry
 from .report import CheckResult, VerificationReport, worst
 
 __all__ = [
@@ -41,11 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_POINTS = 20
-
-# what an evaluation at a point outside a field's domain, or a geodesic that
-# will not settle, raises; anything else is a programming error and propagates
-DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError,
-                 GeodesicConvergenceError)
 
 
 @dataclass(frozen=True)

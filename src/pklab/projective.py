@@ -48,6 +48,7 @@ from .fields import (
 )
 from .geometry import (
     Geometry,
+    _det_a,
     companion_components,
     family_components,
     family_inverse_components,
@@ -111,20 +112,11 @@ def benenti_residual(geo: Geometry, i: int) -> float:
     lam = geo.lam(i)
     tlam = tm @ lam
     nabla = covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))  # [k, i, j]
-    worst, scale = 0.0, 1.0
-    for k in range(DIM):
-        x = np.zeros(DIM)
-        x[k] = 1.0
-        tx = tm @ x
-        rhs = (
-            np.outer(lam, gm @ x)
-            + np.outer(x, gm @ lam)
-            - np.outer(tlam, gm @ tx)
-            - np.outer(tx, gm @ tlam)
-        )
-        worst = max(worst, float(np.max(np.abs(nabla[k] - rhs))))
-        scale = max(scale, float(np.max(np.abs(rhs))), float(np.max(np.abs(nabla[k]))))
-    return worst / scale
+    # the right-hand side for X = e_k, at index k
+    rhs = (np.einsum("i,jk->kij", lam, gm) + np.einsum("ik,j->kij", np.eye(DIM), gm @ lam)
+           - np.einsum("i,jk->kij", tlam, gm @ tm) - np.einsum("ik,j->kij", tm, gm @ tlam))
+    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(nabla))))
+    return float(np.max(np.abs(nabla - rhs))) / scale
 
 
 def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
@@ -154,21 +146,12 @@ def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
     dk = geo.vp(i, "mu")[1][0]
     tdk = -(tm.T @ dk)  # (T dkappa)_i = -dkappa_p T^p_i
 
-    worst, scale = 0.0, 1.0
-    for k in range(DIM):
-        x = np.zeros(DIM)
-        x[k] = 1.0
-        txf = gm @ (tm @ x)
-        xf = gm @ x
-        rhs = (
-            np.outer(dk, txf)
-            - np.outer(txf, dk)
-            - np.outer(tdk, xf)
-            + np.outer(xf, tdk)
-        )
-        worst = max(worst, float(np.max(np.abs(2.0 * nphi[k] - rhs))))
-        scale = max(scale, float(np.max(np.abs(rhs))), float(np.max(np.abs(2 * nphi[k]))))
-    return worst / scale
+    # the right-hand side for X = e_k, at index k; g T e_k = (g T)[:, k]
+    gt = gm @ tm
+    rhs = (np.einsum("i,jk->kij", dk, gt) - np.einsum("ik,j->kij", gt, dk)
+           - np.einsum("i,jk->kij", tdk, gm) + np.einsum("ik,j->kij", gm, tdk))
+    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(2 * nphi))))
+    return float(np.max(np.abs(2.0 * nphi - rhs))) / scale
 
 
 # -- pair <-> Benenti tensor -------------------------------------------
@@ -193,7 +176,8 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """
 
     def comps(*coords):
-        return companion_components(g.components(coords), a.components(coords))
+        aj = a.components(coords)
+        return companion_components(g.components(coords), minv(aj), _det_a(aj))
 
     def batch(points):
         gv, gd = g.batch_duals(points)
@@ -557,11 +541,8 @@ def distribution_d_rank(
     """
     gm = geo.values(i, "g")
     tm = geo.values(i, "t")
-    ginv = geo.ginv(i)
-    dmu = geo.vp(i, "mu")[1]
-    v1 = ginv @ dmu[0]
-    v2 = ginv @ dmu[1]
-    gens = np.stack([v1, v2, tm @ v1, tm @ v2])
+    gens = geo.values(i, "killing")  # V1, V2, TV1, TV2 with V_k = grad mu_k
+    v1, v2 = gens[:2]
     svals = np.linalg.svd(gens, compute_uv=False)
     smax = max(float(svals[0]), 1e-30)
     rank = int(np.sum(svals > _THRESHOLD * smax))
@@ -629,7 +610,7 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     kv, kp = geo.vp(i, "killing")
     lam, lam_p = 0.5 * kv[0], 0.5 * kp[0]  # Lam = V1 / 2
     nlam = covariant_derivative_vector(gamma, lam, lam_p)  # [x, i]
-    ainv = minv(geo.values(i, "a"))
+    ainv = geo.values(i, "ainv")
     const = float((ainv @ lam) @ gm @ lam)
     gainv = gm @ ainv  # symmetric since A is g-symmetric
     rhs = np.einsum("ym,xm->xy", gainv, nlam) - const * gainv
@@ -660,36 +641,31 @@ def einstein_family_constant(
              + lam*alpha/(2(n+1)) ),
         At = alpha Id + beta A,   s = signed sqrt det At,
 
-    at each sample point, reports its spread, and verifies Ric = lt * gtilde
-    for the family member, built once over all the valid points.  Sample
-    points where the combination degenerates are skipped and flagged.
+    at every sample point at once (det A, A^{-1} and Lam read from geo,
+    At^{-1} one stacked inverse), reports its spread, and verifies
+    Ric = lt * gtilde for the family member, built once over all the valid
+    points.  Sample points where the combination degenerates are skipped
+    and flagged.
     """
-    values, flags, used = [], [], []
-    for i in range(len(geo)):
-        m1, m2 = geo.mu(i)
-        s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
-        if abs(s) < _DEGENERATE_MARGIN * max(1.0, alpha * alpha + beta * beta * abs(m2)):
-            flags.append("degenerate-point-skipped")
-            continue
-        am = geo.values(i, "a")
-        gm = geo.values(i, "g")
-        at = alpha * np.eye(DIM) + beta * am
-        lamv = geo.lam(i)
-        det_a = float(np.linalg.det(am))
-        g_ainv = float((minv(am) @ lamv) @ gm @ lamv)
-        g_atinv = float((minv(at) @ lamv) @ gm @ lamv)
-        lt = _K * s * (
-            lam_hat * beta / _K / np.sqrt(det_a)
-            + beta * g_ainv
-            - beta * beta * g_atinv
-            + lam * alpha / _K
-        )
-        values.append(lt)
-        used.append(i)
-    if not values:
+    m1, m2 = geo.values(slice(None), "mu")
+    s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
+    skip = np.abs(s) < _DEGENERATE_MARGIN * np.maximum(1.0, alpha**2 + beta**2 * np.abs(m2))
+    flags = ["degenerate-point-skipped"] if np.any(skip) else []
+    used = np.flatnonzero(~skip)
+    if not used.size:
         return {"constant": np.nan, "spread": np.inf, "ricci_residual": np.inf,
-                "points": 0, "flags": sorted(set(flags)) + ["no-valid-points"]}
-    values = np.array(values)
+                "points": 0, "flags": flags + ["no-valid-points"]}
+    # (k, 4, 4) matrices and (k, 4, 1) columns Lam = V1 / 2 at the used points
+    am, gm, ainv = (np.moveaxis(geo.values(used, q), -1, 0) for q in ("a", "g", "ainv"))
+    lamv = 0.5 * geo.values(used, "killing")[0].T[..., None]
+    g_ainv, g_atinv = ((np.swapaxes(inv @ lamv, 1, 2) @ gm @ lamv)[:, 0, 0]
+                       for inv in (ainv, minv(alpha * np.eye(DIM) + beta * am)))
+    values = _K * s[used] * (
+        lam_hat * beta / _K / np.sqrt(geo.values(used, "det_a"))
+        + beta * g_ainv
+        - beta * beta * g_atinv
+        + lam * alpha / _K
+    )
     const = float(np.mean(values))
     spread = float(np.max(np.abs(values - const))) / max(1.0, abs(const))
 
@@ -707,5 +683,5 @@ def einstein_family_constant(
         "spread": spread,
         "ricci_residual": ricci,
         "points": len(used),
-        "flags": sorted(set(flags)),
+        "flags": flags,
     }

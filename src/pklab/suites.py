@@ -28,7 +28,6 @@ from .curves import (
 from .fields import DEFAULT_ORDER
 from .geometry import Geometry
 from .jets import seed_point
-from .linalg import minv
 from .parakahler import (
     AXIOMS,
     DOMAIN_ERRORS,
@@ -164,14 +163,12 @@ def _suite_rank(geo, tol):
 def _duality(geo, i):
     # Psi(e_k) = -g(Lam, A^{-1} e_k) = -(g A^{-1} Lam)_k since g A^{-1} is symmetric
     _, psi = pj.psi_potential(geo, i)
-    ainv = minv(geo.values(i, "a"))
-    return relative(psi + geo.values(i, "g") @ ainv @ geo.lam(i), psi)
+    return relative(psi + geo.values(i, "g") @ geo.values(i, "ainv") @ geo.lam(i), psi)
 
 
 def _exponential(geo, i):
-    mu2 = geo.mu(i)[1]
-    if mu2 <= 0:
-        return 0.0
+    # |mu2| = sqrt det A; psi raises where det A <= 0
+    mu2 = abs(geo.mu(i)[1])
     psi_val, _ = pj.psi_potential(geo, i)
     return abs(mu2 - np.exp(-2.0 * psi_val)) / max(1.0, mu2)
 

@@ -239,6 +239,29 @@ def test_csv_curve_is_the_geodesic_checks_first_curve(tmp_path, monkeypatch):
     assert np.allclose(rows[:, 5:9], checked[0].velocities, rtol=1e-11, atol=1e-13)
 
 
+THIN_BOX = ("run", "--family", "dim-d2-2", "--box", "0:1,0:1,0.5:1.5,0.5:0.5005",
+            "--checks", "geodesic")
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_geodesics_too_short_to_measure_fail_closed(tmp_path, capsys, csv):
+    # in a box 5e-4 thin the companion geodesics leave after a few samples
+    out = tmp_path / "curve.csv"
+    extra = ["--csv", str(out)] if csv else []
+    code = run(*THIN_BOX, "--json", str(tmp_path / "r.json"), *extra)
+    assert code == 1
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity"]
+    for c in report["checks"]:
+        assert not c["passed"] and c["residual"] is None, c["name"]
+        assert c["flags"] == ["eval-error:ShortCurveError"], c["name"]
+    if csv:  # the curve is written, without the residuals it is too short for
+        rows = out.read_text().splitlines()
+        assert 1 < len(rows) < 6 and all(r.endswith(",") for r in rows[1:])
+        assert "ShortCurveError" in capsys.readouterr().err
+
+
 def test_demo_einstein(tmp_path, capsys):
     out = tmp_path / "demo.json"
     code = run("demo-einstein", "--points", "6", "--json", str(out))

@@ -10,13 +10,14 @@ from pklab.curves import (
     DegenerateVelocityError,
     GeodesicConvergenceError,
     GeodesicPath,
+    ShortCurveError,
     export_curve_csv,
     integrate_geodesic_bundle,
     kinetic_energy,
     t_planarity_residual,
 )
 from pklab.fields import Chart, TensorField, objarray
-from pklab.geometry import Geometry
+from pklab.geometry import DOMAIN_ERRORS, Geometry
 from pklab.suites import geodesic_starts
 
 FLAT = [
@@ -179,6 +180,16 @@ def test_degenerate_velocity_rejected():
     (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [np.zeros(4)], 1e-3, 10)
     with pytest.raises(DegenerateVelocityError):
         t_planarity_residual(flat_metric(), flat_metric(), path)
+
+
+def test_short_curve_rejected_as_a_domain_error():
+    # a curve that left its chart after 3 samples has no stencil point
+    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 2)
+    with pytest.raises(ShortCurveError, match="3 samples"):
+        t_planarity_residual(flat_metric(), flat_metric(), path)
+    # both fail a result closed instead of escaping the suite runner
+    assert issubclass(ShortCurveError, DOMAIN_ERRORS)
+    assert issubclass(DegenerateVelocityError, DOMAIN_ERRORS)
 
 
 def test_csv_export(tmp_path, triples):

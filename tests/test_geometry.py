@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pklab import geometry
+from pklab import geometry, linalg
 from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.fields import TensorField
 from pklab.geometry import Geometry
@@ -109,3 +109,28 @@ def test_det_a_guard_fails_the_whole_batch(triples):
     for i in range(3):
         with pytest.raises(geometry.DegenerateMetricError, match="det A"):
             geo.jets(i, "ghat")
+    # A is singular at point 1, so its inverse, read alone, fails every point too
+    for i in range(3):
+        with pytest.raises(ZeroDivisionError):
+            geo.values(i, "ainv")
+
+
+def test_g_and_a_are_inverted_once_per_geometry(triples, monkeypatch):
+    inverted = []
+    minv = linalg.minv
+
+    def counted(m):
+        inverted.append(m)
+        return minv(m)
+
+    monkeypatch.setattr(linalg, "minv", counted)  # g, through metric_inverse_jets
+    monkeypatch.setattr(geometry, "minv", counted)  # A
+    for name in ("real-liouville", "dim-d2-2"):
+        tr = triples[name]
+        geo = Geometry(tr, tr.sample_points(4))
+        for i in range(4):
+            for q in NAMES:
+                geo.jets(i, q)
+            geo.ginv(i), geo.lam(i), geo.ricci(i, "ghat")
+        assert sorted(map(id, inverted)) == sorted(map(id, (geo.batch("g"), geo.batch("a"))))
+        inverted.clear()

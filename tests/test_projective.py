@@ -254,8 +254,8 @@ class TestConnectionDifference:
 
     def test_det_a_evaluated_once_per_geometry(self, triples, monkeypatch):
         # the companion metric, its inverse and psi read one cached det A
-        # over all the points, and give the same bits as evaluating det A
-        # at each point alone
+        # (and one cached A^-1) over all the points, and give the same bits
+        # as evaluating det A and A^-1 at each point alone
         calls = [0]
 
         def counted(m):
@@ -272,7 +272,7 @@ class TestConnectionDifference:
             assert calls[0] == 1, name
             for i in range(3):
                 gj, aj = geo.jets(i, "g"), geo.jets(i, "a")
-                alone = (companion_components(gj, aj), jlog(mdet(aj)) * (-0.25))
+                alone = (companion_components(gj, minv(aj), mdet(aj)), jlog(mdet(aj)) * (-0.25))
                 for x, y in zip((geo.jets(i, "ghat"), geo.psi_jet(i)), alone):
                     cx = np.array([c.coeffs for c in np.ravel(x)])
                     cy = np.array([c.coeffs for c in np.ravel(y)])

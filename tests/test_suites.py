@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from pklab import curvature, curves, suites
+from pklab import curvature, curves, geometry, suites
 from pklab import projective as pj
-from pklab.catalog import preset_triple
+from pklab.catalog import default_triple, preset_triple
+from pklab.exprs import compile_profile
 from pklab.fields import DegenerateMetricError, TensorField, objarray
 from pklab.geometry import Geometry
 from pklab.jets import JetDomainError
@@ -285,14 +286,11 @@ def test_programming_error_in_geodesic_propagates(triples, monkeypatch):
 
 
 def test_domain_error_in_family_sweep_fails_its_results(monkeypatch):
-    original = Geometry.lam
+    # Lam = V1 / 2 is read from the Killing batch over all the points
+    def degenerate(geo):
+        raise DegenerateMetricError("metric determinant 0")
 
-    def degenerate_at_2(geo, i):
-        if i == 2:
-            raise DegenerateMetricError("metric determinant 0")
-        return original(geo, i)
-
-    monkeypatch.setattr(Geometry, "lam", degenerate_at_2)
+    monkeypatch.setitem(geometry._BUILDERS, "killing", degenerate)
     report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=4)
     assert [c.name for c in report.checks] == [
         "family-einstein/prediction", "family-einstein/ricci", "family-einstein/spread"]
@@ -315,3 +313,82 @@ def test_family_members_evaluated_once_over_all_points(monkeypatch):
     report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
     assert report.all_passed
     assert calls[0] == 24  # one per grid member (the origin is skipped), not per point
+
+
+def test_failed_batch_quantity_is_built_once(triples, monkeypatch):
+    # det A = -1 < 0: the failure is kept, not rebuilt for every point and result
+    triple = with_constant_a(triples["dim-d2-2"], np.diag([-1.0, 1.0, 1.0, 1.0]).tolist())
+    calls = _count_calls(monkeypatch, geometry, "_det_a")
+    report = run_suite(triple, ["companion", "ricci-diff"], n_points=20)
+    assert calls[0] == 1
+    # the verdicts of a rebuild at every read: only the two results that read
+    # neither det A nor the companion metric are evaluated
+    evaluated = {"companion/mobility-solution", "companion/sigma-parallel"}
+    for c in report.checks:
+        assert c.passed == (c.name == "companion/sigma-parallel"), c.name
+        assert c.flags == ([] if c.name in evaluated else ["eval-error:DegenerateMetricError"])
+
+
+def test_potential_exponential_reads_psi_where_mu2_is_negative():
+    # rho = -x3 < 0 < sigma: mu2 = rho sigma < 0 and det A = mu2^2 > 0
+    triple = default_triple("dim-d2-2", rho=compile_profile("-x3", ("x3",)))
+    geo = Geometry(triple, triple.sample_points(20))
+    assert all(geo.mu(i)[1] < 0 for i in range(len(geo)))
+    report = run_suite(triple, ["companion"], n_points=20)
+    check = next(c for c in report.checks if c.name == "companion/potential-exponential")
+    assert check.passed and 0.0 < check.residual < 1e-14
+
+
+def test_potential_exponential_fails_where_psi_is_undefined(triples):
+    triple = with_constant_a(triples["dim-d2-2"], np.diag([-1.0, 1.0, 1.0, 1.0]).tolist())
+    report = run_suite(triple, ["companion"], n_points=3)
+    check = next(c for c in report.checks if c.name == "companion/potential-exponential")
+    assert not check.passed and check.flags == ["eval-error:DegenerateMetricError"]
+
+
+def test_near_degenerate_metric_at_one_point_fails_every_inverse_reader(triples):
+    # g scaled by f = (x1 - x1 of point 1)^2 + 1e-6: |det g| = f^4 |det g0| is
+    # under the guard at point 1 only, and nonzero everywhere
+    tr = triples["dim-d2-2"]
+    x1 = tr.sample_points(4)[1, 0]
+
+    def g_comps(*c):
+        return tr.g.components(c) * ((c[0] - x1) * (c[0] - x1) + 1e-6)
+
+    triple = dataclasses.replace(tr, g=TensorField((0, 2), g_comps))
+    report = run_suite(triple, ["parakahler", "benenti", "killing", "companion"], n_points=4)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("parakahler/t-parallel", "benenti/equation", "benenti/eigen-gradient",
+                 "killing/rotated-gradients", "killing/brackets",
+                 "companion/connection-difference", "companion/potential-duality",
+                 "companion/sigma-parallel", "companion/mobility-solution"):
+        assert by_name[name].residual == np.inf, name
+        assert by_name[name].flags == ["eval-error:DegenerateMetricError"], name
+    # results that read only values of g, T and A are evaluated
+    for name in ("parakahler/g-symmetric", "benenti/g-symmetric", "companion/symmetric"):
+        assert np.isfinite(by_name[name].residual), name
+
+
+def test_family_constant_inverts_once_per_member(monkeypatch):
+    # one stacked (alpha Id + beta A)^-1 over all the points; A^-1 and Lam
+    # come from the Geometry's batches
+    calls = []
+    monkeypatch.setattr(pj, "minv", lambda m: calls.append(m.shape) or np.linalg.inv(m))
+    report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
+    assert report.all_passed
+    assert calls == [(5, 4, 4)] * 24  # the origin of the 5 x 5 grid is skipped
+
+
+def test_nan_in_one_direction_fails_the_defining_equation(triples, monkeypatch):
+    # the residual's maximum over directions keeps a NaN from any of them
+    original = pj.covariant_derivative_endo
+
+    def nan_in_direction_1(*args):
+        out = original(*args)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(pj, "covariant_derivative_endo", nan_in_direction_1)
+    report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=3)
+    check = next(c for c in report.checks if c.name == "benenti/equation")
+    assert not check.passed and np.isnan(check.residual)
