@@ -23,7 +23,6 @@ from .linalg import minv, mmul
 __all__ = [
     "christoffel_jets",
     "christoffel_batch",
-    "metricity_residual",
     "riemann",
     "einstein_residual",
     "covariant_derivative_endo",
@@ -66,17 +65,6 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     # gp[n, i, j, l] = d_l g_ij; c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = np.einsum("njli->nijl", gp) + np.einsum("nilj->nijl", gp) - gp
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, c)
-
-
-def metricity_residual(gamma: np.ndarray, gv: np.ndarray, gp: np.ndarray) -> float:
-    """max |nabla_k g_ij| from the symbols and the metric's values/partials.
-
-    A correctness oracle for the symbols.
-    """
-    nabla = np.transpose(gp, (2, 0, 1)).copy()
-    nabla -= np.einsum("lki,lj->kij", gamma, gv)
-    nabla -= np.einsum("lkj,il->kij", gamma, gv)
-    return float(np.max(np.abs(nabla)))
 
 
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -146,8 +146,9 @@ class TensorField:
 
     ``valence`` is (contravariant, covariant); the component array has
     shape (4,)**(r+s) with contravariant indices first.  ``batch_fn``,
-    when set, is an equivalent vectorized evaluator (points -> values
-    and first partials) used by the fast paths; correctness tests pin it
+    when set, is an equivalent vectorized evaluator used by the fast
+    paths: (points, partials) -> (values, first partials), with None for
+    the partials unless ``partials`` is true; correctness tests pin it
     against the generic rule.
     """
 
@@ -175,14 +176,15 @@ class TensorField:
 
     def batch_values(self, points: np.ndarray) -> np.ndarray:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
-        vals, _ = self.batch_duals(points)
-        return vals
+        if self.batch_fn is not None:
+            return self.batch_fn(np.asarray(points, dtype=float), False)[0]
+        return self.batch_duals(points)[0]
 
     def batch_duals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials over a batch, shapes (n, ...) / (n, ..., 4)."""
         pts = np.asarray(points, dtype=float)
         if self.batch_fn is not None:
-            return self.batch_fn(pts)
+            return self.batch_fn(pts, True)
         arr = self.components(dual_point(pts))
         n = pts.shape[0]
         vals = np.empty((n,) + arr.shape)

@@ -488,7 +488,10 @@ class DualBatch:
         if isinstance(other, DualBatch):
             return other
         if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
+            try:  # an array that is not one value per point is numpy's to broadcast
+                v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
+            except (TypeError, ValueError):
+                return None
             h = None if self.hess is None else np.zeros_like(self.hess)
             return DualBatch(v, np.zeros_like(self.grad), h)
         return None

@@ -93,7 +93,8 @@ def _minv_dual(a: np.ndarray) -> np.ndarray:
             else:
                 vals[:, i, j] = x
     inv = minv(vals)
-    dinv = -np.einsum("bik,bklm,blj->bijm", inv, grads, inv)
+    # -inv dM inv, one matrix product per direction m
+    dinv = -(inv[:, None] @ np.moveaxis(grads, 3, 1) @ inv[:, None]).transpose(0, 2, 3, 1)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):

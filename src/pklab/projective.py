@@ -172,27 +172,36 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     det A must be positive on the region of use; evaluation raises a
     domain error otherwise.  Carries an analytic vectorized evaluator
     (matrix calculus for the inverse and determinant derivatives) so it
-    can sit inside the geodesic integrator loop.
+    can sit inside the geodesic integrator loop.  Its value stage reads
+    only the values of g and A, so ``batch_values`` (kinetic energy)
+    evaluates no partials of ghat; the gradient stage contracts the 4x4
+    products over the batch axis with ``@``.
     """
 
     def comps(*coords):
         aj = a.components(coords)
         return companion_components(g.components(coords), minv(aj), _det_a(aj))
 
-    def batch(points):
-        gv, gd = g.batch_duals(points)
-        av, ad = a.batch_duals(points)
+    def batch(points, partials):
+        if partials:
+            (gv, gd), (av, ad) = g.batch_duals(points), a.batch_duals(points)
+        else:
+            gv, av = g.batch_values(points), a.batch_values(points)
         det = np.linalg.det(av)
         if np.any(det <= 0.0):
             raise DegenerateMetricError("det A <= 0 in companion metric batch")
         ainv = minv(av)
         s = det ** (-0.5)
-        # d s = -1/2 s tr(A^{-1} dA);  d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1}
-        ds = -0.5 * s[:, None] * np.einsum("nij,njik->nk", ainv, ad)
         ga = np.einsum("nim,nmj->nij", gv, ainv)
-        dga = np.einsum("nimk,nmj->nijk", gd, ainv)
-        dga -= np.einsum("nim,nmpk,npj->nijk", ga, ad, ainv)
         vals = s[:, None, None] * ga
+        if not partials:
+            return vals, None
+        # d s = -1/2 s tr(A^{-1} dA);  d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1},
+        # one matrix product per direction k, moved to axis 1 and back
+        ds = -0.5 * s[:, None] * np.einsum("nij,njik->nk", ainv, ad)
+        dga = np.moveaxis(gd, 3, 1) @ ainv[:, None]
+        dga -= ga[:, None] @ np.moveaxis(ad, 3, 1) @ ainv[:, None]
+        dga = np.moveaxis(dga, 1, 3)
         grads = s[:, None, None, None] * dga + np.einsum("nk,nij->nijk", ds, ga)
         return vals, grads
 

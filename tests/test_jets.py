@@ -231,6 +231,20 @@ def test_dual_batch_derivative_matches_jet_derivative():
     assert np.allclose(db.grad[0], jet.gradient(), rtol=1e-10)
 
 
+def test_dual_batch_times_a_matrix_is_an_array_of_batches():
+    d = dual_point(np.array([[0.5, 1.0, 2.0, 3.0], [1.5, 1.0, 2.0, 3.0], [2.5, 1.0, 2.0, 3.0]]))[0]
+    eye = np.eye(4)
+    for out in (d * eye, eye * d):
+        assert out.dtype == object and out.shape == (4, 4)
+        assert np.array_equal(out[1, 1].val, d.val) and np.array_equal(out[1, 1].grad, d.grad)
+        assert np.array_equal(out[0, 1].val, np.zeros(3))
+    # an array of one value per point is still lifted into the batch
+    scaled = d * np.array([1.0, 2.0, 3.0])
+    assert isinstance(scaled, DualBatch)
+    assert np.array_equal(scaled.val, [0.5, 3.0, 7.5])
+    assert np.array_equal(scaled.grad[:, 0], [1.0, 2.0, 3.0])
+
+
 def test_integer_power_matches_repeated_multiplication():
     x = Jet.variable(0, 1.3, 1, 3)
     assert np.allclose((x ** 4).coeffs, (x * x * x * x).coeffs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pklab.jets import Jet, jreciprocal, seed_point
+from pklab.jets import DualBatch, Jet, dual_point, jreciprocal, seed_point
 from pklab.linalg import minv
 
 
@@ -34,6 +34,13 @@ def gauss_jordan(a: np.ndarray) -> np.ndarray:
                 continue
             aug[r] = aug[r] - np.multiply(factor, aug[col])
     return aug[:, n:].copy()
+
+
+def dual_inverse_partials(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The former partials of a dual-batch inverse, kept as the reference:
+    d(M^-1) = -M^-1 dM M^-1 as one three-operand einsum."""
+    inv = np.linalg.inv(vals)
+    return -np.einsum("bik,bklm,blj->bijm", inv, grads, inv)
 
 
 def coefficients(m: np.ndarray) -> np.ndarray:
@@ -91,3 +98,14 @@ def test_small_and_mixed_matrices():
     assert np.allclose(coefficients(inv)[..., 0], np.linalg.inv(values), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 0], np.eye(3), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 1:], 0.0, atol=1e-14)
+
+
+def test_dual_batch_inverse_matches_the_einsum_partials(triples):
+    for name, tr in triples.items():
+        pts = tr.sample_points(5, seed=3)
+        for field in (tr.g, tr.a):
+            inv = minv(field.components(dual_point(pts)))
+            assert all(isinstance(x, DualBatch) for x in inv.flat)
+            got = np.moveaxis(np.array([[x.grad for x in row] for row in inv]), 2, 0)
+            ref = dual_inverse_partials(*field.batch_duals(pts))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name

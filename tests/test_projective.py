@@ -13,6 +13,7 @@ from pklab.fields import (
     split_jets,
 )
 from pklab import geometry
+from pklab.catalog import PRESETS, preset_triple
 from pklab.geometry import (
     Geometry,
     companion_components,
@@ -161,15 +162,19 @@ class TestPairAlgebra:
                 assert np.max(np.abs(rec - tr.a.values(p))) < 1e-10, name
 
     def test_companion_batch_path_matches_jets(self, triples):
-        tr = triples["real-liouville"]
-        ghat = pj.companion_metric(tr.g, tr.a)
-        pts = tr.sample_points(4)
-        vals, grads = ghat.batch_duals(pts)
-        for i, p in enumerate(pts):
-            arr = ghat.jets(p, order=2)
-            for idx in np.ndindex((4, 4)):
-                assert vals[(i,) + idx] == pytest.approx(arr[idx].value, rel=1e-12)
-                assert np.allclose(grads[(i,) + idx], arr[idx].gradient(), rtol=1e-9, atol=1e-12)
+        presets = [preset_triple(name) for name in sorted(PRESETS)]
+        for tr in [*triples.values(), *presets]:
+            ghat = pj.companion_metric(tr.g, tr.a)
+            pts = tr.sample_points(4)
+            vals, grads = ghat.batch_duals(pts)
+            # the value stage alone gives the same bits
+            assert np.array_equal(ghat.batch_values(pts), vals), tr.name
+            for i, p in enumerate(pts):
+                arr = ghat.jets(p, order=2)
+                for idx in np.ndindex((4, 4)):
+                    assert vals[(i,) + idx] == pytest.approx(arr[idx].value, rel=1e-12), tr.name
+                    assert np.allclose(grads[(i,) + idx], arr[idx].gradient(),
+                                       rtol=1e-9, atol=1e-12), tr.name
 
 
 class TestPotential:

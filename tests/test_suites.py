@@ -308,6 +308,33 @@ def test_programming_error_in_family_sweep_propagates(monkeypatch):
         run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=4)
 
 
+def test_kinetic_energy_evaluates_no_companion_partials(triples, monkeypatch):
+    # ghat's partials feed the Picard sweeps; its energy along a curve needs values only
+    calls = []  # (field name, inside kinetic_energy) per batch_duals call
+    inside = [False]
+    energy_calls = [0]
+    batch_duals, kinetic_energy = TensorField.batch_duals, suites.kinetic_energy
+
+    def counted(field, points):
+        calls.append((field.name, inside[0]))
+        return batch_duals(field, points)
+
+    def energy(g, path):
+        energy_calls[0] += 1
+        inside[0] = True
+        try:
+            return kinetic_energy(g, path)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(TensorField, "batch_duals", counted)
+    monkeypatch.setattr(suites, "kinetic_energy", energy)
+    assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
+    assert energy_calls[0] == 3
+    assert ("companion", False) in calls
+    assert ("companion", True) not in calls
+
+
 def test_family_members_evaluated_once_over_all_points(monkeypatch):
     calls = _count_calls(monkeypatch, curvature, "christoffel_jets")
     report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
