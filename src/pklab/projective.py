@@ -174,7 +174,7 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     (matrix calculus for the inverse and determinant derivatives) so it
     can sit inside the geodesic integrator loop.  Its value stage reads
     only the values of g and A, so ``batch_values`` (kinetic energy)
-    evaluates no partials of ghat; the gradient stage contracts the 4x4
+    evaluates no partials of ghat; the partials stage contracts the 4x4
     products over the batch axis with ``@``.
     """
 
