@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import DIM, TensorField, jet_differential, metric_inverse_jets, objarray
+from .fields import DIM, TensorField, metric_inverse_jets
 from .jets import Jet
-from .linalg import minv, mmul
+from .linalg import minv, mmul, stack, unstack
 
 __all__ = [
     "christoffel_jets",
@@ -41,16 +41,19 @@ def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarr
     """
     if ginv is None:
         ginv = metric_inverse_jets(gj)
-    # dg[i, j, l] = d_l g_ij
-    dg = objarray([[jet_differential(gij) for gij in row] for row in gj])
+    if not any(isinstance(x, Jet) for x in gj.flat):  # a constant metric is flat
+        return np.zeros((DIM,) * 3).astype(object)
+    g = stack(gj)
+    # d[i, j, l] = d_l g_ij, the coefficient axis after the index axes
+    d = np.moveaxis(np.stack([g.derivative(l).coeffs for l in range(DIM)], axis=3), 0, 3)
     # over the pairs i <= j: c[m, l] = d_i g_jl + d_j g_il - d_l g_ij
     iu, ju = np.triu_indices(DIM)
-    c = dg[ju, :, iu] + dg[iu, :, ju] - dg[iu, ju, :]
-    half = mmul(ginv, c.T) * 0.5
-    gamma = np.empty((DIM, DIM, DIM), dtype=object)
-    gamma[:, iu, ju] = half
-    gamma[:, ju, iu] = half
-    return gamma
+    c = d[ju, :, iu] + d[iu, :, ju] - d[iu, ju, :]
+    half = (mmul(stack(ginv), Jet(g.space, np.moveaxis(c, (2, 1), (0, 1)))) * 0.5).coeffs
+    gamma = np.empty(half.shape[:2] + (DIM, DIM) + half.shape[3:])
+    gamma[:, :, iu, ju] = half
+    gamma[:, :, ju, iu] = half
+    return unstack(Jet(g.space, gamma), 3)
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:

@@ -206,17 +206,10 @@ def split_jets(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jets give both a trailing point axis: values[..., p] and
     partials[..., k, p].
     """
-    batch = next((x.coeffs.shape[1:] for x in arr.flat if isinstance(x, Jet)), ())
-    vals = np.empty(arr.shape + batch)
-    parts = np.zeros(arr.shape + (DIM,) + batch)
-    for idx in np.ndindex(arr.shape):
-        x = arr[idx]
-        if isinstance(x, Jet):
-            vals[idx] = x.coeffs[0]
-            parts[idx] = x.coeffs[x.space.first_positions]
-        else:
-            vals[idx] = ring_value(x)
-    return vals, parts
+    if not any(isinstance(x, Jet) for x in arr.flat):
+        return arr.astype(float), np.zeros(arr.shape + (DIM,))
+    x = linalg.stack(arr)
+    return x.coeffs[0], np.moveaxis(x.coeffs[x.space.first_positions], 0, arr.ndim)
 
 
 def tensor_values_and_partials(
@@ -253,13 +246,6 @@ def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarr
     """(grad f)^i = g^{ij} d_j f at a point."""
     ginv = metric_inverse(g.values(point))
     return ginv @ f.gradient_covector(point)
-
-
-def jet_differential(f) -> list:
-    """[d_0 f, ..., d_3 f] of a jet or dual batch; zeros for a constant."""
-    if isinstance(f, (Jet, DualBatch)):
-        return [f.derivative(i) for i in range(DIM)]
-    return [0.0] * DIM
 
 
 # -- derivative operations --------------------------------------------

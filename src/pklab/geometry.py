@@ -32,13 +32,12 @@ from .fields import (
     DIM,
     DegenerateMetricError,
     MalformedFormError,
-    jet_differential,
     metric_inverse_jets,
     ring_value,
     split_jets,
 )
 from .jets import Jet, JetDomainError, jlog, jpow, jreciprocal
-from .linalg import mdet, minv, mmul
+from .linalg import mdet, minv, mmul, mscale, stack, unstack
 
 __all__ = [
     "Geometry",
@@ -76,12 +75,12 @@ def _det_a(aj: np.ndarray):
 
 def companion_components(gj: np.ndarray, ainv: np.ndarray, det) -> np.ndarray:
     """ghat = (det A)^(-1/2) g A^(-1), positive root, from A's inverse and det A."""
-    return mmul(gj, ainv) * jpow(det, -0.5)
+    return mscale(mmul(gj, ainv), jpow(det, -0.5))
 
 
 def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det) -> np.ndarray:
     """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse and det A."""
-    return mmul(aj, ginv) * jpow(det, 0.5)
+    return mscale(mmul(aj, ginv), jpow(det, 0.5))
 
 
 def _family_scale(mu1, mu2, alpha: float, beta: float):
@@ -104,7 +103,8 @@ def family_components(
     Batched jets give the member at every point of the batch.
     """
     s = _family_scale(mu1, mu2, alpha, beta)
-    return mmul(gj, (alpha + beta * mu1) * np.eye(DIM) - beta * aj) * jreciprocal(s * s)
+    closed = mscale(np.eye(DIM), alpha + beta * mu1) - mscale(aj, beta)
+    return mscale(mmul(gj, closed), jreciprocal(s * s))
 
 
 def family_inverse_components(
@@ -112,7 +112,7 @@ def family_inverse_components(
 ) -> np.ndarray:
     """Inverse s (alpha Id + beta A) g^(-1) of the family member, from g's inverse."""
     s = _family_scale(mu1, mu2, alpha, beta)
-    return mmul(beta * aj + alpha * np.eye(DIM), ginv) * s
+    return mscale(mmul(mscale(aj, beta) + alpha * np.eye(DIM), ginv), s)
 
 
 def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -124,7 +124,7 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
         det = abs(det)
     if ginv is None:
         ginv = minv(gj)
-    return ginv * jpow(det, 1.0 / 6.0)
+    return mscale(ginv, jpow(det, 1.0 / 6.0))
 
 
 # -- the cache --------------------------------------------------------------
@@ -156,10 +156,11 @@ def _mu(geo: "Geometry") -> np.ndarray:
 
 def _killing(geo: "Geometry") -> np.ndarray:
     """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
-    ginv = geo.batch("ginv")
-    v = [ginv @ jet_differential(mu) for mu in geo.batch("mu")]
-    tj = geo.batch("t")
-    return np.stack(v + [tj @ vk for vk in v])
+    mu = stack(geo.batch("mu"))
+    # dmu[l, k] = d_l mu_k
+    dmu = unstack(Jet(mu.space, np.stack([mu.derivative(l).coeffs for l in range(DIM)], 1)), 2)
+    v = mmul(geo.batch("ginv"), dmu)
+    return np.concatenate([v, mmul(geo.batch("t"), v)], axis=1).T
 
 
 def _companion(geo: "Geometry") -> np.ndarray:

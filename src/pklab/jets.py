@@ -9,12 +9,12 @@ components are evaluated on coordinate jets, and Christoffel symbols,
 curvature tensors, gradients and Lie derivatives are read off from the
 resulting coefficients.
 
-A Jet holds one point's coefficients, or a batch of points' with the
-point on a trailing axis; a batch computes every column with the
-arithmetic of the one-point jet, bit for bit, so one batched evaluation
-replaces a loop over points (``seed_point`` of an (n, dim) array seeds
-the coordinates of n points at once).  Products sum the surviving
-coefficient pairs of a multiplication table per target with
+A Jet holds one point's coefficients, or an array of them on trailing
+axes: a batch of points (``seed_point`` of an (n, dim) array), or a
+matrix of jets stacked by ``pklab.linalg``.  Every operation acts entry
+by entry with the arithmetic of the one-point jet, bit for bit, so one
+array operation replaces a loop.  Products sum the surviving coefficient
+pairs of a multiplication table per target and entry with one
 ``np.bincount``, in the table's order (the Taylor-coefficient tables of
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
@@ -100,6 +100,7 @@ class JetSpace:
         self._mul_left = np.array(left, dtype=np.intp)
         self._mul_right = np.array(right, dtype=np.intp)
         self._mul_target = np.array(target, dtype=np.intp)
+        self._mul_bins: dict[int, np.ndarray] = {}  # by trailing size m, see Jet.__mul__
 
         # shift tables for d/dx_i: coefficient at beta picks up (beta_i+1) * c[beta+e_i]
         self._shift_src = []
@@ -131,11 +132,11 @@ class Jet:
     ``coeffs[k]`` is the Taylor coefficient of the monomial with multi-index
     ``space.multi_indices[k]``, i.e. the corresponding partial derivative
     divided by the multi-index factorial.  ``coeffs`` has shape ``(size,)``
-    for one point and ``(size, n)`` for a batch of n points, whose column k
-    is the jet at point k: every operation acts column by column with the
-    arithmetic of the one-point jet, so a column equals, bit for bit, the
-    jet computed at its point alone.  Jets combine with numbers and with
-    jets of the same shape.  Immutable after construction.
+    for one point, ``(size, n)`` for a batch whose column k is point k, or
+    ``(size, *shape)`` for any array of jets: every operation acts entry
+    by entry with the arithmetic of the one-point jet, so an entry equals,
+    bit for bit, the jet computed alone.  Jets combine with numbers and
+    with jets whose trailing shapes broadcast.  Immutable after construction.
     """
 
     __slots__ = ("space", "coeffs")
@@ -203,9 +204,9 @@ class Jet:
         sp = self.space
         if not 0 <= i < sp.dim:
             raise IndexError(f"variable index {i} out of range for dim {sp.dim}")
-        fac, src = sp._shift_fac[i], self.coeffs[sp._shift_src[i]]
+        src = self.coeffs[sp._shift_src[i]]
         c = np.zeros(self.coeffs.shape)
-        c[sp._shift_dst[i]] = fac * src if src.ndim == 1 else fac[:, None] * src
+        c[sp._shift_dst[i]] = sp._shift_fac[i].reshape((-1,) + (1,) * (src.ndim - 1)) * src
         return Jet(sp, c)
 
     # -- ring arithmetic ----------------------------------------------
@@ -255,14 +256,17 @@ class Jet:
         if o is None:
             return NotImplemented
         sp = self.space
-        # every surviving coefficient pair, summed into its target in table order
+        # every surviving coefficient pair of every entry, summed into its
+        # (target, entry) bin in table order
         terms = self.coeffs[sp._mul_left] * o.coeffs[sp._mul_right]
-        if terms.ndim == 1:
-            return Jet(sp, np.bincount(sp._mul_target, terms, sp.size))
-        # a batch sums into the flattened (target, column) bins target * n + column
-        n = terms.shape[1]
-        bins = (sp._mul_target[:, None] * n + np.arange(n)).ravel()
-        return Jet(sp, np.bincount(bins, terms.ravel(), sp.size * n).reshape(sp.size, n))
+        m = terms[0].size
+        bins = sp._mul_bins.get(m)
+        if bins is None:
+            bins = (sp._mul_target[:, None] * m + np.arange(m)).ravel()
+            if bins.size <= 1 << 16:  # kept while small: there they cost as much as the product
+                sp._mul_bins[m] = bins
+        out = np.bincount(bins, terms.ravel(), sp.size * m)
+        return Jet(sp, out.reshape((sp.size,) + terms.shape[1:]))
 
     __rmul__ = __mul__
 
@@ -306,7 +310,7 @@ class Jet:
     def _compose(self, series: np.ndarray) -> "Jet":
         """Horner evaluation of sum series[k] * (self - const)^k.
 
-        For a batch, ``series[k]`` holds one coefficient per column.
+        For an array of jets, ``series[k]`` holds one coefficient per entry.
         """
         sp = self.space
         p = Jet(sp, self.coeffs.copy())
@@ -318,13 +322,13 @@ class Jet:
 
     def _elementary(self, derivs, undefined=None, what: str = "") -> "Jet":
         """Compose with the function whose derivatives of order 0..order at
-        a base value a are ``derivs(a)``, evaluated column by column.
+        a base value a are ``derivs(a)``, evaluated entry by entry.
 
         A column whose base value a has ``undefined(a)`` raises
         JetDomainError with the message "<what> <a>".
         """
         base = self.coeffs[0]
-        values = [float(base)] if base.ndim == 0 else base.tolist()
+        values = base.ravel().tolist()
         if undefined is not None:
             for a in values:
                 if undefined(a):
@@ -333,7 +337,7 @@ class Jet:
             [[d / math.factorial(k) for k, d in enumerate(derivs(a))] for a in values],
             dtype=float,
         ).T
-        return self._compose(series if base.ndim else series[:, 0])
+        return self._compose(series.reshape((-1,) + base.shape))
 
     def exp(self) -> "Jet":
         return self._elementary(lambda a: [math.exp(a)] * (self.space.order + 1))

@@ -12,13 +12,12 @@ from pklab.curvature import (
 from pklab.fields import (
     ScalarField,
     TensorField,
-    jet_differential,
     metric_inverse_jets,
     objarray,
     tensor_values_and_partials,
 )
 from pklab.geometry import Geometry
-from pklab.jets import jsin
+from pklab.jets import Jet, jsin
 from pklab.linalg import minv
 
 FLAT = [
@@ -230,7 +229,9 @@ def test_christoffel_jets_equal_the_entry_loop(triples):
         tr = triples[name]
         gj = tr.g.jets(tr.sample_points(1, seed=3)[0])
         ginv = metric_inverse_jets(gj)
-        dg = [[jet_differential(x) for x in row] for row in gj]  # dg[i][j][l] = d_l g_ij
+        # dg[i][j][l] = d_l g_ij, entry by entry; a constant has zero partials
+        dg = [[[x.derivative(l) for l in range(4)] if isinstance(x, Jet) else [0.0] * 4
+               for x in row] for row in gj]
         gamma = christoffel_jets(gj, ginv)
         for k, i, j in np.ndindex(4, 4, 4):
             a, b = min(i, j), max(i, j)  # computed for i <= j, mirrored

@@ -134,3 +134,21 @@ def test_g_and_a_are_inverted_once_per_geometry(triples, monkeypatch):
             geo.ginv(i), geo.lam(i), geo.ricci(i, "ghat")
         assert sorted(map(id, inverted)) == sorted(map(id, (geo.batch("g"), geo.batch("a"))))
         inverted.clear()
+
+
+def test_jet_matrix_algebra_takes_one_table_product_per_operation(einstein_preset, monkeypatch):
+    # a machine-independent guard: stacked matrix products, inverses and
+    # scalings take 210 jet products here, where one product per entry took 1,342
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    geo = Geometry(einstein_preset, einstein_preset.sample_points(4))
+    for name in NAMES:
+        geo.batch(name)
+    assert len(calls) <= 240

@@ -1,10 +1,11 @@
-"""The jet matrix inverse: adjugate over determinant, for one point or a batch."""
+"""Jet-matrix algebra on stacked coefficient arrays, against the per-entry formulas."""
 
 import numpy as np
 import pytest
 
+from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.jets import DualBatch, Jet, dual_point, jreciprocal, seed_point
-from pklab.linalg import minv
+from pklab.linalg import mdet, minv, mmul, mscale
 
 
 def gauss_jordan(a: np.ndarray) -> np.ndarray:
@@ -36,6 +37,37 @@ def gauss_jordan(a: np.ndarray) -> np.ndarray:
     return aug[:, n:].copy()
 
 
+def entry_mdet(a: np.ndarray):
+    """The former determinant, kept as the reference: cofactor expansion
+    along the first row, one ring element at a time."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0, 0]
+    if n == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    acc = None
+    for j in range(n):
+        term = a[0, j] * entry_mdet(np.delete(np.delete(a, 0, axis=0), j, axis=1))
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def entry_minv(a: np.ndarray) -> np.ndarray:
+    """The former jet inverse, kept as the reference: the adjugate from the
+    per-entry cofactors over det = a[0] @ cof[0]."""
+    n = a.shape[0]
+    cof = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        minor = entry_mdet(np.delete(np.delete(a, i, axis=0), j, axis=1)) if n > 1 else 1.0
+        cof[i, j] = -minor if (i + j) % 2 else minor
+    det = a[0] @ cof[0]
+    if np.any(np.asarray(det.coeffs[0] if isinstance(det, Jet) else det) == 0.0):
+        raise ZeroDivisionError("singular matrix in jet inverse")
+    return cof.T * jreciprocal(det)
+
+
 def dual_inverse_partials(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """The former partials of a dual-batch inverse, kept as the reference:
     d(M^-1) = -M^-1 dM M^-1 as one three-operand einsum."""
@@ -53,6 +85,85 @@ def coefficients(m: np.ndarray) -> np.ndarray:
         else:
             out[idx][0] = x
     return out
+
+
+def same(x, y) -> bool:
+    """Coefficient-for-coefficient equality of ring elements or arrays of them;
+    a number equals the constant jet of its value."""
+    x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
+    ref = next((e for e in (*x.flat, *y.flat) if isinstance(e, Jet)), None)
+    if ref is None:
+        return np.array_equal(x.astype(float), y.astype(float))
+
+    def coeffs(e):
+        if isinstance(e, Jet):
+            return e.coeffs
+        c = np.zeros(ref.coeffs.shape)
+        c[0] = e
+        return c
+
+    return x.shape == y.shape and all(
+        np.array_equal(coeffs(a), coeffs(b)) for a, b in zip(x.flat, y.flat))
+
+
+MATRIX_TRIPLES = ([("family", f) for f in sorted(FAMILIES)]
+                  + [("preset", p) for p in sorted(PRESETS)])
+
+
+@pytest.mark.parametrize("kind, name", MATRIX_TRIPLES)
+def test_stacked_algebra_equals_the_entry_formulas(kind, name):
+    tr = default_triple(name) if kind == "family" else preset_triple(name)
+    pts = tr.sample_points(20, seed=4)
+    for order in (2, 3):
+        for where in (pts[0], pts[:4], pts):  # one point, batches of 4 and 20
+            g, t, a = (f.jets(where, order) for f in (tr.g, tr.t, tr.a))
+            for m in (g, t, a):
+                assert same(mdet(m), entry_mdet(m)), (name, order)
+                assert same(minv(m), entry_minv(m)), (name, order)
+                assert same(mmul(m, g), m @ g), (name, order)
+                assert same(mmul(m, a[:, 1]), m @ a[:, 1]), (name, order)
+            s = mdet(a)
+            assert same(mscale(g, s), g * s) and same(mscale(a, -0.75), a * -0.75), name
+
+
+def test_small_mixed_and_number_matrices_equal_the_entry_formulas():
+    x = seed_point([0.5, 1.0, 2.0, 3.0], 3)
+    b = seed_point(np.array([[0.5, 1.0, 2.0, 3.0], [0.7, 1.5, 2.5, 3.5]]), 2)
+    one = np.array([[x[0] * x[1] + 2.0]], dtype=object)
+    mixed = np.array([[x[0], 1.0, 0.0], [0.0, 2.0, x[1]], [1.0, x[2], 3.0]], dtype=object)
+    batch = np.array([[b[0], 1.0], [0.5, b[1] * b[2]]], dtype=object)
+    numbers = np.array([[2.0, 1.0, 0.5], [-1.0, 3.0, 0.25], [0.0, 1.5, 4.0]], dtype=object)
+    # dense entries, where every reassociated sum shows in the bits
+    r = np.random.default_rng(7).uniform(-1.0, 1.0, (4, 4, 3))
+    c = seed_point(np.random.default_rng(8).uniform(0.5, 2.0, (3, 4)), 3)
+    dense = np.array([[c[i] * r[i, j, 0] + c[i] * c[j] * r[i, j, 1] + r[i, j, 2]
+                       for j in range(4)] for i in range(4)], dtype=object)
+    for m in (one, mixed, batch, numbers, dense):
+        assert same(mdet(m), entry_mdet(m))
+        assert same(minv(m), entry_minv(m))
+        assert same(mmul(m, m), m @ m)
+        assert same(mmul(m, m[:, 0]), m @ m[:, 0])
+    # a matrix of plain numbers stays one: floats, with the per-entry bits
+    for out in (minv(numbers), mmul(numbers, numbers)):
+        assert out.dtype == object and all(type(e) is float for e in out.flat)
+    assert type(mdet(numbers)) is float
+    assert same(mscale(numbers, x[3]), numbers * x[3])
+    assert same(mmul(mixed, numbers), mixed @ numbers)
+
+
+def test_dual_batch_matrices_keep_their_own_path(triples):
+    tr = triples["dim-d2-1"]
+    pts = tr.sample_points(5, seed=1)
+    g = tr.g.components(dual_point(pts))
+    inv = minv(g)
+    vals = np.array([[x.val if isinstance(x, DualBatch) else np.full(5, x) for x in row]
+                     for row in g])
+    # the analytic inverse: the values are numpy's inverse, bit for bit
+    assert np.array_equal(np.array([[x.val for x in row] for row in inv]),
+                          np.moveaxis(np.linalg.inv(np.moveaxis(vals, 2, 0)), 0, 2))
+    product = mmul(g, inv)
+    for x, y in zip(product.flat, (g @ inv).flat):
+        assert np.array_equal(x.val, y.val) and np.array_equal(x.grad, y.grad)
 
 
 def test_adjugate_inverse_matches_gauss_jordan(triples):
