@@ -18,6 +18,7 @@ expected rank, gradient configuration and flatness/Einstein data.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,9 +64,11 @@ def _certify(chart: Chart, constraints, label: str) -> None:
     second-order dual coordinates; kind 'nonvanishing' fails on sign
     changes or near-zeros, kind 'vanishing' fails on values above
     tolerance.  A constraint that raises a domain error or takes a
-    non-finite value anywhere fails too.
+    non-finite value anywhere fails too.  The sample is a Halton set plus
+    the closed box's corners (where a boundary collision shows) and centre.
     """
-    pts = chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3)
+    pts = np.vstack([chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3),
+                     np.array(list(product(*chart.box)), dtype=float), chart.center()])
     # a fifth of the points at a time: the dual batches of all of them would
     # hold several MB at once
     chunks = [dual_point(part) for part in np.array_split(pts, 5)]

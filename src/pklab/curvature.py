@@ -8,8 +8,9 @@ rounding; nothing here is finite-differenced.  Sign conventions:
     Ric_{lj}   = R^k_{l kj}
 
 with G the Christoffel symbols of the metric.  The functions here act on
-component jets or on values and partials; ``pklab.geometry.Geometry``
-feeds them cached data, one evaluation per sample point.
+component jets or on values and partials, with or without a trailing
+point axis; ``pklab.geometry.Geometry`` feeds them its batches over all
+the sample points at once.
 """
 
 from __future__ import annotations
@@ -82,18 +83,17 @@ def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return r
 
 
-def einstein_residual(geo, i: int, lam: float, metric: str = "g") -> np.ndarray:
-    """Ric - lam * metric at sample point i of a Geometry ('g' or 'ghat')."""
-    return geo.ricci(i, metric) - lam * geo.values(i, metric)
+def einstein_residual(geo, lam: float, metric: str = "g") -> np.ndarray:
+    """Ric - lam * metric at the sample points of a Geometry ('g' or 'ghat')."""
+    return geo.ricci(metric) - lam * geo.values(metric)
 
 
 def covariant_derivative_endo(
     gamma: np.ndarray, av: np.ndarray, ap: np.ndarray
 ) -> np.ndarray:
     """(nabla_k A)^i_j, shape (k, i, j), from A's values and partials."""
-    out = np.transpose(ap, (2, 0, 1)).copy()
-    out += np.einsum("ikm,mj->kij", gamma, av)
-    out -= np.einsum("mkj,im->kij", gamma, av)
+    out = np.moveaxis(ap, 2, 0) + np.einsum("ikm...,mj...->kij...", gamma, av)
+    out -= np.einsum("mkj...,im...->kij...", gamma, av)
     return out
 
 
@@ -101,16 +101,15 @@ def covariant_derivative_vector(
     gamma: np.ndarray, vv: np.ndarray, vp: np.ndarray
 ) -> np.ndarray:
     """(nabla_k V)^i = d_k V^i + G^i_{km} V^m, shape (k, i)."""
-    return vp.T + np.einsum("ikm,m->ki", gamma, vv)
+    return np.swapaxes(vp, 0, 1) + np.einsum("ikm...,m...->ki...", gamma, vv)
 
 
-def scalar_hessian(jet: Jet) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient covector, coordinate Hessian) of a scalar jet (order >= 2)."""
-    hess = np.empty((DIM, DIM))
-    for i in range(DIM):
-        for j in range(DIM):
-            alpha = [0] * DIM
-            alpha[i] += 1
-            alpha[j] += 1
-            hess[i, j] = jet.partial(alpha)
+def scalar_hessian(jet: Jet) -> tuple:
+    """(value, gradient covector, coordinate Hessian) of a scalar jet (order >= 2),
+    each with the jet's trailing point axis if it is a batch."""
+    sp = jet.space
+    hess = np.empty((DIM, DIM) + jet.coeffs.shape[1:])
+    for i, j in np.ndindex(DIM, DIM):
+        k = sp.position[tuple(int(i == m) + int(j == m) for m in range(DIM))]
+        hess[i, j] = jet.coeffs[k] * sp.factorials[k]
     return jet.value, jet.gradient(), hess

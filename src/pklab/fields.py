@@ -251,16 +251,17 @@ def gradient(g: TensorField, f: ScalarField, point: Sequence[float]) -> np.ndarr
 # -- derivative operations --------------------------------------------
 #
 # These act on component values and first partials (see ``split_jets``),
-# so callers holding cached jets pay no re-evaluation.
+# so callers holding cached jets pay no re-evaluation.  Inputs may carry a
+# trailing point axis, which the result then carries too.
 
 
 def lie_derivative_metric(
     gv: np.ndarray, gp: np.ndarray, xv: np.ndarray, xp: np.ndarray
 ) -> np.ndarray:
     """(L_X g)_{ij} = X^k d_k g_{ij} + g_{kj} d_i X^k + g_{ik} d_j X^k."""
-    out = np.einsum("k,ijk->ij", xv, gp)
-    out += np.einsum("kj,ki->ij", gv, xp)
-    out += np.einsum("ik,kj->ij", gv, xp)
+    out = np.einsum("k...,ijk...->ij...", xv, gp)
+    out += np.einsum("kj...,ki...->ij...", gv, xp)
+    out += np.einsum("ik...,kj...->ij...", gv, xp)
     return out
 
 
@@ -268,9 +269,9 @@ def lie_derivative_endo(
     tv: np.ndarray, tp: np.ndarray, xv: np.ndarray, xp: np.ndarray
 ) -> np.ndarray:
     """(L_X T)^i_j = X^k d_k T^i_j - T^k_j d_k X^i + T^i_k d_j X^k."""
-    out = np.einsum("k,ijk->ij", xv, tp)
-    out -= np.einsum("kj,ik->ij", tv, xp)
-    out += np.einsum("ik,kj->ij", tv, xp)
+    out = np.einsum("k...,ijk...->ij...", xv, tp)
+    out -= np.einsum("kj...,ik...->ij...", tv, xp)
+    out += np.einsum("ik...,kj...->ij...", tv, xp)
     return out
 
 
@@ -278,7 +279,7 @@ def lie_bracket(
     xv: np.ndarray, xp: np.ndarray, yv: np.ndarray, yp: np.ndarray
 ) -> np.ndarray:
     """[X, Y]^i = X^k d_k Y^i - Y^k d_k X^i."""
-    return np.einsum("k,ik->i", xv, yp) - np.einsum("k,ik->i", yv, xp)
+    return np.einsum("k...,ik...->i...", xv, yp) - np.einsum("k...,ik...->i...", yv, xp)
 
 
 # largest |w + w^T|, relative to max |w| where that exceeds 1, of a 2-form input
@@ -288,17 +289,17 @@ _ASYM_TOL = 1e-12
 def exterior_derivative_2form(wv: np.ndarray, wp: np.ndarray) -> np.ndarray:
     """(d omega)_{ijk} as the cyclic sum of coordinate partials.
 
-    Rejects inputs whose antisymmetry fails beyond ``_ASYM_TOL`` (scaled);
-    validation rather than silent antisymmetrization.
+    Rejects inputs whose antisymmetry fails beyond ``_ASYM_TOL`` (scaled)
+    at any point; validation rather than silent antisymmetrization.
     """
-    scale = max(1.0, float(np.max(np.abs(wv))))
-    if np.max(np.abs(wv + wv.T)) > _ASYM_TOL * scale:
+    scale = np.maximum(1.0, np.max(np.abs(wv), axis=(0, 1)))
+    if np.any(np.max(np.abs(wv + np.swapaxes(wv, 0, 1)), axis=(0, 1)) > _ASYM_TOL * scale):
         raise MalformedFormError("2-form input is not antisymmetric at the point")
     # (d omega)_{ijk} = d_i w_{jk} + d_j w_{ki} + d_k w_{ij}
     dw = (
-        np.einsum("jki->ijk", wp)
-        + np.einsum("kij->ijk", wp)
-        + np.einsum("ijk->ijk", wp)
+        np.einsum("jki...->ijk...", wp)
+        + np.einsum("kij...->ijk...", wp)
+        + np.einsum("ijk...->ijk...", wp)
     )
     return dw
 
@@ -308,8 +309,8 @@ def nijenhuis(tv: np.ndarray, tp: np.ndarray) -> np.ndarray:
 
     N(X,Y) = [TX,TY] - T[TX,Y] - T[X,TY] + T^2 [X,Y] on coordinate fields.
     """
-    n = np.einsum("mj,ikm->ijk", tv, tp)
-    n -= np.einsum("mk,ijm->ijk", tv, tp)
-    n += np.einsum("im,mjk->ijk", tv, tp)
-    n -= np.einsum("im,mkj->ijk", tv, tp)
+    n = np.einsum("mj...,ikm...->ijk...", tv, tp)
+    n -= np.einsum("mk...,ijm...->ijk...", tv, tp)
+    n += np.einsum("im...,mjk...->ijk...", tv, tp)
+    n -= np.einsum("im...,mkj...->ijk...", tv, tp)
     return n

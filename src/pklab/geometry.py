@@ -3,15 +3,16 @@
 A :class:`Geometry` holds a triple (g, T, A) and its sample points and
 builds each quantity lazily, once, as batched jets over all the points
 (column k is point k, bit for bit the jet computed at that point alone):
-the order-3 jets of g, T and A (one field evaluation each), the inverses
-of g and A, det A, mu1, mu2, psi, the Christoffel symbols of g and of the
-companion metric, sigma(g) and the canonical Killing fields, then the
-curvature tensors.  Every residual reads its point of these batches (the
-"taping" idea of Griewank & Walther, *Evaluating Derivatives*); no float
-matrix is inverted again per point.  A domain error in a quantity
-(det A <= 0, a near-singular metric) is kept and raises at every point
-that reads it.  ``run_suite`` builds one Geometry per call; nothing is
-memoized on the triple or its fields.
+the jets of g, T and A through degree 2 (one field evaluation each), the
+inverses of g and A, det A, mu1, mu2, psi, the Christoffel symbols of g
+and of the companion metric, sigma(g) and the canonical Killing fields,
+then the curvature tensors.  Every residual reads these batches as
+arrays whose last axis is the sample point (the "taping" idea of
+Griewank & Walther, *Evaluating Derivatives*), so one array expression
+evaluates it at all the points; no float matrix is inverted again.  A
+domain error in a quantity (det A <= 0, a near-singular metric) is kept
+and raises wherever the quantity is read.  ``run_suite`` builds one
+Geometry per call; nothing is memoized on the triple or its fields.
 
 The module also holds the jet-level formulas of the companion metric,
 the family members, sigma(g), psi and the invariants, shared by the
@@ -53,6 +54,10 @@ __all__ = [
 # integrated or measured, raises; anything else is a programming error
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError,
                  GeodesicConvergenceError, DegenerateVelocityError, ShortCurveError)
+
+# jet order of every batch: residuals read values, first partials of the
+# connection and curvature, and the Hessian of psi, none above degree 2
+ORDER = 2
 
 # -- jet-level formulas ---------------------------------------------------
 
@@ -130,12 +135,21 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
 # -- the cache --------------------------------------------------------------
 
 
+def _cut(arr: np.ndarray, order: int, points=slice(None)) -> np.ndarray:
+    """The jets of ``arr`` at the columns ``points`` through degree ``order``; numbers kept."""
+    space = Jet.constant(0.0, DIM, order).space
+    return np.frompyfunc(
+        lambda x: Jet(space, x.coeffs[: space.size, points]) if isinstance(x, Jet) else x, 1, 1
+    )(arr)
+
+
 def _field(attr: str):
     def build(geo: "Geometry") -> np.ndarray:
         field = getattr(geo, attr)
         if field is None:
             raise ValueError(f"this geometry has no field {attr!r}")
-        return field.jets(geo.points, DEFAULT_ORDER)
+        # the rules embed profile derivatives: evaluated at DEFAULT_ORDER, then cut
+        return _cut(field.jets(geo.points, DEFAULT_ORDER), ORDER)
 
     return build
 
@@ -144,7 +158,7 @@ def _as_jet(x, n: int) -> Jet:
     """x, or the constant batch over n points of a plain number (from constant components)."""
     if isinstance(x, Jet):
         return x
-    one = Jet.constant(float(x), DIM, DEFAULT_ORDER)
+    one = Jet.constant(float(x), DIM, ORDER)
     return Jet(one.space, np.repeat(one.coeffs[:, None], n, axis=1))
 
 
@@ -197,8 +211,8 @@ class Geometry:
 
     ``triple`` needs attributes ``g`` and ``t`` (tensor fields) and may
     carry ``a`` (the Benenti tensor), ``meta`` and ``chart``; quantities
-    that need a missing field raise ValueError when asked for.  Points
-    are addressed by their index ``i`` in ``points``.
+    that need a missing field raise ValueError when asked for.  Every
+    float accessor returns an array whose last axis runs over ``points``.
     """
 
     def __init__(self, triple, points: Sequence[Sequence[float]]):
@@ -207,8 +221,7 @@ class Geometry:
         self.t = triple.t
         self.a = getattr(triple, "a", None)
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self._all: dict = {}
-        self._memo: list[dict] = [{} for _ in range(len(self.points))]
+        self._cache: dict = {}
 
     @classmethod
     def at(cls, point: Sequence[float], g=None, t=None, a=None) -> "Geometry":
@@ -218,101 +231,69 @@ class Geometry:
     def __len__(self) -> int:
         return len(self.points)
 
-    def cached(self, i: int | None, key: str, build):
-        """``build()``, evaluated once per ``key`` and point i, or once over
-        all points for i None.  The domain error of a build over all points
-        is kept and raised again on every read; a point's is not, so the
-        point is retried."""
-        memo = self._all if i is None else self._memo[i]
-        if key not in memo:
+    def cached(self, key: str, build):
+        """``build()``, evaluated once per ``key``.  A domain error is kept and
+        raised again on every read."""
+        if key not in self._cache:
             try:
-                memo[key] = build()
+                self._cache[key] = build()
             except DOMAIN_ERRORS as e:
-                if i is None:
-                    memo[key] = e
+                self._cache[key] = e
                 raise
-        if isinstance(memo[key], DOMAIN_ERRORS):  # a fresh traceback, not one grown per read
-            raise memo[key].with_traceback(None)
-        return memo[key]
+        out = self._cache[key]
+        if isinstance(out, DOMAIN_ERRORS):  # a fresh traceback, not one grown per read
+            raise out.with_traceback(None)
+        return out
 
     # -- jets -------------------------------------------------------------
 
     def batch(self, name: str):
-        """Order-3 batched jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
+        """Batched jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
         'gamma' (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)), 'a_sigma' (A sigma) or 'psi' over all
-        points; column k is point k, and plain numbers are constants."""
-        return self.cached(None, name, lambda: _BUILDERS[name](self))
-
-    def jets(self, i: int, name: str):
-        """``batch(name)`` at point i, as one-point jets."""
-
-        def column(x):
-            return Jet(x.space, x.coeffs[:, i]) if isinstance(x, Jet) else x
-
-        return self.cached(i, name, lambda: np.frompyfunc(column, 1, 1)(self.batch(name)))
-
-    def _split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(values, first partials) of ``batch(name)``, with a trailing point axis."""
-
-        def build():
-            arr = np.asarray(self.batch(name), dtype=object)  # det_a and psi: 0-d
-            v, p = split_jets(arr)
-            if v.shape == arr.shape:  # constants only: no point axis yet
-                v, p = (np.repeat(x[..., None], len(self), axis=-1) for x in (v, p))
-            return v, p
-
-        return self.cached(None, name + "/vp", build)
-
-    def vp(self, i: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(values, first partials) of ``jets(i, name)``; partials on the last axis."""
-        v, p = self._split(name)
-        return v[..., i], p[..., i]
-
-    def values(self, i, name: str) -> np.ndarray:
-        """Values of ``batch(name)`` at point i, or on the last axis at an index array."""
-        return self._split(name)[0][..., i]
-
-    def psi_jet(self, i: int) -> Jet:
-        """Jet of psi = -(1/4) log det A (a constant jet when A is constant)."""
-        return self.jets(i, "psi")
+        points, through degree ``ORDER``; column k is point k, and plain
+        numbers are constants."""
+        return self.cached(name, lambda: _BUILDERS[name](self))
 
     def stacked(self, name: str, points: Sequence[int], order: int) -> np.ndarray:
         """``batch(name)`` at the sample points ``points`` cut to ``order``: column
-        k is point ``points[k]``, and the first ``size`` coefficients in graded
-        order are those of degree <= ``order``."""
-        space = Jet.constant(0.0, DIM, order).space
-        cut = np.frompyfunc(
-            lambda x: Jet(space, _as_jet(x, len(self)).coeffs[: space.size, points]), 1, 1)
-        return cut(self.batch(name))
+        k is point ``points[k]``, and plain numbers are constant jets."""
+        return _cut(np.frompyfunc(lambda x: _as_jet(x, len(self)), 1, 1)(self.batch(name)),
+                    order, points)
 
     # -- floats -------------------------------------------------------------
 
-    def ginv(self, i: int) -> np.ndarray:
-        """Inverse metric values (the batch has the determinant guard)."""
-        return self.values(i, "ginv")
+    def split(self, jets) -> tuple[np.ndarray, np.ndarray]:
+        """(values, first partials) of jets batched over the points: values[..., p]
+        and partials[..., k, p] at point p; plain numbers are constants."""
+        arr = np.asarray(jets, dtype=object)  # det_a and psi: 0-d
+        v, p = split_jets(arr)
+        if v.shape == arr.shape:  # constants only: no point axis yet
+            v, p = (np.repeat(x[..., None], len(self), axis=-1) for x in (v, p))
+        return v, p
 
-    def mu(self, i: int) -> np.ndarray:
-        """Values (mu1, mu2)."""
-        return self.values(i, "mu")
+    def vp(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``split(batch(name))``."""
+        return self.cached(name + "/vp", lambda: self.split(self.batch(name)))
 
-    def lam(self, i: int) -> np.ndarray:
-        """Lam = (1/4) grad tr A = V1 / 2."""
-        return 0.5 * self.values(i, "killing")[0]
+    def values(self, name: str) -> np.ndarray:
+        """Values of ``batch(name)``, with a trailing point axis."""
+        return self.vp(name)[0]
 
-    def gamma(self, i: int, metric: str = "g") -> np.ndarray:
-        """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j)."""
-        return self.values(i, _GAMMA[metric])
+    def lam(self) -> np.ndarray:
+        """Lam = (1/4) grad tr A = V1 / 2, shape (4, points)."""
+        return 0.5 * self.values("killing")[0]
 
-    def _riemann(self, metric: str) -> np.ndarray:
+    def gamma(self, metric: str = "g") -> np.ndarray:
+        """Christoffel symbols of 'g' or 'ghat' as floats, shape (k, i, j, points)."""
+        return self.values(_GAMMA[metric])
+
+    def riemann(self, metric: str = "g") -> np.ndarray:
+        """R^k_{l ij} of 'g' or 'ghat', shape (k, l, i, j, points)."""
+        return self.cached("riemann/" + metric, lambda: curvature.riemann(*self.vp(_GAMMA[metric])))
+
+    def ricci(self, metric: str = "g") -> np.ndarray:
+        """Ric_{lj} of 'g' or 'ghat', shape (l, j, points)."""
         return self.cached(
-            None, "riemann/" + metric, lambda: curvature.riemann(*self._split(_GAMMA[metric]))
+            "ricci/" + metric, lambda: np.einsum("klkj...->lj...", self.riemann(metric))
         )
-
-    def riemann(self, i: int, metric: str = "g") -> np.ndarray:
-        return self._riemann(metric)[..., i]
-
-    def ricci(self, i: int, metric: str = "g") -> np.ndarray:
-        return self.cached(
-            None, "ricci/" + metric, lambda: np.einsum("klkj...->lj...", self._riemann(metric))
-        )[..., i]

@@ -38,17 +38,18 @@ DEFAULT_POINTS = 20
 class Check:
     """A declared result: name, default tolerance, identity and pointwise parts.
 
-    ``residual(geo, i)`` is the residual at sample point i for
+    ``residual(geo)`` gives the residual at each of geo's sample points,
+    shape (points,), inf at a point it could not evaluate, for
     ``check_points`` (None when the suite reduces the points itself);
-    ``flags(geo, i)`` names remarks on point i; ``when(geo)`` says whether
-    the result applies to geo's triple.
+    ``flags(geo)`` names remarks on the points, and such errors;
+    ``when(geo)`` says whether the result applies to geo's triple.
     """
 
     name: str
     tolerance: float
     identity: str
-    residual: Callable[[Geometry, int], float] | None = None
-    flags: Callable[[Geometry, int], Iterable[str]] | None = None
+    residual: Callable[[Geometry], np.ndarray] | None = None
+    flags: Callable[[Geometry], Iterable[str]] | None = None
     when: Callable[[Geometry], bool] | None = None
 
     def result(self, residual: float, points: int, tolerances: Mapping[str, float],
@@ -62,23 +63,23 @@ class Check:
 def check_points(
     geo: Geometry, check: Check, tolerances: Mapping[str, float], identity: str | None = None
 ) -> CheckResult:
-    """``check``'s result: the worst of its residual over geo's points.
+    """``check``'s result: the worst of its residuals over geo's points.
 
-    A domain error at a point makes that point's residual inf and flags
-    the result ``eval-error:<type>``, so a result that could not be
-    evaluated fails; other exceptions propagate.  ``identity`` replaces
-    the declared one (for identities that quote the triple's data).
+    A domain error makes the residual inf and flags the result
+    ``eval-error:<type>``, so a result that could not be evaluated fails;
+    other exceptions propagate.  ``identity`` replaces the declared one
+    (for identities that quote the triple's data).
     """
     flags: set[str] = set()
-    values = []
-    for i in range(len(geo)):
-        try:
-            values.append(float(check.residual(geo, i)))
-            if check.flags:
-                flags.update(check.flags(geo, i))
-        except DOMAIN_ERRORS as e:
-            values.append(np.inf)
-            flags.add(f"eval-error:{type(e).__name__}")
+    try:
+        values = np.asarray(check.residual(geo), dtype=float)
+        if check.flags:
+            flags.update(check.flags(geo))
+    except DOMAIN_ERRORS as e:
+        values = np.full(len(geo), np.inf)
+        flags.add(f"eval-error:{type(e).__name__}")
+    if values.shape != (len(geo),):
+        raise ValueError(f"{check.name}: residuals of shape {values.shape} for {len(geo)} points")
     return check.result(worst(values), len(geo), tolerances, flags, identity)
 
 
@@ -113,9 +114,32 @@ class ParaKahlerTriple:
         return self.chart.sample_points(n, seed=seed)
 
 
-def fundamental_form(geo: Geometry, i: int) -> np.ndarray:
-    """omega_ij = T^k_i g_kj, i.e. omega(X, Y) = g(TX, Y), at sample point i."""
-    return geo.values(i, "t").T @ geo.values(i, "g")
+# -- arrays over the sample points, the point axis last ---------------------
+
+
+def amax(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the last, one value per point; a NaN is kept."""
+    return np.abs(x).reshape(-1, np.shape(x)[-1]).max(axis=0)
+
+
+def relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """max |x| at each point, relative to max |ref| there where that exceeds 1."""
+    return amax(x) / np.maximum(1.0, amax(ref))
+
+
+def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b at each point, for a matrix or vector b; both carry the point axis."""
+    return np.einsum("ij...,jk...->ik..." if b.ndim == a.ndim else "ij...,j...->i...", a, b)
+
+
+def transposed(m: np.ndarray) -> np.ndarray:
+    """m transposed at each point."""
+    return np.swapaxes(m, 0, 1)
+
+
+def fundamental_form(geo: Geometry) -> np.ndarray:
+    """omega_ij = T^k_i g_kj, i.e. omega(X, Y) = g(TX, Y), at each sample point."""
+    return mm(transposed(geo.values("t")), geo.values("g"))
 
 
 # eigenvalues of g within this of 0, relative to the largest, count as near-degenerate
@@ -124,74 +148,71 @@ _SIGNATURE_FLOOR = 1e-10
 _ADAPTED_TOL = 1e-11
 
 
-def signature_counts(gm: np.ndarray) -> tuple[int, int, int]:
-    """(positive, negative, near-degenerate) eigenvalue counts of g."""
-    ev = np.linalg.eigvalsh(0.5 * (gm + gm.T))
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    pos = int(np.sum(ev > _SIGNATURE_FLOOR * scale))
-    neg = int(np.sum(ev < -_SIGNATURE_FLOOR * scale))
+def signature_counts(gm: np.ndarray) -> tuple:
+    """(positive, negative, near-degenerate) eigenvalue counts of g, one count
+    per point for values with a trailing point axis."""
+    m = np.moveaxis(gm, (0, 1), (-2, -1))
+    ev = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1, keepdims=True))
+    pos = np.sum(ev > _SIGNATURE_FLOOR * scale, axis=-1)
+    neg = np.sum(ev < -_SIGNATURE_FLOOR * scale, axis=-1)
     return pos, neg, gm.shape[0] - pos - neg
 
 
 def null_coordinate_check(geo: Geometry) -> bool:
     """True iff T equals diag(Id2, -Id2) at all of geo's points (adapted chart)."""
     block = np.diag([1.0, 1.0, -1.0, -1.0])
-    return all(np.max(np.abs(geo.values(i, "t") - block)) <= _ADAPTED_TOL
-               for i in range(len(geo)))
+    return bool(np.all(amax(geo.values("t") - block[..., None]) <= _ADAPTED_TOL))
 
 
-def relative(x: np.ndarray, ref: np.ndarray) -> float:
-    """max |x|, relative to max |ref| where that exceeds 1."""
-    return float(np.max(np.abs(x))) / max(1.0, float(np.max(np.abs(ref))))
+def _g_symmetric(geo: Geometry) -> np.ndarray:
+    gm = geo.values("g")
+    return relative(gm - transposed(gm), gm)
 
 
-def _g_symmetric(geo: Geometry, i: int) -> float:
-    gm = geo.values(i, "g")
-    return relative(gm - gm.T, gm)
+def _t_squares_to_id(geo: Geometry) -> np.ndarray:
+    tm = geo.values("t")
+    return amax(mm(tm, tm) - np.eye(4)[..., None])
 
 
-def _t_squares_to_id(geo: Geometry, i: int) -> float:
-    tm = geo.values(i, "t")
-    return np.max(np.abs(tm @ tm - np.eye(4)))
+def _t_trace_free(geo: Geometry) -> np.ndarray:
+    return np.abs(np.einsum("ii...->...", geo.values("t")))
 
 
-def _t_trace_free(geo: Geometry, i: int) -> float:
-    return abs(np.trace(geo.values(i, "t")))
+def _g_para_hermitian(geo: Geometry) -> np.ndarray:
+    gm, tm = geo.values("g"), geo.values("t")
+    return relative(mm(mm(transposed(tm), gm), tm) + gm, gm)
 
 
-def _g_para_hermitian(geo: Geometry, i: int) -> float:
-    gm, tm = geo.values(i, "g"), geo.values(i, "t")
-    return relative(tm.T @ gm @ tm + gm, gm)
+def _neutral_signature(geo: Geometry) -> np.ndarray:
+    pos, neg, _ = signature_counts(geo.values("g"))
+    return np.where((pos == 2) & (neg == 2), 0.0, 1.0)
 
 
-def _neutral_signature(geo: Geometry, i: int) -> float:
-    return 0.0 if signature_counts(geo.values(i, "g"))[:2] == (2, 2) else 1.0
+def _near_degenerate(geo: Geometry) -> list[str]:
+    return ["near-degenerate-point"] if np.any(signature_counts(geo.values("g"))[2]) else []
 
 
-def _near_degenerate(geo: Geometry, i: int) -> list[str]:
-    return ["near-degenerate-point"] if signature_counts(geo.values(i, "g"))[2] else []
+def _omega_antisymmetric(geo: Geometry) -> np.ndarray:
+    om = fundamental_form(geo)
+    return relative(om + transposed(om), om)
 
 
-def _omega_antisymmetric(geo: Geometry, i: int) -> float:
-    om = fundamental_form(geo, i)
-    return relative(om + om.T, om)
-
-
-def _omega_closed(geo: Geometry, i: int) -> float:
-    gv, gp = geo.vp(i, "g")
-    tv, tp = geo.vp(i, "t")
+def _omega_closed(geo: Geometry) -> np.ndarray:
+    gv, gp = geo.vp("g")
+    tv, tp = geo.vp("t")
     # omega_ij = T^k_i g_kj, partials by the product rule
-    om = tv.T @ gv
-    dom = np.einsum("kim,kj->ijm", tp, gv) + np.einsum("ki,kjm->ijm", tv, gp)
+    om = mm(transposed(tv), gv)
+    dom = np.einsum("kim...,kj...->ijm...", tp, gv) + np.einsum("ki...,kjm...->ijm...", tv, gp)
     return relative(exterior_derivative_2form(om, dom), om)
 
 
-def _nijenhuis_zero(geo: Geometry, i: int) -> float:
-    return np.max(np.abs(nijenhuis(*geo.vp(i, "t"))))
+def _nijenhuis_zero(geo: Geometry) -> np.ndarray:
+    return amax(nijenhuis(*geo.vp("t")))
 
 
-def _t_parallel(geo: Geometry, i: int) -> float:
-    return np.max(np.abs(covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "t"))))
+def _t_parallel(geo: Geometry) -> np.ndarray:
+    return amax(covariant_derivative_endo(geo.gamma(), *geo.vp("t")))
 
 
 AXIOMS = (

@@ -19,8 +19,10 @@ invariants with their canonical Killing fields, and the rank
 classification of the canonical distribution.
 
 Field constructors return TensorFields; residuals take a
-``pklab.geometry.Geometry`` and a sample-point index and read every
-jet, connection and curvature tensor from its cache.
+``pklab.geometry.Geometry`` and read every jet, connection and curvature
+tensor from its cache.  They return one residual per sample point,
+evaluated at all the points at once on arrays whose last axis is the
+point (see ``pklab.parakahler.amax``).
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from .geometry import (
     mu_invariants,
     weighted_sigma_components,
 )
-from .jets import JetDomainError, jsqrt
+from .jets import Jet, jsqrt
 from .linalg import minv, mmul
-from .parakahler import fundamental_form, relative
+from .parakahler import amax, fundamental_form, mm, relative, transposed
 from .report import worst
 
 __all__ = [
@@ -67,7 +69,6 @@ __all__ = [
     "a_from_pair",
     "companion_metric",
     "family_metric",
-    "psi_potential",
     "connection_difference_residual",
     "weighted_sigma_field",
     "weighted_endo_sigma_field",
@@ -101,25 +102,26 @@ _K = 2.0 * (N_COMPLEX + 1)
 # -- the defining equation ---------------------------------------------
 
 
-def benenti_residual(geo: Geometry, i: int) -> float:
+def benenti_residual(geo: Geometry) -> np.ndarray:
     """Deviation of nabla A from the canonical right-hand side built from Lam.
 
     Maximum over coordinate directions X of the matrix mismatch, scaled
     by the magnitude of the quantities compared.
     """
-    gm = geo.values(i, "g")
-    tm = geo.values(i, "t")
-    lam = geo.lam(i)
-    tlam = tm @ lam
-    nabla = covariant_derivative_endo(geo.gamma(i), *geo.vp(i, "a"))  # [k, i, j]
+    gm = geo.values("g")
+    tm = geo.values("t")
+    lam = geo.lam()
+    tlam = mm(tm, lam)
+    nabla = covariant_derivative_endo(geo.gamma(), *geo.vp("a"))  # [k, i, j]
     # the right-hand side for X = e_k, at index k
-    rhs = (np.einsum("i,jk->kij", lam, gm) + np.einsum("ik,j->kij", np.eye(DIM), gm @ lam)
-           - np.einsum("i,jk->kij", tlam, gm @ tm) - np.einsum("ik,j->kij", tm, gm @ tlam))
-    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(nabla))))
-    return float(np.max(np.abs(nabla - rhs))) / scale
+    rhs = (np.einsum("i...,jk...->kij...", lam, gm)
+           + np.einsum("ik,j...->kij...", np.eye(DIM), mm(gm, lam))
+           - np.einsum("i...,jk...->kij...", tlam, mm(gm, tm))
+           - np.einsum("ik...,j...->kij...", tm, mm(gm, tlam)))
+    return amax(nabla - rhs) / np.maximum(np.maximum(1.0, amax(rhs)), amax(nabla))
 
 
-def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
+def hamiltonian_form_residual(geo: Geometry) -> np.ndarray:
     """Residual of the Hamiltonian-2-form shape of the defining equation.
 
     With phi = g(AT., .) and kappa = tr_omega phi the equation reads
@@ -130,40 +132,40 @@ def hamiltonian_form_residual(geo: Geometry, i: int) -> float:
     tr_omega phi = (1/2) tr A = mu1, and T acts on 1-forms through the
     metric duality, (T alpha)(Y) = -alpha(TY).
     """
-    gm, gp = geo.vp(i, "g")
-    tm, tp = geo.vp(i, "t")
-    av, ap = geo.vp(i, "a")
+    gm, gp = geo.vp("g")
+    tm, tp = geo.vp("t")
+    av, ap = geo.vp("a")
     # phi_ij = (AT)^k_i g_kj, partials by the product rule
-    at = av @ tm
-    dat = np.einsum("ikm,kj->ijm", ap, tm) + np.einsum("ik,kjm->ijm", av, tp)
-    phv = at.T @ gm
-    php = np.einsum("kim,kj->ijm", dat, gm) + np.einsum("ki,kjm->ijm", at, gp)
-    gamma = geo.gamma(i)
-    nphi = np.transpose(php, (2, 0, 1)).copy()
-    nphi -= np.einsum("mki,mj->kij", gamma, phv)
-    nphi -= np.einsum("mkj,im->kij", gamma, phv)
+    at = mm(av, tm)
+    dat = np.einsum("ikm...,kj...->ijm...", ap, tm) + np.einsum("ik...,kjm...->ijm...", av, tp)
+    phv = mm(transposed(at), gm)
+    php = np.einsum("kim...,kj...->ijm...", dat, gm) + np.einsum("ki...,kjm...->ijm...", at, gp)
+    gamma = geo.gamma()
+    nphi = np.moveaxis(php, 2, 0) - np.einsum("mki...,mj...->kij...", gamma, phv)
+    nphi -= np.einsum("mkj...,im...->kij...", gamma, phv)
 
-    dk = geo.vp(i, "mu")[1][0]
-    tdk = -(tm.T @ dk)  # (T dkappa)_i = -dkappa_p T^p_i
+    dk = geo.vp("mu")[1][0]
+    tdk = -mm(transposed(tm), dk)  # (T dkappa)_i = -dkappa_p T^p_i
 
     # the right-hand side for X = e_k, at index k; g T e_k = (g T)[:, k]
-    gt = gm @ tm
-    rhs = (np.einsum("i,jk->kij", dk, gt) - np.einsum("ik,j->kij", gt, dk)
-           - np.einsum("i,jk->kij", tdk, gm) + np.einsum("ik,j->kij", gm, tdk))
-    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(2 * nphi))))
-    return float(np.max(np.abs(2.0 * nphi - rhs))) / scale
+    gt = mm(gm, tm)
+    rhs = (np.einsum("i...,jk...->kij...", dk, gt) - np.einsum("ik...,j...->kij...", gt, dk)
+           - np.einsum("i...,jk...->kij...", tdk, gm) + np.einsum("ik...,j...->kij...", gm, tdk))
+    scale = np.maximum(np.maximum(1.0, amax(rhs)), amax(2 * nphi))
+    return amax(2.0 * nphi - rhs) / scale
 
 
 # -- pair <-> Benenti tensor -------------------------------------------
 
 
 def a_from_pair(gm: np.ndarray, hm: np.ndarray) -> np.ndarray:
-    """A = (det ghat / det g)^(1/6) ghat^{-1} g from the two metrics' values."""
+    """A = (det ghat / det g)^(1/6) ghat^{-1} g from the two metrics' values,
+    or from stacks of them on the leading axes (numpy's convention)."""
     hinv = minv(hm)
-    ratio = np.linalg.det(hm) / np.linalg.det(gm)
-    if not ratio > 0.0:
-        raise DegenerateMetricError(f"determinant ratio {ratio:.3e} is not positive")
-    return ratio ** (1.0 / 6.0) * hinv @ gm
+    ratio = np.asarray(np.linalg.det(hm) / np.linalg.det(gm))
+    if not np.all(ratio > 0.0):
+        raise DegenerateMetricError(f"determinant ratio {np.min(ratio):.3e} is not positive")
+    return ratio[..., None, None] ** (1.0 / 6.0) * hinv @ gm
 
 
 def companion_metric(g: TensorField, a: TensorField) -> TensorField:
@@ -229,33 +231,27 @@ def family_metric(g: TensorField, a: TensorField, alpha: float, beta: float) -> 
 # -- potential and connection difference --------------------------------
 
 
-def psi_potential(geo: Geometry, i: int) -> tuple[float, np.ndarray]:
-    """(psi, Psi) with psi = -(1/4) log det A and Psi = d psi as a covector."""
-    jet = geo.psi_jet(i)
-    return jet.value, jet.gradient()
-
-
-def connection_difference_residual(geo: Geometry, i: int) -> float:
+def connection_difference_residual(geo: Geometry) -> np.ndarray:
     """Mismatch of Gammahat - Gamma against the projective-shift formula.
 
     The shift is Psi_i d^k_j + Psi_j d^k_i + Psi_p T^p_i T^k_j
-    + Psi_p T^p_j T^k_i with Psi = d psi, psi from det A.
+    + Psi_p T^p_j T^k_i with Psi = d psi, psi = -(1/4) log det A.
     """
-    _, psi = psi_potential(geo, i)
-    gm_hat = geo.gamma(i, "ghat")
-    gm = geo.gamma(i)
-    tm = geo.values(i, "t")
-    psit = tm.T @ psi
+    psi = geo.vp("psi")[1]
+    gm_hat = geo.gamma("ghat")
+    gm = geo.gamma()
+    tm = geo.values("t")
+    psit = mm(transposed(tm), psi)
     eye = np.eye(DIM)
     rhs = (
-        np.einsum("i,kj->kij", psi, eye)
-        + np.einsum("j,ki->kij", psi, eye)
-        + np.einsum("i,kj->kij", psit, tm)
-        + np.einsum("j,ki->kij", psit, tm)
+        np.einsum("i...,kj->kij...", psi, eye)
+        + np.einsum("j...,ki->kij...", psi, eye)
+        + np.einsum("i...,kj...->kij...", psit, tm)
+        + np.einsum("j...,ki...->kij...", psit, tm)
     )
     diff = gm_hat - gm
-    scale = max(1.0, float(np.max(np.abs(diff))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(diff - rhs))) / scale
+    scale = np.maximum(np.maximum(1.0, amax(diff)), amax(rhs))
+    return amax(diff - rhs) / scale
 
 
 # -- weighted (2,0) tensors and the mobility equation -------------------
@@ -287,57 +283,52 @@ def scale_weighted_field(f: ScalarField, sigma: TensorField) -> TensorField:
 
 
 def weighted_covariant_derivative(
-    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
+    geo: Geometry, s_jets: np.ndarray, metric: str = "g"
 ) -> np.ndarray:
     """nabla_i sigma^{jk} for a (2,0) tensor of volume weight 1/(n+1).
 
-    ``s_jets`` are the tensor's component jets at sample point i; the
-    connection is that of ``metric`` ('g' or 'ghat').
+    ``s_jets`` are the tensor's component jets batched over geo's points;
+    the connection is that of ``metric`` ('g' or 'ghat').
 
     nabla_i s^{jk} = d_i s^{jk} + G^j_{im} s^{mk} + G^k_{im} s^{mj}
                      - (1/(n+1)) G^p_{ip} s^{jk}
     """
-    sv, sp = split_jets(s_jets)
-    gamma = geo.gamma(i, metric)
-    out = np.transpose(sp, (2, 0, 1)).copy()
-    out += np.einsum("jim,mk->ijk", gamma, sv)
-    out += np.einsum("kim,mj->ijk", gamma, sv)
-    out -= np.einsum("pip,jk->ijk", gamma, sv) / (N_COMPLEX + 1.0)
+    sv, sp = geo.split(s_jets)
+    gamma = geo.gamma(metric)
+    out = np.moveaxis(sp, 2, 0) + np.einsum("jim...,mk...->ijk...", gamma, sv)
+    out += np.einsum("kim...,mj...->ijk...", gamma, sv)
+    out -= np.einsum("pip...,jk...->ijk...", gamma, sv) / (N_COMPLEX + 1.0)
     return out
 
 
-def sigma_parallel_residual(geo: Geometry, i: int) -> float:
+def sigma_parallel_residual(geo: Geometry) -> np.ndarray:
     """|nabla sigma(g)| for the Levi-Civita connection of g."""
-    nabla = weighted_covariant_derivative(geo, i, geo.jets(i, "sigma"))
-    return float(np.max(np.abs(nabla))) / max(
-        1.0, float(np.max(np.abs(geo.values(i, "sigma"))))
-    )
+    nabla = weighted_covariant_derivative(geo, geo.batch("sigma"))
+    return relative(nabla, geo.values("sigma"))
 
 
-def sigma_para_hermitian_residual(geo: Geometry, i: int) -> float:
+def sigma_para_hermitian_residual(geo: Geometry) -> np.ndarray:
     """T^j_p sigma^{pk} + sigma^{jp} T^k_p should vanish for sigma(g)."""
-    tm = geo.values(i, "t")
-    sv = geo.values(i, "sigma")
-    return relative(tm @ sv + sv @ tm.T, sv)
+    tm = geo.values("t")
+    sv = geo.values("sigma")
+    return relative(mm(tm, sv) + mm(sv, transposed(tm)), sv)
 
 
-def _mobility_terms(geo, i, s_jets, metric):
-    nabla = weighted_covariant_derivative(geo, i, s_jets, metric)
-    d = np.einsum("llk->k", nabla)
-    tm = geo.values(i, "t")
+def _mobility_terms(geo, s_jets, metric):
+    nabla = weighted_covariant_derivative(geo, s_jets, metric)
+    d = np.einsum("llk...->k...", nabla)
+    tm = geo.values("t")
     eye = np.eye(DIM)
     corr = (
-        np.einsum("ij,k->ijk", eye, d)
-        + np.einsum("ik,j->ijk", eye, d)
-        - np.einsum("ji,kp,p->ijk", tm, tm, d)
-        - np.einsum("ki,jp,p->ijk", tm, tm, d)
+        np.einsum("ij,k...->ijk...", eye, d)
+        + np.einsum("ik,j...->ijk...", eye, d)
+        - np.einsum("ji...,kp...,p...->ijk...", tm, tm, d)
+        - np.einsum("ki...,jp...,p...->ijk...", tm, tm, d)
     ) / (2.0 * N_COMPLEX)
     return nabla, corr
 
 
-def mobility_residual(
-    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
-) -> float:
+def mobility_residual(geo: Geometry, s_jets: np.ndarray, metric: str = "g") -> np.ndarray:
     """Residual of the projectively invariant first-order system.
 
     nabla_i s^{jk} - (1/(2n)) (d^j_i D^k + d^k_i D^j
@@ -346,16 +337,14 @@ def mobility_residual(
     The expression does not depend on which metric of the projective
     class supplies the connection; solutions make it vanish.
     """
-    nabla, corr = _mobility_terms(geo, i, s_jets, metric)
-    scale = max(1.0, float(np.max(np.abs(nabla))), float(np.max(np.abs(corr))))
-    return float(np.max(np.abs(nabla - corr))) / scale
+    nabla, corr = _mobility_terms(geo, s_jets, metric)
+    scale = np.maximum(np.maximum(1.0, amax(nabla)), amax(corr))
+    return amax(nabla - corr) / scale
 
 
-def mobility_expression(
-    geo: Geometry, i: int, s_jets: np.ndarray, metric: str = "g"
-) -> np.ndarray:
+def mobility_expression(geo: Geometry, s_jets: np.ndarray, metric: str = "g") -> np.ndarray:
     """The full invariant expression (not just its norm), for invariance tests."""
-    nabla, corr = _mobility_terms(geo, i, s_jets, metric)
+    nabla, corr = _mobility_terms(geo, s_jets, metric)
     return nabla - corr
 
 
@@ -364,41 +353,36 @@ def mobility_expression(
 
 @dataclass(frozen=True)
 class SpectralData:
-    kind: str  # "real", "complex", "degenerate"
-    mu1: float
-    mu2: float
-    discriminant: float
-    rho: complex
-    sigma: complex
+    """Spectral type and double eigenvalues at each sample point (arrays)."""
+
+    kind: np.ndarray  # "real", "complex" or "degenerate"
+    mu1: np.ndarray
+    mu2: np.ndarray
+    rho: np.ndarray  # complex
+    sigma: np.ndarray  # complex
 
 
 # relative size of the discriminant below which the spectrum counts as degenerate
 _DEGENERATE_TOL = 1e-10
 
 
-def eigen_decompose(geo: Geometry, i: int) -> SpectralData:
+def eigen_decompose(geo: Geometry) -> SpectralData:
     """Spectral type and double eigenvalues of a T-commuting endomorphism.
 
     Roots of t^2 - mu1 t + mu2; rho is the larger real root, or the root
     with positive imaginary part in the complex case.
     """
-    m1, m2 = (float(x) for x in geo.mu(i))
-    disc = m1 * m1 - 4.0 * m2
-    scale = max(1.0, m1 * m1, abs(m2))
-    if abs(disc) < _DEGENERATE_TOL * scale:
-        kind = "degenerate"
-        rho = sigma = complex(m1 / 2.0, 0.0)
-    elif disc > 0:
-        kind = "real"
-        root = np.sqrt(disc)
-        rho = complex((m1 + root) / 2.0, 0.0)
-        sigma = complex((m1 - root) / 2.0, 0.0)
-    else:
-        kind = "complex"
-        root = np.sqrt(-disc)
-        rho = complex(m1 / 2.0, root / 2.0)
-        sigma = rho.conjugate()
-    return SpectralData(kind, m1, m2, disc, rho, sigma)
+
+    def build():
+        m1, m2 = geo.values("mu")
+        disc = m1 * m1 - 4.0 * m2
+        scale = np.maximum(np.maximum(1.0, m1 * m1), np.abs(m2))
+        kind = np.where(np.abs(disc) < _DEGENERATE_TOL * scale, "degenerate",
+                        np.where(disc > 0, "real", "complex"))
+        root = np.where(kind == "degenerate", 0.0, np.sqrt(disc + 0j))
+        return SpectralData(kind, m1, m2, (m1 + root) / 2.0, (m1 - root) / 2.0)
+
+    return geo.cached("spectrum", build)
 
 
 def _eigenvalue_pair(m1, m2, kind: str):
@@ -411,83 +395,86 @@ def _eigenvalue_pair(m1, m2, kind: str):
     raise ValueError(f"no smooth eigenvalue fields for spectral kind {kind!r}")
 
 
-def _eigenvalue_gradients(geo: Geometry, i: int, kind: str) -> list[np.ndarray]:
-    """Metric gradients of the two eigenvalue functions of ``kind`` at point i."""
-    ginv = geo.ginv(i)
-    return [ginv @ f.gradient() for f in _eigenvalue_pair(*geo.jets(i, "mu"), kind)]
+def _eigenvalue_gradients(geo: Geometry) -> np.ndarray:
+    """Metric gradients, shape (2, 4, points), of each point's two eigenvalue
+    functions (``_eigenvalue_pair``); NaN at a double eigenvalue, which has none."""
+
+    def build():
+        kinds, ginv = eigen_decompose(geo).kind, geo.values("ginv")
+        out = np.full((2, DIM, len(geo)), np.nan)
+        for kind in ("real", "complex"):
+            cols = np.flatnonzero(kinds == kind)
+            if cols.size:
+                mu = (Jet(x.space, x.coeffs[:, cols]) for x in geo.batch("mu"))
+                for k, f in enumerate(_eigenvalue_pair(*mu, kind)):
+                    out[k][:, cols] = mm(ginv[..., cols], f.gradient())
+        return out
+
+    return geo.cached("eigen-gradients", build)
 
 
-def eigen_gradient_residual(geo: Geometry, i: int) -> float:
+def eigen_gradient_residual(geo: Geometry) -> np.ndarray:
     """How far grad(rho), grad(sigma) are from being eigenvectors of A.
 
     In the complex case the eigenvector relation is taken for the
     complexified gradient grad(Re rho) + i grad(Im rho).  At a double
-    eigenvalue the eigenvalue functions have no jets: JetDomainError.
+    eigenvalue the eigenvalue functions have no jets: the residual is inf
+    there.
     """
-    spec = eigen_decompose(geo, i)
-    am = geo.values(i, "a")
-    if spec.kind == "degenerate":
-        raise JetDomainError("spectral type degenerate at the point: no smooth eigenvalues")
-    v1, v2 = _eigenvalue_gradients(geo, i, spec.kind)
-    scale = max(1.0, float(np.max(np.abs(am))) * max(np.max(np.abs(v1)), np.max(np.abs(v2))))
-    if spec.kind == "real":
-        r1 = am @ v1 - spec.rho.real * v1
-        r2 = am @ v2 - spec.sigma.real * v2
-    else:
-        re, im = spec.rho.real, spec.rho.imag
-        r1 = am @ v1 - (re * v1 - im * v2)
-        r2 = am @ v2 - (re * v2 + im * v1)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)))) / scale
+    spec = eigen_decompose(geo)
+    am = geo.values("a")
+    v1, v2 = _eigenvalue_gradients(geo)
+    scale = np.maximum(1.0, amax(am) * np.maximum(amax(v1), amax(v2)))
+    re, im = spec.rho.real, spec.rho.imag
+    real = spec.kind == "real"
+    r1 = mm(am, v1) - np.where(real, re * v1, re * v1 - im * v2)
+    r2 = mm(am, v2) - np.where(real, spec.sigma.real * v2, re * v2 + im * v1)
+    return np.where(spec.kind == "degenerate", np.inf, np.maximum(amax(r1), amax(r2)) / scale)
 
 
-def killing_residual(geo: Geometry, i: int) -> float:
+def killing_residual(geo: Geometry) -> np.ndarray:
     """max over TV1, TV2 of |L_{TV} g|, scaled by |g|."""
-    gv, gp = geo.vp(i, "g")
-    kv, kp = geo.vp(i, "killing")
-    lie = max(float(np.max(np.abs(lie_derivative_metric(gv, gp, kv[k], kp[k])))) for k in (2, 3))
-    return lie / max(1.0, float(np.max(np.abs(gv))))
+    gv, gp = geo.vp("g")
+    kv, kp = geo.vp("killing")
+    lie = np.maximum(*(amax(lie_derivative_metric(gv, gp, kv[k], kp[k])) for k in (2, 3)))
+    return lie / np.maximum(1.0, amax(gv))
 
 
-def hamiltonian_pairing_residual(geo: Geometry, i: int) -> float:
+def hamiltonian_pairing_residual(geo: Geometry) -> np.ndarray:
     """max over i of |omega(TV_i, .) - d mu_i|, each scaled by |d mu_i|."""
-    om = fundamental_form(geo, i)
-    kv = geo.values(i, "killing")
-    dmu = geo.vp(i, "mu")[1]
-    return max(relative(kv[2 + k] @ om - dmu[k], dmu[k]) for k in (0, 1))
+    om = fundamental_form(geo)
+    kv = geo.values("killing")
+    dmu = geo.vp("mu")[1]
+    return np.maximum(*(relative(mm(transposed(om), kv[2 + k]) - dmu[k], dmu[k]) for k in (0, 1)))
 
 
-def para_holomorphy_residual(geo: Geometry, i: int) -> float:
+def para_holomorphy_residual(geo: Geometry) -> np.ndarray:
     """max over X in {V1, V2, TV1, TV2} of |L_X T|."""
-    tv, tp = geo.vp(i, "t")
-    kv, kp = geo.vp(i, "killing")
-    return max(float(np.max(np.abs(lie_derivative_endo(tv, tp, kv[k], kp[k])))) for k in range(4))
+    tv, tp = geo.vp("t")
+    kv, kp = geo.vp("killing")
+    return np.max([amax(lie_derivative_endo(tv, tp, kv[k], kp[k])) for k in range(4)], axis=0)
 
 
-def commutation_residual(geo: Geometry, i: int) -> float:
+def commutation_residual(geo: Geometry) -> np.ndarray:
     """max |[X, Y]| over pairs of {V1, V2, TV1, TV2}."""
-    kv, kp = geo.vp(i, "killing")
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            br = lie_bracket(kv[a], kp[a], kv[b], kp[b])
-            worst = max(worst, float(np.max(np.abs(br))))
-    return worst
+    kv, kp = geo.vp("killing")
+    return np.max([amax(lie_bracket(kv[a], kp[a], kv[b], kp[b]))
+                   for a in range(4) for b in range(a + 1, 4)], axis=0)
 
 
-def leaf_geodesic_residual(geo: Geometry, i: int) -> float:
+def leaf_geodesic_residual(geo: Geometry) -> np.ndarray:
     """g(nabla_{V_i} V_j, T V_h): zero means the V-leaves are totally geodesic."""
-    gm = geo.values(i, "g")
-    kv, kp = geo.vp(i, "killing")
-    gamma = geo.gamma(i)
-    worst = 0.0
+    gm = geo.values("g")
+    kv, kp = geo.vp("killing")
+    gamma = geo.gamma()
+    terms = []
     for a in (0, 1):
         for b in (0, 1):
             nv = covariant_derivative_vector(gamma, kv[b], kp[b])  # [k, i]
-            acc = kv[a] @ nv  # (nabla_{V_a} V_b)^i
-            for h in (2, 3):
-                worst = max(worst, abs(float(acc @ gm @ kv[h])))
-    scale = max(1.0, float(np.max(np.abs(gm))))
-    return worst / scale
+            acc = mm(transposed(nv), kv[a])  # (nabla_{V_a} V_b)^i
+            terms += [np.abs(np.einsum("i...,i...->...", mm(transposed(gm), acc), kv[h]))
+                      for h in (2, 3)]
+    return np.max(terms, axis=0) / np.maximum(1.0, amax(gm))
 
 
 GradClass = str  # "zero", "null-plus", "null-minus", "non-isotropic", ...
@@ -507,94 +494,88 @@ _CLASS_ORDER = {
 }
 
 
-def classify_gradient(
-    gm: np.ndarray, tm: np.ndarray, v: np.ndarray, scale: float
-) -> tuple[GradClass, list[str]]:
-    """Classify one eigenvalue gradient: zero / null in T+ or T- / non-isotropic.
+def classify_gradient(gm: np.ndarray, tm: np.ndarray, v: np.ndarray, scale) -> tuple:
+    """Classify an eigenvalue gradient: zero / null in T+ or T- / non-isotropic.
 
     Values within a factor 10 of the decision threshold are flagged
-    indeterminate instead of being forced into a class.
+    indeterminate instead of being forced into a class.  gm, tm and v carry
+    the point axis; the class at each point and the flags raised at any point.
     """
-    flags: list[str] = []
-    vnorm = float(np.max(np.abs(v)))
-    if vnorm < _THRESHOLD * scale:
-        if vnorm > 0.1 * _THRESHOLD * scale:
-            flags.append("near-zero-gradient")
-        return "zero", flags
-    norm2 = abs(float(v @ gm @ v))
-    iso_scale = float(np.max(np.abs(gm))) * vnorm * vnorm
+    vnorm = amax(v)
+    zero = vnorm < _THRESHOLD * scale
+    norm2 = np.abs(np.einsum("i...,i...->...", mm(transposed(gm), v), v))
+    iso_scale = amax(gm) * vnorm * vnorm
     isotropic = norm2 < _THRESHOLD * iso_scale
-    if _THRESHOLD * iso_scale * 0.1 < norm2 < _THRESHOLD * iso_scale * 10.0:
+    borderline = (_THRESHOLD * iso_scale * 0.1 < norm2) & (norm2 < _THRESHOLD * iso_scale * 10.0)
+    plus = amax(mm(tm, v) - v) < _THRESHOLD * vnorm
+    minus = amax(mm(tm, v) + v) < _THRESHOLD * vnorm
+    cls = np.select([zero, borderline, ~isotropic, plus, minus],
+                    ["zero", "indeterminate", "non-isotropic", "null-plus", "null-minus"],
+                    "indeterminate")
+    flags = []
+    if np.any(zero & (vnorm > 0.1 * _THRESHOLD * scale)):
+        flags.append("near-zero-gradient")
+    if np.any(~zero & borderline):
         flags.append("borderline-isotropy")
-        return "indeterminate", flags
-    if not isotropic:
-        return "non-isotropic", flags
-    plus = float(np.max(np.abs(tm @ v - v)))
-    minus = float(np.max(np.abs(tm @ v + v)))
-    if plus < _THRESHOLD * vnorm:
-        return "null-plus", flags
-    if minus < _THRESHOLD * vnorm:
-        return "null-minus", flags
-    flags.append("isotropic-but-not-eigendirection")
-    return "indeterminate", flags
+    if np.any(~zero & ~borderline & isotropic & ~plus & ~minus):
+        flags.append("isotropic-but-not-eigendirection")
+    return cls, flags
 
 
-def distribution_d_rank(
-    geo: Geometry, i: int
-) -> tuple[int, tuple[GradClass, GradClass], list[str]]:
-    """Rank of span{grad mu1, grad mu2, T grad mu1, T grad mu2} + configuration.
+def distribution_d_rank(geo: Geometry) -> tuple[np.ndarray, list[tuple[GradClass, GradClass]], set]:
+    """Rank of span{grad mu1, grad mu2, T grad mu1, T grad mu2} + configuration
+    at each sample point, and the flags raised at any point.
 
     The configuration is the canonically ordered pair of gradient
     classes of the two eigenvalue functions (order-free, since the
     eigenvalue labels are only defined up to exchange).
     """
-    gm = geo.values(i, "g")
-    tm = geo.values(i, "t")
-    gens = geo.values(i, "killing")  # V1, V2, TV1, TV2 with V_k = grad mu_k
-    v1, v2 = gens[:2]
-    svals = np.linalg.svd(gens, compute_uv=False)
-    smax = max(float(svals[0]), 1e-30)
-    rank = int(np.sum(svals > _THRESHOLD * smax))
-    flags = []
-    close = np.sum(
-        (svals > 0.1 * _THRESHOLD * smax) & (svals < 10.0 * _THRESHOLD * smax)
-    )
-    if close:
-        flags.append("borderline-rank")
+    gm, tm = geo.values("g"), geo.values("t")
+    gens = geo.values("killing")  # V1, V2, TV1, TV2 with V_k = grad mu_k
+    svals = np.linalg.svd(np.moveaxis(gens, -1, 0), compute_uv=False)
+    smax = np.maximum(svals[:, :1], 1e-30)
+    ranks = np.sum(svals > _THRESHOLD * smax, axis=1)
+    flags = set()
+    if np.any((svals > 0.1 * _THRESHOLD * smax) & (svals < 10.0 * _THRESHOLD * smax)):
+        flags.add("borderline-rank")
 
-    spec = eigen_decompose(geo, i)
-    if spec.kind == "complex":
-        gr, gi = _eigenvalue_gradients(geo, i, "complex")
+    kind = eigen_decompose(geo).kind
+    grads = _eigenvalue_gradients(geo)
+    config = np.full((2, len(geo)), "indeterminate", dtype=object)
+    if np.any(kind == "degenerate"):
+        flags.add("degenerate-spectrum")
+
+    cols = np.flatnonzero(kind == "complex")
+    if cols.size:
         # complex bilinear norm of grad rho = grad R + i grad I
-        re_part = float(gr @ gm @ gr - gi @ gm @ gi)
-        im_part = float(2.0 * gr @ gm @ gi)
-        vnorm = max(float(np.max(np.abs(gr))), float(np.max(np.abs(gi))))
-        iso_scale = float(np.max(np.abs(gm))) * vnorm * vnorm
-        if abs(complex(re_part, im_part)) < _THRESHOLD * iso_scale:
-            config = ("indeterminate", "conjugate")
-            flags.append("complex-gradient-isotropic")
-        else:
-            config = ("non-isotropic-complex", "conjugate")
-        return rank, config, flags
+        gr, gi = (v[:, cols] for v in grads)
+        gmc = transposed(gm[..., cols])
+        re_part = (np.einsum("i...,i...->...", mm(gmc, gr), gr)
+                   - np.einsum("i...,i...->...", mm(gmc, gi), gi))
+        im_part = np.einsum("i...,i...->...", mm(gmc, 2.0 * gr), gi)
+        vnorm = np.maximum(amax(gr), amax(gi))
+        isotropic = np.hypot(re_part, im_part) < _THRESHOLD * amax(gmc) * vnorm * vnorm
+        config[0, cols] = np.where(isotropic, "indeterminate", "non-isotropic-complex")
+        config[1, cols] = "conjugate"
+        if np.any(isotropic):
+            flags.add("complex-gradient-isotropic")
 
-    if spec.kind == "degenerate":
-        return rank, ("indeterminate", "indeterminate"), flags + ["degenerate-spectrum"]
-
-    scale_v = max(
-        float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1.0
-    )
-    gr, gs = _eigenvalue_gradients(geo, i, "real")
-    c1, fl1 = classify_gradient(gm, tm, gr, scale_v)
-    c2, fl2 = classify_gradient(gm, tm, gs, scale_v)
-    flags += fl1 + fl2
-    pair = sorted([c1, c2], key=lambda c: _CLASS_ORDER[c])
-    return rank, (pair[0], pair[1]), flags
+    cols = np.flatnonzero(kind == "real")
+    if cols.size:
+        scale_v = np.maximum(np.maximum(amax(gens[0]), amax(gens[1])), 1.0)[cols]
+        (c1, fl1), (c2, fl2) = (classify_gradient(gm[..., cols], tm[..., cols], v[:, cols], scale_v)
+                                for v in grads)
+        flags.update(fl1 + fl2)
+        swap = np.array([_CLASS_ORDER[a] > _CLASS_ORDER[b] for a, b in zip(c1, c2)], dtype=bool)
+        config[0, cols] = np.where(swap, c2, c1)
+        config[1, cols] = np.where(swap, c1, c2)
+    return ranks, [(str(a), str(b)) for a, b in config.T], flags
 
 
 # -- curvature comparison ------------------------------------------------
 
 
-def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
+def ricci_difference_residual(geo: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """(primary, cross-check) residuals of the Ricci comparison identity.
 
     Primary form:  Ric(ghat) - Ric(g)
@@ -603,26 +584,27 @@ def ricci_difference_residual(geo: Geometry, i: int) -> tuple[float, float]:
     Cross-check (Lam form):  (Ric(ghat) - Ric(g)) / (2(n+1))
         = g(A^{-1} Y, nabla_X Lam) - g(A^{-1} Lam, Lam) g(Y, A^{-1} X).
     """
-    gm = geo.values(i, "g")
-    tm = geo.values(i, "t")
-    ric_g = geo.ricci(i)
-    lhs = geo.ricci(i, "ghat") - ric_g
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(ric_g))))
+    gm = geo.values("g")
+    tm = geo.values("t")
+    ric_g = geo.ricci()
+    lhs = geo.ricci("ghat") - ric_g
+    scale = np.maximum(np.maximum(1.0, amax(lhs)), amax(ric_g))
 
-    _, psi, hess = scalar_hessian(geo.psi_jet(i))
-    gamma = geo.gamma(i)
-    npsi = hess - np.einsum("mkj,m->kj", gamma, psi)
-    psit = tm.T @ psi
-    m = npsi - np.outer(psi, psi) - np.outer(psit, psit)
-    primary = float(np.max(np.abs(lhs + _K * m))) / scale
+    _, psi, hess = scalar_hessian(geo.batch("psi"))
+    gamma = geo.gamma()
+    npsi = hess - np.einsum("mkj...,m...->kj...", gamma, psi)
+    psit = mm(transposed(tm), psi)
+    m = (npsi - np.einsum("i...,j...->ij...", psi, psi)
+         - np.einsum("i...,j...->ij...", psit, psit))
+    primary = amax(lhs + _K * m) / scale
 
-    kv, kp = geo.vp(i, "killing")
+    kv, kp = geo.vp("killing")
     lam, lam_p = 0.5 * kv[0], 0.5 * kp[0]  # Lam = V1 / 2
     nlam = covariant_derivative_vector(gamma, lam, lam_p)  # [x, i]
-    ainv = geo.values(i, "ainv")
-    const = float((ainv @ lam) @ gm @ lam)
-    gainv = gm @ ainv  # symmetric since A is g-symmetric
-    rhs = np.einsum("ym,xm->xy", gainv, nlam) - const * gainv
+    ainv = geo.values("ainv")
+    const = np.einsum("j...,j...->...", mm(transposed(gm), mm(ainv, lam)), lam)
+    gainv = mm(gm, ainv)  # symmetric since A is g-symmetric
+    rhs = np.einsum("ym...,xm...->xy...", gainv, nlam) - const * gainv
     return primary, relative(lhs / _K - rhs, rhs)
 
 
@@ -656,7 +638,7 @@ def einstein_family_constant(
     points.  Sample points where the combination degenerates are skipped
     and flagged.
     """
-    m1, m2 = geo.values(slice(None), "mu")
+    m1, m2 = geo.values("mu")
     s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
     skip = np.abs(s) < _DEGENERATE_MARGIN * np.maximum(1.0, alpha**2 + beta**2 * np.abs(m2))
     flags = ["degenerate-point-skipped"] if np.any(skip) else []
@@ -665,12 +647,12 @@ def einstein_family_constant(
         return {"constant": np.nan, "spread": np.inf, "ricci_residual": np.inf,
                 "points": 0, "flags": flags + ["no-valid-points"]}
     # (k, 4, 4) matrices and (k, 4, 1) columns Lam = V1 / 2 at the used points
-    am, gm, ainv = (np.moveaxis(geo.values(used, q), -1, 0) for q in ("a", "g", "ainv"))
-    lamv = 0.5 * geo.values(used, "killing")[0].T[..., None]
+    am, gm, ainv = (np.moveaxis(geo.values(q)[..., used], -1, 0) for q in ("a", "g", "ainv"))
+    lamv = 0.5 * geo.values("killing")[0][:, used].T[..., None]
     g_ainv, g_atinv = ((np.swapaxes(inv @ lamv, 1, 2) @ gm @ lamv)[:, 0, 0]
                        for inv in (ainv, minv(alpha * np.eye(DIM) + beta * am)))
     values = _K * s[used] * (
-        lam_hat * beta / _K / np.sqrt(geo.values(used, "det_a"))
+        lam_hat * beta / _K / np.sqrt(geo.values("det_a")[used])
         + beta * g_ainv
         - beta * beta * g_atinv
         + lam * alpha / _K
@@ -685,8 +667,7 @@ def einstein_family_constant(
     inverse = family_inverse_components(ginv, a, *mu, alpha, beta)
     gtv = split_jets(member)[0]
     ric = np.einsum("klkj...->lj...", riemann(*split_jets(christoffel_jets(member, inverse))))
-    ricci = worst([relative(ric[..., k] - const * gtv[..., k], gtv[..., k])
-                   for k in range(len(used))])
+    ricci = worst(relative(ric - const * gtv, gtv))
     return {
         "constant": const,
         "spread": spread,

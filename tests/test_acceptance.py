@@ -39,7 +39,7 @@ def test_criterion_1_separable_einstein_instance(einstein_preset):
     worst_e = 0.0
     for i, p in enumerate(pts):
         gm = tr.g.values(p)
-        worst_e = max(worst_e, np.max(np.abs(geo.ricci(i) - lam * gm)) / np.max(np.abs(gm)))
+        worst_e = max(worst_e, np.max(np.abs(geo.ricci()[..., i] - lam * gm)) / np.max(np.abs(gm)))
 
     ghat = pj.companion_metric(tr.g, tr.a)
     worst_c = worst_rf = 0.0
@@ -51,7 +51,7 @@ def test_criterion_1_separable_einstein_instance(einstein_preset):
         expected[2, 2] = lam**2 * (u - v) / 9.0
         expected[2, 3] = expected[3, 2] = -2.0 * lam / 3.0
         worst_c = max(worst_c, np.max(np.abs(ghat.values(p) - expected)))
-        worst_rf = max(worst_rf, np.max(np.abs(geo.ricci(i, "ghat"))))
+        worst_rf = max(worst_rf, np.max(np.abs(geo.ricci("ghat")[..., i])))
     ok = worst_e < 1e-8 and worst_c < 1e-10 and worst_rf < 1e-8
     _verdict(
         1, ok,
@@ -104,14 +104,14 @@ def test_criterion_3_catalog_conformance(catalog):
         if not rep.all_passed:
             bad.append((name, [c.name for c in rep.checks if not c.passed]))
             continue
-        ben = max(pj.benenti_residual(geo, i) for i in range(20))
-        ham = max(pj.hamiltonian_form_residual(geo, i) for i in range(20))
-        eig = max(pj.eigen_gradient_residual(geo, i) for i in range(20))
+        ben = np.max(pj.benenti_residual(geo))
+        ham = np.max(pj.hamiltonian_form_residual(geo))
+        eig = np.max(pj.eigen_gradient_residual(geo))
         if max(ben, ham, eig) >= 1e-9:
             bad.append((name, f"residuals {ben:.1e}/{ham:.1e}/{eig:.1e}"))
             continue
-        for i in range(20):
-            rank, config, _ = pj.distribution_d_rank(geo, i)
+        ranks, configs, _ = pj.distribution_d_rank(geo)
+        for rank, config in zip(ranks, configs):
             if rank != tr.meta["expected_rank"] or tuple(config) != tr.meta["expected_config"]:
                 bad.append((name, f"rank {rank} config {config}"))
                 break
@@ -129,18 +129,17 @@ def test_criterion_4_pair_identities(catalog):
 
         probe = pj.scale_weighted_field(ScalarField(lambda x1, *r: x1, "x1"), sig)
         geo = Geometry(tr, tr.sample_points(20))
-        for i, p in enumerate(geo.points):
-            worst["conn"] = max(worst["conn"], pj.connection_difference_residual(geo, i))
-            prim, cross = pj.ricci_difference_residual(geo, i)
-            worst["ricci"] = max(worst["ricci"], prim, cross)
-            m1 = pj.mobility_residual(geo, i, sighat.jets(p))
-            m2 = pj.mobility_residual(geo, i, sighat.jets(p), metric="ghat")
-            worst["mob"] = max(worst["mob"], m1, m2)
-            e1 = pj.mobility_expression(geo, i, probe.jets(p))
-            e2 = pj.mobility_expression(geo, i, probe.jets(p), metric="ghat")
-            worst["inv"] = max(
-                worst["inv"], np.max(np.abs(e1 - e2)) / max(1.0, np.max(np.abs(e1)))
-            )
+        worst["conn"] = max(worst["conn"], *pj.connection_difference_residual(geo))
+        prim, cross = pj.ricci_difference_residual(geo)
+        worst["ricci"] = max(worst["ricci"], *prim, *cross)
+        m1 = pj.mobility_residual(geo, sighat.jets(geo.points))
+        m2 = pj.mobility_residual(geo, sighat.jets(geo.points), metric="ghat")
+        worst["mob"] = max(worst["mob"], *m1, *m2)
+        e1 = pj.mobility_expression(geo, probe.jets(geo.points))
+        e2 = pj.mobility_expression(geo, probe.jets(geo.points), metric="ghat")
+        for i in range(20):
+            worst["inv"] = max(worst["inv"], np.max(np.abs(e1[..., i] - e2[..., i]))
+                               / max(1.0, np.max(np.abs(e1[..., i]))))
     ok = worst["conn"] < 1e-9 and worst["ricci"] < 1e-8 and worst["mob"] < 1e-9 and worst["inv"] < 1e-9
     _verdict(
         4, ok,
@@ -156,13 +155,12 @@ def test_criterion_5_killing_suite(catalog):
     for name in ("real-liouville", "complex-liouville"):
         tr = catalog[name]
         geo = Geometry(tr, tr.sample_points(20))
-        for i in range(20):
-            # each residual is the worst over TV1, TV2 (pairs with mu1, mu2),
-            # or over V1, V2, TV1, TV2
-            worst["kill"] = max(worst["kill"], pj.killing_residual(geo, i))
-            worst["pair"] = max(worst["pair"], pj.hamiltonian_pairing_residual(geo, i))
-            worst["holo"] = max(worst["holo"], pj.para_holomorphy_residual(geo, i))
-            worst["brack"] = max(worst["brack"], pj.commutation_residual(geo, i))
+        # each residual is the worst over TV1, TV2 (pairs with mu1, mu2),
+        # or over V1, V2, TV1, TV2, at each of the 20 points
+        worst["kill"] = max(worst["kill"], *pj.killing_residual(geo))
+        worst["pair"] = max(worst["pair"], *pj.hamiltonian_pairing_residual(geo))
+        worst["holo"] = max(worst["holo"], *pj.para_holomorphy_residual(geo))
+        worst["brack"] = max(worst["brack"], *pj.commutation_residual(geo))
     ok = (worst["kill"] < 1e-9 and worst["pair"] < 1e-9
           and worst["holo"] < 1e-9 and worst["brack"] < 1e-8)
     _verdict(
@@ -178,8 +176,7 @@ def test_criterion_6_flat_families(catalog, dimd1_flat_preset):
     for tr in (catalog["dim-d2-2"], catalog["dim-d2-2neg"], catalog["dim-d2-4"],
                dimd1_flat_preset):
         geo = Geometry(tr, tr.sample_points(20))
-        for i in range(20):
-            worst = max(worst, float(np.max(np.abs(geo.riemann(i)))))
+        worst = max(worst, float(np.max(np.abs(geo.riemann()))))
     _verdict(6, worst < 1e-9, f"max |Riemann| {worst:.2e} (<1e-9) over 4 instances x 20 points")
 
 
@@ -197,10 +194,10 @@ def test_criterion_7_companion_einstein_constants(
         geo = Geometry(tr, tr.sample_points(20))
         worst = 0.0
         for i in range(20):
-            hm = geo.values(i, "ghat")
+            hm = geo.values("ghat")[..., i]
             worst = max(
                 worst,
-                np.max(np.abs(geo.ricci(i, "ghat") - expected * hm))
+                np.max(np.abs(geo.ricci("ghat")[..., i] - expected * hm))
                 / max(1.0, np.max(np.abs(hm))),
             )
         results.append((tr.meta["family"], expected, worst))

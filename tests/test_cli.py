@@ -103,7 +103,7 @@ def test_unknown_tolerance_name_is_config_error(capsys, monkeypatch):
 
 
 def test_evaluation_error_fails_the_check_not_the_config(monkeypatch, capsys):
-    def outside(geo, i):
+    def outside(geo):
         raise JetDomainError("outside the domain")
 
     monkeypatch.setattr(pj, "eigen_gradient_residual", outside)
@@ -114,7 +114,7 @@ def test_evaluation_error_fails_the_check_not_the_config(monkeypatch, capsys):
 
 
 def test_programming_error_propagates(monkeypatch):
-    def bug(geo, i):
+    def bug(geo):
         raise ValueError("bug in a residual")
 
     monkeypatch.setattr(pj, "benenti_residual", bug)
@@ -145,6 +145,15 @@ def test_infeasible_parameters_exit_three(capsys):
                "--box", "1:2,1:2,0:1,0:1")
     assert code == 3
     assert "constructor rejected" in capsys.readouterr().err
+
+
+def test_eigenvalue_collision_at_a_box_corner_exits_three(capsys):
+    # rho = x1 and sigma = x2 + 1.5 meet only at the corner x1 = 2, x2 = 0.5,
+    # which the interior sample never reaches
+    code = run("run", "--family", "real-liouville", "--param", "rho=x1",
+               "--param", "sigma=x2+1.5", "--box", "2:3,0:0.5,0:1,0:1", "--checks", "parakahler")
+    assert code == 3
+    assert "rho - sigma != 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("param, code, message", [

@@ -17,7 +17,7 @@ from pklab.fields import (
     tensor_values_and_partials,
 )
 from pklab.geometry import Geometry
-from pklab.jets import Jet, jsin
+from pklab.jets import Jet, jsin, seed_point
 from pklab.linalg import minv
 
 FLAT = [
@@ -50,15 +50,15 @@ P = [0.7, 0.3, 0.1, -0.2]
 
 
 def christoffel(g, p):
-    return Geometry.at(p, g).gamma(0)
+    return Geometry.at(p, g).gamma()[..., 0]
 
 
 def riemann(g, p):
-    return Geometry.at(p, g).riemann(0)
+    return Geometry.at(p, g).riemann()[..., 0]
 
 
 def ricci(g, p):
-    return Geometry.at(p, g).ricci(0)
+    return Geometry.at(p, g).ricci()[..., 0]
 
 
 def test_flat_metric_has_no_connection_or_curvature():
@@ -182,12 +182,12 @@ def test_einstein_residual_detector(einstein_preset):
     p = tr.sample_points(2)[0]
     gm = tr.g.values(p)
     geo = Geometry.at(p, tr.g)
-    assert np.max(np.abs(einstein_residual(geo, 0, 1.0))) < 1e-8 * np.max(np.abs(gm))
-    wrong = einstein_residual(geo, 0, 2.0)
+    assert np.max(np.abs(einstein_residual(geo, 1.0))) < 1e-8 * np.max(np.abs(gm))
+    wrong = einstein_residual(geo, 2.0)[..., 0]
     assert np.max(np.abs(wrong + gm)) < 1e-8 * np.max(np.abs(gm))
     # Ric_ab / g_ab at the largest metric entry
     a, b = np.unravel_index(np.argmax(np.abs(gm)), gm.shape)
-    assert geo.ricci(0)[a, b] / gm[a, b] == pytest.approx(1.0, abs=1e-10)
+    assert geo.ricci()[a, b, 0] / gm[a, b] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_identity_endomorphism_is_parallel(triples):
@@ -202,7 +202,7 @@ def test_parallel_transport_of_t(triples):
     for tr in triples.values():
         p = tr.sample_points(2)[1]
         geo = Geometry(tr, [p])
-        assert np.max(np.abs(covariant_derivative_endo(geo.gamma(0), *geo.vp(0, "t")))) < 1e-9
+        assert np.max(np.abs(covariant_derivative_endo(geo.gamma(), *geo.vp("t")))) < 1e-9
 
 
 def test_christoffel_batch_matches_pointwise(triples):
@@ -251,3 +251,13 @@ def test_scalar_hessian_symmetry_and_values():
     assert hess[0, 0] == pytest.approx(2 * P[1])
     assert hess[0, 1] == pytest.approx(2 * P[0])
     assert hess[2, 2] == pytest.approx(-np.sin(P[2]))
+
+
+def test_scalar_hessian_of_a_batch_is_each_points_hessian():
+    f = ScalarField(lambda x1, x2, x3, x4: x1 * x1 * x2 + jsin(x3))
+    pts = np.array([P, [0.1, 0.2, 0.3, 0.4]])
+    val, grad, hess = scalar_hessian(f.fn(*seed_point(pts, 2)))
+    for k, p in enumerate(pts):
+        one = scalar_hessian(f.jet(p, order=2))
+        assert val[k] == one[0]
+        assert np.array_equal(grad[:, k], one[1]) and np.array_equal(hess[..., k], one[2])

@@ -56,7 +56,7 @@ def test_killing_momentum_conserved(triples):
     x, v = path.positions[::100], path.velocities[::100]
     geo = Geometry(tr, x)
     for k in (2, 3):  # TV1, TV2
-        mom = np.array([v[i] @ geo.values(i, "g") @ geo.values(i, "killing")[k]
+        mom = np.array([v[i] @ geo.values("g")[..., i] @ geo.values("killing")[k][:, i]
                         for i in range(len(x))])
         assert np.max(np.abs(mom - mom[0])) < 1e-8
 

@@ -2,7 +2,8 @@
 
 Column i of every batch is, bit for bit, the jet of a one-point Geometry
 at point i, and each field is evaluated once per Geometry, whatever its
-number of points.
+number of points.  Every batch holds the degree <= 2 coefficients of the
+fields' jets.
 """
 
 import dataclasses
@@ -24,13 +25,13 @@ def _build(kind, name):
     return default_triple(name) if kind == "family" else preset_triple(name)
 
 
-def _bits(x):
-    """Coefficient bits of a jet, an array of jets or a plain number."""
+def _bits(x, i):
+    """Coefficient bits of column i of a batched jet or an array of them, or of a plain number."""
     if isinstance(x, np.ndarray):
-        return [_bits(e) for e in x.flat]
+        return [_bits(e, i) for e in x.flat]
     if isinstance(x, Jet):
-        assert x.coeffs.ndim == 1
-        return ("jet", x.coeffs.tobytes())
+        assert x.coeffs.ndim == 2
+        return ("jet", x.coeffs[:, i].tobytes())
     return ("number", np.float64(x).tobytes())
 
 
@@ -42,9 +43,9 @@ def test_batch_columns_equal_the_one_point_geometry(kind, triple_name):
     for i, p in enumerate(pts):
         alone = Geometry.at(p, tr.g, tr.t, tr.a)
         for name in NAMES:
-            assert _bits(geo.jets(i, name)) == _bits(alone.jets(0, name)), (triple_name, name, i)
+            assert _bits(geo.batch(name), i) == _bits(alone.batch(name), 0), (triple_name, name, i)
         for metric in ("g", "ghat"):
-            assert np.array_equal(geo.ricci(i, metric), alone.ricci(0, metric))
+            assert np.array_equal(geo.ricci(metric)[..., i], alone.ricci(metric)[..., 0])
 
 
 def test_each_field_is_evaluated_once_per_geometry(triples, monkeypatch):
@@ -59,10 +60,9 @@ def test_each_field_is_evaluated_once_per_geometry(triples, monkeypatch):
     for n in (1, 7):
         tr = triples["complex-liouville"]
         geo = Geometry(tr, tr.sample_points(n))
-        for i in range(n):
-            for name in NAMES:
-                geo.jets(i, name)
-            geo.ricci(i, "ghat")
+        for name in NAMES:
+            geo.batch(name)
+        geo.ricci("ghat")
         assert len(calls) == 3 and {id(f) for f in calls} == {id(tr.g), id(tr.t), id(tr.a)}, n
         calls.clear()
 
@@ -72,26 +72,40 @@ def test_constant_components_read_as_constants_at_every_point(triples):
     constant = np.diag([2.0, 1.0, 3.0, 0.5])
     a = TensorField((1, 1), lambda *c: constant.astype(object))
     geo = Geometry(dataclasses.replace(tr, a=a), tr.sample_points(3))
+    assert all(isinstance(x, float) for x in geo.batch("a").flat)
     for i in range(3):
-        assert all(isinstance(x, float) for x in geo.jets(i, "a").flat)
-        assert np.array_equal(geo.values(i, "a"), constant)
-        assert not np.any(geo.vp(i, "a")[1])
-        assert geo.psi_jet(i).value == pytest.approx(-0.25 * np.log(3.0))
-        assert not np.any(geo.psi_jet(i).gradient())
+        assert np.array_equal(geo.values("a")[..., i], constant)
+        assert geo.values("psi")[i] == pytest.approx(-0.25 * np.log(3.0))
+    assert not np.any(geo.vp("a")[1])
+    assert not np.any(geo.vp("psi")[1])
 
 
 def test_stacked_is_the_batch_cut_to_the_order(einstein_preset):
     geo = Geometry(einstein_preset, einstein_preset.sample_points(4))
     points = [3, 0, 2]
     for name in ("g", "a", "ginv", "mu"):
-        cut = geo.stacked(name, points, 2)
-        for k, i in enumerate(points):
-            for x, y in zip(cut.flat, np.ravel(geo.jets(i, name))):
-                assert x.space.order == 2
-                if isinstance(y, Jet):  # graded order: order 2 is the first 15 coefficients
-                    assert np.array_equal(x.coeffs[:, k], y.coeffs[:15])
-                else:
-                    assert x.coeffs[0, k] == y and not np.any(x.coeffs[1:, k])
+        for order in (1, 2):
+            cut = geo.stacked(name, points, order)
+            for k, i in enumerate(points):
+                for x, y in zip(cut.flat, np.ravel(geo.batch(name))):
+                    assert x.space.order == order
+                    size = x.space.size  # graded order: the lowest-degree coefficients first
+                    if isinstance(y, Jet):
+                        assert np.array_equal(x.coeffs[:, k], y.coeffs[:size, i])
+                    else:
+                        assert x.coeffs[0, k] == y and not np.any(x.coeffs[1:, k])
+
+
+def test_batches_are_the_field_jets_cut_to_degree_two(triples):
+    tr = triples["complex-liouville"]
+    pts = tr.sample_points(3)
+    geo = Geometry(tr, pts)
+    for name, field in (("g", tr.g), ("t", tr.t), ("a", tr.a)):
+        for x, y in zip(geo.batch(name).flat, field.jets(pts).flat):
+            if isinstance(y, Jet):
+                assert x.space.order == 2 and np.array_equal(x.coeffs, y.coeffs[:15])
+            else:
+                assert x == y
 
 
 def test_det_a_guard_fails_the_whole_batch(triples):
@@ -106,13 +120,12 @@ def test_det_a_guard_fails_the_whole_batch(triples):
         return out
 
     geo = Geometry(dataclasses.replace(tr, a=TensorField((1, 1), a_comps)), pts)
-    for i in range(3):
+    for _ in range(2):  # kept, and raised again on every read
         with pytest.raises(geometry.DegenerateMetricError, match="det A"):
-            geo.jets(i, "ghat")
+            geo.batch("ghat")
     # A is singular at point 1, so its inverse, read alone, fails every point too
-    for i in range(3):
-        with pytest.raises(ZeroDivisionError):
-            geo.values(i, "ainv")
+    with pytest.raises(ZeroDivisionError):
+        geo.values("ainv")
 
 
 def test_g_and_a_are_inverted_once_per_geometry(triples, monkeypatch):
@@ -128,10 +141,9 @@ def test_g_and_a_are_inverted_once_per_geometry(triples, monkeypatch):
     for name in ("real-liouville", "dim-d2-2"):
         tr = triples[name]
         geo = Geometry(tr, tr.sample_points(4))
-        for i in range(4):
-            for q in NAMES:
-                geo.jets(i, q)
-            geo.ginv(i), geo.lam(i), geo.ricci(i, "ghat")
+        for q in NAMES:
+            geo.batch(q)
+        geo.values("ginv"), geo.lam(), geo.ricci("ghat")
         assert sorted(map(id, inverted)) == sorted(map(id, (geo.batch("g"), geo.batch("a"))))
         inverted.clear()
 

@@ -3,7 +3,9 @@ import pytest
 
 from pklab.fields import TensorField, objarray
 from pklab.parakahler import (
+    Check,
     ParaKahlerTriple,
+    check_points,
     fundamental_form,
     null_coordinate_check,
     signature_counts,
@@ -54,7 +56,7 @@ def test_non_tracefree_involution_fails_eigendistribution_check():
 def test_fundamental_form_flat_block_hand_values():
     # omega_ij = T^k_i g_kj: with the +/- block structure the top-right
     # entries keep the sign of g and the bottom-left flip it
-    om = fundamental_form(Geometry(flat_triple(), [[0.2, 0.2, 0.2, 0.2]]), 0)
+    om = fundamental_form(Geometry(flat_triple(), [[0.2, 0.2, 0.2, 0.2]]))[..., 0]
     expected = np.array(
         [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
     )
@@ -67,6 +69,7 @@ def test_fundamental_form_matches_displayed_form(triples):
     # recomputing g(T., .) must reproduce it
     tr = triples["real-liouville"]
     geo = Geometry(tr, tr.sample_points(4))
+    om = fundamental_form(geo)
     for i, p in enumerate(geo.points):
         r, s = p[0], p[1]  # rho = x1, sigma = x2 for the default profiles
         expected = np.zeros((4, 4))
@@ -74,7 +77,7 @@ def test_fundamental_form_matches_displayed_form(triples):
         expected[1, 2], expected[1, 3] = 1.0, r  # sigma' = 1
         expected[2, 0], expected[2, 1] = -1.0, -1.0
         expected[3, 0], expected[3, 1] = -s, -r
-        assert np.allclose(fundamental_form(geo, i), expected, atol=1e-10)
+        assert np.allclose(om[..., i], expected, atol=1e-10)
 
 
 def test_null_coordinate_check(triples):
@@ -93,6 +96,9 @@ def test_signature_counts():
     assert signature_counts(np.array(FLAT)) == (2, 2, 0)
     assert signature_counts(np.diag([1.0, 2.0, 3.0, -1.0])) == (3, 1, 0)
     assert signature_counts(np.diag([1.0, 1e-14, -1.0, -1.0])) == (1, 2, 1)
+    # with a trailing point axis, the counts at each point
+    stack = np.stack([np.array(FLAT), np.diag([1.0, 2.0, 3.0, -1.0])], axis=-1)
+    assert [c.tolist() for c in signature_counts(stack)] == [[2, 3], [2, 1], [0, 0]]
 
 
 def test_validate_all_catalog_families(triples):
@@ -162,6 +168,20 @@ def test_validate_propagates_programming_errors():
     )
     with pytest.raises(TypeError, match="bug in a field"):
         validate(sampled(triple, 3))
+
+
+def test_nan_at_one_point_fails_the_result():
+    geo = sampled(flat_triple(), 4)
+    check = Check("probe", 1e-9, "probe", lambda geo: np.array([0.0, 1e-12, np.nan, 0.0]))
+    result = check_points(geo, check, {})
+    assert not result.passed and np.isnan(result.residual) and result.flags == []
+
+
+def test_residuals_of_the_wrong_shape_are_a_programming_error():
+    geo = sampled(flat_triple(), 4)
+    for out in (0.0, np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            check_points(geo, Check("probe", 1e-9, "probe", lambda geo, out=out: out), {})
 
 
 def test_validate_rejects_unknown_tolerance_names():

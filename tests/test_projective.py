@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pklab.fields import (
     ScalarField,
     TensorField,
     metric_inverse,
+    metric_inverse_jets,
     objarray,
     split_jets,
 )
@@ -20,8 +23,9 @@ from pklab.geometry import (
     companion_inverse_components,
     family_components,
     family_inverse_components,
+    mu_invariants,
 )
-from pklab.jets import jlog, jpow
+from pklab.jets import Jet, jlog, jpow
 from pklab.linalg import mdet, minv, mmul
 
 FLAT = [
@@ -51,11 +55,17 @@ def over(tr, n):
     return Geometry(tr, tr.sample_points(n))
 
 
+def column(arr, i):
+    """Point i of batched jets, as one-point jets (numbers kept)."""
+    return np.frompyfunc(lambda x: Jet(x.space, x.coeffs[:, i]) if isinstance(x, Jet) else x,
+                         1, 1)(arr)
+
+
 class TestLambdaField:
     def test_constant_multiple_of_identity_gives_zero(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        lam = at(tr, p, a=scaled_identity(3.0)).lam(0)
+        lam = at(tr, p, a=scaled_identity(3.0)).lam()
         assert np.allclose(lam, 0.0)
 
     def test_real_liouville_half_gradient_of_sum(self, triples):
@@ -65,7 +75,7 @@ class TestLambdaField:
         geo = over(tr, 3)
         for i, p in enumerate(geo.points):
             expected = 0.5 * metric_inverse(tr.g.values(p)) @ f.gradient_covector(p)
-            assert np.allclose(geo.lam(i), expected, atol=1e-12)
+            assert np.allclose(geo.lam()[:, i], expected, atol=1e-12)
 
     def test_duality_with_trace_differential(self, triples):
         # X(tr A) = 4 g(Lam, X), trace differenced independently
@@ -73,7 +83,7 @@ class TestLambdaField:
         trace = ScalarField(lambda *c: np.trace(tr.a.components(c)))
         geo = over(tr, 3)
         for i, p in enumerate(geo.points):
-            lam = geo.lam(i)
+            lam = geo.lam()[:, i]
             gm = tr.g.values(p)
             for axis in range(4):
                 fd = fd_of(lambda y: trace.jet(y, order=1).value, p, axis, 1e-5)
@@ -84,21 +94,19 @@ class TestBenentiResidual:
     def test_identity_endomorphism(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.benenti_residual(at(tr, p, a=scaled_identity(1.0)), 0) < 1e-14
+        assert pj.benenti_residual(at(tr, p, a=scaled_identity(1.0)))[0] < 1e-14
 
     def test_catalog_families(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 6)
-            worst = max(pj.benenti_residual(geo, i) for i in range(6))
+            worst = max(pj.benenti_residual(geo))
             assert worst < 1e-9, name
 
     def test_linearity_shift(self, triples):
         tr = triples["complex-liouville"]
         shifted = TensorField((1, 1), lambda *c: tr.a.components(c) - 0.7 * np.eye(4))
-        worst = max(
-            pj.benenti_residual(at(tr, p, a=shifted), 0) for p in tr.sample_points(3)
-        )
-        assert worst < 1e-9
+        geo = Geometry(dataclasses.replace(tr, a=shifted), tr.sample_points(3))
+        assert max(pj.benenti_residual(geo)) < 1e-9
 
     def test_perturbation_detected(self, triples):
         tr = triples["real-liouville"]
@@ -110,21 +118,20 @@ class TestBenentiResidual:
 
         a_bad = TensorField((1, 1), bad)
         p = tr.sample_points(1)[0]
-        assert pj.benenti_residual(at(tr, p, a=a_bad), 0) > 1e-3
-        assert pj.hamiltonian_form_residual(at(tr, p, a=a_bad), 0) > 1e-4
+        assert pj.benenti_residual(at(tr, p, a=a_bad))[0] > 1e-3
+        assert pj.hamiltonian_form_residual(at(tr, p, a=a_bad))[0] > 1e-4
 
 
 class TestHamiltonianForm:
     def test_identity_trivial(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.hamiltonian_form_residual(at(tr, p, a=scaled_identity(2.0)), 0) < 1e-12
+        assert pj.hamiltonian_form_residual(at(tr, p, a=scaled_identity(2.0)))[0] < 1e-12
 
     def test_covanishes_with_defining_equation(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 4)
-            for i in range(4):
-                assert pj.hamiltonian_form_residual(geo, i) < 1e-9, name
+            assert max(pj.hamiltonian_form_residual(geo)) < 1e-9, name
 
 
 class TestPairAlgebra:
@@ -157,9 +164,15 @@ class TestPairAlgebra:
     def test_roundtrip_on_catalog(self, triples):
         for name, tr in triples.items():
             ghat = pj.companion_metric(tr.g, tr.a)
-            for p in tr.sample_points(3):
+            pts = tr.sample_points(3)
+            for p in pts:
                 rec = pj.a_from_pair(tr.g.values(p), ghat.values(p))
                 assert np.max(np.abs(rec - tr.a.values(p))) < 1e-10, name
+            # stacks of matrices on the leading axis give each one's A
+            stacked = pj.a_from_pair(tr.g.batch_values(pts), ghat.batch_values(pts))
+            for rec, p in zip(stacked, pts):
+                assert np.array_equal(rec, pj.a_from_pair(tr.g.batch_values([p])[0],
+                                                          ghat.batch_values([p])[0])), name
 
     def test_companion_batch_path_matches_jets(self, triples):
         presets = [preset_triple(name) for name in sorted(PRESETS)]
@@ -180,16 +193,16 @@ class TestPairAlgebra:
 class TestPotential:
     def test_scaled_identity(self):
         c = 2.0
-        psi, big_psi = pj.psi_potential(Geometry.at([0, 0, 0, 0], a=scaled_identity(c)), 0)
-        assert psi == pytest.approx(-np.log(c))
+        psi, big_psi = Geometry.at([0, 0, 0, 0], a=scaled_identity(c)).vp("psi")
+        assert psi[0] == pytest.approx(-np.log(c))
         assert np.allclose(big_psi, 0.0)
 
     def test_duality_with_lambda(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 3)
             for i, p in enumerate(geo.points):
-                _, big_psi = pj.psi_potential(geo, i)
-                lam = geo.lam(i)
+                big_psi = geo.vp("psi")[1][:, i]
+                lam = geo.lam()[:, i]
                 gm = tr.g.values(p)
                 ainv = np.linalg.inv(tr.a.values(p))
                 assert np.max(np.abs(big_psi + gm @ ainv @ lam)) < 1e-9, name
@@ -199,23 +212,22 @@ class TestPotential:
         for name in ("dim-d2-2", "dim-d1"):
             tr = triples[name]
             geo = over(tr, 4)
-            for i in range(4):
-                psi, _ = pj.psi_potential(geo, i)
-                m2 = geo.mu(i)[1]
-                assert m2 > 0
-                assert abs(m2 - np.exp(-2 * psi)) / m2 < 1e-10, name
+            psi = geo.values("psi")
+            m2 = geo.values("mu")[1]
+            assert np.all(m2 > 0)
+            assert np.max(np.abs(m2 - np.exp(-2 * psi)) / m2) < 1e-10, name
 
 
 class TestConnectionDifference:
     def test_equal_metrics(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        assert pj.connection_difference_residual(at(tr, p, a=scaled_identity(1.0)), 0) < 1e-12
+        assert pj.connection_difference_residual(at(tr, p, a=scaled_identity(1.0)))[0] < 1e-12
 
     def test_catalog_pairs(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 4)
-            worst = max(pj.connection_difference_residual(geo, i) for i in range(4))
+            worst = max(pj.connection_difference_residual(geo))
             assert worst < 1e-9, name
 
     def test_unrelated_metric_fails(self, triples):
@@ -228,34 +240,31 @@ class TestConnectionDifference:
             return objarray(FLAT) @ gj * jpow(1.0 / mdet(gj), 1.0 / 6.0)
 
         a = TensorField((1, 1), pair)
-        assert pj.connection_difference_residual(at(tr, p, a=a), 0) > 1e-2
+        assert pj.connection_difference_residual(at(tr, p, a=a))[0] > 1e-2
 
     def test_parallel_a_means_equal_connections(self, triples):
         # A = c Id is parallel, the companion is a constant rescaling,
         # and constant rescalings share their Levi-Civita connection
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        gamma = Geometry.at(p, g=tr.g).gamma(0)
+        gamma = Geometry.at(p, g=tr.g).gamma()
         ghat = pj.companion_metric(tr.g, scaled_identity(2.0))
-        assert np.allclose(Geometry.at(p, g=ghat).gamma(0), gamma, atol=1e-11)
+        assert np.allclose(Geometry.at(p, g=ghat).gamma(), gamma, atol=1e-11)
         ghat_np = pj.companion_metric(tr.g, tr.a)  # non-parallel catalog tensor
-        assert np.max(np.abs(Geometry.at(p, g=ghat_np).gamma(0) - gamma)) > 1e-3
+        assert np.max(np.abs(Geometry.at(p, g=ghat_np).gamma() - gamma)) > 1e-3
 
     def test_companion_inverse_matches_gauss_jordan(self, triples):
         # the cache's companion symbols use ghat^-1 = sqrt(det A) A g^-1;
         # the general jet inverse (linalg.minv) of ghat gives the same jets
         for name, tr in triples.items():
             geo = over(tr, 3)
-            for i in range(3):
-                ginv = companion_inverse_components(
-                    *[geo.jets(i, k) for k in ("ginv", "a", "det_a")]
-                )
-                solved = minv(geo.jets(i, "ghat"))
-                for x, y in ((ginv, solved),
-                             (geo.jets(i, "ghat_gamma"), christoffel_jets(geo.jets(i, "ghat")))):
-                    cx = np.array([[c.coeffs for c in row] for row in x.reshape(-1, 4)])
-                    cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
-                    assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
+            ginv = companion_inverse_components(*[geo.batch(k) for k in ("ginv", "a", "det_a")])
+            solved = minv(geo.batch("ghat"))
+            for x, y in ((ginv, solved),
+                         (geo.batch("ghat_gamma"), christoffel_jets(geo.batch("ghat")))):
+                cx = np.array([[c.coeffs for c in row] for row in x.reshape(-1, 4)])
+                cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
+                assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
 
     def test_det_a_evaluated_once_per_geometry(self, triples, monkeypatch):
         # the companion metric, its inverse and psi read one cached det A
@@ -271,14 +280,13 @@ class TestConnectionDifference:
         for name, tr in triples.items():
             geo = over(tr, 3)
             calls[0] = 0
-            for i in range(3):
-                for quantity in ("ghat", "psi", "ghat_gamma"):
-                    geo.jets(i, quantity)
+            for quantity in ("ghat", "psi", "ghat_gamma"):
+                geo.batch(quantity)
             assert calls[0] == 1, name
             for i in range(3):
-                gj, aj = geo.jets(i, "g"), geo.jets(i, "a")
+                gj, aj = column(geo.batch("g"), i), column(geo.batch("a"), i)
                 alone = (companion_components(gj, minv(aj), mdet(aj)), jlog(mdet(aj)) * (-0.25))
-                for x, y in zip((geo.jets(i, "ghat"), geo.psi_jet(i)), alone):
+                for x, y in zip((column(geo.batch("ghat"), i), column(geo.batch("psi"), i)), alone):
                     cx = np.array([c.coeffs for c in np.ravel(x)])
                     cy = np.array([c.coeffs for c in np.ravel(y)])
                     assert np.array_equal(cx, cy), name
@@ -290,35 +298,33 @@ class TestWeightedTensors:
         sig = pj.weighted_sigma_field(g)
         p = [0.3, 0.1, 0.9, 0.4]
         assert np.allclose(sig.values(p), np.array(FLAT))  # |det| = 1
-        assert pj.sigma_parallel_residual(Geometry.at(p, g), 0) == 0.0
+        assert pj.sigma_parallel_residual(Geometry.at(p, g))[0] == 0.0
 
     def test_catalog_sigma_parallel_and_para_hermitian(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 3)
-            for i in range(3):
-                assert pj.sigma_parallel_residual(geo, i) < 1e-9, name
-                assert pj.sigma_para_hermitian_residual(geo, i) < 1e-10, name
+            assert max(pj.sigma_parallel_residual(geo)) < 1e-9, name
+            assert max(pj.sigma_para_hermitian_residual(geo)) < 1e-10, name
 
     def test_mobility_solution_and_trivial_case(self, triples):
         for name, tr in triples.items():
             sig = pj.weighted_sigma_field(tr.g)
             sighat = pj.weighted_endo_sigma_field(tr.a, sig)
             geo = over(tr, 3)
-            for i, p in enumerate(geo.points):
-                assert pj.mobility_residual(geo, i, sig.jets(p)) < 1e-12, name
-                assert pj.mobility_residual(geo, i, sighat.jets(p)) < 1e-9, name
+            assert max(pj.mobility_residual(geo, sig.jets(geo.points))) < 1e-12, name
+            assert max(pj.mobility_residual(geo, sighat.jets(geo.points))) < 1e-9, name
 
     def test_mobility_connection_invariance(self, triples):
         tr = triples["complex-liouville"]
         sig = pj.weighted_sigma_field(tr.g)
         probe = pj.scale_weighted_field(ScalarField(lambda x1, *r: x1, "x1"), sig)
         geo = over(tr, 3)
-        for i, p in enumerate(geo.points):
-            e1 = pj.mobility_expression(geo, i, probe.jets(p))
-            e2 = pj.mobility_expression(geo, i, probe.jets(p), metric="ghat")
-            scale = max(1.0, np.max(np.abs(e1)))
-            assert np.max(np.abs(e1 - e2)) / scale < 1e-9
-            assert np.max(np.abs(e1)) > 1e-3  # the probe is not a solution
+        e1 = pj.mobility_expression(geo, probe.jets(geo.points))
+        e2 = pj.mobility_expression(geo, probe.jets(geo.points), metric="ghat")
+        for i in range(3):
+            scale = max(1.0, np.max(np.abs(e1[..., i])))
+            assert np.max(np.abs(e1[..., i] - e2[..., i])) / scale < 1e-9
+            assert np.max(np.abs(e1[..., i])) > 1e-3  # the probe is not a solution
 
 
 class TestFamilyMetric:
@@ -330,7 +336,7 @@ class TestFamilyMetric:
         geo = over(tr, 3)
         for i, p in enumerate(geo.points):
             assert np.allclose(fam10.values(p), tr.g.values(p), atol=1e-12)
-            assert geo.mu(i)[1] > 0  # positive and signed roots coincide here
+            assert geo.values("mu")[1, i] > 0  # positive and signed roots coincide here
             assert np.allclose(fam01.values(p), ghat.values(p), atol=1e-11)
 
     def test_closed_form_two_parameter_family(self, einstein_preset):
@@ -363,21 +369,20 @@ class TestFamilyMetric:
         # give its Christoffel symbols
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(2))
+        gj, aj, (mu1, mu2) = geo.batch("g"), geo.batch("a"), geo.batch("mu")
         for al, be in ((1.5, 0.25), (0.0, 1.0), (2.0, 1.0)):
-            for i in range(2):
-                gj, aj, (mu1, mu2) = geo.jets(i, "g"), geo.jets(i, "a"), geo.jets(i, "mu")
-                s = al * al + al * be * mu1 + be * be * mu2
-                solved = mmul(gj, minv(al * np.eye(4) + be * aj)) * s.reciprocal()
-                member = family_components(gj, aj, mu1, mu2, al, be)
-                inverse = family_inverse_components(geo.jets(i, "ginv"), aj, mu1, mu2, al, be)
-                for x, y in zip(split_jets(member), split_jets(solved)):
-                    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
-                assert np.allclose(split_jets(mmul(member, inverse))[0], np.eye(4),
-                                   rtol=0.0, atol=1e-12)
-                closed = split_jets(christoffel_jets(member, inverse))
-                reference = split_jets(christoffel_jets(solved))
-                for x, y in zip(closed, reference):
-                    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+            s = al * al + al * be * mu1 + be * be * mu2
+            solved = mmul(gj, minv(al * np.eye(4) + be * aj)) * s.reciprocal()
+            member = family_components(gj, aj, mu1, mu2, al, be)
+            inverse = family_inverse_components(geo.batch("ginv"), aj, mu1, mu2, al, be)
+            for x, y in zip(split_jets(member), split_jets(solved)):
+                assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+            assert np.allclose(split_jets(mmul(member, inverse))[0], np.eye(4)[..., None],
+                               rtol=0.0, atol=1e-12)
+            closed = split_jets(christoffel_jets(member, inverse))
+            reference = split_jets(christoffel_jets(solved))
+            for x, y in zip(closed, reference):
+                assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_batched_member_curvature_matches_each_point(self, einstein_preset):
         # members built once over the points, from order-2 batches, have the
@@ -394,10 +399,11 @@ class TestFamilyMetric:
         batched_riemann = riemann(gamma, dgamma)
         assert batched_riemann.shape == (4, 4, 4, 4, len(points))
         for k, i in enumerate(points):
-            args = (geo.jets(i, "a"), *geo.jets(i, "mu"), al, be)
-            one = family_components(geo.jets(i, "g"), *args)
+            gj, aj = tr.g.jets(geo.points[i]), tr.a.jets(geo.points[i])
+            args = (aj, *mu_invariants(aj), al, be)
+            one = family_components(gj, *args)
             g1, dg1 = split_jets(christoffel_jets(
-                one, family_inverse_components(geo.jets(i, "ginv"), *args)))
+                one, family_inverse_components(metric_inverse_jets(gj), *args)))
             for x, y in ((gamma[..., k], g1), (dgamma[..., k], dg1),
                          (batched_riemann[..., k], riemann(g1, dg1))):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
@@ -415,47 +421,47 @@ class TestSpectral:
         rows[0, 0], rows[1, 1] = 3.0, 5.0
         rows[2, 2], rows[2, 3], rows[3, 2] = 8.0, 15.0, -1.0
         a = const_field(rows.tolist())
-        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=a), 0)
-        assert spec.kind == "real"
-        assert spec.mu1 == pytest.approx(8.0)
-        assert spec.mu2 == pytest.approx(15.0)
-        assert spec.rho.real == pytest.approx(5.0)
-        assert spec.sigma.real == pytest.approx(3.0)
+        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=a))
+        assert spec.kind[0] == "real"
+        assert spec.mu1[0] == pytest.approx(8.0)
+        assert spec.mu2[0] == pytest.approx(15.0)
+        assert spec.rho[0].real == pytest.approx(5.0)
+        assert spec.sigma[0].real == pytest.approx(3.0)
 
     def test_scaled_identity_degenerate(self):
-        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=scaled_identity(2.0)), 0)
-        assert spec.kind == "degenerate"
-        assert spec.rho == spec.sigma == pytest.approx(2.0)
+        spec = pj.eigen_decompose(Geometry.at([0, 0, 0, 0], a=scaled_identity(2.0)))
+        assert spec.kind[0] == "degenerate"
+        assert spec.rho[0] == spec.sigma[0] == pytest.approx(2.0)
 
     def test_complex_pair(self, triples):
         tr = triples["complex-liouville"]
         p = tr.sample_points(1)[0]
-        spec = pj.eigen_decompose(at(tr, p), 0)
-        assert spec.kind == "complex"
-        assert spec.rho.imag > 0
-        assert spec.sigma == spec.rho.conjugate()
+        spec = pj.eigen_decompose(at(tr, p))
+        assert spec.kind[0] == "complex"
+        assert spec.rho[0].imag > 0
+        assert spec.sigma[0] == spec.rho[0].conjugate()
 
     def test_mu_polynomial(self, triples):
         rows = np.zeros((4, 4))
         rows[0, 0], rows[1, 1] = 3.0, 5.0
         rows[2, 2], rows[2, 3], rows[3, 2] = 8.0, 15.0, -1.0
         a = const_field(rows.tolist())
-        m1, m2 = Geometry.at([0, 0, 0, 0], a=a).mu(0)
+        (m1,), (m2,) = Geometry.at([0, 0, 0, 0], a=a).values("mu")
         # sqrt(det(A - t Id)) = t^2 - mu1 t + mu2
         assert 0.0**2 - m1 * 0.0 + m2 == pytest.approx(15.0)
         assert 3.0**2 - m1 * 3.0 + m2 == pytest.approx(0.0)
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        spec = pj.eigen_decompose(at(tr, p), 0)
-        assert spec.mu1 == pytest.approx(spec.rho.real + spec.sigma.real, abs=1e-10)
-        assert spec.mu2 == pytest.approx(spec.rho.real * spec.sigma.real, abs=1e-10)
+        spec = pj.eigen_decompose(at(tr, p))
+        assert spec.mu1[0] == pytest.approx(spec.rho[0].real + spec.sigma[0].real, abs=1e-10)
+        assert spec.mu2[0] == pytest.approx(spec.rho[0].real * spec.sigma[0].real, abs=1e-10)
 
 
 class TestEigenGradients:
     def test_catalog(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 4)
-            worst = max(pj.eigen_gradient_residual(geo, i) for i in range(4))
+            worst = max(pj.eigen_gradient_residual(geo))
             assert worst < 1e-9, name
 
     def test_gradients_g_orthogonal_in_real_type(self, triples):
@@ -463,11 +469,12 @@ class TestEigenGradients:
             geo = over(triples[name], 3)
             for i in range(3):
                 # rho, sigma = (mu1 +- sqrt(mu1^2 - 4 mu2)) / 2, differentiated by hand
-                (m1, m2), (d1, d2) = geo.mu(i), geo.vp(i, "mu")[1]
+                (m1, m2), (d1, d2) = geo.values("mu")[:, i], geo.vp("mu")[1][..., i]
                 root = np.sqrt(m1 * m1 - 4.0 * m2)
                 droot = (m1 * d1 - 2.0 * d2) / root
-                v1, v2 = (geo.ginv(i) @ (0.5 * (d1 + sign * droot)) for sign in (1.0, -1.0))
-                assert abs(v1 @ geo.values(i, "g") @ v2) < 1e-9, name
+                v1, v2 = (geo.values("ginv")[..., i] @ (0.5 * (d1 + sign * droot))
+                          for sign in (1.0, -1.0))
+                assert abs(v1 @ geo.values("g")[..., i] @ v2) < 1e-9, name
 
     def test_perturbation_detected(self, triples):
         tr = triples["real-liouville"]
@@ -478,40 +485,37 @@ class TestEigenGradients:
             return arr
 
         p = tr.sample_points(1)[0]
-        assert pj.eigen_gradient_residual(at(tr, p, a=TensorField((1, 1), bad)), 0) > 1e-4
+        assert pj.eigen_gradient_residual(at(tr, p, a=TensorField((1, 1), bad)))[0] > 1e-4
 
 
 class TestKillingMachinery:
     def test_fields_vanish_for_constant_a(self, triples):
         tr = triples["real-liouville"]
         p = tr.sample_points(1)[0]
-        kv = at(tr, p, a=scaled_identity(2.0)).values(0, "killing")  # V1, V2, TV1, TV2
+        kv = at(tr, p, a=scaled_identity(2.0)).values("killing")  # V1, V2, TV1, TV2
         assert np.allclose(kv, 0.0, atol=1e-13)
 
     def test_rotated_gradients_are_killing(self, triples):
         for name in ("real-liouville", "complex-liouville", "dim-d2-1", "dim-d1"):
             tr = triples[name]
             geo = over(tr, 3)
-            for i in range(3):  # both TV1 and TV2
-                assert pj.killing_residual(geo, i) < 1e-9, name
+            assert max(pj.killing_residual(geo)) < 1e-9, name  # both TV1 and TV2
 
     def test_hamiltonian_pairing(self, triples):
         tr = triples["real-liouville"]
         geo = over(tr, 3)
-        for i in range(3):  # (mu1, TV1) and (mu2, TV2)
-            assert pj.hamiltonian_pairing_residual(geo, i) < 1e-9
+        assert max(pj.hamiltonian_pairing_residual(geo)) < 1e-9  # (mu1, TV1) and (mu2, TV2)
 
     def test_para_holomorphy_and_commutation(self, triples):
         tr = triples["complex-liouville"]
         geo = over(tr, 2)
-        for i in range(2):
-            assert pj.para_holomorphy_residual(geo, i) < 1e-9  # V1, V2, TV1, TV2
-            assert pj.commutation_residual(geo, i) < 1e-8
+        assert max(pj.para_holomorphy_residual(geo)) < 1e-9  # V1, V2, TV1, TV2
+        assert max(pj.commutation_residual(geo)) < 1e-8
 
     def test_gradient_and_rotated_gradient_orthogonal(self, triples):
         geo = over(triples["real-liouville"], 3)
         for i in range(3):
-            gm, kv = geo.values(i, "g"), geo.values(i, "killing")  # V1, V2, TV1, TV2
+            gm, kv = geo.values("g")[..., i], geo.values("killing")[..., i]  # V1, V2, TV1, TV2
             for vi in kv[:2]:
                 for tvj in kv[2:]:
                     assert abs(vi @ gm @ tvj) < 1e-9
@@ -520,31 +524,35 @@ class TestKillingMachinery:
         for name in ("real-liouville", "complex-liouville"):
             tr = triples[name]
             geo = over(tr, 3)
-            for i in range(3):
-                assert pj.leaf_geodesic_residual(geo, i) < 1e-8
+            assert max(pj.leaf_geodesic_residual(geo)) < 1e-8
 
 
 class TestClassification:
     def test_classify_gradient_hand_vectors(self):
-        gm = np.array(FLAT)
-        tm = np.diag([1.0, 1.0, -1.0, -1.0])
-        cls, _ = pj.classify_gradient(gm, tm, np.zeros(4), 1.0)
-        assert cls == "zero"
-        cls, _ = pj.classify_gradient(gm, tm, np.array([1.0, 0, 0, 0]), 1.0)
-        assert cls == "null-plus"
-        cls, _ = pj.classify_gradient(gm, tm, np.array([0, 0, 1.0, 0]), 1.0)
-        assert cls == "null-minus"
-        cls, _ = pj.classify_gradient(gm, tm, np.array([1.0, 0, 1.0, 0]), 1.0)
-        assert cls == "non-isotropic"
+        gm = np.array(FLAT)[..., None]
+        tm = np.diag([1.0, 1.0, -1.0, -1.0])[..., None]
+
+        def classify(v):
+            return pj.classify_gradient(gm, tm, np.array(v, dtype=float)[:, None], 1.0)
+
+        assert classify([0, 0, 0, 0]) == (["zero"], [])
+        assert classify([1, 0, 0, 0]) == (["null-plus"], [])
+        assert classify([0, 0, 1, 0]) == (["null-minus"], [])
+        assert classify([1, 0, 1, 0]) == (["non-isotropic"], [])
         # isotropic g(v,v) = 0 but not a T eigenvector
-        cls, flags = pj.classify_gradient(gm, tm, np.array([1.0, 1.0, 1.0, -1.0]), 1.0)
-        assert cls == "indeterminate" and flags
+        cls, flags = classify([1, 1, 1, -1])
+        assert cls == ["indeterminate"] and flags == ["isotropic-but-not-eigendirection"]
+        # at several points at once: each point's class, and every point's flags
+        both = np.array([[0, 0, 0, 0], [1, 1, 1, -1]], dtype=float).T
+        cls, flags = pj.classify_gradient(gm[..., [0, 0]], tm[..., [0, 0]], both, 1.0)
+        assert list(cls) == ["zero", "indeterminate"]
+        assert flags == ["isotropic-but-not-eigendirection"]
 
     def test_rank_and_configuration_per_family(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 4)
-            for i in range(4):
-                rank, config, _ = pj.distribution_d_rank(geo, i)
+            ranks, configs, _ = pj.distribution_d_rank(geo)
+            for rank, config in zip(ranks, configs):
                 assert rank == tr.meta["expected_rank"], name
                 assert tuple(config) == tr.meta["expected_config"], name
 
@@ -553,17 +561,16 @@ class TestRicciDifference:
     def test_catalog_pairs(self, triples):
         for name, tr in triples.items():
             geo = over(tr, 3)
-            for i in range(3):
-                primary, cross = pj.ricci_difference_residual(geo, i)
-                assert primary < 1e-8, name
-                assert cross < 1e-8, name
+            primary, cross = pj.ricci_difference_residual(geo)
+            assert max(primary) < 1e-8, name
+            assert max(cross) < 1e-8, name
 
     def test_holds_off_einstein_locus(self, triples):
         # the comparison identity is unconditional, not an Einstein statement
         tr = triples["dim-d2-1"]
         geo = over(tr, 1)
-        assert np.max(np.abs(geo.ricci(0))) > 1e-3  # generic instance, not Einstein
-        primary, cross = pj.ricci_difference_residual(geo, 0)
+        assert np.max(np.abs(geo.ricci())) > 1e-3  # generic instance, not Einstein
+        (primary,), (cross,) = pj.ricci_difference_residual(geo)
         assert primary < 1e-8 and cross < 1e-8
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from pklab import curvature, curves, geometry, suites
 from pklab import projective as pj
-from pklab.catalog import default_triple, preset_triple
+from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.exprs import compile_profile
 from pklab.fields import DegenerateMetricError, TensorField, objarray
 from pklab.geometry import Geometry
@@ -107,9 +107,13 @@ def test_parakahler_checks_the_runs_points(triples, monkeypatch):
 
 def test_nan_at_a_later_point_fails_its_check(triples, monkeypatch):
     original = pj.benenti_residual
-    monkeypatch.setattr(
-        pj, "benenti_residual", lambda geo, i: np.nan if i == 2 else original(geo, i)
-    )
+
+    def nan_at_2(geo):
+        out = original(geo)
+        out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(pj, "benenti_residual", nan_at_2)
     report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=4)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["benenti/equation"].passed
@@ -184,32 +188,25 @@ def test_nonpositive_det_a_fails_companion_closed(triples):
 
 
 def test_domain_error_in_ricci_difference_fails_both_results(triples, monkeypatch):
-    original = pj.ricci_difference_residual
     calls = []
 
-    def failing_at_1(geo, i):
-        calls.append(i)
-        if i == 1:
-            raise JetDomainError("outside the domain")
-        return original(geo, i)
+    def failing(geo):
+        calls.append(len(geo))
+        raise JetDomainError("outside the domain")
 
-    monkeypatch.setattr(pj, "ricci_difference_residual", failing_at_1)
+    monkeypatch.setattr(pj, "ricci_difference_residual", failing)
     report = run_suite(triples["dim-d2-4"], ["ricci-diff"], n_points=3)
     assert all(not c.passed and "eval-error:JetDomainError" in c.flags for c in report.checks)
     assert len(report.checks) == 2
-    # one evaluation per point serves both results; only the failed point is retried
-    assert sorted(calls) == [0, 1, 1, 2]
+    # one evaluation over all the points serves both results; its error is kept
+    assert calls == [3]
 
 
 def test_domain_error_in_rank_fails_both_rank_results(triples, monkeypatch):
-    original = pj.distribution_d_rank
+    def failing(geo):
+        raise DegenerateMetricError("degenerate at one point")
 
-    def failing_at_1(geo, i):
-        if i == 1:
-            raise DegenerateMetricError("degenerate at one point")
-        return original(geo, i)
-
-    monkeypatch.setattr(pj, "distribution_d_rank", failing_at_1)
+    monkeypatch.setattr(pj, "distribution_d_rank", failing)
     report = run_suite(triples["dim-d2-4"], ["rank"], n_points=3)
     assert len(report.checks) == 2
     assert all(not c.passed and "eval-error:DegenerateMetricError" in c.flags
@@ -217,19 +214,68 @@ def test_domain_error_in_rank_fails_both_rank_results(triples, monkeypatch):
 
 
 def test_domain_error_in_non_parallel_fails_it(triples, monkeypatch):
-    original = suites.covariant_derivative_endo
     calls = [0]
 
-    def failing_at_second_point(*args):
+    def failing(*args):
         calls[0] += 1
-        if calls[0] == 2:
-            raise DegenerateMetricError("degenerate at one point")
-        return original(*args)
+        raise DegenerateMetricError("degenerate at one point")
 
-    monkeypatch.setattr(suites, "covariant_derivative_endo", failing_at_second_point)
+    monkeypatch.setattr(suites, "covariant_derivative_endo", failing)
     report = run_suite(triples["dim-d2-4"], ["benenti"], n_points=3)
     check = next(c for c in report.checks if c.name == "benenti/non-parallel")
     assert not check.passed and "eval-error:DegenerateMetricError" in check.flags
+    assert calls[0] == 1  # one evaluation over all the points
+
+
+def test_double_eigenvalue_at_one_point_fails_only_that_point(triples):
+    # A = diag(x1, c, x1, c) commutes with T; its eigenvalues meet where x1 = c,
+    # at sample point 1 alone
+    tr = triples["dim-d2-2"]
+    pts = tr.sample_points(3)
+    c = pts[1, 0]
+
+    def a_comps(x1, *rest):
+        return objarray([[x1, 0.0, 0.0, 0.0], [0.0, c, 0.0, 0.0],
+                         [0.0, 0.0, x1, 0.0], [0.0, 0.0, 0.0, c]])
+
+    triple = dataclasses.replace(tr, a=TensorField((1, 1), a_comps))
+    residual = pj.eigen_gradient_residual(Geometry(triple, pts))
+    assert residual[1] == np.inf and np.all(np.isfinite(residual[[0, 2]]))
+    report = run_suite(triple, ["benenti", "rank"], n_points=3)
+    by_name = {c.name: c for c in report.checks}
+    eig = by_name["benenti/eigen-gradient"]
+    assert not eig.passed and eig.flags == ["eval-error:JetDomainError"]
+    # the rank result keeps the flags of every point
+    assert "degenerate-spectrum" in by_name["rank/dimension"].flags
+
+
+def _declared_pointwise():
+    """(name, check) of every declared result with a pointwise residual."""
+    checks = [("parakahler/" + c.name, c) for c in suites.AXIOMS]
+    for group in (suites._BENENTI, (suites._NON_PARALLEL,), suites._KILLING, suites._RANK,
+                  suites._COMPANION, suites._RICCI_DIFF, suites._EINSTEIN, (suites._FLATNESS,)):
+        checks += [(c.name, c) for c in group]
+    return checks
+
+
+@pytest.mark.parametrize("kind, name", [("family", f) for f in sorted(FAMILIES)]
+                         + [("preset", p) for p in sorted(PRESETS)])
+def test_batched_residuals_equal_one_point_residuals(kind, name):
+    triple = default_triple(name) if kind == "family" else preset_triple(name)
+    pts = triple.sample_points(4)
+    geo = Geometry(triple, pts)
+    alone = [Geometry(triple, pts[k:k + 1]) for k in range(4)]
+    meta = triple.meta
+    for label, check in _declared_pointwise():
+        if label.startswith("einstein/") and meta.get(
+                "einstein" if label == "einstein/metric" else "companion_einstein") is None:
+            continue
+        batched = check.residual(geo)
+        assert batched.shape == (4,), label
+        for k in range(4):
+            one = check.residual(alone[k])
+            assert one.shape == (1,), label
+            assert abs(batched[k] - one[0]) <= 1e-15, (label, k, batched[k], one[0])
 
 
 def test_nonpositive_det_a_fails_geodesic_closed(triples):
@@ -360,7 +406,7 @@ def test_potential_exponential_reads_psi_where_mu2_is_negative():
     # rho = -x3 < 0 < sigma: mu2 = rho sigma < 0 and det A = mu2^2 > 0
     triple = default_triple("dim-d2-2", rho=compile_profile("-x3", ("x3",)))
     geo = Geometry(triple, triple.sample_points(20))
-    assert all(geo.mu(i)[1] < 0 for i in range(len(geo)))
+    assert np.all(geo.values("mu")[1] < 0)
     report = run_suite(triple, ["companion"], n_points=20)
     check = next(c for c in report.checks if c.name == "companion/potential-exponential")
     assert check.passed and 0.0 < check.residual < 1e-14
