@@ -25,8 +25,8 @@ import numpy as np
 
 from .fields import Chart, TensorField, objarray
 from .jets import DualBatch, Jet, dual_point
-from .linalg import minv, mmul
 from .parakahler import DOMAIN_ERRORS, ParaKahlerTriple
+from .report import worst
 
 __all__ = [
     "FeasibilityError",
@@ -117,17 +117,6 @@ def _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra) -> ParaKah
     )
 
 
-def _t_from_g_omega(gfn, omfn) -> Callable:
-    """T = g^{-1} omega: T^k_i = omega_{ij} g^{jk}."""
-
-    def tfn(*coords):
-        gj = objarray(gfn(*coords))
-        om = objarray(omfn(*coords))
-        return mmul(om, minv(gj)).T
-
-    return tfn
-
-
 _BLOCK_T = [
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
@@ -179,16 +168,18 @@ def build_real_liouville(
             ]
         )
 
-    def omfn(x1, x2, x3, x4):
+    def tfn(x1, x2, x3, x4):
         r, s = rho(x1), sigma(x2)
         rp, sp = r.derivative(0), s.derivative(1)
+        di, rpi, spi = (r - s).reciprocal(), rp.reciprocal(), sp.reciprocal()
+        u, v = rp * di, sp * di * eps
         z = 0.0
         return objarray(
             [
-                [z, z, rp, rp * s],
-                [z, z, sp, sp * r],
-                [-rp, -sp, z, z],
-                [-rp * s, -sp * r, z, z],
+                [z, z, -u, -(u * s)],
+                [z, z, -v, -(v * r)],
+                [-(r * rpi), s * spi * eps, z, z],
+                [rpi, spi * -eps, z, z],
             ]
         )
 
@@ -211,7 +202,7 @@ def build_real_liouville(
         "flat": False,
         "adapted": False,
     }
-    return _triple(box, label, constraints, gfn, _t_from_g_omega(gfn, omfn), afn, meta, meta_extra)
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- rank 4: complex Liouville ------------------------------------------
@@ -274,20 +265,18 @@ def build_complex_liouville(
             ]
         )
 
-    def omfn(x1, x2, x3, x4):
+    def tfn(x1, x2, x3, x4):
         R, I = re_part(x1, x2), im_part(x1, x2)
         a, b = R.derivative(0), I.derivative(0)
+        u, v = a * R + b * I, a * I - b * R
+        ii, qi = I.reciprocal(), (2.0 * (a * a + b * b)).reciprocal()
         z = 0.0
-        w13 = 2.0 * a
-        w14 = 2.0 * (a * R + b * I)
-        w23 = -2.0 * b
-        w24 = 2.0 * (a * I - b * R)
         return objarray(
             [
-                [z, z, w13, w14],
-                [z, z, w23, w24],
-                [-w13, -w23, z, z],
-                [-w14, -w24, z, z],
+                [z, z, 2.0 * b * ii, -2.0 * v * ii],
+                [z, z, -2.0 * a * ii, -2.0 * u * ii],
+                [u * qi, -v * qi, z, z],
+                [-a * qi, -b * qi, z, z],
             ]
         )
 
@@ -310,7 +299,7 @@ def build_complex_liouville(
         "flat": False,
         "adapted": False,
     }
-    return _triple(box, label, constraints, gfn, _t_from_g_omega(gfn, omfn), afn, meta, meta_extra)
+    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
 
 
 # -- rank 2, constant second eigenvalue ----------------------------------
@@ -631,7 +620,8 @@ def einstein_system_residual(
 
     Supported families: real-liouville, complex-liouville, dim-d2-1.
     ``params`` carries the profile callables, ``constants`` the system
-    constants (see the per-family helpers).
+    constants (see the per-family helpers).  The largest per-point residual
+    is returned, and a point that evaluates to NaN makes it NaN.
     """
     if family == "real-liouville":
         return _einstein_system_real(params, constants, points)
@@ -647,7 +637,7 @@ def _einstein_system_real(params, constants, points) -> float:
     lam = constants["lam"]
     h, k = constants.get("h", 0.0), constants.get("k", 0.0)
     c1, c2 = constants.get("c1", 0.0), constants.get("c2", 0.0)
-    worst = 0.0
+    residuals = []
     for p in np.asarray(points, dtype=float):
         r = rho(Jet.variable(0, p[0], 1, 3))
         s = sigma(Jet.variable(0, p[1], 1, 3))
@@ -655,9 +645,9 @@ def _einstein_system_real(params, constants, points) -> float:
         sv, sp = s.value, s.partial([1])
         r1 = 3 * rp**2 + 2 * lam * rv**3 - 3 * k * rv**2 - 6 * h * rv - c1
         r2 = 3 * sp**2 - eps * (2 * lam * sv**3 - 3 * k * sv**2 - 6 * h * sv) - c2
-        scale = max(1.0, abs(3 * rp**2), abs(3 * sp**2))
-        worst = max(worst, abs(r1) / scale, abs(r2) / scale)
-    return worst
+        scale = np.maximum(1.0, np.maximum(abs(3 * rp**2), abs(3 * sp**2)))
+        residuals += [abs(r1) / scale, abs(r2) / scale]
+    return worst(residuals)
 
 
 def _einstein_system_complex(params, constants, points) -> float:
@@ -666,7 +656,7 @@ def _einstein_system_complex(params, constants, points) -> float:
     a = constants.get("a", 0.0)
     h = complex(constants.get("h", 0.0))
     d = complex(constants.get("d", 0.0))
-    worst = 0.0
+    residuals = []
     for p in np.asarray(points, dtype=float):
         x1 = Jet.variable(0, p[0], 2, 2)
         x2 = Jet.variable(1, p[1], 2, 2)
@@ -674,8 +664,8 @@ def _einstein_system_complex(params, constants, points) -> float:
         rho = complex(R.value, I.value)
         rho_z = complex(R.partial([1, 0]), I.partial([1, 0]))
         res = rho_z**2 - lam / 6.0 * rho**3 - a * rho**2 - 2 * h * rho + d
-        worst = max(worst, abs(res) / max(1.0, abs(rho_z) ** 2))
-    return worst
+        residuals.append(abs(res) / np.maximum(1.0, abs(rho_z) ** 2))
+    return worst(residuals)
 
 
 def _einstein_system_dimd2_1(params, constants, points) -> float:
@@ -685,7 +675,7 @@ def _einstein_system_dimd2_1(params, constants, points) -> float:
     c1, c2 = constants.get("c1", 0.0), constants.get("c2", 0.0)
     f = constants.get("f", lambda x3: 0.0 * x3)
     h = constants.get("h", lambda x3: 0.0 * x3)
-    worst = 0.0
+    residuals = []
     for p in np.asarray(points, dtype=float):
         r = rho(Jet.variable(0, p[1], 1, 3))
         m = mu(Jet.variable(0, p[1], 1, 3))
@@ -700,9 +690,9 @@ def _einstein_system_dimd2_1(params, constants, points) -> float:
         fv = f(p[2])
         hv = h(p[2])
         r2 = n3 + c2 / 6.0 * nv**2 - fv * nv - hv
-        scale = max(1.0, abs(denom), abs(n3))
-        worst = max(worst, abs(r1) / scale, abs(r2) / scale)
-    return worst
+        scale = np.maximum(1.0, np.maximum(abs(denom), abs(n3)))
+        residuals += [abs(r1) / scale, abs(r2) / scale]
+    return worst(residuals)
 
 
 # -- registry --------------------------------------------------------------

@@ -1,21 +1,20 @@
 """Small dense linear algebra over jet-valued matrices.
 
 Tensor components evaluated through jets come back as numpy object arrays
-whose entries are :class:`~pklab.jets.Jet`, :class:`~pklab.jets.DualBatch`
-or plain floats.  ``stack`` gathers a matrix of Jets and numbers into one
-Jet of coefficient shape ``(size, rows, cols, *points)``, and each routine
-here runs its per-entry formula on whole stacked arrays, one table
-product per product of the formula, summed in the formula's order: every
-entry is bit for bit what entry-by-entry arithmetic gives.  A matrix of
-plain numbers runs the same formulas on a float array; a DualBatch matrix
-multiplies with numpy's object ``@`` and inverts analytically.
+whose entries are :class:`~pklab.jets.Jet` or plain floats.  ``stack``
+gathers a matrix of Jets and numbers into one Jet of coefficient shape
+``(size, rows, cols, *points)``, and each routine here runs its per-entry
+formula on whole stacked arrays, one table product per product of the
+formula, summed in the formula's order: every entry is bit for bit what
+entry-by-entry arithmetic gives.  A matrix of plain numbers runs the same
+formulas on a float array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import DualBatch, Jet
+from .jets import Jet
 
 __all__ = ["mmul", "mdet", "minv", "mscale", "stack", "unstack"]
 
@@ -70,8 +69,7 @@ def mmul(a, b):
     (``stack``) give their stacked product."""
     if isinstance(a, Jet):
         return Jet(a.space, _matmul(a.space, a.coeffs, b.coeffs))
-    if a.dtype != object and b.dtype != object or any(
-            isinstance(x, DualBatch) for x in (*a.flat, *b.flat)):
+    if a.dtype != object and b.dtype != object:
         return a @ b
     if b.ndim == 1:
         return mmul(a, b[:, None])[:, 0]
@@ -121,7 +119,6 @@ def minv(a: np.ndarray) -> np.ndarray:
     raises numpy's LinAlgError.  Jet matrices are inverted as the
     adjugate over det = a[0] @ cof[0], one-point and batched alike; a det
     whose value vanishes (at any point of a batch) is the singular case.
-    DualBatch matrices are inverted analytically: d(M^-1) = -M^-1 dM M^-1.
     """
     if a.dtype != object:
         try:
@@ -130,8 +127,6 @@ def minv(a: np.ndarray) -> np.ndarray:
             if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
                 raise
             raise ZeroDivisionError("singular matrix in float inverse") from e
-    if any(isinstance(x, DualBatch) for x in a.flat):
-        return _minv_dual(a)
     sp, (c,) = _operands(a)
     n = a.shape[0]
     if n == 1:  # the cofactor of a 1x1 matrix is the constant 1
@@ -150,19 +145,3 @@ def minv(a: np.ndarray) -> np.ndarray:
     inv_det = 1.0 / det if sp is None else Jet(sp, det).reciprocal().coeffs
     return _entries(sp, _mul(sp, np.swapaxes(cof, 1, 2), inv_det[:, None, None]), 2)
 
-
-def _minv_dual(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    ref = next(x for x in a.flat if isinstance(x, DualBatch))
-    duals = [isinstance(x, DualBatch) for x in a.flat]
-    vals = np.stack([x.val if d else np.full(ref.val.shape, float(x))
-                     for x, d in zip(a.flat, duals)], 1).reshape(-1, n, n)
-    grads = np.stack([x.grad if d else np.zeros_like(ref.grad)
-                      for x, d in zip(a.flat, duals)], 1).reshape(-1, n, n, ref.dim)
-    inv = minv(vals)
-    # -inv dM inv, one matrix product per direction m
-    dinv = -(inv[:, None] @ np.moveaxis(grads, 3, 1) @ inv[:, None]).transpose(0, 2, 3, 1)
-    out = np.empty((n, n), dtype=object)
-    for i, j in np.ndindex(n, n):
-        out[i, j] = DualBatch(inv[:, i, j], dinv[:, i, j, :])
-    return out

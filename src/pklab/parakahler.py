@@ -184,13 +184,18 @@ def _g_para_hermitian(geo: Geometry) -> np.ndarray:
     return relative(mm(mm(transposed(tm), gm), tm) + gm, gm)
 
 
+def _signature(geo: Geometry) -> tuple:
+    """``signature_counts`` of g at geo's points, diagonalized once per geometry."""
+    return geo.cached("signature", lambda: signature_counts(geo.values("g")))
+
+
 def _neutral_signature(geo: Geometry) -> np.ndarray:
-    pos, neg, _ = signature_counts(geo.values("g"))
+    pos, neg, _ = _signature(geo)
     return np.where((pos == 2) & (neg == 2), 0.0, 1.0)
 
 
 def _near_degenerate(geo: Geometry) -> list[str]:
-    return ["near-degenerate-point"] if np.any(signature_counts(geo.values("g"))[2]) else []
+    return ["near-degenerate-point"] if np.any(_signature(geo)[2]) else []
 
 
 def _omega_antisymmetric(geo: Geometry) -> np.ndarray:

@@ -19,8 +19,9 @@ SCHEMA_VERSION = 1
 def worst(residuals: Iterable[float]) -> float:
     """Largest of per-point residuals, 0.0 for none.
 
-    A NaN anywhere propagates (Python's max() keeps whichever operand it
-    compared last), so an unevaluable point cannot pass.
+    A NaN anywhere propagates, so an unevaluable point cannot pass.  Python's
+    max() would not do: max(0.0, nan) is 0.0, as it keeps the first operand
+    when a comparison fails.
     """
     arr = np.fromiter(residuals, dtype=float)
     return float(np.max(arr)) if arr.size else 0.0

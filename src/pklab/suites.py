@@ -396,7 +396,8 @@ def _geodesic_residuals(triple, p0, v0, normals):
         drifts.append(float(np.max(np.abs(en - en[0]))) / max(1.0, abs(en[0])))
         plans.append(t_planarity_residual(g, t, path).max_residual)
     controls = _control_curves(g, t, p0, v0, normals, GEODESIC_STEP, 40)
-    return drifts, plans, min(t_planarity_residual(g, t, c).max_residual for c in controls)
+    # np.min, not min(): a NaN control makes the smallest NaN wherever it stands
+    return drifts, plans, np.min([t_planarity_residual(g, t, c).max_residual for c in controls])
 
 
 def _suite_geodesic(geo, tol, seed: int = 0):

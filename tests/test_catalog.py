@@ -19,8 +19,52 @@ from pklab.catalog import (
     preset_triple,
 )
 from pklab.curvature import covariant_derivative_endo, einstein_residual
+from pklab.fields import objarray
 from pklab.geometry import Geometry
+from pklab.jets import seed_point
+from pklab.linalg import minv, mmul, stack
 from pklab.parakahler import validate
+
+
+def real_liouville_omega(rho, sigma, **_):
+    """The fundamental form omega = g(T., .) of the real Liouville family,
+    kept as the reference for its T."""
+
+    def omfn(x1, x2, x3, x4):
+        r, s = rho(x1), sigma(x2)
+        rp, sp = r.derivative(0), s.derivative(1)
+        z = 0.0
+        return objarray(
+            [
+                [z, z, rp, rp * s],
+                [z, z, sp, sp * r],
+                [-rp, -sp, z, z],
+                [-rp * s, -sp * r, z, z],
+            ]
+        )
+
+    return omfn
+
+
+def complex_liouville_omega(re_part, im_part, **_):
+    """The fundamental form of the complex Liouville family, the reference for its T."""
+
+    def omfn(x1, x2, x3, x4):
+        R, I = re_part(x1, x2), im_part(x1, x2)
+        a, b = R.derivative(0), I.derivative(0)
+        z = 0.0
+        w13, w14 = 2.0 * a, 2.0 * (a * R + b * I)
+        w23, w24 = -2.0 * b, 2.0 * (a * I - b * R)
+        return objarray(
+            [
+                [z, z, w13, w14],
+                [z, z, w23, w24],
+                [-w13, -w23, z, z],
+                [-w14, -w24, z, z],
+            ]
+        )
+
+    return omfn
 
 
 class TestConstructorRejections:
@@ -174,6 +218,29 @@ class TestFamilyConformance:
             assert np.allclose(am[:2, :2], [[R, -I], [I, R]], atol=1e-12)
             assert np.max(np.abs(gm[:2, 2:])) < 1e-14
 
+    def test_liouville_t_is_minus_g_inverse_omega(self, monkeypatch):
+        # each Liouville builder states T in closed form; it must be the
+        # T = -g^{-1} omega of the family's fundamental form, with partials
+        built = []
+        for name, omega in (("build_real_liouville", real_liouville_omega),
+                            ("build_complex_liouville", complex_liouville_omega)):
+            def recorded(builder=getattr(catalog, name), omega=omega, **kw):
+                built.append((builder(**kw), omega(**kw)))
+                return built[-1][0]
+
+            monkeypatch.setattr(catalog, name, recorded)
+        default_triple("real-liouville")
+        default_triple("real-liouville", eps=-1)
+        default_triple("complex-liouville")
+        for name in ("einstein-lambda1", "companion-einstein", "complex-einstein-linear"):
+            preset_triple(name)
+        assert len(built) == 6
+        for tr, omfn in built:
+            coords = seed_point(tr.sample_points(50, seed=4), 2)
+            ref = stack(-mmul(minv(tr.g.components(coords)), objarray(omfn(*coords)))).coeffs
+            got = stack(tr.t.components(coords)).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), tr.chart.label
+
 
 class TestEinsteinSystems:
     def test_separable_preset_solves_system(self, einstein_preset):
@@ -242,6 +309,31 @@ class TestEinsteinSystems:
             tr.sample_points(5),
         )
         assert res < 1e-12
+
+    def test_a_nan_point_fails_the_system(self, einstein_preset, dimd2_1_einstein_preset):
+        # a point where the system cannot be evaluated makes the residual
+        # non-finite, in front of a good point or behind it
+        c = dimd2_1_einstein_preset.meta["constant_eigenvalue"]
+        cases = [
+            ("real-liouville",
+             {"rho": lambda u: -6.0 / (u * u), "sigma": lambda u: 6.0 / (u * u)},
+             einstein_preset.meta["constants"], einstein_preset.sample_points(1)[0]),
+            ("complex-liouville",
+             {"re_part": lambda x1, x2: x1, "im_part": lambda x1, x2: x2 + 0.0 * x1},
+             {"lam": 0.0, "a": 0.0, "h": 0.0, "d": -1.0}, np.array([0.5, 0.8, 0.0, 0.0])),
+            ("dim-d2-1",
+             {"rho": lambda u: u, "mu": lambda u: 1.5 / ((u - c) * (u - c)),
+              "nu": lambda x3, x4: x3 + x4, "c": c},
+             {"lam": 1.0, "c1": 0.0, "c2": 0.0, "h": lambda x3: 1.0 + 0.0 * x3},
+             dimd2_1_einstein_preset.sample_points(1)[0]),
+        ]
+        bad = np.full(4, np.nan)
+        for family, params, constants, good in cases:
+            assert einstein_system_residual(family, params, constants, [good]) < 1e-12, family
+            for pts in ([bad, good], [good, bad]):
+                with np.errstate(invalid="ignore"):
+                    res = einstein_system_residual(family, params, constants, np.array(pts))
+                assert not np.isfinite(res), (family, pts)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="no Einstein system"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
-from pklab.jets import DualBatch, Jet, dual_point, jreciprocal, seed_point
+from pklab.jets import Jet, jreciprocal, seed_point
 from pklab.linalg import mdet, minv, mmul, mscale
 
 
@@ -66,13 +66,6 @@ def entry_minv(a: np.ndarray) -> np.ndarray:
     if np.any(np.asarray(det.coeffs[0] if isinstance(det, Jet) else det) == 0.0):
         raise ZeroDivisionError("singular matrix in jet inverse")
     return cof.T * jreciprocal(det)
-
-
-def dual_inverse_partials(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """The former partials of a dual-batch inverse, kept as the reference:
-    d(M^-1) = -M^-1 dM M^-1 as one three-operand einsum."""
-    inv = np.linalg.inv(vals)
-    return -np.einsum("bik,bklm,blj->bijm", inv, grads, inv)
 
 
 def coefficients(m: np.ndarray) -> np.ndarray:
@@ -151,21 +144,6 @@ def test_small_mixed_and_number_matrices_equal_the_entry_formulas():
     assert same(mmul(mixed, numbers), mixed @ numbers)
 
 
-def test_dual_batch_matrices_keep_their_own_path(triples):
-    tr = triples["dim-d2-1"]
-    pts = tr.sample_points(5, seed=1)
-    g = tr.g.components(dual_point(pts))
-    inv = minv(g)
-    vals = np.array([[x.val if isinstance(x, DualBatch) else np.full(5, x) for x in row]
-                     for row in g])
-    # the analytic inverse: the values are numpy's inverse, bit for bit
-    assert np.array_equal(np.array([[x.val for x in row] for row in inv]),
-                          np.moveaxis(np.linalg.inv(np.moveaxis(vals, 2, 0)), 0, 2))
-    product = mmul(g, inv)
-    for x, y in zip(product.flat, (g @ inv).flat):
-        assert np.array_equal(x.val, y.val) and np.array_equal(x.grad, y.grad)
-
-
 def test_adjugate_inverse_matches_gauss_jordan(triples):
     for name, tr in triples.items():
         for p in tr.sample_points(3, seed=2):
@@ -209,14 +187,3 @@ def test_small_and_mixed_matrices():
     assert np.allclose(coefficients(inv)[..., 0], np.linalg.inv(values), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 0], np.eye(3), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 1:], 0.0, atol=1e-14)
-
-
-def test_dual_batch_inverse_matches_the_einsum_partials(triples):
-    for name, tr in triples.items():
-        pts = tr.sample_points(5, seed=3)
-        for field in (tr.g, tr.a):
-            inv = minv(field.components(dual_point(pts)))
-            assert all(isinstance(x, DualBatch) for x in inv.flat)
-            got = np.moveaxis(np.array([[x.grad for x in row] for row in inv]), 2, 0)
-            ref = dual_inverse_partials(*field.batch_duals(pts))
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name

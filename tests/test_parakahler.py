@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pklab import parakahler
 from pklab.fields import TensorField, objarray
 from pklab.parakahler import (
     Check,
@@ -99,6 +100,15 @@ def test_signature_counts():
     # with a trailing point axis, the counts at each point
     stack = np.stack([np.array(FLAT), np.diag([1.0, 2.0, 3.0, -1.0])], axis=-1)
     assert [c.tolist() for c in signature_counts(stack)] == [[2, 3], [2, 1], [0, 0]]
+
+
+def test_validate_diagonalizes_g_once(triples, monkeypatch):
+    # the neutral-signature check and its near-degenerate flag read one count
+    calls = []
+    counts = parakahler.signature_counts
+    monkeypatch.setattr(parakahler, "signature_counts", lambda gm: calls.append(1) or counts(gm))
+    assert validate(sampled(triples["real-liouville"], 4)).all_passed
+    assert len(calls) == 1
 
 
 def test_validate_all_catalog_families(triples):

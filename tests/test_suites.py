@@ -90,6 +90,28 @@ def test_negative_control_detects_off_plane_curves(triples, seed):
     assert control.passed
 
 
+def test_unevaluable_second_control_fails_the_negative_control(triples, monkeypatch):
+    # min(0.5, nan) is 0.5: a NaN control must fail the control wherever it stands
+    controls, control_curves, planarity = [], suites._control_curves, suites.t_planarity_residual
+
+    def recorded(*args):
+        controls[:] = control_curves(*args)
+        return controls
+
+    def nan_for_the_second(g, t, path):
+        out = planarity(g, t, path)
+        second = len(controls) > 1 and path is controls[1]
+        return dataclasses.replace(out, max_residual=np.nan) if second else out
+
+    monkeypatch.setattr(suites, "_control_curves", recorded)
+    monkeypatch.setattr(suites, "t_planarity_residual", nan_for_the_second)
+    report = run_suite(triples["dim-d2-2"], ["geodesic"], n_points=2)
+    by_name = {c.name: c for c in report.checks}
+    assert len(controls) == 3
+    assert by_name["geodesic/planarity"].passed
+    assert not by_name["geodesic/negative-control"].passed
+
+
 def test_parakahler_checks_the_runs_points(triples, monkeypatch):
     seen = []
     original = suites.validate
