@@ -61,7 +61,8 @@ def _certify(chart: Chart, constraints, label: str) -> None:
     """Dense-sampling feasibility certificate.
 
     ``constraints`` is a list of (name, kind, fn) with fn evaluated on
-    second-order dual coordinates; kind 'nonvanishing' fails on sign
+    first-order dual coordinates, enough for the profile first derivatives
+    it reads (only values are kept); kind 'nonvanishing' fails on sign
     changes or near-zeros, kind 'vanishing' fails on values above
     tolerance.  A constraint that raises a domain error or takes a
     non-finite value anywhere fails too.  The sample is a Halton set plus
@@ -69,9 +70,9 @@ def _certify(chart: Chart, constraints, label: str) -> None:
     """
     pts = np.vstack([chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3),
                      np.array(list(product(*chart.box)), dtype=float), chart.center()])
-    # a fifth of the points at a time: the dual batches of all of them would
-    # hold several MB at once
-    chunks = [dual_point(part) for part in np.array_split(pts, 5)]
+    # a fifth of the points at a time: the gradients of all of them would
+    # hold about 1 MB more at once, for no gain in time
+    chunks = [dual_point(part, order=1) for part in np.array_split(pts, 5)]
     for name, kind, fn in constraints:
         try:
             with np.errstate(all="ignore"):  # non-finite values are rejected below

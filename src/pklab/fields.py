@@ -178,22 +178,28 @@ class TensorField:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
         if self.batch_fn is not None:
             return self.batch_fn(np.asarray(points, dtype=float), False)[0]
-        return self.batch_duals(points)[0]
+        return self._dual_batch(points, order=1)[0]
 
     def batch_duals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials over a batch, shapes (n, ...) / (n, ..., 4)."""
-        pts = np.asarray(points, dtype=float)
         if self.batch_fn is not None:
-            return self.batch_fn(pts, True)
-        arr = self.components(dual_point(pts))
+            return self.batch_fn(np.asarray(points, dtype=float), True)
+        return self._dual_batch(points, order=2)
+
+    def _dual_batch(self, points, order: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, first partials or None) of the rule on dual coordinates of ``order``:
+        rules read profile first derivatives, so values need order 1, partials 2."""
+        pts = np.asarray(points, dtype=float)
+        arr = self.components(dual_point(pts, order))
         n = pts.shape[0]
         vals = np.empty((n,) + arr.shape)
-        grads = np.zeros((n,) + arr.shape + (DIM,))
+        grads = np.zeros((n,) + arr.shape + (DIM,)) if order == 2 else None
         for idx in np.ndindex(arr.shape):
             x = arr[idx]
             if isinstance(x, DualBatch):
                 vals[(slice(None),) + idx] = x.val
-                grads[(slice(None),) + idx + (slice(None),)] = x.grad
+                if grads is not None:
+                    grads[(slice(None),) + idx + (slice(None),)] = x.grad
             else:
                 vals[(slice(None),) + idx] = float(x)
         return vals, grads

@@ -18,9 +18,10 @@ pairs of a multiplication table per target and entry with one
 ``np.bincount``, in the table's order (the Taylor-coefficient tables of
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
-The module also provides :class:`DualBatch`, a vectorized second-order
-variant used where values and first partials are needed at many points
-at once (constructor feasibility scans, geodesic integration).
+The module also provides :class:`DualBatch`, vectorized dual numbers
+truncated at order 0, 1 or 2 like a jet, used where values, or values
+and first partials, are needed at many points at once (constructor
+feasibility scans at order 1, geodesic integration at order 2).
 """
 
 from __future__ import annotations
@@ -452,43 +453,48 @@ def jreciprocal(x):
 
 
 class DualBatch:
-    """Vectorized low-order dual numbers over a batch of points.
+    """Vectorized dual numbers of order 0, 1 or 2 over a batch of points.
 
-    ``val`` has shape (n,), ``grad`` shape (n, dim) and ``hess`` shape
-    (n, dim, dim) or None.  Coordinate batches carry the Hessian, so
-    :meth:`derivative` yields the first partial as a new first-order
-    batch, which is what lets field component formulas (which embed
-    profile derivatives) be evaluated in one vectorized pass.  This type
-    backs the fast paths (feasibility scans, geodesic right-hand sides);
-    everything above second order goes through :class:`Jet`.
+    ``val`` has shape (n,), ``grad`` (n, dim) and ``hess`` (n, dim, dim);
+    a batch of order k carries the first k derivative levels and None for
+    the rest, as a :class:`Jet` is truncated at its order.  A binary
+    operation keeps the lower order of its operands and :meth:`derivative`
+    lowers it by one, so field formulas that embed profile first
+    derivatives evaluate in one vectorized pass: values on order-1
+    coordinates, values and first partials on order 2.  No value reads a
+    derivative level, so values have the same bits at every order.  This
+    type backs the fast paths (feasibility scans, geodesic right-hand
+    sides); everything above second order goes through :class:`Jet`.
     """
 
     __slots__ = ("val", "grad", "hess")
 
-    def __init__(self, val, grad, hess=None):
+    def __init__(self, val, grad=None, hess=None):
         self.val = np.asarray(val, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
+        self.grad = None if grad is None else np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
     @staticmethod
-    def variable(i: int, values: np.ndarray, dim: int) -> "DualBatch":
-        """The i-th coordinate over a batch, second order (Hessian carried)."""
+    def variable(i: int, values: np.ndarray, dim: int, order: int = 2) -> "DualBatch":
+        """The i-th coordinate over a batch, carrying ``order`` derivative levels."""
         v = np.asarray(values, dtype=float)
         g = np.zeros(v.shape + (dim,))
         g[..., i] = 1.0
-        return DualBatch(v, g, np.zeros(v.shape + (dim, dim)))
+        return DualBatch(v, g if order >= 1 else None,
+                         np.zeros(v.shape + (dim, dim)) if order >= 2 else None)
 
     @property
-    def dim(self) -> int:
-        return self.grad.shape[-1]
+    def order(self) -> int:
+        return 0 if self.grad is None else 1 if self.hess is None else 2
 
     def derivative(self, i: int) -> "DualBatch":
-        """First partial d/dx_i as a first-order batch (needs the Hessian)."""
-        if self.hess is None:
-            raise ValueError("derivative() requires a second-order DualBatch")
-        return DualBatch(self.grad[..., i], self.hess[..., i, :])
+        """First partial d/dx_i, one order lower."""
+        if self.grad is None:
+            raise ValueError("derivative() of an order-0 DualBatch")
+        return DualBatch(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
 
     def _lift(self, other):
+        """``other`` as a batch of our order: a constant has zero derivatives."""
         if isinstance(other, DualBatch):
             return other
         if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
@@ -496,33 +502,28 @@ class DualBatch:
                 v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
             except (TypeError, ValueError):
                 return None
-            h = None if self.hess is None else np.zeros_like(self.hess)
-            return DualBatch(v, np.zeros_like(self.grad), h)
+            return DualBatch(v, *(None if d is None else np.zeros_like(d)
+                                  for d in (self.grad, self.hess)))
         return None
-
-    @staticmethod
-    def _join_hess(a: "DualBatch", b: "DualBatch"):
-        # hess propagates only when both operands carry it
-        return a.hess is not None and b.hess is not None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        h = self.hess + o.hess if self._join_hess(self, o) else None
-        return DualBatch(self.val + o.val, self.grad + o.grad, h)
+        return DualBatch(self.val + o.val, _join(np.add, self.grad, o.grad),
+                         _join(np.add, self.hess, o.hess))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DualBatch(-self.val, -self.grad, None if self.hess is None else -self.hess)
+        return DualBatch(-self.val, *(None if d is None else -d for d in (self.grad, self.hess)))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        h = self.hess - o.hess if self._join_hess(self, o) else None
-        return DualBatch(self.val - o.val, self.grad - o.grad, h)
+        return DualBatch(self.val - o.val, _join(np.subtract, self.grad, o.grad),
+                         _join(np.subtract, self.hess, o.hess))
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -535,9 +536,11 @@ class DualBatch:
         if o is None:
             return NotImplemented
         val = self.val * o.val
+        if self.grad is None or o.grad is None:
+            return DualBatch(val)
         grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
         h = None
-        if self._join_hess(self, o):
+        if self.hess is not None and o.hess is not None:
             cross = self.grad[..., :, None] * o.grad[..., None, :]
             h = (
                 self.hess * o.val[..., None, None]
@@ -564,6 +567,8 @@ class DualBatch:
     def __pow__(self, expo):
         if isinstance(expo, (int, np.integer)):
             n = int(expo)
+            if n <= 0:  # as for a Jet: x^0 is the constant 1, also where x = 0
+                return self.reciprocal() ** (-n) if n else self._lift(1.0)
             return self._chain(
                 self.val**n,
                 n * self.val ** (n - 1),
@@ -572,6 +577,8 @@ class DualBatch:
         return self.pow(float(expo))
 
     def _chain(self, v, dv, d2v=None):
+        if self.grad is None:
+            return DualBatch(v)
         grad = dv[..., None] * self.grad
         h = None
         if self.hess is not None and d2v is not None:
@@ -619,8 +626,13 @@ class DualBatch:
         return self._chain(c, -s, -c)
 
 
-def dual_point(points: np.ndarray) -> list[DualBatch]:
-    """Second-order coordinate dual batches for an (n, dim) array of points."""
+def dual_point(points: np.ndarray, order: int = 2) -> list[DualBatch]:
+    """Coordinate dual batches of the given order for an (n, dim) array of points."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
-    return [DualBatch.variable(i, pts[:, i], dim) for i in range(dim)]
+    return [DualBatch.variable(i, pts[:, i], dim, order) for i in range(dim)]
+
+
+def _join(op, a, b):
+    """``op(a, b)`` of two derivative levels, None unless both operands carry it."""
+    return None if a is None or b is None else op(a, b)

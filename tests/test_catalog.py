@@ -21,7 +21,7 @@ from pklab.catalog import (
 from pklab.curvature import covariant_derivative_endo, einstein_residual
 from pklab.fields import objarray
 from pklab.geometry import Geometry
-from pklab.jets import seed_point
+from pklab.jets import dual_point, seed_point
 from pklab.linalg import minv, mmul, stack
 from pklab.parakahler import validate
 
@@ -114,6 +114,28 @@ class TestConstructorRejections:
     def test_bad_eps_rejected(self):
         with pytest.raises(FeasibilityError, match="eps"):
             build_real_liouville(rho=lambda u: u, sigma=lambda u: u + 5.0, eps=2)
+
+
+def test_certificate_values_are_those_of_second_order_coordinates(monkeypatch):
+    # the certificate seeds first-order coordinates; a constraint's values keep their bits
+    seen = []
+    certify = catalog._certify
+
+    def record(chart, constraints, label):
+        seen.append((chart, constraints, label))
+        return certify(chart, constraints, label)
+
+    monkeypatch.setattr(catalog, "_certify", record)
+    for name in FAMILIES:
+        default_triple(name)
+    for name in PRESETS:
+        preset_triple(name)
+    assert len(seen) == len(FAMILIES) + len(PRESETS)
+    for chart, constraints, label in seen:
+        pts = chart.sample_points(2000, seed=7, margin=1e-3)
+        for cname, _, fn in constraints:
+            got, want = (catalog._values(fn(*dual_point(pts, order)), len(pts)) for order in (1, 2))
+            assert np.array_equal(got, want), (label, cname)
 
 
 class TestFamilyConformance:

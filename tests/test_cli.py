@@ -283,3 +283,11 @@ def test_demo_einstein(tmp_path, capsys):
     assert ricci_flat_corner["passed"] and "0" in ricci_flat_corner["identity"]
     origin = by_name["family-einstein/alpha=0.0-beta=0.0"]
     assert "skipped-origin" in origin["flags"]
+
+
+def test_negative_power_profile_passes_the_geodesic_check(capsys):
+    # rho = x1^-1 is rho = 1/x1: its second derivative enters the companion's Christoffel symbols
+    code = run("run", "--family", "real-liouville", "--param", "rho=x1^-1", "--param", "sigma=x2",
+               "--box", "1:2,3:4,0:1,0:1", "--checks", "geodesic")
+    assert code == 0
+    assert "3/3 checks passed" in capsys.readouterr().out

@@ -222,6 +222,26 @@ def test_batch_values_match_pointwise(triples):
         assert np.allclose(batch[i], tr.g.values(p), atol=1e-13)
 
 
+def _catalog_triples():
+    from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
+    from pklab.exprs import compile_profile
+
+    yield from ((name, default_triple(name)) for name in FAMILIES)
+    yield from ((name, preset_triple(name)) for name in PRESETS)
+    yield "rho=x1^2, sigma=2*x2", default_triple(
+        "real-liouville", rho=compile_profile("x1^2", ("x1",)), sigma=compile_profile("2*x2", ("x2",)))
+
+
+def test_batch_values_are_the_bits_of_batch_duals():
+    # values on first-order dual coordinates are those of the second-order evaluation
+    from pklab.projective import companion_metric
+
+    for name, tr in _catalog_triples():
+        pts = tr.sample_points(401, seed=3)
+        for field in (tr.g, tr.t, tr.a, companion_metric(tr.g, tr.a)):
+            assert np.array_equal(field.batch_values(pts), field.batch_duals(pts)[0]), (name, field.name)
+
+
 def test_batch_duals_match_fd(triples):
     tr = triples["dim-d2-1"]
     pts = tr.sample_points(3)

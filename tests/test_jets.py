@@ -205,9 +205,8 @@ def test_dual_batch_matches_jets():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.5, 1.5, size=(6, 4))
     f = _random_composition(rng)
-    coords = dual_point(pts)
-    out = f(*coords)
-    assert isinstance(out, DualBatch)
+    out = f(*dual_point(pts))
+    assert isinstance(out, DualBatch) and out.order == 2
     for i, p in enumerate(pts):
         jet = f(*seed_point(p, 2))
         assert out.val[i] == pytest.approx(jet.value, rel=1e-12)
@@ -216,6 +215,53 @@ def test_dual_batch_matches_jets():
                           if k != l else jet.partial([2 * int(a == k) for a in range(4)])
                           for l in range(4)] for k in range(4)])
         assert np.allclose(out.hess[i], hess, rtol=1e-9, atol=1e-11)
+    # order 1 drops the Hessians; no operation reads them to form a value or a gradient
+    first = f(*dual_point(pts, order=1))
+    assert first.order == 1 and first.hess is None
+    assert np.array_equal(first.val, out.val) and np.array_equal(first.grad, out.grad)
+
+
+def test_dual_batch_operations_carry_the_lower_order():
+    pts = np.array([[1.2, 0.7, 0.4, 0.9], [0.8, 1.1, 0.6, 1.3]])
+    x2, x1 = dual_point(pts, 2)[0], dual_point(pts, 1)[1]
+    assert (x2.order, x1.order) == (2, 1)
+    for out in (x2 * x1, x1 * x2, x2 + x1, x2 - x1, x1 / x2, x2 ** 3 * x1.exp()):
+        assert out.order == 1 and out.hess is None
+    # a constant takes the order of the batch it meets
+    for x in (x2, x1, x1.derivative(0)):
+        for out in (2.0 * x, x + 1.5, 1.0 - x, 3.0 / x.exp(), x * np.array([1.0, 2.0])):
+            assert out.order == x.order
+    assert (x2 * x2).order == 2
+
+
+def test_dual_batch_derivative_lowers_the_order():
+    pts = np.array([[1.2, 0.7, 0.4, 0.9]])
+    for order in (2, 1):
+        x = (dual_point(pts, order)[0] * 2.0).exp()
+        d = x.derivative(0)
+        assert d.order == order - 1
+        assert np.array_equal(d.val, x.grad[:, 0])
+    value_only = dual_point(pts, 1)[0].exp().derivative(0)
+    assert value_only.order == 0 and value_only.grad is None
+    # a rule that differentiates twice under a value reader fails loudly, not as a domain error
+    with pytest.raises(ValueError, match="order-0") as err:
+        value_only.derivative(0)
+    assert not isinstance(err.value, JetDomainError)
+
+
+def test_dual_batch_negative_power_is_the_reciprocal_power():
+    x = dual_point(np.array([[0.7, 1.0, 1.0, 1.0], [1.9, 2.0, 1.0, 1.0]]))[0] * 1.3
+    for got, want in ((x ** -2, 1.0 / (x * x)), (x ** -1, x.reciprocal())):
+        assert np.allclose(got.val, want.val, rtol=1e-14)
+        assert np.allclose(got.grad, want.grad, rtol=1e-14)
+        assert np.allclose(got.hess, want.hess, rtol=1e-14)
+    assert np.any((x ** -1).hess != 0.0)
+    zero = dual_point(np.zeros((1, 4)))[0]
+    with pytest.raises(JetDomainError):
+        _ = zero ** -1
+    one = zero ** 0
+    assert one.order == 2 and np.array_equal(one.val, [1.0])
+    assert not np.any(one.grad) and not np.any(one.hess)
 
 
 def test_dual_batch_derivative_matches_jet_derivative():

@@ -12,7 +12,7 @@ from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.exprs import compile_profile
 from pklab.fields import DegenerateMetricError, TensorField, objarray
 from pklab.geometry import Geometry
-from pklab.jets import JetDomainError
+from pklab.jets import DualBatch, JetDomainError
 from pklab.suites import CHECK_NAMES, demo_einstein, run_suite
 
 
@@ -401,6 +401,45 @@ def test_kinetic_energy_evaluates_no_companion_partials(triples, monkeypatch):
     assert energy_calls[0] == 3
     assert ("companion", False) in calls
     assert ("companion", True) not in calls
+
+
+def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
+    # record the order of every coordinate batch and the readers it was seeded under
+    seeds = []  # (order, readers) per DualBatch.variable call
+    readers = []
+    variable = DualBatch.variable
+
+    def seeded(i, values, dim, order=2):
+        seeds.append((order, tuple(readers)))
+        return variable(i, values, dim, order)
+
+    def reading(name, fn, label=None):
+        def wrapper(*args, **kwargs):
+            readers.append(name if label is None else label(*args))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                readers.pop()
+        return wrapper
+
+    monkeypatch.setattr(DualBatch, "variable", staticmethod(seeded))
+    triples = {name: default_triple(name) for name in FAMILIES}
+    assert seeds and {order for order, _ in seeds} == {1}  # the certificates read values only
+
+    seeds.clear()
+    monkeypatch.setattr(TensorField, "batch_duals",
+                        reading("duals", TensorField.batch_duals))
+    monkeypatch.setattr(TensorField, "batch_values",
+                        reading("values", TensorField.batch_values, lambda f, p: f"values:{f.name}"))
+    monkeypatch.setattr(suites, "kinetic_energy", reading("energy", suites.kinetic_energy))
+    gamma = reading("gamma", curvature.christoffel_batch)
+    for module in (curves, suites):
+        monkeypatch.setattr(module, "christoffel_batch", gamma)
+    assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
+    second = [r for order, r in seeds if order == 2]
+    assert second and all(r[:2] == ("gamma", "duals") for r in second)
+    assert all(order == 1 for order, r in seeds if "energy" in r or "values:T" in r)
+    assert any("energy" in r for _, r in seeds) and any("values:T" in r for _, r in seeds)
 
 
 def test_family_members_evaluated_once_over_all_points(monkeypatch):
