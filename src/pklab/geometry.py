@@ -46,7 +46,6 @@ __all__ = [
     "companion_components",
     "companion_inverse_components",
     "family_components",
-    "family_inverse_components",
     "weighted_sigma_components",
 ]
 
@@ -88,36 +87,22 @@ def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det) -> np.nd
     return mscale(mmul(aj, ginv), jpow(det, 0.5))
 
 
-def _family_scale(mu1, mu2, alpha: float, beta: float):
-    """s = alpha^2 + alpha beta mu1 + beta^2 mu2 = signed sqrt det(alpha Id + beta A), nonzero."""
-    s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
-    smallest = float(np.min(np.abs(ring_value(s))))
-    if smallest < 1e-13:
-        raise DegenerateMetricError(
-            f"family combination ({alpha}, {beta}) degenerate: |sqrt det| = {smallest:.3e}"
-        )
-    return s
-
-
 def family_components(
     gj: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
 ) -> np.ndarray:
     """g (alpha Id + beta A)^(-1) / s = g ((alpha + beta mu1) Id - beta A) / s^2.
 
-    A^2 - mu1 A + mu2 Id = 0 gives (alpha Id + beta A)^(-1) in closed form.
-    Batched jets give the member at every point of the batch.
+    A^2 - mu1 A + mu2 Id = 0 gives (alpha Id + beta A)^(-1) in closed form,
+    and s = alpha^2 + alpha beta mu1 + beta^2 mu2 = signed sqrt det(alpha Id
+    + beta A) must not vanish.  Batched jets give the member at every point.
     """
-    s = _family_scale(mu1, mu2, alpha, beta)
+    s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
+    smallest = float(np.min(np.abs(ring_value(s))))
+    if smallest < 1e-13:
+        raise DegenerateMetricError(
+            f"family combination ({alpha}, {beta}) degenerate: |sqrt det| = {smallest:.3e}")
     closed = mscale(np.eye(DIM), alpha + beta * mu1) - mscale(aj, beta)
     return mscale(mmul(gj, closed), jreciprocal(s * s))
-
-
-def family_inverse_components(
-    ginv: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
-) -> np.ndarray:
-    """Inverse s (alpha Id + beta A) g^(-1) of the family member, from g's inverse."""
-    s = _family_scale(mu1, mu2, alpha, beta)
-    return mscale(mmul(mscale(aj, beta) + alpha * np.eye(DIM), ginv), s)
 
 
 def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -135,12 +120,11 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
 # -- the cache --------------------------------------------------------------
 
 
-def _cut(arr: np.ndarray, order: int, points=slice(None)) -> np.ndarray:
-    """The jets of ``arr`` at the columns ``points`` through degree ``order``; numbers kept."""
+def _cut(arr: np.ndarray, order: int) -> np.ndarray:
+    """The jets of ``arr`` through degree ``order``; numbers kept."""
     space = Jet.constant(0.0, DIM, order).space
-    return np.frompyfunc(
-        lambda x: Jet(space, x.coeffs[: space.size, points]) if isinstance(x, Jet) else x, 1, 1
-    )(arr)
+    return np.frompyfunc(lambda x: Jet(space, x.coeffs[: space.size]) if isinstance(x, Jet) else x,
+                         1, 1)(arr)
 
 
 def _field(attr: str):
@@ -254,12 +238,6 @@ class Geometry:
         points, through degree ``ORDER``; column k is point k, and plain
         numbers are constants."""
         return self.cached(name, lambda: _BUILDERS[name](self))
-
-    def stacked(self, name: str, points: Sequence[int], order: int) -> np.ndarray:
-        """``batch(name)`` at the sample points ``points`` cut to ``order``: column
-        k is point ``points[k]``, and plain numbers are constant jets."""
-        return _cut(np.frompyfunc(lambda x: _as_jet(x, len(self)), 1, 1)(self.batch(name)),
-                    order, points)
 
     # -- floats -------------------------------------------------------------
 

@@ -46,19 +46,17 @@ from .fields import (
     lie_bracket,
     lie_derivative_endo,
     lie_derivative_metric,
-    split_jets,
 )
 from .geometry import (
     Geometry,
     _det_a,
     companion_components,
     family_components,
-    family_inverse_components,
     mu_invariants,
     weighted_sigma_components,
 )
 from .jets import Jet, jsqrt
-from .linalg import minv, mmul
+from .linalg import minv, mmul, mscale
 from .parakahler import amax, fundamental_form, mm, relative, transposed
 from .report import worst
 
@@ -610,10 +608,72 @@ def ricci_difference_residual(geo: Geometry) -> tuple[np.ndarray, np.ndarray]:
 
 # the margin of |s| below which a point is skipped
 _DEGENERATE_MARGIN = 1e-3
-# jet order of the members' Ricci check: the degree <= 2 coefficients of a
-# product depend only on those of its factors, and Gamma and its partials
-# read nothing above degree 2 of the metric
-_MEMBER_ORDER = 2
+
+
+def _pencil(geo: Geometry) -> dict:
+    """The family members' shared pieces over all of geo's points, stacked for
+    ``_member_curvature`` to weight: (values, partials) of Gamma(g), G_K,
+    A.Gamma(g), A.G_K ('gamma'), of g, K ('h') and of g^-1, A g^-1 ('hinv'),
+    and (values, gradients, Hessians) of mu1, mu2 ('mu')."""
+    g = geo.batch("g")
+    k = mscale(g, geo.batch("mu")[0]) - mmul(g, geo.batch("a"))
+    av, ap = geo.vp("a")
+
+    def a_dot(v, p):  # A^k_m X^m... with its partials, from those of X
+        vm, pm = v.reshape(DIM, -1, len(geo)), p.reshape(DIM, -1, DIM, len(geo))
+        return (np.einsum("kmn,mrn->krn", av, vm).reshape(v.shape),
+                (np.einsum("kmdn,mrn->krdn", ap, vm)
+                 + np.einsum("kmn,mrdn->krdn", av, pm)).reshape(p.shape))
+
+    def pieces(*xs):
+        return [np.stack(x) for x in zip(*xs)]
+
+    gamma, gk = geo.vp("gamma"), geo.split(christoffel_jets(k, geo.batch("ginv")))
+    ginv = geo.vp("ginv")
+    return {"gamma": pieces(gamma, gk, a_dot(*gamma), a_dot(*gk)),
+            "h": pieces(geo.vp("g"), geo.split(k)), "hinv": pieces(ginv, a_dot(*ginv)),
+            "mu": pieces(*map(scalar_hessian, geo.batch("mu")))}
+
+
+def _member_curvature(geo: Geometry, alpha: float, beta: float, used: np.ndarray):
+    """(Ric, metric values) of the family member at the sample points ``used``.
+
+    The member is m = h / s^2 with h = alpha g + beta K, K = mu1 g - g A, and
+    h^-1 = (alpha Id + beta A) g^-1 / s since A^2 - mu1 A + mu2 Id = 0.  The
+    Christoffel bracket c is linear in the metric, so with G_K = (1/2) g^-1 c(K)
+
+        Gamma(h) = [alpha^2 Gamma(g) + alpha beta (G_K + A.Gamma(g)) + beta^2 A.G_K] / s,
+
+    and m = exp(2 phi) h, phi = -log|s|, adds d^k_i phi_j + d^k_j phi_i
+    - h_ij h^kl phi_l (Besse, *Einstein Manifolds*, 1.159).  The pieces are
+    weighted over all points, then cut to the points used, where alone s is
+    divided.
+    """
+    p = geo.cached("pencil", lambda: _pencil(geo))
+    ab = alpha * beta
+
+    def weighted(weights, stack):
+        # np.take gives C-ordered arrays; x[..., used] would not, and the
+        # einsums below, riemann's among them, run about 3x slower on those
+        return [np.take(np.tensordot(weights, x, 1), used, -1) for x in stack]
+
+    s, ds, hs = weighted([ab, beta * beta], p["mu"])
+    s += alpha * alpha
+    phi = -ds / s
+    dphi = phi[:, None] * phi - hs / s  # dphi[l, m] = d_m phi_l
+    nv, npart = weighted([alpha * alpha, ab, ab, beta * beta], p["gamma"])  # s Gamma(h)
+    hv, hp = weighted([alpha, beta], p["h"])
+    iv, ip = weighted([alpha, beta], p["hinv"])  # s h^-1
+    u = np.einsum("kl...,l...->k...", iv, phi) / s  # h^kl phi_l, and its partials:
+    du = np.einsum("klm...,l...->km...", ip, phi) + np.einsum("kl...,lm...->km...", iv, dphi)
+    du = (du - u[:, None] * ds) / s
+    eye = np.eye(DIM)
+    shift = np.einsum("ki,j...->kij...", eye, phi)
+    gamma = nv / s + shift + np.swapaxes(shift, 1, 2) - np.einsum("ij...,k...->kij...", hv, u)
+    shift = np.einsum("ki,jm...->kijm...", eye, dphi)
+    dgamma = (npart - nv[..., None, :] * (ds / s)) / s + shift + np.swapaxes(shift, 1, 2)
+    dgamma -= np.einsum("ijm...,k...->kijm...", hp, u) + np.einsum("ij...,km...->kijm...", hv, du)
+    return np.einsum("klkj...->lj...", riemann(gamma, dgamma)), hv / (s * s)
 
 
 def einstein_family_constant(
@@ -634,9 +694,9 @@ def einstein_family_constant(
 
     at every sample point at once (det A, A^{-1} and Lam read from geo,
     At^{-1} one stacked inverse), reports its spread, and verifies
-    Ric = lt * gtilde for the family member, built once over all the valid
-    points.  Sample points where the combination degenerates are skipped
-    and flagged.
+    Ric = lt * gtilde for the family member, in float arithmetic on the
+    pencil of connections that all members share (``_member_curvature``).
+    Sample points where the combination degenerates are skipped and flagged.
     """
     m1, m2 = geo.values("mu")
     s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
@@ -660,18 +720,11 @@ def einstein_family_constant(
     const = float(np.mean(values))
     spread = float(np.max(np.abs(values - const))) / max(1.0, abs(const))
 
-    # Ric = const * member at every used point at once, on batched jets of
-    # the member and of its inverse s (alpha Id + beta A) g^-1
-    g, a, ginv, mu = (geo.stacked(name, used, _MEMBER_ORDER) for name in ("g", "a", "ginv", "mu"))
-    member = family_components(g, a, *mu, alpha, beta)
-    inverse = family_inverse_components(ginv, a, *mu, alpha, beta)
-    gtv = split_jets(member)[0]
-    ric = np.einsum("klkj...->lj...", riemann(*split_jets(christoffel_jets(member, inverse))))
-    ricci = worst(relative(ric - const * gtv, gtv))
+    ric, gtv = _member_curvature(geo, alpha, beta, used)
     return {
         "constant": const,
         "spread": spread,
-        "ricci_residual": ricci,
+        "ricci_residual": worst(relative(ric - const * gtv, gtv)),
         "points": len(used),
         "flags": flags,
     }

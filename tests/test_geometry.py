@@ -81,22 +81,6 @@ def test_constant_components_read_as_constants_at_every_point(triples):
     assert not np.any(geo.vp("psi")[1])
 
 
-def test_stacked_is_the_batch_cut_to_the_order(einstein_preset):
-    geo = Geometry(einstein_preset, einstein_preset.sample_points(4))
-    points = [3, 0, 2]
-    for name in ("g", "a", "ginv", "mu"):
-        for order in (1, 2):
-            cut = geo.stacked(name, points, order)
-            for k, i in enumerate(points):
-                for x, y in zip(cut.flat, np.ravel(geo.batch(name))):
-                    assert x.space.order == order
-                    size = x.space.size  # graded order: the lowest-degree coefficients first
-                    if isinstance(y, Jet):
-                        assert np.array_equal(x.coeffs[:, k], y.coeffs[:size, i])
-                    else:
-                        assert x.coeffs[0, k] == y and not np.any(x.coeffs[1:, k])
-
-
 def test_batches_are_the_field_jets_cut_to_degree_two(triples):
     tr = triples["complex-liouville"]
     pts = tr.sample_points(3)

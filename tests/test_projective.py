@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from pklab.geometry import (
     companion_components,
     companion_inverse_components,
     family_components,
-    family_inverse_components,
     mu_invariants,
 )
 from pklab.jets import Jet, jlog, jpow
 from pklab.linalg import mdet, minv, mmul
+from pklab.suites import _GRID_A, _GRID_B
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -363,10 +364,9 @@ class TestFamilyMetric:
                 assert np.max(np.abs(fam.values(p) - expected)) < 1e-8
 
     def test_closed_form_inverse_matches_gauss_jordan(self, einstein_preset):
-        # the closed-form member g ((alpha + beta mu1) Id - beta A) / s^2 and
-        # its inverse s (alpha Id + beta A) g^-1 agree with the member built
-        # by the general jet inverse (linalg.minv) of alpha Id + beta A, and
-        # give its Christoffel symbols
+        # the closed-form member g ((alpha + beta mu1) Id - beta A) / s^2
+        # agrees with the member built by the general jet inverse
+        # (linalg.minv) of alpha Id + beta A, and gives its Christoffel symbols
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(2))
         gj, aj, (mu1, mu2) = geo.batch("g"), geo.batch("a"), geo.batch("mu")
@@ -374,38 +374,28 @@ class TestFamilyMetric:
             s = al * al + al * be * mu1 + be * be * mu2
             solved = mmul(gj, minv(al * np.eye(4) + be * aj)) * s.reciprocal()
             member = family_components(gj, aj, mu1, mu2, al, be)
-            inverse = family_inverse_components(geo.batch("ginv"), aj, mu1, mu2, al, be)
             for x, y in zip(split_jets(member), split_jets(solved)):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
-            assert np.allclose(split_jets(mmul(member, inverse))[0], np.eye(4)[..., None],
-                               rtol=0.0, atol=1e-12)
-            closed = split_jets(christoffel_jets(member, inverse))
+            closed = split_jets(christoffel_jets(member, metric_inverse_jets(member)))
             reference = split_jets(christoffel_jets(solved))
             for x, y in zip(closed, reference):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_batched_member_curvature_matches_each_point(self, einstein_preset):
-        # members built once over the points, from order-2 batches, have the
-        # Christoffel symbols, partials and Riemann tensor of the order-3
-        # member built at each point alone
+        # the pencil's member at some of the sample points has the Ricci
+        # tensor and values of the order-3 member built at each point alone
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(4))
-        points = [0, 2, 3]
+        points = np.array([0, 2, 3])
         al, be = 1.5, 0.75
-        g, a, ginv, mu = (geo.stacked(n, points, 2) for n in ("g", "a", "ginv", "mu"))
-        member = family_components(g, a, *mu, al, be)
-        gamma, dgamma = split_jets(christoffel_jets(
-            member, family_inverse_components(ginv, a, *mu, al, be)))
-        batched_riemann = riemann(gamma, dgamma)
-        assert batched_riemann.shape == (4, 4, 4, 4, len(points))
+        ric, values = pj._member_curvature(geo, al, be, points)
+        assert ric.shape == values.shape == (4, 4, len(points))
         for k, i in enumerate(points):
             gj, aj = tr.g.jets(geo.points[i]), tr.a.jets(geo.points[i])
-            args = (aj, *mu_invariants(aj), al, be)
-            one = family_components(gj, *args)
-            g1, dg1 = split_jets(christoffel_jets(
-                one, family_inverse_components(metric_inverse_jets(gj), *args)))
-            for x, y in ((gamma[..., k], g1), (dgamma[..., k], dg1),
-                         (batched_riemann[..., k], riemann(g1, dg1))):
+            one = family_components(gj, aj, *mu_invariants(aj), al, be)
+            v1 = split_jets(one)[0]
+            r1 = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(one))))
+            for x, y in ((values[..., k], v1), (ric[..., k], r1)):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_degenerate_combination_raises(self, triples):
@@ -575,6 +565,53 @@ class TestRicciDifference:
 
 
 class TestFamilyConstant:
+    @staticmethod
+    def oracle(tr, points, al, be):
+        """(Ric, values) of the member built as jets over the points:
+        family_components -> christoffel_jets -> riemann."""
+        geo = Geometry(tr, points)
+        member = family_components(geo.batch("g"), geo.batch("a"), *geo.batch("mu"), al, be)
+        ric = np.einsum("klkj...->lj...", riemann(*split_jets(christoffel_jets(member))))
+        return ric, split_jets(member)[0]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_pencil_matches_the_jet_members(self, preset):
+        tr = preset_triple(preset)
+        geo = over(tr, 5)
+        every = np.arange(len(geo))
+        members = [(al, be) for al in _GRID_A for be in _GRID_B if (al, be) != (0.0, 0.0)]
+        assert len(members) == 24
+        for al, be in members:
+            ric, values = pj._member_curvature(geo, al, be, every)
+            ric_o, values_o = self.oracle(tr, geo.points, al, be)
+            for x, y in ((ric, ric_o), (values, values_o)):
+                scale = np.maximum(1.0, np.max(np.abs(y), axis=(0, 1)))
+                assert np.all(np.max(np.abs(x - y), axis=(0, 1)) <= 1e-10 * scale), (al, be)
+
+    def test_degenerate_member_skips_points_without_dividing_there(self, triples):
+        # rho = x1 in (2, 3), sigma = x2: s = (x1 - 2.5)(x2 - 2.5) is 0.0
+        # exactly at point 1, small at point 3 and of both signs elsewhere
+        tr = triples["real-liouville"]
+        points = tr.sample_points(5)
+        points[1, :2] = 2.5, 1.0
+        points[3, 0] = 2.5005
+        points[4, 0] = 2.8
+        geo = Geometry(tr, points)
+        m1, m2 = geo.values("mu")
+        s = 6.25 - 2.5 * m1 + m2
+        assert s[1] == 0.0 and s[0] > 0.0 > s[4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pj.einstein_family_constant(geo, 1.0, 0.0, -2.5, 1.0)
+        assert out["flags"] == ["degenerate-point-skipped"]
+        assert out["points"] == 3 and np.isfinite(out["ricci_residual"])
+        used = np.array([0, 2, 4])
+        ric, values = pj._member_curvature(geo, -2.5, 1.0, used)
+        ric_o, values_o = self.oracle(tr, points[used], -2.5, 1.0)
+        for x, y in ((ric, ric_o), (values, values_o)):
+            scale = np.maximum(1.0, np.max(np.abs(y), axis=(0, 1)))
+            assert np.all(np.max(np.abs(x - y), axis=(0, 1)) <= 1e-10 * scale)
+
     def test_endpoints(self, companion_einstein_preset):
         tr = companion_einstein_preset
         lam, lam_hat = tr.meta["einstein"], tr.meta["companion_einstein"]

@@ -443,10 +443,16 @@ def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
 
 
 def test_family_members_evaluated_once_over_all_points(monkeypatch):
+    # the 24 members share one connection beyond the Geometry's own, G_K of
+    # K = mu1 g - g A; building each member as jets took one per member
+    tr = preset_triple("einstein-lambda1")
+    geo = Geometry(tr, tr.sample_points(5))
+    geo.batch("gamma")
     calls = _count_calls(monkeypatch, curvature, "christoffel_jets")
-    report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
-    assert report.all_passed
-    assert calls[0] == 24  # one per grid member (the origin is skipped), not per point
+    results = suites._suite_family_einstein(geo, {})
+    assert [c.name for c in results] == [c.name for c in suites._FAMILY]
+    assert all(c.passed for c in results)
+    assert calls[0] <= 1
 
 
 def test_failed_batch_quantity_is_built_once(triples, monkeypatch):
