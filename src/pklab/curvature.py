@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import DIM, TensorField, metric_inverse_jets
 from .jets import Jet
-from .linalg import minv, mmul, stack, unstack
+from .linalg import minv, mmul
 
 __all__ = [
     "christoffel_jets",
@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 
-def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
-    """Christoffel symbols as jets, shape (k, i, j), from metric component jets.
+def christoffel_jets(g: Jet, ginv: Jet | None = None) -> Jet:
+    """Christoffel symbols as stacked jets, entry shape (k, i, j), from the
+    metric's stacked jets.
 
     ``ginv`` is the inverse metric as jets when the caller already holds
     it.  One jet order is consumed by the metric partials, so with
@@ -41,20 +42,17 @@ def christoffel_jets(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarr
     K-2 when the metric components themselves embed profile derivatives.
     """
     if ginv is None:
-        ginv = metric_inverse_jets(gj)
-    if not any(isinstance(x, Jet) for x in gj.flat):  # a constant metric is flat
-        return np.zeros((DIM,) * 3).astype(object)
-    g = stack(gj)
+        ginv = metric_inverse_jets(g)
     # d[i, j, l] = d_l g_ij, the coefficient axis after the index axes
     d = np.moveaxis(np.stack([g.derivative(l).coeffs for l in range(DIM)], axis=3), 0, 3)
     # over the pairs i <= j: c[m, l] = d_i g_jl + d_j g_il - d_l g_ij
     iu, ju = np.triu_indices(DIM)
     c = d[ju, :, iu] + d[iu, :, ju] - d[iu, ju, :]
-    half = (mmul(stack(ginv), Jet(g.space, np.moveaxis(c, (2, 1), (0, 1)))) * 0.5).coeffs
+    half = (mmul(ginv, Jet(g.space, np.moveaxis(c, (2, 1), (0, 1)))) * 0.5).coeffs
     gamma = np.empty(half.shape[:2] + (DIM, DIM) + half.shape[3:])
     gamma[:, :, iu, ju] = half
     gamma[:, :, ju, iu] = half
-    return unstack(Jet(g.space, gamma), 3)
+    return Jet(g.space, gamma)
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
@@ -75,7 +73,7 @@ def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature tensor R^k_{l ij} from the symbols and their partials.
 
     ``dgamma[k, i, j, m]`` is d_m G^k_{ij}.  Both may carry a trailing
-    point axis (see ``split_jets``), which the result then carries too.
+    point axis (see ``pklab.fields.split_jets``), which the result then carries too.
     """
     r = np.swapaxes(dgamma, 2, 3) - dgamma  # d_i G^k_{lj} - d_j G^k_{li}
     r += np.einsum("kir...,rlj...->klij...", gamma, gamma)

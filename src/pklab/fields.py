@@ -2,9 +2,13 @@
 
 A field is an evaluation rule: a callable receiving the four coordinate
 ring elements (jets, dual batches or plain arrays) and returning its
-components built from them with ordinary arithmetic.  Everything
-downstream (curvature, projective machinery, verification suites) talks
-to fields through the helpers here.
+components built from them with ordinary arithmetic, as nested lists or
+an object array of entries, or as one stacked Jet.  ``stacked`` is the
+one place where a rule's entries become a Jet of coefficient shape
+``(size, *entry_shape, *points)``, numbers becoming constants: that is
+what ``TensorField.jets`` returns and what ``pklab.linalg``, ``Geometry``
+and the residuals read.  Everything downstream (curvature, projective
+machinery, verification suites) talks to fields through the helpers here.
 """
 
 from __future__ import annotations
@@ -107,13 +111,21 @@ def objarray(nested) -> np.ndarray:
     return out
 
 
-def ring_value(x) -> float | np.ndarray:
-    """The value of a ring element; a batched jet has one per point."""
-    if isinstance(x, Jet):
-        return x.value
-    if isinstance(x, DualBatch):
-        raise TypeError("batch element has no single value")
-    return float(x)
+def stacked(entries, like: Jet) -> Jet:
+    """A rule's entries (nested lists or an array of Jets and numbers, or
+    already one Jet) as one Jet of coefficient shape ``(size, *entry_shape,
+    *points)``: numbers become constants of the space of ``like``, a jet at
+    the same points (a coordinate jet)."""
+    if isinstance(entries, Jet):
+        return entries
+    arr = objarray(entries)
+    out = np.zeros((like.space.size,) + arr.shape + like.coeffs.shape[1:])
+    for idx, x in np.ndenumerate(arr):
+        if isinstance(x, Jet):
+            out[(slice(None),) + idx] = x.coeffs
+        else:
+            out[(0,) + idx] = x
+    return Jet(like.space, out)
 
 
 @dataclass(frozen=True)
@@ -161,18 +173,20 @@ class TensorField:
     def rank(self) -> int:
         return self.valence[0] + self.valence[1]
 
-    def components(self, coords) -> np.ndarray:
+    def components(self, coords) -> np.ndarray | Jet:
+        """The rule's entries at coordinate ring elements: an object array,
+        or the stacked Jet a rule built from stacked operands."""
         arr = self.fn(*coords)
-        if isinstance(arr, np.ndarray) and arr.dtype == object:
-            return arr
-        return objarray(arr) if not isinstance(arr, np.ndarray) else arr.astype(object)
+        return arr if isinstance(arr, Jet) else objarray(arr)
 
-    def jets(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> np.ndarray:
-        """Component jets at a point, or batched over an (n, 4) array of points."""
-        return self.components(seed_point(point, order))
+    def jets(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> Jet:
+        """The stacked component jets at a point, or batched over an (n, 4)
+        array of points: coefficient shape (size, 4, ..., 4[, n])."""
+        coords = seed_point(point, order)
+        return stacked(self.components(coords), coords[0])
 
     def values(self, point: Sequence[float]) -> np.ndarray:
-        return split_jets(self.jets(point, order=1))[0]
+        return self.jets(point, order=1).coeffs[0]
 
     def batch_values(self, points: np.ndarray) -> np.ndarray:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
@@ -205,30 +219,28 @@ class TensorField:
         return vals, grads
 
 
-def split_jets(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, partials) of an array of jets, partials[..., k] = d_k.
-
-    Plain-number entries are constants: their partials are zero.  Batched
-    jets give both a trailing point axis: values[..., p] and
-    partials[..., k, p].
-    """
-    if not any(isinstance(x, Jet) for x in arr.flat):
-        return arr.astype(float), np.zeros(arr.shape + (DIM,))
-    x = linalg.stack(arr)
-    return x.coeffs[0], np.moveaxis(x.coeffs[x.space.first_positions], 0, arr.ndim)
+def split_jets(x: Jet, points: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(values, partials) of stacked jets with ``points`` trailing point axes:
+    values[...] and partials[..., k] = d_k at one point, values[..., p] and
+    partials[..., k, p] over a batch."""
+    c = x.coeffs
+    return c[0], np.moveaxis(c[x.space.first_positions], 0, c.ndim - 1 - points)
 
 
 def tensor_values_and_partials(
     field: TensorField, point: Sequence[float], order: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, partials) with partials[..., k] = d_k of each component."""
-    return split_jets(field.jets(point, order=order))
+    """(values, partials) with partials[..., k] = d_k of each component (and a
+    trailing point axis for an (n, 4) array of points)."""
+    return split_jets(field.jets(point, order=order), np.ndim(point) - 1)
 
 
 # -- metric algebra ----------------------------------------------------
 
 
-# |det g| below this, relative to max |g_ij|^4, counts as a degenerate metric
+# |det g| at most this times max |g_ij|^4 counts as a degenerate metric: a
+# bound without units, so a regular metric at any scale passes, and the zero
+# matrix fails
 _DEGENERATE_DET = 1e-12
 
 
@@ -237,12 +249,14 @@ def metric_inverse(gm: np.ndarray) -> np.ndarray:
     return metric_inverse_jets(gm)
 
 
-def metric_inverse_jets(gjets: np.ndarray) -> np.ndarray:
-    """Inverse of a metric's component jets (or values), with a determinant guard
-    at every point of a batch: DegenerateMetricError where |det g| is small."""
-    gm = np.moveaxis(split_jets(gjets)[0], (0, 1), (-2, -1))  # (..., 4, 4) values
+def metric_inverse_jets(gjets: Jet | np.ndarray) -> Jet | np.ndarray:
+    """Inverse of a metric's stacked jets (or of its values), with a determinant
+    guard at every point of a batch: DegenerateMetricError where
+    |det g| <= 1e-12 max |g_ij|^4."""
+    gm = gjets.coeffs[0] if isinstance(gjets, Jet) else gjets
+    gm = np.moveaxis(gm, (0, 1), (-2, -1))  # (..., 4, 4) values
     det = np.linalg.det(gm)
-    small = np.abs(det) < _DEGENERATE_DET * np.maximum(1.0, np.abs(gm).max(axis=(-2, -1))) ** DIM
+    small = np.abs(det) <= _DEGENERATE_DET * np.abs(gm).max(axis=(-2, -1)) ** DIM
     if np.any(small):
         raise DegenerateMetricError(f"metric determinant {det[small].flat[0]:.3e}")
     return linalg.minv(gjets)

@@ -1,8 +1,10 @@
 """One triple's geometry at a fixed set of sample points, evaluated once.
 
 A :class:`Geometry` holds a triple (g, T, A) and its sample points and
-builds each quantity lazily, once, as batched jets over all the points
-(column k is point k, bit for bit the jet computed at that point alone):
+builds each quantity lazily, once, as one stacked Jet over all the points,
+of coefficient shape ``(size, *entry_shape, points)`` (column k is point
+k, bit for bit the jet computed at that point alone; a constant entry is
+a constant jet):
 the jets of g, T and A through degree 2 (one field evaluation each), the
 inverses of g and A, det A, mu1, mu2, psi, the Christoffel symbols of g
 and of the companion metric, sigma(g) and the canonical Killing fields,
@@ -34,11 +36,11 @@ from .fields import (
     DegenerateMetricError,
     MalformedFormError,
     metric_inverse_jets,
-    ring_value,
     split_jets,
+    stacked,
 )
 from .jets import Jet, JetDomainError, jlog, jpow, jreciprocal
-from .linalg import mdet, minv, mmul, mscale, stack, unstack
+from .linalg import mdet, minv, mmul, mscale
 
 __all__ = [
     "Geometry",
@@ -61,35 +63,39 @@ ORDER = 2
 # -- jet-level formulas ---------------------------------------------------
 
 
-def mu_invariants(aj: np.ndarray):
-    """(mu1, mu2) = (tr A / 2, (tr A)^2/8 - tr(A^2)/4) from A's components."""
-    tr = np.trace(aj)
-    return tr * 0.5, tr * tr * 0.125 - np.trace(mmul(aj, aj)) * 0.25
+def _trace(m: Jet) -> Jet:
+    """The trace of a stacked jet matrix, summed in diagonal order."""
+    c = m.coeffs
+    return Jet(m.space, sum((c[:, i, i] for i in range(1, c.shape[1])), c[:, 0, 0]))
 
 
-def _det_a(aj: np.ndarray):
+def mu_invariants(aj: Jet) -> tuple[Jet, Jet]:
+    """(mu1, mu2) = (tr A / 2, (tr A)^2/8 - tr(A^2)/4) from A's stacked jets."""
+    tr = _trace(aj)
+    return tr * 0.5, tr * tr * 0.125 - _trace(mmul(aj, aj)) * 0.25
+
+
+def _det_a(aj: Jet) -> Jet:
     """det A, which must be positive (at every point of a batch) where the
     companion metric and psi are defined."""
     det = mdet(aj)
-    low = float(np.min(ring_value(det)))
+    low = float(np.min(det.coeffs[0]))
     if low <= 0.0:
         raise DegenerateMetricError(f"det A = {low:.3e} <= 0 (companion metric, psi)")
     return det
 
 
-def companion_components(gj: np.ndarray, ainv: np.ndarray, det) -> np.ndarray:
+def companion_components(gj: Jet, ainv: Jet, det: Jet) -> Jet:
     """ghat = (det A)^(-1/2) g A^(-1), positive root, from A's inverse and det A."""
     return mscale(mmul(gj, ainv), jpow(det, -0.5))
 
 
-def companion_inverse_components(ginv: np.ndarray, aj: np.ndarray, det) -> np.ndarray:
+def companion_inverse_components(ginv: Jet, aj: Jet, det: Jet) -> Jet:
     """ghat^(-1) = (det A)^(1/2) A g^(-1), from g's inverse and det A."""
     return mscale(mmul(aj, ginv), jpow(det, 0.5))
 
 
-def family_components(
-    gj: np.ndarray, aj: np.ndarray, mu1, mu2, alpha: float, beta: float
-) -> np.ndarray:
+def family_components(gj: Jet, aj: Jet, mu1: Jet, mu2: Jet, alpha: float, beta: float) -> Jet:
     """g (alpha Id + beta A)^(-1) / s = g ((alpha + beta mu1) Id - beta A) / s^2.
 
     A^2 - mu1 A + mu2 Id = 0 gives (alpha Id + beta A)^(-1) in closed form,
@@ -97,21 +103,18 @@ def family_components(
     + beta A) must not vanish.  Batched jets give the member at every point.
     """
     s = alpha * alpha + alpha * beta * mu1 + beta * beta * mu2
-    smallest = float(np.min(np.abs(ring_value(s))))
+    smallest = float(np.min(np.abs(s.coeffs[0])))
     if smallest < 1e-13:
         raise DegenerateMetricError(
             f"family combination ({alpha}, {beta}) degenerate: |sqrt det| = {smallest:.3e}")
-    closed = mscale(np.eye(DIM), alpha + beta * mu1) - mscale(aj, beta)
+    closed = mscale(stacked(np.eye(DIM), mu1), alpha + beta * mu1) - mscale(aj, beta)
     return mscale(mmul(gj, closed), jreciprocal(s * s))
 
 
-def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
+def weighted_sigma_components(gj: Jet, ginv: Jet | None = None) -> Jet:
     """sigma^{ij} = |det g|^(1/6) g^{ij}; ``ginv`` is the inverse if already known."""
     det = mdet(gj)
-    if isinstance(det, Jet):  # |det g| column by column
-        det = Jet(det.space, det.coeffs * np.where(det.coeffs[0] < 0.0, -1.0, 1.0))
-    else:
-        det = abs(det)
+    det = Jet(det.space, det.coeffs * np.where(det.coeffs[0] < 0.0, -1.0, 1.0))  # |det g|
     if ginv is None:
         ginv = minv(gj)
     return mscale(ginv, jpow(det, 1.0 / 6.0))
@@ -120,15 +123,14 @@ def weighted_sigma_components(gj: np.ndarray, ginv: np.ndarray | None = None) ->
 # -- the cache --------------------------------------------------------------
 
 
-def _cut(arr: np.ndarray, order: int) -> np.ndarray:
-    """The jets of ``arr`` through degree ``order``; numbers kept."""
+def _cut(x: Jet, order: int) -> Jet:
+    """The jets x through degree ``order``."""
     space = Jet.constant(0.0, DIM, order).space
-    return np.frompyfunc(lambda x: Jet(space, x.coeffs[: space.size]) if isinstance(x, Jet) else x,
-                         1, 1)(arr)
+    return Jet(space, x.coeffs[: space.size])
 
 
 def _field(attr: str):
-    def build(geo: "Geometry") -> np.ndarray:
+    def build(geo: "Geometry") -> Jet:
         field = getattr(geo, attr)
         if field is None:
             raise ValueError(f"this geometry has no field {attr!r}")
@@ -138,30 +140,22 @@ def _field(attr: str):
     return build
 
 
-def _as_jet(x, n: int) -> Jet:
-    """x, or the constant batch over n points of a plain number (from constant components)."""
-    if isinstance(x, Jet):
-        return x
-    one = Jet.constant(float(x), DIM, ORDER)
-    return Jet(one.space, np.repeat(one.coeffs[:, None], n, axis=1))
+def _mu(geo: "Geometry") -> Jet:
+    mu1, mu2 = mu_invariants(geo.batch("a"))
+    return Jet(mu1.space, np.stack([mu1.coeffs, mu2.coeffs], 1))
 
 
-def _mu(geo: "Geometry") -> np.ndarray:
-    out = np.empty(2, dtype=object)
-    out[0], out[1] = (_as_jet(mu, len(geo)) for mu in mu_invariants(geo.batch("a")))
-    return out
-
-
-def _killing(geo: "Geometry") -> np.ndarray:
+def _killing(geo: "Geometry") -> Jet:
     """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
-    mu = stack(geo.batch("mu"))
+    mu = geo.batch("mu")
     # dmu[l, k] = d_l mu_k
-    dmu = unstack(Jet(mu.space, np.stack([mu.derivative(l).coeffs for l in range(DIM)], 1)), 2)
+    dmu = Jet(mu.space, np.stack([mu.derivative(l).coeffs for l in range(DIM)], 1))
     v = mmul(geo.batch("ginv"), dmu)
-    return np.concatenate([v, mmul(geo.batch("t"), v)], axis=1).T
+    rows = np.concatenate([v.coeffs, mmul(geo.batch("t"), v).coeffs], axis=2)
+    return Jet(mu.space, np.swapaxes(rows, 1, 2))
 
 
-def _companion(geo: "Geometry") -> np.ndarray:
+def _companion(geo: "Geometry") -> Jet:
     det = geo.batch("det_a")  # first: det A <= 0 fails as such, before A^-1 is formed
     return companion_components(geo.batch("g"), geo.batch("ainv"), det)
 
@@ -184,7 +178,7 @@ _BUILDERS = {
     "sigma": lambda geo: weighted_sigma_components(geo.batch("g"), geo.batch("ginv")),
     "a_sigma": lambda geo: mmul(geo.batch("a"), geo.batch("sigma")),
     # its differential drives the connection shift
-    "psi": lambda geo: _as_jet(jlog(geo.batch("det_a")) * (-0.25), len(geo)),
+    "psi": lambda geo: jlog(geo.batch("det_a")) * (-0.25),
 }
 
 _GAMMA = {"g": "gamma", "ghat": "ghat_gamma"}
@@ -231,24 +225,20 @@ class Geometry:
 
     # -- jets -------------------------------------------------------------
 
-    def batch(self, name: str):
-        """Batched jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
+    def batch(self, name: str) -> Jet:
+        """The stacked jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
         'gamma' (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)), 'a_sigma' (A sigma) or 'psi' over all
-        points, through degree ``ORDER``; column k is point k, and plain
-        numbers are constants."""
+        points, through degree ``ORDER``: one Jet of coefficient shape
+        (size, *entry_shape, points) whose column k is point k."""
         return self.cached(name, lambda: _BUILDERS[name](self))
 
     # -- floats -------------------------------------------------------------
 
-    def split(self, jets) -> tuple[np.ndarray, np.ndarray]:
-        """(values, first partials) of jets batched over the points: values[..., p]
-        and partials[..., k, p] at point p; plain numbers are constants."""
-        arr = np.asarray(jets, dtype=object)  # det_a and psi: 0-d
-        v, p = split_jets(arr)
-        if v.shape == arr.shape:  # constants only: no point axis yet
-            v, p = (np.repeat(x[..., None], len(self), axis=-1) for x in (v, p))
-        return v, p
+    def split(self, jets: Jet) -> tuple[np.ndarray, np.ndarray]:
+        """(values, first partials) of stacked jets over the points: values[..., p]
+        and partials[..., k, p] at point p."""
+        return split_jets(jets, 1)
 
     def vp(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``split(batch(name))``."""

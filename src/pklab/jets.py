@@ -11,9 +11,11 @@ resulting coefficients.
 
 A Jet holds one point's coefficients, or an array of them on trailing
 axes: a batch of points (``seed_point`` of an (n, dim) array), or a
-matrix of jets stacked by ``pklab.linalg``.  Every operation acts entry
-by entry with the arithmetic of the one-point jet, bit for bit, so one
-array operation replaces a loop.  Products sum the surviving coefficient
+tensor of jets, coefficient shape ``(size, *entry_shape, *points)``, as
+``pklab.fields.stacked`` builds from a field rule's entries and as every
+``Geometry`` quantity is held.  Every operation acts entry by entry with
+the arithmetic of the one-point jet, bit for bit, so one array operation
+replaces a loop.  Products sum the surviving coefficient
 pairs of a multiplication table per target and entry with one
 ``np.bincount``, in the table's order (the Taylor-coefficient tables of
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).
@@ -304,7 +306,7 @@ class Jet:
         sp = self.space
         if self.coeffs.ndim == 1:
             return f"Jet(value={self.value:.6g}, dim={sp.dim}, order={sp.order})"
-        return f"Jet(points={self.coeffs.shape[1]}, dim={sp.dim}, order={sp.order})"
+        return f"Jet(shape={self.coeffs.shape[1:]}, dim={sp.dim}, order={sp.order})"
 
     # -- analytic functions -------------------------------------------
 

@@ -1,13 +1,12 @@
-"""Small dense linear algebra over jet-valued matrices.
+"""Small dense linear algebra over stacked jet matrices.
 
-Tensor components evaluated through jets come back as numpy object arrays
-whose entries are :class:`~pklab.jets.Jet` or plain floats.  ``stack``
-gathers a matrix of Jets and numbers into one Jet of coefficient shape
-``(size, rows, cols, *points)``, and each routine here runs its per-entry
-formula on whole stacked arrays, one table product per product of the
-formula, summed in the formula's order: every entry is bit for bit what
-entry-by-entry arithmetic gives.  A matrix of plain numbers runs the same
-formulas on a float array.
+A matrix of jets is one :class:`~pklab.jets.Jet` of coefficient shape
+``(size, rows, cols, *points)`` (a vector drops ``cols``, a scalar both):
+``pklab.fields.stacked`` builds it from a field rule's entries.  Each
+routine here runs its per-entry formula on the whole stacked array, one
+table product per product of the formula, summed in the formula's order:
+every entry is bit for bit what entry-by-entry arithmetic gives.  A float
+ndarray goes to numpy.
 """
 
 from __future__ import annotations
@@ -16,74 +15,34 @@ import numpy as np
 
 from .jets import Jet
 
-__all__ = ["mmul", "mdet", "minv", "mscale", "stack", "unstack"]
-
-
-def _operands(*mats) -> tuple:
-    """(space, arrays): the matrices stacked in the space of their first Jet,
-    numbers lifted to constants; with no Jet, None and the float values
-    under a leading axis of length 1."""
-    mats = [np.asarray(m, dtype=object) for m in mats]
-    ref = next((x for m in mats for x in m.flat if isinstance(x, Jet)), None)
-    if ref is None:
-        return None, [m.astype(float)[None] for m in mats]
-    return ref.space, [
-        np.stack([x.coeffs if isinstance(x, Jet) else ref._lift(x) for x in m.flat], 1)
-        .reshape(ref.coeffs.shape[:1] + m.shape + ref.coeffs.shape[1:]) for m in mats]
-
-
-def stack(m: np.ndarray) -> Jet:
-    """An array of Jets and numbers as one Jet, entry axes before the point axes."""
-    sp, (c,) = _operands(m)
-    return Jet(sp, c)
-
-
-def unstack(x: Jet, ndim: int) -> np.ndarray:
-    """The object array of the Jets on the first ``ndim`` trailing axes of x."""
-    out = np.empty(x.coeffs.shape[1:1 + ndim], dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = Jet(x.space, x.coeffs[(slice(None),) + idx])
-    return out
+__all__ = ["mmul", "mdet", "minv", "mscale"]
 
 
 def _mul(sp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Entry-by-entry product of two stacked arrays, by the jet table of sp."""
-    return p * q if sp is None else (Jet(sp, p) * Jet(sp, q)).coeffs
-
-
-def _entries(sp, c: np.ndarray, ndim: int) -> np.ndarray:
-    """The ring elements of a stacked result with ``ndim`` matrix axes."""
-    return c[0].astype(object) if sp is None else unstack(Jet(sp, c), ndim)
-
-
-def _matmul(sp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the k-th products of all entries at once, added up in k order as
-    # numpy's object @ does
-    terms = [_mul(sp, x[:, :, k:k + 1], y[:, k:k + 1]) for k in range(x.shape[2])]
-    return sum(terms[1:], terms[0])
+    return (Jet(sp, p) * Jet(sp, q)).coeffs
 
 
 def mmul(a, b):
-    """Matrix product, or matrix times vector, as numpy's ``@`` gives it; a jet
-    matrix takes one stacked product per k, and two stacked jet matrices
-    (``stack``) give their stacked product."""
-    if isinstance(a, Jet):
-        return Jet(a.space, _matmul(a.space, a.coeffs, b.coeffs))
-    if a.dtype != object and b.dtype != object:
+    """Matrix product of two stacked jet matrices, one stacked product per k
+    added up in k order as numpy's object ``@`` does; ``@`` for floats."""
+    if not isinstance(a, Jet):
         return a @ b
-    if b.ndim == 1:
-        return mmul(a, b[:, None])[:, 0]
-    sp, (x, y) = _operands(a, b)
-    return _entries(sp, _matmul(sp, x, y), 2)
+    x, y = a.coeffs, b.coeffs
+    terms = [_mul(a.space, x[:, :, k:k + 1], y[:, k:k + 1]) for k in range(x.shape[2])]
+    return Jet(a.space, sum(terms[1:], terms[0]))
 
 
-def mscale(m: np.ndarray, s) -> np.ndarray:
-    """``m * s``: every entry of the matrix m times the ring element s."""
+def mscale(m, s):
+    """``m * s``: every entry of the stacked matrix (or vector) m times the
+    number s, or times the scalar jet s at the same points; numpy's product
+    for a float array."""
+    if not isinstance(m, Jet):
+        return m * s
     if not isinstance(s, Jet):
-        sp, (c,) = _operands(m)
-        return _entries(sp, c * s, m.ndim)
-    sp, (c, d) = _operands(m, s)
-    return _entries(sp, _mul(sp, c, d.reshape(d.shape[:1] + (1,) * m.ndim + d.shape[1:])), m.ndim)
+        return Jet(m.space, m.coeffs * s)
+    c = s.coeffs
+    return m * Jet(s.space, c.reshape(c.shape[:1] + (1,) * (m.coeffs.ndim - c.ndim) + c.shape[1:]))
 
 
 def _others(n: int) -> np.ndarray:
@@ -103,32 +62,31 @@ def _det(sp, c: np.ndarray) -> np.ndarray:
     return sum((-terms[:, j] if j % 2 else terms[:, j] for j in range(1, n)), terms[:, 0])
 
 
-def mdet(a: np.ndarray):
+def mdet(a):
     """Determinant by cofactor expansion; exact over the jet ring (n <= 4)."""
-    if a.dtype != object:
+    if not isinstance(a, Jet):
         return np.linalg.det(a)
-    sp, (c,) = _operands(a)
-    return _entries(sp, _det(sp, c)[:, None], 1)[0]
+    return Jet(a.space, _det(a.space, a.coeffs))
 
 
-def minv(a: np.ndarray) -> np.ndarray:
+def minv(a):
     """Matrix inverse, or a stack of them for a float array.
 
     A singular matrix raises ZeroDivisionError, where numpy's inverse
     would raise; a float array that is not a stack of square matrices
-    raises numpy's LinAlgError.  Jet matrices are inverted as the
-    adjugate over det = a[0] @ cof[0], one-point and batched alike; a det
-    whose value vanishes (at any point of a batch) is the singular case.
+    raises numpy's LinAlgError.  A jet matrix is inverted as the adjugate
+    over det = a[0] @ cof[0], one-point and batched alike; a det whose
+    value vanishes (at any point of a batch) is the singular case.
     """
-    if a.dtype != object:
+    if not isinstance(a, Jet):
         try:
             return np.linalg.inv(a)
         except np.linalg.LinAlgError as e:
             if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
                 raise
             raise ZeroDivisionError("singular matrix in float inverse") from e
-    sp, (c,) = _operands(a)
-    n = a.shape[0]
+    sp, c = a.space, a.coeffs
+    n = c.shape[1]
     if n == 1:  # the cofactor of a 1x1 matrix is the constant 1
         cof = np.concatenate([np.ones_like(c[:1]), np.zeros_like(c[1:])])
     else:
@@ -142,6 +100,4 @@ def minv(a: np.ndarray) -> np.ndarray:
     det = sum((terms[:, k] for k in range(1, n)), terms[:, 0])  # a[0] @ cof[0], in order
     if np.any(det[0] == 0.0):
         raise ZeroDivisionError("singular matrix in jet inverse")
-    inv_det = 1.0 / det if sp is None else Jet(sp, det).reciprocal().coeffs
-    return _entries(sp, _mul(sp, np.swapaxes(cof, 1, 2), inv_det[:, None, None]), 2)
-
+    return Jet(sp, _mul(sp, np.swapaxes(cof, 1, 2), Jet(sp, det).reciprocal().coeffs[:, None, None]))

@@ -46,6 +46,7 @@ from .fields import (
     lie_bracket,
     lie_derivative_endo,
     lie_derivative_metric,
+    stacked,
 )
 from .geometry import (
     Geometry,
@@ -166,6 +167,11 @@ def a_from_pair(gm: np.ndarray, hm: np.ndarray) -> np.ndarray:
     return ratio[..., None, None] ** (1.0 / 6.0) * hinv @ gm
 
 
+def _stacked(coords, *fields: TensorField) -> list[Jet]:
+    """Each field's components at the coordinate jets, stacked (``fields.stacked``)."""
+    return [stacked(f.components(coords), coords[0]) for f in fields]
+
+
 def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """ghat = (det A)^(-1/2) g A^(-1), positive square root.
 
@@ -179,8 +185,8 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """
 
     def comps(*coords):
-        aj = a.components(coords)
-        return companion_components(g.components(coords), minv(aj), _det_a(aj))
+        gj, aj = _stacked(coords, g, a)
+        return companion_components(gj, minv(aj), _det_a(aj))
 
     def batch(points, partials):
         if partials:
@@ -219,8 +225,7 @@ def family_metric(g: TensorField, a: TensorField, alpha: float, beta: float) -> 
     """
 
     def comps(*coords):
-        gj = g.components(coords)
-        aj = a.components(coords)
+        gj, aj = _stacked(coords, g, a)
         return family_components(gj, aj, *mu_invariants(aj), alpha, beta)
 
     return TensorField((0, 2), comps, name=f"family[{alpha},{beta}]")
@@ -258,7 +263,7 @@ def connection_difference_residual(geo: Geometry) -> np.ndarray:
 def weighted_sigma_field(g: TensorField) -> TensorField:
     """sigma^{ij} = |det g|^(1/6) g^{ij}, the weighted tensor of the metric."""
     return TensorField(
-        (2, 0), lambda *c: weighted_sigma_components(g.components(c)), name="sigma(g)"
+        (2, 0), lambda *c: weighted_sigma_components(*_stacked(c, g)), name="sigma(g)"
     )
 
 
@@ -266,7 +271,7 @@ def weighted_endo_sigma_field(a: TensorField, sigma: TensorField) -> TensorField
     """(A sigma)^{jk} = A^j_p sigma^{pk}; stays symmetric and para-Hermitian."""
 
     def comps(*coords):
-        return mmul(a.components(coords), sigma.components(coords))
+        return mmul(*_stacked(coords, a, sigma))
 
     return TensorField((2, 0), comps, name="A.sigma")
 
@@ -275,17 +280,15 @@ def scale_weighted_field(f: ScalarField, sigma: TensorField) -> TensorField:
     """f * sigma for a scalar field f (a non-solution probe for invariance)."""
 
     def comps(*coords):
-        return sigma.components(coords) * f(*coords)
+        return mscale(*_stacked(coords, sigma), f(*coords))
 
     return TensorField((2, 0), comps, name=f"{f.name}.sigma")
 
 
-def weighted_covariant_derivative(
-    geo: Geometry, s_jets: np.ndarray, metric: str = "g"
-) -> np.ndarray:
+def weighted_covariant_derivative(geo: Geometry, s_jets: Jet, metric: str = "g") -> np.ndarray:
     """nabla_i sigma^{jk} for a (2,0) tensor of volume weight 1/(n+1).
 
-    ``s_jets`` are the tensor's component jets batched over geo's points;
+    ``s_jets`` are the tensor's stacked jets batched over geo's points;
     the connection is that of ``metric`` ('g' or 'ghat').
 
     nabla_i s^{jk} = d_i s^{jk} + G^j_{im} s^{mk} + G^k_{im} s^{mj}
@@ -326,7 +329,7 @@ def _mobility_terms(geo, s_jets, metric):
     return nabla, corr
 
 
-def mobility_residual(geo: Geometry, s_jets: np.ndarray, metric: str = "g") -> np.ndarray:
+def mobility_residual(geo: Geometry, s_jets: Jet, metric: str = "g") -> np.ndarray:
     """Residual of the projectively invariant first-order system.
 
     nabla_i s^{jk} - (1/(2n)) (d^j_i D^k + d^k_i D^j
@@ -340,7 +343,7 @@ def mobility_residual(geo: Geometry, s_jets: np.ndarray, metric: str = "g") -> n
     return amax(nabla - corr) / scale
 
 
-def mobility_expression(geo: Geometry, s_jets: np.ndarray, metric: str = "g") -> np.ndarray:
+def mobility_expression(geo: Geometry, s_jets: Jet, metric: str = "g") -> np.ndarray:
     """The full invariant expression (not just its norm), for invariance tests."""
     nabla, corr = _mobility_terms(geo, s_jets, metric)
     return nabla - corr
@@ -403,8 +406,10 @@ def _eigenvalue_gradients(geo: Geometry) -> np.ndarray:
         for kind in ("real", "complex"):
             cols = np.flatnonzero(kinds == kind)
             if cols.size:
-                mu = (Jet(x.space, x.coeffs[:, cols]) for x in geo.batch("mu"))
-                for k, f in enumerate(_eigenvalue_pair(*mu, kind)):
+                mu = geo.batch("mu")
+                c = mu.coeffs[..., cols]
+                for k, f in enumerate(_eigenvalue_pair(Jet(mu.space, c[:, 0]),
+                                                       Jet(mu.space, c[:, 1]), kind)):
                     out[k][:, cols] = mm(ginv[..., cols], f.gradient())
         return out
 
@@ -615,8 +620,8 @@ def _pencil(geo: Geometry) -> dict:
     ``_member_curvature`` to weight: (values, partials) of Gamma(g), G_K,
     A.Gamma(g), A.G_K ('gamma'), of g, K ('h') and of g^-1, A g^-1 ('hinv'),
     and (values, gradients, Hessians) of mu1, mu2 ('mu')."""
-    g = geo.batch("g")
-    k = mscale(g, geo.batch("mu")[0]) - mmul(g, geo.batch("a"))
+    g, mu = geo.batch("g"), geo.batch("mu")
+    k = mscale(g, Jet(mu.space, mu.coeffs[:, 0])) - mmul(g, geo.batch("a"))
     av, ap = geo.vp("a")
 
     def a_dot(v, p):  # A^k_m X^m... with its partials, from those of X
@@ -632,7 +637,7 @@ def _pencil(geo: Geometry) -> dict:
     ginv = geo.vp("ginv")
     return {"gamma": pieces(gamma, gk, a_dot(*gamma), a_dot(*gk)),
             "h": pieces(geo.vp("g"), geo.split(k)), "hinv": pieces(ginv, a_dot(*ginv)),
-            "mu": pieces(*map(scalar_hessian, geo.batch("mu")))}
+            "mu": pieces(*(scalar_hessian(Jet(mu.space, mu.coeffs[:, i])) for i in (0, 1)))}
 
 
 def _member_curvature(geo: Geometry, alpha: float, beta: float, used: np.ndarray):
@@ -652,10 +657,10 @@ def _member_curvature(geo: Geometry, alpha: float, beta: float, used: np.ndarray
     p = geo.cached("pencil", lambda: _pencil(geo))
     ab = alpha * beta
 
-    def weighted(weights, stack):
+    def weighted(weights, group):
         # np.take gives C-ordered arrays; x[..., used] would not, and the
         # einsums below, riemann's among them, run about 3x slower on those
-        return [np.take(np.tensordot(weights, x, 1), used, -1) for x in stack]
+        return [np.take(np.tensordot(weights, x, 1), used, -1) for x in group]
 
     s, ds, hs = weighted([ab, beta * beta], p["mu"])
     s += alpha * alpha

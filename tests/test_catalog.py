@@ -19,10 +19,10 @@ from pklab.catalog import (
     preset_triple,
 )
 from pklab.curvature import covariant_derivative_endo, einstein_residual
-from pklab.fields import objarray
+from pklab.fields import objarray, stacked
 from pklab.geometry import Geometry
 from pklab.jets import dual_point, seed_point
-from pklab.linalg import minv, mmul, stack
+from pklab.linalg import minv, mmul
 from pklab.parakahler import validate
 
 
@@ -259,8 +259,9 @@ class TestFamilyConformance:
         assert len(built) == 6
         for tr, omfn in built:
             coords = seed_point(tr.sample_points(50, seed=4), 2)
-            ref = stack(-mmul(minv(tr.g.components(coords)), objarray(omfn(*coords)))).coeffs
-            got = stack(tr.t.components(coords)).coeffs
+            g, omega, t = (stacked(x, coords[0]) for x in (
+                tr.g.components(coords), omfn(*coords), tr.t.components(coords)))
+            ref, got = -mmul(minv(g), omega).coeffs, t.coeffs
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), tr.chart.label
 
 

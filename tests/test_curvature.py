@@ -223,23 +223,27 @@ def test_singular_metric_raises_a_domain_error_and_shape_errors_propagate():
 
 
 def test_christoffel_jets_equal_the_entry_loop(triples):
-    # the object-dtype product must add the same jet products in the same
+    # the stacked product must add the same jet products in the same
     # order as the entry-by-entry formula, so the coefficients are equal
+    def entry(x, *idx):
+        return Jet(x.space, x.coeffs[(slice(None),) + idx])
+
     for name in ("real-liouville", "complex-liouville", "dim-d1"):
         tr = triples[name]
         gj = tr.g.jets(tr.sample_points(1, seed=3)[0])
         ginv = metric_inverse_jets(gj)
-        # dg[i][j][l] = d_l g_ij, entry by entry; a constant has zero partials
-        dg = [[[x.derivative(l) for l in range(4)] if isinstance(x, Jet) else [0.0] * 4
-               for x in row] for row in gj]
+        # dg[i][j][l] = d_l g_ij, entry by entry
+        dg = [[[entry(gj, i, j).derivative(l) for l in range(4)] for j in range(4)]
+              for i in range(4)]
         gamma = christoffel_jets(gj, ginv)
         for k, i, j in np.ndindex(4, 4, 4):
             a, b = min(i, j), max(i, j)  # computed for i <= j, mirrored
-            terms = [ginv[k, l] * (dg[b][l][a] + dg[a][l][b] - dg[a][b][l]) for l in range(4)]
+            terms = [entry(ginv, k, l) * (dg[b][l][a] + dg[a][l][b] - dg[a][b][l])
+                     for l in range(4)]
             ref = terms[0]
             for t in terms[1:]:
                 ref = ref + t
-            assert np.array_equal(gamma[k, i, j].coeffs, (ref * 0.5).coeffs), (name, k, i, j)
+            assert np.array_equal(gamma.coeffs[:, k, i, j], (ref * 0.5).coeffs), (name, k, i, j)
 
 
 def test_scalar_hessian_symmetry_and_values():

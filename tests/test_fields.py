@@ -14,6 +14,7 @@ from pklab.fields import (
     lie_bracket,
     lie_derivative_metric,
     metric_inverse,
+    metric_inverse_jets,
     nijenhuis,
     objarray,
     tensor_values_and_partials,
@@ -95,6 +96,22 @@ def test_metric_inverse_singular_reports_det():
     g = TensorField((0, 2), lambda *c: objarray(rows))
     with pytest.raises(DegenerateMetricError, match="determinant"):
         metric_inverse(g.values([0, 0, 0, 0]))
+
+
+def test_degenerate_metric_guard_has_no_units():
+    # |det g| <= 1e-12 max |g_ij|^4: a regular metric at any scale inverts,
+    # as jets and over a batch too; the zero matrix still fails
+    for scale in (1e-4, 1e4):
+        gm = np.array(FLAT) * scale
+        assert np.allclose(metric_inverse(gm), np.array(FLAT) / scale, rtol=1e-14)
+        g = TensorField((0, 2), lambda *c: objarray((np.array(FLAT) * scale).tolist()))
+        inv = metric_inverse_jets(g.jets(np.zeros((3, 4)), 2))
+        assert np.allclose(inv.coeffs[0], (np.array(FLAT) / scale)[..., None], rtol=1e-14)
+    with pytest.raises(DegenerateMetricError, match="determinant"):
+        metric_inverse(np.zeros((4, 4)))
+    nearly = 1e-4 * np.diag([1.0, 1.0, 1.0, 1e-13])  # scaled, and one direction nearly lost
+    with pytest.raises(DegenerateMetricError, match="determinant"):
+        metric_inverse(nearly)
 
 
 def test_gradient_flat_coordinate_function():

@@ -1,7 +1,8 @@
 """A Geometry evaluates each quantity once over all its sample points.
 
-Column i of every batch is, bit for bit, the jet of a one-point Geometry
-at point i, and each field is evaluated once per Geometry, whatever its
+Every batch is one stacked Jet of coefficient shape (size, *entry_shape,
+points); column i is, bit for bit, the jet of a one-point Geometry at
+point i, and each field is evaluated once per Geometry, whatever its
 number of points.  Every batch holds the degree <= 2 coefficients of the
 fields' jets.
 """
@@ -19,6 +20,10 @@ from pklab.geometry import Geometry
 from pklab.jets import Jet
 
 NAMES = sorted(geometry._BUILDERS)
+# the entry shape of each batch: a scalar, the pair (mu1, mu2), the rows
+# V1, V2, TV1, TV2 of the Killing fields, Christoffel symbols (k, i, j)
+ENTRY_SHAPES = {"det_a": (), "psi": (), "mu": (2,), "killing": (4, 4),
+                "gamma": (4, 4, 4), "ghat_gamma": (4, 4, 4)}
 TRIPLES = [("family", f) for f in sorted(FAMILIES)] + [("preset", p) for p in sorted(PRESETS)]
 
 
@@ -27,13 +32,8 @@ def _build(kind, name):
 
 
 def _bits(x, i):
-    """Coefficient bits of column i of a batched jet or an array of them, or of a plain number."""
-    if isinstance(x, np.ndarray):
-        return [_bits(e, i) for e in x.flat]
-    if isinstance(x, Jet):
-        assert x.coeffs.ndim == 2
-        return ("jet", x.coeffs[:, i].tobytes())
-    return ("number", np.float64(x).tobytes())
+    """Coefficient bits of column i of a stacked batch."""
+    return np.ascontiguousarray(x.coeffs[..., i]).tobytes()
 
 
 @pytest.mark.parametrize("kind, triple_name", TRIPLES)
@@ -41,6 +41,10 @@ def test_batch_columns_equal_the_one_point_geometry(kind, triple_name):
     tr = _build(kind, triple_name)
     pts = tr.sample_points(3, seed=5)
     geo = Geometry(tr, pts)
+    for name in NAMES:  # one Jet per quantity: (size, *entry_shape, points)
+        x = geo.batch(name)
+        assert isinstance(x, Jet) and x.space.order == geometry.ORDER, name
+        assert x.coeffs.shape == (x.space.size, *ENTRY_SHAPES.get(name, (4, 4)), 3), name
     for i, p in enumerate(pts):
         alone = Geometry.at(p, tr.g, tr.t, tr.a)
         for name in NAMES:
@@ -73,7 +77,11 @@ def test_constant_components_read_as_constants_at_every_point(triples):
     constant = np.diag([2.0, 1.0, 3.0, 0.5])
     a = TensorField((1, 1), lambda *c: constant.astype(object))
     geo = Geometry(dataclasses.replace(tr, a=a), tr.sample_points(3))
-    assert all(isinstance(x, float) for x in geo.batch("a").flat)
+    for name in ("a", "mu", "det_a", "psi"):  # constant jets: a value and zero partials
+        x = geo.batch(name)
+        assert isinstance(x, Jet) and x.coeffs.shape[-1] == 3, name
+        assert not np.any(x.coeffs[1:]), name
+    assert np.array_equal(geo.batch("a").coeffs[0], np.repeat(constant[..., None], 3, axis=-1))
     for i in range(3):
         assert np.array_equal(geo.values("a")[..., i], constant)
         assert geo.values("psi")[i] == pytest.approx(-0.25 * np.log(3.0))
@@ -86,11 +94,8 @@ def test_batches_are_the_field_jets_cut_to_degree_two(triples):
     pts = tr.sample_points(3)
     geo = Geometry(tr, pts)
     for name, field in (("g", tr.g), ("t", tr.t), ("a", tr.a)):
-        for x, y in zip(geo.batch(name).flat, field.jets(pts).flat):
-            if isinstance(y, Jet):
-                assert x.space.order == 2 and np.array_equal(x.coeffs, y.coeffs[:15])
-            else:
-                assert x == y
+        x, y = geo.batch(name), field.jets(pts)
+        assert x.space.order == 2 and np.array_equal(x.coeffs, y.coeffs[:15])
 
 
 def test_det_a_guard_fails_the_whole_batch(triples):
@@ -120,7 +125,7 @@ def test_g_and_a_are_inverted_once_per_geometry(triples, einstein_preset, monkey
     minv = linalg.minv
 
     def counted(m):
-        if any(isinstance(x, Jet) for x in m.flat):
+        if isinstance(m, Jet):
             inverted.append(m)
         return minv(m)
 

@@ -1,9 +1,14 @@
-"""Jet-matrix algebra on stacked coefficient arrays, against the per-entry formulas."""
+"""Jet-matrix algebra on stacked coefficient arrays, against the per-entry formulas.
+
+The references work on object arrays of one-entry jets; the tests stack
+their inputs (``pklab.fields.stacked``) before calling ``pklab.linalg``.
+"""
 
 import numpy as np
 import pytest
 
 from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
+from pklab.fields import stacked
 from pklab.jets import Jet, jreciprocal, seed_point
 from pklab.linalg import mdet, minv, mmul, mscale
 
@@ -68,6 +73,19 @@ def entry_minv(a: np.ndarray) -> np.ndarray:
     return cof.T * jreciprocal(det)
 
 
+def stack(m: np.ndarray) -> Jet:
+    """An object matrix of jets and numbers as one stacked Jet."""
+    return stacked(m, next(x for x in m.flat if isinstance(x, Jet)))
+
+
+def entries(x: Jet, ndim: int = 2) -> np.ndarray:
+    """The object array of the one-entry jets of a stacked x with ``ndim`` entry axes."""
+    out = np.empty(x.coeffs.shape[1:1 + ndim], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = Jet(x.space, x.coeffs[(slice(None),) + idx])
+    return out
+
+
 def coefficients(m: np.ndarray) -> np.ndarray:
     """Coefficients of a jet matrix, shape (rows, cols, size); a number is a constant."""
     size = next(x.space.size for x in m.flat if isinstance(x, Jet))
@@ -80,23 +98,13 @@ def coefficients(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def same(x, y) -> bool:
-    """Coefficient-for-coefficient equality of ring elements or arrays of them;
-    a number equals the constant jet of its value."""
-    x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
-    ref = next((e for e in (*x.flat, *y.flat) if isinstance(e, Jet)), None)
-    if ref is None:
-        return np.array_equal(x.astype(float), y.astype(float))
-
-    def coeffs(e):
-        if isinstance(e, Jet):
-            return e.coeffs
-        c = np.zeros(ref.coeffs.shape)
-        c[0] = e
-        return c
-
-    return x.shape == y.shape and all(
-        np.array_equal(coeffs(a), coeffs(b)) for a, b in zip(x.flat, y.flat))
+def same(x: Jet, y) -> bool:
+    """Coefficient-for-coefficient equality of a stacked result and the
+    reference's ring element or array of them; a number equals the constant
+    jet of its value."""
+    y = np.asarray(y, dtype=object)
+    ref = stacked(y, Jet(x.space, x.coeffs[(slice(None),) + (0,) * y.ndim]))
+    return x.coeffs.shape == ref.coeffs.shape and np.array_equal(x.coeffs, ref.coeffs)
 
 
 MATRIX_TRIPLES = ([("family", f) for f in sorted(FAMILIES)]
@@ -110,13 +118,16 @@ def test_stacked_algebra_equals_the_entry_formulas(kind, name):
     for order in (2, 3):
         for where in (pts[0], pts[:4], pts):  # one point, batches of 4 and 20
             g, t, a = (f.jets(where, order) for f in (tr.g, tr.t, tr.a))
+            col = Jet(a.space, a.coeffs[:, :, 1:2])  # A's second column, a 4 x 1 matrix
             for m in (g, t, a):
-                assert same(mdet(m), entry_mdet(m)), (name, order)
-                assert same(minv(m), entry_minv(m)), (name, order)
-                assert same(mmul(m, g), m @ g), (name, order)
-                assert same(mmul(m, a[:, 1]), m @ a[:, 1]), (name, order)
+                e = entries(m)
+                assert same(mdet(m), entry_mdet(e)), (name, order)
+                assert same(minv(m), entry_minv(e)), (name, order)
+                assert same(mmul(m, g), e @ entries(g)), (name, order)
+                assert same(mmul(m, col), e @ entries(col)), (name, order)
             s = mdet(a)
-            assert same(mscale(g, s), g * s) and same(mscale(a, -0.75), a * -0.75), name
+            assert same(mscale(g, s), entries(g) * s), name
+            assert same(mscale(a, -0.75), entries(a) * -0.75), name
 
 
 def test_small_mixed_and_number_matrices_equal_the_entry_formulas():
@@ -131,17 +142,21 @@ def test_small_mixed_and_number_matrices_equal_the_entry_formulas():
     c = seed_point(np.random.default_rng(8).uniform(0.5, 2.0, (3, 4)), 3)
     dense = np.array([[c[i] * r[i, j, 0] + c[i] * c[j] * r[i, j, 1] + r[i, j, 2]
                        for j in range(4)] for i in range(4)], dtype=object)
-    for m in (one, mixed, batch, numbers, dense):
-        assert same(mdet(m), entry_mdet(m))
-        assert same(minv(m), entry_minv(m))
-        assert same(mmul(m, m), m @ m)
-        assert same(mmul(m, m[:, 0]), m @ m[:, 0])
-    # a matrix of plain numbers stays one: floats, with the per-entry bits
-    for out in (minv(numbers), mmul(numbers, numbers)):
-        assert out.dtype == object and all(type(e) is float for e in out.flat)
-    assert type(mdet(numbers)) is float
-    assert same(mscale(numbers, x[3]), numbers * x[3])
-    assert same(mmul(mixed, numbers), mixed @ numbers)
+    for m, like in ((one, x[0]), (mixed, x[0]), (batch, b[0]), (numbers, x[0]), (dense, c[0])):
+        j = stacked(m, like)
+        assert same(mdet(j), entry_mdet(m))
+        assert same(minv(j), entry_minv(m))
+        assert same(mmul(j, j), m @ m)
+        assert same(mmul(j, Jet(j.space, j.coeffs[:, :, :1])), m @ m[:, :1])
+    # numbers stacked as constant jets, and times a jet
+    assert same(mscale(stacked(numbers, x[3]), x[3]), numbers * x[3])
+    assert same(mmul(stack(mixed), stacked(numbers, x[0])), mixed @ numbers)
+    # a float array goes to numpy and stays one
+    floats = numbers.astype(float)
+    assert np.array_equal(mmul(floats, floats), floats @ floats)
+    assert np.array_equal(minv(floats), np.linalg.inv(floats))
+    assert mdet(floats) == np.linalg.det(floats)
+    assert np.array_equal(mscale(floats, -0.75), floats * -0.75)
 
 
 def test_adjugate_inverse_matches_gauss_jordan(triples):
@@ -149,8 +164,8 @@ def test_adjugate_inverse_matches_gauss_jordan(triples):
         for p in tr.sample_points(3, seed=2):
             for field in (tr.g, tr.a):
                 m = field.jets(p)
-                ref = coefficients(gauss_jordan(m))
-                got = coefficients(minv(m))
+                ref = coefficients(gauss_jordan(entries(m)))
+                got = np.moveaxis(minv(m).coeffs, 0, -1)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), name
 
 
@@ -159,31 +174,32 @@ def test_batched_inverse_columns_equal_the_one_point_inverse(triples):
     pts = tr.sample_points(4)
     batch = minv(tr.g.jets(pts))
     for k, p in enumerate(pts):
-        alone = minv(tr.g.jets(p))
-        for x, y in zip(batch.flat, alone.flat):
-            assert np.array_equal(x.coeffs[:, k], y.coeffs)
+        assert np.array_equal(batch.coeffs[..., k], minv(tr.g.jets(p)).coeffs)
 
 
 def test_singular_jet_matrix_raises_zero_division():
     x = seed_point([0.5, 1.0, 2.0, 3.0], 2)
     singular = np.array([[x[0], x[1]], [x[0] * 2.0, x[1] * 2.0]], dtype=object)
     with pytest.raises(ZeroDivisionError):
-        minv(singular)
+        minv(stack(singular))
     # one singular column of a batch: the whole batch is singular
     b = seed_point(np.array([[0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]]), 2)
     with pytest.raises(ZeroDivisionError):
-        minv(np.array([[b[0], 1.0], [0.0, b[1]]], dtype=object))
+        minv(stack(np.array([[b[0], 1.0], [0.0, b[1]]], dtype=object)))
+    numbers = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ZeroDivisionError):
-        minv(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=object))
+        minv(stacked(numbers, x[0]))
+    with pytest.raises(ZeroDivisionError):
+        minv(numbers)
 
 
 def test_small_and_mixed_matrices():
     x = seed_point([0.5, 1.0, 2.0, 3.0], 2)
-    one = minv(np.array([[x[0]]], dtype=object))[0, 0]
-    assert np.allclose(one.coeffs, x[0].reciprocal().coeffs)
+    one = minv(stack(np.array([[x[0]]], dtype=object)))
+    assert np.allclose(one.coeffs[:, 0, 0], x[0].reciprocal().coeffs)
     mixed = np.array([[x[0], 1.0, 0.0], [0.0, 2.0, x[1]], [1.0, 0.0, 3.0]], dtype=object)
     values = np.array([[0.5, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 3.0]])
-    inv = minv(mixed)
+    inv = entries(minv(stack(mixed)))
     assert np.allclose(coefficients(inv)[..., 0], np.linalg.inv(values), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 0], np.eye(3), rtol=0, atol=1e-14)
     assert np.allclose(coefficients(mixed @ inv)[..., 1:], 0.0, atol=1e-14)

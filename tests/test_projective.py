@@ -15,6 +15,7 @@ from pklab.fields import (
     metric_inverse_jets,
     objarray,
     split_jets,
+    stacked,
 )
 from pklab import geometry
 from pklab.catalog import PRESETS, preset_triple
@@ -26,7 +27,7 @@ from pklab.geometry import (
     mu_invariants,
 )
 from pklab.jets import Jet, jlog, jpow
-from pklab.linalg import mdet, minv, mmul
+from pklab.linalg import mdet, minv, mmul, mscale
 from pklab.suites import _GRID_A, _GRID_B
 
 FLAT = [
@@ -56,10 +57,15 @@ def over(tr, n):
     return Geometry(tr, tr.sample_points(n))
 
 
-def column(arr, i):
-    """Point i of batched jets, as one-point jets (numbers kept)."""
-    return np.frompyfunc(lambda x: Jet(x.space, x.coeffs[:, i]) if isinstance(x, Jet) else x,
-                         1, 1)(arr)
+def column(x, i):
+    """Point i of stacked batched jets, as one-point stacked jets."""
+    return Jet(x.space, x.coeffs[..., i])
+
+
+def mu_pair(geo):
+    """mu1 and mu2 of a Geometry, each a scalar jet over its points."""
+    mu = geo.batch("mu")
+    return Jet(mu.space, mu.coeffs[:, 0]), Jet(mu.space, mu.coeffs[:, 1])
 
 
 class TestLambdaField:
@@ -184,11 +190,10 @@ class TestPairAlgebra:
             # the value stage alone gives the same bits
             assert np.array_equal(ghat.batch_values(pts), vals), tr.name
             for i, p in enumerate(pts):
-                arr = ghat.jets(p, order=2)
+                jv, jp = split_jets(ghat.jets(p, order=2))
                 for idx in np.ndindex((4, 4)):
-                    assert vals[(i,) + idx] == pytest.approx(arr[idx].value, rel=1e-12), tr.name
-                    assert np.allclose(grads[(i,) + idx], arr[idx].gradient(),
-                                       rtol=1e-9, atol=1e-12), tr.name
+                    assert vals[(i,) + idx] == pytest.approx(jv[idx], rel=1e-12), tr.name
+                    assert np.allclose(grads[(i,) + idx], jp[idx], rtol=1e-9, atol=1e-12), tr.name
 
 
 class TestPotential:
@@ -237,8 +242,9 @@ class TestConnectionDifference:
 
         def pair(*coords):
             # the pair (g, flat) as a Benenti candidate: (det flat / det g)^(1/6) flat^-1 g
-            gj = tr.g.components(coords)
-            return objarray(FLAT) @ gj * jpow(1.0 / mdet(gj), 1.0 / 6.0)
+            gj = stacked(tr.g.components(coords), coords[0])
+            flat = stacked(FLAT, coords[0])
+            return mscale(mmul(flat, gj), jpow(1.0 / mdet(gj), 1.0 / 6.0))
 
         a = TensorField((1, 1), pair)
         assert pj.connection_difference_residual(at(tr, p, a=a))[0] > 1e-2
@@ -263,8 +269,7 @@ class TestConnectionDifference:
             solved = minv(geo.batch("ghat"))
             for x, y in ((ginv, solved),
                          (geo.batch("ghat_gamma"), christoffel_jets(geo.batch("ghat")))):
-                cx = np.array([[c.coeffs for c in row] for row in x.reshape(-1, 4)])
-                cy = np.array([[c.coeffs for c in row] for row in y.reshape(-1, 4)])
+                cx, cy = x.coeffs, y.coeffs
                 assert np.max(np.abs(cx - cy)) <= 1e-12 * max(1.0, np.max(np.abs(cy))), name
 
     def test_det_a_evaluated_once_per_geometry(self, triples, monkeypatch):
@@ -288,9 +293,7 @@ class TestConnectionDifference:
                 gj, aj = column(geo.batch("g"), i), column(geo.batch("a"), i)
                 alone = (companion_components(gj, minv(aj), mdet(aj)), jlog(mdet(aj)) * (-0.25))
                 for x, y in zip((column(geo.batch("ghat"), i), column(geo.batch("psi"), i)), alone):
-                    cx = np.array([c.coeffs for c in np.ravel(x)])
-                    cy = np.array([c.coeffs for c in np.ravel(y)])
-                    assert np.array_equal(cx, cy), name
+                    assert np.array_equal(x.coeffs, y.coeffs), name
 
 
 class TestWeightedTensors:
@@ -369,15 +372,15 @@ class TestFamilyMetric:
         # (linalg.minv) of alpha Id + beta A, and gives its Christoffel symbols
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(2))
-        gj, aj, (mu1, mu2) = geo.batch("g"), geo.batch("a"), geo.batch("mu")
+        gj, aj, (mu1, mu2) = geo.batch("g"), geo.batch("a"), mu_pair(geo)
         for al, be in ((1.5, 0.25), (0.0, 1.0), (2.0, 1.0)):
             s = al * al + al * be * mu1 + be * be * mu2
-            solved = mmul(gj, minv(al * np.eye(4) + be * aj)) * s.reciprocal()
+            solved = mscale(mmul(gj, minv(stacked(al * np.eye(4), mu1) + be * aj)), s.reciprocal())
             member = family_components(gj, aj, mu1, mu2, al, be)
-            for x, y in zip(split_jets(member), split_jets(solved)):
+            for x, y in zip(geo.split(member), geo.split(solved)):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
-            closed = split_jets(christoffel_jets(member, metric_inverse_jets(member)))
-            reference = split_jets(christoffel_jets(solved))
+            closed = geo.split(christoffel_jets(member, metric_inverse_jets(member)))
+            reference = geo.split(christoffel_jets(solved))
             for x, y in zip(closed, reference):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
@@ -570,9 +573,9 @@ class TestFamilyConstant:
         """(Ric, values) of the member built as jets over the points:
         family_components -> christoffel_jets -> riemann."""
         geo = Geometry(tr, points)
-        member = family_components(geo.batch("g"), geo.batch("a"), *geo.batch("mu"), al, be)
-        ric = np.einsum("klkj...->lj...", riemann(*split_jets(christoffel_jets(member))))
-        return ric, split_jets(member)[0]
+        member = family_components(geo.batch("g"), geo.batch("a"), *mu_pair(geo), al, be)
+        ric = np.einsum("klkj...->lj...", riemann(*geo.split(christoffel_jets(member))))
+        return ric, geo.split(member)[0]
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_pencil_matches_the_jet_members(self, preset):

@@ -487,13 +487,18 @@ def test_potential_exponential_fails_where_psi_is_undefined(triples):
 
 
 def test_near_degenerate_metric_at_one_point_fails_every_inverse_reader(triples):
-    # g scaled by f = (x1 - x1 of point 1)^2 + 1e-6: |det g| = f^4 |det g0| is
-    # under the guard at point 1 only, and nonzero everywhere
+    # row and column 0 of g scaled by f = (x1 - x1 of point 1)^2 + 1e-8:
+    # |det g| = f^2 |det g0| is under the guard at point 1 only, and nonzero
+    # everywhere (a g scaled as a whole stays regular: the guard has no units)
     tr = triples["dim-d2-2"]
     x1 = tr.sample_points(4)[1, 0]
 
     def g_comps(*c):
-        return tr.g.components(c) * ((c[0] - x1) * (c[0] - x1) + 1e-6)
+        f = (c[0] - x1) * (c[0] - x1) + 1e-8
+        out = tr.g.components(c).copy()
+        out[0, :] = out[0, :] * f
+        out[:, 0] = out[:, 0] * f
+        return out
 
     triple = dataclasses.replace(tr, g=TensorField((0, 2), g_comps))
     report = run_suite(triple, ["parakahler", "benenti", "killing", "companion"], n_points=4)
