@@ -24,6 +24,7 @@ from .linalg import minv, mmul
 __all__ = [
     "christoffel_jets",
     "christoffel_batch",
+    "geodesic_spray",
     "riemann",
     "einstein_residual",
     "covariant_derivative_endo",
@@ -58,8 +59,11 @@ def christoffel_jets(g: Jet, ginv: Jet | None = None) -> Jet:
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     """Christoffel symbols over an (n, 4) batch, shape (n, k, i, j).
 
-    Works through second-order dual batches; the geodesic integrator
-    calls it once per Picard sweep, on every node of every curve.
+    Works through second-order dual batches.  No module of the package
+    calls it: the geodesic readers contract the symbols with one velocity
+    twice, which ``geodesic_spray`` does without forming this tensor.  It
+    stays as the float reference the tests hold the spray and the
+    integrator to, and as a layer the benchmark's trace reads.
     """
     pts = np.asarray(points, dtype=float)
     gv, gp = g.batch_duals(pts)
@@ -67,6 +71,27 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:
     # gp[n, i, j, l] = d_l g_ij; c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = np.einsum("njli->nijl", gp) + np.einsum("nilj->nijl", gp) - gp
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, c)
+
+
+def geodesic_spray(g: TensorField, points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """S^k = G^k_ij v^i v^j over an (n, 4) batch of points and velocities, shape (n, 4).
+
+    S = g^-1 [(d_v g) v - grad g(v, v) / 2], with (d_v g)_lj = v^m d_m g_lj
+    and (grad g(v, v))_l = v^i v^j d_l g_ij: the symbols contracted at the
+    source, so the (n, 4, 4, 4) tensor of ``christoffel_batch`` is never
+    formed.  It makes the same one ``batch_duals`` and one ``minv`` call
+    as that function, so a singular metric raises ZeroDivisionError.
+    """
+    pts = np.asarray(points, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    gv, gp = g.batch_duals(pts)
+    ginv = minv(gv)
+    n = len(pts)
+    gp = gp.reshape(n, DIM * DIM, DIM)  # rows (i, j), columns l: d_l g_ij
+    col = v[:, :, None]
+    dvg = (gp @ col).reshape(n, DIM, DIM)  # v^m d_m g_lj
+    grad = (col * v[:, None, :]).reshape(n, 1, DIM * DIM) @ gp  # v^i v^j d_l g_ij, a row
+    return (ginv @ (dvg @ col - 0.5 * np.swapaxes(grad, 1, 2)))[..., 0]
 
 
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

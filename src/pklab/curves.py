@@ -4,9 +4,12 @@ The operational meaning of the projective equivalence: geodesics of the
 companion metric are T-planar for the original pair (g, T), i.e. their
 g-covariant acceleration stays in span{velocity, T velocity}.  Curves are
 integrated by Chebyshev-Picard iteration (Clenshaw & Norton 1963; Bai &
-Junkins 2011) and sampled on a uniform grid; covariant acceleration along
-a sampled curve is recovered with an order-4 finite-difference stencil,
-so the planarity residual converges as O(h^4) in the sample spacing h.
+Junkins 2011) and sampled on a uniform grid; each Picard sweep makes one
+``geodesic_spray`` call, the acceleration -G(v, v) at every node of every
+unsettled curve.  Covariant acceleration along a sampled curve is
+recovered with an order-4 finite-difference stencil plus the spray of the
+test metric, so the planarity residual converges as O(h^4) in the sample
+spacing h.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .curvature import christoffel_batch
+from .curvature import geodesic_spray
 from .fields import Chart, DegenerateMetricError, TensorField
 from .jets import JetDomainError
 
@@ -79,9 +82,9 @@ _SETTLED = 32 * np.finfo(float).eps
 def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
     """x and v, shape (nodes, m, 4), over a window of length span from rows (x0, v0).
 
-    Each sweep evaluates the acceleration at every node of every unsettled
-    row in one ``christoffel_batch`` call and integrates it twice with the
-    spectral matrix.  A row stops once its own update is at rounding
+    Each sweep evaluates the acceleration -G(v, v) at every node of every
+    unsettled row in one ``geodesic_spray`` call and integrates it twice
+    with the spectral matrix.  A row stops once its own update is at rounding
     level, so its nodes do not depend on the other rows.
     """
     s = 0.5 * span * _INTEGRATE
@@ -90,8 +93,7 @@ def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
     todo = np.arange(len(x0))
     for _ in range(_MAX_SWEEPS):
         xo, vo = x[:, todo], v[:, todo]
-        gamma = christoffel_batch(g, xo.reshape(-1, 4)).reshape(xo.shape + (4, 4))
-        acc = -np.einsum("krlij,kri,krj->krl", gamma, vo, vo)
+        acc = -geodesic_spray(g, xo.reshape(-1, 4), vo.reshape(-1, 4)).reshape(xo.shape)
         vn = v0[todo] + np.einsum("jk,kri->jri", s, acc)
         xn = x0[todo] + np.einsum("jk,kri->jri", s, vn)
         delta = np.max(np.abs(xn - xo) + np.abs(vn - vo), axis=(0, 2))
@@ -189,8 +191,8 @@ def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> 
     """Distance of the g-covariant acceleration from span{velocity, T velocity}.
 
     Coordinate acceleration is estimated with the 5-point order-4
-    stencil on the sampled velocities, then corrected with the
-    Christoffel term of the test metric g.  The distance is the
+    stencil on the sampled velocities, then corrected with the spray
+    G(v, v) of the test metric g.  The distance is the
     Euclidean least-squares residual, normalized by max(|velocity|^2, 1);
     returns the maximum over interior samples.
     """
@@ -206,7 +208,7 @@ def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> 
     interior = slice(2, m - 2)
     xs = path.positions[interior]
     vels = v[interior]
-    cov_acc = acc + np.einsum("nkij,ni,nj->nk", christoffel_batch(g, xs), vels, vels)
+    cov_acc = acc + geodesic_spray(g, xs, vels)
     tv = np.einsum("nki,ni->nk", t.batch_values(xs), vels)
 
     # least squares onto span{v, Tv} by stacked QR, with lstsq's default

@@ -206,17 +206,17 @@ class TensorField:
         pts = np.asarray(points, dtype=float)
         arr = self.components(dual_point(pts, order))
         n = pts.shape[0]
-        vals = np.empty((n,) + arr.shape)
-        grads = np.zeros((n,) + arr.shape + (DIM,)) if order == 2 else None
-        for idx in np.ndindex(arr.shape):
-            x = arr[idx]
+        vals = np.empty((n, arr.size))
+        grads = np.zeros((n, arr.size, DIM)) if order == 2 else None
+        for k, x in enumerate(arr.flat):
             if isinstance(x, DualBatch):
-                vals[(slice(None),) + idx] = x.val
+                vals[:, k] = x.val
                 if grads is not None:
-                    grads[(slice(None),) + idx + (slice(None),)] = x.grad
+                    grads[:, k] = x.grad
             else:
-                vals[(slice(None),) + idx] = float(x)
-        return vals, grads
+                vals[:, k] = float(x)
+        shape = (n,) + arr.shape
+        return vals.reshape(shape), None if grads is None else grads.reshape(shape + (DIM,))
 
 
 def split_jets(x: Jet, points: int = 0) -> tuple[np.ndarray, np.ndarray]:

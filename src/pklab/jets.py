@@ -482,8 +482,8 @@ class DualBatch:
         v = np.asarray(values, dtype=float)
         g = np.zeros(v.shape + (dim,))
         g[..., i] = 1.0
-        return DualBatch(v, g if order >= 1 else None,
-                         np.zeros(v.shape + (dim, dim)) if order >= 2 else None)
+        return _batch(v, g if order >= 1 else None,
+                      np.zeros(v.shape + (dim, dim)) if order >= 2 else None)
 
     @property
     def order(self) -> int:
@@ -493,7 +493,7 @@ class DualBatch:
         """First partial d/dx_i, one order lower."""
         if self.grad is None:
             raise ValueError("derivative() of an order-0 DualBatch")
-        return DualBatch(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
+        return _batch(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
 
     def _lift(self, other):
         """``other`` as a batch of our order: a constant has zero derivatives."""
@@ -504,28 +504,28 @@ class DualBatch:
                 v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
             except (TypeError, ValueError):
                 return None
-            return DualBatch(v, *(None if d is None else np.zeros_like(d)
-                                  for d in (self.grad, self.hess)))
+            return _batch(v, *(None if d is None else np.zeros_like(d)
+                               for d in (self.grad, self.hess)))
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return DualBatch(self.val + o.val, _join(np.add, self.grad, o.grad),
-                         _join(np.add, self.hess, o.hess))
+        return _batch(self.val + o.val, _join(np.add, self.grad, o.grad),
+                      _join(np.add, self.hess, o.hess))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DualBatch(-self.val, *(None if d is None else -d for d in (self.grad, self.hess)))
+        return _batch(-self.val, *(None if d is None else -d for d in (self.grad, self.hess)))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return DualBatch(self.val - o.val, _join(np.subtract, self.grad, o.grad),
-                         _join(np.subtract, self.hess, o.hess))
+        return _batch(self.val - o.val, _join(np.subtract, self.grad, o.grad),
+                      _join(np.subtract, self.hess, o.hess))
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -534,12 +534,15 @@ class DualBatch:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, _NUMBERS):  # a constant scales every derivative level
+            return _batch(self.val * other, *(None if d is None else d * other
+                                              for d in (self.grad, self.hess)))
         o = self._lift(other)
         if o is None:
             return NotImplemented
         val = self.val * o.val
         if self.grad is None or o.grad is None:
-            return DualBatch(val)
+            return _batch(val)
         grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
         h = None
         if self.hess is not None and o.hess is not None:
@@ -550,7 +553,7 @@ class DualBatch:
                 + cross
                 + np.swapaxes(cross, -1, -2)
             )
-        return DualBatch(val, grad, h)
+        return _batch(val, grad, h)
 
     __rmul__ = __mul__
 
@@ -580,13 +583,13 @@ class DualBatch:
 
     def _chain(self, v, dv, d2v=None):
         if self.grad is None:
-            return DualBatch(v)
+            return _batch(v)
         grad = dv[..., None] * self.grad
         h = None
         if self.hess is not None and d2v is not None:
             outer = self.grad[..., :, None] * self.grad[..., None, :]
             h = dv[..., None, None] * self.hess + d2v[..., None, None] * outer
-        return DualBatch(v, grad, h)
+        return _batch(v, grad, h)
 
     def exp(self):
         e = np.exp(self.val)
@@ -633,6 +636,14 @@ def dual_point(points: np.ndarray, order: int = 2) -> list[DualBatch]:
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
     return [DualBatch.variable(i, pts[:, i], dim, order) for i in range(dim)]
+
+
+def _batch(val, grad=None, hess=None) -> DualBatch:
+    """A DualBatch of float arrays as they are: the operations' results skip
+    the conversions of the public constructor."""
+    out = object.__new__(DualBatch)
+    out.val, out.grad, out.hess = val, grad, hess
+    return out
 
 
 def _join(op, a, b):

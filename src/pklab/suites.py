@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import projective as pj
-from .curvature import christoffel_batch, covariant_derivative_endo, einstein_residual
+from .curvature import covariant_derivative_endo, einstein_residual, geodesic_spray
 from .curves import (
     GeodesicPath,
     integrate_geodesic_bundle,
@@ -346,7 +346,7 @@ def _control_curves(g, t, p0, v0, rnd, step, n_steps) -> list[GeodesicPath]:
     q, _ = np.linalg.qr(np.stack([v0, tv0], axis=2))
     normals = rnd - np.einsum("nij,nkj,nk->ni", q, q, rnd)
     normals *= 0.25 / np.linalg.norm(normals, axis=1, keepdims=True)
-    w = normals - np.einsum("nkij,ni,nj->nk", christoffel_batch(g, p0), v0, v0)
+    w = normals - geodesic_spray(g, p0, v0)
     ts = step * np.arange(n_steps + 1)[:, None]
     return [
         GeodesicPath(ts[:, 0], p0[k] + ts * v0[k] + 0.5 * (ts**2 * w[k]), v0[k] + ts * w[k], step)

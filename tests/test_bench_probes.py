@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 # the tracer resolves its probes among the loaded pklab modules
-import pklab.catalog  # noqa: F401
+import pklab.catalog
 import pklab.exprs  # noqa: F401
 import pklab.linalg
 import pklab.suites
@@ -40,3 +40,12 @@ def test_every_probe_resolves_and_every_figure_reads(bench):
     assert pklab.linalg.mmul is mmul
     assert {f"suites.{c}_s" for c in pklab.suites.CHECK_NAMES} <= set(metrics)
     assert metrics["linalg.mmul_calls"] == 0
+
+
+def test_the_geodesic_spray_is_traced(bench):
+    # the Picard sweep and the planarity check run through geodesic_spray
+    triple = pklab.catalog.default_triple("real-liouville")
+    with bench.Tracer() as tracer:
+        assert pklab.suites.run_suite(triple, ["geodesic"]).all_passed
+    assert tracer.calls("curvature.geodesic_spray") > 0
+    assert tracer.calls("curvature.christoffel_batch") == 0

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_tensor_partials
+from pklab import projective as pj
+from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.curvature import (
     christoffel_batch,
     christoffel_jets,
     covariant_derivative_endo,
     einstein_residual,
+    geodesic_spray,
     scalar_hessian,
 )
 from pklab.fields import (
@@ -220,6 +223,34 @@ def test_singular_metric_raises_a_domain_error_and_shape_errors_propagate():
         christoffel_batch(g, np.zeros((3, 4)))
     with pytest.raises(np.linalg.LinAlgError):  # not square: a programming error
         minv(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize(
+    "kind,name", [("family", f) for f in sorted(FAMILIES)] + [("preset", p) for p in sorted(PRESETS)]
+)
+def test_geodesic_spray_is_the_symbols_contracted_with_the_velocity(kind, name):
+    # the reference is the Geometry's symbols of g and ghat, built from jets;
+    # the spray reads batch_duals, for ghat the companion's own evaluator.
+    # Relative to max |G| |v|^2: on einstein-lambda1 that evaluator and the
+    # jets differ by 1.4e-13 of max |Ghat|, and S cancels below |Ghat| |v|^2
+    tr = default_triple(name) if kind == "family" else preset_triple(name)
+    pts = tr.sample_points(20)
+    geo = Geometry(tr, pts)
+    v = np.random.default_rng(7).normal(size=pts.shape)
+    for metric, field in (("g", tr.g), ("ghat", pj.companion_metric(tr.g, tr.a))):
+        gamma = geo.gamma(metric)
+        ref = np.einsum("kijn,ni,nj->nk", gamma, v, v)
+        scale = np.abs(gamma).max(axis=(0, 1, 2)) * np.einsum("ni,ni->n", v, v)
+        spray = geodesic_spray(field, pts, v)
+        assert spray.shape == (20, 4)
+        assert np.all(np.abs(spray - ref).max(axis=1) <= 1e-12 * scale), metric
+
+
+def test_geodesic_spray_of_a_singular_metric_raises():
+    singular = np.diag([1.0, 1.0, -1.0, 0.0]).tolist()
+    g = TensorField((0, 2), lambda *c: objarray(singular))
+    with pytest.raises(ZeroDivisionError):
+        geodesic_spray(g, np.zeros((3, 4)), np.ones((3, 4)))
 
 
 def test_christoffel_jets_equal_the_entry_loop(triples):

@@ -312,6 +312,6 @@ def test_row_leaving_into_undefined_metric_stops_at_its_exit(triples):
 
 def test_sweeps_that_never_settle_raise(monkeypatch):
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(curves, "christoffel_batch", lambda g, x: rng.normal(size=(len(x), 4, 4, 4)))
+    monkeypatch.setattr(curves, "geodesic_spray", lambda g, x, v: rng.normal(size=(len(x), 4)))
     with pytest.raises(GeodesicConvergenceError):
         integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 100)

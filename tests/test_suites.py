@@ -333,9 +333,9 @@ def test_singular_metric_fails_geodesic_and_companion_closed(triples):
 
 
 def test_unsettled_geodesic_sweeps_fail_geodesic_closed(triples, monkeypatch):
-    # symbols that change at every call: the Picard sweeps never settle
+    # a spray that changes at every call: the Picard sweeps never settle
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(curves, "christoffel_batch", lambda g, x: rng.normal(size=(len(x), 4, 4, 4)))
+    monkeypatch.setattr(curves, "geodesic_spray", lambda g, x, v: rng.normal(size=(len(x), 4)))
     report = run_suite(triples["dim-d2-2"], ["geodesic"], n_points=3)
     assert [c.name for c in report.checks] == [
         "geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity"]
@@ -432,12 +432,12 @@ def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
     monkeypatch.setattr(TensorField, "batch_values",
                         reading("values", TensorField.batch_values, lambda f, p: f"values:{f.name}"))
     monkeypatch.setattr(suites, "kinetic_energy", reading("energy", suites.kinetic_energy))
-    gamma = reading("gamma", curvature.christoffel_batch)
+    spray = reading("spray", curvature.geodesic_spray)
     for module in (curves, suites):
-        monkeypatch.setattr(module, "christoffel_batch", gamma)
+        monkeypatch.setattr(module, "geodesic_spray", spray)
     assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
     second = [r for order, r in seeds if order == 2]
-    assert second and all(r[:2] == ("gamma", "duals") for r in second)
+    assert second and all(r[:2] == ("spray", "duals") for r in second)
     assert all(order == 1 for order, r in seeds if "energy" in r or "values:T" in r)
     assert any("energy" in r for _, r in seeds) and any("values:T" in r for _, r in seeds)
 
