@@ -621,8 +621,9 @@ def einstein_system_residual(
 
     Supported families: real-liouville, complex-liouville, dim-d2-1.
     ``params`` carries the profile callables, ``constants`` the system
-    constants (see the per-family helpers).  The largest per-point residual
-    is returned, and a point that evaluates to NaN makes it NaN.
+    constants (see the per-family helpers).  Each profile is evaluated once
+    over all the points, on batched jets.  The largest per-point residual is
+    returned, and a point that evaluates to NaN makes it NaN.
     """
     if family == "real-liouville":
         return _einstein_system_real(params, constants, points)
@@ -638,17 +639,15 @@ def _einstein_system_real(params, constants, points) -> float:
     lam = constants["lam"]
     h, k = constants.get("h", 0.0), constants.get("k", 0.0)
     c1, c2 = constants.get("c1", 0.0), constants.get("c2", 0.0)
-    residuals = []
-    for p in np.asarray(points, dtype=float):
-        r = rho(Jet.variable(0, p[0], 1, 3))
-        s = sigma(Jet.variable(0, p[1], 1, 3))
-        rv, rp = r.value, r.partial([1])
-        sv, sp = s.value, s.partial([1])
-        r1 = 3 * rp**2 + 2 * lam * rv**3 - 3 * k * rv**2 - 6 * h * rv - c1
-        r2 = 3 * sp**2 - eps * (2 * lam * sv**3 - 3 * k * sv**2 - 6 * h * sv) - c2
-        scale = np.maximum(1.0, np.maximum(abs(3 * rp**2), abs(3 * sp**2)))
-        residuals += [abs(r1) / scale, abs(r2) / scale]
-    return worst(residuals)
+    p = np.asarray(points, dtype=float)
+    r = rho(Jet.variable(0, p[:, 0], 1, 3))
+    s = sigma(Jet.variable(0, p[:, 1], 1, 3))
+    rv, rp = r.value, r.partial([1])
+    sv, sp = s.value, s.partial([1])
+    r1 = 3 * rp**2 + 2 * lam * rv**3 - 3 * k * rv**2 - 6 * h * rv - c1
+    r2 = 3 * sp**2 - eps * (2 * lam * sv**3 - 3 * k * sv**2 - 6 * h * sv) - c2
+    scale = np.maximum(1.0, np.maximum(abs(3 * rp**2), abs(3 * sp**2)))
+    return worst(np.concatenate([abs(r1) / scale, abs(r2) / scale]))
 
 
 def _einstein_system_complex(params, constants, points) -> float:
@@ -657,16 +656,14 @@ def _einstein_system_complex(params, constants, points) -> float:
     a = constants.get("a", 0.0)
     h = complex(constants.get("h", 0.0))
     d = complex(constants.get("d", 0.0))
-    residuals = []
-    for p in np.asarray(points, dtype=float):
-        x1 = Jet.variable(0, p[0], 2, 2)
-        x2 = Jet.variable(1, p[1], 2, 2)
-        R, I = re_part(x1, x2), im_part(x1, x2)
-        rho = complex(R.value, I.value)
-        rho_z = complex(R.partial([1, 0]), I.partial([1, 0]))
-        res = rho_z**2 - lam / 6.0 * rho**3 - a * rho**2 - 2 * h * rho + d
-        residuals.append(abs(res) / np.maximum(1.0, abs(rho_z) ** 2))
-    return worst(residuals)
+    p = np.asarray(points, dtype=float)
+    x1 = Jet.variable(0, p[:, 0], 2, 2)
+    x2 = Jet.variable(1, p[:, 1], 2, 2)
+    R, I = re_part(x1, x2), im_part(x1, x2)
+    rho = R.value + 1j * I.value
+    rho_z = R.partial([1, 0]) + 1j * I.partial([1, 0])
+    res = rho_z**2 - lam / 6.0 * rho**3 - a * rho**2 - 2 * h * rho + d
+    return worst(abs(res) / np.maximum(1.0, abs(rho_z) ** 2))
 
 
 def _einstein_system_dimd2_1(params, constants, points) -> float:
@@ -676,24 +673,18 @@ def _einstein_system_dimd2_1(params, constants, points) -> float:
     c1, c2 = constants.get("c1", 0.0), constants.get("c2", 0.0)
     f = constants.get("f", lambda x3: 0.0 * x3)
     h = constants.get("h", lambda x3: 0.0 * x3)
-    residuals = []
-    for p in np.asarray(points, dtype=float):
-        r = rho(Jet.variable(0, p[1], 1, 3))
-        m = mu(Jet.variable(0, p[1], 1, 3))
-        rv, rp = r.value, r.partial([1])
-        mv = m.value
-        denom = 2 * lam * (rv - c) ** 3 + c2 * (rv - c) ** 2 + c1
-        r1 = mv * denom - 3 * (rv - c) * rp
-        x3 = Jet.variable(0, p[2], 2, 2)
-        x4 = Jet.variable(1, p[3], 2, 2)
-        n = nu(x3, x4)
-        nv, n3 = n.value, n.partial([1, 0])
-        fv = f(p[2])
-        hv = h(p[2])
-        r2 = n3 + c2 / 6.0 * nv**2 - fv * nv - hv
-        scale = np.maximum(1.0, np.maximum(abs(denom), abs(n3)))
-        residuals += [abs(r1) / scale, abs(r2) / scale]
-    return worst(residuals)
+    p = np.asarray(points, dtype=float)
+    x2 = Jet.variable(0, p[:, 1], 1, 3)
+    r, m = rho(x2), mu(x2)
+    rv, rp = r.value, r.partial([1])
+    mv = m.value
+    denom = 2 * lam * (rv - c) ** 3 + c2 * (rv - c) ** 2 + c1
+    r1 = mv * denom - 3 * (rv - c) * rp
+    n = nu(Jet.variable(0, p[:, 2], 2, 2), Jet.variable(1, p[:, 3], 2, 2))
+    nv, n3 = n.value, n.partial([1, 0])
+    r2 = n3 + c2 / 6.0 * nv**2 - f(p[:, 2]) * nv - h(p[:, 2])
+    scale = np.maximum(1.0, np.maximum(abs(denom), abs(n3)))
+    return worst(np.concatenate([abs(r1) / scale, abs(r2) / scale]))
 
 
 # -- registry --------------------------------------------------------------

@@ -24,6 +24,9 @@ The module also provides :class:`DualBatch`, vectorized dual numbers
 truncated at order 0, 1 or 2 like a jet, used where values, or values
 and first partials, are needed at many points at once (constructor
 feasibility scans at order 1, geodesic integration at order 2).
+
+Each elementary function is one derivative rule on whole arrays, shared
+by both carriers, so they agree bit for bit in values and first partials.
 """
 
 from __future__ import annotations
@@ -126,6 +129,79 @@ class JetSpace:
         return f"JetSpace(dim={self.dim}, order={self.order}, size={self.size})"
 
 
+# -- elementary functions: one derivative rule each --------------------
+# ``rule(a, order, *args)`` lists the derivatives of orders 0..order at an
+# array of base values, computed with numpy after one domain check.
+
+
+def _domain(bad, a, what: str) -> None:
+    """Raise JetDomainError naming ``what`` and the first base value where ``bad``."""
+    if np.any(bad):
+        raise JetDomainError(f"{what} {np.asarray(a)[bad][0]}")
+
+
+def _inverse_rows(a, count: int) -> list:
+    """Derivatives 0..count-1 of 1/a from one 1/a: d_k = -k d_{k-1} / a."""
+    rows = [1.0 / a] if count else []
+    for k in range(1, count):
+        rows.append(-k * rows[-1] * rows[0])
+    return rows
+
+
+def _exp(a, order: int) -> list:
+    return [np.exp(a)] * (order + 1)
+
+
+def _log(a, order: int) -> list:
+    _domain(a <= 0.0, a, "log of non-positive value")
+    return [np.log(a)] + _inverse_rows(a, order)
+
+
+def _sqrt(a, order: int) -> list:
+    """d_k = c_k / (sqrt(a) a^(k-1)), with c_1 = 1/2 and c_k = c_{k-1} (3/2 - k)."""
+    _domain(a <= 0.0, a, "sqrt of non-positive value")
+    rows, c, den = [np.sqrt(a)], 0.5, None
+    for k in range(1, order + 1):
+        den = rows[0] if k == 1 else den * a
+        rows.append(c / den)
+        c *= 0.5 - k
+    return rows
+
+
+def _pow(a, order: int, r: float) -> list:
+    _domain(a <= 0.0, a, f"pow({r}) of non-positive value")
+    rows, fac = [a**r], r
+    for k in range(1, order + 1):
+        rows.append(fac * a ** (r - k))
+        fac *= r - k
+    return rows
+
+
+def _reciprocal(a, order: int) -> list:
+    _domain(a == 0.0, a, "reciprocal of zero value")
+    return _inverse_rows(a, order + 1)
+
+
+def _sin(a, order: int) -> list:
+    s, c = np.sin(a), np.cos(a)
+    return ([s, c, -s, -c] * (order // 4 + 1))[: order + 1]
+
+
+def _cos(a, order: int) -> list:
+    s, c = np.sin(a), np.cos(a)
+    return ([c, -s, -c, s] * (order // 4 + 1))[: order + 1]
+
+
+def _method(rule):
+    """A method composing its carrier with ``rule``; each class makes its own."""
+
+    def method(self, *args):
+        return self._elementary(rule, *args)
+
+    method.__name__ = rule.__name__[1:]
+    return method
+
+
 _NUMBERS = (int, float, np.floating, np.integer)
 
 
@@ -179,8 +255,9 @@ class Jet:
         v = self.coeffs[0]
         return float(v) if v.ndim == 0 else v.copy()
 
-    def partial(self, multi_index: Sequence[int]) -> float:
-        """Partial derivative for the given multi-index (with factorials)."""
+    def partial(self, multi_index: Sequence[int]) -> float | np.ndarray:
+        """Partial derivative for the given multi-index (with factorials), or
+        its values at the points of a batch."""
         alpha = tuple(int(a) for a in multi_index)
         if len(alpha) != self.space.dim or any(a < 0 for a in alpha):
             raise ValueError(f"bad multi-index {alpha} for dim {self.space.dim}")
@@ -189,7 +266,8 @@ class Jet:
                 f"multi-index {alpha} exceeds truncation order {self.space.order}"
             )
         k = self.space.position[alpha]
-        return float(self.coeffs[k] * self.space.factorials[k])
+        d = self.coeffs[k] * self.space.factorials[k]
+        return float(d) if d.ndim == 0 else d
 
     def gradient(self) -> np.ndarray:
         """All first partials as a vector (one column per point of a batch)."""
@@ -310,96 +388,29 @@ class Jet:
 
     # -- analytic functions -------------------------------------------
 
-    def _compose(self, series: np.ndarray) -> "Jet":
-        """Horner evaluation of sum series[k] * (self - const)^k.
-
-        For an array of jets, ``series[k]`` holds one coefficient per entry.
-        """
-        sp = self.space
-        p = Jet(sp, self.coeffs.copy())
+    def _elementary(self, rule, *args) -> "Jet":
+        """Compose with ``rule``'s derivatives at the base values a, by Horner
+        in p = self - a: the first step scales p per column, the later ones
+        are table products.  a is an array even for one point, so a column's
+        bits do not depend on its batch."""
+        sp, c = self.space, self.coeffs
+        rows = rule(c[:1].reshape(c.shape[1:]), sp.order, *args)
+        p = Jet(sp, c.copy())
         p.coeffs[0] = 0.0
-        acc = Jet(sp, self._lift(series[sp.order]))
-        for k in range(sp.order - 1, -1, -1):
-            acc = acc * p + Jet(sp, self._lift(series[k]))
+        acc = Jet(sp, p.coeffs * (rows[-1] / math.factorial(sp.order)))
+        for k in range(sp.order - 1, 0, -1):
+            acc.coeffs[0] = rows[k] / math.factorial(k)
+            acc = acc * p
+        acc.coeffs[0] = rows[0]
         return acc
 
-    def _elementary(self, derivs, undefined=None, what: str = "") -> "Jet":
-        """Compose with the function whose derivatives of order 0..order at
-        a base value a are ``derivs(a)``, evaluated entry by entry.
-
-        A column whose base value a has ``undefined(a)`` raises
-        JetDomainError with the message "<what> <a>".
-        """
-        base = self.coeffs[0]
-        values = base.ravel().tolist()
-        if undefined is not None:
-            for a in values:
-                if undefined(a):
-                    raise JetDomainError(f"{what} {a}")
-        series = np.array(
-            [[d / math.factorial(k) for k, d in enumerate(derivs(a))] for a in values],
-            dtype=float,
-        ).T
-        return self._compose(series.reshape((-1,) + base.shape))
-
-    def exp(self) -> "Jet":
-        return self._elementary(lambda a: [math.exp(a)] * (self.space.order + 1))
-
-    def log(self) -> "Jet":
-        def derivs(a):
-            return [math.log(a)] + [
-                (-1.0) ** (k + 1) * math.factorial(k - 1) / a**k
-                for k in range(1, self.space.order + 1)
-            ]
-
-        return self._elementary(derivs, _nonpositive, "log of jet with non-positive value")
-
-    def sqrt(self) -> "Jet":
-        return self._pow(0.5, "sqrt of jet with non-positive value")
-
-    def pow(self, r: float) -> "Jet":
-        return self._pow(r, f"pow({r}) of jet with non-positive value")
-
-    def _pow(self, r: float, what: str) -> "Jet":
-        def derivs(a):
-            out, fac = [], 1.0
-            for k in range(self.space.order + 1):
-                out.append(fac * a ** (r - k))
-                fac *= r - k
-            return out
-
-        return self._elementary(derivs, _nonpositive, what)
-
-    def reciprocal(self) -> "Jet":
-        def derivs(a):
-            return [
-                (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-                for k in range(self.space.order + 1)
-            ]
-
-        return self._elementary(derivs, _zero, "reciprocal of jet with zero value")
-
-    def sin(self) -> "Jet":
-        def derivs(a):
-            cycle = [math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)]
-            return [cycle[k % 4] for k in range(self.space.order + 1)]
-
-        return self._elementary(derivs)
-
-    def cos(self) -> "Jet":
-        def derivs(a):
-            cycle = [math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)]
-            return [cycle[k % 4] for k in range(self.space.order + 1)]
-
-        return self._elementary(derivs)
-
-
-def _nonpositive(a: float) -> bool:
-    return a <= 0.0
-
-
-def _zero(a: float) -> bool:
-    return a == 0.0
+    exp = _method(_exp)
+    log = _method(_log)
+    sqrt = _method(_sqrt)
+    pow = _method(_pow)
+    reciprocal = _method(_reciprocal)
+    sin = _method(_sin)
+    cos = _method(_cos)
 
 
 # -- coordinate jets --------------------------------------------------
@@ -464,8 +475,11 @@ class DualBatch:
     lowers it by one, so field formulas that embed profile first
     derivatives evaluate in one vectorized pass: values on order-1
     coordinates, values and first partials on order 2.  No value reads a
-    derivative level, so values have the same bits at every order.  This
-    type backs the fast paths (feasibility scans, geodesic right-hand
+    derivative level, so values have the same bits at every order.  The
+    elementary functions are the module's derivative rules, the ones a
+    :class:`Jet` composes, fed to :meth:`_chain` through this batch's
+    order, so values and gradients equal a batched jet's bit for bit.
+    This type backs the fast paths (feasibility scans, geodesic right-hand
     sides); everything above second order goes through :class:`Jet`.
     """
 
@@ -581,7 +595,7 @@ class DualBatch:
             )
         return self.pow(float(expo))
 
-    def _chain(self, v, dv, d2v=None):
+    def _chain(self, v, dv=None, d2v=None):
         if self.grad is None:
             return _batch(v)
         grad = dv[..., None] * self.grad
@@ -591,44 +605,17 @@ class DualBatch:
             h = dv[..., None, None] * self.hess + d2v[..., None, None] * outer
         return _batch(v, grad, h)
 
-    def exp(self):
-        e = np.exp(self.val)
-        return self._chain(e, e, e)
+    def _elementary(self, rule, *args):
+        """Compose with ``rule``'s derivatives of orders 0..our order."""
+        return self._chain(*rule(self.val, self.order, *args))
 
-    def log(self):
-        if np.any(self.val <= 0.0):
-            raise JetDomainError("log of batch with non-positive value")
-        inv = 1.0 / self.val
-        return self._chain(np.log(self.val), inv, -inv * inv)
-
-    def sqrt(self):
-        if np.any(self.val <= 0.0):
-            raise JetDomainError("sqrt of batch with non-positive value")
-        s = np.sqrt(self.val)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.val))
-
-    def pow(self, r: float):
-        if np.any(self.val <= 0.0):
-            raise JetDomainError(f"pow({r}) of batch with non-positive value")
-        return self._chain(
-            self.val**r,
-            r * self.val ** (r - 1.0),
-            r * (r - 1.0) * self.val ** (r - 2.0),
-        )
-
-    def reciprocal(self):
-        if np.any(self.val == 0.0):
-            raise JetDomainError("reciprocal of batch with zero value")
-        inv = 1.0 / self.val
-        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
-
-    def sin(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(c, -s, -c)
+    exp = _method(_exp)
+    log = _method(_log)
+    sqrt = _method(_sqrt)
+    pow = _method(_pow)
+    reciprocal = _method(_reciprocal)
+    sin = _method(_sin)
+    cos = _method(_cos)
 
 
 def dual_point(points: np.ndarray, order: int = 2) -> list[DualBatch]:

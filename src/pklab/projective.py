@@ -435,11 +435,18 @@ def eigen_gradient_residual(geo: Geometry) -> np.ndarray:
     return np.where(spec.kind == "degenerate", np.inf, np.maximum(amax(r1), amax(r2)) / scale)
 
 
+def _killing_fields(geo: Geometry, idx) -> tuple:
+    """Values and partials of the Killing fields ``idx`` (of V1, V2, TV1, TV2),
+    the field axis moved next to the point axis, so that one ``fields`` call
+    serves them all."""
+    kv, kp = geo.vp("killing")
+    return np.moveaxis(kv[idx], 0, -2), np.moveaxis(kp[idx], 0, -2)
+
+
 def killing_residual(geo: Geometry) -> np.ndarray:
     """max over TV1, TV2 of |L_{TV} g|, scaled by |g|."""
     gv, gp = geo.vp("g")
-    kv, kp = geo.vp("killing")
-    lie = np.maximum(*(amax(lie_derivative_metric(gv, gp, kv[k], kp[k])) for k in (2, 3)))
+    lie = amax(lie_derivative_metric(gv, gp, *_killing_fields(geo, [2, 3])))
     return lie / np.maximum(1.0, amax(gv))
 
 
@@ -454,15 +461,13 @@ def hamiltonian_pairing_residual(geo: Geometry) -> np.ndarray:
 def para_holomorphy_residual(geo: Geometry) -> np.ndarray:
     """max over X in {V1, V2, TV1, TV2} of |L_X T|."""
     tv, tp = geo.vp("t")
-    kv, kp = geo.vp("killing")
-    return np.max([amax(lie_derivative_endo(tv, tp, kv[k], kp[k])) for k in range(4)], axis=0)
+    return amax(lie_derivative_endo(tv, tp, *_killing_fields(geo, slice(None))))
 
 
 def commutation_residual(geo: Geometry) -> np.ndarray:
     """max |[X, Y]| over pairs of {V1, V2, TV1, TV2}."""
-    kv, kp = geo.vp("killing")
-    return np.max([amax(lie_bracket(kv[a], kp[a], kv[b], kp[b]))
-                   for a in range(4) for b in range(a + 1, 4)], axis=0)
+    a, b = np.triu_indices(4, 1)
+    return amax(lie_bracket(*_killing_fields(geo, a), *_killing_fields(geo, b)))
 
 
 def leaf_geodesic_residual(geo: Geometry) -> np.ndarray:

@@ -49,3 +49,6 @@ def test_the_geodesic_spray_is_traced(bench):
         assert pklab.suites.run_suite(triple, ["geodesic"]).all_passed
     assert tracer.calls("curvature.geodesic_spray") > 0
     assert tracer.calls("curvature.christoffel_batch") == 0
+    # a geodesic-only run evaluates no Jet: dual batches take their elementary
+    # functions without passing through the probed Jet methods
+    assert tracer.counts["jets.jet_elementary_calls"] == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,7 @@ def test_batch_column_equals_the_jet_at_its_point(name):
         single = op(x[0], x[1])
         assert np.array_equal(_bits(batch.coeffs[:, k]), _bits(single.coeffs)), (name, k)
         assert batch.value[k] == single.value
+        assert batch.partial((1, 0, 1, 0))[k] == single.partial((1, 0, 1, 0))
         assert np.array_equal(batch.gradient()[:, k], single.gradient())
 
 
@@ -373,10 +376,41 @@ def test_batched_seed_columns_are_the_seeds_of_each_point():
 def test_domain_error_in_any_column_raises(bad, method, value):
     points = _BATCH_POINTS.copy()
     points[bad, 0] = value
-    x = _batched_coordinates(points)[0]
     call = (lambda j: j.pow(0.5)) if method == "pow" else (lambda j: getattr(j, method)())
-    with pytest.raises(JetDomainError, match=method):
-        call(x)
+    # on both carriers the message names the function and the offending value
+    for coordinates in (_batched_coordinates, dual_point):
+        with pytest.raises(JetDomainError, match=rf"^{method}\b.* {re.escape(str(value))}$"):
+            call(coordinates(points)[0])
+
+
+_CARRIER_FUNCTIONS = {
+    "exp": lambda u: u.exp(),
+    "log": lambda u: u.log(),
+    "sqrt": lambda u: u.sqrt(),
+    "reciprocal": lambda u: u.reciprocal(),
+    "sin": lambda u: u.sin(),
+    "cos": lambda u: u.cos(),
+    "pow(0.5)": lambda u: u.pow(0.5),
+    "pow(-0.5)": lambda u: u.pow(-0.5),
+    "pow(1/6)": lambda u: u.pow(1.0 / 6.0),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(_CARRIER_FUNCTIONS))
+def test_both_carriers_compose_with_one_derivative_rule(name, order):
+    # a dual batch and a batched jet take each elementary function from the
+    # same rule, so their values and first partials agree bit for bit
+    # (adding 0.0 only makes the signs of zeros alike)
+    fn = _CARRIER_FUNCTIONS[name]
+    points = np.random.default_rng(19).uniform(0.3, 1.7, size=(200, 4))
+
+    def of(x):
+        return fn(x[0] * x[1] + 0.3 * x[2])
+
+    dual, jet = of(dual_point(points, order)), of(seed_point(points, order))
+    assert np.array_equal(_bits(dual.val + 0.0), _bits(jet.coeffs[0] + 0.0))
+    assert np.array_equal(_bits(dual.grad + 0.0), _bits(jet.gradient().T + 0.0))
 
 
 def test_bincount_product_equals_the_add_at_formula():
