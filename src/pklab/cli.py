@@ -177,7 +177,7 @@ def _export_geodesic_csv(triple, path, seed: int) -> None:
         ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
     )[0]
     try:
-        residuals = t_planarity_residual(triple.g, triple.t, curve).residuals
+        (residuals,) = t_planarity_residual(triple.g, triple.t, [curve])
     except DOMAIN_ERRORS as e:  # the geodesic results have failed with it
         print(f"--csv: no planarity residuals ({type(e).__name__}: {e})", file=sys.stderr)
         residuals = None

@@ -32,7 +32,6 @@ __all__ = [
     "integrate_geodesic_bundle",
     "kinetic_energy",
     "t_planarity_residual",
-    "TPlanarityResult",
     "export_curve_csv",
 ]
 
@@ -175,51 +174,57 @@ def integrate_geodesic_bundle(
     ]
 
 
-def kinetic_energy(g: TensorField, path: GeodesicPath) -> np.ndarray:
-    """g(velocity, velocity) along the path; constant for true geodesics."""
-    gv = g.batch_values(path.positions)
-    return np.einsum("nij,ni,nj->n", gv, path.velocities, path.velocities)
+def kinetic_energy(g: TensorField, paths: list[GeodesicPath]) -> list[np.ndarray]:
+    """g(velocity, velocity) along each path, g read once for all; constant on geodesics."""
+    x = np.concatenate([p.positions for p in paths])
+    v = np.concatenate([p.velocities for p in paths])
+    en = np.einsum("nij,ni,nj->n", g.batch_values(x), v, v)
+    return np.split(en, np.cumsum([len(p) for p in paths])[:-1])
 
 
-@dataclass
-class TPlanarityResult:
-    max_residual: float
-    residuals: np.ndarray  # per interior sample
+def off_span(v: np.ndarray, tv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x less its least-squares projection onto span{v, Tv}, row by row, by
+    two-column Gram-Schmidt.  lstsq's default rank cutoff s1 <= 4 eps s0 drops
+    a Tv within rounding of span{v}: the singular values of [v, Tv] have
+    s0^2 + s1^2 = f and s0 s1 = d, so the cutoff reads d <= 4 eps s0^2."""
+    dot = lambda a, b: np.einsum("ni,ni->n", a, b)[:, None]  # noqa: E731
+    r11 = np.sqrt(dot(v, v))
+    q1 = v / r11
+    w = tv - dot(q1, tv) * q1
+    r22 = np.sqrt(dot(w, w))
+    f, d = dot(v, v) + dot(tv, tv), r11 * r22
+    keep = d > 4.0 * np.finfo(float).eps * (0.5 * f + np.sqrt(np.maximum(0.25 * f * f - d * d, 0.0)))
+    q2 = np.divide(w, r22, out=np.zeros_like(w), where=keep)
+    x = x - dot(q1, x) * q1
+    return x - dot(q2, x) * q2
 
 
-def t_planarity_residual(g: TensorField, t: TensorField, path: GeodesicPath) -> TPlanarityResult:
+def t_planarity_residual(
+    g: TensorField, t: TensorField, paths: list[GeodesicPath]
+) -> list[np.ndarray]:
     """Distance of the g-covariant acceleration from span{velocity, T velocity}.
 
-    Coordinate acceleration is estimated with the 5-point order-4
-    stencil on the sampled velocities, then corrected with the spray
-    G(v, v) of the test metric g.  The distance is the
-    Euclidean least-squares residual, normalized by max(|velocity|^2, 1);
-    returns the maximum over interior samples.
+    Coordinate acceleration is estimated with the 5-point order-4 stencil on
+    each path's sampled velocities, then corrected with the spray G(v, v) of
+    the test metric g, one spray call and one evaluation of T over all the
+    paths.  The distance is the Euclidean least-squares residual, normalized
+    by max(|velocity|^2, 1); one array per path, over its interior samples.
     """
-    m = len(path)
-    if m < 5:
-        raise ShortCurveError(f"{m} samples; the acceleration stencil needs at least 5")
-    v = path.velocities
-    speed2 = np.einsum("ni,ni->n", v, v)
-    if np.min(speed2) < 1e-20:
-        raise DegenerateVelocityError("velocity norm below 1e-10 along the curve")
-
-    acc = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * path.step)
-    interior = slice(2, m - 2)
-    xs = path.positions[interior]
-    vels = v[interior]
-    cov_acc = acc + geodesic_spray(g, xs, vels)
+    accs = []
+    for path in paths:
+        m, v = len(path), path.velocities
+        if m < 5:
+            raise ShortCurveError(f"{m} samples; the acceleration stencil needs at least 5")
+        if np.min(np.einsum("ni,ni->n", v, v)) < 1e-20:
+            raise DegenerateVelocityError("velocity norm below 1e-10 along the curve")
+        accs.append((-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * path.step))
+    xs = np.concatenate([p.positions[2:-2] for p in paths])
+    vels = np.concatenate([p.velocities[2:-2] for p in paths])
+    cov_acc = np.concatenate(accs) + geodesic_spray(g, xs, vels)
     tv = np.einsum("nki,ni->nk", t.batch_values(xs), vels)
-
-    # least squares onto span{v, Tv} by stacked QR, with lstsq's default
-    # rank cutoff: a Tv within rounding of span{v} adds no direction
-    q, r = np.linalg.qr(np.stack([vels, tv], axis=2))
-    sv = np.linalg.svd(r, compute_uv=False)
-    q[..., 1] *= (sv[:, 1] > 4.0 * np.finfo(float).eps * sv[:, 0])[:, None]
-    resid = cov_acc - np.einsum("nij,nkj,nk->ni", q, q, cov_acc)
-    residuals = np.linalg.norm(resid, axis=1) / np.maximum(speed2[interior], 1.0)
-
-    return TPlanarityResult(float(np.max(residuals)), residuals)
+    residuals = np.linalg.norm(off_span(vels, tv, cov_acc), axis=1)
+    residuals /= np.maximum(np.einsum("ni,ni->n", vels, vels), 1.0)
+    return np.split(residuals, np.cumsum([len(a) for a in accs])[:-1])
 
 
 def export_curve_csv(

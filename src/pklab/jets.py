@@ -202,6 +202,24 @@ def _method(rule):
     return method
 
 
+def _power(x, expo, constant):
+    """x ** expo on either carrier: an integer power by binary powering, the same
+    products on both, so they agree bit for bit (x^0 is ``constant(1.0)``, also
+    where x = 0); any other exponent through ``pow``."""
+    if not isinstance(expo, (int, np.integer)):
+        return x.pow(float(expo))
+    n = int(expo)
+    if n < 0:
+        return x.reciprocal() ** (-n)
+    result = None if n else constant(1.0)
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        x = x * x if n else x
+    return result
+
+
 _NUMBERS = (int, float, np.floating, np.integer)
 
 
@@ -366,19 +384,7 @@ class Jet:
         return o * self.reciprocal()
 
     def __pow__(self, expo):
-        if isinstance(expo, (int, np.integer)):
-            n = int(expo)
-            if n < 0:
-                return self.reciprocal() ** (-n)
-            result = Jet(self.space, self._lift(1.0))
-            base = self
-            while n:
-                if n & 1:
-                    result = result * base
-                base = base * base
-                n >>= 1
-            return result
-        return self.pow(float(expo))
+        return _power(self, expo, self._coerce)
 
     def __repr__(self) -> str:  # pragma: no cover
         sp = self.space
@@ -584,16 +590,7 @@ class DualBatch:
         return o * self.reciprocal()
 
     def __pow__(self, expo):
-        if isinstance(expo, (int, np.integer)):
-            n = int(expo)
-            if n <= 0:  # as for a Jet: x^0 is the constant 1, also where x = 0
-                return self.reciprocal() ** (-n) if n else self._lift(1.0)
-            return self._chain(
-                self.val**n,
-                n * self.val ** (n - 1),
-                float(n * (n - 1)) * self.val ** (n - 2) if n >= 2 else np.zeros_like(self.val),
-            )
-        return self.pow(float(expo))
+        return _power(self, expo, self._lift)
 
     def _chain(self, v, dv=None, d2v=None):
         if self.grad is None:

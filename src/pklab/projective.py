@@ -198,17 +198,18 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
             raise DegenerateMetricError("det A <= 0 in companion metric batch")
         ainv = minv(av)
         s = det ** (-0.5)
-        ga = np.einsum("nim,nmj->nij", gv, ainv)
+        ga = gv @ ainv
         vals = s[:, None, None] * ga
         if not partials:
             return vals, None
-        # d s = -1/2 s tr(A^{-1} dA);  d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1},
-        # one matrix product per direction k, moved to axis 1 and back
-        ds = -0.5 * s[:, None] * np.einsum("nij,njik->nk", ainv, ad)
+        # d s = -1/2 s tr(A^{-1} dA), a (1, 16) @ (16, 4) product per point;
+        # d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1}, one product per direction k
+        tr = np.swapaxes(ainv, 1, 2).reshape(-1, 1, DIM * DIM) @ ad.reshape(-1, DIM * DIM, DIM)
+        ds = -0.5 * s[:, None] * tr[:, 0]
         dga = np.moveaxis(gd, 3, 1) @ ainv[:, None]
         dga -= ga[:, None] @ np.moveaxis(ad, 3, 1) @ ainv[:, None]
         dga = np.moveaxis(dga, 1, 3)
-        grads = s[:, None, None, None] * dga + np.einsum("nk,nij->nijk", ds, ga)
+        grads = s[:, None, None, None] * dga + ga[..., None] * ds[:, None, None, :]
         return vals, grads
 
     return TensorField((0, 2), comps, name="companion", batch_fn=batch)

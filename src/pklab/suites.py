@@ -23,6 +23,7 @@ from .curves import (
     GeodesicPath,
     integrate_geodesic_bundle,
     kinetic_energy,
+    off_span,
     t_planarity_residual,
 )
 from .geometry import ORDER, Geometry
@@ -342,9 +343,7 @@ def _control_curves(g, t, p0, v0, rnd, step, n_steps) -> list[GeodesicPath]:
     is ``rnd`` with its part in span{v0, T v0} removed, scaled to |n| = 0.25:
     the g-covariant acceleration at t = 0 is n, which no T-planar curve has.
     """
-    tv0 = np.einsum("nki,ni->nk", t.batch_values(p0), v0)
-    q, _ = np.linalg.qr(np.stack([v0, tv0], axis=2))
-    normals = rnd - np.einsum("nij,nkj,nk->ni", q, q, rnd)
+    normals = off_span(v0, np.einsum("nki,ni->nk", t.batch_values(p0), v0), rnd)
     normals *= 0.25 / np.linalg.norm(normals, axis=1, keepdims=True)
     w = normals - geodesic_spray(g, p0, v0)
     ts = step * np.arange(n_steps + 1)[:, None]
@@ -390,14 +389,12 @@ def _geodesic_residuals(triple, p0, v0, normals):
     paths = integrate_geodesic_bundle(
         ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
     )
-    drifts, plans = [], []
-    for path in paths:
-        en = kinetic_energy(ghat, path)
-        drifts.append(float(np.max(np.abs(en - en[0]))) / max(1.0, abs(en[0])))
-        plans.append(t_planarity_residual(g, t, path).max_residual)
+    drifts = [float(np.max(np.abs(en - en[0]))) / max(1.0, abs(en[0]))
+              for en in kinetic_energy(ghat, paths)]
     controls = _control_curves(g, t, p0, v0, normals, GEODESIC_STEP, 40)
+    plans = [float(np.max(r)) for r in t_planarity_residual(g, t, paths + controls)]
     # np.min, not min(): a NaN control makes the smallest NaN wherever it stands
-    return drifts, plans, np.min([t_planarity_residual(g, t, c).max_residual for c in controls])
+    return drifts, plans[:len(paths)], np.min(plans[len(paths):])
 
 
 def _suite_geodesic(geo, tol, seed: int = 0):

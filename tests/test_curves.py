@@ -18,7 +18,9 @@ from pklab.curves import (
 )
 from pklab.fields import Chart, TensorField, objarray
 from pklab.geometry import DOMAIN_ERRORS, Geometry
-from pklab.suites import geodesic_starts
+from pklab import suites
+from pklab.catalog import PRESETS, preset_triple
+from pklab.suites import GEODESIC_STEP, GEODESIC_STEPS, geodesic_starts
 
 FLAT = [
     [0.0, 0.0, 1.0, 0.0],
@@ -46,7 +48,7 @@ def test_flat_geodesics_are_straight_lines():
 def test_energy_conservation_on_curved_metric(triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
-    en = kinetic_energy(tr.g, path)
+    (en,) = kinetic_energy(tr.g, [path])
     assert np.max(np.abs(en - en[0])) < 1e-8
 
 
@@ -64,8 +66,8 @@ def test_killing_momentum_conserved(triples):
 def test_own_geodesics_are_planar(triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
-    res = t_planarity_residual(tr.g, tr.t, path)
-    assert res.max_residual < 1e-10
+    (res,) = t_planarity_residual(tr.g, tr.t, [path])
+    assert np.max(res) < 1e-10
 
 
 def test_companion_geodesics_are_planar(triples):
@@ -75,14 +77,15 @@ def test_companion_geodesics_are_planar(triples):
     v0 = rng.normal(size=(4, 4))
     v0 = 0.25 * v0 / np.linalg.norm(v0, axis=1, keepdims=True)
     p0 = np.tile(P0, (4, 1))
-    for path in integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 1000, tr.chart):
-        assert t_planarity_residual(tr.g, tr.t, path).max_residual < 1e-6
+    paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 1000, tr.chart)
+    for res in t_planarity_residual(tr.g, tr.t, paths):
+        assert np.max(res) < 1e-6
 
 
 def test_unrelated_metric_geodesics_are_not_planar(triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 1000, tr.chart)
-    assert t_planarity_residual(tr.g, tr.t, path).max_residual > 1e-3
+    assert np.max(t_planarity_residual(tr.g, tr.t, [path])[0]) > 1e-3
 
 
 def test_step_halving_shows_order_four(triples):
@@ -96,7 +99,7 @@ def test_step_halving_shows_order_four(triples):
     for h in (4e-3, 2e-3, 1e-3):
         n = int(round(0.3 / h))
         paths = integrate_geodesic_bundle(ghat, p0, v0, h, n, tr.chart)
-        residuals.append(max(t_planarity_residual(tr.g, tr.t, q).max_residual for q in paths))
+        residuals.append(max(np.max(r) for r in t_planarity_residual(tr.g, tr.t, paths)))
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert np.all(orders > 3.4), (residuals, orders)
 
@@ -136,7 +139,7 @@ def test_reparameterized_planar_curve_stays_planar(triples):
         velocities=np.array(vs),
         step=h,
     )
-    assert t_planarity_residual(tr.g, tr.t, path).max_residual < 1e-6
+    assert np.max(t_planarity_residual(tr.g, tr.t, [path])[0]) < 1e-6
 
 
 def test_box_exit_truncates_and_flags(triples):
@@ -177,27 +180,47 @@ def test_bundle_stops_each_row_where_chart_contains_says_it_left():
 
 
 def test_degenerate_velocity_rejected():
-    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [np.zeros(4)], 1e-3, 10)
-    with pytest.raises(DegenerateVelocityError):
-        t_planarity_residual(flat_metric(), flat_metric(), path)
+    good = integrate_geodesic_bundle(flat_metric(), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
+    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [np.full(4, 1e-11)], 1e-3, 10)
+    for paths in ([path], [good[0], good[1], path]):  # one such curve fails the call
+        with pytest.raises(DegenerateVelocityError):
+            t_planarity_residual(flat_metric(), flat_metric(), paths)
 
 
 def test_short_curve_rejected_as_a_domain_error():
     # a curve that left its chart after 3 samples has no stencil point
+    good = integrate_geodesic_bundle(flat_metric(), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
     (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 2)
-    with pytest.raises(ShortCurveError, match="3 samples"):
-        t_planarity_residual(flat_metric(), flat_metric(), path)
+    for paths in ([path], [good[0], path, good[1]]):  # one such curve fails the call
+        with pytest.raises(ShortCurveError, match="3 samples"):
+            t_planarity_residual(flat_metric(), flat_metric(), paths)
     # both fail a result closed instead of escaping the suite runner
     assert issubclass(ShortCurveError, DOMAIN_ERRORS)
     assert issubclass(DegenerateVelocityError, DOMAIN_ERRORS)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_readers_equal_one_curve_calls(triples, seed):
+    # the suite's three geodesics and three controls, read in one call and one
+    # curve at a time: every array has the same bits
+    for name, tr in {**triples, **{p: preset_triple(p) for p in PRESETS}}.items():
+        p0, v0, normals = geodesic_starts(tr.chart, seed)
+        ghat = pj.companion_metric(tr.g, tr.a)
+        paths = integrate_geodesic_bundle(ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, tr.chart)
+        paths += suites._control_curves(tr.g, tr.t, p0, v0, normals, GEODESIC_STEP, 40)
+        for got, path in zip(kinetic_energy(ghat, paths), paths, strict=True):
+            assert np.array_equal(got, kinetic_energy(ghat, [path])[0]), name
+        for got, path in zip(t_planarity_residual(tr.g, tr.t, paths), paths, strict=True):
+            (one,) = t_planarity_residual(tr.g, tr.t, [path])
+            assert np.array_equal(got, one), name
+
+
 def test_csv_export(tmp_path, triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
-    res = t_planarity_residual(tr.g, tr.t, path)
+    (res,) = t_planarity_residual(tr.g, tr.t, [path])
     out = tmp_path / "curve.csv"
-    export_curve_csv(path, out, residuals=res.residuals)
+    export_curve_csv(path, out, residuals=res)
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x1", "x2", "x3", "x4", "v1", "v2", "v3", "v4", "residual"]
@@ -209,8 +232,8 @@ def test_csv_export(tmp_path, triples):
 def test_planarity_keeps_samples(triples):
     tr = triples["real-liouville"]
     (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
-    res = t_planarity_residual(tr.g, tr.t, path)
-    assert res.residuals.shape == (len(path) - 4,)
+    (res,) = t_planarity_residual(tr.g, tr.t, [path])
+    assert res.shape == (len(path) - 4,)
     # for a geodesic of g itself the covariant acceleration is tiny
     v, xs = path.velocities, path.positions[2:-2]
     acc = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * path.step)
@@ -275,7 +298,7 @@ def test_planarity_projection_matches_lstsq_loop(triples):
         p0, v0, _ = geodesic_starts(tr.chart, 0)
         (path,) = integrate_geodesic_bundle(pj.companion_metric(tr.g, tr.a), p0[:1], v0[:1],
                                             1e-3, 400, tr.chart)
-        got = t_planarity_residual(tr.g, tr.t, path).residuals
+        (got,) = t_planarity_residual(tr.g, tr.t, [path])
         assert np.max(np.abs(got - _planarity_lstsq_loop(tr.g, tr.t, path))) < 1e-12, name
     # velocities on and near an eigenline of T, where T = diag(1, 1, -1, -1):
     # on it T v = v exactly and span{v, Tv} is a line, which the reference
@@ -287,8 +310,21 @@ def test_planarity_projection_matches_lstsq_loop(triples):
         vel = e + delta * u
         times = 1e-3 * np.arange(9)
         line = GeodesicPath(times, p + np.outer(times, vel), np.tile(vel, (9, 1)), 1e-3)
-        got = t_planarity_residual(tr.g, tr.t, line).residuals
+        (got,) = t_planarity_residual(tr.g, tr.t, [line])
         want = _planarity_lstsq_loop(tr.g, tr.t, line)
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(want)), delta
+    # with g11 = exp(x2) the spray along the eigenline has a part in the
+    # eigenplane off the line, which only the rank cutoff keeps in the residual
+    # (on this line the rounding left in Tv - (q1 . Tv) q1 does not point along it)
+    bent = TensorField((0, 2), lambda x1, x2, x3, x4: objarray(
+        [[x2.exp(), 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]))
+    for delta in (0.0, 1e-3):
+        vel = np.array([0.3, 0.2, 0.0, 0.0]) + delta * u
+        line = GeodesicPath(times, p + np.outer(times, vel), np.tile(vel, (9, 1)), 1e-3)
+        (got,) = t_planarity_residual(bent, tr.t, [line])
+        want = _planarity_lstsq_loop(bent, tr.t, line)
+        assert np.min(want) > 1e-3
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(want)), delta
 
 

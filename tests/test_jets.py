@@ -393,6 +393,8 @@ _CARRIER_FUNCTIONS = {
     "pow(0.5)": lambda u: u.pow(0.5),
     "pow(-0.5)": lambda u: u.pow(-0.5),
     "pow(1/6)": lambda u: u.pow(1.0 / 6.0),
+    "**3": lambda u: u**3,  # integer powers: the same products on both carriers
+    "**4": lambda u: u**4,
 }
 
 

@@ -98,10 +98,12 @@ def test_unevaluable_second_control_fails_the_negative_control(triples, monkeypa
         controls[:] = control_curves(*args)
         return controls
 
-    def nan_for_the_second(g, t, path):
-        out = planarity(g, t, path)
-        second = len(controls) > 1 and path is controls[1]
-        return dataclasses.replace(out, max_residual=np.nan) if second else out
+    def nan_for_the_second(g, t, paths):
+        # one call measures the geodesics and the controls together
+        out = planarity(g, t, paths)
+        second = [len(controls) > 1 and path is controls[1] for path in paths]
+        assert sum(second) == 1
+        return [np.full_like(r, np.nan) if s else r for r, s in zip(out, second)]
 
     monkeypatch.setattr(suites, "_control_curves", recorded)
     monkeypatch.setattr(suites, "t_planarity_residual", nan_for_the_second)
@@ -387,20 +389,45 @@ def test_kinetic_energy_evaluates_no_companion_partials(triples, monkeypatch):
         calls.append((field.name, inside[0]))
         return batch_duals(field, points)
 
-    def energy(g, path):
+    def energy(g, paths):
         energy_calls[0] += 1
         inside[0] = True
         try:
-            return kinetic_energy(g, path)
+            return kinetic_energy(g, paths)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(TensorField, "batch_duals", counted)
     monkeypatch.setattr(suites, "kinetic_energy", energy)
     assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
-    assert energy_calls[0] == 3
+    assert energy_calls[0] == 1  # one call over the three geodesics
     assert ("companion", False) in calls
     assert ("companion", True) not in calls
+
+
+def test_geodesic_check_reads_all_curves_in_one_call_each(triples, monkeypatch):
+    # one energy call over the three geodesics and one planarity call over them
+    # and the three controls; besides the Picard sweeps, the spray runs once to
+    # set up the controls and once inside the planarity call
+    energy = _count_calls(monkeypatch, curves, "kinetic_energy")
+    planarity = _count_calls(monkeypatch, curves, "t_planarity_residual")
+    spray = _count_calls(monkeypatch, curvature, "geodesic_spray")
+    sweeps = [0]
+    picard = curves._picard
+
+    def counted_picard(*args):
+        before = spray[0]
+        try:
+            return picard(*args)
+        finally:
+            sweeps[0] += spray[0] - before
+
+    monkeypatch.setattr(curves, "_picard", counted_picard)
+    for name, triple in triples.items():
+        energy[0] = planarity[0] = spray[0] = sweeps[0] = 0
+        assert run_suite(triple, ["geodesic"]).all_passed, name
+        assert (energy[0], planarity[0]) == (1, 1), name
+        assert sweeps[0] > 0 and spray[0] == sweeps[0] + 2, name
 
 
 def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
