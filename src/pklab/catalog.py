@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import Chart, TensorField, objarray
+from .fields import Chart, TensorField
 from .jets import DualBatch, Jet, dual_point
-from .parakahler import DOMAIN_ERRORS, ParaKahlerTriple
+from .parakahler import ADAPTED_T, DOMAIN_ERRORS, ParaKahlerTriple
 from .report import worst
 
 __all__ = [
@@ -118,12 +118,24 @@ def _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra) -> ParaKah
     )
 
 
-_BLOCK_T = [
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, -1.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-]
+def _separable(rho: Callable, sigma: Callable, i: int, j: int) -> list:
+    """The constraints of two separable eigenvalue profiles rho(x_i) and
+    sigma(x_j), coordinate indices from 0: each nonzero, with a nonzero
+    derivative, and distinct from the other."""
+    return [
+        ("rho", "nonvanishing", lambda *x: rho(x[i])),
+        ("sigma", "nonvanishing", lambda *x: sigma(x[j])),
+        ("rho'", "nonvanishing", lambda *x: rho(x[i]).derivative(i)),
+        ("sigma'", "nonvanishing", lambda *x: sigma(x[j]).derivative(j)),
+        ("rho - sigma", "nonvanishing", lambda *x: rho(x[i]) - sigma(x[j])),
+    ]
+
+
+def _adapted_t(negate_t: bool) -> Callable:
+    """The rule of T = diag(1, 1, -1, -1) in an adapted chart, or of -T for
+    the T-negated twin family."""
+    sign = -1.0 if negate_t else 1.0
+    return lambda x1, x2, x3, x4: (sign * ADAPTED_T).tolist()
 
 
 # -- rank 4: real Liouville ---------------------------------------------
@@ -145,13 +157,7 @@ def build_real_liouville(
     """
     if eps not in (1, -1):
         raise FeasibilityError("eps must be +1 or -1")
-    constraints = [
-        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x1)),
-        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2)),
-        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x1).derivative(0)),
-        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x2).derivative(1)),
-        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x1) - sigma(x2)),
-    ]
+    constraints = _separable(rho, sigma, 0, 1)
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x1), sigma(x2)
@@ -160,14 +166,12 @@ def build_real_liouville(
         a = rp * rp / d
         b = sp * sp / d * eps
         z = 0.0
-        return objarray(
-            [
-                [d, z, z, z],
-                [z, d * eps, z, z],
-                [z, z, -(a + b), -(a * s + b * r)],
-                [z, z, -(a * s + b * r), -(a * s * s + b * r * r)],
-            ]
-        )
+        return [
+            [d, z, z, z],
+            [z, d * eps, z, z],
+            [z, z, -(a + b), -(a * s + b * r)],
+            [z, z, -(a * s + b * r), -(a * s * s + b * r * r)],
+        ]
 
     def tfn(x1, x2, x3, x4):
         r, s = rho(x1), sigma(x2)
@@ -175,26 +179,22 @@ def build_real_liouville(
         di, rpi, spi = (r - s).reciprocal(), rp.reciprocal(), sp.reciprocal()
         u, v = rp * di, sp * di * eps
         z = 0.0
-        return objarray(
-            [
-                [z, z, -u, -(u * s)],
-                [z, z, -v, -(v * r)],
-                [-(r * rpi), s * spi * eps, z, z],
-                [rpi, spi * -eps, z, z],
-            ]
-        )
+        return [
+            [z, z, -u, -(u * s)],
+            [z, z, -v, -(v * r)],
+            [-(r * rpi), s * spi * eps, z, z],
+            [rpi, spi * -eps, z, z],
+        ]
 
     def afn(x1, x2, x3, x4):
         r, s = rho(x1), sigma(x2)
         z = 0.0
-        return objarray(
-            [
-                [r, z, z, z],
-                [z, s, z, z],
-                [z, z, r + s, r * s],
-                [z, z, -1.0, z],
-            ]
-        )
+        return [
+            [r, z, z, z],
+            [z, s, z, z],
+            [z, z, r + s, r * s],
+            [z, z, -1.0, z],
+        ]
 
     meta = {
         "family": "real-liouville",
@@ -257,14 +257,12 @@ def build_complex_liouville(
         g33 = 8.0 * a * b / I
         g34 = -4.0 * (a * a - b * b) + 8.0 * R * a * b / I
         g44 = -8.0 * R * (a * a - b * b) + 8.0 * a * b * (R * R - I * I) / I
-        return objarray(
-            [
-                [z, I, z, z],
-                [I, z, z, z],
-                [z, z, g33, g34],
-                [z, z, g34, g44],
-            ]
-        )
+        return [
+            [z, I, z, z],
+            [I, z, z, z],
+            [z, z, g33, g34],
+            [z, z, g34, g44],
+        ]
 
     def tfn(x1, x2, x3, x4):
         R, I = re_part(x1, x2), im_part(x1, x2)
@@ -272,26 +270,22 @@ def build_complex_liouville(
         u, v = a * R + b * I, a * I - b * R
         ii, qi = I.reciprocal(), (2.0 * (a * a + b * b)).reciprocal()
         z = 0.0
-        return objarray(
-            [
-                [z, z, 2.0 * b * ii, -2.0 * v * ii],
-                [z, z, -2.0 * a * ii, -2.0 * u * ii],
-                [u * qi, -v * qi, z, z],
-                [-a * qi, -b * qi, z, z],
-            ]
-        )
+        return [
+            [z, z, 2.0 * b * ii, -2.0 * v * ii],
+            [z, z, -2.0 * a * ii, -2.0 * u * ii],
+            [u * qi, -v * qi, z, z],
+            [-a * qi, -b * qi, z, z],
+        ]
 
     def afn(x1, x2, x3, x4):
         R, I = re_part(x1, x2), im_part(x1, x2)
         z = 0.0
-        return objarray(
-            [
-                [R, -I, z, z],
-                [I, R, z, z],
-                [z, z, 2.0 * R, R * R + I * I],
-                [z, z, -1.0, z],
-            ]
-        )
+        return [
+            [R, -I, z, z],
+            [I, R, z, z],
+            [z, z, 2.0 * R, R * R + I * I],
+            [z, z, -1.0, z],
+        ]
 
     meta = {
         "family": "complex-liouville",
@@ -339,38 +333,32 @@ def build_dimd2_case1(
         rp = r.derivative(1)
         n4 = n.derivative(3)
         z = 0.0
-        return objarray(
-            [
-                [rp / m, z, -(n * rp) / m, z],
-                [z, -(m * rp), z, z],
-                [-(n * rp) / m, z, (n * n * rp) / m, (c - r) * n4],
-                [z, z, (c - r) * n4, z],
-            ]
-        )
+        return [
+            [rp / m, z, -(n * rp) / m, z],
+            [z, -(m * rp), z, z],
+            [-(n * rp) / m, z, (n * n * rp) / m, (c - r) * n4],
+            [z, z, (c - r) * n4, z],
+        ]
 
     def tfn(x1, x2, x3, x4):
         m, n = mu(x2), nu(x3, x4)
         z = 0.0
-        return objarray(
-            [
-                [z, -m, n, z],
-                [-1.0 / m, z, n / m, z],
-                [z, z, 1.0, z],
-                [z, z, z, -1.0],
-            ]
-        )
+        return [
+            [z, -m, n, z],
+            [-1.0 / m, z, n / m, z],
+            [z, z, 1.0, z],
+            [z, z, z, -1.0],
+        ]
 
     def afn(x1, x2, x3, x4):
         r, n = rho(x2), nu(x3, x4)
         z = 0.0
-        return objarray(
-            [
-                [r, z, (c - r) * n, z],
-                [z, r, z, z],
-                [z, z, c + 0.0 * r, z],
-                [z, z, z, c + 0.0 * r],
-            ]
-        )
+        return [
+            [r, z, (c - r) * n, z],
+            [z, r, z, z],
+            [z, z, c + 0.0 * r, z],
+            [z, z, z, c + 0.0 * r],
+        ]
 
     meta = {
         "family": "dim-d2-1",
@@ -400,43 +388,28 @@ def build_dimd2_case2(
     derivatives and rho != sigma.  T is the block structure (or its
     negative for the twin family); the metric is flat.
     """
-    constraints = [
-        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
-        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
-        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
-        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
-        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
-    ]
+    constraints = _separable(rho, sigma, 2, 3)
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
         rp, sp = r.derivative(2), s.derivative(3)
         z = 0.0
-        return objarray(
-            [
-                [z, z, rp, sp],
-                [z, z, s * rp, r * sp],
-                [rp, s * rp, z, z],
-                [sp, r * sp, z, z],
-            ]
-        )
-
-    sign = -1.0 if negate_t else 1.0
-
-    def tfn(x1, x2, x3, x4):
-        return objarray([[sign * v for v in row] for row in _BLOCK_T])
+        return [
+            [z, z, rp, sp],
+            [z, z, s * rp, r * sp],
+            [rp, s * rp, z, z],
+            [sp, r * sp, z, z],
+        ]
 
     def afn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
         z = 0.0
-        return objarray(
-            [
-                [r + s, r * s, z, z],
-                [-1.0, z, z, z],
-                [z, z, r, z],
-                [z, z, z, s],
-            ]
-        )
+        return [
+            [r + s, r * s, z, z],
+            [-1.0, z, z, z],
+            [z, z, r, z],
+            [z, z, z, s],
+        ]
 
     null_kind = "null-minus" if negate_t else "null-plus"
     meta = {
@@ -446,7 +419,7 @@ def build_dimd2_case2(
         "flat": True,
         "adapted": not negate_t,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, label, constraints, gfn, _adapted_t(negate_t), afn, meta, meta_extra)
 
 
 # -- rank 2, mixed null gradients ----------------------------------------
@@ -466,53 +439,41 @@ def build_dimd2_case4(
     free real constant entering the endomorphism.  T depends on the
     eigenvalue profiles; the metric is flat.
     """
-    constraints = [
-        ("rho", "nonvanishing", lambda x1, x2, x3, x4: rho(x3)),
-        ("sigma", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4)),
-        ("rho'", "nonvanishing", lambda x1, x2, x3, x4: rho(x3).derivative(2)),
-        ("sigma'", "nonvanishing", lambda x1, x2, x3, x4: sigma(x4).derivative(3)),
-        ("rho - sigma", "nonvanishing", lambda x1, x2, x3, x4: rho(x3) - sigma(x4)),
-    ]
+    constraints = _separable(rho, sigma, 2, 3)
 
     def gfn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
         rp, sp = r.derivative(2), s.derivative(3)
         z = 0.0
-        return objarray(
-            [
-                [z, z, rp, -sp],
-                [z, z, s * rp, -(r * sp)],
-                [rp, s * rp, z, z],
-                [-sp, -(r * sp), z, z],
-            ]
-        )
+        return [
+            [z, z, rp, -sp],
+            [z, z, s * rp, -(r * sp)],
+            [rp, s * rp, z, z],
+            [-sp, -(r * sp), z, z],
+        ]
 
     def tfn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
         d = r - s
         z = 0.0
-        return objarray(
-            [
-                [(r + s) / d, 2.0 * r * s / d, z, z],
-                [-2.0 / d, -((r + s) / d), z, z],
-                [z, z, -1.0, z],
-                [z, z, z, 1.0],
-            ]
-        )
+        return [
+            [(r + s) / d, 2.0 * r * s / d, z, z],
+            [-2.0 / d, -((r + s) / d), z, z],
+            [z, z, -1.0, z],
+            [z, z, z, 1.0],
+        ]
 
     def afn(x1, x2, x3, x4):
         r, s = rho(x3), sigma(x4)
         rp, sp = r.derivative(2), s.derivative(3)
         d = r - s
         z = 0.0
-        return objarray(
-            [
-                [r + s, r * s, -(k * s * rp) / d, -(k * r * sp) / d],
-                [-1.0, z, k * rp / d, k * sp / d],
-                [z, z, r, z],
-                [z, z, z, s],
-            ]
-        )
+        return [
+            [r + s, r * s, -(k * s * rp) / d, -(k * r * sp) / d],
+            [-1.0, z, k * rp / d, k * sp / d],
+            [z, z, r, z],
+            [z, z, z, s],
+        ]
 
     meta = {
         "family": "dim-d2-4",
@@ -571,33 +532,24 @@ def build_dimd1(
         z = 0.0
         g23 = rp * fv + (r - c) * f3
         g24 = (r - c) * f4
-        return objarray(
-            [
-                [z, z, rp, z],
-                [z, z, g23, g24],
-                [rp, g23, z, z],
-                [z, g24, z, z],
-            ]
-        )
-
-    sign = -1.0 if negate_t else 1.0
-
-    def tfn(x1, x2, x3, x4):
-        return objarray([[sign * v for v in row] for row in _BLOCK_T])
+        return [
+            [z, z, rp, z],
+            [z, z, g23, g24],
+            [rp, g23, z, z],
+            [z, g24, z, z],
+        ]
 
     def afn(x1, x2, x3, x4):
         r = rho(x3)
         fv = F(x2, x3, x4)
         f3, f4 = fv.derivative(2), fv.derivative(3)
         z = 0.0
-        return objarray(
-            [
-                [r, (r - c) * fv, z, z],
-                [z, c + 0.0 * r, z, z],
-                [z, z, r, z],
-                [z, z, (c - r) * f3 / f4, c + 0.0 * r],
-            ]
-        )
+        return [
+            [r, (r - c) * fv, z, z],
+            [z, c + 0.0 * r, z, z],
+            [z, z, r, z],
+            [z, z, (c - r) * f3 / f4, c + 0.0 * r],
+        ]
 
     null_kind = "null-minus" if negate_t else "null-plus"
     meta = {
@@ -608,7 +560,7 @@ def build_dimd1(
         "adapted": not negate_t,
         "constant_eigenvalue": c,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, label, constraints, gfn, _adapted_t(negate_t), afn, meta, meta_extra)
 
 
 # -- Einstein systems ------------------------------------------------------

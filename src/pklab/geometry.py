@@ -45,6 +45,7 @@ from .linalg import mdet, minv, mmul, mscale
 __all__ = [
     "Geometry",
     "mu_invariants",
+    "det_a",
     "companion_components",
     "companion_inverse_components",
     "family_components",
@@ -75,7 +76,7 @@ def mu_invariants(aj: Jet) -> tuple[Jet, Jet]:
     return tr * 0.5, tr * tr * 0.125 - _trace(mmul(aj, aj)) * 0.25
 
 
-def _det_a(aj: Jet) -> Jet:
+def det_a(aj: Jet) -> Jet:
     """det A, which must be positive (at every point of a batch) where the
     companion metric and psi are defined."""
     det = mdet(aj)
@@ -167,7 +168,7 @@ _BUILDERS = {
     "ginv": lambda geo: metric_inverse_jets(geo.batch("g")),
     "gamma": lambda geo: curvature.christoffel_jets(geo.batch("g"), geo.batch("ginv")),
     "ainv": lambda geo: minv(geo.batch("a")),
-    "det_a": lambda geo: _det_a(geo.batch("a")),
+    "det_a": lambda geo: det_a(geo.batch("a")),
     "ghat": _companion,
     "ghat_gamma": lambda geo: curvature.christoffel_jets(
         geo.batch("ghat"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from difflib import get_close_matches
+from functools import reduce
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
@@ -122,9 +123,10 @@ def amax(x: np.ndarray) -> np.ndarray:
     return np.abs(x).reshape(-1, np.shape(x)[-1]).max(axis=0)
 
 
-def relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """max |x| at each point, relative to max |ref| there where that exceeds 1."""
-    return amax(x) / np.maximum(1.0, amax(ref))
+def relative(x: np.ndarray, *refs: np.ndarray) -> np.ndarray:
+    """max |x| at each point, relative to the largest max |ref| of ``refs``
+    there where that exceeds 1; a NaN in x or in any ref is kept."""
+    return amax(x) / reduce(np.maximum, map(amax, refs), 1.0)
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,11 +139,24 @@ def transposed(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, 0, 1)
 
 
+def asymmetry(m: np.ndarray) -> np.ndarray:
+    """|m - m^T| at each point, ``relative`` to |m|: 0 for a symmetric m."""
+    return relative(m - transposed(m), m)
+
+
+def para_hermitian_defect(h: np.ndarray, tm: np.ndarray) -> np.ndarray:
+    """|h(T., T.) + h| at each point, ``relative`` to |h|: 0 for an h that
+    is para-Hermitian for T."""
+    return relative(mm(mm(transposed(tm), h), tm) + h, h)
+
+
 def fundamental_form(geo: Geometry) -> np.ndarray:
     """omega_ij = T^k_i g_kj, i.e. omega(X, Y) = g(TX, Y), at each sample point."""
     return mm(transposed(geo.values("t")), geo.values("g"))
 
 
+# T in an adapted chart, diag(Id2, -Id2): the catalog states it, the checks test for it
+ADAPTED_T = np.diag([1.0, 1.0, -1.0, -1.0])
 # eigenvalues of g within this of 0, relative to the largest, count as near-degenerate
 _SIGNATURE_FLOOR = 1e-10
 # largest entry of T - diag(Id2, -Id2) in an adapted chart
@@ -161,13 +176,7 @@ def signature_counts(gm: np.ndarray) -> tuple:
 
 def null_coordinate_check(geo: Geometry) -> bool:
     """True iff T equals diag(Id2, -Id2) at all of geo's points (adapted chart)."""
-    block = np.diag([1.0, 1.0, -1.0, -1.0])
-    return bool(np.all(amax(geo.values("t") - block[..., None]) <= _ADAPTED_TOL))
-
-
-def _g_symmetric(geo: Geometry) -> np.ndarray:
-    gm = geo.values("g")
-    return relative(gm - transposed(gm), gm)
+    return bool(np.all(amax(geo.values("t") - ADAPTED_T[..., None]) <= _ADAPTED_TOL))
 
 
 def _t_squares_to_id(geo: Geometry) -> np.ndarray:
@@ -177,11 +186,6 @@ def _t_squares_to_id(geo: Geometry) -> np.ndarray:
 
 def _t_trace_free(geo: Geometry) -> np.ndarray:
     return np.abs(np.einsum("ii...->...", geo.values("t")))
-
-
-def _g_para_hermitian(geo: Geometry) -> np.ndarray:
-    gm, tm = geo.values("g"), geo.values("t")
-    return relative(mm(mm(transposed(tm), gm), tm) + gm, gm)
 
 
 def _signature(geo: Geometry) -> tuple:
@@ -221,11 +225,12 @@ def _t_parallel(geo: Geometry) -> np.ndarray:
 
 
 AXIOMS = (
-    Check("g-symmetric", 1e-12, "g_ij = g_ji", _g_symmetric),
+    Check("g-symmetric", 1e-12, "g_ij = g_ji", lambda geo: asymmetry(geo.values("g"))),
     Check("t-squares-to-id", 1e-11, "T^2 = Id", _t_squares_to_id),
     Check("t-trace-free", 1e-11, "tr T = 0 (eigendistributions of equal dimension)",
           _t_trace_free),
-    Check("g-para-hermitian", 1e-10, "g(T.,T.) = -g", _g_para_hermitian),
+    Check("g-para-hermitian", 1e-10, "g(T.,T.) = -g",
+          lambda geo: para_hermitian_defect(geo.values("g"), geo.values("t"))),
     Check("neutral-signature", 0.5, "g has signature (2,2)", _neutral_signature,
           flags=_near_degenerate),
     Check("fundamental-form-antisymmetric", 1e-11,

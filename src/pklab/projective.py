@@ -50,8 +50,8 @@ from .fields import (
 )
 from .geometry import (
     Geometry,
-    _det_a,
     companion_components,
+    det_a,
     family_components,
     mu_invariants,
     weighted_sigma_components,
@@ -117,7 +117,7 @@ def benenti_residual(geo: Geometry) -> np.ndarray:
            + np.einsum("ik,j...->kij...", np.eye(DIM), mm(gm, lam))
            - np.einsum("i...,jk...->kij...", tlam, mm(gm, tm))
            - np.einsum("ik...,j...->kij...", tm, mm(gm, tlam)))
-    return amax(nabla - rhs) / np.maximum(np.maximum(1.0, amax(rhs)), amax(nabla))
+    return relative(nabla - rhs, rhs, nabla)
 
 
 def hamiltonian_form_residual(geo: Geometry) -> np.ndarray:
@@ -150,8 +150,7 @@ def hamiltonian_form_residual(geo: Geometry) -> np.ndarray:
     gt = mm(gm, tm)
     rhs = (np.einsum("i...,jk...->kij...", dk, gt) - np.einsum("ik...,j...->kij...", gt, dk)
            - np.einsum("i...,jk...->kij...", tdk, gm) + np.einsum("ik...,j...->kij...", gm, tdk))
-    scale = np.maximum(np.maximum(1.0, amax(rhs)), amax(2 * nphi))
-    return amax(2.0 * nphi - rhs) / scale
+    return relative(2.0 * nphi - rhs, rhs, 2.0 * nphi)
 
 
 # -- pair <-> Benenti tensor -------------------------------------------
@@ -186,7 +185,7 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
 
     def comps(*coords):
         gj, aj = _stacked(coords, g, a)
-        return companion_components(gj, minv(aj), _det_a(aj))
+        return companion_components(gj, minv(aj), det_a(aj))
 
     def batch(points, partials):
         if partials:
@@ -254,8 +253,7 @@ def connection_difference_residual(geo: Geometry) -> np.ndarray:
         + np.einsum("j...,ki...->kij...", psit, tm)
     )
     diff = gm_hat - gm
-    scale = np.maximum(np.maximum(1.0, amax(diff)), amax(rhs))
-    return amax(diff - rhs) / scale
+    return relative(diff - rhs, diff, rhs)
 
 
 # -- weighted (2,0) tensors and the mobility equation -------------------
@@ -340,8 +338,7 @@ def mobility_residual(geo: Geometry, s_jets: Jet, metric: str = "g") -> np.ndarr
     class supplies the connection; solutions make it vanish.
     """
     nabla, corr = _mobility_terms(geo, s_jets, metric)
-    scale = np.maximum(np.maximum(1.0, amax(nabla)), amax(corr))
-    return amax(nabla - corr) / scale
+    return relative(nabla - corr, nabla, corr)
 
 
 def mobility_expression(geo: Geometry, s_jets: Jet, metric: str = "g") -> np.ndarray:
@@ -447,8 +444,7 @@ def _killing_fields(geo: Geometry, idx) -> tuple:
 def killing_residual(geo: Geometry) -> np.ndarray:
     """max over TV1, TV2 of |L_{TV} g|, scaled by |g|."""
     gv, gp = geo.vp("g")
-    lie = amax(lie_derivative_metric(gv, gp, *_killing_fields(geo, [2, 3])))
-    return lie / np.maximum(1.0, amax(gv))
+    return relative(lie_derivative_metric(gv, gp, *_killing_fields(geo, [2, 3])), gv)
 
 
 def hamiltonian_pairing_residual(geo: Geometry) -> np.ndarray:
@@ -476,14 +472,14 @@ def leaf_geodesic_residual(geo: Geometry) -> np.ndarray:
     gm = geo.values("g")
     kv, kp = geo.vp("killing")
     gamma = geo.gamma()
+    nabla = [covariant_derivative_vector(gamma, kv[b], kp[b]) for b in (0, 1)]  # [k, i]
     terms = []
     for a in (0, 1):
         for b in (0, 1):
-            nv = covariant_derivative_vector(gamma, kv[b], kp[b])  # [k, i]
-            acc = mm(transposed(nv), kv[a])  # (nabla_{V_a} V_b)^i
+            acc = mm(transposed(nabla[b]), kv[a])  # (nabla_{V_a} V_b)^i
             terms += [np.abs(np.einsum("i...,i...->...", mm(transposed(gm), acc), kv[h]))
                       for h in (2, 3)]
-    return np.max(terms, axis=0) / np.maximum(1.0, amax(gm))
+    return relative(np.array(terms), gm)
 
 
 GradClass = str  # "zero", "null-plus", "null-minus", "non-isotropic", ...
@@ -597,7 +593,6 @@ def ricci_difference_residual(geo: Geometry) -> tuple[np.ndarray, np.ndarray]:
     tm = geo.values("t")
     ric_g = geo.ricci()
     lhs = geo.ricci("ghat") - ric_g
-    scale = np.maximum(np.maximum(1.0, amax(lhs)), amax(ric_g))
 
     _, psi, hess = scalar_hessian(geo.batch("psi"))
     gamma = geo.gamma()
@@ -605,7 +600,7 @@ def ricci_difference_residual(geo: Geometry) -> tuple[np.ndarray, np.ndarray]:
     psit = mm(transposed(tm), psi)
     m = (npsi - np.einsum("i...,j...->ij...", psi, psi)
          - np.einsum("i...,j...->ij...", psit, psit))
-    primary = amax(lhs + _K * m) / scale
+    primary = relative(lhs + _K * m, lhs, ric_g)
 
     kv, kp = geo.vp("killing")
     lam, lam_p = 0.5 * kv[0], 0.5 * kp[0]  # Lam = V1 / 2

@@ -35,12 +35,13 @@ from .parakahler import (
     Check,
     ParaKahlerTriple,
     amax,
+    asymmetry,
     check_points,
     check_tolerances,
     mm,
     null_coordinate_check,
+    para_hermitian_defect,
     relative,
-    transposed,
     validate,
 )
 from .report import CheckResult, VerificationReport, worst
@@ -87,10 +88,6 @@ def _block(geo):
     return (off + tr_mismatch + det_mismatch) / np.maximum(1.0, amax(am))
 
 
-def _symmetric(m):
-    return relative(m - transposed(m), m)
-
-
 _BENENTI = (
     Check("benenti/equation", 1e-9,
           "nabla_X A = g(X,.)Lam + g(Lam,.)X - g(TX,.)TLam - g(TLam,.)TX",
@@ -104,7 +101,7 @@ _BENENTI = (
           flags=lambda geo: ["eval-error:JetDomainError"]
           * ("degenerate" in pj.eigen_decompose(geo).kind)),
     Check("benenti/g-symmetric", 1e-10, "g(A.,.) = g(.,A.)",
-          lambda geo: _symmetric(mm(geo.values("g"), geo.values("a")))),
+          lambda geo: asymmetry(mm(geo.values("g"), geo.values("a")))),
     Check("benenti/commutes-with-t", 1e-10, "[A, T] = 0", _commutes),
     Check("benenti/det-positive", 0.5, "det A > 0",
           lambda geo: np.where(np.linalg.det(np.moveaxis(geo.values("a"), -1, 0)) > 0, 0.0, 1.0)),
@@ -192,11 +189,6 @@ def _roundtrip(geo):
     return relative(np.moveaxis(pj.a_from_pair(gm, hm), 0, -1) - am, am)
 
 
-def _para_hermitian(geo):
-    hm, tm = geo.values("ghat"), geo.values("t")
-    return relative(mm(mm(transposed(tm), hm), tm) + hm, hm)
-
-
 def _invariance(geo):
     # x1 * sigma(g) is not a solution; the expression must not see the connection
     probe = mscale(geo.batch("sigma"), seed_point(geo.points, ORDER)[0])
@@ -212,9 +204,9 @@ _COMPANION = (
     Check("companion/pair-roundtrip", 1e-10, "A recovered from the pair (g, companion)",
           _roundtrip),
     Check("companion/symmetric", 1e-10, "companion metric is symmetric",
-          lambda geo: _symmetric(geo.values("ghat"))),
+          lambda geo: asymmetry(geo.values("ghat"))),
     Check("companion/para-hermitian", 1e-10, "companion metric is para-Hermitian for T",
-          _para_hermitian),
+          lambda geo: para_hermitian_defect(geo.values("ghat"), geo.values("t"))),
     Check("companion/mobility-solution", 1e-9,
           "A.sigma solves the projectively invariant first-order system",
           lambda geo: pj.mobility_residual(geo, geo.batch("a_sigma"))),

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,38 @@ class TestConstructorRejections:
     def test_bad_eps_rejected(self):
         with pytest.raises(FeasibilityError, match="eps"):
             build_real_liouville(rho=lambda u: u, sigma=lambda u: u + 5.0, eps=2)
+
+
+# (family, coordinate index of rho, of sigma) for the families whose
+# constraints are those of two separable eigenvalue profiles
+SEPARABLE = (("real-liouville", 0, 1), ("dim-d2-2", 2, 3), ("dim-d2-4", 2, 3))
+
+
+def _breaking(name, rho_mid, sigma_mid):
+    """(rho, sigma) that keep every separable constraint before ``name`` and
+    break ``name``; ``*_mid`` is the middle of the profile's coordinate range."""
+    if name == "rho":
+        return (lambda u: u - rho_mid), (lambda u: u + 10.0)
+    if name == "sigma":
+        return (lambda u: u + 10.0), (lambda u: u - sigma_mid)
+    if name == "rho'":
+        return (lambda u: (u - rho_mid) ** 2 + 10.0), (lambda u: u + 20.0)
+    if name == "sigma'":
+        return (lambda u: u + 10.0), (lambda u: (u - sigma_mid) ** 2 + 20.0)
+    # rho - sigma changes sign where both profiles are near 10
+    return (lambda u: u - rho_mid + 10.0), (lambda u: u - sigma_mid + 10.0)
+
+
+@pytest.mark.parametrize("name", ["rho", "sigma", "rho'", "sigma'", "rho - sigma"])
+@pytest.mark.parametrize("family,i,j", SEPARABLE)
+def test_separable_constraint_rejected_by_name(family, i, j, name):
+    # each family reads rho at x_i and sigma at x_j, and differentiates each
+    # along its own coordinate: a profile that breaks one constraint first is
+    # rejected under that constraint's name
+    box = default_triple(family).chart.box
+    rho, sigma = _breaking(name, sum(box[i]) / 2.0, sum(box[j]) / 2.0)
+    with pytest.raises(FeasibilityError, match=re.escape(f"constraint '{name} != 0' fails")):
+        default_triple(family, rho=rho, sigma=sigma)
 
 
 def test_certificate_values_are_those_of_second_order_coordinates(monkeypatch):

@@ -194,6 +194,26 @@ def test_residuals_of_the_wrong_shape_are_a_programming_error():
             check_points(geo, Check("probe", 1e-9, "probe", lambda geo, out=out: out), {})
 
 
+def test_relative_divides_by_the_largest_reference():
+    # entry shapes differ, and per-point scales let 1, |a| or |b| be the largest
+    rng = np.random.default_rng(3)
+    x, a, b = (rng.normal(size=shape) * rng.uniform(0.0, 1.0, size=9)
+               for shape in ((4, 4, 9), (4, 9), (4, 4, 4, 9)))
+    winner = np.argmax([np.ones(9), parakahler.amax(a), parakahler.amax(b)], axis=0)
+    assert set(winner) == {0, 1, 2}
+    want = parakahler.amax(x) / np.maximum(np.maximum(1.0, parakahler.amax(a)),
+                                           parakahler.amax(b))
+    assert np.array_equal(parakahler.relative(x, a, b), want)
+    assert np.array_equal(parakahler.relative(x, a), parakahler.amax(x) /
+                          np.maximum(1.0, parakahler.amax(a)))
+    # a NaN in x or in any reference makes that point NaN, and no other
+    for k, point in ((0, 3), (1, 5), (2, 7)):
+        args = [x.copy(), a.copy(), b.copy()]
+        args[k][(1,) * (args[k].ndim - 1) + (point,)] = np.nan
+        got = parakahler.relative(*args)
+        assert np.isnan(got[point]) and not np.any(np.isnan(np.delete(got, point)))
+
+
 def test_validate_rejects_unknown_tolerance_names():
     with pytest.raises(ValueError, match="names no result"):
         validate(sampled(flat_triple(), 2), {"t-paralel": 1e-3})

@@ -485,7 +485,7 @@ def test_family_members_evaluated_once_over_all_points(monkeypatch):
 def test_failed_batch_quantity_is_built_once(triples, monkeypatch):
     # det A = -1 < 0: the failure is kept, not rebuilt for every point and result
     triple = with_constant_a(triples["dim-d2-2"], np.diag([-1.0, 1.0, 1.0, 1.0]).tolist())
-    calls = _count_calls(monkeypatch, geometry, "_det_a")
+    calls = _count_calls(monkeypatch, geometry, "det_a")
     report = run_suite(triple, ["companion", "ricci-diff"], n_points=20)
     assert calls[0] == 1
     # the verdicts of a rebuild at every read: only the two results that read
