@@ -18,11 +18,12 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 from . import catalog
 from .catalog import FeasibilityError
 from .curves import export_curve_csv, integrate_geodesic_bundle, t_planarity_residual
-from .exprs import ExprError, compile_profile
+from .exprs import compile_profile
 from .fields import DegenerateMetricError
 from .geometry import DOMAIN_ERRORS
 from .suites import (
@@ -170,11 +171,11 @@ def _cmd_run(args) -> int:
 def _export_geodesic_csv(triple, path, seed: int) -> None:
     """Write the first companion geodesic of the run's geodesic check, with
     its planarity residuals where they can be measured."""
-    ghat = pj.companion_metric(triple.g, triple.a)
     p0, v0, _ = geodesic_starts(triple.chart, seed)
     # the suite's bundle, so the row is bit for bit the curve it checked
     curve = integrate_geodesic_bundle(
-        ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
+        partial(pj.companion_spray, triple.g, triple.a), p0, v0, GEODESIC_STEP, GEODESIC_STEPS,
+        triple.chart,
     )[0]
     try:
         (residuals,) = t_planarity_residual(triple.g, triple.t, [curve])

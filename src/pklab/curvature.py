@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import DIM, TensorField, metric_inverse_jets
 from .jets import Jet
-from .linalg import minv, mmul
+from .linalg import minv, mmul, msolve
 
 __all__ = [
     "christoffel_jets",
@@ -79,19 +79,18 @@ def geodesic_spray(g: TensorField, points: np.ndarray, velocities: np.ndarray) -
     S = g^-1 [(d_v g) v - grad g(v, v) / 2], with (d_v g)_lj = v^m d_m g_lj
     and (grad g(v, v))_l = v^i v^j d_l g_ij: the symbols contracted at the
     source, so the (n, 4, 4, 4) tensor of ``christoffel_batch`` is never
-    formed.  It makes the same one ``batch_duals`` and one ``minv`` call
-    as that function, so a singular metric raises ZeroDivisionError.
+    formed.  It makes one ``batch_duals`` call and solves with g instead
+    of inverting it, so a singular metric raises ZeroDivisionError.
     """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(velocities, dtype=float)
     gv, gp = g.batch_duals(pts)
-    ginv = minv(gv)
     n = len(pts)
     gp = gp.reshape(n, DIM * DIM, DIM)  # rows (i, j), columns l: d_l g_ij
     col = v[:, :, None]
     dvg = (gp @ col).reshape(n, DIM, DIM)  # v^m d_m g_lj
     grad = (col * v[:, None, :]).reshape(n, 1, DIM * DIM) @ gp  # v^i v^j d_l g_ij, a row
-    return (ginv @ (dvg @ col - 0.5 * np.swapaxes(grad, 1, 2)))[..., 0]
+    return msolve(gv, (dvg @ col - 0.5 * np.swapaxes(grad, 1, 2))[..., 0])
 
 
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -5,8 +5,11 @@ companion metric are T-planar for the original pair (g, T), i.e. their
 g-covariant acceleration stays in span{velocity, T velocity}.  Curves are
 integrated by Chebyshev-Picard iteration (Clenshaw & Norton 1963; Bai &
 Junkins 2011) and sampled on a uniform grid; each Picard sweep makes one
-``geodesic_spray`` call, the acceleration -G(v, v) at every node of every
-unsettled curve.  Covariant acceleration along a sampled curve is
+call of the metric's spray G(v, v), a callable (points, velocities) ->
+(n, 4), for the acceleration -G(v, v) at every node of every unsettled
+curve: ``functools.partial(geodesic_spray, g)`` for a metric field g, or
+``functools.partial(projective.companion_spray, g, a)`` for the companion
+of (g, A).  Covariant acceleration along a sampled curve is
 recovered with an order-4 finite-difference stencil plus the spray of the
 test metric, so the planarity residual converges as O(h^4) in the sample
 spacing h.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -58,6 +62,10 @@ class GeodesicPath:
         return len(self.times)
 
 
+# a metric's spray: (points, velocities) -> G(v, v), each of shape (n, 4)
+Spray = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 class GeodesicConvergenceError(ArithmeticError):
     """Picard sweeps on a geodesic did not settle, or turned non-finite."""
 
@@ -78,11 +86,11 @@ _MAX_HALVINGS = 10
 _SETTLED = 32 * np.finfo(float).eps
 
 
-def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
+def _picard(spray: Spray, x0: np.ndarray, v0: np.ndarray, span: float):
     """x and v, shape (nodes, m, 4), over a window of length span from rows (x0, v0).
 
     Each sweep evaluates the acceleration -G(v, v) at every node of every
-    unsettled row in one ``geodesic_spray`` call and integrates it twice
+    unsettled row in one ``spray`` call and integrates it twice
     with the spectral matrix.  A row stops once its own update is at rounding
     level, so its nodes do not depend on the other rows.
     """
@@ -92,7 +100,7 @@ def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
     todo = np.arange(len(x0))
     for _ in range(_MAX_SWEEPS):
         xo, vo = x[:, todo], v[:, todo]
-        acc = -geodesic_spray(g, xo.reshape(-1, 4), vo.reshape(-1, 4)).reshape(xo.shape)
+        acc = -spray(xo.reshape(-1, 4), vo.reshape(-1, 4)).reshape(xo.shape)
         vn = v0[todo] + np.einsum("jk,kri->jri", s, acc)
         xn = x0[todo] + np.einsum("jk,kri->jri", s, vn)
         delta = np.max(np.abs(xn - xo) + np.abs(vn - vo), axis=(0, 2))
@@ -106,14 +114,15 @@ def _picard(g: TensorField, x0: np.ndarray, v0: np.ndarray, span: float):
 
 
 def integrate_geodesic_bundle(
-    g: TensorField,
+    spray: Spray,
     p0: np.ndarray,
     v0: np.ndarray,
     step: float,
     n_steps: int,
     chart: Chart | None = None,
 ) -> list[GeodesicPath]:
-    """Geodesics of g from rows (m, 4) + (m, 4), sampled every ``step``.
+    """Geodesics of the metric whose spray G(v, v) is ``spray``, from rows
+    (m, 4) + (m, 4), sampled every ``step``.
 
     Chebyshev-Picard iteration of all rows at once over windows of length
     _WINDOW; each window's Chebyshev interpolant gives the samples on the
@@ -121,8 +130,9 @@ def integrate_geodesic_bundle(
     after the start that ``chart.contains`` rejects; a non-finite sample
     counts as outside.  The rows of a window that fails are integrated one
     by one, halving the window where a row fails, so a row stops where it
-    leaves the chart even if g is undefined past the exit.  The chart only
-    truncates: the samples kept depend neither on it nor on the other rows.
+    leaves the chart even if the metric is undefined past the exit.  The
+    chart only truncates: the samples kept depend neither on it nor on the
+    other rows.
     """
     p0, v0 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (p0, v0))
     times = step * np.arange(n_steps + 1)
@@ -145,8 +155,8 @@ def integrate_geodesic_bundle(
         rows = np.flatnonzero(live) if rows is None else rows[live[rows]]
         if not rows.size:
             continue
-        try:  # g undefined or singular at some node, or sweeps that do not settle
-            xn, vn = _picard(g, x[rows], v[rows], b - a)
+        try:  # the metric undefined or singular at a node, or sweeps that do not settle
+            xn, vn = _picard(spray, x[rows], v[rows], b - a)
         except (ArithmeticError, JetDomainError, DegenerateMetricError):
             if rows.size > 1:
                 todo += [(a, b, row) for row in rows[::-1, None]]

@@ -158,10 +158,9 @@ class TensorField:
 
     ``valence`` is (contravariant, covariant); the component array has
     shape (4,)**(r+s) with contravariant indices first.  ``batch_fn``,
-    when set, is an equivalent vectorized evaluator used by the fast
-    paths: (points, partials) -> (values, first partials), with None for
-    the partials unless ``partials`` is true; correctness tests pin it
-    against the generic rule.
+    when set, is an equivalent vectorized evaluator of the values,
+    points -> values, which ``batch_values`` uses; correctness tests pin
+    it against the generic rule.  Such a field has no ``batch_duals``.
     """
 
     valence: tuple[int, int]
@@ -191,31 +190,39 @@ class TensorField:
     def batch_values(self, points: np.ndarray) -> np.ndarray:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
         if self.batch_fn is not None:
-            return self.batch_fn(np.asarray(points, dtype=float), False)[0]
+            return self.batch_fn(np.asarray(points, dtype=float))
         return self._dual_batch(points, order=1)[0]
 
     def batch_duals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials over a batch, shapes (n, ...) / (n, ..., 4)."""
         if self.batch_fn is not None:
-            return self.batch_fn(np.asarray(points, dtype=float), True)
+            raise TypeError(f"{self.name}: a values-only batch evaluator has no batch partials")
         return self._dual_batch(points, order=2)
 
     def _dual_batch(self, points, order: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, first partials or None) of the rule on dual coordinates of ``order``:
-        rules read profile first derivatives, so values need order 1, partials 2."""
+        rules read profile first derivatives, so values need order 1, partials 2.
+        The rule's nested lists (or array) are read entry by entry in C order."""
         pts = np.asarray(points, dtype=float)
-        arr = self.components(dual_point(pts, order))
+        entries = self.fn(*dual_point(pts, order))
+        if isinstance(entries, np.ndarray):
+            shape, flat = entries.shape, list(entries.flat)
+        else:
+            shape, flat = [], [entries]
+            while isinstance(flat[0], (list, tuple)):
+                shape.append(len(flat[0]))
+                flat = [x for row in flat for x in row]
         n = pts.shape[0]
-        vals = np.empty((n, arr.size))
-        grads = np.zeros((n, arr.size, DIM)) if order == 2 else None
-        for k, x in enumerate(arr.flat):
+        vals = np.empty((n, len(flat)))
+        grads = np.zeros((n, len(flat), DIM)) if order == 2 else None
+        for k, x in enumerate(flat):
             if isinstance(x, DualBatch):
                 vals[:, k] = x.val
                 if grads is not None:
                     grads[:, k] = x.grad
             else:
                 vals[:, k] = float(x)
-        shape = (n,) + arr.shape
+        shape = (n, *shape)
         return vals.reshape(shape), None if grads is None else grads.reshape(shape + (DIM,))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .jets import Jet
 
-__all__ = ["mmul", "mdet", "minv", "mscale"]
+__all__ = ["mmul", "mdet", "minv", "msolve", "mscale"]
 
 
 def _mul(sp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -69,6 +69,25 @@ def mdet(a):
     return Jet(a.space, _det(a.space, a.coeffs))
 
 
+def _float(solver, a, *args):
+    """numpy's ``solver(a, *args)`` for a stack of square float matrices a,
+    a singular one raising ZeroDivisionError; a stack that is not square
+    raises numpy's LinAlgError, a programming error."""
+    try:
+        return solver(a, *args)
+    except np.linalg.LinAlgError as e:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+            raise
+        raise ZeroDivisionError(f"singular matrix in float {solver.__name__}") from e
+
+
+def msolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a stack of float matrices (..., n, n) and one
+    right-hand side each (..., n): numpy's solve, without forming the
+    inverse.  A singular matrix raises ZeroDivisionError, as in ``minv``."""
+    return _float(np.linalg.solve, a, b[..., None])[..., 0]
+
+
 def minv(a):
     """Matrix inverse, or a stack of them for a float array.
 
@@ -79,12 +98,7 @@ def minv(a):
     value vanishes (at any point of a batch) is the singular case.
     """
     if not isinstance(a, Jet):
-        try:
-            return np.linalg.inv(a)
-        except np.linalg.LinAlgError as e:
-            if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-                raise
-            raise ZeroDivisionError("singular matrix in float inverse") from e
+        return _float(np.linalg.inv, a)
     sp, c = a.space, a.coeffs
     n = c.shape[1]
     if n == 1:  # the cofactor of a 1x1 matrix is the constant 1

@@ -57,7 +57,7 @@ from .geometry import (
     weighted_sigma_components,
 )
 from .jets import Jet, jsqrt
-from .linalg import minv, mmul, mscale
+from .linalg import minv, mmul, msolve, mscale
 from .parakahler import amax, fundamental_form, mm, relative, transposed
 from .report import worst
 
@@ -67,6 +67,7 @@ __all__ = [
     "hamiltonian_form_residual",
     "a_from_pair",
     "companion_metric",
+    "companion_spray",
     "family_metric",
     "connection_difference_residual",
     "weighted_sigma_field",
@@ -175,43 +176,65 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """ghat = (det A)^(-1/2) g A^(-1), positive square root.
 
     det A must be positive on the region of use; evaluation raises a
-    domain error otherwise.  Carries an analytic vectorized evaluator
-    (matrix calculus for the inverse and determinant derivatives) so it
-    can sit inside the geodesic integrator loop.  Its value stage reads
-    only the values of g and A, so ``batch_values`` (kinetic energy)
-    evaluates no partials of ghat; the partials stage contracts the 4x4
-    products over the batch axis with ``@``.
+    domain error otherwise.  Carries a vectorized evaluator of its values
+    over many points, from the values of g and A alone, so
+    ``batch_values`` (kinetic energy) evaluates no partials; it has no
+    batch partials: ``companion_spray`` contracts the geodesic equation
+    without them, and ``Geometry`` reads them from jets.
     """
 
     def comps(*coords):
         gj, aj = _stacked(coords, g, a)
         return companion_components(gj, minv(aj), det_a(aj))
 
-    def batch(points, partials):
-        if partials:
-            (gv, gd), (av, ad) = g.batch_duals(points), a.batch_duals(points)
-        else:
-            gv, av = g.batch_values(points), a.batch_values(points)
+    def batch(points):
+        gv, av = g.batch_values(points), a.batch_values(points)
         det = np.linalg.det(av)
         if np.any(det <= 0.0):
             raise DegenerateMetricError("det A <= 0 in companion metric batch")
-        ainv = minv(av)
-        s = det ** (-0.5)
-        ga = gv @ ainv
-        vals = s[:, None, None] * ga
-        if not partials:
-            return vals, None
-        # d s = -1/2 s tr(A^{-1} dA), a (1, 16) @ (16, 4) product per point;
-        # d(G A^{-1}) = dG A^{-1} - G A^{-1} dA A^{-1}, one product per direction k
-        tr = np.swapaxes(ainv, 1, 2).reshape(-1, 1, DIM * DIM) @ ad.reshape(-1, DIM * DIM, DIM)
-        ds = -0.5 * s[:, None] * tr[:, 0]
-        dga = np.moveaxis(gd, 3, 1) @ ainv[:, None]
-        dga -= ga[:, None] @ np.moveaxis(ad, 3, 1) @ ainv[:, None]
-        dga = np.moveaxis(dga, 1, 3)
-        grads = s[:, None, None, None] * dga + ga[..., None] * ds[:, None, None, :]
-        return vals, grads
+        return det[:, None, None] ** -0.5 * (gv @ minv(av))
 
     return TensorField((0, 2), comps, name="companion", batch_fn=batch)
+
+
+def companion_spray(g: TensorField, a: TensorField, points: np.ndarray,
+                    velocities: np.ndarray) -> np.ndarray:
+    """ghat's spray Ghat^k_ij v^i v^j over an (n, 4) batch, shape (n, 4), with
+    ghat = companion_metric(g, a), from the values and partials of g and A.
+
+    The chain rule on ghat's definition, with w = A^-1 v and
+    lam_l = -1/2 tr(A^-1 d_l A) = d_l log (det A)^(-1/2), gives
+
+        Ghat(v, v) = (lam.v) v - (d_v A) w + A g^-1 [(d_v g) w
+                     - 1/2 (lam g(v, w) + (dg)(v, w) - (dA)(A^-T g v, w))],
+
+    where (dg)(v, w)_l = v^i w^j d_l g_ij; the factor (det A)^(-1/2)
+    cancels.  One ``batch_duals`` call each for g and A, one float inverse
+    (of A) and one solve with g, so ghat's (n, 4, 4, 4) partials and its
+    inverse are never formed.  det A <= 0 (or so large that ghat's values
+    are zero) raises DegenerateMetricError and a singular g ZeroDivisionError.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    col = np.asarray(velocities, dtype=float)[:, :, None]
+    (gv, gd), (av, ad) = g.batch_duals(pts), a.batch_duals(pts)
+    det = np.linalg.det(av)
+    # an infinite det A makes ghat's values zeros: a degenerate companion
+    if np.any((det <= 0.0) | (det == np.inf)):
+        raise DegenerateMetricError("det A <= 0 or infinite in companion spray")
+    ainv_t = np.swapaxes(minv(av), 1, 2)
+    # rows (i, j), columns l: d_l g_ij and d_l A^i_j
+    gd, ad = gd.reshape(n, DIM * DIM, DIM), ad.reshape(n, DIM * DIM, DIM)
+    w = col.swapaxes(1, 2) @ ainv_t  # w = A^-1 v, a row
+    gvv = gv @ col
+    lam = -0.5 * ainv_t.reshape(n, 1, DIM * DIM) @ ad  # a row
+    # lam g(v, w) + (dg)(v, w) - (dA)(A^-T g v, w), a row
+    row = (lam * (w @ gvv) + (col * w).reshape(n, 1, DIM * DIM) @ gd
+           - ((ainv_t @ gvv) * w).reshape(n, 1, DIM * DIM) @ ad)
+    wc = w.swapaxes(1, 2)
+    rhs = (gd @ col).reshape(n, DIM, DIM) @ wc - 0.5 * row.swapaxes(1, 2)
+    out = (lam @ col) * col - (ad @ col).reshape(n, DIM, DIM) @ wc
+    return (out + av @ msolve(gv, rhs[..., 0])[..., None])[..., 0]
 
 
 def family_metric(g: TensorField, a: TensorField, alpha: float, beta: float) -> TensorField:

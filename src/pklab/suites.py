@@ -13,6 +13,7 @@ from any point is kept) and fails a result that raised a domain error.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -377,12 +378,12 @@ def geodesic_starts(chart, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _geodesic_residuals(triple, p0, v0, normals):
     """(energy drifts, planarity residuals, smallest control residual)."""
     g, t = triple.g, triple.t
-    ghat = pj.companion_metric(g, triple.a)
     paths = integrate_geodesic_bundle(
-        ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, triple.chart
+        partial(pj.companion_spray, g, triple.a), p0, v0, GEODESIC_STEP, GEODESIC_STEPS,
+        triple.chart,
     )
     drifts = [float(np.max(np.abs(en - en[0]))) / max(1.0, abs(en[0]))
-              for en in kinetic_energy(ghat, paths)]
+              for en in kinetic_energy(pj.companion_metric(g, triple.a), paths)]
     controls = _control_curves(g, t, p0, v0, normals, GEODESIC_STEP, 40)
     plans = [float(np.max(r)) for r in t_planarity_residual(g, t, paths + controls)]
     # np.min, not min(): a NaN control makes the smallest NaN wherever it stands

@@ -6,6 +6,7 @@ to see the per-criterion lines.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from conftest import fd_partial
 from pklab import projective as pj
 from pklab.cli import main as cli_main
+from pklab.curvature import geodesic_spray
 from pklab.curves import integrate_geodesic_bundle, t_planarity_residual
 from pklab.fields import TensorField, objarray
 from pklab.geometry import Geometry
@@ -213,7 +215,7 @@ def test_criterion_8_planarity_and_convergence(catalog):
     """10 companion geodesics are T-planar (1e-6) with order-4 convergence;
     unrelated straight lines are not (>1e-3)."""
     tr = catalog["real-liouville"]
-    ghat = pj.companion_metric(tr.g, tr.a)
+    ghat = partial(pj.companion_spray, tr.g, tr.a)
     rng = np.random.default_rng(3)
     m = 10
     lo = np.array([b[0] for b in tr.chart.box])
@@ -231,7 +233,8 @@ def test_criterion_8_planarity_and_convergence(catalog):
              [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
         ),
     )
-    controls = integrate_geodesic_bundle(flat, p0, v0, 1e-3, 1000, tr.chart)
+    controls = integrate_geodesic_bundle(partial(geodesic_spray, flat), p0, v0, 1e-3, 1000,
+                                         tr.chart)
     neg = min(np.max(r) for r in t_planarity_residual(tr.g, tr.t, controls))
 
     p0c = np.tile(tr.chart.center(), (3, 1))

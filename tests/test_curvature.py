@@ -13,6 +13,7 @@ from pklab.curvature import (
     scalar_hessian,
 )
 from pklab.fields import (
+    DegenerateMetricError,
     ScalarField,
     TensorField,
     metric_inverse_jets,
@@ -230,18 +231,19 @@ def test_singular_metric_raises_a_domain_error_and_shape_errors_propagate():
 )
 def test_geodesic_spray_is_the_symbols_contracted_with_the_velocity(kind, name):
     # the reference is the Geometry's symbols of g and ghat, built from jets;
-    # the spray reads batch_duals, for ghat the companion's own evaluator.
-    # Relative to max |G| |v|^2: on einstein-lambda1 that evaluator and the
-    # jets differ by 1.4e-13 of max |Ghat|, and S cancels below |Ghat| |v|^2
+    # the sprays read batch_duals: of g for g's, of g and A for ghat's
+    # (companion_spray, the chain rule on ghat's definition).  Relative to
+    # max |G| |v|^2: on einstein-lambda1 the float path and the jets differ
+    # by about 1e-13 of max |Ghat|, and S cancels below |Ghat| |v|^2
     tr = default_triple(name) if kind == "family" else preset_triple(name)
     pts = tr.sample_points(20)
     geo = Geometry(tr, pts)
     v = np.random.default_rng(7).normal(size=pts.shape)
-    for metric, field in (("g", tr.g), ("ghat", pj.companion_metric(tr.g, tr.a))):
+    for metric, spray in (("g", geodesic_spray(tr.g, pts, v)),
+                          ("ghat", pj.companion_spray(tr.g, tr.a, pts, v))):
         gamma = geo.gamma(metric)
         ref = np.einsum("kijn,ni,nj->nk", gamma, v, v)
         scale = np.abs(gamma).max(axis=(0, 1, 2)) * np.einsum("ni,ni->n", v, v)
-        spray = geodesic_spray(field, pts, v)
         assert spray.shape == (20, 4)
         assert np.all(np.abs(spray - ref).max(axis=1) <= 1e-12 * scale), metric
 
@@ -251,6 +253,25 @@ def test_geodesic_spray_of_a_singular_metric_raises():
     g = TensorField((0, 2), lambda *c: objarray(singular))
     with pytest.raises(ZeroDivisionError):
         geodesic_spray(g, np.zeros((3, 4)), np.ones((3, 4)))
+
+
+def test_companion_spray_fails_closed():
+    # det A <= 0 (here at one point of three) and infinite det A, where
+    # ghat's values are zeros, are degenerate companions; a singular g
+    # cannot be solved with
+    pts, vel = np.array([[0.5, 0, 0, 0], [-0.5, 0, 0, 0], [0.2, 0, 0, 0]]), np.ones((3, 4))
+    eye = TensorField((1, 1), lambda *c: objarray(np.eye(4).tolist()))
+    signed = TensorField((1, 1), lambda x1, *c: objarray(
+        [[x1, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    huge = TensorField((1, 1), lambda *c: objarray((1e100 * np.eye(4)).tolist()))
+    for a in (signed, huge):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateMetricError, match="det A"):
+            pj.companion_spray(flat_metric(), a, pts, vel)
+    singular = TensorField((0, 2), lambda *c: objarray(np.diag([1.0, 1.0, -1.0, 0.0]).tolist()))
+    with pytest.raises(ZeroDivisionError):
+        pj.companion_spray(singular, eye, pts, vel)
+    # the regular pair gives the flat metric's spray, zero
+    assert np.array_equal(pj.companion_spray(flat_metric(), eye, pts, vel), np.zeros((3, 4)))
 
 
 def test_christoffel_jets_equal_the_entry_loop(triples):

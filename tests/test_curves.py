@@ -1,11 +1,11 @@
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pklab import curves
 from pklab import projective as pj
-from pklab.curvature import christoffel_batch
+from pklab.curvature import christoffel_batch, geodesic_spray
 from pklab.curves import (
     DegenerateVelocityError,
     GeodesicConvergenceError,
@@ -34,12 +34,22 @@ def flat_metric():
     return TensorField((0, 2), lambda *c: objarray(FLAT), name="flat")
 
 
+def spray(g):
+    """The spray of a metric field, the callable the integrator takes."""
+    return partial(geodesic_spray, g)
+
+
+def companion_spray(tr):
+    """The spray of a triple's companion metric."""
+    return partial(pj.companion_spray, tr.g, tr.a)
+
+
 P0 = np.array([2.4, 0.9, 0.4, 0.5])
 V0 = np.array([0.12, -0.2, 0.15, 0.1])
 
 
 def test_flat_geodesics_are_straight_lines():
-    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 500)
+    (path,) = integrate_geodesic_bundle(spray(flat_metric()), [P0], [V0], 1e-3, 500)
     expected = P0[None, :] + path.times[:, None] * V0[None, :]
     assert np.max(np.abs(path.positions - expected)) < 1e-12
     assert np.max(np.abs(path.velocities - V0)) < 1e-13
@@ -47,14 +57,14 @@ def test_flat_geodesics_are_straight_lines():
 
 def test_energy_conservation_on_curved_metric(triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 1000, tr.chart)
     (en,) = kinetic_energy(tr.g, [path])
     assert np.max(np.abs(en - en[0])) < 1e-8
 
 
 def test_killing_momentum_conserved(triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 1000, tr.chart)
     x, v = path.positions[::100], path.velocities[::100]
     geo = Geometry(tr, x)
     for k in (2, 3):  # TV1, TV2
@@ -65,32 +75,30 @@ def test_killing_momentum_conserved(triples):
 
 def test_own_geodesics_are_planar(triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 1000, tr.chart)
     (res,) = t_planarity_residual(tr.g, tr.t, [path])
     assert np.max(res) < 1e-10
 
 
 def test_companion_geodesics_are_planar(triples):
     tr = triples["real-liouville"]
-    ghat = pj.companion_metric(tr.g, tr.a)
     rng = np.random.default_rng(2)
     v0 = rng.normal(size=(4, 4))
     v0 = 0.25 * v0 / np.linalg.norm(v0, axis=1, keepdims=True)
     p0 = np.tile(P0, (4, 1))
-    paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 1000, tr.chart)
+    paths = integrate_geodesic_bundle(companion_spray(tr), p0, v0, 1e-3, 1000, tr.chart)
     for res in t_planarity_residual(tr.g, tr.t, paths):
         assert np.max(res) < 1e-6
 
 
 def test_unrelated_metric_geodesics_are_not_planar(triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(flat_metric()), [P0], [V0], 1e-3, 1000, tr.chart)
     assert np.max(t_planarity_residual(tr.g, tr.t, [path])[0]) > 1e-3
 
 
 def test_step_halving_shows_order_four(triples):
     tr = triples["real-liouville"]
-    ghat = pj.companion_metric(tr.g, tr.a)
     rng = np.random.default_rng(5)
     p0 = np.tile(tr.chart.center(), (2, 1))
     v0 = rng.normal(size=(2, 4))
@@ -98,7 +106,7 @@ def test_step_halving_shows_order_four(triples):
     residuals = []
     for h in (4e-3, 2e-3, 1e-3):
         n = int(round(0.3 / h))
-        paths = integrate_geodesic_bundle(ghat, p0, v0, h, n, tr.chart)
+        paths = integrate_geodesic_bundle(companion_spray(tr), p0, v0, h, n, tr.chart)
         residuals.append(max(np.max(r) for r in t_planarity_residual(tr.g, tr.t, paths)))
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert np.all(orders > 3.4), (residuals, orders)
@@ -109,15 +117,14 @@ def test_reparameterized_planar_curve_stays_planar(triples):
     # dt/du = w(u); the velocity gains a factor w and the acceleration a
     # velocity-direction term, which the alpha-slot of planarity absorbs
     tr = triples["real-liouville"]
-    ghat = pj.companion_metric(tr.g, tr.a)
+    ghat = companion_spray(tr)
 
     def w(u):
         return 1.0 + 0.3 * np.sin(2.0 * u)
 
     def rhs(state, u):
         x, v = state[:, :4], state[:, 4:]  # v = dx/dt along the geodesic
-        gamma = christoffel_batch(ghat, x)
-        acc = -np.einsum("nkij,ni,nj->nk", gamma, v, v)
+        acc = -ghat(x, v)
         return np.concatenate([w(u) * v, w(u) * acc], axis=1)
 
     h, n = 1e-3, 800
@@ -145,7 +152,7 @@ def test_reparameterized_planar_curve_stays_planar(triples):
 def test_box_exit_truncates_and_flags(triples):
     tr = triples["real-liouville"]
     v_out = np.array([0.0, 3.0, 0.0, 0.0])  # races to the x2 boundary
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [v_out], 1e-3, 1000, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [v_out], 1e-3, 1000, tr.chart)
     assert path.exited_box
     assert len(path) < 1001
     assert all(tr.chart.contains(p) for p in path.positions)
@@ -154,9 +161,9 @@ def test_box_exit_truncates_and_flags(triples):
 def test_bundle_matches_single_integration(triples):
     tr = triples["real-liouville"]
     bundle = integrate_geodesic_bundle(
-        tr.g, np.stack([P0, P0 + 0.05]), np.stack([V0, V0]), 1e-3, 50, tr.chart
+        spray(tr.g), np.stack([P0, P0 + 0.05]), np.stack([V0, V0]), 1e-3, 50, tr.chart
     )
-    (single,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 50, tr.chart)
+    (single,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 50, tr.chart)
     assert np.allclose(bundle[0].positions, single.positions)
     assert np.allclose(bundle[0].velocities, single.velocities)
 
@@ -168,8 +175,8 @@ def test_bundle_stops_each_row_where_chart_contains_says_it_left():
     p0 = np.full((3, 4), 0.5)
     v0 = np.array([[0.1, 0.0, 0.0, 0.0], [3.0, 0.0, 1.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
     n = 400
-    free = integrate_geodesic_bundle(flat_metric(), p0, v0, 1e-3, n)
-    boxed = integrate_geodesic_bundle(flat_metric(), p0, v0, 1e-3, n, chart)
+    free = integrate_geodesic_bundle(spray(flat_metric()), p0, v0, 1e-3, n)
+    boxed = integrate_geodesic_bundle(spray(flat_metric()), p0, v0, 1e-3, n, chart)
     for row, path in zip(free, boxed):
         outside = [s for s in range(1, n + 1) if not chart.contains(row.positions[s])]
         expected = outside[0] if outside else n + 1
@@ -180,8 +187,8 @@ def test_bundle_stops_each_row_where_chart_contains_says_it_left():
 
 
 def test_degenerate_velocity_rejected():
-    good = integrate_geodesic_bundle(flat_metric(), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
-    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [np.full(4, 1e-11)], 1e-3, 10)
+    good = integrate_geodesic_bundle(spray(flat_metric()), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
+    (path,) = integrate_geodesic_bundle(spray(flat_metric()), [P0], [np.full(4, 1e-11)], 1e-3, 10)
     for paths in ([path], [good[0], good[1], path]):  # one such curve fails the call
         with pytest.raises(DegenerateVelocityError):
             t_planarity_residual(flat_metric(), flat_metric(), paths)
@@ -189,8 +196,8 @@ def test_degenerate_velocity_rejected():
 
 def test_short_curve_rejected_as_a_domain_error():
     # a curve that left its chart after 3 samples has no stencil point
-    good = integrate_geodesic_bundle(flat_metric(), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
-    (path,) = integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 2)
+    good = integrate_geodesic_bundle(spray(flat_metric()), [P0, P0], [V0, 2.0 * V0], 1e-3, 10)
+    (path,) = integrate_geodesic_bundle(spray(flat_metric()), [P0], [V0], 1e-3, 2)
     for paths in ([path], [good[0], path, good[1]]):  # one such curve fails the call
         with pytest.raises(ShortCurveError, match="3 samples"):
             t_planarity_residual(flat_metric(), flat_metric(), paths)
@@ -206,7 +213,8 @@ def test_batched_readers_equal_one_curve_calls(triples, seed):
     for name, tr in {**triples, **{p: preset_triple(p) for p in PRESETS}}.items():
         p0, v0, normals = geodesic_starts(tr.chart, seed)
         ghat = pj.companion_metric(tr.g, tr.a)
-        paths = integrate_geodesic_bundle(ghat, p0, v0, GEODESIC_STEP, GEODESIC_STEPS, tr.chart)
+        paths = integrate_geodesic_bundle(companion_spray(tr), p0, v0, GEODESIC_STEP,
+                                          GEODESIC_STEPS, tr.chart)
         paths += suites._control_curves(tr.g, tr.t, p0, v0, normals, GEODESIC_STEP, 40)
         for got, path in zip(kinetic_energy(ghat, paths), paths, strict=True):
             assert np.array_equal(got, kinetic_energy(ghat, [path])[0]), name
@@ -217,7 +225,7 @@ def test_batched_readers_equal_one_curve_calls(triples, seed):
 
 def test_csv_export(tmp_path, triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 20, tr.chart)
     (res,) = t_planarity_residual(tr.g, tr.t, [path])
     out = tmp_path / "curve.csv"
     export_curve_csv(path, out, residuals=res)
@@ -231,7 +239,7 @@ def test_csv_export(tmp_path, triples):
 
 def test_planarity_keeps_samples(triples):
     tr = triples["real-liouville"]
-    (path,) = integrate_geodesic_bundle(tr.g, [P0], [V0], 1e-3, 20, tr.chart)
+    (path,) = integrate_geodesic_bundle(spray(tr.g), [P0], [V0], 1e-3, 20, tr.chart)
     (res,) = t_planarity_residual(tr.g, tr.t, [path])
     assert res.shape == (len(path) - 4,)
     # for a geodesic of g itself the covariant acceleration is tiny
@@ -241,11 +249,11 @@ def test_planarity_keeps_samples(triples):
     assert np.max(np.abs(cov)) < 1e-8
 
 
-def _rk4_positions(g, x, v, h, n):
-    """Classical fixed-step RK4 for x'' = -Gamma(x)(x', x'): positions (n + 1, m, 4)."""
+def _rk4_positions(spray_fn, x, v, h, n):
+    """Classical fixed-step RK4 for x'' = -spray_fn(x, x'): positions (n + 1, m, 4)."""
 
     def f(x, v):
-        return v, -np.einsum("nkij,ni,nj->nk", christoffel_batch(g, x), v, v)
+        return v, -spray_fn(x, v)
 
     out = [x]
     for _ in range(n):
@@ -265,7 +273,7 @@ def test_picard_matches_rk4_on_every_family(triples):
     # ~1e-13, except on complex-liouville, where it is ~5e-10: there the
     # bound adds twice RK4's step-doubling estimate |x_h - x_2h| / 15
     for name, tr in triples.items():
-        ghat = pj.companion_metric(tr.g, tr.a)
+        ghat = companion_spray(tr)
         p0, v0, _ = geodesic_starts(tr.chart, 0)
         paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 400, tr.chart)
         picard = np.stack([q.positions[::5] for q in paths], axis=1)
@@ -296,7 +304,7 @@ def test_planarity_projection_matches_lstsq_loop(triples):
     # the first companion geodesic of each family's geodesic check
     for name, tr in triples.items():
         p0, v0, _ = geodesic_starts(tr.chart, 0)
-        (path,) = integrate_geodesic_bundle(pj.companion_metric(tr.g, tr.a), p0[:1], v0[:1],
+        (path,) = integrate_geodesic_bundle(companion_spray(tr), p0[:1], v0[:1],
                                             1e-3, 400, tr.chart)
         (got,) = t_planarity_residual(tr.g, tr.t, [path])
         assert np.max(np.abs(got - _planarity_lstsq_loop(tr.g, tr.t, path))) < 1e-12, name
@@ -335,7 +343,7 @@ def test_row_leaving_into_undefined_metric_stops_at_its_exit(triples):
     # the exit cannot be integrated, so the row goes on alone in halved
     # windows and stops at sample 911, where RK4 stops it too
     tr = triples["complex-liouville"]
-    ghat = pj.companion_metric(tr.g, tr.a)
+    ghat = companion_spray(tr)
     p0, v0, _ = geodesic_starts(tr.chart, 3)
     paths = integrate_geodesic_bundle(ghat, p0, v0, 1e-3, 1000, tr.chart)
     assert [len(q) for q in paths] == [1001, 911, 1001]
@@ -346,8 +354,7 @@ def test_row_leaving_into_undefined_metric_stops_at_its_exit(triples):
     assert np.array_equal(alone.positions, paths[0].positions)
 
 
-def test_sweeps_that_never_settle_raise(monkeypatch):
+def test_sweeps_that_never_settle_raise():
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(curves, "geodesic_spray", lambda g, x, v: rng.normal(size=(len(x), 4)))
     with pytest.raises(GeodesicConvergenceError):
-        integrate_geodesic_bundle(flat_metric(), [P0], [V0], 1e-3, 100)
+        integrate_geodesic_bundle(lambda x, v: rng.normal(size=(len(x), 4)), [P0], [V0], 1e-3, 100)

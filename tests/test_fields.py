@@ -251,11 +251,9 @@ def _catalog_triples():
 
 def test_batch_values_are_the_bits_of_batch_duals():
     # values on first-order dual coordinates are those of the second-order evaluation
-    from pklab.projective import companion_metric
-
     for name, tr in _catalog_triples():
         pts = tr.sample_points(401, seed=3)
-        for field in (tr.g, tr.t, tr.a, companion_metric(tr.g, tr.a)):
+        for field in (tr.g, tr.t, tr.a):
             assert np.array_equal(field.batch_values(pts), field.batch_duals(pts)[0]), (name, field.name)
 
 

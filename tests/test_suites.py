@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pklab import curvature, curves, geometry, suites
+from pklab import curvature, curves, geometry, linalg, suites
 from pklab import projective as pj
 from pklab.catalog import FAMILIES, PRESETS, default_triple, preset_triple
 from pklab.exprs import compile_profile
@@ -335,9 +335,9 @@ def test_singular_metric_fails_geodesic_and_companion_closed(triples):
 
 
 def test_unsettled_geodesic_sweeps_fail_geodesic_closed(triples, monkeypatch):
-    # a spray that changes at every call: the Picard sweeps never settle
+    # a companion spray that changes at every call: the Picard sweeps never settle
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(curves, "geodesic_spray", lambda g, x, v: rng.normal(size=(len(x), 4)))
+    monkeypatch.setattr(pj, "companion_spray", lambda g, a, x, v: rng.normal(size=(len(x), 4)))
     report = run_suite(triples["dim-d2-2"], ["geodesic"], n_points=3)
     assert [c.name for c in report.checks] == [
         "geodesic/energy-drift", "geodesic/negative-control", "geodesic/planarity"]
@@ -379,7 +379,8 @@ def test_programming_error_in_family_sweep_propagates(monkeypatch):
 
 
 def test_kinetic_energy_evaluates_no_companion_partials(triples, monkeypatch):
-    # ghat's partials feed the Picard sweeps; its energy along a curve needs values only
+    # the Picard sweeps read the partials of g and A, not of ghat; ghat's
+    # energy along a curve needs values only
     calls = []  # (field name, inside kinetic_energy) per batch_duals call
     inside = [False]
     energy_calls = [0]
@@ -401,33 +402,45 @@ def test_kinetic_energy_evaluates_no_companion_partials(triples, monkeypatch):
     monkeypatch.setattr(suites, "kinetic_energy", energy)
     assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
     assert energy_calls[0] == 1  # one call over the three geodesics
-    assert ("companion", False) in calls
-    assert ("companion", True) not in calls
+    assert ("g", False) in calls and ("A", False) in calls
+    assert not [c for c in calls if c[0] == "companion" or c[1]]
 
 
 def test_geodesic_check_reads_all_curves_in_one_call_each(triples, monkeypatch):
     # one energy call over the three geodesics and one planarity call over them
-    # and the three controls; besides the Picard sweeps, the spray runs once to
-    # set up the controls and once inside the planarity call
+    # and the three controls; each Picard sweep makes one companion spray call,
+    # and g's spray runs once to set up the controls and once inside the
+    # planarity call
     energy = _count_calls(monkeypatch, curves, "kinetic_energy")
     planarity = _count_calls(monkeypatch, curves, "t_planarity_residual")
     spray = _count_calls(monkeypatch, curvature, "geodesic_spray")
+    companion = _count_calls(monkeypatch, pj, "companion_spray")
     sweeps = [0]
     picard = curves._picard
 
-    def counted_picard(*args):
-        before = spray[0]
-        try:
-            return picard(*args)
-        finally:
-            sweeps[0] += spray[0] - before
+    def counted_picard(spray_fn, *args):
+        def sweep(*xv):
+            sweeps[0] += 1
+            return spray_fn(*xv)
+
+        return picard(sweep, *args)
 
     monkeypatch.setattr(curves, "_picard", counted_picard)
     for name, triple in triples.items():
-        energy[0] = planarity[0] = spray[0] = sweeps[0] = 0
+        energy[0] = planarity[0] = spray[0] = companion[0] = sweeps[0] = 0
         assert run_suite(triple, ["geodesic"]).all_passed, name
         assert (energy[0], planarity[0]) == (1, 1), name
-        assert sweeps[0] > 0 and spray[0] == sweeps[0] + 2, name
+        assert sweeps[0] > 0 and companion[0] == sweeps[0] and spray[0] == 2, name
+
+
+def test_one_float_inverse_per_picard_sweep(triples, monkeypatch):
+    # each sweep inverts A once inside the companion spray, which solves with
+    # g; the planarity and control sprays solve too, so the one other inverse
+    # is A's in the companion values that the energy reads
+    inverses = _count_calls(monkeypatch, linalg, "minv")
+    sweeps = _count_calls(monkeypatch, pj, "companion_spray")
+    assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
+    assert sweeps[0] > 0 and inverses[0] == sweeps[0] + 1
 
 
 def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
@@ -462,6 +475,7 @@ def test_second_order_duals_are_seeded_only_for_partials(monkeypatch):
     spray = reading("spray", curvature.geodesic_spray)
     for module in (curves, suites):
         monkeypatch.setattr(module, "geodesic_spray", spray)
+    monkeypatch.setattr(pj, "companion_spray", reading("spray", pj.companion_spray))
     assert run_suite(triples["real-liouville"], ["geodesic"]).all_passed
     second = [r for order, r in seeds if order == 2]
     assert second and all(r[:2] == ("spray", "duals") for r in second)
