@@ -35,25 +35,29 @@ __all__ = [
 
 def christoffel_jets(g: Jet, ginv: Jet | None = None) -> Jet:
     """Christoffel symbols as stacked jets, entry shape (k, i, j), from the
-    metric's stacked jets.
+    metric's stacked jets, returned one order below the metric's.
 
-    ``ginv`` is the inverse metric as jets when the caller already holds
-    it.  One jet order is consumed by the metric partials, so with
-    coordinate jets of order K the result is trustworthy through order
-    K-2 when the metric components themselves embed profile derivatives.
+    ``ginv`` is the inverse metric as jets, of at least the result's
+    order, when the caller already holds it.  The partials d_l g use up
+    one jet order (their top-degree coefficients are zero), so g^-1 and
+    d g are cut to order K-1 for g of order K before they are multiplied,
+    and the symbols come back at order K-1.  When the metric components
+    embed profile derivatives, g itself is exact only through K-1 and
+    the symbols through K-2.
     """
-    if ginv is None:
-        ginv = metric_inverse_jets(g)
+    order = g.space.order - 1
+    ginv = metric_inverse_jets(g.truncated(order)) if ginv is None else ginv.truncated(order)
     # d[i, j, l] = d_l g_ij, the coefficient axis after the index axes
-    d = np.moveaxis(np.stack([g.derivative(l).coeffs for l in range(DIM)], axis=3), 0, 3)
+    d = np.stack([g.derivative(l).truncated(order).coeffs for l in range(DIM)], axis=3)
+    d = np.moveaxis(d, 0, 3)
     # over the pairs i <= j: c[m, l] = d_i g_jl + d_j g_il - d_l g_ij
     iu, ju = np.triu_indices(DIM)
     c = d[ju, :, iu] + d[iu, :, ju] - d[iu, ju, :]
-    half = (mmul(ginv, Jet(g.space, np.moveaxis(c, (2, 1), (0, 1)))) * 0.5).coeffs
+    half = (mmul(ginv, Jet(ginv.space, np.moveaxis(c, (2, 1), (0, 1)))) * 0.5).coeffs
     gamma = np.empty(half.shape[:2] + (DIM, DIM) + half.shape[3:])
     gamma[:, :, iu, ju] = half
     gamma[:, :, ju, iu] = half
-    return Jet(g.space, gamma)
+    return Jet(ginv.space, gamma)
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> np.ndarray:

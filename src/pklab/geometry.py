@@ -5,13 +5,16 @@ builds each quantity lazily, once, as one stacked Jet over all the points,
 of coefficient shape ``(size, *entry_shape, points)`` (column k is point
 k, bit for bit the jet computed at that point alone; a constant entry is
 a constant jet):
-the jets of g, T and A through degree 2 (one field evaluation each), the
-inverses of g and A, det A, mu1, mu2, psi, the Christoffel symbols of g
-and of the companion metric, sigma(g) and the canonical Killing fields,
-then the curvature tensors.  Every residual reads these batches as
-arrays whose last axis is the sample point (the "taping" idea of
-Griewank & Walther, *Evaluating Derivatives*), so one array expression
-evaluates it at all the points; no float matrix is inverted again.  A
+the jets of g, T and A (one field evaluation each), the inverses of g
+and A, det A, mu1, mu2, psi, the Christoffel symbols of g and of the
+companion metric, sigma(g) and the canonical Killing fields, then the
+curvature tensors.  Each quantity is built at the lowest jet order its
+readers need (see ``ORDER``): through degree 2 where a Hessian or the
+partials of a connection are read, through degree 1 elsewhere.  Every
+residual reads these batches as arrays whose last axis is the sample
+point (the "taping" idea of Griewank & Walther, *Evaluating
+Derivatives*), so one array expression evaluates it at all the points;
+no float matrix is inverted again.  A
 domain error in a quantity (det A <= 0, a near-singular metric) is kept
 and raises wherever the quantity is read.  ``run_suite`` builds one
 Geometry per call; nothing is memoized on the triple or its fields.
@@ -31,7 +34,6 @@ import numpy as np
 from . import curvature
 from .curves import DegenerateVelocityError, GeodesicConvergenceError, ShortCurveError
 from .fields import (
-    DEFAULT_ORDER,
     DIM,
     DegenerateMetricError,
     MalformedFormError,
@@ -57,8 +59,12 @@ __all__ = [
 DOMAIN_ERRORS = (JetDomainError, DegenerateMetricError, MalformedFormError, ZeroDivisionError,
                  GeodesicConvergenceError, DegenerateVelocityError, ShortCurveError)
 
-# jet order of every batch: residuals read values, first partials of the
-# connection and curvature, and the Hessian of psi, none above degree 2
+# jet order of g, A, A^-1, det A, ghat, mu and psi: the curvature reads the
+# first partials of the Christoffel symbols of g and ghat, and the family
+# members the Hessians of psi and mu, none above degree 2.  Every other
+# batch is read as values and first partials only and is built at order 1:
+# T, g^-1, sigma, A sigma, the Killing fields and the Christoffel symbols
+# (one order below their metric's)
 ORDER = 2
 
 # -- jet-level formulas ---------------------------------------------------
@@ -124,19 +130,13 @@ def weighted_sigma_components(gj: Jet, ginv: Jet | None = None) -> Jet:
 # -- the cache --------------------------------------------------------------
 
 
-def _cut(x: Jet, order: int) -> Jet:
-    """The jets x through degree ``order``."""
-    space = Jet.constant(0.0, DIM, order).space
-    return Jet(space, x.coeffs[: space.size])
-
-
-def _field(attr: str):
+def _field(attr: str, order: int):
     def build(geo: "Geometry") -> Jet:
         field = getattr(geo, attr)
         if field is None:
             raise ValueError(f"this geometry has no field {attr!r}")
-        # the rules embed profile derivatives: evaluated at DEFAULT_ORDER, then cut
-        return _cut(field.jets(geo.points, DEFAULT_ORDER), ORDER)
+        # the rules embed profile derivatives: evaluated one order higher, then cut
+        return field.jets(geo.points, order + 1).truncated(order)
 
     return build
 
@@ -149,11 +149,11 @@ def _mu(geo: "Geometry") -> Jet:
 def _killing(geo: "Geometry") -> Jet:
     """Rows V1, V2, TV1, TV2 with V_k = grad mu_k (one jet order consumed)."""
     mu = geo.batch("mu")
-    # dmu[l, k] = d_l mu_k
+    # dmu[l, k] = d_l mu_k, exact through degree 1
     dmu = Jet(mu.space, np.stack([mu.derivative(l).coeffs for l in range(DIM)], 1))
-    v = mmul(geo.batch("ginv"), dmu)
+    v = mmul(geo.batch("ginv"), dmu.truncated(1))
     rows = np.concatenate([v.coeffs, mmul(geo.batch("t"), v).coeffs], axis=2)
-    return Jet(mu.space, np.swapaxes(rows, 1, 2))
+    return Jet(v.space, np.swapaxes(rows, 1, 2))
 
 
 def _companion(geo: "Geometry") -> Jet:
@@ -162,22 +162,23 @@ def _companion(geo: "Geometry") -> Jet:
 
 
 _BUILDERS = {
-    "g": _field("g"),
-    "t": _field("t"),
-    "a": _field("a"),
-    "ginv": lambda geo: metric_inverse_jets(geo.batch("g")),
+    "g": _field("g", ORDER),
+    "t": _field("t", 1),
+    "a": _field("a", ORDER),
+    "ginv": lambda geo: metric_inverse_jets(geo.batch("g").truncated(1)),
     "gamma": lambda geo: curvature.christoffel_jets(geo.batch("g"), geo.batch("ginv")),
     "ainv": lambda geo: minv(geo.batch("a")),
     "det_a": lambda geo: det_a(geo.batch("a")),
     "ghat": _companion,
     "ghat_gamma": lambda geo: curvature.christoffel_jets(
         geo.batch("ghat"),
-        companion_inverse_components(*[geo.batch(k) for k in ("ginv", "a", "det_a")]),
+        companion_inverse_components(
+            geo.batch("ginv"), geo.batch("a").truncated(1), geo.batch("det_a").truncated(1)),
     ),
     "mu": _mu,
     "killing": _killing,
-    "sigma": lambda geo: weighted_sigma_components(geo.batch("g"), geo.batch("ginv")),
-    "a_sigma": lambda geo: mmul(geo.batch("a"), geo.batch("sigma")),
+    "sigma": lambda geo: weighted_sigma_components(geo.batch("g").truncated(1), geo.batch("ginv")),
+    "a_sigma": lambda geo: mmul(geo.batch("a").truncated(1), geo.batch("sigma")),
     # its differential drives the connection shift
     "psi": lambda geo: jlog(geo.batch("det_a")) * (-0.25),
 }
@@ -230,8 +231,10 @@ class Geometry:
         """The stacked jets of 'g', 't', 'a', 'ginv', 'ainv', 'det_a', 'ghat',
         'gamma' (of g), 'ghat_gamma', 'mu' (mu1, mu2), 'killing' (V1, V2, TV1, TV2),
         'sigma' (weighted sigma(g)), 'a_sigma' (A sigma) or 'psi' over all
-        points, through degree ``ORDER``: one Jet of coefficient shape
-        (size, *entry_shape, points) whose column k is point k."""
+        points, through degree 2 for 'g', 'a', 'ainv', 'det_a', 'ghat',
+        'mu' and 'psi' and through degree 1 for the others (see ``ORDER``):
+        one Jet of coefficient shape (size, *entry_shape, points) whose
+        column k is point k."""
         return self.cached(name, lambda: _BUILDERS[name](self))
 
     # -- floats -------------------------------------------------------------

@@ -308,6 +308,14 @@ class Jet:
         c[sp._shift_dst[i]] = sp._shift_fac[i].reshape((-1,) + (1,) * (src.ndim - 1)) * src
         return Jet(sp, c)
 
+    def truncated(self, order: int) -> "Jet":
+        """The same jets through degree ``order`` (at most ours): a view of the
+        leading coefficients, which graded order puts first."""
+        sp = _space(self.space.dim, order)
+        if order > self.space.order:
+            raise ValueError(f"cannot raise truncation order {self.space.order} to {order}")
+        return Jet(sp, self.coeffs[: sp.size])
+
     # -- ring arithmetic ----------------------------------------------
 
     def _lift(self, value) -> np.ndarray:

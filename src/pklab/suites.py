@@ -27,7 +27,7 @@ from .curves import (
     off_span,
     t_planarity_residual,
 )
-from .geometry import ORDER, Geometry
+from .geometry import Geometry
 from .jets import seed_point
 from .linalg import mscale
 from .parakahler import (
@@ -192,7 +192,8 @@ def _roundtrip(geo):
 
 def _invariance(geo):
     # x1 * sigma(g) is not a solution; the expression must not see the connection
-    probe = mscale(geo.batch("sigma"), seed_point(geo.points, ORDER)[0])
+    sigma = geo.batch("sigma")
+    probe = mscale(sigma, seed_point(geo.points, sigma.space.order)[0])
     e1 = pj.mobility_expression(geo, probe)
     return relative(e1 - pj.mobility_expression(geo, probe, metric="ghat"), e1)
 

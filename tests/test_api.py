@@ -1,5 +1,6 @@
-"""Every name a pklab module exports in ``__all__`` is defined there, and
-no pklab module imports another's underscore names.
+"""Every name a pklab module exports in ``__all__`` is defined there, no
+pklab module imports another's underscore names, and no module or test
+imports a name it never reads.
 
 A stale entry breaks ``from pklab.<module> import *`` and the benchmark
 tracer's wildcard probes, which expand ``__all__``.
@@ -42,3 +43,30 @@ def test_no_module_imports_another_modules_private_name(path):
     private = [f"line {line}: {name}" for line, name in _pklab_imports(path)
                if name.startswith("_")]
     assert not private
+
+
+def _unused_imports(path):
+    """(line, name) of every name a source file imports and never reads, other
+    than ``from __future__`` imports and the names its ``__all__`` exports."""
+    tree = ast.parse(path.read_text())
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(e.value for e in node.value.elts)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_no_module_imports_an_unused_name():
+    paths = sorted(Path(pklab.__file__).parent.glob("*.py")) + sorted(
+        Path(__file__).parent.glob("*.py"))
+    unused = [f"{path.name} line {line}: {name}"
+              for path in paths for line, name in _unused_imports(path)]
+    assert not unused

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from pklab.exprs import MAX_DEPTH, ExprError, compile_profile, parse_expr

@@ -203,6 +203,22 @@ def test_derivative_shifts_coefficients():
     assert fx.partial([0, 1]) == pytest.approx(2 * 1.5)
 
 
+def test_truncated_keeps_the_lower_degrees_bit_for_bit():
+    # a polynomial's degree <= 1 coefficients sum the same table pairs at
+    # any order, so computing at order 3 and cutting equals computing at order 1
+    pts = np.array([[0.3, -1.2, 0.7, 2.0], [1.5, 0.1, -0.4, 0.9]])
+
+    def f(order):
+        x1, x2, x3, x4 = seed_point(pts, order)
+        return x1 * x1 * x2 - x3 * x4 + 2.5
+
+    cut = f(3).truncated(1)
+    assert cut.space is f(1).space and cut.coeffs.tobytes() == f(1).coeffs.tobytes()
+    assert f(2).truncated(2).coeffs.tobytes() == f(2).coeffs.tobytes()
+    with pytest.raises(ValueError, match="cannot raise"):
+        f(1).truncated(2)
+
+
 def test_dual_batch_matches_jets():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.5, 1.5, size=(6, 4))
