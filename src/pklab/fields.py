@@ -36,13 +36,16 @@ class MalformedFormError(ValueError):
 
 
 def _halton(n: int, base: int) -> np.ndarray:
-    """Radical inverses of 1, ..., n, one digit position at a time."""
-    i = np.arange(1, n + 1)
+    """Radical inverses of 1, ..., n, one digit position at a time, over the
+    digit count of n (a digit past a number's leading one adds 0.0)."""
+    i = np.arange(1, n + 1, dtype=np.int32)
+    digit = np.empty_like(i)
     f, x = 1.0, np.zeros(n)
-    while i.any():
+    while n:
+        n //= base
         f /= base
-        x += f * (i % base)
-        i //= base
+        np.divmod(i, base, out=(i, digit))
+        x += f * digit
     return x
 
 

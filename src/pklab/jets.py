@@ -23,7 +23,9 @@ Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 The module also provides :class:`DualBatch`, vectorized dual numbers
 truncated at order 0, 1 or 2 like a jet, used where values, or values
 and first partials, are needed at many points at once (constructor
-feasibility scans at order 1, geodesic integration at order 2).
+feasibility scans at order 1, geodesic integration at order 2).  Its
+Hessian level is formed only when read: by ``derivative`` (a rule that
+differentiates a profile) or by ``hess``.
 
 Each elementary function is one derivative rule on whole arrays, shared
 by both carriers, so they agree bit for bit in values and first partials.
@@ -489,20 +491,31 @@ class DualBatch:
     lowers it by one, so field formulas that embed profile first
     derivatives evaluate in one vectorized pass: values on order-1
     coordinates, values and first partials on order 2.  No value reads a
-    derivative level, so values have the same bits at every order.  The
-    elementary functions are the module's derivative rules, the ones a
-    :class:`Jet` composes, fed to :meth:`_chain` through this batch's
+    derivative level, so values have the same bits at every order.
+
+    Values and gradients are formed as each operation runs; the Hessian
+    level is formed only when read.  An operation records its Hessian as
+    a formula of its operands' (see :func:`_defer`), and :meth:`derivative`
+    or a ``hess`` read forms it, with every unformed Hessian it needs, by
+    the same formula summed in the same order, so a formed Hessian has
+    the bits of one formed at once.  A field rule's entries are read as
+    values and gradients, so only the Hessians of the profiles a rule
+    differentiates are ever formed (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13: propagate the derivative levels that are read).
+
+    The elementary functions are the module's derivative rules, the ones
+    a :class:`Jet` composes, fed to :meth:`_chain` through this batch's
     order, so values and gradients equal a batched jet's bit for bit.
     This type backs the fast paths (feasibility scans, geodesic right-hand
     sides); everything above second order goes through :class:`Jet`.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "_hess")
 
     def __init__(self, val, grad=None, hess=None):
         self.val = np.asarray(val, dtype=float)
         self.grad = None if grad is None else np.asarray(grad, dtype=float)
-        self.hess = None if hess is None else np.asarray(hess, dtype=float)
+        self._hess = None if hess is None else np.asarray(hess, dtype=float)
 
     @staticmethod
     def variable(i: int, values: np.ndarray, dim: int, order: int = 2) -> "DualBatch":
@@ -511,17 +524,24 @@ class DualBatch:
         g = np.zeros(v.shape + (dim,))
         g[..., i] = 1.0
         return _batch(v, g if order >= 1 else None,
-                      np.zeros(v.shape + (dim, dim)) if order >= 2 else None)
+                      _defer(np.zeros, (), v.shape + (dim, dim)) if order >= 2 else None)
 
     @property
     def order(self) -> int:
-        return 0 if self.grad is None else 1 if self.hess is None else 2
+        return 0 if self.grad is None else 1 if self._hess is None else 2
+
+    @property
+    def hess(self) -> np.ndarray | None:
+        """The Hessians, formed on the first read; None below order 2."""
+        if isinstance(self._hess, tuple):
+            _form(self)
+        return self._hess
 
     def derivative(self, i: int) -> "DualBatch":
         """First partial d/dx_i, one order lower."""
         if self.grad is None:
             raise ValueError("derivative() of an order-0 DualBatch")
-        return _batch(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
+        return _batch(self.grad[..., i], None if self._hess is None else self.hess[..., i, :])
 
     def _lift(self, other):
         """``other`` as a batch of our order: a constant has zero derivatives."""
@@ -532,28 +552,28 @@ class DualBatch:
                 v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
             except (TypeError, ValueError):
                 return None
-            return _batch(v, *(None if d is None else np.zeros_like(d)
-                               for d in (self.grad, self.hess)))
+            return _batch(v, None if self.grad is None else np.zeros_like(self.grad),
+                          _defer(np.zeros_like, (self,)))
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _batch(self.val + o.val, _join(np.add, self.grad, o.grad),
-                      _join(np.add, self.hess, o.hess))
+        return _batch(self.val + o.val, _join(np.add, self.grad, o.grad), _defer(np.add, (self, o)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _batch(-self.val, *(None if d is None else -d for d in (self.grad, self.hess)))
+        return _batch(-self.val, None if self.grad is None else -self.grad,
+                      _defer(np.negative, (self,)))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return _batch(self.val - o.val, _join(np.subtract, self.grad, o.grad),
-                      _join(np.subtract, self.hess, o.hess))
+                      _defer(np.subtract, (self, o)))
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -563,8 +583,8 @@ class DualBatch:
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):  # a constant scales every derivative level
-            return _batch(self.val * other, *(None if d is None else d * other
-                                              for d in (self.grad, self.hess)))
+            return _batch(self.val * other, None if self.grad is None else self.grad * other,
+                          _defer(np.multiply, (self,), other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -572,16 +592,8 @@ class DualBatch:
         if self.grad is None or o.grad is None:
             return _batch(val)
         grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
-        h = None
-        if self.hess is not None and o.hess is not None:
-            cross = self.grad[..., :, None] * o.grad[..., None, :]
-            h = (
-                self.hess * o.val[..., None, None]
-                + o.hess * self.val[..., None, None]
-                + cross
-                + np.swapaxes(cross, -1, -2)
-            )
-        return _batch(val, grad, h)
+        hess = _defer(_product_hess, (self, o), self.val, o.val, self.grad, o.grad)
+        return _batch(val, grad, hess)
 
     __rmul__ = __mul__
 
@@ -603,12 +615,8 @@ class DualBatch:
     def _chain(self, v, dv=None, d2v=None):
         if self.grad is None:
             return _batch(v)
-        grad = dv[..., None] * self.grad
-        h = None
-        if self.hess is not None and d2v is not None:
-            outer = self.grad[..., :, None] * self.grad[..., None, :]
-            h = dv[..., None, None] * self.hess + d2v[..., None, None] * outer
-        return _batch(v, grad, h)
+        hess = _defer(_chain_hess, (self,), self.grad, dv, d2v)
+        return _batch(v, dv[..., None] * self.grad, hess)
 
     def _elementary(self, rule, *args):
         """Compose with ``rule``'s derivatives of orders 0..our order."""
@@ -631,13 +639,60 @@ def dual_point(points: np.ndarray, order: int = 2) -> list[DualBatch]:
 
 
 def _batch(val, grad=None, hess=None) -> DualBatch:
-    """A DualBatch of float arrays as they are: the operations' results skip
-    the conversions of the public constructor."""
+    """A DualBatch of float arrays as they are (its Hessian formed or
+    deferred): the operations' results skip the conversions of the public
+    constructor."""
     out = object.__new__(DualBatch)
-    out.val, out.grad, out.hess = val, grad, hess
+    out.val, out.grad, out._hess = val, grad, hess
     return out
 
 
 def _join(op, a, b):
-    """``op(a, b)`` of two derivative levels, None unless both operands carry it."""
+    """``op(a, b)`` of two gradient levels, None unless both operands carry one."""
     return None if a is None or b is None else op(a, b)
+
+
+# -- deferred Hessians ---------------------------------------------------
+# An unformed Hessian is the tuple (fn, batches, extra): it is
+# fn(*hessians of batches, *extra).
+
+
+def _defer(fn, batches, *extra):
+    """The Hessian ``fn(*hessians of batches, *extra)``, left unformed; None
+    where one of ``batches`` has no Hessian level (an order below 2
+    propagates)."""
+    for b in batches:
+        if b._hess is None:
+            return None
+    return fn, batches, extra
+
+
+def _form(root: DualBatch) -> None:
+    """Form ``root``'s Hessian and every unformed one it reads, operands
+    first.  The stack is explicit, so a chain of thousands of operations
+    does not recurse; a batch reached twice is formed once."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if not isinstance(node._hess, tuple):  # formed since it was pushed
+            stack.pop()
+            continue
+        fn, batches, extra = node._hess
+        pending = [b for b in batches if isinstance(b._hess, tuple)]
+        if pending:
+            stack += pending
+            continue
+        node._hess = fn(*[b._hess for b in batches], *extra)
+        stack.pop()
+
+
+def _product_hess(ha, hb, va, vb, ga, gb):
+    """Hessian of a product from its operands' values, gradients and Hessians."""
+    cross = ga[..., :, None] * gb[..., None, :]
+    return ha * vb[..., None, None] + hb * va[..., None, None] + cross + np.swapaxes(cross, -1, -2)
+
+
+def _chain_hess(h, grad, dv, d2v):
+    """Hessian of f(a) from a's gradient and Hessian and f', f'' at its values."""
+    outer = grad[..., :, None] * grad[..., None, :]
+    return dv[..., None, None] * h + d2v[..., None, None] * outer

@@ -74,8 +74,23 @@ class TestChart:
                 out[k] = x
             return out
 
+        # the whole-array digit loop that ran until every digit was zero, on
+        # int64 remainders: the fixed digit count and the int32 divmod in
+        # place must not move a bit, also where n is a power of the base
+        def digit_loop(n, base):
+            i = np.arange(1, n + 1)
+            f, x = 1.0, np.zeros(n)
+            while i.any():
+                f /= base
+                x += f * (i % base)
+                i //= base
+            return x
+
         for base in (2, 3, 5, 7):
-            assert np.array_equal(_halton(3000, base), radical_inverse(3000, base))
+            assert _halton(3000, base).tobytes() == radical_inverse(3000, base).tobytes()
+        for base in (2, 3, 5, 7, 11, 13):
+            for n in (0, 1, base - 1, base, base + 1, base**4 - 1, base**4, 10_017):
+                assert _halton(n, base).tobytes() == digit_loop(n, base).tobytes(), (base, n)
 
 
 def test_metric_inverse_flat_block_structure():

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_partial
+from pklab import jets
 from pklab.jets import (
     DualBatch,
     Jet,
@@ -307,6 +309,121 @@ def test_dual_batch_times_a_matrix_is_an_array_of_batches():
     assert isinstance(scaled, DualBatch)
     assert np.array_equal(scaled.val, [0.5, 3.0, 7.5])
     assert np.array_equal(scaled.grad[:, 0], [1.0, 2.0, 3.0])
+
+
+# -- deferred Hessians: each formed by the formula an eager batch runs ----
+
+
+def _seeded_batch(rng, n=7):
+    h = rng.normal(size=(n, 4, 4))
+    return DualBatch(rng.uniform(0.5, 1.5, n), rng.normal(size=(n, 4)), h + np.swapaxes(h, 1, 2))
+
+
+def _product(a, b):
+    """(values, gradients, Hessians) of a product, each level formed at once."""
+    (av, ag, ah), (bv, bg, bh) = a, b
+    cross = ag[:, :, None] * bg[:, None, :]
+    return (av * bv, ag * bv[:, None] + bg * av[:, None],
+            ah * bv[:, None, None] + bh * av[:, None, None] + cross + np.swapaxes(cross, 1, 2))
+
+
+def _compose(a, rows):
+    """(values, gradients, Hessians) of f(a) from f, f', f'' at a's values."""
+    (v, g, h), (f, df, d2f) = a, rows
+    outer = g[:, :, None] * g[:, None, :]
+    return f, df[:, None] * g, df[:, None, None] * h + d2f[:, None, None] * outer
+
+
+def _elementary_case(method, rule, *args):
+    return (lambda a, b: getattr(a, method)(*args),
+            lambda A, B: _compose(A, rule(A[0], 2, *args))[2])
+
+
+_HESSIAN_OPS = {
+    "a*b": (lambda a, b: a * b, lambda A, B: _product(A, B)[2]),
+    "a+b": (lambda a, b: a + b, lambda A, B: A[2] + B[2]),
+    "a-b": (lambda a, b: a - b, lambda A, B: A[2] - B[2]),
+    "-a": (lambda a, b: -a, lambda A, B: -A[2]),
+    "a*3.0": (lambda a, b: a * 3.0, lambda A, B: A[2] * 3.0),
+    "a+1.0": (lambda a, b: a + 1.0, lambda A, B: A[2] + np.zeros_like(A[2])),
+    "2.0-a": (lambda a, b: 2.0 - a, lambda A, B: np.zeros_like(A[2]) - A[2]),
+    "a/b": (lambda a, b: a / b,
+            lambda A, B: _product(A, _compose(B, jets._reciprocal(B[0], 2)))[2]),
+    "a**3": (lambda a, b: a ** 3, lambda A, B: _product(A, _product(A, A))[2]),  # binary powering
+    "exp": _elementary_case("exp", jets._exp),
+    "log": _elementary_case("log", jets._log),
+    "sqrt": _elementary_case("sqrt", jets._sqrt),
+    "pow": _elementary_case("pow", jets._pow, 1.5),
+    "reciprocal": _elementary_case("reciprocal", jets._reciprocal),
+    "sin": _elementary_case("sin", jets._sin),
+    "cos": _elementary_case("cos", jets._cos),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HESSIAN_OPS))
+def test_deferred_hessian_is_the_eager_formula_bit_for_bit(name):
+    op, eager = _HESSIAN_OPS[name]
+    rng = np.random.default_rng(25)
+    a, b = _seeded_batch(rng), _seeded_batch(rng)
+    out = op(a, b)
+    assert out.order == 2 and isinstance(out._hess, tuple)  # not formed yet
+    want = eager((a.val, a.grad, a.hess), (b.val, b.grad, b.hess))
+    assert out.hess.tobytes() == want.tobytes()
+    assert out.hess is out.hess  # formed once, then kept
+
+
+def test_a_deep_chain_forms_its_hessians_without_recursion():
+    # 2,000 steps leave a graph of 8,000 unformed Hessians under the
+    # last one; forming them must not recurse once per step, and must give
+    # the bits of the same chain whose Hessians were read as it went
+    pts = np.random.default_rng(4).uniform(0.2, 0.8, size=(5, 4))
+
+    def chain(read_each_step):
+        y = dual_point(pts)[0]
+        for _ in range(2000):
+            y = (y * y) * 0.5 + 0.5
+            if read_each_step:
+                assert y.hess is not None
+        return y
+
+    lazy, eager = chain(False), chain(True)
+    d_lazy, d_eager = lazy.derivative(0), eager.derivative(0)
+    assert d_lazy.val.tobytes() == d_eager.val.tobytes()
+    assert d_lazy.grad.tobytes() == d_eager.grad.tobytes()
+    assert np.any(d_lazy.grad != 0.0)
+    assert lazy.hess.tobytes() == eager.hess.tobytes()
+
+
+def test_batch_duals_leave_unread_hessians_unformed(monkeypatch, triples):
+    # a rule's entries are read as values and gradients: where the rule
+    # differentiates nothing, none of its Hessians is formed
+    derivatives = []
+    derivative = DualBatch.derivative
+
+    def counted(self, i):
+        derivatives.append(i)
+        return derivative(self, i)
+
+    monkeypatch.setattr(DualBatch, "derivative", counted)
+    undifferentiated = 0
+    for name, tr in triples.items():
+        for field in (tr.g, tr.a, tr.t):
+            if field.batch_fn is not None:
+                continue
+            entries = []
+
+            def recording(*coords, rule=field.fn):
+                out = rule(*coords)
+                entries.extend(x for x in np.asarray(out, dtype=object).flat
+                               if isinstance(x, DualBatch))
+                return out
+
+            derivatives.clear()
+            replace(field, fn=recording).batch_duals(tr.sample_points(6))
+            if entries and not derivatives:
+                undifferentiated += 1
+                assert all(isinstance(x._hess, tuple) for x in entries), (name, field.name)
+    assert undifferentiated >= 5
 
 
 def test_integer_power_matches_repeated_multiplication():
