@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import Chart, TensorField
-from .jets import DualBatch, Jet, dual_point
+from .jets import Jet
 from .parakahler import ADAPTED_T, DOMAIN_ERRORS, ParaKahlerTriple
 from .report import worst
 
@@ -50,37 +50,39 @@ class FeasibilityError(ValueError):
     """A constructor constraint failed on the declared box."""
 
 
-def _values(out, n: int) -> np.ndarray:
-    """Values of a constraint over n points; a constant counts at every point."""
-    if isinstance(out, DualBatch):
-        return out.val
-    return np.broadcast_to(np.asarray(out, dtype=float), (n,))
-
-
 def _certify(chart: Chart, constraints, label: str) -> None:
     """Dense-sampling feasibility certificate.
 
-    ``constraints`` is a list of (name, kind, fn) with fn evaluated on
-    first-order dual coordinates, enough for the profile first derivatives
-    it reads (only values are kept); kind 'nonvanishing' fails on sign
-    changes or near-zeros, kind 'vanishing' fails on values above
-    tolerance.  A constraint that raises a domain error or takes a
-    non-finite value anywhere fails too.  The sample is a Halton set plus
-    the closed box's corners (where a boundary collision shows) and centre.
+    ``constraints`` is a list of (name, kind, fn), read as one field whose
+    rule returns their list: its values over the sample, on first-order
+    dual coordinates, enough for the profile first derivatives they read.
+    Kind 'nonvanishing' fails on sign changes or near-zeros, kind
+    'vanishing' fails on values above tolerance.  A constraint that raises
+    a domain error or takes a non-finite value anywhere fails too; the
+    domain error is reported first, whichever constraint it is in.  The
+    sample is a Halton set plus the closed box's corners (where a boundary
+    collision shows) and centre.
     """
     pts = np.vstack([chart.sample_points(CERTIFICATE_POINTS, seed=7, margin=1e-3),
                      np.array(list(product(*chart.box)), dtype=float), chart.center()])
+
+    def rule(*coords):
+        out = []
+        for name, _, fn in constraints:
+            try:
+                out.append(fn(*coords))
+            except DOMAIN_ERRORS as e:
+                raise FeasibilityError(
+                    f"{label}: constraint '{name}' is undefined on the box ({e})"
+                ) from e
+        return out
+
+    field = TensorField((0, 0), rule, name=label)
     # a fifth of the points at a time: the gradients of all of them would
     # hold about 1 MB more at once, for no gain in time
-    chunks = [dual_point(part, order=1) for part in np.array_split(pts, 5)]
-    for name, kind, fn in constraints:
-        try:
-            with np.errstate(all="ignore"):  # non-finite values are rejected below
-                vals = np.concatenate([_values(fn(*c), len(c[0].val)) for c in chunks])
-        except DOMAIN_ERRORS as e:
-            raise FeasibilityError(
-                f"{label}: constraint '{name}' is undefined on the box ({e})"
-            ) from e
+    with np.errstate(all="ignore"):  # non-finite values are rejected below
+        table = np.concatenate([field.batch_values(part) for part in np.array_split(pts, 5)])
+    for (name, kind, _), vals in zip(constraints, table.T):
         if not np.all(np.isfinite(vals)):
             raise FeasibilityError(f"{label}: constraint '{name}' is not finite on the box")
         scale = max(1.0, float(np.max(np.abs(vals))))

@@ -18,24 +18,15 @@ import math
 import os
 import sys
 import time
-from functools import partial
 
 from . import catalog
 from .catalog import FeasibilityError
-from .curves import export_curve_csv, integrate_geodesic_bundle, t_planarity_residual
+from .curves import export_curve_csv, t_planarity_residual
 from .exprs import compile_profile
 from .fields import DegenerateMetricError
 from .geometry import DOMAIN_ERRORS
-from .suites import (
-    CHECK_NAMES,
-    GEODESIC_STEP,
-    GEODESIC_STEPS,
-    check_request,
-    demo_einstein,
-    geodesic_starts,
-    run_suite,
-)
-from . import projective as pj
+from .suites import CHECK_NAMES, check_request, demo_einstein, geodesic_paths, run_suite
+
 
 class ConfigError(ValueError):
     pass
@@ -171,12 +162,7 @@ def _cmd_run(args) -> int:
 def _export_geodesic_csv(triple, path, seed: int) -> None:
     """Write the first companion geodesic of the run's geodesic check, with
     its planarity residuals where they can be measured."""
-    p0, v0, _ = geodesic_starts(triple.chart, seed)
-    # the suite's bundle, so the row is bit for bit the curve it checked
-    curve = integrate_geodesic_bundle(
-        partial(pj.companion_spray, triple.g, triple.a), p0, v0, GEODESIC_STEP, GEODESIC_STEPS,
-        triple.chart,
-    )[0]
+    curve = geodesic_paths(triple, seed)[0]
     try:
         (residuals,) = t_planarity_residual(triple.g, triple.t, [curve])
     except DOMAIN_ERRORS as e:  # the geodesic results have failed with it

@@ -127,7 +127,7 @@ def integrate_geodesic_bundle(
     Chebyshev-Picard iteration of all rows at once over windows of length
     _WINDOW; each window's Chebyshev interpolant gives the samples on the
     uniform grid.  A row is truncated, and flagged, at its first sample
-    after the start that ``chart.contains`` rejects; a non-finite sample
+    after the start outside the chart's box; a non-finite sample
     counts as outside.  The rows of a window that fails are integrated one
     by one, halving the window where a row fails, so a row stops where it
     leaves the chart even if the metric is undefined past the exit.  The
@@ -141,7 +141,7 @@ def integrate_geodesic_bundle(
     lo, hi = (-np.inf, np.inf) if chart is None else np.array(chart.box, dtype=float).T
 
     def inside(x):
-        # Chart.contains on the last axis; a NaN coordinate is outside
+        # inside the closed box, on the last axis; a NaN coordinate is outside
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
     n_win = int(np.ceil(times[-1] / _WINDOW - 1e-9))
@@ -184,11 +184,15 @@ def integrate_geodesic_bundle(
     ]
 
 
-def kinetic_energy(g: TensorField, paths: list[GeodesicPath]) -> list[np.ndarray]:
-    """g(velocity, velocity) along each path, g read once for all; constant on geodesics."""
+def kinetic_energy(metric: Callable[[np.ndarray], np.ndarray],
+                   paths: list[GeodesicPath]) -> list[np.ndarray]:
+    """g(velocity, velocity) along each path, constant on geodesics.  ``metric``
+    gives g's values at an (n, 4) array of points, shape (n, 4, 4), and is
+    called once for all paths: ``g.batch_values`` for a metric field g, or
+    ``functools.partial(projective.companion_values, g, a)`` for the companion."""
     x = np.concatenate([p.positions for p in paths])
     v = np.concatenate([p.velocities for p in paths])
-    en = np.einsum("nij,ni,nj->n", g.batch_values(x), v, v)
+    en = np.einsum("nij,ni,nj->n", metric(x), v, v)
     return np.split(en, np.cumsum([len(p) for p in paths])[:-1])
 
 

@@ -1,14 +1,17 @@
 """Charts, scalar/tensor fields and first-layer tensor calculus.
 
 A field is an evaluation rule: a callable receiving the four coordinate
-ring elements (jets, dual batches or plain arrays) and returning its
-components built from them with ordinary arithmetic, as nested lists or
-an object array of entries, or as one stacked Jet.  ``stacked`` is the
-one place where a rule's entries become a Jet of coefficient shape
-``(size, *entry_shape, *points)``, numbers becoming constants: that is
-what ``TensorField.jets`` returns and what ``pklab.linalg``, ``Geometry``
-and the residuals read.  Everything downstream (curvature, projective
-machinery, verification suites) talks to fields through the helpers here.
+ring elements and returning its components built from them with ordinary
+arithmetic, as nested lists or an array of entries, or as one stacked
+Jet.  ``_entries`` is the one reader of that output.  ``stacked`` makes
+it one Jet of coefficient shape ``(size, *entry_shape, *points)``,
+numbers becoming constants: that is what ``TensorField.jets`` returns and
+what ``pklab.linalg``, ``Geometry`` and the residuals read.
+``TensorField.batch_values`` and ``batch_duals`` are the one place that
+evaluates a rule over many points, on dual batches that no other module
+seeds; the constructor certificate and the geodesic sprays read fields
+through them.  Everything downstream (curvature, projective machinery,
+verification suites) talks to fields through the helpers here.
 """
 
 from __future__ import annotations
@@ -70,9 +73,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.box)
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
-
     def center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.box])
 
@@ -96,22 +96,25 @@ class Chart:
 ComponentsFn = Callable[..., np.ndarray]
 
 
+def _entries(nested) -> tuple[tuple[int, ...], list]:
+    """(shape, entries in C order) of a rule's output: nested lists or tuples
+    of entries, or an array of them; a lone entry has shape ()."""
+    if isinstance(nested, np.ndarray):
+        return nested.shape, nested.ravel().tolist()
+    shape, flat = [], [nested]
+    while isinstance(flat[0], (list, tuple)):
+        shape.append(len(flat[0]))
+        flat = [x for row in flat for x in row]
+    return tuple(shape), flat
+
+
 def objarray(nested) -> np.ndarray:
     """Object ndarray from nested lists without numpy auto-coercion."""
-    if isinstance(nested, np.ndarray):
-        return nested if nested.dtype == object else nested.astype(object)
-    probe = nested
-    shape = []
-    while isinstance(probe, (list, tuple)):
-        shape.append(len(probe))
-        probe = probe[0]
-    out = np.empty(tuple(shape), dtype=object)
-    for idx in np.ndindex(out.shape):
-        x = nested
-        for k in idx:
-            x = x[k]
-        out[idx] = x
-    return out
+    shape, flat = _entries(nested)
+    out = np.empty(len(flat), dtype=object)
+    for k, x in enumerate(flat):
+        out[k] = x
+    return out.reshape(shape)
 
 
 def stacked(entries, like: Jet) -> Jet:
@@ -121,14 +124,15 @@ def stacked(entries, like: Jet) -> Jet:
     the same points (a coordinate jet)."""
     if isinstance(entries, Jet):
         return entries
-    arr = objarray(entries)
-    out = np.zeros((like.space.size,) + arr.shape + like.coeffs.shape[1:])
-    for idx, x in np.ndenumerate(arr):
+    shape, flat = _entries(entries)
+    points = like.coeffs.shape[1:]
+    out = np.zeros((like.space.size, len(flat)) + points)
+    for k, x in enumerate(flat):
         if isinstance(x, Jet):
-            out[(slice(None),) + idx] = x.coeffs
+            out[:, k] = x.coeffs
         else:
-            out[(0,) + idx] = x
-    return Jet(like.space, out)
+            out[0, k] = x
+    return Jet(like.space, out.reshape((like.space.size,) + shape + points))
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,12 @@ class TensorField:
     """Components of fixed valence produced by one evaluation rule.
 
     ``valence`` is (contravariant, covariant); the component array has
-    shape (4,)**(r+s) with contravariant indices first.  ``batch_fn``,
-    when set, is an equivalent vectorized evaluator of the values,
-    points -> values, which ``batch_values`` uses; correctness tests pin
-    it against the generic rule.  Such a field has no ``batch_duals``.
+    shape (4,)**(r+s) with contravariant indices first.
     """
 
     valence: tuple[int, int]
     fn: ComponentsFn
     name: str = ""
-    batch_fn: Callable | None = None
 
     @property
     def rank(self) -> int:
@@ -192,29 +192,18 @@ class TensorField:
 
     def batch_values(self, points: np.ndarray) -> np.ndarray:
         """Component values at an (n, 4) array of points, shape (n, ...)."""
-        if self.batch_fn is not None:
-            return self.batch_fn(np.asarray(points, dtype=float))
         return self._dual_batch(points, order=1)[0]
 
     def batch_duals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials over a batch, shapes (n, ...) / (n, ..., 4)."""
-        if self.batch_fn is not None:
-            raise TypeError(f"{self.name}: a values-only batch evaluator has no batch partials")
         return self._dual_batch(points, order=2)
 
     def _dual_batch(self, points, order: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, first partials or None) of the rule on dual coordinates of ``order``:
         rules read profile first derivatives, so values need order 1, partials 2.
-        The rule's nested lists (or array) are read entry by entry in C order."""
+        A number among the rule's entries is a constant at every point."""
         pts = np.asarray(points, dtype=float)
-        entries = self.fn(*dual_point(pts, order))
-        if isinstance(entries, np.ndarray):
-            shape, flat = entries.shape, list(entries.flat)
-        else:
-            shape, flat = [], [entries]
-            while isinstance(flat[0], (list, tuple)):
-                shape.append(len(flat[0]))
-                flat = [x for row in flat for x in row]
+        shape, flat = _entries(self.fn(*dual_point(pts, order)))
         n = pts.shape[0]
         vals = np.empty((n, len(flat)))
         grads = np.zeros((n, len(flat), DIM)) if order == 2 else None

@@ -21,9 +21,10 @@ pairs of a multiplication table per target and entry with one
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
 The module also provides :class:`DualBatch`, vectorized dual numbers
-truncated at order 0, 1 or 2 like a jet, used where values, or values
-and first partials, are needed at many points at once (constructor
-feasibility scans at order 1, geodesic integration at order 2).  Its
+truncated at order 0, 1 or 2 like a jet, for values (order 1) or values
+and first partials (order 2) at many points at once.  Only
+``pklab.fields.TensorField`` seeds them, to evaluate a field rule over
+many points; other modules read the arrays it returns.  Its
 Hessian level is formed only when read: by ``derivative`` (a rule that
 differentiates a profile) or by ``hess``.
 
@@ -443,10 +444,11 @@ def seed_point(point, order: int) -> list[Jet]:
 # -- duck-typed math usable on floats, arrays, jets and dual batches ---
 
 
-def _dispatch(x, method: str, float_fn):
-    if isinstance(x, (Jet, DualBatch)):
-        return getattr(x, method)()
-    return float_fn(x)
+def _dispatch(x, method: str, float_fn, *args):
+    """x's own ``method`` where it has one (a derivative carrier), else
+    ``float_fn``: numbers and arrays, object arrays too, have none."""
+    own = getattr(x, method, None)
+    return float_fn(x, *args) if own is None else own(*args)
 
 
 def jexp(x):
@@ -470,15 +472,11 @@ def jcos(x):
 
 
 def jpow(x, r: float):
-    if isinstance(x, (Jet, DualBatch)):
-        return x.pow(r)
-    return np.power(x, r)
+    return _dispatch(x, "pow", np.power, r)
 
 
 def jreciprocal(x):
-    if isinstance(x, (Jet, DualBatch)):
-        return x.reciprocal()
-    return 1.0 / x
+    return _dispatch(x, "reciprocal", lambda v: 1.0 / v)
 
 
 class DualBatch:

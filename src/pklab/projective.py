@@ -67,6 +67,7 @@ __all__ = [
     "hamiltonian_form_residual",
     "a_from_pair",
     "companion_metric",
+    "companion_values",
     "companion_spray",
     "family_metric",
     "connection_difference_residual",
@@ -176,25 +177,28 @@ def companion_metric(g: TensorField, a: TensorField) -> TensorField:
     """ghat = (det A)^(-1/2) g A^(-1), positive square root.
 
     det A must be positive on the region of use; evaluation raises a
-    domain error otherwise.  Carries a vectorized evaluator of its values
-    over many points, from the values of g and A alone, so
-    ``batch_values`` (kinetic energy) evaluates no partials; it has no
-    batch partials: ``companion_spray`` contracts the geodesic equation
-    without them, and ``Geometry`` reads them from jets.
+    domain error otherwise.  A jet field: over many points,
+    ``companion_values`` gives its values and ``companion_spray``
+    contracts its geodesic equation, both from g and A, and ``Geometry``
+    reads its partials from jets.
     """
 
     def comps(*coords):
         gj, aj = _stacked(coords, g, a)
         return companion_components(gj, minv(aj), det_a(aj))
 
-    def batch(points):
-        gv, av = g.batch_values(points), a.batch_values(points)
-        det = np.linalg.det(av)
-        if np.any(det <= 0.0):
-            raise DegenerateMetricError("det A <= 0 in companion metric batch")
-        return det[:, None, None] ** -0.5 * (gv @ minv(av))
+    return TensorField((0, 2), comps, name="companion")
 
-    return TensorField((0, 2), comps, name="companion", batch_fn=batch)
+
+def companion_values(g: TensorField, a: TensorField, points: np.ndarray) -> np.ndarray:
+    """ghat's values over an (n, 4) batch, shape (n, 4, 4), with ghat =
+    companion_metric(g, a), from the values of g and A alone, so no partials
+    are evaluated.  det A <= 0 raises DegenerateMetricError."""
+    gv, av = g.batch_values(points), a.batch_values(points)
+    det = np.linalg.det(av)
+    if np.any(det <= 0.0):
+        raise DegenerateMetricError("det A <= 0 in companion metric batch")
+    return det[:, None, None] ** -0.5 * (gv @ minv(av))
 
 
 def companion_spray(g: TensorField, a: TensorField, points: np.ndarray,

@@ -47,7 +47,8 @@ from .parakahler import (
 )
 from .report import CheckResult, VerificationReport, worst
 
-__all__ = ["CHECK_NAMES", "check_request", "geodesic_starts", "run_suite", "demo_einstein"]
+__all__ = ["CHECK_NAMES", "check_request", "geodesic_starts", "geodesic_paths", "run_suite",
+           "demo_einstein"]
 
 
 def _suite_parakahler(geo, tol):
@@ -376,15 +377,22 @@ def geodesic_starts(chart, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return p0, v0, rng.normal(size=(3, 4))
 
 
-def _geodesic_residuals(triple, p0, v0, normals):
-    """(energy drifts, planarity residuals, smallest control residual)."""
-    g, t = triple.g, triple.t
-    paths = integrate_geodesic_bundle(
-        partial(pj.companion_spray, g, triple.a), p0, v0, GEODESIC_STEP, GEODESIC_STEPS,
+def geodesic_paths(triple, seed: int) -> list[GeodesicPath]:
+    """The companion geodesics of the geodesic check, one per start row of
+    ``geodesic_starts``."""
+    p0, v0, _ = geodesic_starts(triple.chart, seed)
+    return integrate_geodesic_bundle(
+        partial(pj.companion_spray, triple.g, triple.a), p0, v0, GEODESIC_STEP, GEODESIC_STEPS,
         triple.chart,
     )
+
+
+def _geodesic_residuals(triple, seed, p0, v0, normals):
+    """(energy drifts, planarity residuals, smallest control residual)."""
+    g, t = triple.g, triple.t
+    paths = geodesic_paths(triple, seed)
     drifts = [float(np.max(np.abs(en - en[0]))) / max(1.0, abs(en[0]))
-              for en in kinetic_energy(pj.companion_metric(g, triple.a), paths)]
+              for en in kinetic_energy(partial(pj.companion_values, g, triple.a), paths)]
     controls = _control_curves(g, t, p0, v0, normals, GEODESIC_STEP, 40)
     plans = [float(np.max(r)) for r in t_planarity_residual(g, t, paths + controls)]
     # np.min, not min(): a NaN control makes the smallest NaN wherever it stands
@@ -395,7 +403,7 @@ def _suite_geodesic(geo, tol, seed: int = 0):
     starts = geodesic_starts(geo.triple.chart, seed)
     n = len(starts[0])
     try:
-        drifts, plans, neg = _geodesic_residuals(geo.triple, *starts)
+        drifts, plans, neg = _geodesic_residuals(geo.triple, seed, *starts)
     except DOMAIN_ERRORS as e:
         # the curves could not be integrated or measured: every result fails
         return [c.result(np.inf, n, tol, [f"eval-error:{type(e).__name__}"]) for c in _GEODESIC]

@@ -70,3 +70,11 @@ def test_no_module_imports_an_unused_name():
     unused = [f"{path.name} line {line}: {name}"
               for path in paths for line, name in _unused_imports(path)]
     assert not unused
+
+
+def test_only_fields_seeds_dual_batches():
+    # fields is the one place that evaluates a rule over many points, so the
+    # derivative carrier it evaluates on can change there alone
+    importers = sorted(path.name for path in Path(pklab.__file__).parent.glob("*.py")
+                       if {"DualBatch", "dual_point"} & {name for _, name in _pklab_imports(path)})
+    assert importers == ["fields.py"]

@@ -20,9 +20,9 @@ from pklab.catalog import (
     preset_triple,
 )
 from pklab.curvature import covariant_derivative_endo, einstein_residual
-from pklab.fields import objarray, stacked
+from pklab.fields import Chart, TensorField, objarray, stacked
 from pklab.geometry import Geometry
-from pklab.jets import dual_point, seed_point
+from pklab.jets import jlog, seed_point
 from pklab.linalg import minv, mmul
 from pklab.parakahler import validate
 
@@ -167,8 +167,23 @@ def test_certificate_values_are_those_of_second_order_coordinates(monkeypatch):
     for chart, constraints, label in seen:
         pts = chart.sample_points(2000, seed=7, margin=1e-3)
         for cname, _, fn in constraints:
-            got, want = (catalog._values(fn(*dual_point(pts, order)), len(pts)) for order in (1, 2))
-            assert np.array_equal(got, want), (label, cname)
+            field = TensorField((0, 0), fn)
+            assert np.array_equal(field.batch_values(pts), field.batch_duals(pts)[0]), (label, cname)
+
+
+def test_domain_error_names_its_constraint():
+    # the constraints are read as one rule: the second one's domain error is
+    # reported under its name, before the first one's non-finite values
+    constraints = [
+        ("infinite", "nonvanishing", lambda *x: x[0] * np.inf),
+        ("log", "nonvanishing", lambda *x: jlog(x[1] - 1.5)),
+        ("plain", "nonvanishing", lambda *x: x[2]),
+    ]
+    chart = Chart(((1.0, 2.0),) * 4)
+    with pytest.raises(FeasibilityError, match="'log' is undefined on the box"):
+        catalog._certify(chart, constraints, "test")
+    with pytest.raises(FeasibilityError, match="'infinite' is not finite"):
+        catalog._certify(chart, constraints[::2], "test")
 
 
 class TestFamilyConformance:

@@ -241,7 +241,9 @@ def test_csv_curve_is_the_geodesic_checks_first_curve(tmp_path, monkeypatch):
     out = tmp_path / "curve.csv"
     run("run", "--family", "dim-d1", "--checks", "geodesic", "--seed", "4",
         "--points", "2", "--csv", str(out))
-    (checked,) = bundles
+    # the check's bundle, then the export's: one function makes both
+    checked, exported = bundles
+    assert np.array_equal(exported[0].positions, checked[0].positions)
     rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(9))
     assert rows.shape == (len(checked[0]), 9)
     assert np.allclose(rows[:, 1:5], checked[0].positions, rtol=1e-11, atol=0.0)

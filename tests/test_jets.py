@@ -154,6 +154,38 @@ def test_leibniz_rule(x0, y0):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+class _Carrier:
+    """A derivative carrier of no pklab type that numpy refuses to operate
+    on: each method returns its name and arguments."""
+
+    __array_ufunc__ = None
+
+    def __getattr__(self, name):
+        if name not in ("exp", "log", "sqrt", "sin", "cos", "pow", "reciprocal"):
+            raise AttributeError(name)
+        return lambda *args: (name, *args)
+
+
+DISPATCHERS = {"exp": jets.jexp, "log": jets.jlog, "sqrt": jets.jsqrt, "sin": jets.jsin,
+               "cos": jets.jcos, "pow": lambda x: jets.jpow(x, 0.5),
+               "reciprocal": jets.jreciprocal}
+NUMPY = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+         "pow": lambda x: np.power(x, 0.5), "reciprocal": lambda x: 1.0 / x}
+
+
+@pytest.mark.parametrize("method", sorted(DISPATCHERS))
+def test_dispatchers_call_the_operands_own_method(method):
+    # any operand with the method gets it called; numbers and arrays, object
+    # arrays too, have none and go to numpy
+    fn = DISPATCHERS[method]
+    assert fn(_Carrier()) == ((method, 0.5) if method == "pow" else (method,))
+    for x in (0.7, np.float64(0.7), np.array([0.7, 1.3])):
+        assert np.array_equal(fn(x), NUMPY[method](x))
+    j = Jet.variable(0, 0.7, 1, 2)
+    got = fn(np.array([j], dtype=object))[0]
+    assert np.array_equal(got.coeffs, NUMPY[method](j).coeffs)
+
+
 def _random_composition(rng):
     """A smooth random composition of eligible elementary functions on (0,2)^4."""
     from pklab.jets import jexp, jlog, jsin, jsqrt
@@ -408,8 +440,6 @@ def test_batch_duals_leave_unread_hessians_unformed(monkeypatch, triples):
     undifferentiated = 0
     for name, tr in triples.items():
         for field in (tr.g, tr.a, tr.t):
-            if field.batch_fn is not None:
-                continue
             entries = []
 
             def recording(*coords, rule=field.fn):

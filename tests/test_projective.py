@@ -176,20 +176,18 @@ class TestPairAlgebra:
                 rec = pj.a_from_pair(tr.g.values(p), ghat.values(p))
                 assert np.max(np.abs(rec - tr.a.values(p))) < 1e-10, name
             # stacks of matrices on the leading axis give each one's A
-            stacked = pj.a_from_pair(tr.g.batch_values(pts), ghat.batch_values(pts))
-            for rec, p in zip(stacked, pts):
-                assert np.array_equal(rec, pj.a_from_pair(tr.g.batch_values([p])[0],
-                                                          ghat.batch_values([p])[0])), name
+            hv = pj.companion_values(tr.g, tr.a, pts)
+            stacked = pj.a_from_pair(tr.g.batch_values(pts), hv)
+            for rec, p, h in zip(stacked, pts, hv):
+                assert np.array_equal(rec, pj.a_from_pair(tr.g.batch_values([p])[0], h)), name
 
     def test_companion_batch_path_matches_jets(self, triples):
         presets = [preset_triple(name) for name in sorted(PRESETS)]
         for tr in [*triples.values(), *presets]:
             ghat = pj.companion_metric(tr.g, tr.a)
             pts = tr.sample_points(4)
-            # the evaluator gives values only; ghat's partials come from jets
-            vals = ghat.batch_values(pts)
-            with pytest.raises(TypeError, match="no batch partials"):
-                ghat.batch_duals(pts)
+            # the batch values, from g and A, are those of ghat's jets
+            vals = pj.companion_values(tr.g, tr.a, pts)
             for i, p in enumerate(pts):
                 jv, _ = split_jets(ghat.jets(p, order=2))
                 for idx in np.ndindex((4, 4)):
