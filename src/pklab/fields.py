@@ -171,10 +171,6 @@ class TensorField:
     fn: ComponentsFn
     name: str = ""
 
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
-
     def components(self, coords) -> np.ndarray | Jet:
         """The rule's entries at coordinate ring elements: an object array,
         or the stacked Jet a rule built from stacked operands."""

@@ -28,8 +28,13 @@ many points; other modules read the arrays it returns.  Its
 Hessian level is formed only when read: by ``derivative`` (a rule that
 differentiates a profile) or by ``hess``.
 
-Each elementary function is one derivative rule on whole arrays, shared
-by both carriers, so they agree bit for bit in values and first partials.
+Both carriers share one ring: each supplies its product, its elementary
+functions and a few level-wise primitives, and the other operations are
+written once.  A number is a constant of the value level alone: it
+shifts the values or scales every level, and no constant jet or batch
+is built for it.  Each elementary function is one derivative rule on
+whole arrays, shared by both carriers, so they agree bit for bit in
+values and first partials.
 """
 
 from __future__ import annotations
@@ -205,28 +210,72 @@ def _method(rule):
     return method
 
 
-def _power(x, expo, constant):
-    """x ** expo on either carrier: an integer power by binary powering, the same
-    products on both, so they agree bit for bit (x^0 is ``constant(1.0)``, also
-    where x = 0); any other exponent through ``pow``."""
-    if not isinstance(expo, (int, np.integer)):
-        return x.pow(float(expo))
-    n = int(expo)
-    if n < 0:
-        return x.reciprocal() ** (-n)
-    result = None if n else constant(1.0)
-    while n:
-        if n & 1:
-            result = x if result is None else result * x
-        n >>= 1
-        x = x * x if n else x
-    return result
-
-
 _NUMBERS = (int, float, np.floating, np.integer)
 
 
-class Jet:
+class _Ring:
+    """The ring operations both derivative carriers share.
+
+    A carrier supplies ``__mul__``/``__rmul__``, ``_elementary`` and three
+    primitives: ``_levelwise(op, other)`` applies the ufunc ``op`` level by
+    level, with a number or a carrier of its kind; ``_shift(c)`` adds the
+    number c to the value level alone; ``_constant(c)`` is the constant c
+    shaped like the carrier, for ``x ** 0`` only.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            return self._levelwise(np.add, other)
+        if isinstance(other, _NUMBERS):
+            return self._shift(float(other))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return self._levelwise(np.subtract, other)
+        if isinstance(other, _NUMBERS):
+            return self._shift(-float(other))
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, _NUMBERS) else NotImplemented
+
+    def __neg__(self):
+        return self._levelwise(np.multiply, -1.0)  # the bits of a negation
+
+    def __truediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            return self._levelwise(np.divide, float(other))
+        if isinstance(other, type(self)):
+            return self * other.reciprocal()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other if isinstance(other, _NUMBERS) else NotImplemented
+
+    def __pow__(self, expo):
+        """An integer power by binary powering, the same products on both
+        carriers, so they agree bit for bit (x^0 is ``_constant(1.0)``, also
+        where x = 0); any other exponent through ``pow``."""
+        if not isinstance(expo, (int, np.integer)):
+            return self.pow(float(expo))
+        n, x = int(expo), self
+        if n < 0:
+            return self.reciprocal() ** (-n)
+        result = None if n else self._constant(1.0)
+        while n:
+            if n & 1:
+                result = x if result is None else result * x
+            n >>= 1
+            x = x * x if n else x
+        return result
+
+
+class Jet(_Ring):
     """Truncated Taylor expansions at one point, or at a batch of points.
 
     ``coeffs[k]`` is the Taylor coefficient of the monomial with multi-index
@@ -319,56 +368,36 @@ class Jet:
             raise ValueError(f"cannot raise truncation order {self.space.order} to {order}")
         return Jet(sp, self.coeffs[: sp.size])
 
-    # -- ring arithmetic ----------------------------------------------
+    # -- ring arithmetic (the rest is _Ring's) ---------------------------
 
-    def _lift(self, value) -> np.ndarray:
-        """Coefficients of the constant ``value`` (or one value per column), shaped like ours."""
-        c = np.zeros(self.coeffs.shape)
-        c[0] = value
-        return c
+    def _operand(self, other: "Jet") -> np.ndarray:
+        """The coefficients of a jet of our space."""
+        if other.space is not self.space:
+            raise ValueError("jets from different spaces")
+        return other.coeffs
 
-    def _coerce(self, other) -> "Jet | None":
+    def _levelwise(self, op, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces")
-            return other
-        if isinstance(other, _NUMBERS):
-            return Jet(self.space, self._lift(float(other)))
-        return None
+            other = self._operand(other)
+        return Jet(self.space, op(self.coeffs, other))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs + o.coeffs)
+    def _shift(self, c: float) -> "Jet":
+        coeffs = self.coeffs.copy()
+        coeffs[0] += c
+        return Jet(self.space, coeffs)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs - o.coeffs)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, o.coeffs - self.coeffs)
+    def _constant(self, c: float) -> "Jet":
+        return Jet(self.space, np.zeros(self.coeffs.shape))._shift(c)
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):
-            return Jet(self.space, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is None:
+            return self._levelwise(np.multiply, float(other))
+        if not isinstance(other, Jet):
             return NotImplemented
         sp = self.space
         # every surviving coefficient pair of every entry, summed into its
         # (target, entry) bin in table order
-        terms = self.coeffs[sp._mul_left] * o.coeffs[sp._mul_right]
+        terms = self.coeffs[sp._mul_left] * self._operand(other)[sp._mul_right]
         m = terms[0].size
         bins = sp._mul_bins.get(m)
         if bins is None:
@@ -379,23 +408,6 @@ class Jet:
         return Jet(sp, out.reshape((sp.size,) + terms.shape[1:]))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _NUMBERS):
-            return Jet(self.space, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __pow__(self, expo):
-        return _power(self, expo, self._coerce)
 
     def __repr__(self) -> str:  # pragma: no cover
         sp = self.space
@@ -479,7 +491,7 @@ def jreciprocal(x):
     return _dispatch(x, "reciprocal", lambda v: 1.0 / v)
 
 
-class DualBatch:
+class DualBatch(_Ring):
     """Vectorized dual numbers of order 0, 1 or 2 over a batch of points.
 
     ``val`` has shape (n,), ``grad`` (n, dim) and ``hess`` (n, dim, dim);
@@ -501,9 +513,10 @@ class DualBatch:
     differentiates are ever formed (Griewank & Walther, *Evaluating
     Derivatives*, ch. 13: propagate the derivative levels that are read).
 
-    The elementary functions are the module's derivative rules, the ones
-    a :class:`Jet` composes, fed to :meth:`_chain` through this batch's
-    order, so values and gradients equal a batched jet's bit for bit.
+    The ring is :class:`_Ring`'s but for the product, and the elementary
+    functions are the derivative rules a :class:`Jet` composes, so values
+    and gradients equal a batched jet's bit for bit.  A number shifts the
+    values alone: the sum keeps its operand's gradient array and Hessian.
     This type backs the fast paths (feasibility scans, geodesic right-hand
     sides); everything above second order goes through :class:`Jet`.
     """
@@ -541,84 +554,44 @@ class DualBatch:
             raise ValueError("derivative() of an order-0 DualBatch")
         return _batch(self.grad[..., i], None if self._hess is None else self.hess[..., i, :])
 
-    def _lift(self, other):
-        """``other`` as a batch of our order: a constant has zero derivatives."""
+    # -- ring arithmetic (the rest is _Ring's) ---------------------------
+
+    def _levelwise(self, op, other) -> "DualBatch":
         if isinstance(other, DualBatch):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            try:  # an array that is not one value per point is numpy's to broadcast
-                v = np.broadcast_to(np.asarray(other, dtype=float), self.val.shape)
-            except (TypeError, ValueError):
-                return None
-            return _batch(v, None if self.grad is None else np.zeros_like(self.grad),
-                          _defer(np.zeros_like, (self,)))
-        return None
+            grad = None if self.grad is None or other.grad is None else op(self.grad, other.grad)
+            return _batch(op(self.val, other.val), grad, _defer(op, (self, other)))
+        return _batch(op(self.val, other), None if self.grad is None else op(self.grad, other),
+                      _defer(op, (self,), other))
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _batch(self.val + o.val, _join(np.add, self.grad, o.grad), _defer(np.add, (self, o)))
+    def _shift(self, c: float) -> "DualBatch":
+        # np.asarray of the formed operand Hessian is that array itself
+        return _batch(self.val + c, self.grad, _defer(np.asarray, (self,)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _batch(-self.val, None if self.grad is None else -self.grad,
-                      _defer(np.negative, (self,)))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _batch(self.val - o.val, _join(np.subtract, self.grad, o.grad),
-                      _defer(np.subtract, (self, o)))
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _constant(self, c: float) -> "DualBatch":
+        return _batch(np.full(self.val.shape, c),
+                      None if self.grad is None else np.zeros_like(self.grad),
+                      _defer(np.zeros_like, (self,)))
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):  # a constant scales every derivative level
-            return _batch(self.val * other, None if self.grad is None else self.grad * other,
-                          _defer(np.multiply, (self,), other))
-        o = self._lift(other)
-        if o is None:
+            return self._levelwise(np.multiply, other)
+        if not isinstance(other, DualBatch):
             return NotImplemented
-        val = self.val * o.val
-        if self.grad is None or o.grad is None:
+        val = self.val * other.val
+        if self.grad is None or other.grad is None:
             return _batch(val)
-        grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
-        hess = _defer(_product_hess, (self, o), self.val, o.val, self.grad, o.grad)
+        grad = self.grad * other.val[..., None] + other.grad * self.val[..., None]
+        hess = _defer(_product_hess, (self, other), self.val, other.val, self.grad, other.grad)
         return _batch(val, grad, hess)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __pow__(self, expo):
-        return _power(self, expo, self._lift)
-
-    def _chain(self, v, dv=None, d2v=None):
-        if self.grad is None:
-            return _batch(v)
-        hess = _defer(_chain_hess, (self,), self.grad, dv, d2v)
-        return _batch(v, dv[..., None] * self.grad, hess)
-
     def _elementary(self, rule, *args):
         """Compose with ``rule``'s derivatives of orders 0..our order."""
-        return self._chain(*rule(self.val, self.order, *args))
+        v, *d = rule(self.val, self.order, *args)
+        if self.grad is None:
+            return _batch(v)
+        return _batch(v, d[0][..., None] * self.grad, _defer(_chain_hess, (self,), self.grad, *d))
 
     exp = _method(_exp)
     log = _method(_log)
@@ -643,11 +616,6 @@ def _batch(val, grad=None, hess=None) -> DualBatch:
     out = object.__new__(DualBatch)
     out.val, out.grad, out._hess = val, grad, hess
     return out
-
-
-def _join(op, a, b):
-    """``op(a, b)`` of two gradient levels, None unless both operands carry one."""
-    return None if a is None or b is None else op(a, b)
 
 
 # -- deferred Hessians ---------------------------------------------------

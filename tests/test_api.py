@@ -1,6 +1,7 @@
 """Every name a pklab module exports in ``__all__`` is defined there, no
 pklab module imports another's underscore names, and no module or test
-imports a name it never reads.
+imports a name it never reads; the two derivative carriers share every
+ring operation but the product.
 
 A stale entry breaks ``from pklab.<module> import *`` and the benchmark
 tracer's wildcard probes, which expand ``__all__``.
@@ -78,3 +79,19 @@ def test_only_fields_seeds_dual_batches():
     importers = sorted(path.name for path in Path(pklab.__file__).parent.glob("*.py")
                        if {"DualBatch", "dual_point"} & {name for _, name in _pklab_imports(path)})
     assert importers == ["fields.py"]
+
+
+def test_both_carriers_share_one_ring():
+    # Jet and DualBatch define their product and nothing else of the ring:
+    # sums, differences, negation, quotients and powers are written once
+    tree = ast.parse((Path(pklab.__file__).parent / "jets.py").read_text())
+    ring = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+            "__truediv__", "__rtruediv__", "__pow__", "__mul__", "__rmul__"}
+    defined = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("Jet", "DualBatch"):
+            names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+            names |= {t.id for n in cls.body if isinstance(n, ast.Assign)
+                      for t in n.targets if isinstance(t, ast.Name)}
+            defined[cls.name] = sorted(names & ring)
+    assert defined == {"Jet": ["__mul__", "__rmul__"], "DualBatch": ["__mul__", "__rmul__"]}
