@@ -13,11 +13,15 @@ Each constructor takes profile functions (callables over ring elements,
 one positional argument per declared coordinate), validates its
 parameter constraints on a dense sampling certificate, and returns a
 :class:`~pklab.parakahler.ParaKahlerTriple` whose metadata records the
-expected rank, gradient configuration and flatness/Einstein data.
+family's name (also the chart's label), expected rank, gradient
+configuration and flatness data.  ``FAMILIES`` gives each family's default
+triple; a preset of ``PRESETS`` is its family's default triple built with
+its own arguments, its metadata extended by its Einstein data.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -103,12 +107,13 @@ def _certify(chart: Chart, constraints, label: str) -> None:
             raise ValueError(f"unknown constraint kind {kind}")
 
 
-def _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra) -> ParaKahlerTriple:
+def _triple(box, constraints, gfn, tfn, afn, meta) -> ParaKahlerTriple:
     """A constructor's triple on ``box``, once ``constraints`` are certified there.
 
-    ``gfn``, ``tfn`` and ``afn`` are the evaluation rules of g, T and A;
-    ``meta_extra`` updates the family's ``meta``.
+    ``gfn``, ``tfn`` and ``afn`` are the evaluation rules of g, T and A; the
+    chart is labelled with the family's name.
     """
+    label = meta["family"]
     chart = Chart(tuple(tuple(b) for b in box), label=label)
     _certify(chart, constraints, label)
     return ParaKahlerTriple(
@@ -116,7 +121,7 @@ def _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra) -> ParaKah
         g=TensorField((0, 2), gfn, name="g"),
         t=TensorField((1, 1), tfn, name="T"),
         a=TensorField((1, 1), afn, name="A"),
-        meta={**meta, **(meta_extra or {})},
+        meta=meta,
     )
 
 
@@ -148,8 +153,6 @@ def build_real_liouville(
     sigma: Callable,
     eps: int = 1,
     box: Sequence[tuple[float, float]] = ((2.0, 3.0), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
-    label: str = "real-liouville",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Separable family with two real, distinct eigenvalue profiles.
 
@@ -205,7 +208,7 @@ def build_real_liouville(
         "flat": False,
         "adapted": False,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, tfn, afn, meta)
 
 
 # -- rank 4: complex Liouville ------------------------------------------
@@ -215,8 +218,6 @@ def build_complex_liouville(
     re_part: Callable,
     im_part: Callable,
     box: Sequence[tuple[float, float]] = ((0.25, 1.25), (0.5, 1.5), (0.0, 1.0), (0.0, 1.0)),
-    label: str = "complex-liouville",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Separable family with complex-conjugate eigenvalues rho, conj(rho).
 
@@ -296,7 +297,7 @@ def build_complex_liouville(
         "flat": False,
         "adapted": False,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, tfn, afn, meta)
 
 
 # -- rank 2, constant second eigenvalue ----------------------------------
@@ -308,8 +309,6 @@ def build_dimd2_case1(
     nu: Callable,
     c: float,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (2.0, 3.0), (1.0, 2.0), (1.0, 2.0)),
-    label: str = "dim-d2-1",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-2 family with one non-isotropic gradient and sigma = c constant.
 
@@ -370,7 +369,7 @@ def build_dimd2_case1(
         "adapted": False,
         "constant_eigenvalue": c,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, tfn, afn, meta)
 
 
 # -- rank 2, adapted chart ------------------------------------------------
@@ -381,8 +380,6 @@ def build_dimd2_case2(
     sigma: Callable,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (0.5, 1.5)),
     negate_t: bool = False,
-    label: str = "dim-d2-2",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Adapted-chart rank-2 family; both eigenvalue gradients are null.
 
@@ -421,7 +418,7 @@ def build_dimd2_case2(
         "flat": True,
         "adapted": not negate_t,
     }
-    return _triple(box, label, constraints, gfn, _adapted_t(negate_t), afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, _adapted_t(negate_t), afn, meta)
 
 
 # -- rank 2, mixed null gradients ----------------------------------------
@@ -432,8 +429,6 @@ def build_dimd2_case4(
     sigma: Callable,
     k: float = 0.0,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0), (0.5, 1.5), (3.5, 4.5)),
-    label: str = "dim-d2-4",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-2 family whose eigenvalue gradients are null of opposite type.
 
@@ -485,7 +480,7 @@ def build_dimd2_case4(
         "adapted": False,
         "k": k,
     }
-    return _triple(box, label, constraints, gfn, tfn, afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, tfn, afn, meta)
 
 
 # -- rank 1 ---------------------------------------------------------------
@@ -498,8 +493,6 @@ def build_dimd1(
     phi: Callable | None = None,
     box: Sequence[tuple[float, float]] = ((0.0, 1.0), (1.0, 2.0), (0.5, 1.5), (0.5, 1.5)),
     negate_t: bool = False,
-    label: str = "dim-d1",
-    meta_extra: dict | None = None,
 ) -> ParaKahlerTriple:
     """Rank-1 family: one null gradient, constant second eigenvalue c.
 
@@ -562,7 +555,7 @@ def build_dimd1(
         "adapted": not negate_t,
         "constant_eigenvalue": c,
     }
-    return _triple(box, label, constraints, gfn, _adapted_t(negate_t), afn, meta, meta_extra)
+    return _triple(box, constraints, gfn, _adapted_t(negate_t), afn, meta)
 
 
 # -- Einstein systems ------------------------------------------------------
@@ -680,114 +673,70 @@ FAMILIES: dict[str, Family] = {
         {"rho": ("rho", ("x2",)), "mu": ("mu", ("x2",)), "nu": ("nu", ("x3", "x4")), "c": float},
     ),
     "dim-d2-2": Family("build_dimd2_case2", _DIMD2_2, _DIMD2_2_PARAMS),
-    "dim-d2-2neg": Family(
-        "build_dimd2_case2", {**_DIMD2_2, "negate_t": True, "label": "dim-d2-2neg"}, _DIMD2_2_PARAMS
-    ),
+    "dim-d2-2neg": Family("build_dimd2_case2", {**_DIMD2_2, "negate_t": True}, _DIMD2_2_PARAMS),
     "dim-d2-4": Family(
         "build_dimd2_case4",
         {"rho": lambda u: u, "sigma": lambda u: u, "k": 1.0},
         {"rho": ("rho", ("x3",)), "sigma": ("sigma", ("x4",)), "k": float},
     ),
     "dim-d1": Family("build_dimd1", _DIMD1, _DIMD1_PARAMS),
-    "dim-d1neg": Family(
-        "build_dimd1", {**_DIMD1, "negate_t": True, "label": "dim-d1neg"}, _DIMD1_PARAMS
-    ),
+    "dim-d1neg": Family("build_dimd1", {**_DIMD1, "negate_t": True}, _DIMD1_PARAMS),
 }
 
 
-def _preset_einstein_lambda1() -> ParaKahlerTriple:
-    """Separable Einstein instance with unit constant and Ricci-flat companion."""
-    lam = 1.0
-    return build_real_liouville(
-        rho=lambda u: -6.0 / (lam * u * u),
-        sigma=lambda u: 6.0 / (lam * u * u),
-        eps=1,
-        box=((1.5, 2.5), (0.5, 1.0), (0.0, 1.0), (0.0, 1.0)),
-        label="real-liouville einstein preset",
-        meta_extra={
-            "einstein": lam,
-            "companion_einstein": 0.0,
-            "family_constant_rule": "lam*alpha^3",
-            "constants": {"lam": lam, "h": 0.0, "k": 0.0, "c1": 0.0, "c2": 0.0},
-        },
-    )
+class Preset(NamedTuple):
+    """An Einstein instance of a family: its default triple built with the
+    builder arguments ``args`` in place of the defaults, with ``meta`` added
+    to the triple's ``meta``."""
+
+    family: str
+    args: dict
+    meta: dict
 
 
-def _preset_companion_einstein() -> ParaKahlerTriple:
-    """Ricci-flat instance whose companion is Einstein with constant -6.
-
-    First integrals: 3 rho'^2 - 3 rho^2 = c1 = -12 (rho = 2 cosh x1) and
-    3 sigma'^2 + 3 sigma^2 = c2 = 12 (sigma = 2 cos x2); the companion
-    constant is c1 / 2.
-    """
-    return build_real_liouville(
-        rho=lambda u: u.exp() + (-u).exp(),  # 2 cosh u
-        sigma=lambda u: 2.0 * u.cos(),
-        eps=1,
-        box=((0.5, 1.0), (0.6, 1.0), (0.0, 1.0), (0.0, 1.0)),
-        label="real-liouville companion-einstein preset",
-        meta_extra={
-            "einstein": 0.0,
-            "companion_einstein": -6.0,
-            "constants": {"lam": 0.0, "h": 0.0, "k": 1.0, "c1": -12.0, "c2": 12.0},
-        },
-    )
-
-
-def _preset_dimd2_1_einstein() -> ParaKahlerTriple:
-    """Constant-eigenvalue family tuned Einstein; companion constant c^3 lam."""
-    lam, c = 1.0, 2.0
-    return build_dimd2_case1(
-        rho=lambda u: u,
-        mu=lambda u: 1.5 / ((u - c) * (u - c)),
-        nu=lambda x3, x4: x3 + x4,
-        c=c,
-        box=((0.0, 1.0), (3.0, 4.0), (0.5, 1.5), (0.5, 1.5)),
-        label="dim-d2-1 einstein preset",
-        meta_extra={
-            "einstein": lam,
-            "companion_einstein": c * c * (lam * c - 0.0 / 2.0),
-            "constants": {"lam": lam, "c1": 0.0, "c2": 0.0},
-        },
-    )
-
-
-def _preset_dimd1_flat() -> ParaKahlerTriple:
-    """Rank-1 family with separable second profile; the metric is flat."""
-    return build_dimd1(
-        rho=lambda u: u,
-        f_profile=lambda x2, ph: x2 * ph,
-        c=3.0,
-        label="dim-d1 flat preset",
-        meta_extra={"flat": True, "einstein": 0.0},
-    )
-
-
-def _preset_complex_einstein_linear() -> ParaKahlerTriple:
-    """Linear complex eigenvalue profile: flat, with companion constant -6.
-
-    The first integral for the complex family holds with lam = 0, a = 0,
-    h = 0, d = -1 (both real), so the companion constant is 6 d.
-    """
-    return build_complex_liouville(
-        re_part=lambda x1, x2: x1,
-        im_part=lambda x1, x2: x2 + 0.0 * x1,
-        label="complex-liouville einstein preset",
-        meta_extra={
-            "flat": True,
-            "einstein": 0.0,
-            "companion_einstein": -6.0,
-            "constants": {"lam": 0.0, "a": 0.0, "h": 0.0, "d": -1.0},
-        },
-    )
-
-
-PRESETS: dict[str, tuple[str, Callable[[], ParaKahlerTriple]]] = {
-    "einstein-lambda1": ("real-liouville", _preset_einstein_lambda1),
-    "companion-einstein": ("real-liouville", _preset_companion_einstein),
-    "dim-d2-1-einstein": ("dim-d2-1", _preset_dimd2_1_einstein),
-    "dim-d1-flat": ("dim-d1", _preset_dimd1_flat),
-    "complex-einstein-linear": ("complex-liouville", _preset_complex_einstein_linear),
+PRESETS: dict[str, Preset] = {
+    # separable Einstein instance, rho = -6 / (lam x1^2) and
+    # sigma = 6 / (lam x2^2) with lam = 1; its companion is Ricci-flat
+    "einstein-lambda1": Preset(
+        "real-liouville",
+        {"rho": lambda u: -6.0 / (u * u), "sigma": lambda u: 6.0 / (u * u),
+         "box": ((1.5, 2.5), (0.5, 1.0), (0.0, 1.0), (0.0, 1.0))},
+        {"einstein": 1.0, "companion_einstein": 0.0, "family_constant_rule": "lam*alpha^3",
+         "constants": {"lam": 1.0, "h": 0.0, "k": 0.0, "c1": 0.0, "c2": 0.0}},
+    ),
+    # Ricci-flat instance whose companion is Einstein with constant -6.
+    # First integrals: 3 rho'^2 - 3 rho^2 = c1 = -12 (rho = 2 cosh x1) and
+    # 3 sigma'^2 + 3 sigma^2 = c2 = 12 (sigma = 2 cos x2); the companion
+    # constant is c1 / 2.
+    "companion-einstein": Preset(
+        "real-liouville",
+        {"rho": lambda u: u.exp() + (-u).exp(), "sigma": lambda u: 2.0 * u.cos(),
+         "box": ((0.5, 1.0), (0.6, 1.0), (0.0, 1.0), (0.0, 1.0))},
+        {"einstein": 0.0, "companion_einstein": -6.0,
+         "constants": {"lam": 0.0, "h": 0.0, "k": 1.0, "c1": -12.0, "c2": 12.0}},
+    ),
+    # the constant-eigenvalue family tuned Einstein with lam = 1, c = 2:
+    # mu = 3 / (2 (x2 - c)^2), and the companion constant is
+    # c^2 (lam c - c2 / 2) = 8 (c2 = 0)
+    "dim-d2-1-einstein": Preset(
+        "dim-d2-1",
+        {"mu": lambda u: 1.5 / ((u - 2.0) * (u - 2.0)), "nu": lambda x3, x4: x3 + x4, "c": 2.0,
+         "box": ((0.0, 1.0), (3.0, 4.0), (0.5, 1.5), (0.5, 1.5))},
+        {"einstein": 1.0, "companion_einstein": 8.0,
+         "constants": {"lam": 1.0, "c1": 0.0, "c2": 0.0}},
+    ),
+    # the rank-1 family with separable second profile F = x2 phi: flat
+    "dim-d1-flat": Preset("dim-d1", {"f_profile": lambda x2, ph: x2 * ph},
+                          {"flat": True, "einstein": 0.0}),
+    # linear complex eigenvalue profile rho(z) = z: flat.  Its first
+    # integral holds with lam = 0, a = 0, h = 0, d = -1 (both real), so the
+    # companion constant is 6 d = -6
+    "complex-einstein-linear": Preset(
+        "complex-liouville",
+        {"re_part": lambda x1, x2: x1, "im_part": lambda x1, x2: x2 + 0.0 * x1},
+        {"flat": True, "einstein": 0.0, "companion_einstein": -6.0,
+         "constants": {"lam": 0.0, "a": 0.0, "h": 0.0, "d": -1.0}},
+    ),
 }
 
 
@@ -801,7 +750,8 @@ def default_triple(family: str, **kw) -> ParaKahlerTriple:
 
 def preset_triple(name: str) -> ParaKahlerTriple:
     try:
-        _, builder = PRESETS[name]
+        family, args, meta = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}") from None
-    return builder()
+    triple = default_triple(family, **args)
+    return replace(triple, meta={**triple.meta, **meta})

@@ -93,7 +93,7 @@ def _build_triple(args) -> tuple:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; known: {', '.join(sorted(catalog.PRESETS))}"
             )
-        pfam, _ = catalog.PRESETS[args.preset]
+        pfam = catalog.PRESETS[args.preset].family
         if pfam != family:
             raise ConfigError(f"preset {args.preset!r} belongs to family {pfam!r}")
         return catalog.preset_triple(args.preset), config

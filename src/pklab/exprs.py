@@ -17,14 +17,13 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .jets import jcos, jexp, jlog, jpow, jsin, jsqrt
 
-__all__ = ["ExprError", "Expr", "parse_expr", "compile_profile"]
+__all__ = ["ExprError", "compile_profile"]
 
 _FUNCTIONS = {"exp": jexp, "log": jlog, "sqrt": jsqrt, "sin": jsin, "cos": jcos}
 
@@ -40,21 +39,10 @@ class ExprError(ValueError):
     """Malformed or non-whitelisted expression."""
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Parsed expression; ``__call__`` evaluates in a variable environment."""
-
-    source: str
-    variables: tuple[str, ...]
-    _eval: Callable
-
-    def __call__(self, env: dict):
-        return self._eval(env)
-
-
-def parse_expr(src: str, variables: Sequence[str]) -> Expr:
-    """Parse ``src`` allowing exactly the given variable names."""
-    vars_ok = tuple(variables)
+def compile_profile(src: str, variables: Sequence[str]) -> Callable:
+    """Parse ``src`` allowing exactly the given variable names; the result
+    takes them positionally as ring elements."""
+    names = tuple(variables)
     # one ASCII line, so that whitespace and newlines are insignificant and
     # column offsets index the text; '#' would start a comment the tree hides
     text = " ".join(src.split())
@@ -72,18 +60,19 @@ def parse_expr(src: str, variables: Sequence[str]) -> Expr:
             c = float(seg)
             if not math.isfinite(c):
                 raise ExprError(f"number {seg!r} is not finite")
-            return lambda env: c
+            return lambda xs: c
         if isinstance(node, ast.Name):
-            if seg not in vars_ok:
-                raise ExprError(f"unknown name {seg!r}; allowed variables: {', '.join(vars_ok)}")
-            return lambda env: env[seg]
+            if seg not in names:
+                raise ExprError(f"unknown name {seg!r}; allowed variables: {', '.join(names)}")
+            k = names.index(seg)
+            return lambda xs: xs[k]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             inner = walk(node.operand, depth + 1)
-            return inner if isinstance(node.op, ast.UAdd) else lambda env: -inner(env)
+            return inner if isinstance(node.op, ast.UAdd) else lambda xs: -inner(xs)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             op = _BINARY[type(node.op)]
             lhs, rhs = walk(node.left, depth + 1), walk(node.right, depth + 1)
-            return lambda env: op(lhs(env), rhs(env))
+            return lambda xs: op(lhs(xs), rhs(xs))
         if isinstance(node, ast.Call):
             # from the call's start, so that '(exp)(x1)' names no function
             name, args = text[node.col_offset:node.func.end_col_offset], node.args
@@ -96,7 +85,7 @@ def parse_expr(src: str, variables: Sequence[str]) -> Expr:
                     or "," in text[args[0].end_col_offset:node.end_col_offset]):
                 raise ExprError(f"{name} takes exactly one argument in {src!r}")
             fn, inner = _FUNCTIONS[name], walk(args[0], depth + 1)
-            return lambda env: fn(inner(env))
+            return lambda xs: fn(inner(xs))
         raise ExprError(f"unexpected {seg!r} in {src!r}")
 
     try:
@@ -105,7 +94,13 @@ def parse_expr(src: str, variables: Sequence[str]) -> Expr:
         raise ExprError(f"malformed expression {src!r} ({e.msg})") from None
     except RecursionError:  # from the parser itself, before the depth bound
         raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels") from None
-    return Expr(source=src, variables=vars_ok, _eval=run)
+
+    def profile(*args):
+        if len(args) != len(names):
+            raise TypeError(f"profile expects {len(names)} arguments {names}")
+        return run(args)
+
+    return profile
 
 
 def _power(base, expo):
@@ -126,15 +121,3 @@ _BINARY: dict[type, Callable] = {
     ast.Div: operator.truediv, ast.Pow: _power,
 }
 
-
-def compile_profile(src: str, variables: Sequence[str]) -> Callable:
-    """Callable taking the declared variables positionally as ring elements."""
-    e = parse_expr(src, variables)
-    names = tuple(variables)
-
-    def profile(*args):
-        if len(args) != len(names):
-            raise TypeError(f"profile expects {len(names)} arguments {names}")
-        return e(dict(zip(names, args)))
-
-    return profile

@@ -496,17 +496,10 @@ def commutation_residual(geo: Geometry) -> np.ndarray:
 
 def leaf_geodesic_residual(geo: Geometry) -> np.ndarray:
     """g(nabla_{V_i} V_j, T V_h): zero means the V-leaves are totally geodesic."""
-    gm = geo.values("g")
-    kv, kp = geo.vp("killing")
-    gamma = geo.gamma()
-    nabla = [covariant_derivative_vector(gamma, kv[b], kp[b]) for b in (0, 1)]  # [k, i]
-    terms = []
-    for a in (0, 1):
-        for b in (0, 1):
-            acc = mm(transposed(nabla[b]), kv[a])  # (nabla_{V_a} V_b)^i
-            terms += [np.abs(np.einsum("i...,i...->...", mm(transposed(gm), acc), kv[h]))
-                      for h in (2, 3)]
-    return relative(np.array(terms), gm)
+    gm, kv = geo.values("g"), geo.values("killing")
+    nabla = covariant_derivative_vector(geo.gamma(), *_killing_fields(geo, [0, 1]))  # [k, i, b]
+    acc = np.einsum("kib...,ak...->iab...", nabla, kv[:2])  # (nabla_{V_a} V_b)^i
+    return relative(np.einsum("iab...,hi...->abh...", mm(transposed(gm), acc), kv[2:]), gm)
 
 
 GradClass = str  # "zero", "null-plus", "null-minus", "non-isotropic", ...

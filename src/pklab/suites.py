@@ -440,11 +440,17 @@ CHECK_NAMES = tuple(_SUITES)
 
 
 def check_request(checks: Sequence[str], tolerances: Mapping[str, float]) -> None:
-    """Raise ValueError for an unknown check name, or for a tolerance
-    override that names no declared result or is not positive and finite."""
-    for name in checks:
+    """Raise ValueError for an empty check list, an unknown or repeated
+    check name, or a tolerance override that names no declared result or is
+    not positive and finite: a run that would evaluate nothing, or report a
+    result twice, must not pass."""
+    if not checks:
+        raise ValueError(f"no check named; known: {', '.join(CHECK_NAMES)}")
+    for k, name in enumerate(checks):
         if name not in _SUITES:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+        if name in checks[:k]:
+            raise ValueError(f"check {name!r} is named twice")
     check_tolerances(tolerances, _DECLARED)
 
 

@@ -417,8 +417,8 @@ class TestPresets:
             "real-liouville", "complex-liouville", "dim-d2-1", "dim-d2-2",
             "dim-d2-2neg", "dim-d2-4", "dim-d1", "dim-d1neg",
         }
-        for name, (family, _) in PRESETS.items():
-            assert family in FAMILIES, name
+        for name, preset in PRESETS.items():
+            assert preset.family in FAMILIES, name
 
     def test_family_parameters_are_builder_arguments(self):
         for name, (builder, defaults, params) in FAMILIES.items():
@@ -427,6 +427,32 @@ class TestPresets:
             for param, kind in params.items():
                 arg = param if kind in (int, float) else kind[0]
                 assert arg in accepted, (name, param)
+
+    def test_preset_arguments_are_builder_arguments(self):
+        for name, (family, args, _) in PRESETS.items():
+            accepted = inspect.signature(getattr(catalog, FAMILIES[family].builder)).parameters
+            assert set(args) <= set(accepted), name
+
+    def test_preset_is_its_familys_default_triple_with_einstein_data(self):
+        for name, (family, args, meta) in PRESETS.items():
+            assert preset_triple(name).meta == {**default_triple(family, **args).meta, **meta}
+
+    def test_every_builder_parameter_is_set_somewhere(self):
+        # a builder parameter that no default, --param or preset sets is a
+        # knob nothing uses
+        builders = {name for name in dir(catalog) if name.startswith("build_")}
+        assert builders == {f.builder for f in FAMILIES.values()}
+        for builder in builders:
+            used = {"box"}
+            for family in FAMILIES.values():
+                if family.builder == builder:
+                    used |= set(family.defaults)
+                    used |= {p if k in (int, float) else k[0] for p, k in family.params.items()}
+            for preset in PRESETS.values():
+                if FAMILIES[preset.family].builder == builder:
+                    used |= set(preset.args)
+            params = inspect.signature(getattr(catalog, builder)).parameters
+            assert set(params) <= used, (builder, set(params) - used)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

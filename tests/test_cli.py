@@ -64,6 +64,16 @@ def test_unknown_check_is_config_error(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks,message", [
+    (",", "no check named"), ("", "no check named"),
+    ("flatness,flatness", "named twice"), ("rank, flatness ,rank", "named twice"),
+])
+def test_empty_or_repeated_check_list_is_config_error(capsys, checks, message):
+    # a run that evaluates nothing, or reports a result twice, must not pass
+    assert run("run", "--family", "dim-d2-2", "--checks", checks) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_tolerance_is_config_error():
     assert run("run", "--family", "dim-d2-2", "--checks", "rank",
                "--tol", "rank/dimension=-1") == 2

@@ -1,12 +1,13 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import fd_of
 from pklab import projective as pj
-from pklab.curvature import christoffel_jets, riemann
+from pklab.curvature import christoffel_jets, covariant_derivative_vector, riemann
 from pklab.fields import (
     DegenerateMetricError,
     ScalarField,
@@ -28,6 +29,7 @@ from pklab.geometry import (
 )
 from pklab.jets import Jet, jlog, jpow
 from pklab.linalg import mdet, minv, mmul, mscale
+from pklab.parakahler import mm, relative, transposed
 from pklab.suites import _GRID_A, _GRID_B
 
 FLAT = [
@@ -518,6 +520,22 @@ class TestKillingMachinery:
             tr = triples[name]
             geo = over(tr, 3)
             assert max(pj.leaf_geodesic_residual(geo)) < 1e-8
+
+    def test_leaf_residual_keeps_the_bits_of_one_contraction_per_term(self):
+        # on random g, connection and fields (the residual is exactly 0 on
+        # every catalog triple); the reference takes nabla V_b one field at
+        # a time and one contraction per (a, b, h) of g(nabla_{V_a} V_b, T V_h)
+        rng = np.random.default_rng(5)
+        gm, gamma = rng.standard_normal((4, 4, 50)), rng.standard_normal((4, 4, 4, 50))
+        kv, kp = rng.standard_normal((4, 4, 50)), rng.standard_normal((4, 4, 4, 50))
+        geo = SimpleNamespace(values={"g": gm, "killing": kv}.get, vp=lambda name: (kv, kp),
+                              gamma=lambda: gamma)
+        terms = []
+        for a, b in np.ndindex(2, 2):
+            nabla = covariant_derivative_vector(gamma, kv[b], kp[b])
+            acc = mm(transposed(gm), mm(transposed(nabla), kv[a]))
+            terms += [np.einsum("i...,i...->...", acc, kv[h]) for h in (2, 3)]
+        assert np.array_equal(pj.leaf_geodesic_residual(geo), relative(np.array(terms), gm))
 
 
 class TestClassification:

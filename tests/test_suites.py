@@ -34,6 +34,13 @@ def test_unknown_check_rejected(triples):
         run_suite(triples["dim-d2-2"], ["flatness", "nope"], n_points=3)
 
 
+def test_empty_or_repeated_check_list_rejected(triples):
+    with pytest.raises(ValueError, match="no check named"):
+        run_suite(triples["dim-d2-2"], [], n_points=3)
+    with pytest.raises(ValueError, match="named twice"):
+        run_suite(triples["dim-d2-2"], ["flatness", "rank", "flatness"], n_points=3)
+
+
 def test_nonpositive_tolerance_rejected(triples):
     with pytest.raises(ValueError, match="positive"):
         run_suite(triples["dim-d2-2"], ["flatness"], n_points=3,
