@@ -35,7 +35,6 @@ from .curvature import (
     christoffel_jets,
     covariant_derivative_endo,
     covariant_derivative_vector,
-    riemann,
     scalar_hessian,
 )
 from .fields import (
@@ -59,7 +58,6 @@ from .geometry import (
 from .jets import Jet, jsqrt
 from .linalg import minv, mmul, msolve, mscale
 from .parakahler import amax, fundamental_form, mm, relative, transposed
-from .report import worst
 
 __all__ = [
     "N_COMPLEX",
@@ -638,8 +636,9 @@ _DEGENERATE_MARGIN = 1e-3
 
 def _pencil(geo: Geometry) -> dict:
     """The family members' shared pieces over all of geo's points, stacked for
-    ``_member_curvature`` to weight: (values, partials) of Gamma(g), G_K,
-    A.Gamma(g), A.G_K ('gamma'), of g, K ('h') and of g^-1, A g^-1 ('hinv'),
+    ``_member_curvature`` to weight: the values of Gamma(g), G_K, A.Gamma(g),
+    A.G_K and the trace difference d_k G^k_lj - d_j G^k_lk of their partials
+    ('gamma'), (values, partials) of g, K ('h') and of g^-1, A g^-1 ('hinv'),
     and (values, gradients, Hessians) of mu1, mu2 ('mu')."""
     g, mu = geo.batch("g"), geo.batch("mu")
     k = mscale(g, Jet(mu.space, mu.coeffs[:, 0])) - mmul(g, geo.batch("a"))
@@ -655,14 +654,18 @@ def _pencil(geo: Geometry) -> dict:
         return [np.stack(x) for x in zip(*xs)]
 
     gamma, gk = geo.vp("gamma"), geo.split(christoffel_jets(k, geo.batch("ginv")))
+    gv, gp = pieces(gamma, gk, a_dot(*gamma), a_dot(*gk))
     ginv = geo.vp("ginv")
-    return {"gamma": pieces(gamma, gk, a_dot(*gamma), a_dot(*gk)),
+    return {"gamma": [gv, np.einsum("ckljk...->clj...", gp) - np.einsum("cklkj...->clj...", gp)],
             "h": pieces(geo.vp("g"), geo.split(k)), "hinv": pieces(ginv, a_dot(*ginv)),
             "mu": pieces(*(scalar_hessian(Jet(mu.space, mu.coeffs[:, i])) for i in (0, 1)))}
 
 
-def _member_curvature(geo: Geometry, alpha: float, beta: float, used: np.ndarray):
-    """(Ric, metric values) of the family member at the sample points ``used``.
+def _member_curvature(geo: Geometry, alpha: np.ndarray, beta: np.ndarray, skip: np.ndarray):
+    """(Ric, metric values) of the family members (alpha[i], beta[i]) at all of
+    geo's points, shape (4, 4, members, points): the member axis sits before
+    the point axis.  Entries where ``skip`` (members, points) holds are finite
+    and meaningless.
 
     The member is m = h / s^2 with h = alpha g + beta K, K = mu1 g - g A, and
     h^-1 = (alpha Id + beta A) g^-1 / s since A^2 - mu1 A + mu2 Id = 0.  The
@@ -671,45 +674,46 @@ def _member_curvature(geo: Geometry, alpha: float, beta: float, used: np.ndarray
         Gamma(h) = [alpha^2 Gamma(g) + alpha beta (G_K + A.Gamma(g)) + beta^2 A.G_K] / s,
 
     and m = exp(2 phi) h, phi = -log|s|, adds d^k_i phi_j + d^k_j phi_i
-    - h_ij h^kl phi_l (Besse, *Einstein Manifolds*, 1.159).  The pieces are
-    weighted over all points, then cut to the points used, where alone s is
-    divided.
+    - h_ij h^kl phi_l (Besse, *Einstein Manifolds*, 1.159).  Of the partials
+    of Gamma(m), Ric_lj = d_k G^k_lj - d_j G^k_lk + G^k_kr G^r_lj - G^k_jr G^r_lk
+    reads two traces alone; each is taken term by term, so no member's
+    curvature tensor is formed.  s is set to 1 at the skipped entries before
+    any division.
     """
     p = geo.cached("pencil", lambda: _pencil(geo))
     ab = alpha * beta
 
     def weighted(weights, group):
-        # np.take gives C-ordered arrays; x[..., used] would not, and the
-        # einsums below, riemann's among them, run about 3x slower on those
-        return [np.take(np.tensordot(weights, x, 1), used, -1) for x in group]
+        w = np.stack(weights, 1)  # (members, pieces)
+        return [np.einsum("c...n,ac->...an", x, w) for x in group]
 
     s, ds, hs = weighted([ab, beta * beta], p["mu"])
-    s += alpha * alpha
+    s = np.where(skip, 1.0, s + (alpha * alpha)[:, None])
     phi = -ds / s
     dphi = phi[:, None] * phi - hs / s  # dphi[l, m] = d_m phi_l
-    nv, npart = weighted([alpha * alpha, ab, ab, beta * beta], p["gamma"])  # s Gamma(h)
+    nv, ntr = weighted([alpha * alpha, ab, ab, beta * beta], p["gamma"])  # s Gamma(h)
     hv, hp = weighted([alpha, beta], p["h"])
     iv, ip = weighted([alpha, beta], p["hinv"])  # s h^-1
     u = np.einsum("kl...,l...->k...", iv, phi) / s  # h^kl phi_l, and its partials:
     du = np.einsum("klm...,l...->km...", ip, phi) + np.einsum("kl...,lm...->km...", iv, dphi)
     du = (du - u[:, None] * ds) / s
-    eye = np.eye(DIM)
-    shift = np.einsum("ki,j...->kij...", eye, phi)
+    shift = np.einsum("ki,j...->kij...", np.eye(DIM), phi)
     gamma = nv / s + shift + np.swapaxes(shift, 1, 2) - np.einsum("ij...,k...->kij...", hv, u)
-    shift = np.einsum("ki,jm...->kijm...", eye, dphi)
-    dgamma = (npart - nv[..., None, :] * (ds / s)) / s + shift + np.swapaxes(shift, 1, 2)
-    dgamma -= np.einsum("ijm...,k...->kijm...", hp, u) + np.einsum("ij...,km...->kijm...", hv, du)
-    return np.einsum("klkj...->lj...", riemann(gamma, dgamma)), hv / (s * s)
+    # d_k G^k_lj - d_j G^k_lk over the four terms of dGamma(m): the pencil's
+    # (dN - N x ds / s) / s, the shift's, -dh x u and -h x du
+    ric = (ntr - (np.einsum("klj...,k...->lj...", nv, ds)
+                  - np.einsum("klk...,j...->lj...", nv, ds)) / s) / s
+    ric += np.swapaxes(dphi, 0, 1) - DIM * dphi
+    ric -= np.einsum("ljk...,k...->lj...", hp - np.swapaxes(hp, 1, 2), u)
+    ric += np.einsum("lk...,kj...->lj...", hv, du) - hv * np.einsum("kk...->...", du)
+    ric += np.einsum("kkr...,rlj...->lj...", gamma, gamma)
+    ric -= np.einsum("kjr...,rlk...->lj...", gamma, gamma)
+    return ric, hv / (s * s)
 
 
-def einstein_family_constant(
-    geo: Geometry,
-    lam: float,
-    lam_hat: float,
-    alpha: float,
-    beta: float,
-) -> dict:
-    """Einstein constant of the (alpha, beta) family member over geo's points.
+def einstein_family_constant(geo: Geometry, lam: float, lam_hat: float, members) -> list[dict]:
+    """Einstein constant of each (alpha, beta) family member of ``members``
+    over geo's points, one dict per member.
 
     Evaluates the closed-form constant
 
@@ -718,39 +722,50 @@ def einstein_family_constant(
              + lam*alpha/(2(n+1)) ),
         At = alpha Id + beta A,   s = signed sqrt det At,
 
-    at every sample point at once (det A, A^{-1} and Lam read from geo,
-    At^{-1} one stacked inverse), reports its spread, and verifies
-    Ric = lt * gtilde for the family member, in float arithmetic on the
+    at every used (member, sample point) pair at once (det A, A^{-1} and Lam
+    read from geo, At^{-1} one stacked inverse), reports its spread, and
+    verifies Ric = lt * gtilde for each member, in float arithmetic on the
     pencil of connections that all members share (``_member_curvature``).
-    Sample points where the combination degenerates are skipped and flagged.
+    A member's sample points where the combination degenerates are skipped
+    and flagged; each member is reduced over its own remaining points.
     """
+    alpha, beta = (np.array(x, dtype=float) for x in zip(*members))
+    al, be = alpha[:, None], beta[:, None]
     m1, m2 = geo.values("mu")
-    s = alpha * alpha + alpha * beta * m1 + beta * beta * m2
-    skip = np.abs(s) < _DEGENERATE_MARGIN * np.maximum(1.0, alpha**2 + beta**2 * np.abs(m2))
-    flags = ["degenerate-point-skipped"] if np.any(skip) else []
-    used = np.flatnonzero(~skip)
-    if not used.size:
-        return {"constant": np.nan, "spread": np.inf, "ricci_residual": np.inf,
-                "points": 0, "flags": flags + ["no-valid-points"]}
-    # (k, 4, 4) matrices and (k, 4, 1) columns Lam = V1 / 2 at the used points
-    am, gm, ainv = (np.moveaxis(geo.values(q)[..., used], -1, 0) for q in ("a", "g", "ainv"))
-    lamv = 0.5 * geo.values("killing")[0][:, used].T[..., None]
-    g_ainv, g_atinv = ((np.swapaxes(inv @ lamv, 1, 2) @ gm @ lamv)[:, 0, 0]
-                       for inv in (ainv, minv(alpha * np.eye(DIM) + beta * am)))
-    values = _K * s[used] * (
-        lam_hat * beta / _K / np.sqrt(geo.values("det_a")[used])
-        + beta * g_ainv
-        - beta * beta * g_atinv
-        + lam * alpha / _K
+    s = al * al + al * be * m1 + be * be * m2  # (members, points)
+    skip = np.abs(s) < _DEGENERATE_MARGIN * np.maximum(1.0, al**2 + be**2 * np.abs(m2))
+    used = ~skip
+    count = np.count_nonzero(used, axis=1)
+    mi, pi = np.nonzero(used)
+    # (points, 4, 4) matrices and (points, 4, 1) columns Lam = V1 / 2
+    am, gm, ainv = (np.moveaxis(geo.values(q), -1, 0) for q in ("a", "g", "ainv"))
+    lamv = 0.5 * geo.values("killing")[0].T[..., None]
+    g_ainv = (np.swapaxes(ainv @ lamv, 1, 2) @ gm @ lamv)[:, 0, 0]
+    a, b, lv = alpha[mi], beta[mi], lamv[pi]
+    # At is singular where s = 0, so it is inverted at the used pairs alone
+    atinv = minv(a[:, None, None] * np.eye(DIM) + b[:, None, None] * am[pi])
+    g_atinv = (np.swapaxes(atinv @ lv, 1, 2) @ gm[pi] @ lv)[:, 0, 0]
+    values = np.zeros(s.shape)
+    values[mi, pi] = _K * s[mi, pi] * (
+        lam_hat * b / _K / np.sqrt(geo.values("det_a")[pi])
+        + b * g_ainv[pi]
+        - b * b * g_atinv
+        + lam * a / _K
     )
-    const = float(np.mean(values))
-    spread = float(np.max(np.abs(values - const))) / max(1.0, abs(const))
+    const = values.sum(axis=1) / np.maximum(count, 1)
+    spread = np.max(np.where(used, np.abs(values - const[:, None]), 0.0), axis=1)
+    spread /= np.maximum(1.0, np.abs(const))
 
-    ric, gtv = _member_curvature(geo, alpha, beta, used)
-    return {
-        "constant": const,
-        "spread": spread,
-        "ricci_residual": worst(relative(ric - const * gtv, gtv)),
-        "points": len(used),
-        "flags": flags,
-    }
+    ric, gtv = _member_curvature(geo, alpha, beta, skip)
+    bad = relative((ric - const[:, None] * gtv).reshape(DIM, DIM, -1), gtv.reshape(DIM, DIM, -1))
+    ricci = np.max(np.where(used, bad.reshape(s.shape), 0.0), axis=1)
+    out = []
+    for k in range(len(alpha)):
+        flags = ["degenerate-point-skipped"] if count[k] < len(geo) else []
+        if not count[k]:
+            out.append({"constant": np.nan, "spread": np.inf, "ricci_residual": np.inf,
+                        "points": 0, "flags": flags + ["no-valid-points"]})
+            continue
+        out.append({"constant": float(const[k]), "spread": float(spread[k]),
+                    "ricci_residual": float(ricci[k]), "points": int(count[k]), "flags": flags})
+    return out

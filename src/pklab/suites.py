@@ -267,13 +267,12 @@ _GRID_B = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _family_sweep(geo, lam, lam_hat):
-    """(alpha, beta, einstein_family_constant result or None at the origin) over the grid."""
-    for al in _GRID_A:
-        for be in _GRID_B:
-            if al == 0.0 and be == 0.0:
-                yield al, be, None
-                continue
-            yield al, be, pj.einstein_family_constant(geo, lam, lam_hat, al, be)
+    """(alpha, beta, einstein_family_constant result or None at the origin)
+    over the grid, every member but the origin evaluated in one call."""
+    grid = [(al, be) for al in _GRID_A for be in _GRID_B]
+    members = [m for m in grid if m != (0.0, 0.0)]
+    outs = dict(zip(members, pj.einstein_family_constant(geo, lam, lam_hat, members)))
+    return [(al, be, outs.get((al, be))) for al, be in grid]
 
 
 _FAMILY = (
@@ -294,7 +293,7 @@ def _suite_family_einstein(geo, tol):
     rule = geo.triple.meta.get("family_constant_rule")
     n = len(geo)
     try:
-        sweep = list(_family_sweep(geo, lam, lam_hat))
+        sweep = _family_sweep(geo, lam, lam_hat)
     except DOMAIN_ERRORS as e:
         # a member could not be evaluated: every result fails
         declared = _FAMILY if rule == "lam*alpha^3" else _FAMILY[:2]

@@ -62,3 +62,15 @@ def test_the_geodesic_spray_is_traced(bench):
     # a geodesic-only run evaluates no Jet: dual batches take their elementary
     # functions without passing through the probed Jet methods
     assert tracer.counts["jets.jet_elementary_calls"] == 0
+
+
+def test_the_family_sweep_is_traced(bench):
+    # the 24 family members are evaluated in one call, whose time the
+    # benchmark's projective.einstein_family_constant_s figure reads; no
+    # member forms a curvature tensor
+    triple = pklab("catalog").preset_triple("einstein-lambda1")
+    with bench.Tracer() as tracer:
+        assert pklab("suites").run_suite(triple, ["family-einstein"]).all_passed
+    assert tracer.calls("projective.einstein_family_constant") == 1
+    assert tracer.calls("curvature.riemann") == 0
+    assert tracer.inclusive_s("projective.einstein_family_constant") > 0.0

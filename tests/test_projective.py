@@ -387,20 +387,20 @@ class TestFamilyMetric:
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_batched_member_curvature_matches_each_point(self, einstein_preset):
-        # the pencil's member at some of the sample points has the Ricci
-        # tensor and values of the order-3 member built at each point alone
+        # each of the pencil's members at its unskipped sample points has the
+        # Ricci tensor and values of the order-3 member built at each point alone
         tr = einstein_preset
         geo = Geometry(tr, tr.sample_points(4))
-        points = np.array([0, 2, 3])
-        al, be = 1.5, 0.75
-        ric, values = pj._member_curvature(geo, al, be, points)
-        assert ric.shape == values.shape == (4, 4, len(points))
-        for k, i in enumerate(points):
+        alpha, beta = np.array([1.5, 0.5]), np.array([0.75, 1.0])
+        skip = np.array([[False, True, False, False], [True, False, False, True]])
+        ric, values = pj._member_curvature(geo, alpha, beta, skip)
+        assert ric.shape == values.shape == (4, 4, 2, 4)
+        for m, i in zip(*np.nonzero(~skip)):
             gj, aj = tr.g.jets(geo.points[i]), tr.a.jets(geo.points[i])
-            one = family_components(gj, aj, *mu_invariants(aj), al, be)
+            one = family_components(gj, aj, *mu_invariants(aj), alpha[m], beta[m])
             v1 = split_jets(one)[0]
             r1 = np.einsum("klkj->lj", riemann(*split_jets(christoffel_jets(one))))
-            for x, y in ((values[..., k], v1), (ric[..., k], r1)):
+            for x, y in ((values[..., m, i], v1), (ric[..., m, i], r1)):
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_degenerate_combination_raises(self, triples):
@@ -599,56 +599,84 @@ class TestFamilyConstant:
     def test_pencil_matches_the_jet_members(self, preset):
         tr = preset_triple(preset)
         geo = over(tr, 5)
-        every = np.arange(len(geo))
         members = [(al, be) for al in _GRID_A for be in _GRID_B if (al, be) != (0.0, 0.0)]
         assert len(members) == 24
-        for al, be in members:
-            ric, values = pj._member_curvature(geo, al, be, every)
+        alpha, beta = np.array(members).T
+        ric, values = pj._member_curvature(geo, alpha, beta, np.zeros((24, len(geo)), bool))
+        for m, (al, be) in enumerate(members):
             ric_o, values_o = self.oracle(tr, geo.points, al, be)
-            for x, y in ((ric, ric_o), (values, values_o)):
+            for x, y in ((ric[:, :, m], ric_o), (values[:, :, m], values_o)):
                 scale = np.maximum(1.0, np.max(np.abs(y), axis=(0, 1)))
                 assert np.all(np.max(np.abs(x - y), axis=(0, 1)) <= 1e-10 * scale), (al, be)
 
     def test_degenerate_member_skips_points_without_dividing_there(self, triples):
-        # rho = x1 in (2, 3), sigma = x2: s = (x1 - 2.5)(x2 - 2.5) is 0.0
-        # exactly at point 1, small at point 3 and of both signs elsewhere
+        # rho = x1 in (2, 3), sigma = x2: for (alpha, beta) = (-2.5, 1),
+        # s = (x1 - 2.5)(x2 - 2.5) is 0.0 exactly at point 1, small at point 3
+        # and of both signs elsewhere; (-2, 1) skips point 0 alone, (1, 0)
+        # skips none, and (0, 0) is the degenerate origin, valid nowhere
         tr = triples["real-liouville"]
         points = tr.sample_points(5)
         points[1, :2] = 2.5, 1.0
         points[3, 0] = 2.5005
         points[4, 0] = 2.8
+        points[0, 0] = 2.0001
         geo = Geometry(tr, points)
         m1, m2 = geo.values("mu")
         s = 6.25 - 2.5 * m1 + m2
         assert s[1] == 0.0 and s[0] > 0.0 > s[4]
+        members = [(-2.5, 1.0), (1.0, 0.0), (0.0, 0.0), (-2.0, 1.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = pj.einstein_family_constant(geo, 1.0, 0.0, -2.5, 1.0)
-        assert out["flags"] == ["degenerate-point-skipped"]
-        assert out["points"] == 3 and np.isfinite(out["ricci_residual"])
-        used = np.array([0, 2, 4])
-        ric, values = pj._member_curvature(geo, -2.5, 1.0, used)
-        ric_o, values_o = self.oracle(tr, points[used], -2.5, 1.0)
-        for x, y in ((ric, ric_o), (values, values_o)):
-            scale = np.maximum(1.0, np.max(np.abs(y), axis=(0, 1)))
-            assert np.all(np.max(np.abs(x - y), axis=(0, 1)) <= 1e-10 * scale)
+            outs = pj.einstein_family_constant(geo, 1.0, 0.0, members)
+        used = {(-2.5, 1.0): [0, 2, 4], (1.0, 0.0): [0, 1, 2, 3, 4], (-2.0, 1.0): [1, 2, 3, 4]}
+        for (al, be), out in zip(members, outs):
+            if (al, be) == (0.0, 0.0):
+                assert out["flags"] == ["degenerate-point-skipped", "no-valid-points"]
+                assert out["points"] == 0 and np.isnan(out["constant"])
+                assert out["spread"] == out["ricci_residual"] == np.inf
+                continue
+            cols = np.array(used[al, be])
+            assert out["points"] == len(cols)
+            assert out["flags"] == ([] if len(cols) == 5 else ["degenerate-point-skipped"])
+            assert np.isfinite(out["ricci_residual"]) and np.isfinite(out["spread"])
+            # the member alone at its own points gives the same verdicts
+            alone, = pj.einstein_family_constant(Geometry(tr, points[cols]), 1.0, 0.0, [(al, be)])
+            assert alone["points"] == len(cols) and alone["flags"] == []
+            assert out["constant"] == pytest.approx(alone["constant"], rel=1e-12, abs=1e-12)
+            for key in ("spread", "ricci_residual"):
+                assert abs(out[key] - alone[key]) <= 1e-10, key
+        alpha, beta = np.array(members).T
+        skip = ~np.zeros((4, 5), bool)
+        for m, (al, be) in enumerate(members):
+            skip[m, used.get((al, be), [])] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ric, values = pj._member_curvature(geo, alpha, beta, skip)
+        assert np.all(np.isfinite(ric)) and np.all(np.isfinite(values))
+        for m, (al, be) in enumerate(members):
+            cols = np.array(used.get((al, be), []), dtype=int)
+            if not cols.size:
+                continue
+            ric_o, values_o = self.oracle(tr, points[cols], al, be)
+            for x, y in ((ric[:, :, m, cols], ric_o), (values[:, :, m, cols], values_o)):
+                scale = np.maximum(1.0, np.max(np.abs(y), axis=(0, 1)))
+                assert np.all(np.max(np.abs(x - y), axis=(0, 1)) <= 1e-10 * scale), (al, be)
 
     def test_endpoints(self, companion_einstein_preset):
         tr = companion_einstein_preset
         lam, lam_hat = tr.meta["einstein"], tr.meta["companion_einstein"]
         geo = over(tr, 5)
-        out = pj.einstein_family_constant(geo, lam, lam_hat, 1.0, 0.0)
-        assert out["constant"] == pytest.approx(lam, abs=1e-10)
-        out = pj.einstein_family_constant(geo, lam, lam_hat, 0.0, 1.0)
-        assert out["constant"] == pytest.approx(lam_hat, abs=1e-8)
-        assert out["spread"] < 1e-8
-        assert out["ricci_residual"] < 1e-8
+        g_side, ghat_side = pj.einstein_family_constant(geo, lam, lam_hat, [(1.0, 0.0), (0.0, 1.0)])
+        assert g_side["constant"] == pytest.approx(lam, abs=1e-10)
+        assert ghat_side["constant"] == pytest.approx(lam_hat, abs=1e-8)
+        assert ghat_side["spread"] < 1e-8
+        assert ghat_side["ricci_residual"] < 1e-8
 
     def test_alpha_cubed_rule(self, einstein_preset):
         tr = einstein_preset
         geo = over(tr, 6)
-        for al, be in ((2.0, 1.0), (1.5, 0.25), (0.5, 0.5)):
-            out = pj.einstein_family_constant(geo, 1.0, 0.0, al, be)
+        members = [(2.0, 1.0), (1.5, 0.25), (0.5, 0.5)]
+        for (al, be), out in zip(members, pj.einstein_family_constant(geo, 1.0, 0.0, members)):
             assert out["constant"] == pytest.approx(al**3, rel=1e-9)
             assert out["spread"] < 1e-8
             assert out["ricci_residual"] < 1e-8

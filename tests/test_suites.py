@@ -258,6 +258,29 @@ def test_domain_error_in_non_parallel_fails_it(triples, monkeypatch):
     assert calls[0] == 1  # one evaluation over all the points
 
 
+def test_leaf_geodesic_check_can_fail(triples):
+    # the normal forms are block-diagonal: nabla_{V_a} V_b lies in the
+    # (x1, x2) block and g pairs it with T V_h = d3, d4 through entries
+    # that are exactly 0.0, so the residual is 0.0 on every catalog triple;
+    # coupling the blocks by g_13 = g_31 += 0.1 x1 makes it fail
+    tr = triples["real-liouville"]
+
+    def coupled(*c):
+        rows = objarray(tr.g.fn(*c))
+        rows[0, 2] = rows[2, 0] = rows[0, 2] + 0.1 * c[0]
+        return rows
+
+    mutated = dataclasses.replace(tr, g=TensorField((0, 2), coupled))
+    for triple, worst in ((tr, 0.0), (mutated, 0.2)):
+        leaf = next(c for c in run_suite(triple, ["killing"], n_points=20).checks
+                    if c.name == "killing/leaf-geodesic")
+        assert leaf.points == 20 and not leaf.flags
+        if worst:
+            assert not leaf.passed and worst < leaf.residual < 1.0
+        else:
+            assert leaf.passed and leaf.residual == 0.0
+
+
 def test_double_eigenvalue_at_one_point_fails_only_that_point(triples):
     # A = diag(x1, c, x1, c) commutes with T; its eigenvalues meet where x1 = c,
     # at sample point 1 alone
@@ -562,14 +585,14 @@ def test_near_degenerate_metric_at_one_point_fails_every_inverse_reader(triples)
         assert np.isfinite(by_name[name].residual), name
 
 
-def test_family_constant_inverts_once_per_member(monkeypatch):
-    # one stacked (alpha Id + beta A)^-1 over all the points; A^-1 and Lam
-    # come from the Geometry's batches
+def test_family_constant_inverts_once_per_sweep(monkeypatch):
+    # one stacked (alpha Id + beta A)^-1 over every (member, point) pair;
+    # A^-1 and Lam come from the Geometry's batches
     calls = []
     monkeypatch.setattr(pj, "minv", lambda m: calls.append(m.shape) or np.linalg.inv(m))
     report = run_suite(preset_triple("einstein-lambda1"), ["family-einstein"], n_points=5)
     assert report.all_passed
-    assert calls == [(5, 4, 4)] * 24  # the origin of the 5 x 5 grid is skipped
+    assert calls == [(24 * 5, 4, 4)]  # the origin of the 5 x 5 grid is skipped
 
 
 def test_nan_in_one_direction_fails_the_defining_equation(triples, monkeypatch):
